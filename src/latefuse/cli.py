@@ -48,9 +48,8 @@ CALIBRATE_DEFAULTS = {
     "llm_endpoint": None, "asr_endpoint": None, "timeout": 5.0,
 }
 DECODE_DEFAULTS = {
-    "mode": "uadf", "beta": 0.5, "combine": "outer-softmax",
-    "uncertainty": "entropy", "w_llm": 1.0, "w_asr": 0.25,
-    "tau1": None, "tau2": None, "max_len_factor": 2.0, "workers": 1,
+    "mode": "uadf", "beta": 0.5, "uncertainty": "entropy", "w_llm": 1.0, "w_asr": 0.25,
+    "tau1": None, "tau2": None, "max_len_factor": 2.0,
     "calibration_llm": None, "calibration_asr": None,
     "llm_endpoint": None, "asr_endpoint": None, "timeout": 5.0,
     "steps_log": None,
@@ -170,6 +169,16 @@ def _build_asr(resolved: dict, vocab: Vocabulary):
     return build_provider(spec, vocab)
 
 
+def _build_which(resolved: dict, vocab: Vocabulary):
+    """The one provider `--which` names, for calibrate and reliability."""
+    which = resolved.get("which")
+    if which == "llm":
+        return which, _build_llm(resolved, vocab)
+    if which == "asr":
+        return which, _build_asr(resolved, vocab)
+    raise ConfigurationError("--which must be llm or asr")
+
+
 def _tau_from(resolved: dict, explicit_key: str, report_key: str) -> float:
     if resolved.get(explicit_key) is not None:
         return float(resolved[explicit_key])
@@ -188,7 +197,6 @@ def _fusion_config(resolved: dict) -> fusion.FusionConfig:
         tau1=_tau_from(resolved, "tau1", "calibration_llm"),
         tau2=_tau_from(resolved, "tau2", "calibration_asr"),
         beta=float(resolved["beta"]),
-        combine=resolved["combine"],
         uncertainty=resolved["uncertainty"],
     )
     return cfg.normalized()
@@ -270,13 +278,7 @@ def cmd_calibrate(args):
     _require(resolved, "corpus", "vocab", "out")
     vocab = _load_vocab(resolved)
     records = corpus.load_corpus(resolved["corpus"])
-    which = resolved.get("which")
-    if which == "llm":
-        provider = _build_llm(resolved, vocab)
-    elif which == "asr":
-        provider = _build_asr(resolved, vocab)
-    else:
-        raise ConfigurationError("--which must be llm or asr")
+    which, provider = _build_which(resolved, vocab)
     report = calibration.fit_temperature(
         provider, _calibration_set(records, vocab),
         tol=float(resolved["tol"]),
@@ -296,7 +298,6 @@ def cmd_calibrate(args):
 
 
 def _providers_for_mode(resolved: dict, vocab: Vocabulary, mode: str):
-    mode = {"llm": "llm-only", "asr": "asr-only"}.get(mode, mode)
     llm = _build_llm(resolved, vocab) if mode != "asr-only" else None
     asr = _build_asr(resolved, vocab) if mode != "llm-only" else None
     return llm, asr
@@ -314,21 +315,12 @@ def cmd_decode(args):
     out.parent.mkdir(parents=True, exist_ok=True)
 
     factor = float(resolved["max_len_factor"])
-
-    def decode_one(rec):
+    results = []
+    for rec in records:
         ctx, ref_words = corpus.record_context(rec, vocab)
-        return decoding.fused_greedy_decode(
+        results.append(decoding.fused_greedy_decode(
             llm, asr, cfg, ctx,
-            max_len=decoding.evaluation_max_len(ref_words, factor))
-
-    workers = int(resolved["workers"])
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(decode_one, records))
-    else:
-        results = [decode_one(rec) for rec in records]
+            max_len=decoding.evaluation_max_len(ref_words, factor)))
 
     steps_log = resolved.get("steps_log")
     log_f = open(steps_log, "w", encoding="utf-8") if steps_log else None
@@ -374,7 +366,6 @@ def cmd_sweep(args):
             llm, asr, eval_set, [(1.0, w) for w in values],
             tau1=tau1, tau2=tau2,
             max_len_factor=float(resolved["max_len_factor"]),
-            workers=int(resolved["workers"]),
         )
         with open(out, "w", encoding="utf-8") as f:
             f.write("w_llm,w_asr,wer\n")
@@ -385,17 +376,10 @@ def cmd_sweep(args):
         with open(out, "w", encoding="utf-8") as f:
             f.write("beta,wer\n")
             for beta in values:
-                cfg = fusion.FusionConfig(
-                    mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
-                    combine=resolved["combine"], uncertainty=resolved["uncertainty"],
-                )
-                hyps = decoding.decode_eval_set(
-                    llm, asr, cfg, eval_set,
-                    max_len_factor=float(resolved["max_len_factor"]),
-                    workers=int(resolved["workers"]),
-                )
-                wer = metrics.corpus_wer(
-                    [(hyp, ref) for hyp, (_ctx, ref) in zip(hyps, eval_set)])
+                cfg = fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
+                                          uncertainty=resolved["uncertainty"])
+                wer = decoding.eval_set_wer(llm, asr, cfg, eval_set,
+                                            float(resolved["max_len_factor"]))
                 f.write(f"{beta!r},{wer!r}\n")
     else:
         raise ConfigurationError(f"unknown sweep axis {axis!r}")
@@ -414,6 +398,10 @@ def _load_hypotheses(path) -> dict[str, str]:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusParseError(path, line_no, f"invalid JSON: {exc}") from exc
+            for field in ("id", "text"):
+                if not isinstance(entry, dict) or not isinstance(entry.get(field), str):
+                    raise CorpusSchemaError(
+                        field, f"{path}:{line_no}: {field!r} missing or not a string")
             hyps[entry["id"]] = entry["text"]
     return hyps
 
@@ -489,20 +477,8 @@ def cmd_reliability(args):
     _require(resolved, "corpus", "vocab", "out")
     vocab = _load_vocab(resolved)
     records = corpus.load_corpus(resolved["corpus"])
-    which = resolved.get("which")
-    if which == "llm":
-        provider = _build_llm(resolved, vocab)
-    elif which == "asr":
-        provider = _build_asr(resolved, vocab)
-    else:
-        raise ConfigurationError("--which must be llm or asr")
-    if resolved.get("tau") is not None:
-        tau = float(resolved["tau"])
-    elif resolved.get("calibration"):
-        with open(resolved["calibration"], "r", encoding="utf-8") as f:
-            tau = calibration.CalibrationReport.from_dict(json.load(f)).tau
-    else:
-        tau = 1.0
+    which, provider = _build_which(resolved, vocab)
+    tau = _tau_from(resolved, "tau", "calibration")
     traces, targets = calibration.collect_traces(
         provider, _calibration_set(records, vocab))
     bins, ece = calibration.reliability_bins(
@@ -579,12 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau1", type=float)
         p.add_argument("--tau2", type=float)
         p.add_argument("--beta", type=float)
-        p.add_argument("--combine", choices=list(fusion.COMBINE_VARIANTS))
         p.add_argument("--uncertainty", choices=list(fusion.UNCERTAINTY_VARIANTS))
         p.add_argument("--w-llm", dest="w_llm", type=float)
         p.add_argument("--w-asr", dest="w_asr", type=float)
         p.add_argument("--max-len-factor", dest="max_len_factor", type=float)
-        p.add_argument("--workers", type=int)
         p.add_argument("--out")
 
     p = add("decode", cmd_decode, help="decode a corpus in one fusion mode")

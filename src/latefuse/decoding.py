@@ -9,7 +9,6 @@ a length cap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 from .core import TokenSeq, Vocabulary, argmax_token, softmax_with_temperature
 from .errors import ConfigurationError, InvalidParameterError
 from .fusion import FusionConfig, fuse_step
+from .metrics import corpus_wer
 from .providers import UtteranceContext
 
 # Length cap for decoding without a reference to scale against.
@@ -139,24 +139,28 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
 
 def evaluation_max_len(reference_words, factor: float = 2.0) -> int:
     """Length cap for scoring runs: factor x (words + EOS), at least 2."""
+    if not (math.isfinite(factor) and factor > 0):
+        raise InvalidParameterError(f"max_len_factor must be finite and > 0, got {factor}")
     return max(2, math.ceil(factor * (len(reference_words) + 1)))
 
 
 def decode_eval_set(llm_provider, asr_provider, cfg: FusionConfig, eval_set,
-                    max_len_factor: float = 2.0, workers: int = 1):
+                    max_len_factor: float = 2.0):
     """Decode (ctx, reference_words) pairs to word lists, order preserved."""
     cfg = cfg.normalized()
     vocab = (llm_provider or asr_provider).vocab
-
-    def decode_one(item):
-        ctx, ref_words = item
+    hyps = []
+    for ctx, ref_words in eval_set:
         result = fused_greedy_decode(
             llm_provider, asr_provider, cfg, ctx,
             max_len=evaluation_max_len(ref_words, max_len_factor),
         )
-        return vocab.decode(result.tokens).split()
+        hyps.append(vocab.decode(result.tokens).split())
+    return hyps
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(decode_one, eval_set))
-    return [decode_one(item) for item in eval_set]
+
+def eval_set_wer(llm_provider, asr_provider, cfg: FusionConfig, eval_set,
+                 max_len_factor: float = 2.0) -> float:
+    """Corpus WER of `decode_eval_set` against the pairs' references."""
+    hyps = decode_eval_set(llm_provider, asr_provider, cfg, eval_set, max_len_factor)
+    return corpus_wer([(hyp, ref) for hyp, (_ctx, ref) in zip(hyps, eval_set)])

@@ -20,7 +20,6 @@ from .errors import InvalidParameterError
 
 MODES = ("llm-only", "asr-only", "static", "uadf")
 _MODE_ALIASES = {"llm": "llm-only", "asr": "asr-only"}
-COMBINE_VARIANTS = ("outer-softmax", "renormalize")
 UNCERTAINTY_VARIANTS = ("entropy", "top1")
 
 
@@ -32,7 +31,6 @@ class FusionConfig:
     tau1: float = 1.0
     tau2: float = 1.0
     beta: float = 0.5
-    combine: str = "outer-softmax"
     uncertainty: str = "entropy"
 
     def normalized(self) -> "FusionConfig":
@@ -51,8 +49,6 @@ class FusionConfig:
             raise InvalidParameterError("tau1 and tau2 must be positive")
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in [0, 1], got {self.beta}")
-        if self.combine not in COMBINE_VARIANTS:
-            raise InvalidParameterError(f"unknown combine variant {self.combine!r}")
         if self.uncertainty not in UNCERTAINTY_VARIANTS:
             raise InvalidParameterError(f"unknown uncertainty variant {self.uncertainty!r}")
         if mode == "static":
@@ -70,7 +66,6 @@ class FusionStep:
     p_asr: np.ndarray
     uncertainty: float
     w_asr_effective: float
-    fused: np.ndarray
     chosen: int
 
     def log_entry(self, step: int, vocab, top_k: int = 3) -> dict:
@@ -101,38 +96,35 @@ def _uncertainty(p_llm: np.ndarray, variant: str) -> float:
     return entropy(p_llm)
 
 
-def fuse_static(logits_llm, logits_asr, cfg: FusionConfig) -> np.ndarray:
-    """w_llm * softmax(l1/tau1) + w_asr * softmax(l2/tau2), renormalized."""
+def _static_mix(p1: np.ndarray, p2: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     total = cfg.w_llm + cfg.w_asr
     if total <= 0:
         raise InvalidParameterError("static fusion needs at least one nonzero weight")
-    p1 = softmax_with_temperature(logits_llm, cfg.tau1)
-    p2 = softmax_with_temperature(logits_asr, cfg.tau2)
     return (cfg.w_llm * p1 + cfg.w_asr * p2) / total
 
 
+def fuse_static(logits_llm, logits_asr, cfg: FusionConfig) -> np.ndarray:
+    """w_llm * softmax(l1/tau1) + w_asr * softmax(l2/tau2), renormalized."""
+    return _static_mix(softmax_with_temperature(logits_llm, cfg.tau1),
+                       softmax_with_temperature(logits_asr, cfg.tau2), cfg)
+
+
 def fuse_uadf(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
-    """One dynamic-fusion step; w_llm is fixed at 1 in this mode."""
+    """One dynamic-fusion step; w_llm is fixed at 1 in this mode.
+
+    Only the argmax of p_llm + w * p_asr decides, so the sum is never
+    normalized into a distribution.
+    """
     p_llm = softmax_with_temperature(logits_llm, cfg.tau1)
     u = _uncertainty(p_llm, cfg.uncertainty)
     w = uadf_weight(u, cfg.beta)
     p_asr = softmax_with_temperature(logits_asr, cfg.tau2)
-    summed = p_llm + w * p_asr
-    if cfg.combine == "outer-softmax":
-        fused = softmax_with_temperature(summed, 1.0)
-    else:
-        # beta > 0.5 can push entries negative; clip before renormalizing.
-        # The maximum stays positive (sum of entries is 1 + w > 0), so the
-        # argmax is unaffected either way.
-        clipped = np.maximum(summed, 0.0)
-        fused = clipped / clipped.sum()
     return FusionStep(
         p_llm=p_llm,
         p_asr=p_asr,
         uncertainty=u,
         w_asr_effective=w,
-        fused=fused,
-        chosen=argmax_token(summed),
+        chosen=argmax_token(p_llm + w * p_asr),
     )
 
 
@@ -143,14 +135,12 @@ def fuse_step(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
     if cfg.mode == "static":
         p1 = softmax_with_temperature(logits_llm, cfg.tau1)
         p2 = softmax_with_temperature(logits_asr, cfg.tau2)
-        fused = fuse_static(logits_llm, logits_asr, cfg)
         return FusionStep(
             p_llm=p1,
             p_asr=p2,
             uncertainty=entropy(p1),
             w_asr_effective=cfg.w_asr,
-            fused=fused,
-            chosen=argmax_token(fused),
+            chosen=argmax_token(_static_mix(p1, p2, cfg)),
         )
     raise InvalidParameterError(f"fuse_step handles static/uadf, not {cfg.mode!r}")
 
@@ -163,7 +153,6 @@ def grid_search_static(
     tau1: float = 1.0,
     tau2: float = 1.0,
     max_len_factor: float = 2.0,
-    workers: int = 1,
 ):
     """Decode `eval_set` at every (w_llm, w_asr) grid point and pick the
     lowest corpus WER (ties go to the smaller w_asr, then smaller w_llm).
@@ -171,8 +160,7 @@ def grid_search_static(
     `eval_set` is a list of (UtteranceContext, reference_words) pairs.
     Returns ((w_llm, w_asr), table) where the table has one row per point.
     """
-    from .decoding import decode_eval_set
-    from .metrics import corpus_wer
+    from .decoding import eval_set_wer
 
     grid = [(float(wl), float(wa)) for wl, wa in grid]
     if not grid or not eval_set:
@@ -180,11 +168,7 @@ def grid_search_static(
     table = []
     for w_llm, w_asr in grid:
         cfg = FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr, tau1=tau1, tau2=tau2)
-        hyps = decode_eval_set(
-            llm_provider, asr_provider, cfg, eval_set,
-            max_len_factor=max_len_factor, workers=workers,
-        )
-        wer = corpus_wer([(hyp, ref) for hyp, (_ctx, ref) in zip(hyps, eval_set)])
+        wer = eval_set_wer(llm_provider, asr_provider, cfg, eval_set, max_len_factor)
         table.append({"w_llm": w_llm, "w_asr": w_asr, "wer": wer})
     best = min(table, key=lambda row: (row["wer"], row["w_asr"], row["w_llm"]))
     return (best["w_llm"], best["w_asr"]), table

@@ -169,12 +169,24 @@ class TestDecode:
                 "--out", tmp_path / "x.jsonl"]
         assert run(*argv) == 4
 
-    def test_workers_flag_matches_sequential_output(self, workspace, tmp_path):
-        seq_out = tmp_path / "seq.jsonl"
-        par_out = tmp_path / "par.jsonl"
-        assert run(*decode_args(workspace, "uadf", seq_out)) == 0
-        assert run(*decode_args(workspace, "uadf", par_out, workers="4")) == 0
-        assert seq_out.read_bytes() == par_out.read_bytes()
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    @pytest.mark.parametrize("removed", [{"workers": 4}, {"combine": "renormalize"}])
+    def test_removed_config_keys_are_config_errors(self, workspace, tmp_path,
+                                                   command, removed):
+        data = workspace / "data"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(
+            removed, corpus=str(data / "test.jsonl"), vocab=str(data / "vocab.txt"),
+            lm_model=str(workspace / "lm.json"), manifest=str(data / "manifest.json"),
+            out=str(tmp_path / "x.out"))))
+        assert run(command, "--config", cfg) == 2
+
+    @pytest.mark.parametrize("factor", ["-1", "nan"])
+    def test_bad_max_len_factor_is_config_error(self, workspace, tmp_path, factor):
+        out = tmp_path / "x.jsonl"
+        argv = decode_args(workspace, "uadf", out, **{"max-len-factor": factor})
+        assert run(*argv) == 2
+        assert not out.exists()
 
 
 class TestScore:
@@ -198,6 +210,21 @@ class TestScore:
         assert run(*decode_args(workspace, "llm", hyp)) == 0
         assert run("score", "--corpus", data / "test.jsonl", "--hyp", f"a={hyp}",
                    "--baseline", "missing", "--out", tmp_path / "s.json") == 2
+
+    @pytest.mark.parametrize("line, field", [
+        ({"text": "a b"}, "id"),
+        ({"id": "test-00000"}, "text"),
+        ({"id": "test-00000", "text": 7}, "text"),
+        ({"id": 3, "text": "a b"}, "id"),
+        (["test-00000", "a b"], "id"),
+    ])
+    def test_malformed_hypothesis_line_is_data_error(self, workspace, tmp_path,
+                                                     capsys, line, field):
+        hyp = tmp_path / "h.jsonl"
+        hyp.write_text(json.dumps(line) + "\n")
+        assert run("score", "--corpus", workspace / "data" / "test.jsonl",
+                   "--hyp", f"a={hyp}", "--out", tmp_path / "s.json") == 3
+        assert repr(field) in capsys.readouterr().err
 
 
 class TestSweep:

@@ -9,6 +9,7 @@ from latefuse.errors import InvalidParameterError
 from latefuse.fusion import (
     FusionConfig,
     fuse_static,
+    fuse_step,
     fuse_uadf,
     grid_search_static,
     uadf_weight,
@@ -97,19 +98,6 @@ class TestFuseUadf:
         assert step.w_asr_effective > 0.3
         assert step.chosen == 4
 
-    def test_combine_variants_agree_on_argmax(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            l1 = rng.normal(scale=2.0, size=6)
-            l2 = rng.normal(scale=2.0, size=6)
-            beta = float(rng.uniform(0.0, 1.0))
-            a = fuse_uadf(l1, l2, FusionConfig(mode="uadf", beta=beta))
-            b = fuse_uadf(l1, l2, FusionConfig(mode="uadf", beta=beta,
-                                               combine="renormalize"))
-            assert a.chosen == b.chosen
-            assert b.fused.min() >= 0
-            assert b.fused.sum() == pytest.approx(1.0, abs=1e-9)
-
     def test_weight_bounds_for_default_beta(self):
         rng = np.random.default_rng(6)
         for _ in range(300):
@@ -150,6 +138,36 @@ class TestFuseUadf:
         assert entry["chosen"] == "<s>"
 
 
+class TestFuseStep:
+    def test_chosen_is_argmax_of_the_fused_scores(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            v = int(rng.integers(2, 12))
+            l1 = rng.normal(scale=2.0, size=v)
+            l2 = rng.normal(scale=2.0, size=v)
+            tau1, tau2 = (float(t) for t in rng.uniform(0.3, 3.0, size=2))
+            w_llm, w_asr = (float(w) for w in rng.uniform(0.0, 2.0, size=2))
+            beta = float(rng.uniform(0.0, 1.0))
+
+            static = FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr,
+                                  tau1=tau1, tau2=tau2)
+            step = fuse_step(l1, l2, static)
+            assert step.chosen == int(np.argmax(fuse_static(l1, l2, static)))
+            assert step.w_asr_effective == w_asr
+
+            dynamic = FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
+            step = fuse_step(l1, l2, dynamic)
+            p_llm = softmax_with_temperature(l1, tau1)
+            p_asr = softmax_with_temperature(l2, tau2)
+            w = uadf_weight(entropy(p_llm), beta)
+            assert step.w_asr_effective == w
+            assert step.chosen == int(np.argmax(p_llm + w * p_asr))
+
+    def test_other_modes_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            fuse_step(np.zeros(3), np.zeros(3), FusionConfig(mode="llm-only"))
+
+
 class TestFusionConfig:
     def test_mode_aliases(self):
         assert FusionConfig(mode="llm").normalized().mode == "llm-only"
@@ -160,7 +178,7 @@ class TestFusionConfig:
         {"tau1": 0.0},
         {"tau2": -1.0},
         {"beta": 1.5},
-        {"combine": "mean"},
+        {"beta": -0.1},
         {"uncertainty": "variance"},
         {"mode": "static", "w_llm": 0.0, "w_asr": 0.0},
         {"mode": "static", "w_asr": -0.5},
