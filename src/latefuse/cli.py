@@ -1,10 +1,13 @@
 """Command-line bench: simulate, train-lm, calibrate, decode, sweep, score,
 reliability.
 
-Every command resolves its options as defaults <- config file <- explicit
-flags, runs deterministically from the resolved values (seeds included),
-and drops a copy of the resolved config next to its outputs. Exit codes:
-0 success, 2 configuration error, 3 data error, 4 provider-io error.
+Each command declares its options once, in one table below: every entry
+is both a `--key-with-dashes` flag and a `key_with_underscores` config
+key, with one type and choices check for both. A command resolves them
+as defaults <- config file <- explicit flags, runs deterministically from
+the resolved values (seeds included), and drops a copy of the resolved
+config next to its outputs. Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 provider-io error.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import calibration, corpus, decoding, fusion, metrics, wire
 from .core import Vocabulary
@@ -22,6 +27,7 @@ from .errors import (
     CorpusSchemaError,
     InvalidInputError,
     InvalidParameterError,
+    LateFuseError,
     ProviderIOError,
 )
 from .providers import (
@@ -32,114 +38,218 @@ from .providers import (
     train_ngram_corrector,
 )
 
-SIMULATE_DEFAULTS = {
-    "n_train": 2000, "n_val": 200, "n_test": 500,
-    "sub_rate": 0.15, "del_rate": 0.02, "ins_rate": 0.02,
-    "concentration": 1.0, "seed": 0,
-    "beam": 8, "n_best": 5, "mean_len": 12.0, "source": None,
+# -- option types: each turns a flag string or a config-file JSON value
+# into the typed value a command reads, or raises TypeError/ValueError.
+
+
+def text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def integer(value) -> int:
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def numbers(value) -> tuple:
+    """Comma-separated numbers ("0,0.5"), or a JSON list in a config file
+    (the resolved config a command writes holds one)."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list) or not items:
+        raise TypeError(f"expected comma-separated numbers, got {value!r}")
+    return tuple(number(v) for v in items)
+
+
+def boolean(value) -> bool:
+    if isinstance(value, bool) or value in ("true", "false"):
+        return value in (True, "true")
+    raise ValueError(f"expected true or false, got {value!r}")
+
+
+def endpoint(value):
+    """host:port; a config file may also give an argv list for a subprocess."""
+    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
+        return value
+    return text(value)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option of one command: the flag `--key-with-dashes` and the
+    config key `key_with_underscores`, checked the same way."""
+
+    type: Callable = text
+    default: object = None
+    choices: tuple = ()
+    required: bool = False
+    repeat: bool = False  # the flag may repeat; a config file gives a list
+    help: str | None = None
+
+    def parse(self, value):
+        """The typed value of one config-file entry."""
+        if self.repeat:
+            if not isinstance(value, list):
+                raise TypeError(f"expected a list, got {value!r}")
+            return [self.type(v) for v in value]
+        value = self.type(value)
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{value!r} is not one of {list(self.choices)}")
+        return value
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# -- option tables: one per command, built from shared groups ----------
+
+_FILES = {"corpus": Option(required=True), "vocab": Option(required=True),
+          "out": Option(required=True)}
+_PROVIDERS = {
+    "lm_model": Option(), "manifest": Option(),
+    "llm_endpoint": Option(endpoint), "asr_endpoint": Option(endpoint),
+    "timeout": Option(number, 5.0),
 }
-TRAIN_LM_DEFAULTS = {"order": 2, "smoothing": 0.1, "vote_weight": 0.85}
-CALIBRATE_DEFAULTS = {
-    "tol": calibration.DEFAULT_TOL,
-    "tau_min": calibration.DEFAULT_BOUNDS[0],
-    "tau_max": calibration.DEFAULT_BOUNDS[1],
-    "max_iter": calibration.DEFAULT_MAX_ITER,
-    "bins": calibration.DEFAULT_BINS,
-    "llm_endpoint": None, "asr_endpoint": None, "timeout": 5.0,
+_WHICH = {"which": Option(choices=("llm", "asr"), required=True)}
+_FUSION = {
+    "calibration_llm": Option(), "calibration_asr": Option(),
+    "tau1": Option(number), "tau2": Option(number),
+    "uncertainty": Option(default="entropy", choices=fusion.UNCERTAINTY_VARIANTS),
+    "max_len_factor": Option(number, 2.0),
 }
-DECODE_DEFAULTS = {
-    "mode": "uadf", "beta": 0.5, "uncertainty": "entropy", "w_llm": 1.0, "w_asr": 0.25,
-    "tau1": None, "tau2": None, "max_len_factor": 2.0,
-    "calibration_llm": None, "calibration_asr": None,
-    "llm_endpoint": None, "asr_endpoint": None, "timeout": 5.0,
-    "steps_log": None,
+
+SIMULATE = {
+    "out_dir": Option(required=True),
+    "n_train": Option(integer, 2000), "n_val": Option(integer, 200),
+    "n_test": Option(integer, 500),
+    "sub_rate": Option(number, 0.15), "del_rate": Option(number, 0.02),
+    "ins_rate": Option(number, 0.02), "concentration": Option(number, 1.0),
+    "seed": Option(integer, 0), "beam": Option(integer, 8),
+    "n_best": Option(integer, 5), "mean_len": Option(number, 12.0),
+    "source": Option(help="optional text file of reference sentences"),
 }
-SWEEP_DEFAULTS = dict(DECODE_DEFAULTS, axis="static-grid",
-                      w_asr_values="0,0.125,0.25,0.375,0.5,0.75,1.0",
-                      beta_values="0,0.25,0.5,0.75")
-RELIABILITY_DEFAULTS = {
-    "tau": None, "calibration": None, "bins": calibration.DEFAULT_BINS,
-    "llm_endpoint": None, "asr_endpoint": None, "timeout": 5.0,
+TRAIN_LM = {**_FILES, "order": Option(integer, 2), "smoothing": Option(number, 0.1),
+            "vote_weight": Option(number, 0.85)}
+CALIBRATE = {
+    **_FILES, **_PROVIDERS, **_WHICH,
+    "tol": Option(number, calibration.DEFAULT_TOL),
+    "tau_min": Option(number, calibration.DEFAULT_BOUNDS[0]),
+    "tau_max": Option(number, calibration.DEFAULT_BOUNDS[1]),
+    "max_iter": Option(integer, calibration.DEFAULT_MAX_ITER),
+    "bins": Option(integer, calibration.DEFAULT_BINS),
+}
+DECODE = {
+    **_FILES, **_PROVIDERS, **_FUSION,
+    "mode": Option(default="uadf", choices=("llm", "asr", "static", "uadf")),
+    "beta": Option(number, 0.5), "w_llm": Option(number, 1.0), "w_asr": Option(number, 0.25),
+    "steps_log": Option(help="write per-step fusion diagnostics (JSON lines)"),
+}
+SWEEP = {
+    **_FILES, **_PROVIDERS, **_FUSION,
+    "axis": Option(default="static-grid", choices=("static-grid", "beta")),
+    "w_asr_values": Option(numbers, (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)),
+    "beta_values": Option(numbers, (0.0, 0.25, 0.5, 0.75)),
+}
+SCORE = {
+    "corpus": Option(required=True),
+    "hyp": Option(required=True, repeat=True, help="name=path of a decode output; repeatable"),
+    "baseline": Option(help="system name WERR is computed against"),
+    "lowercase": Option(boolean, True, help="true or false"),
+    "out": Option(required=True),
+}
+RELIABILITY = {
+    **_FILES, **_PROVIDERS, **_WHICH,
+    "tau": Option(number, help="explicit temperature (default 1.0)"),
+    "calibration": Option(help="calibration report supplying the temperature"),
+    "bins": Option(integer, calibration.DEFAULT_BINS),
 }
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, paths=()) -> dict:
+def _resolve(args: argparse.Namespace, options: dict) -> dict:
     """defaults <- config file <- flags the user actually passed.
 
-    `paths` names the command's file/selector keys that have no default;
-    anything else in the config file is rejected as a config error.
+    A config value passes the same type and choices check as its flag
+    (null leaves the default). An unknown key, a value that fails the
+    check, or a required option left unset is a configuration error.
     """
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    resolved = {key: opt.default for key, opt in options.items()}
+    if args.config:
         try:
-            with open(config_path, "r", encoding="utf-8") as f:
+            with open(args.config, "r", encoding="utf-8") as f:
                 loaded = json.load(f)
         except OSError as exc:
-            raise ConfigurationError(f"cannot read config {config_path}: {exc}") from exc
+            raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config {config_path} is not valid JSON: {exc}") from exc
-        unknown = set(loaded) - set(defaults) - set(paths)
+            raise ConfigurationError(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigurationError(f"config {args.config} is not a JSON object")
+        unknown = set(loaded) - set(options)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func"):
-            continue
-        if value is not None:
-            resolved[key] = value
+        for key, value in loaded.items():
+            try:
+                if value is not None:
+                    resolved[key] = options[key].parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"config key {key!r}: {exc}") from exc
+    for key, opt in options.items():
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
+        if opt.required and not resolved[key]:
+            raise ConfigurationError(f"{_flag(key)} is required (flag or config key)")
     return resolved
 
 
-def _require(resolved: dict, *names):
-    for name in names:
-        if not resolved.get(name):
-            flag = "--" + name.replace("_", "-")
-            raise ConfigurationError(f"{flag} is required (flag or config key)")
-
-
 def _write_resolved(resolved: dict, out_dir: Path, command: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{command}.config.json", "w", encoding="utf-8") as f:
         json.dump(resolved, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _load_vocab(resolved: dict) -> Vocabulary:
-    path = resolved.get("vocab")
-    if not path:
-        raise ConfigurationError("--vocab is required")
-    return Vocabulary.load(path)
-
-
-def _load_manifest(path) -> dict:
-    if not path:
-        raise ConfigurationError("--manifest is required to build the acoustic provider")
+def _read_json(path, parse):
+    """`parse` applied to a JSON side file (lm, manifest, calibration
+    report); a file that is not valid JSON or lacks a field is a data error
+    that names it."""
     with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+        content = f.read()
+    try:
+        return parse(json.loads(content))
+    except LateFuseError:
+        raise
+    except json.JSONDecodeError as exc:
+        raise CorpusParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except KeyError as exc:
+        raise CorpusSchemaError(exc.args[0], f"{path}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def _channel_from_manifest(manifest: dict) -> corpus.ChannelSpec:
-    return corpus.ChannelSpec(
-        sub_rate=manifest["sub_rate"], del_rate=manifest["del_rate"],
-        ins_rate=manifest["ins_rate"], concentration=manifest["concentration"],
-        seed=manifest["seed"],
-    )
+def _channel(values: dict) -> corpus.ChannelSpec:
+    """The channel named by simulate's options, or by its manifest."""
+    return corpus.ChannelSpec(**{key: values[key] for key in (
+        "sub_rate", "del_rate", "ins_rate", "concentration", "seed")})
 
 
 def build_provider(spec: ProviderSpec, vocab: Vocabulary):
     """Construct a concrete provider from its declarative spec."""
     params = spec.parameters
     if spec.kind == "ngram-corrector":
-        with open(params["model_path"], "r", encoding="utf-8") as f:
-            data = json.load(f)
-        model = NgramModel.from_dict(data, vocab)
-        return NgramCorrector(model, vote_weight=float(data["vote_weight"]))
+        return _read_json(params["model_path"], lambda data: NgramCorrector(
+            NgramModel.from_dict(data, vocab), vote_weight=float(data["vote_weight"])))
     if spec.kind == "acoustic-channel":
         if "confusion" in params:
             confusion = params["confusion"]
         else:
-            channel = _channel_from_manifest(_load_manifest(params["manifest_path"]))
+            channel = _read_json(params["manifest_path"], _channel)
             confusion = corpus.decoder_confusion(vocab, channel)
         return AcousticChannel(vocab, confusion, floor=float(params.get("floor", 0.0)))
     return wire.connect_external(params["endpoint"], vocab,
@@ -147,10 +257,10 @@ def build_provider(spec: ProviderSpec, vocab: Vocabulary):
 
 
 def _build_llm(resolved: dict, vocab: Vocabulary):
-    if resolved.get("llm_endpoint"):
+    if resolved["llm_endpoint"]:
         spec = ProviderSpec("external", {"endpoint": resolved["llm_endpoint"],
-                                         "timeout": resolved.get("timeout", 5.0)})
-    elif resolved.get("lm_model"):
+                                         "timeout": resolved["timeout"]})
+    elif resolved["lm_model"]:
         spec = ProviderSpec("ngram-corrector", {"model_path": resolved["lm_model"]})
     else:
         raise ConfigurationError("--lm-model (or --llm-endpoint) is required")
@@ -158,48 +268,23 @@ def _build_llm(resolved: dict, vocab: Vocabulary):
 
 
 def _build_asr(resolved: dict, vocab: Vocabulary):
-    if resolved.get("asr_endpoint"):
+    if resolved["asr_endpoint"]:
         spec = ProviderSpec("external", {"endpoint": resolved["asr_endpoint"],
-                                         "timeout": resolved.get("timeout", 5.0)})
-    else:
-        if not resolved.get("manifest"):
-            raise ConfigurationError(
-                "--manifest is required to build the acoustic provider")
+                                         "timeout": resolved["timeout"]})
+    elif resolved["manifest"]:
         spec = ProviderSpec("acoustic-channel", {"manifest_path": resolved["manifest"]})
+    else:
+        raise ConfigurationError("--manifest is required to build the acoustic provider")
     return build_provider(spec, vocab)
 
 
-def _build_which(resolved: dict, vocab: Vocabulary):
-    """The one provider `--which` names, for calibrate and reliability."""
-    which = resolved.get("which")
-    if which == "llm":
-        return which, _build_llm(resolved, vocab)
-    if which == "asr":
-        return which, _build_asr(resolved, vocab)
-    raise ConfigurationError("--which must be llm or asr")
-
-
 def _tau_from(resolved: dict, explicit_key: str, report_key: str) -> float:
-    if resolved.get(explicit_key) is not None:
-        return float(resolved[explicit_key])
-    path = resolved.get(report_key)
-    if path:
-        with open(path, "r", encoding="utf-8") as f:
-            return calibration.CalibrationReport.from_dict(json.load(f)).tau
+    if resolved[explicit_key] is not None:
+        return resolved[explicit_key]
+    if resolved[report_key]:
+        return _read_json(resolved[report_key],
+                          lambda data: calibration.CalibrationReport.from_dict(data).tau)
     return 1.0
-
-
-def _fusion_config(resolved: dict) -> fusion.FusionConfig:
-    cfg = fusion.FusionConfig(
-        mode=resolved["mode"],
-        w_llm=float(resolved["w_llm"]),
-        w_asr=float(resolved["w_asr"]),
-        tau1=_tau_from(resolved, "tau1", "calibration_llm"),
-        tau2=_tau_from(resolved, "tau2", "calibration_asr"),
-        beta=float(resolved["beta"]),
-        uncertainty=resolved["uncertainty"],
-    )
-    return cfg.normalized()
 
 
 def _calibration_set(records, vocab):
@@ -209,33 +294,24 @@ def _calibration_set(records, vocab):
     ]
 
 
-def cmd_simulate(args):
-    resolved = _resolve(args, SIMULATE_DEFAULTS, paths=("out_dir",))
-    _require(resolved, "out_dir")
+def cmd_simulate(resolved: dict):
     out_dir = Path(resolved["out_dir"])
-    channel = corpus.ChannelSpec(
-        sub_rate=float(resolved["sub_rate"]), del_rate=float(resolved["del_rate"]),
-        ins_rate=float(resolved["ins_rate"]),
-        concentration=float(resolved["concentration"]), seed=int(resolved["seed"]),
-    )
+    channel = _channel(resolved)
     splits, vocab = corpus.generate_corpus(
         channel,
-        n_train=int(resolved["n_train"]), n_val=int(resolved["n_val"]),
-        n_test=int(resolved["n_test"]), source=resolved["source"],
-        beam_width=int(resolved["beam"]), n_best=int(resolved["n_best"]),
-        mean_len=float(resolved["mean_len"]),
+        n_train=resolved["n_train"], n_val=resolved["n_val"],
+        n_test=resolved["n_test"], source=resolved["source"],
+        beam_width=resolved["beam"], n_best=resolved["n_best"],
+        mean_len=resolved["mean_len"],
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     for split, records in splits.items():
         corpus.save_corpus(records, out_dir / f"{split}.jsonl")
     vocab.save(out_dir / "vocab.txt")
     manifest = dict(channel.to_dict())
-    manifest.update({
-        "n_train": int(resolved["n_train"]), "n_val": int(resolved["n_val"]),
-        "n_test": int(resolved["n_test"]), "beam": int(resolved["beam"]),
-        "n_best": int(resolved["n_best"]), "mean_len": float(resolved["mean_len"]),
-        "vocab_size": vocab.size,
-    })
+    manifest.update({key: resolved[key] for key in
+                     ("n_train", "n_val", "n_test", "beam", "n_best", "mean_len")})
+    manifest["vocab_size"] = vocab.size
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -244,10 +320,8 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_train_lm(args):
-    resolved = _resolve(args, TRAIN_LM_DEFAULTS, paths=("corpus", "vocab", "out"))
-    _require(resolved, "corpus", "vocab", "out")
-    vocab = _load_vocab(resolved)
+def cmd_train_lm(resolved: dict):
+    vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     pairs = [
         (tuple(vocab.encode(t, append_eos=True) for t, _ in rec.nbest),
@@ -255,9 +329,8 @@ def cmd_train_lm(args):
         for rec in records
     ]
     corrector = train_ngram_corrector(
-        pairs, vocab, order=int(resolved["order"]),
-        smoothing=float(resolved["smoothing"]),
-        vote_weight=float(resolved["vote_weight"]),
+        pairs, vocab, order=resolved["order"], smoothing=resolved["smoothing"],
+        vote_weight=resolved["vote_weight"],
     )
     out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -271,19 +344,15 @@ def cmd_train_lm(args):
     return 0
 
 
-def cmd_calibrate(args):
-    resolved = _resolve(args, CALIBRATE_DEFAULTS,
-                        paths=("corpus", "vocab", "which", "lm_model",
-                               "manifest", "out"))
-    _require(resolved, "corpus", "vocab", "out")
-    vocab = _load_vocab(resolved)
+def cmd_calibrate(resolved: dict):
+    vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
-    which, provider = _build_which(resolved, vocab)
+    which = resolved["which"]
+    provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab)
     report = calibration.fit_temperature(
-        provider, _calibration_set(records, vocab),
-        tol=float(resolved["tol"]),
-        bounds=(float(resolved["tau_min"]), float(resolved["tau_max"])),
-        max_iter=int(resolved["max_iter"]), n_bins=int(resolved["bins"]),
+        provider, _calibration_set(records, vocab), tol=resolved["tol"],
+        bounds=(resolved["tau_min"], resolved["tau_max"]),
+        max_iter=resolved["max_iter"], n_bins=resolved["bins"],
     )
     out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -297,32 +366,28 @@ def cmd_calibrate(args):
     return 0
 
 
-def _providers_for_mode(resolved: dict, vocab: Vocabulary, mode: str):
-    llm = _build_llm(resolved, vocab) if mode != "asr-only" else None
-    asr = _build_asr(resolved, vocab) if mode != "llm-only" else None
-    return llm, asr
-
-
-def cmd_decode(args):
-    resolved = _resolve(args, DECODE_DEFAULTS,
-                        paths=("corpus", "vocab", "lm_model", "manifest", "out"))
-    _require(resolved, "corpus", "vocab", "out")
-    cfg = _fusion_config(resolved)
-    vocab = _load_vocab(resolved)
+def cmd_decode(resolved: dict):
+    cfg = fusion.FusionConfig(
+        mode=resolved["mode"], w_llm=resolved["w_llm"], w_asr=resolved["w_asr"],
+        tau1=_tau_from(resolved, "tau1", "calibration_llm"),
+        tau2=_tau_from(resolved, "tau2", "calibration_asr"),
+        beta=resolved["beta"], uncertainty=resolved["uncertainty"],
+    ).normalized()
+    vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
-    llm, asr = _providers_for_mode(resolved, vocab, cfg.mode)
+    llm = _build_llm(resolved, vocab) if cfg.mode != "asr-only" else None
+    asr = _build_asr(resolved, vocab) if cfg.mode != "llm-only" else None
     out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    factor = float(resolved["max_len_factor"])
     results = []
     for rec in records:
         ctx, ref_words = corpus.record_context(rec, vocab)
         results.append(decoding.fused_greedy_decode(
             llm, asr, cfg, ctx,
-            max_len=decoding.evaluation_max_len(ref_words, factor)))
+            max_len=decoding.evaluation_max_len(ref_words, resolved["max_len_factor"])))
 
-    steps_log = resolved.get("steps_log")
+    steps_log = resolved["steps_log"]
     log_f = open(steps_log, "w", encoding="utf-8") if steps_log else None
     try:
         with open(out, "w", encoding="utf-8") as f:
@@ -345,44 +410,35 @@ def cmd_decode(args):
     return 0
 
 
-def cmd_sweep(args):
-    resolved = _resolve(args, SWEEP_DEFAULTS,
-                        paths=("corpus", "vocab", "lm_model", "manifest", "out"))
-    _require(resolved, "corpus", "vocab", "out")
-    vocab = _load_vocab(resolved)
+def cmd_sweep(resolved: dict):
+    vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     eval_set = [corpus.record_context(rec, vocab) for rec in records]
-    llm = _build_llm(resolved, vocab)
-    asr = _build_asr(resolved, vocab)
+    llm, asr = _build_llm(resolved, vocab), _build_asr(resolved, vocab)
     tau1 = _tau_from(resolved, "tau1", "calibration_llm")
     tau2 = _tau_from(resolved, "tau2", "calibration_asr")
+    factor = resolved["max_len_factor"]
     out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
 
     axis = resolved["axis"]
     if axis == "static-grid":
-        values = [float(v) for v in str(resolved["w_asr_values"]).split(",")]
         _best, table = fusion.grid_search_static(
-            llm, asr, eval_set, [(1.0, w) for w in values],
-            tau1=tau1, tau2=tau2,
-            max_len_factor=float(resolved["max_len_factor"]),
+            llm, asr, eval_set, [(1.0, w) for w in resolved["w_asr_values"]],
+            tau1=tau1, tau2=tau2, max_len_factor=factor,
         )
         with open(out, "w", encoding="utf-8") as f:
             f.write("w_llm,w_asr,wer\n")
             for row in table:
                 f.write(f"{row['w_llm']!r},{row['w_asr']!r},{row['wer']!r}\n")
-    elif axis == "beta":
-        values = [float(v) for v in str(resolved["beta_values"]).split(",")]
+    else:  # beta
         with open(out, "w", encoding="utf-8") as f:
             f.write("beta,wer\n")
-            for beta in values:
+            for beta in resolved["beta_values"]:
                 cfg = fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
                                           uncertainty=resolved["uncertainty"])
-                wer = decoding.eval_set_wer(llm, asr, cfg, eval_set,
-                                            float(resolved["max_len_factor"]))
+                wer = decoding.eval_set_wer(llm, asr, cfg, eval_set, factor)
                 f.write(f"{beta!r},{wer!r}\n")
-    else:
-        raise ConfigurationError(f"unknown sweep axis {axis!r}")
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     print(f"sweep over {axis} -> {out}")
     return 0
@@ -390,29 +446,19 @@ def cmd_sweep(args):
 
 def _load_hypotheses(path) -> dict[str, str]:
     hyps = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(path, line_no, f"invalid JSON: {exc}") from exc
-            for field in ("id", "text"):
-                if not isinstance(entry, dict) or not isinstance(entry.get(field), str):
-                    raise CorpusSchemaError(
-                        field, f"{path}:{line_no}: {field!r} missing or not a string")
-            hyps[entry["id"]] = entry["text"]
+    for line_no, entry in corpus.read_json_lines(path):
+        for field in ("id", "text"):
+            if not isinstance(entry, dict) or not isinstance(entry.get(field), str):
+                raise CorpusSchemaError(
+                    field, f"{path}:{line_no}: {field!r} missing or not a string")
+        hyps[entry["id"]] = entry["text"]
     return hyps
 
 
-def cmd_score(args):
-    resolved = _resolve(args, {"baseline": None, "lowercase": True},
-                        paths=("corpus", "hyp", "out"))
-    _require(resolved, "corpus", "hyp", "out")
+def cmd_score(resolved: dict):
     records = corpus.load_corpus(resolved["corpus"])
-    refs = {rec.id: metrics.normalize_text(rec.reference, resolved["lowercase"])
-            for rec in records}
+    norm = lambda text: metrics.normalize_text(text, resolved["lowercase"])
+    refs = {rec.id: norm(rec.reference) for rec in records}
 
     systems = {}
     for pair in resolved["hyp"]:
@@ -424,11 +470,10 @@ def cmd_score(args):
         if missing:
             raise InvalidInputError(
                 f"{path} lacks hypotheses for {len(missing)} utterances")
-        pairs = [(metrics.normalize_text(hyps[utt_id], resolved["lowercase"]), ref)
-                 for utt_id, ref in refs.items()]
-        systems[name] = metrics.corpus_report(pairs)
+        systems[name] = metrics.corpus_report(
+            [(norm(hyps[utt_id]), ref) for utt_id, ref in refs.items()])
 
-    baseline = resolved.get("baseline")
+    baseline = resolved["baseline"]
     if baseline and baseline not in systems:
         raise ConfigurationError(f"baseline {baseline!r} is not among the systems")
 
@@ -441,16 +486,13 @@ def cmd_score(args):
             entry["werr"] = 0.0
         document["systems"][name] = entry
 
-    if any(rec.nbest for rec in records):
-        norm = lambda text: metrics.normalize_text(text, resolved["lowercase"])
-        first = metrics.corpus_report(
-            [(norm(rec.nbest[0][0]), refs[rec.id]) for rec in records if rec.nbest])
-        o_nb = [metrics.oracle_nbest([norm(t) for t, _ in rec.nbest], refs[rec.id])
-                for rec in records if rec.nbest]
-        o_cp = [metrics.oracle_compositional(
-                    [norm(t) for t, _ in rec.nbest], refs[rec.id])
-                for rec in records if rec.nbest]
-        n_ref = [len(refs[rec.id]) for rec in records if rec.nbest]
+    if records:  # the corpus loader rejects an empty N-best list
+        nbests = [[norm(t) for t, _ in rec.nbest] for rec in records]
+        ref_list = [refs[rec.id] for rec in records]
+        first = metrics.corpus_report([(nb[0], ref) for nb, ref in zip(nbests, ref_list)])
+        o_nb = [metrics.oracle_nbest(nb, ref) for nb, ref in zip(nbests, ref_list)]
+        o_cp = [metrics.oracle_compositional(nb, ref) for nb, ref in zip(nbests, ref_list)]
+        n_ref = [len(ref) for ref in ref_list]
         weight = sum(n_ref)
         document["oracles"] = {
             "wer_1best": first.wer,
@@ -463,26 +505,23 @@ def cmd_score(args):
     with open(out, "w", encoding="utf-8") as f:
         json.dump(document, f, indent=2, sort_keys=True)
         f.write("\n")
-    _write_resolved({k: v for k, v in resolved.items()}, out.parent, "score")
+    _write_resolved(resolved, out.parent, "score")
     for name, entry in document["systems"].items():
         werr_txt = f" werr={entry['werr']:+.3%}" if "werr" in entry else ""
         print(f"{name}: wer={entry['wer']:.4f}{werr_txt}")
     return 0
 
 
-def cmd_reliability(args):
-    resolved = _resolve(args, RELIABILITY_DEFAULTS,
-                        paths=("corpus", "vocab", "which", "lm_model",
-                               "manifest", "out"))
-    _require(resolved, "corpus", "vocab", "out")
-    vocab = _load_vocab(resolved)
+def cmd_reliability(resolved: dict):
+    vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
-    which, provider = _build_which(resolved, vocab)
+    which = resolved["which"]
+    provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab)
     tau = _tau_from(resolved, "tau", "calibration")
     traces, targets = calibration.collect_traces(
         provider, _calibration_set(records, vocab))
     bins, ece = calibration.reliability_bins(
-        traces, targets, tau, n_bins=int(resolved["bins"]))
+        traces, targets, tau, n_bins=resolved["bins"])
     out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     calibration.export_bins_csv(bins, out)
@@ -491,116 +530,42 @@ def cmd_reliability(args):
     return 0
 
 
+COMMANDS = {
+    "simulate": (cmd_simulate, SIMULATE, "generate corpus splits and a vocabulary"),
+    "train-lm": (cmd_train_lm, TRAIN_LM, "train the N-best corrector's n-gram"),
+    "calibrate": (cmd_calibrate, CALIBRATE, "fit a provider temperature"),
+    "decode": (cmd_decode, DECODE, "decode a corpus in one fusion mode"),
+    "sweep": (cmd_sweep, SWEEP, "decode the corpus across a parameter grid"),
+    "score": (cmd_score, SCORE, "score hypothesis files against references"),
+    "reliability": (cmd_reliability, RELIABILITY, "export reliability-diagram bins"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per COMMANDS entry, one flag per option of its table.
+
+    Abbreviated flags are refused: `sweep --beta` must not pass for
+    `--beta-values`.
+    """
     parser = argparse.ArgumentParser(
         prog="latefuse",
         description="Synthetic bench for decode-time fusion of two token predictors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (func, options, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.set_defaults(func=func)
-        return p
-
-    p = add("simulate", cmd_simulate, help="generate corpus splits and a vocabulary")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-val", dest="n_val", type=int)
-    p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--sub-rate", dest="sub_rate", type=float)
-    p.add_argument("--del-rate", dest="del_rate", type=float)
-    p.add_argument("--ins-rate", dest="ins_rate", type=float)
-    p.add_argument("--concentration", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--beam", type=int)
-    p.add_argument("--n-best", dest="n_best", type=int)
-    p.add_argument("--mean-len", dest="mean_len", type=float)
-    p.add_argument("--source", help="optional text file of reference sentences")
-
-    p = add("train-lm", cmd_train_lm, help="train the N-best corrector's n-gram")
-    p.add_argument("--corpus")
-    p.add_argument("--vocab")
-    p.add_argument("--order", type=int)
-    p.add_argument("--smoothing", type=float)
-    p.add_argument("--vote-weight", dest="vote_weight", type=float)
-    p.add_argument("--out")
-
-    p = add("calibrate", cmd_calibrate, help="fit a provider temperature")
-    p.add_argument("--corpus")
-    p.add_argument("--vocab")
-    p.add_argument("--which", choices=["llm", "asr"])
-    p.add_argument("--lm-model", dest="lm_model")
-    p.add_argument("--manifest")
-    p.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p.add_argument("--asr-endpoint", dest="asr_endpoint")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--tau-min", dest="tau_min", type=float)
-    p.add_argument("--tau-max", dest="tau_max", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--out")
-
-    def decode_like(p):
-        p.add_argument("--corpus")
-        p.add_argument("--vocab")
-        p.add_argument("--lm-model", dest="lm_model")
-        p.add_argument("--manifest")
-        p.add_argument("--llm-endpoint", dest="llm_endpoint")
-        p.add_argument("--asr-endpoint", dest="asr_endpoint")
-        p.add_argument("--timeout", type=float)
-        p.add_argument("--calibration-llm", dest="calibration_llm")
-        p.add_argument("--calibration-asr", dest="calibration_asr")
-        p.add_argument("--tau1", type=float)
-        p.add_argument("--tau2", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--uncertainty", choices=list(fusion.UNCERTAINTY_VARIANTS))
-        p.add_argument("--w-llm", dest="w_llm", type=float)
-        p.add_argument("--w-asr", dest="w_asr", type=float)
-        p.add_argument("--max-len-factor", dest="max_len_factor", type=float)
-        p.add_argument("--out")
-
-    p = add("decode", cmd_decode, help="decode a corpus in one fusion mode")
-    p.add_argument("--mode", choices=["llm", "asr", "static", "uadf"])
-    p.add_argument("--steps-log", dest="steps_log",
-                   help="write per-step fusion diagnostics (JSON lines)")
-    decode_like(p)
-
-    p = add("sweep", cmd_sweep, help="decode the corpus across a parameter grid")
-    p.add_argument("--axis", choices=["static-grid", "beta"])
-    p.add_argument("--w-asr-values", dest="w_asr_values")
-    p.add_argument("--beta-values", dest="beta_values")
-    decode_like(p)
-
-    p = add("score", cmd_score, help="score hypothesis files against references")
-    p.add_argument("--corpus")
-    p.add_argument("--hyp", action="append",
-                   help="name=path of a decode output; repeatable")
-    p.add_argument("--baseline", help="system name WERR is computed against")
-    p.add_argument("--out")
-
-    p = add("reliability", cmd_reliability, help="export reliability-diagram bins")
-    p.add_argument("--corpus")
-    p.add_argument("--vocab")
-    p.add_argument("--which", choices=["llm", "asr"])
-    p.add_argument("--lm-model", dest="lm_model")
-    p.add_argument("--manifest")
-    p.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p.add_argument("--asr-endpoint", dest="asr_endpoint")
-    p.add_argument("--tau", type=float, help="explicit temperature (default 1.0)")
-    p.add_argument("--calibration", help="calibration report supplying the temperature")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--out")
-
+        for key, opt in options.items():
+            p.add_argument(_flag(key), type=opt.type, choices=opt.choices or None,
+                           action="append" if opt.repeat else "store", help=opt.help)
+        p.set_defaults(func=func, options=options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args, args.options))
     except (ConfigurationError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

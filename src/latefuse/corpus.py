@@ -353,45 +353,58 @@ def load_corpus(path, field_map: dict | None = None) -> list[CorpusRecord]:
     """
     fmap = dict(DEFAULT_FIELD_MAP)
     fmap.update(field_map or {})
-    records = []
+    return [_record_from_raw(raw, fmap, path, line_no)
+            for line_no, raw in read_json_lines(path)]
+
+
+def read_json_lines(path):
+    """(line number, JSON value) for each non-blank line of the file."""
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
+                value = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusParseError(path, line_no, f"invalid JSON: {exc}") from exc
-            records.append(_record_from_raw(raw, fmap, line_no))
-    return records
+            yield line_no, value
 
 
-def _record_from_raw(raw: dict, fmap: dict, line_no: int) -> CorpusRecord:
+def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
+    if not isinstance(raw, dict):
+        raise CorpusParseError(path, line_no, "a record must be a JSON object")
+
+    def schema_error(key, problem):
+        return CorpusSchemaError(fmap[key], f"{path}:{line_no}: {fmap[key]!r} {problem}")
+
     for key in ("id", "reference", "nbest"):
         if fmap[key] not in raw:
-            raise CorpusSchemaError(
-                fmap[key], f"line {line_no}: record is missing required field {fmap[key]!r}"
-            )
+            raise schema_error(key, "is a required field and is missing")
+    reference = raw[fmap["reference"]]
+    if not isinstance(reference, str) or not reference.strip():
+        raise schema_error("reference", "must be a non-empty string")
+    hyps = raw[fmap["nbest"]]
+    if not isinstance(hyps, list) or not hyps:
+        raise schema_error("nbest", "must be a non-empty list")
     nbest = []
-    for rank, hyp in enumerate(raw[fmap["nbest"]]):
+    for rank, hyp in enumerate(hyps):
         if isinstance(hyp, str):
             text, score = hyp, -float(rank)
         else:
-            if fmap["nbest_text"] not in hyp:
-                raise CorpusSchemaError(
-                    fmap["nbest_text"],
-                    f"line {line_no}: hypothesis is missing field {fmap['nbest_text']!r}",
-                )
+            if not isinstance(hyp, dict) or not isinstance(hyp.get(fmap["nbest_text"]), str):
+                raise schema_error("nbest_text", f"of hypothesis {rank} is not a string")
             text = hyp[fmap["nbest_text"]]
             score = hyp.get(fmap["nbest_score"])
-            score = -float(rank) if score is None else float(score)
+            try:
+                score = -float(rank) if score is None else float(score)
+            except (TypeError, ValueError):
+                raise schema_error(
+                    "nbest_score", f"of hypothesis {rank} is not a number: {score!r}") from None
         nbest.append((text, score))
-    if not nbest:
-        raise CorpusSchemaError(fmap["nbest"], f"line {line_no}: empty N-best list")
     observation = raw.get(fmap["observation"], nbest[0][0])
     return CorpusRecord(
         id=str(raw[fmap["id"]]),
-        reference=str(raw[fmap["reference"]]),
+        reference=reference,
         observation=str(observation),
         nbest=tuple(nbest),
     )

@@ -13,6 +13,7 @@ bridged over stdin/stdout.
 from __future__ import annotations
 
 import json
+import os
 import select
 import socket
 import subprocess
@@ -26,28 +27,56 @@ from .errors import ConfigurationError, ProviderIOError
 from .providers import UtteranceContext
 
 
+class _LineChannel:
+    """Request/reply line framing over one byte stream.
+
+    Bytes read past a reply's newline are kept, not dropped. A byte the
+    provider sends beyond the one reply line per request means replies
+    no longer pair with requests, so the exchange fails with it.
+    """
+
+    def __init__(self, fd: int, recv):
+        self._fd = fd  # polled, without blocking, for bytes nobody asked for
+        self._recv = recv  # the next chunk, b"" at end of stream
+        self._buffer = bytearray()
+
+    def exchange(self, send, payload: dict) -> dict:
+        """Send `payload` as one line through `send`; parse the reply line."""
+        try:
+            if not self._buffer and select.select([self._fd], [], [], 0)[0]:
+                self._buffer += self._recv()
+            if self._buffer:
+                raise ProviderIOError(
+                    f"provider sent {len(self._buffer)} bytes no request asked for")
+            send((json.dumps(payload) + "\n").encode("utf-8"))
+            while (end := self._buffer.find(b"\n")) < 0:
+                chunk = self._recv()
+                if not chunk:
+                    raise ProviderIOError("provider closed its output")
+                self._buffer += chunk
+        except OSError as exc:
+            raise ProviderIOError(f"transport failure: {exc}") from exc
+        if end + 1 < len(self._buffer):
+            raise ProviderIOError("provider sent more than one line for one request")
+        line = bytes(self._buffer)
+        self._buffer.clear()
+        return _parse_line(line)
+
+
 class _TcpTransport:
     def __init__(self, host: str, port: int, timeout: float):
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
-        self._sock.settimeout(timeout)
-        self._reader = self._sock.makefile("rb")
+        # recv waits at most `timeout`, then raises (the socket keeps it)
+        self._lines = _LineChannel(self._sock.fileno(), lambda: self._sock.recv(65536))
 
     def round_trip(self, payload: dict) -> dict:
-        try:
-            self._sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-            line = self._reader.readline()
-        except OSError as exc:
-            raise ProviderIOError(f"transport failure: {exc}") from exc
-        if not line:
-            raise ProviderIOError("connection closed by provider")
-        return _parse_line(line)
+        return self._lines.exchange(self._sock.sendall, payload)
 
     def close(self):
         try:
-            self._reader.close()
             self._sock.close()
         except OSError:
             pass
@@ -57,36 +86,24 @@ class _ProcTransport:
     def __init__(self, command: list[str], timeout: float):
         self._timeout = timeout
         try:
-            self._proc = subprocess.Popen(
-                command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=False,
-            )
+            self._proc = subprocess.Popen(command, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE)
         except OSError as exc:
             raise ProviderIOError(f"cannot start {command!r}: {exc}") from exc
+        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv)
+
+    def _send(self, data: bytes):
+        self._proc.stdin.write(data)
+        self._proc.stdin.flush()
+
+    def _recv(self) -> bytes:
+        fd = self._proc.stdout.fileno()
+        if not select.select([fd], [], [], self._timeout)[0]:
+            raise ProviderIOError(f"provider timed out after {self._timeout}s")
+        return os.read(fd, 65536)
 
     def round_trip(self, payload: dict) -> dict:
-        proc = self._proc
-        if proc.poll() is not None:
-            raise ProviderIOError("provider subprocess has exited")
-        try:
-            proc.stdin.write((json.dumps(payload) + "\n").encode("utf-8"))
-            proc.stdin.flush()
-        except OSError as exc:
-            raise ProviderIOError(f"transport failure: {exc}") from exc
-        line = bytearray()
-        while True:
-            ready, _, _ = select.select([proc.stdout], [], [], self._timeout)
-            if not ready:
-                raise ProviderIOError(f"provider timed out after {self._timeout}s")
-            chunk = proc.stdout.read1(4096)
-            if not chunk:
-                raise ProviderIOError("provider subprocess closed its output")
-            line.extend(chunk)
-            if b"\n" in chunk:
-                break
-        return _parse_line(bytes(line).split(b"\n", 1)[0])
+        return self._lines.exchange(self._send, payload)
 
     def close(self):
         self._proc.terminate()
@@ -94,6 +111,8 @@ class _ProcTransport:
             self._proc.wait(timeout=2)
         except subprocess.TimeoutExpired:
             self._proc.kill()
+        self._proc.stdin.close()  # every request was flushed, so nothing is pending
+        self._proc.stdout.close()
 
 
 def _parse_line(line: bytes) -> dict:
@@ -181,6 +200,20 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext]) 
     return {"error": f"unknown op {op!r}"}
 
 
+def _serve_lines(lines, write, provider, contexts: dict[str, UtteranceContext]):
+    """Answer each request line through `write`; stop after a refused handshake."""
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            reply = _handle_request(_parse_line(line), provider, contexts)
+        except Exception as exc:  # a bad request must not stop the server
+            reply = {"error": str(exc)}
+        write((json.dumps(reply) + "\n").encode("utf-8"))
+        if reply.get("ok") is False:
+            return
+
+
 class ProviderServer:
     """Serve a built-in provider over TCP, one thread per connection."""
 
@@ -214,20 +247,10 @@ class ProviderServer:
 
     def _serve_connection(self, conn: socket.socket):
         with conn, conn.makefile("rb") as reader:
-            for line in reader:
-                if not line.strip():
-                    continue
-                try:
-                    msg = _parse_line(line)
-                    reply = _handle_request(msg, self._provider, self._contexts)
-                except Exception as exc:  # keep serving other connections
-                    reply = {"error": str(exc)}
-                try:
-                    conn.sendall((json.dumps(reply) + "\n").encode("utf-8"))
-                except OSError:
-                    return
-                if reply.get("ok") is False:
-                    return
+            try:
+                _serve_lines(reader, conn.sendall, self._provider, self._contexts)
+            except OSError:
+                pass  # the client went away
 
     def stop(self):
         self._stopping.set()
@@ -248,14 +271,9 @@ def stdio_serve(provider, contexts: dict[str, UtteranceContext],
     """Serve over stdin/stdout; the loop ends at EOF or a failed handshake."""
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
-    for line in stdin:
-        if not line.strip():
-            continue
-        try:
-            reply = _handle_request(_parse_line(line), provider, contexts)
-        except Exception as exc:
-            reply = {"error": str(exc)}
-        stdout.write((json.dumps(reply) + "\n").encode("utf-8"))
+
+    def write(data: bytes):
+        stdout.write(data)
         stdout.flush()
-        if reply.get("ok") is False:
-            return
+
+    _serve_lines(stdin, write, provider, contexts)

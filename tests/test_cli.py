@@ -1,7 +1,11 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+from latefuse import cli
 from latefuse.cli import main
 
 
@@ -280,3 +284,154 @@ class TestReliability:
         counts = [int(r.split(",")[2]) for r in rows[1:]]
         report = json.loads((workspace / "calibration-llm.json").read_text())
         assert sum(counts) == report["n_dec"]
+
+
+def without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
+class TestSideFiles:
+    @pytest.mark.parametrize("flag, source, damage", [
+        ("lm-model", "lm.json", lambda text: text[:len(text) // 2]),
+        ("lm-model", "lm.json", without("smoothing")),
+        ("manifest", "data/manifest.json", without("sub_rate")),
+        ("calibration-llm", "calibration-llm.json", without("tau")),
+        ("corpus", "data/test.jsonl",
+         lambda text: text.replace('"score": ', '"score": "high", "x": ', 1)),
+        ("corpus", "data/test.jsonl", lambda text: re.sub(
+            r'"nbest": \[.*?\]\}', '"nbest": "xy"}', text, count=1)),
+        ("corpus", "data/test.jsonl", lambda text: re.sub(
+            r'"reference": "[^"]*"', '"reference": ""', text, count=1)),
+    ], ids=["lm-truncated", "lm-no-smoothing", "manifest-no-sub-rate", "calibration-no-tau",
+            "corpus-text-score", "corpus-string-nbest", "corpus-empty-reference"])
+    def test_malformed_file_is_data_error_naming_it(self, workspace, tmp_path, capsys,
+                                                     flag, source, damage):
+        broken = tmp_path / Path(source).name
+        broken.write_text(damage((workspace / source).read_text()))
+        out = tmp_path / "x.jsonl"
+        assert run(*decode_args(workspace, "uadf", out, **{flag: broken})) == 3
+        assert str(broken) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def resolve(argv):
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    return cli._resolve(args, args.options)
+
+
+def sample(opt):
+    """A non-default value for `opt`: (flag argument, config-file value)."""
+    if opt.choices:
+        choice = next(c for c in opt.choices if c != opt.default)
+        return choice, choice
+    return {cli.text: ("x", "x"), cli.endpoint: ("127.0.0.1:9", "127.0.0.1:9"),
+            cli.integer: ("7", 7), cli.number: ("0.375", 0.375),
+            cli.numbers: ("0,0.5", "0,0.5"), cli.boolean: ("false", False)}[opt.type]
+
+
+OPTION_CASES = [(command, key) for command, (_func, options, _help) in cli.COMMANDS.items()
+                for key in options]
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command, key", OPTION_CASES,
+                             ids=[f"{c}-{k}" for c, k in OPTION_CASES])
+    def test_flag_and_config_key_resolve_alike(self, tmp_path, command, key):
+        options = cli.COMMANDS[command][1]
+        base = [command]
+        for other, opt in options.items():
+            if opt.required and other != key:
+                base += [cli._flag(other), sample(opt)[0]]
+        flag_arg, config_value = sample(options[key])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {key: [config_value] if options[key].repeat else config_value}))
+        from_flag = resolve(base + [cli._flag(key), flag_arg])[key]
+        from_config = resolve(base + ["--config", cfg])[key]
+        assert from_flag == from_config
+        assert type(from_flag) is type(from_config)
+        assert from_flag != options[key].default
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_written_config_resolves_to_itself(self, tmp_path, command):
+        options = cli.COMMANDS[command][1]
+        argv = [command]
+        for key, opt in options.items():
+            if opt.required:
+                argv += [cli._flag(key), sample(opt)[0]]
+        resolved = resolve(argv)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(resolved))  # as the command writes it, nulls included
+        assert json.dumps(resolve([command, "--config", cfg])) == json.dumps(resolved)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("decode", "beta", "x"),
+        ("calibrate", "tol", "abc"),
+        ("simulate", "n_train", 2.7),
+        ("decode", "max_len_factor", "abc"),
+        ("sweep", "w_asr_values", "0,x"),
+        ("sweep", "beta_values", ""),
+        ("decode", "mode", "llm-only"),
+        ("score", "lowercase", "no"),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(command, "--config", cfg) == 2
+        assert repr(key) in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(command, cli._flag(key), value if isinstance(value, str) else json.dumps(value))
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "uadf"), ("beta", 0.9), ("w_llm", 7), ("w_asr", 9), ("steps_log", "s.jsonl"),
+    ])
+    def test_sweep_takes_no_decode_only_option(self, workspace, tmp_path, key, value):
+        data = workspace / "data"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            key: value, "corpus": str(data / "val.jsonl"), "vocab": str(data / "vocab.txt"),
+            "lm_model": str(workspace / "lm.json"), "manifest": str(data / "manifest.json"),
+            "out": str(tmp_path / "grid.csv")}))
+        assert key not in cli.SWEEP
+        assert run("sweep", "--config", cfg) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("sweep", "--config", cfg, cli._flag(key), value)
+        assert exc.value.code == 2
+        assert not (tmp_path / "grid.csv").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _expand(line, loops):
+    for var, values in loops.items():
+        if f"${var}" in line:
+            return [cmd for value in values
+                    for cmd in _expand(line.replace(f"${var}", value), loops)]
+    return [line]
+
+
+def readme_commands():
+    """Every `latefuse ...` line of README's shell blocks, `for` variables expanded."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        loops = {}
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.strip()
+            loop = re.match(r"for (\w+) in (.+); do$", line)
+            if loop:
+                loops[loop.group(1)] = loop.group(2).split()
+            elif line.startswith("latefuse "):
+                commands += _expand(line, loops)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 9  # the walkthrough alone has nine
+    for command in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

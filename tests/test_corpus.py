@@ -214,6 +214,33 @@ class TestSerialization:
             load_corpus(path)
         assert err.value.field == "reference"
 
+    @pytest.mark.parametrize("raw, field", [
+        ({"id": "a", "reference": "x", "nbest": [{"text": "x", "score": "high"}]}, "score"),
+        ({"id": "a", "reference": "x", "nbest": [{"text": "x", "score": [1]}]}, "score"),
+        ({"id": "a", "reference": "x", "nbest": "xy"}, "nbest"),
+        ({"id": "a", "reference": "x", "nbest": {"text": "x"}}, "nbest"),
+        ({"id": "a", "reference": "x", "nbest": []}, "nbest"),
+        ({"id": "a", "reference": "", "nbest": ["x"]}, "reference"),
+        ({"id": "a", "reference": "  ", "nbest": ["x"]}, "reference"),
+        ({"id": "a", "reference": None, "nbest": ["x"]}, "reference"),
+        ({"id": "a", "reference": "x", "nbest": [{"text": 5}]}, "text"),
+        ({"id": "a", "reference": "x", "nbest": ["x", 7]}, "text"),
+    ])
+    def test_malformed_record_is_schema_error(self, tmp_path, raw, field):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(raw) + "\n")
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert err.value.field == field
+        assert f"{path}:1:" in str(err.value)
+
+    def test_non_object_line_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('["a", "x", ["x"]]\n')
+        with pytest.raises(CorpusParseError) as err:
+            load_corpus(path)
+        assert err.value.line_no == 1
+
     def test_field_map_ingests_external_format(self, tmp_path):
         raw = {
             "utt": "ext-1",

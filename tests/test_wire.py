@@ -14,7 +14,8 @@ from latefuse.wire import ProviderServer, connect_external, stdio_serve
 
 
 class LineServer:
-    """Raw scripted TCP server for protocol-violation tests."""
+    """Raw scripted TCP server for protocol-violation tests; a reply that is
+    a list is sent as that many lines in one write."""
 
     def __init__(self, reply_fn):
         self.reply_fn = reply_fn
@@ -36,10 +37,24 @@ class LineServer:
                 reply = self.reply_fn(json.loads(line))
                 if reply is None:
                     return
-                conn.sendall((json.dumps(reply) + "\n").encode())
+                replies = reply if isinstance(reply, list) else [reply]
+                conn.sendall("".join(json.dumps(r) + "\n" for r in replies).encode())
 
     def close(self):
         self.sock.close()
+
+
+def one_hot(index, size):
+    return [1.0 if i == index else 0.0 for i in range(size)]
+
+
+def assert_steps_stay_paired(provider, ctx):
+    """The provider answers history h with argmax 3 + len(h), then sends one
+    unsolicited line (argmax 3). Every reply read must be the one asked
+    for, and the stray line must end the exchange as a ProviderIOError."""
+    with pytest.raises(ProviderIOError):
+        for history in ((0,), (0, 4), (0, 4, 5)):
+            assert int(np.argmax(provider.next_logits(history, ctx))) == 3 + len(history)
 
 
 def scripted(replies_by_op):
@@ -86,6 +101,20 @@ class TestExternalProvider:
         try:
             with pytest.raises(ProviderIOError):
                 provider.next_logits((0,), empty_ctx)
+        finally:
+            provider.close()
+            server.close()
+
+    def test_unsolicited_line_is_provider_io_error(self, empty_ctx):
+        vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
+        server = LineServer(scripted({
+            "hello": {"ok": True},
+            "step": lambda msg: [{"logits": one_hot(3 + len(msg["history"]), vocab.size)},
+                                 {"logits": one_hot(3, vocab.size)}],
+        }))
+        provider = connect_external(server.address, vocab, timeout=2.0)
+        try:
+            assert_steps_stay_paired(provider, empty_ctx)
         finally:
             provider.close()
             server.close()
@@ -158,6 +187,27 @@ class TestSubprocessEndpoint:
         try:
             logits = provider.next_logits((0,), empty_ctx)
             assert int(np.argmax(logits)) == 0
+        finally:
+            provider.close()
+
+    def test_unsolicited_line_is_provider_io_error(self, empty_ctx):
+        vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
+        script = (
+            "import json,sys\n"
+            f"def hot(i): return [1.0 if j == i else 0.0 for j in range({vocab.size})]\n"
+            "for line in sys.stdin:\n"
+            "    msg = json.loads(line)\n"
+            "    if msg['op'] == 'hello':\n"
+            "        print(json.dumps({'ok': True}), flush=True)\n"
+            "    else:\n"
+            "        reply = json.dumps({'logits': hot(3 + len(msg['history']))})\n"
+            "        stray = json.dumps({'logits': hot(3)})\n"
+            "        sys.stdout.write(reply + '\\n' + stray + '\\n')\n"
+            "        sys.stdout.flush()\n"
+        )
+        provider = connect_external([sys.executable, "-c", script], vocab, timeout=5.0)
+        try:
+            assert_steps_stay_paired(provider, empty_ctx)
         finally:
             provider.close()
 
