@@ -11,6 +11,7 @@ the fit independent of any fused decoding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,11 @@ class CalibrationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationReport":
+        tau = float(data["tau"])
+        if not (math.isfinite(tau) and tau > 0):
+            raise InvalidParameterError(f"tau must be a positive finite real, got {tau!r}")
         return cls(
-            tau=float(data["tau"]),
+            tau=tau,
             mean_confidence=float(data["mean_confidence"]),
             ter=float(data["ter"]),
             n_dec=int(data["n_dec"]),

@@ -217,12 +217,14 @@ def _write_resolved(resolved: dict, out_dir: Path, command: str):
 
 def _read_json(path, parse):
     """`parse` applied to a JSON side file (lm, manifest, calibration
-    report); a file that is not valid JSON or lacks a field is a data error
-    that names it."""
+    report); a file that is not valid JSON, lacks a field or holds a value
+    out of its range is a data error that names it."""
     with open(path, "r", encoding="utf-8") as f:
         content = f.read()
     try:
         return parse(json.loads(content))
+    except InvalidParameterError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
     except LateFuseError:
         raise
     except json.JSONDecodeError as exc:
@@ -432,12 +434,14 @@ def cmd_sweep(resolved: dict):
             for row in table:
                 f.write(f"{row['w_llm']!r},{row['w_asr']!r},{row['wer']!r}\n")
     else:  # beta
+        betas = resolved["beta_values"]
+        wers = decoding.sweep_wers(llm, asr, [
+            fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
+                                uncertainty=resolved["uncertainty"]) for beta in betas
+        ], eval_set, factor)
         with open(out, "w", encoding="utf-8") as f:
             f.write("beta,wer\n")
-            for beta in resolved["beta_values"]:
-                cfg = fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
-                                          uncertainty=resolved["uncertainty"])
-                wer = decoding.eval_set_wer(llm, asr, cfg, eval_set, factor)
+            for beta, wer in zip(betas, wers):
                 f.write(f"{beta!r},{wer!r}\n")
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     print(f"sweep over {axis} -> {out}")

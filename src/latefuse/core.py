@@ -106,20 +106,25 @@ def as_logits(values, size: int | None = None) -> np.ndarray:
         raise InvalidInputError("logits must be a non-empty 1-D vector")
     if size is not None and arr.size != size:
         raise InvalidInputError(f"logits length {arr.size} != vocabulary size {size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidInputError("logits must be finite")
     return arr
 
 
 def as_prob_dist(values) -> np.ndarray:
-    """Validate a probability vector: entries >= 0, sum within 1e-9 of 1."""
+    """Validate a probability vector: entries >= 0, sum within 1e-9 of 1.
+
+    One min and one sum decide: a NaN entry makes the min NaN, and +inf
+    makes the sum infinite, so neither comparison can pass.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("distribution must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    if not arr.min() >= 0.0:
         raise InvalidInputError("distribution entries must be finite and >= 0")
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
-        raise InvalidInputError(f"distribution sums to {arr.sum()!r}, not 1")
+    total = float(arr.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise InvalidInputError(f"distribution sums to {total!r}, not 1")
     return arr
 
 
@@ -131,11 +136,11 @@ def softmax_with_temperature(logits, tau: float) -> np.ndarray:
     """
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
         raise InvalidParameterError(f"tau must be a positive finite real, got {tau!r}")
-    arr = as_logits(logits)
-    scaled = arr / float(tau)
+    scaled = as_logits(logits) / float(tau)
     scaled -= scaled.max()
-    exp = np.exp(scaled)
-    return exp / exp.sum()
+    np.exp(scaled, out=scaled)
+    scaled /= scaled.sum()
+    return scaled
 
 
 def entropy(dist) -> float:
@@ -152,7 +157,7 @@ def argmax_token(dist) -> int:
     arr = np.asarray(dist, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("cannot take argmax of an empty vector")
-    return int(np.argmax(arr))
+    return int(arr.argmax())
 
 
 def sigmoid(x: float) -> float:

@@ -11,6 +11,7 @@ streams are derived from the corpus seed and the utterance id.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -125,6 +126,7 @@ HUB_CLUSTER = 8
 HUB_PULL = 0.55
 
 
+@functools.lru_cache(maxsize=8)
 def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
     """Row-stochastic word-confusability kernel with zero diagonal.
 
@@ -132,7 +134,8 @@ def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
     exponential decay over cyclic id distance (sharpness = concentration),
     modulated so different word pairs have different margins (a constant
     profile would make all single-substitution beam candidates tie
-    exactly).
+    exactly). Built once per (n_words, concentration) and returned
+    read-only, since every record's `corrupt` reads it.
     """
     idx = np.arange(n_words)
     dist = np.abs(idx[:, None] - idx[None, :])
@@ -146,6 +149,7 @@ def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
         is_mate = hubs != idx
         kernel[is_mate] *= 1.0 - HUB_PULL
         kernel[idx[is_mate], hubs[is_mate]] += HUB_PULL
+    kernel.flags.writeable = False
     return kernel
 
 
@@ -353,8 +357,16 @@ def load_corpus(path, field_map: dict | None = None) -> list[CorpusRecord]:
     """
     fmap = dict(DEFAULT_FIELD_MAP)
     fmap.update(field_map or {})
-    return [_record_from_raw(raw, fmap, path, line_no)
-            for line_no, raw in read_json_lines(path)]
+    records, first_line = [], {}
+    for line_no, raw in read_json_lines(path):
+        record = _record_from_raw(raw, fmap, path, line_no)
+        if record.id in first_line:
+            raise CorpusSchemaError(fmap["id"], (
+                f"{path}:{line_no}: {fmap['id']!r} {record.id!r} repeats the record "
+                f"on line {first_line[record.id]}"))
+        first_line[record.id] = line_no
+        records.append(record)
+    return records
 
 
 def read_json_lines(path):
@@ -380,6 +392,9 @@ def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
     for key in ("id", "reference", "nbest"):
         if fmap[key] not in raw:
             raise schema_error(key, "is a required field and is missing")
+    utt_id = raw[fmap["id"]]
+    if isinstance(utt_id, bool) or not isinstance(utt_id, (str, int)):
+        raise schema_error("id", f"must be a string or an integer, got {utt_id!r}")
     reference = raw[fmap["reference"]]
     if not isinstance(reference, str) or not reference.strip():
         raise schema_error("reference", "must be a non-empty string")
@@ -403,7 +418,7 @@ def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
         nbest.append((text, score))
     observation = raw.get(fmap["observation"], nbest[0][0])
     return CorpusRecord(
-        id=str(raw[fmap["id"]]),
+        id=str(utt_id),
         reference=reference,
         observation=str(observation),
         nbest=tuple(nbest),

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .core import TokenSeq, Vocabulary, argmax_token, softmax_with_temperature
 from .errors import ConfigurationError, InvalidParameterError
-from .fusion import FusionConfig, fuse_step
-from .metrics import corpus_wer
+from .fusion import FusionConfig, decide, fuse_step
 from .providers import UtteranceContext
 
 # Length cap for decoding without a reference to scale against.
@@ -51,8 +51,14 @@ def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LE
 
 def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
                         ctx: UtteranceContext,
-                        max_len: int = DEFAULT_MAX_LEN) -> DecodeResult:
-    """Greedy decoding with one shared history driving both providers."""
+                        max_len: int = DEFAULT_MAX_LEN, memo: dict | None = None) -> DecodeResult:
+    """Greedy decoding with one shared history driving both providers.
+
+    `memo` maps a history of this utterance to its step's `step_inputs`;
+    it is read and filled, so decodes of one utterance whose configs share
+    tau1, tau2 and the uncertainty variant (see `sweep_wers`) run the
+    providers and the softmaxes once per distinct history.
+    """
     cfg = cfg.normalized()
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
@@ -64,15 +70,21 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
             llm_provider.vocab != asr_provider.vocab:
         raise ConfigurationError("providers must share one vocabulary")
 
+    memo = {} if memo is None else memo
     history: TokenSeq = (Vocabulary.BOS,)
     tokens: TokenSeq = ()
     steps = []
     for _ in range(max_len):
-        step = fuse_step(
-            llm_provider.next_logits(history, ctx),
-            asr_provider.next_logits(history, ctx),
-            cfg,
-        )
+        inputs = memo.get(history)
+        if inputs is None:
+            step = fuse_step(
+                llm_provider.next_logits(history, ctx),
+                asr_provider.next_logits(history, ctx),
+                cfg,
+            )
+            memo[history] = (step.p_llm, step.p_asr, step.uncertainty)
+        else:
+            step = decide(*inputs, cfg)
         steps.append(step)
         tokens += (step.chosen,)
         history += (step.chosen,)
@@ -159,8 +171,30 @@ def decode_eval_set(llm_provider, asr_provider, cfg: FusionConfig, eval_set,
     return hyps
 
 
-def eval_set_wer(llm_provider, asr_provider, cfg: FusionConfig, eval_set,
-                 max_len_factor: float = 2.0) -> float:
-    """Corpus WER of `decode_eval_set` against the pairs' references."""
-    hyps = decode_eval_set(llm_provider, asr_provider, cfg, eval_set, max_len_factor)
-    return corpus_wer([(hyp, ref) for hyp, (_ctx, ref) in zip(hyps, eval_set)])
+def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,
+               max_len_factor: float = 2.0) -> list[float]:
+    """Corpus WER of `eval_set` decoded at each of `cfgs`, in order.
+
+    The set is decoded utterance by utterance: each utterance is decoded
+    at every config in turn, and those decodes share one memo of step
+    inputs, which is dropped before the next utterance. The configs must
+    therefore share mode, tau1, tau2 and the uncertainty variant. Each
+    distinct hypothesis of an utterance is aligned once.
+    """
+    cfgs = [cfg.normalized() for cfg in cfgs]
+    if len({(c.mode, c.tau1, c.tau2, c.uncertainty) for c in cfgs}) > 1:
+        raise InvalidParameterError(
+            "sweep points must share mode, tau1, tau2 and the uncertainty variant")
+    vocab = (llm_provider or asr_provider).vocab
+    reports = [[] for _ in cfgs]
+    for ctx, ref_words in eval_set:
+        max_len = evaluation_max_len(ref_words, max_len_factor)
+        memo, aligned = {}, {}
+        for cfg, point in zip(cfgs, reports):
+            result = fused_greedy_decode(llm_provider, asr_provider, cfg, ctx,
+                                         max_len=max_len, memo=memo)
+            hyp = vocab.decode(result.tokens)
+            if hyp not in aligned:
+                aligned[hyp] = metrics.wer(hyp.split(), ref_words)
+            point.append(aligned[hyp])
+    return [metrics.total_report(point).wer for point in reports]

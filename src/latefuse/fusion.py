@@ -109,40 +109,43 @@ def fuse_static(logits_llm, logits_asr, cfg: FusionConfig) -> np.ndarray:
                        softmax_with_temperature(logits_asr, cfg.tau2), cfg)
 
 
-def fuse_uadf(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
-    """One dynamic-fusion step; w_llm is fixed at 1 in this mode.
+def step_inputs(logits_llm, logits_asr, cfg: FusionConfig) -> tuple:
+    """(p_llm, p_asr, uncertainty) of one step.
 
-    Only the argmax of p_llm + w * p_asr decides, so the sum is never
-    normalized into a distribution.
+    This is the part of a fused step that reads the provider outputs, and
+    it depends on cfg only through tau1, tau2 and the uncertainty variant
+    (static steps always record the entropy). Sweep points that share
+    those can therefore share it.
     """
     p_llm = softmax_with_temperature(logits_llm, cfg.tau1)
-    u = _uncertainty(p_llm, cfg.uncertainty)
-    w = uadf_weight(u, cfg.beta)
     p_asr = softmax_with_temperature(logits_asr, cfg.tau2)
-    return FusionStep(
-        p_llm=p_llm,
-        p_asr=p_asr,
-        uncertainty=u,
-        w_asr_effective=w,
-        chosen=argmax_token(p_llm + w * p_asr),
-    )
+    variant = cfg.uncertainty if cfg.mode == "uadf" else "entropy"
+    return p_llm, p_asr, _uncertainty(p_llm, variant)
+
+
+def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) -> FusionStep:
+    """The fused choice of one step, given its `step_inputs`.
+
+    uadf picks the argmax of p_llm + w * p_asr, which is never normalized
+    into a distribution; static picks the argmax of the weighted mixture.
+    """
+    if cfg.mode == "uadf":
+        w = uadf_weight(u, cfg.beta)
+        return FusionStep(p_llm, p_asr, u, w, argmax_token(p_llm + w * p_asr))
+    if cfg.mode == "static":
+        return FusionStep(p_llm, p_asr, u, cfg.w_asr,
+                          argmax_token(_static_mix(p_llm, p_asr, cfg)))
+    raise InvalidParameterError(f"fuse_step handles static/uadf, not {cfg.mode!r}")
+
+
+def fuse_uadf(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
+    """One dynamic-fusion step, whatever cfg.mode says; w_llm is fixed at 1."""
+    return fuse_step(logits_llm, logits_asr, replace(cfg, mode="uadf"))
 
 
 def fuse_step(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
-    """Dispatch one fused step for static or uadf mode."""
-    if cfg.mode == "uadf":
-        return fuse_uadf(logits_llm, logits_asr, cfg)
-    if cfg.mode == "static":
-        p1 = softmax_with_temperature(logits_llm, cfg.tau1)
-        p2 = softmax_with_temperature(logits_asr, cfg.tau2)
-        return FusionStep(
-            p_llm=p1,
-            p_asr=p2,
-            uncertainty=entropy(p1),
-            w_asr_effective=cfg.w_asr,
-            chosen=argmax_token(_static_mix(p1, p2, cfg)),
-        )
-    raise InvalidParameterError(f"fuse_step handles static/uadf, not {cfg.mode!r}")
+    """One fused step in cfg's mode (static or uadf)."""
+    return decide(*step_inputs(logits_llm, logits_asr, cfg), cfg)
 
 
 def grid_search_static(
@@ -160,15 +163,15 @@ def grid_search_static(
     `eval_set` is a list of (UtteranceContext, reference_words) pairs.
     Returns ((w_llm, w_asr), table) where the table has one row per point.
     """
-    from .decoding import eval_set_wer
+    from .decoding import sweep_wers
 
     grid = [(float(wl), float(wa)) for wl, wa in grid]
     if not grid or not eval_set:
         raise InvalidParameterError("grid and eval_set must be non-empty")
-    table = []
-    for w_llm, w_asr in grid:
-        cfg = FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr, tau1=tau1, tau2=tau2)
-        wer = eval_set_wer(llm_provider, asr_provider, cfg, eval_set, max_len_factor)
-        table.append({"w_llm": w_llm, "w_asr": w_asr, "wer": wer})
+    cfgs = [FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr, tau1=tau1, tau2=tau2)
+            for w_llm, w_asr in grid]
+    wers = sweep_wers(llm_provider, asr_provider, cfgs, eval_set, max_len_factor)
+    table = [{"w_llm": w_llm, "w_asr": w_asr, "wer": wer}
+             for (w_llm, w_asr), wer in zip(grid, wers)]
     best = min(table, key=lambda row: (row["wer"], row["w_asr"], row["w_llm"]))
     return (best["w_llm"], best["w_asr"]), table

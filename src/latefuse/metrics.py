@@ -59,10 +59,16 @@ def wer(hypothesis, reference) -> ScoreReport:
     for j in range(cols):
         dist[0][j] = j
     for i in range(1, rows):
-        row, prev = dist[i], dist[i - 1]
+        row, prev, word = dist[i], dist[i - 1], ref[i - 1]
+        left = i
         for j in range(1, cols):
-            diag = prev[j - 1] + (0 if ref[i - 1] == hyp[j - 1] else 1)
-            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+            # min(diag, up + 1, left + 1) on integers: x < best means x + 1 <= best.
+            best = prev[j - 1] if word == hyp[j - 1] else prev[j - 1] + 1
+            if prev[j] < best:
+                best = prev[j] + 1
+            if left < best:
+                best = left + 1
+            row[j] = left = best
 
     subs = ins = dels = hits = 0
     i, j = len(ref), len(hyp)
@@ -84,9 +90,13 @@ def wer(hypothesis, reference) -> ScoreReport:
 
 def corpus_report(pairs) -> ScoreReport:
     """Aggregate (hypothesis, reference) pairs into one corpus-level report."""
+    return total_report(wer(hyp, ref) for hyp, ref in pairs)
+
+
+def total_report(reports) -> ScoreReport:
+    """Pool per-utterance reports into one corpus-level report."""
     totals = [0, 0, 0, 0, 0]
-    for hyp, ref in pairs:
-        r = wer(hyp, ref)
+    for r in reports:
         totals[0] += r.substitutions
         totals[1] += r.insertions
         totals[2] += r.deletions

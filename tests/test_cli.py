@@ -270,6 +270,44 @@ class TestSweep:
         assert len(rows) == 5
 
 
+def _decode_score_wer(workspace, tmp_path, mode, **extra):
+    hyp = tmp_path / "point.jsonl"
+    assert run(*decode_args(workspace, mode, hyp, **extra)) == 0
+    scores = tmp_path / "point-scores.json"
+    assert run("score", "--corpus", workspace / "data" / "test.jsonl",
+               "--hyp", f"point={hyp}", "--out", scores) == 0
+    return json.loads(scores.read_text())["systems"]["point"]["wer"]
+
+
+class TestSweepMatchesDecode:
+    """Each sweep row is the WER that decode + score give at that point,
+    although the sweep shares step distributions across its points."""
+
+    @pytest.mark.parametrize("axis, flag, values, uncertainty", [
+        ("static-grid", "w-asr", ["0.0", "0.125", "0.25", "0.5", "1.0"], "entropy"),
+        ("beta", "beta", ["0.0", "0.25", "0.5", "0.75"], "entropy"),
+        ("beta", "beta", ["0.0", "0.5", "0.75"], "top1"),
+    ])
+    def test_every_row_equals_decode_and_score(self, workspace, tmp_path,
+                                               axis, flag, values, uncertainty):
+        data = workspace / "data"
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--axis", axis, "--corpus", data / "test.jsonl",
+                   "--vocab", data / "vocab.txt", "--lm-model", workspace / "lm.json",
+                   "--manifest", data / "manifest.json",
+                   "--calibration-llm", workspace / "calibration-llm.json",
+                   "--calibration-asr", workspace / "calibration-asr.json",
+                   "--uncertainty", uncertainty,
+                   f"--{flag}-values", ",".join(values), "--out", out) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[-2] for row in rows] == values
+        mode = "static" if axis == "static-grid" else "uadf"
+        for value, row in zip(values, rows):
+            want = _decode_score_wer(workspace, tmp_path, mode,
+                                     uncertainty=uncertainty, **{flag: value})
+            assert float(row[-1]) == want, (axis, value)
+
+
 class TestReliability:
     def test_rows_and_columns(self, workspace, tmp_path):
         data = workspace / "data"
@@ -311,6 +349,40 @@ class TestSideFiles:
         out = tmp_path / "x.jsonl"
         assert run(*decode_args(workspace, "uadf", out, **{flag: broken})) == 3
         assert str(broken) in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag, source, key, value", [
+        ("lm-model", "lm.json", "vote_weight", 2),
+        ("lm-model", "lm.json", "smoothing", -1),
+        ("lm-model", "lm.json", "order", 0),
+        ("manifest", "data/manifest.json", "sub_rate", 2),
+        ("manifest", "data/manifest.json", "concentration", 0),
+        ("calibration-llm", "calibration-llm.json", "tau", -1.0),
+        ("calibration-asr", "calibration-asr.json", "tau", 0),
+    ])
+    def test_out_of_range_value_is_data_error_naming_it(self, workspace, tmp_path, capsys,
+                                                        flag, source, key, value):
+        broken = tmp_path / Path(source).name
+        data = json.loads((workspace / source).read_text())
+        data[key] = value
+        broken.write_text(json.dumps(data))
+        out = tmp_path / "x.jsonl"
+        assert run(*decode_args(workspace, "uadf", out, **{flag: broken})) == 3
+        assert str(broken) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_corpus_id_is_data_error(self, workspace, tmp_path, capsys):
+        lines = (workspace / "data" / "test.jsonl").read_text().splitlines(keepends=True)
+        broken = tmp_path / "test.jsonl"
+        broken.write_text("".join(lines + lines[:1]))
+        out = tmp_path / "x.jsonl"
+        assert run(*decode_args(workspace, "uadf", out, corpus=broken)) == 3
+        assert f"{broken}:{len(lines) + 1}:" in capsys.readouterr().err
+        hyp = tmp_path / "h.jsonl"
+        assert run(*decode_args(workspace, "llm", hyp)) == 0
+        assert run("score", "--corpus", broken, "--hyp", f"a={hyp}",
+                   "--out", tmp_path / "s.json") == 3
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 from latefuse.core import (
     Vocabulary,
     argmax_token,
+    as_logits,
     as_prob_dist,
     entropy,
     sigmoid,
@@ -81,6 +82,66 @@ class TestEntropy:
             entropy([0.5, 0.4])  # sums to 0.9
         with pytest.raises(InvalidInputError):
             entropy([1.5, -0.5])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestValidationTable:
+    """Which inputs each checked entry point rejects, and with which type."""
+
+    @pytest.mark.parametrize("values, ok", [
+        ([0.0, 1.5, -3.0], True),
+        ([0.0, NAN], False),
+        ([0.0, INF], False),
+        ([0.0, -INF], False),
+        ([INF, -INF], False),
+        ([], False),
+        ([[0.0, 1.0]], False),
+        (np.zeros((2, 2)), False),
+        (5.0, False),
+    ])
+    @pytest.mark.parametrize("check", [as_logits,
+                                       lambda v: softmax_with_temperature(v, 1.0)],
+                             ids=["as_logits", "softmax"])
+    def test_logits(self, check, values, ok):
+        if ok:
+            check(values)
+        else:
+            with pytest.raises(InvalidInputError):
+                check(values)
+
+    @pytest.mark.parametrize("values, ok", [
+        ([0.25, 0.75], True),
+        ([1.0, 0.0, -0.0], True),
+        ([0.5, 0.5 + 9e-10], True),
+        ([0.5, 0.5 + 2e-9], False),
+        ([0.5, 0.5 - 2e-9], False),
+        ([0.5, NAN], False),
+        ([NAN, 1.0], False),
+        ([1.0, INF], False),
+        ([1.0, -INF], False),
+        ([INF, -INF], False),
+        ([1.5, -0.5], False),
+        ([-1e-300, 1.0], False),
+        ([], False),
+        ([[0.5, 0.5]], False),
+        (np.full((2, 2), 0.25), False),
+        (1.0, False),
+    ])
+    @pytest.mark.parametrize("check", [as_prob_dist, entropy],
+                             ids=["as_prob_dist", "entropy"])
+    def test_distributions(self, check, values, ok):
+        if ok:
+            check(values)
+        else:
+            with pytest.raises(InvalidInputError):
+                check(values)
+
+    def test_logits_length_check(self):
+        assert as_logits([0.0, 1.0], size=2).shape == (2,)
+        with pytest.raises(InvalidInputError):
+            as_logits([0.0, 1.0], size=3)
 
 
 class TestArgmaxToken:

@@ -241,6 +241,32 @@ class TestSerialization:
             load_corpus(path)
         assert err.value.line_no == 1
 
+    @pytest.mark.parametrize("ids, bad_line", [
+        ([None], 1),
+        (["a", "b", "a"], 3),
+        ([1, "1"], 2),
+        ([7, 7], 2),
+        (["a", True], 2),
+        (["a", 1.5], 2),
+        ([["a"]], 1),
+    ], ids=["null", "repeated", "int-then-string", "repeated-int", "bool", "float", "list"])
+    def test_bad_or_repeated_id_is_schema_error(self, tmp_path, ids, bad_line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": utt_id, "reference": "x", "nbest": ["x"]}) + "\n"
+            for utt_id in ids))
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert err.value.field == "id"
+        assert f"{path}:{bad_line}:" in str(err.value)
+
+    def test_integer_ids_are_read_as_strings(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": utt_id, "reference": "x", "nbest": ["x"]}) + "\n"
+            for utt_id in (0, 12, "u")))
+        assert [rec.id for rec in load_corpus(path)] == ["0", "12", "u"]
+
     def test_field_map_ingests_external_format(self, tmp_path):
         raw = {
             "utt": "ext-1",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,9 +11,11 @@ from latefuse.decoding import (
     evaluation_max_len,
     fused_greedy_decode,
     greedy_decode,
+    sweep_wers,
 )
 from latefuse.errors import ConfigurationError, InvalidParameterError
-from latefuse.fusion import FusionConfig
+from latefuse.fusion import FusionConfig, grid_search_static
+from latefuse.metrics import corpus_wer
 from latefuse.providers import UtteranceContext, make_acoustic_channel
 
 
@@ -208,3 +211,101 @@ class TestDecodeEvalSet:
     def test_evaluation_max_len_rejects_bad_factor(self, factor):
         with pytest.raises(InvalidParameterError):
             evaluation_max_len(["w"] * 5, factor=factor)
+
+
+class SeededProvider:
+    """Deterministic pseudorandom logits per (salt, history), counting calls.
+
+    Low-temperature-ish logits (scale 3) on a small vocabulary make the
+    sweep points agree on some prefixes and part ways on others.
+    """
+
+    def __init__(self, vocab, salt):
+        self.vocab = vocab
+        self.salt = salt
+        self.calls = 0
+
+    def next_logits(self, history, ctx):
+        self.calls += 1
+        key = f"{self.salt}:{ctx.utt_id}:{tuple(history)}".encode()
+        seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+        return np.random.default_rng(seed).normal(scale=3.0, size=self.vocab.size)
+
+
+def plain_sweep(llm, asr, cfgs, eval_set, factor=2.0):
+    """The per-point loop the sweep replaces: decode the set, then score it."""
+    wers = []
+    for cfg in cfgs:
+        pairs = []
+        for ctx, ref in eval_set:
+            result = fused_greedy_decode(llm, asr, cfg, ctx,
+                                         max_len=evaluation_max_len(ref, factor))
+            pairs.append((llm.vocab.decode(result.tokens).split(), ref))
+        wers.append(corpus_wer(pairs))
+    return wers
+
+
+def random_case(case):
+    rng = np.random.default_rng(case)
+    v = int(rng.integers(5, 9))
+    vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>") + tuple(f"w{i}" for i in range(v - 3)))
+    eval_set = []
+    for u in range(6):
+        ref = [vocab.tokens[int(t)] for t in rng.integers(3, v, size=int(rng.integers(1, 6)))]
+        eval_set.append((UtteranceContext(utt_id=f"c{case}u{u}"), ref))
+    llm = SeededProvider(vocab, f"llm{case}")
+    asr = SeededProvider(vocab, f"asr{case}")
+    taus = tuple(float(t) for t in rng.uniform(0.5, 2.0, size=2))
+    return llm, asr, eval_set, taus
+
+
+class TestSweepWers:
+    """The memoized, utterance-major sweep gives the WERs of a plain loop."""
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_static_grid_table_equals_plain_loop(self, case):
+        llm, asr, eval_set, (tau1, tau2) = random_case(case)
+        grid = [(1.0, w) for w in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 2.0)] + [(0.5, 1.0)]
+        _best, table = grid_search_static(llm, asr, eval_set, grid, tau1=tau1, tau2=tau2)
+        shared_calls = llm.calls
+        cfgs = [FusionConfig(mode="static", w_llm=wl, w_asr=wa, tau1=tau1, tau2=tau2)
+                for wl, wa in grid]
+        llm.calls = 0
+        assert [row["wer"] for row in table] == plain_sweep(llm, asr, cfgs, eval_set)
+        assert [(row["w_llm"], row["w_asr"]) for row in table] == grid
+        assert shared_calls < llm.calls
+
+    @pytest.mark.parametrize("uncertainty", ["entropy", "top1"])
+    @pytest.mark.parametrize("case", range(8))
+    def test_beta_sweep_equals_plain_loop(self, case, uncertainty):
+        llm, asr, eval_set, (tau1, tau2) = random_case(case)
+        cfgs = [FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
+                             uncertainty=uncertainty)
+                for beta in (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)]
+        got = sweep_wers(llm, asr, cfgs, eval_set, max_len_factor=1.5)
+        shared_calls = asr.calls
+        asr.calls = 0
+        assert got == plain_sweep(llm, asr, cfgs, eval_set, factor=1.5)
+        assert shared_calls < asr.calls
+
+    def test_memo_leaves_each_decode_unchanged(self):
+        llm, asr, eval_set, (tau1, tau2) = random_case(99)
+        ctx, ref = eval_set[0]
+        memo = {}
+        for beta in (0.0, 0.5, 1.0, 0.5):
+            cfg = FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
+            shared = fused_greedy_decode(llm, asr, cfg, ctx, max_len=6, memo=memo)
+            alone = fused_greedy_decode(llm, asr, cfg, ctx, max_len=6)
+            assert shared.tokens == alone.tokens
+            assert [s.w_asr_effective for s in shared.steps] == \
+                [s.w_asr_effective for s in alone.steps]
+
+    @pytest.mark.parametrize("other", [
+        {"tau1": 0.5}, {"tau2": 2.0}, {"uncertainty": "top1"}, {"mode": "static"},
+    ])
+    def test_points_must_share_step_inputs(self, other):
+        llm, asr, eval_set, _taus = random_case(0)
+        base = {"mode": "uadf", "beta": 0.5}
+        cfgs = [FusionConfig(**base), FusionConfig(**{**base, **other})]
+        with pytest.raises(InvalidParameterError):
+            sweep_wers(llm, asr, cfgs, eval_set)

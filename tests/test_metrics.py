@@ -67,6 +67,52 @@ def _levenshtein(a, b):
     return prev[len(a)]
 
 
+def _min_dp_counts(hyp, ref):
+    """S/I/D/H from the three-way min() DP and backtrace `wer` used to run."""
+    rows, cols = len(ref) + 1, len(hyp) + 1
+    dist = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        dist[i][0] = i
+    for j in range(cols):
+        dist[0][j] = j
+    for i in range(1, rows):
+        row, prev = dist[i], dist[i - 1]
+        for j in range(1, cols):
+            diag = prev[j - 1] + (0 if ref[i - 1] == hyp[j - 1] else 1)
+            row[j] = min(diag, prev[j] + 1, row[j - 1] + 1)
+    subs = ins = dels = hits = 0
+    i, j = len(ref), len(hyp)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
+            hits += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
+            subs += 1
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, ins, dels, hits
+
+
+class TestWerMatchesMinDp:
+    def test_same_counts_as_three_way_min_dp(self):
+        rng = np.random.default_rng(23)
+        alphabet = list("abcd")
+        pairs = [([], ["a"]), ([], list("abc"))]
+        for _ in range(600):
+            ref = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(1, 12))]
+            hyp = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(0, 12))]
+            pairs.append((hyp, ref))
+        for hyp, ref in pairs:
+            report = wer(hyp, ref)
+            assert (report.substitutions, report.insertions, report.deletions,
+                    report.hits) == _min_dp_counts(hyp, ref), (hyp, ref)
+
+
 class TestWerr:
     def test_percentage_point_examples(self):
         assert werr(1.61, 1.24) * 100 == pytest.approx(23.0, abs=0.05)
