@@ -449,13 +449,19 @@ def cmd_sweep(resolved: dict):
 
 
 def _load_hypotheses(path) -> dict[str, str]:
-    hyps = {}
+    hyps, first_line = {}, {}
     for line_no, entry in corpus.read_json_lines(path):
         for field in ("id", "text"):
             if not isinstance(entry, dict) or not isinstance(entry.get(field), str):
                 raise CorpusSchemaError(
                     field, f"{path}:{line_no}: {field!r} missing or not a string")
-        hyps[entry["id"]] = entry["text"]
+        utt_id = entry["id"]
+        if utt_id in first_line:
+            raise CorpusSchemaError("id", (
+                f"{path}:{line_no}: 'id' {utt_id!r} repeats the hypothesis "
+                f"on line {first_line[utt_id]}"))
+        first_line[utt_id] = line_no
+        hyps[utt_id] = entry["text"]
     return hyps
 
 
@@ -474,6 +480,11 @@ def cmd_score(resolved: dict):
         if missing:
             raise InvalidInputError(
                 f"{path} lacks hypotheses for {len(missing)} utterances")
+        unknown = set(hyps) - set(refs)
+        if unknown:
+            raise InvalidInputError(
+                f"{path} has hypotheses for {len(unknown)} utterances not in the corpus, "
+                f"e.g. {min(unknown)!r}")
         systems[name] = metrics.corpus_report(
             [(norm(hyps[utt_id]), ref) for utt_id, ref in refs.items()])
 

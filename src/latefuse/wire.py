@@ -1,17 +1,24 @@
 """Newline-delimited JSON wire protocol for out-of-process providers.
 
 One JSON object per line. The client opens with a handshake
-    {"op": "hello", "vocab_size": V, "vocab_hash": "<hex64>"}  ->  {"ok": true}
+    {"op": "hello", "vocab_size": V, "vocab_hash": "<hex64>",
+     "logits_encoding": "base64-f64le"}  ->  {"ok": true}
 then issues one step request per decoding step
-    {"op": "step", "utt": "<id>", "history": [ids]}  ->  {"logits": [V floats]}
-Floats are serialized in shortest round-trip decimal form (plain json),
-so a served built-in provider decodes bit-identically to in-process use.
-Endpoints are either "host:port" strings or argv lists for a subprocess
-bridged over stdin/stdout.
+    {"op": "step", "utt": "<id>", "history": [ids]}  ->  {"logits": "<base64>"}
+The base64 string holds the V logits as little-endian float64, 8 bytes
+each. A server that ignores "logits_encoding" replies with the list form
+{"logits": [V floats]} instead, in shortest round-trip decimal form; the
+client accepts either form on every reply. Both forms carry the exact
+float64 values, so a served built-in provider decodes bit-identically to
+in-process use. Lines are capped: a reply longer than
+`max_reply_bytes(V)` and a request longer than MAX_REQUEST_BYTES end the
+exchange. Endpoints are either "host:port" strings or argv lists for a
+subprocess bridged over stdin/stdout.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import select
@@ -26,18 +33,36 @@ from .core import Vocabulary
 from .errors import ConfigurationError, ProviderIOError
 from .providers import UtteranceContext
 
+# The hello's "logits_encoding": step replies carry base64 float64 logits.
+LOGITS_ENCODING = "base64-f64le"
+# A request line longer than this, newline included, gets an error reply
+# and ends the connection; the longest hello or step request is far shorter.
+MAX_REQUEST_BYTES = 1 << 20
+
+
+def max_reply_bytes(vocab_size: int) -> int:
+    """The longest reply line the client reads, newline excluded.
+
+    64 bytes per logit hold any float in a list (the longest shortest
+    round-trip float64 takes 24 characters, plus ", ") and its base64
+    form (32 characters per 3 logits); 4 KiB cover the rest of the object.
+    """
+    return 64 * vocab_size + 4096
+
 
 class _LineChannel:
     """Request/reply line framing over one byte stream.
 
     Bytes read past a reply's newline are kept, not dropped. A byte the
     provider sends beyond the one reply line per request means replies
-    no longer pair with requests, so the exchange fails with it.
+    no longer pair with requests, so the exchange fails with it. A reply
+    longer than `max_line` bytes fails as soon as it is, unread to its end.
     """
 
-    def __init__(self, fd: int, recv):
+    def __init__(self, fd: int, recv, max_line: int):
         self._fd = fd  # polled, without blocking, for bytes nobody asked for
         self._recv = recv  # the next chunk, b"" at end of stream
+        self._max_line = max_line
         self._buffer = bytearray()
 
     def exchange(self, send, payload: dict) -> dict:
@@ -49,13 +74,16 @@ class _LineChannel:
                 raise ProviderIOError(
                     f"provider sent {len(self._buffer)} bytes no request asked for")
             send((json.dumps(payload) + "\n").encode("utf-8"))
-            while (end := self._buffer.find(b"\n")) < 0:
+            while ((end := self._buffer.find(b"\n")) < 0
+                   and len(self._buffer) <= self._max_line):
                 chunk = self._recv()
                 if not chunk:
                     raise ProviderIOError("provider closed its output")
                 self._buffer += chunk
         except OSError as exc:
             raise ProviderIOError(f"transport failure: {exc}") from exc
+        if not 0 <= end <= self._max_line:
+            raise ProviderIOError(f"provider reply is longer than {self._max_line} bytes")
         if end + 1 < len(self._buffer):
             raise ProviderIOError("provider sent more than one line for one request")
         line = bytes(self._buffer)
@@ -64,13 +92,14 @@ class _LineChannel:
 
 
 class _TcpTransport:
-    def __init__(self, host: str, port: int, timeout: float):
+    def __init__(self, host: str, port: int, timeout: float, max_line: int):
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
         # recv waits at most `timeout`, then raises (the socket keeps it)
-        self._lines = _LineChannel(self._sock.fileno(), lambda: self._sock.recv(65536))
+        self._lines = _LineChannel(self._sock.fileno(), lambda: self._sock.recv(65536),
+                                   max_line)
 
     def round_trip(self, payload: dict) -> dict:
         return self._lines.exchange(self._sock.sendall, payload)
@@ -83,14 +112,14 @@ class _TcpTransport:
 
 
 class _ProcTransport:
-    def __init__(self, command: list[str], timeout: float):
+    def __init__(self, command: list[str], timeout: float, max_line: int):
         self._timeout = timeout
         try:
             self._proc = subprocess.Popen(command, stdin=subprocess.PIPE,
                                           stdout=subprocess.PIPE)
         except OSError as exc:
             raise ProviderIOError(f"cannot start {command!r}: {exc}") from exc
-        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv)
+        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv, max_line)
 
     def _send(self, data: bytes):
         self._proc.stdin.write(data)
@@ -125,6 +154,25 @@ def _parse_line(line: bytes) -> dict:
     return msg
 
 
+def _decode_logits(value) -> np.ndarray:
+    """A step reply's logits, in either wire form, as a new float64 array."""
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error included
+            raise ProviderIOError(f"logits are not valid base64: {exc}") from exc
+        if len(raw) % 8:
+            raise ProviderIOError(f"base64 logits hold {len(raw)} bytes, not whole float64s")
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ProviderIOError(f"logits list is not numeric: {exc}") from exc
+    raise ProviderIOError(
+        f"logits must be a base64 string or a list, got {type(value).__name__}")
+
+
 class ExternalProvider:
     """Client side of the wire protocol; validates every response."""
 
@@ -133,7 +181,8 @@ class ExternalProvider:
         self._transport = transport
         self._lock = threading.Lock()
         reply = self._request(
-            {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash()}
+            {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
+             "logits_encoding": LOGITS_ENCODING}
         )
         if reply.get("ok") is not True:
             self.close()
@@ -151,7 +200,7 @@ class ExternalProvider:
         )
         if "logits" not in reply:
             raise ProviderIOError(f"step reply carries no logits: {reply!r}")
-        logits = np.asarray(reply["logits"], dtype=np.float64)
+        logits = _decode_logits(reply["logits"])
         if logits.ndim != 1 or logits.size != self.vocab.size:
             raise ProviderIOError(
                 f"expected {self.vocab.size} logits, got shape {logits.shape}"
@@ -172,17 +221,19 @@ class ExternalProvider:
 
 def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> ExternalProvider:
     """Connect to "host:port" or spawn an argv-list subprocess endpoint."""
+    max_line = max_reply_bytes(vocab.size)
     if isinstance(endpoint, (list, tuple)):
-        transport = _ProcTransport([str(c) for c in endpoint], timeout)
+        transport = _ProcTransport([str(c) for c in endpoint], timeout, max_line)
     else:
         host, _, port = str(endpoint).rpartition(":")
         if not host or not port.isdigit():
             raise ConfigurationError(f"endpoint must be host:port or argv list, got {endpoint!r}")
-        transport = _TcpTransport(host, int(port), timeout)
+        transport = _TcpTransport(host, int(port), timeout, max_line)
     return ExternalProvider(transport, vocab)
 
 
-def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext]) -> dict:
+def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
+                    encoding: str | None) -> dict:
     op = msg.get("op")
     if op == "hello":
         if msg.get("vocab_size") != provider.vocab.size:
@@ -196,22 +247,38 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext]) 
             return {"error": f"unknown utterance {msg.get('utt')!r}"}
         history = tuple(int(i) for i in msg.get("history", []))
         logits = provider.next_logits(history, ctx)
+        if encoding == LOGITS_ENCODING:
+            return {"logits": base64.b64encode(
+                np.asarray(logits, dtype="<f8").tobytes()).decode("ascii")}
         return {"logits": [float(x) for x in logits]}
     return {"error": f"unknown op {op!r}"}
 
 
-def _serve_lines(lines, write, provider, contexts: dict[str, UtteranceContext]):
-    """Answer each request line through `write`; stop after a refused handshake."""
-    for line in lines:
+def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext]):
+    """Answer each request line of `reader` through `write`.
+
+    The "logits_encoding" of an accepted hello holds for the rest of the
+    connection. Stops at EOF, after a refused handshake, and after an
+    over-long request line, which gets an error reply.
+    """
+    encoding = None
+    while line := reader.readline(MAX_REQUEST_BYTES + 1):
+        if len(line) > MAX_REQUEST_BYTES:
+            write((json.dumps({"error": f"request line longer than {MAX_REQUEST_BYTES} bytes"})
+                   + "\n").encode("utf-8"))
+            return
         if not line.strip():
             continue
         try:
-            reply = _handle_request(_parse_line(line), provider, contexts)
+            msg = _parse_line(line)
+            reply = _handle_request(msg, provider, contexts, encoding)
         except Exception as exc:  # a bad request must not stop the server
             reply = {"error": str(exc)}
         write((json.dumps(reply) + "\n").encode("utf-8"))
         if reply.get("ok") is False:
             return
+        if reply.get("ok") is True:
+            encoding = msg.get("logits_encoding")
 
 
 class ProviderServer:

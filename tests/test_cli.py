@@ -230,6 +230,27 @@ class TestScore:
                    "--hyp", f"a={hyp}", "--out", tmp_path / "s.json") == 3
         assert repr(field) in capsys.readouterr().err
 
+    def test_repeated_hypothesis_id_is_data_error(self, workspace, tmp_path, capsys):
+        hyp = tmp_path / "h.jsonl"
+        assert run(*decode_args(workspace, "llm", hyp)) == 0
+        first = json.loads(hyp.read_text().splitlines()[0])
+        with open(hyp, "a") as f:
+            f.write(json.dumps({"id": first["id"], "text": "a b c"}) + "\n")
+        assert run("score", "--corpus", workspace / "data" / "test.jsonl",
+                   "--hyp", f"a={hyp}", "--out", tmp_path / "s.json") == 3
+        assert f"{hyp}:11: 'id' {first['id']!r} repeats the hypothesis on line 1" \
+            in capsys.readouterr().err
+
+    def test_hypothesis_for_unknown_id_is_data_error(self, workspace, tmp_path, capsys):
+        hyp = tmp_path / "h.jsonl"
+        assert run(*decode_args(workspace, "llm", hyp)) == 0
+        with open(hyp, "a") as f:
+            f.write(json.dumps({"id": "nowhere-00000", "text": "a b c"}) + "\n")
+        assert run("score", "--corpus", workspace / "data" / "test.jsonl",
+                   "--hyp", f"a={hyp}", "--out", tmp_path / "s.json") == 3
+        err = capsys.readouterr().err
+        assert str(hyp) in err and "'nowhere-00000'" in err
+
 
 class TestSweep:
     def test_static_grid_includes_llm_only_point(self, workspace, tmp_path):

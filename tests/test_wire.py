@@ -1,16 +1,28 @@
+import base64
+import hashlib
+import inspect
+import io
 import json
+import random
+import re
 import socket
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latefuse
+from latefuse import cli
 from latefuse.core import Vocabulary
 from latefuse.decoding import greedy_decode
 from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.providers import UtteranceContext, train_ngram_corrector
-from latefuse.wire import ProviderServer, connect_external, stdio_serve
+from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
+                           ProviderServer, _decode_logits, _LineChannel, connect_external,
+                           max_reply_bytes, stdio_serve)
 
 
 class LineServer:
@@ -227,3 +239,307 @@ class TestStdioServe:
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert replies[0] == {"ok": True}
         assert replies[1]["logits"] == list(range(abc_vocab.size))
+
+
+class HashProvider:
+    """Full-mantissa logits seeded by (utterance, history). Ids 0 and 2
+    carry -0.0 and the smallest subnormal, which a lossy encoding changes."""
+
+    def __init__(self, vocab):
+        self.vocab = vocab
+
+    def next_logits(self, history, ctx):
+        digest = hashlib.sha256(f"{ctx.utt_id}:{tuple(history)}".encode()).digest()
+        logits = np.random.default_rng(int.from_bytes(digest[:8], "little")).normal(
+            scale=4.0, size=self.vocab.size)
+        logits[[0, 2]] = (-0.0, 5e-324)
+        return logits
+
+
+HASH_CONTEXTS = {f"u{i}": UtteranceContext(utt_id=f"u{i}") for i in range(4)}
+
+
+def stdio_endpoint(vocab):
+    """argv of a subprocess serving HashProvider through `stdio_serve`."""
+    src = str(Path(latefuse.__file__).resolve().parents[1])
+    return [sys.executable, "-c", "\n".join([
+        f"import sys; sys.path.insert(0, {src!r})",
+        "import hashlib",
+        "import numpy as np",
+        "from latefuse.core import Vocabulary",
+        "from latefuse.providers import UtteranceContext",
+        "from latefuse.wire import stdio_serve",
+        textwrap.dedent(inspect.getsource(HashProvider)),
+        f"stdio_serve(HashProvider(Vocabulary(tokens={vocab.tokens!r})),",
+        f"            {{u: UtteranceContext(utt_id=u) for u in {list(HASH_CONTEXTS)!r}}})",
+    ])]
+
+
+def b64_logits(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def assert_serves_like_in_process(remote, local):
+    for ctx in HASH_CONTEXTS.values():
+        assert greedy_decode(remote, ctx, max_len=8).tokens == \
+            greedy_decode(local, ctx, max_len=8).tokens
+        for history in ((0,), (0, 3), (0, 5, 4, 3)):
+            raw = remote.next_logits(history, ctx)
+            assert raw.dtype == np.float64 and raw.flags.writeable
+            assert raw.tobytes() == local.next_logits(history, ctx).tobytes()
+
+
+class TestLogitsEncoding:
+    @pytest.mark.parametrize("encoding, form", [
+        (LOGITS_ENCODING, str), (None, list), ("base85", list)])
+    def test_hello_field_selects_the_reply_form(self, abc_vocab, encoding, form):
+        provider = HashProvider(abc_vocab)
+        hello = {"op": "hello", "vocab_size": abc_vocab.size,
+                 "vocab_hash": abc_vocab.content_hash()}
+        if encoding is not None:
+            hello["logits_encoding"] = encoding
+        step = {"op": "step", "utt": "u0", "history": [0, 3]}
+        stdin = io.BytesIO("".join(json.dumps(m) + "\n" for m in (hello, step, step)).encode())
+        stdout = io.BytesIO()
+        stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
+        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert replies[0] == {"ok": True}
+        expected = provider.next_logits((0, 3), HASH_CONTEXTS["u0"])
+        for reply in replies[1:]:
+            assert isinstance(reply["logits"], form)
+            assert _decode_logits(reply["logits"]).tobytes() == expected.tobytes()
+
+    def test_tcp_is_bit_identical_to_in_process(self, abc_vocab):
+        local = HashProvider(abc_vocab)
+        with ProviderServer(local, HASH_CONTEXTS) as server:
+            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
+                assert_serves_like_in_process(remote, local)
+
+    def test_stdio_is_bit_identical_to_in_process(self, abc_vocab):
+        with connect_external(stdio_endpoint(abc_vocab), abc_vocab, timeout=10.0) as remote:
+            assert_serves_like_in_process(remote, HashProvider(abc_vocab))
+
+    def test_server_ignoring_the_hello_field_serves_lists(self, abc_vocab):
+        local = HashProvider(abc_vocab)
+        hellos = []
+
+        def step(msg):
+            logits = local.next_logits(tuple(msg["history"]), HASH_CONTEXTS[msg["utt"]])
+            return {"logits": [float(x) for x in logits]}
+
+        server = LineServer(scripted({"hello": lambda msg: hellos.append(msg) or {"ok": True},
+                                      "step": step}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
+                assert_serves_like_in_process(remote, local)
+        finally:
+            server.close()
+        assert hellos[0]["logits_encoding"] == LOGITS_ENCODING
+
+    @pytest.mark.parametrize("logits", [
+        "not base64!",
+        b64_logits([0.0] * 6)[:-4],                      # cut inside the padding
+        base64.b64encode(bytes(6 * 8 - 3)).decode(),     # not whole float64s
+        b64_logits([0.0] * 5),
+        b64_logits([0.0] * 7),
+        b64_logits([0.0] * 5 + [np.nan]),
+        b64_logits([0.0] * 5 + [np.inf]),
+        b64_logits([-np.inf] + [0.0] * 5),
+        [0.0] * 5 + [None],
+        ["x"] * 6,
+        [[0.0]] * 5 + [[0.0, 1.0]],
+        7.0,
+        None,
+        {"values": [0.0] * 6},
+        True,
+    ], ids=lambda v: repr(v)[:24])
+    def test_bad_logits_are_provider_io_errors(self, abc_vocab, empty_ctx, logits):
+        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": logits}}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                with pytest.raises(ProviderIOError):
+                    remote.next_logits((0,), empty_ctx)
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("logits", [
+        b64_logits([0.0] * 2), "%%%%", 7.0, b64_logits([np.nan] * 6)])
+    def test_decode_against_a_bad_server_exits_4(self, abc_vocab, tmp_path, logits):
+        abc_vocab.save(tmp_path / "vocab.txt")
+        (tmp_path / "test.jsonl").write_text(json.dumps(
+            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": logits}}))
+        try:
+            assert cli.main([
+                "decode", "--corpus", str(tmp_path / "test.jsonl"),
+                "--vocab", str(tmp_path / "vocab.txt"), "--mode", "llm",
+                "--llm-endpoint", server.address, "--timeout", "2",
+                "--out", str(tmp_path / "hyp.jsonl")]) == 4
+        finally:
+            server.close()
+
+
+def random_sizes(rng, total):
+    """Chunk sizes adding up to at least `total`: 1-byte chunks, or random ones."""
+    if rng.random() < 0.25:
+        return [1] * total
+    sizes = []
+    while sum(sizes) < total:
+        sizes.append(rng.randint(1, max(1, total // rng.choice((2, 5, 40)))))
+    return sizes
+
+
+class TestLineChannel:
+    """`_LineChannel` over a socket pair. The test plays the provider, whose
+    whole reply is pending once the request is sent, and picks the size of
+    every chunk the channel receives."""
+
+    @staticmethod
+    def exchanges(replies, sizes, max_line=1 << 20):
+        client, peer = socket.socketpair()
+        replies, sizes = iter(replies), iter(sizes)
+        channel = _LineChannel(client.fileno(), lambda: client.recv(next(sizes, 65536)),
+                               max_line)
+        try:
+            while True:
+                yield channel.exchange(lambda data: peer.sendall(next(replies, b"")),
+                                       {"op": "step"})
+        finally:
+            client.close()
+            peer.close()
+
+    @staticmethod
+    def reply_lines(seed):
+        logits = np.random.default_rng(seed).normal(scale=10.0, size=200)
+        return [(json.dumps({"logits": value}) + "\n").encode()
+                for value in (b64_logits(logits), [float(x) for x in logits])]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_split_reply_parses_like_the_whole_line(self, seed):
+        rng = random.Random(seed)
+        for line in self.reply_lines(seed):
+            sizes = random_sizes(rng, len(line))
+            reply = next(self.exchanges([line], sizes))
+            assert reply == json.loads(line)
+            assert _decode_logits(reply["logits"]).tobytes() == \
+                _decode_logits(json.loads(line)["logits"]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_any_byte_after_the_newline_is_provider_io_error(self, seed):
+        rng = random.Random(seed)
+        for line in self.reply_lines(seed):
+            extra = rng.choice([b"\n", b" ", b"{", line, rng.randbytes(rng.randint(1, 300))])
+            sizes = random_sizes(rng, len(line) + len(extra))
+            with pytest.raises(ProviderIOError):
+                for _ in zip(range(2), self.exchanges([line + extra], sizes)):
+                    pass  # the stray bytes fail this exchange or the next one
+
+    @pytest.mark.parametrize("length, ok", [(1000, True), (1001, False)])
+    def test_reply_line_cap(self, length, ok):
+        line = b'{"p": "' + b"a" * (length - 9) + b'"}'
+        assert len(line) == length
+        replies = self.exchanges([line + b"\n"], random_sizes(random.Random(length), length),
+                                 max_line=1000)
+        if ok:
+            assert next(replies) == {"p": "a" * (length - 9)}
+        else:
+            with pytest.raises(ProviderIOError, match="longer than 1000 bytes"):
+                next(replies)
+
+    def test_endless_reply_fails_without_reading_it_all(self):
+        client, peer = socket.socketpair()
+        chunks = []
+
+        def recv():
+            chunks.append(b"a" * 100)
+            return chunks[-1]
+
+        try:
+            channel = _LineChannel(client.fileno(), recv, max_line=1000)
+            with pytest.raises(ProviderIOError, match="longer than 1000 bytes"):
+                channel.exchange(lambda data: None, {"op": "step"})
+        finally:
+            client.close()
+            peer.close()
+        assert len(chunks) == 11
+
+    @pytest.mark.parametrize("vocab_size", [3, 200, 50_000])
+    def test_reply_cap_fits_the_longest_valid_replies(self, vocab_size):
+        longest = np.full(vocab_size, -2.2250738585072014e-308)
+        for value in (b64_logits(longest), [float(x) for x in longest]):
+            assert len(json.dumps({"logits": value})) <= max_reply_bytes(vocab_size)
+
+    def test_over_long_reply_from_a_provider_is_provider_io_error(self, abc_vocab, empty_ctx):
+        huge = [0.0] * max_reply_bytes(abc_vocab.size)
+        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": huge}}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                with pytest.raises(ProviderIOError, match="longer than"):
+                    remote.next_logits((0,), empty_ctx)
+        finally:
+            server.close()
+
+
+def step_line(length):
+    """A step request of exactly `length` bytes, newline included."""
+    line = json.dumps({"op": "step", "utt": "u0", "history": [0]})
+    return (line + " " * (length - len(line) - 1) + "\n").encode()
+
+
+class TestRequestLineCap:
+    def test_over_long_request_ends_the_stdio_session(self, abc_vocab):
+        provider = HashProvider(abc_vocab)
+        stdin = io.BytesIO(step_line(MAX_REQUEST_BYTES) + step_line(MAX_REQUEST_BYTES + 1)
+                           + step_line(100))
+        stdout = io.BytesIO()
+        stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
+        first, second = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert len(first["logits"]) == abc_vocab.size  # a line at the cap is served
+        assert second == {"error": f"request line longer than {MAX_REQUEST_BYTES} bytes"}
+
+    def test_over_long_request_closes_the_connection(self, abc_vocab):
+        with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
+            host, _, port = server.address.rpartition(":")
+            with socket.create_connection((host, int(port)), timeout=5.0) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.sendall(b"[" * (MAX_REQUEST_BYTES + 1))
+                assert b"longer than" in reader.readline()
+                assert reader.read() == b""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_protocol_messages():
+    """(direction, JSON object) for each `->`/`<-` line of README's wire
+    protocol section; a `...` outside a JSON string stands for numbers."""
+    section = README.read_text().split("## Wire protocol", 1)[1].split("\n## ", 1)[0]
+    messages = []
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        for line in block.splitlines():
+            if line[:3] in ("-> ", "<- "):
+                parts = line[3:].split('"')
+                parts[::2] = [p.replace("...", "0.0") for p in parts[::2]]
+                messages.append((line[:2], json.loads('"'.join(parts))))
+    return messages
+
+
+def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
+    messages = readme_protocol_messages()
+    assert all(isinstance(m, dict) for _, m in messages)
+    sent = []
+
+    class RecordingTransport:
+        def round_trip(self, payload):
+            sent.append(payload)
+            return {"ok": True, "logits": [0.0] * abc_vocab.size}
+
+        def close(self):
+            pass
+
+    ExternalProvider(RecordingTransport(), abc_vocab).next_logits((0,), empty_ctx)
+    assert {m["op"]: set(m) for direction, m in messages if direction == "->"} == \
+        {p["op"]: set(p) for p in sent}
+    hello = next(m for direction, m in messages if m.get("op") == "hello")
+    assert hello["logits_encoding"] == LOGITS_ENCODING
+    assert {type(m["logits"]) for direction, m in messages if "logits" in m} == {str, list}
