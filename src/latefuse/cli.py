@@ -13,6 +13,7 @@ error, 3 data error, 4 provider-io error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -258,7 +259,16 @@ def build_provider(spec: ProviderSpec, vocab: Vocabulary):
                                  timeout=float(params.get("timeout", 5.0)))
 
 
-def _build_llm(resolved: dict, vocab: Vocabulary):
+def _open(spec: ProviderSpec, vocab: Vocabulary, opened: contextlib.ExitStack):
+    """`build_provider(spec, vocab)`; a wire connection it opens is closed
+    when `opened` exits, whether the command succeeds or fails."""
+    provider = build_provider(spec, vocab)
+    if isinstance(provider, wire.ExternalProvider):
+        opened.enter_context(provider)
+    return provider
+
+
+def _build_llm(resolved: dict, vocab: Vocabulary, opened: contextlib.ExitStack):
     if resolved["llm_endpoint"]:
         spec = ProviderSpec("external", {"endpoint": resolved["llm_endpoint"],
                                          "timeout": resolved["timeout"]})
@@ -266,10 +276,10 @@ def _build_llm(resolved: dict, vocab: Vocabulary):
         spec = ProviderSpec("ngram-corrector", {"model_path": resolved["lm_model"]})
     else:
         raise ConfigurationError("--lm-model (or --llm-endpoint) is required")
-    return build_provider(spec, vocab)
+    return _open(spec, vocab, opened)
 
 
-def _build_asr(resolved: dict, vocab: Vocabulary):
+def _build_asr(resolved: dict, vocab: Vocabulary, opened: contextlib.ExitStack):
     if resolved["asr_endpoint"]:
         spec = ProviderSpec("external", {"endpoint": resolved["asr_endpoint"],
                                          "timeout": resolved["timeout"]})
@@ -277,7 +287,7 @@ def _build_asr(resolved: dict, vocab: Vocabulary):
         spec = ProviderSpec("acoustic-channel", {"manifest_path": resolved["manifest"]})
     else:
         raise ConfigurationError("--manifest is required to build the acoustic provider")
-    return build_provider(spec, vocab)
+    return _open(spec, vocab, opened)
 
 
 def _tau_from(resolved: dict, explicit_key: str, report_key: str) -> float:
@@ -350,12 +360,13 @@ def cmd_calibrate(resolved: dict):
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     which = resolved["which"]
-    provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab)
-    report = calibration.fit_temperature(
-        provider, _calibration_set(records, vocab), tol=resolved["tol"],
-        bounds=(resolved["tau_min"], resolved["tau_max"]),
-        max_iter=resolved["max_iter"], n_bins=resolved["bins"],
-    )
+    with contextlib.ExitStack() as opened:
+        provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab, opened)
+        report = calibration.fit_temperature(
+            provider, _calibration_set(records, vocab), tol=resolved["tol"],
+            bounds=(resolved["tau_min"], resolved["tau_max"]),
+            max_iter=resolved["max_iter"], n_bins=resolved["bins"],
+        )
     out = Path(resolved["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
@@ -377,17 +388,17 @@ def cmd_decode(resolved: dict):
     ).normalized()
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
-    llm = _build_llm(resolved, vocab) if cfg.mode != "asr-only" else None
-    asr = _build_asr(resolved, vocab) if cfg.mode != "llm-only" else None
     out = Path(resolved["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-
-    results = []
-    for rec in records:
-        ctx, ref_words = corpus.record_context(rec, vocab)
-        results.append(decoding.fused_greedy_decode(
-            llm, asr, cfg, ctx,
-            max_len=decoding.evaluation_max_len(ref_words, resolved["max_len_factor"])))
+    with contextlib.ExitStack() as opened:
+        llm = _build_llm(resolved, vocab, opened) if cfg.mode != "asr-only" else None
+        asr = _build_asr(resolved, vocab, opened) if cfg.mode != "llm-only" else None
+        out.parent.mkdir(parents=True, exist_ok=True)
+        results = []
+        for rec in records:
+            ctx, ref_words = corpus.record_context(rec, vocab)
+            results.append(decoding.fused_greedy_decode(
+                llm, asr, cfg, ctx,
+                max_len=decoding.evaluation_max_len(ref_words, resolved["max_len_factor"])))
 
     steps_log = resolved["steps_log"]
     log_f = open(steps_log, "w", encoding="utf-8") if steps_log else None
@@ -416,33 +427,33 @@ def cmd_sweep(resolved: dict):
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     eval_set = [corpus.record_context(rec, vocab) for rec in records]
-    llm, asr = _build_llm(resolved, vocab), _build_asr(resolved, vocab)
-    tau1 = _tau_from(resolved, "tau1", "calibration_llm")
-    tau2 = _tau_from(resolved, "tau2", "calibration_asr")
     factor = resolved["max_len_factor"]
     out = Path(resolved["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-
     axis = resolved["axis"]
-    if axis == "static-grid":
-        _best, table = fusion.grid_search_static(
-            llm, asr, eval_set, [(1.0, w) for w in resolved["w_asr_values"]],
-            tau1=tau1, tau2=tau2, max_len_factor=factor,
-        )
-        with open(out, "w", encoding="utf-8") as f:
-            f.write("w_llm,w_asr,wer\n")
-            for row in table:
-                f.write(f"{row['w_llm']!r},{row['w_asr']!r},{row['wer']!r}\n")
-    else:  # beta
-        betas = resolved["beta_values"]
-        wers = decoding.sweep_wers(llm, asr, [
-            fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
-                                uncertainty=resolved["uncertainty"]) for beta in betas
-        ], eval_set, factor)
-        with open(out, "w", encoding="utf-8") as f:
-            f.write("beta,wer\n")
-            for beta, wer in zip(betas, wers):
-                f.write(f"{beta!r},{wer!r}\n")
+    with contextlib.ExitStack() as opened:
+        llm, asr = _build_llm(resolved, vocab, opened), _build_asr(resolved, vocab, opened)
+        tau1 = _tau_from(resolved, "tau1", "calibration_llm")
+        tau2 = _tau_from(resolved, "tau2", "calibration_asr")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if axis == "static-grid":
+            _best, table = fusion.grid_search_static(
+                llm, asr, eval_set, [(1.0, w) for w in resolved["w_asr_values"]],
+                tau1=tau1, tau2=tau2, max_len_factor=factor,
+            )
+            header = "w_llm,w_asr,wer"
+            rows = [(row["w_llm"], row["w_asr"], row["wer"]) for row in table]
+        else:  # beta
+            betas = resolved["beta_values"]
+            wers = decoding.sweep_wers(llm, asr, [
+                fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
+                                    uncertainty=resolved["uncertainty"]) for beta in betas
+            ], eval_set, factor)
+            header = "beta,wer"
+            rows = list(zip(betas, wers))
+    with open(out, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(repr(value) for value in row) + "\n")
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     print(f"sweep over {axis} -> {out}")
     return 0
@@ -531,10 +542,11 @@ def cmd_reliability(resolved: dict):
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     which = resolved["which"]
-    provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab)
-    tau = _tau_from(resolved, "tau", "calibration")
-    traces, targets = calibration.collect_traces(
-        provider, _calibration_set(records, vocab))
+    with contextlib.ExitStack() as opened:
+        provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab, opened)
+        tau = _tau_from(resolved, "tau", "calibration")
+        traces, targets = calibration.collect_traces(
+            provider, _calibration_set(records, vocab))
     bins, ece = calibration.reliability_bins(
         traces, targets, tau, n_bins=resolved["bins"])
     out = Path(resolved["out"])

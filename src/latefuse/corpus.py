@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +91,11 @@ class ChannelSpec:
                 raise InvalidParameterError(f"{name} must be in [0, 1], got {rate}")
         if self.sub_rate + self.del_rate > 1.0:
             raise InvalidParameterError("sub_rate + del_rate must not exceed 1")
-        if self.concentration <= 0:
-            raise InvalidParameterError("concentration must be positive")
+        if not (math.isfinite(self.concentration) and self.concentration > 0):
+            raise InvalidParameterError(
+                f"concentration must be finite and > 0, got {self.concentration}")
+        if not self.seed >= 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -183,6 +187,8 @@ def sample_references(source, n: int, seed: int, mean_len: float = 12.0) -> list
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(mean_len) and mean_len >= 0):
+        raise InvalidParameterError(f"mean_len must be finite and >= 0, got {mean_len}")
     rng = np.random.default_rng(seed)
     if source is not None:
         with open(source, "r", encoding="utf-8") as f:

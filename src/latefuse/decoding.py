@@ -93,11 +93,6 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     return DecodeResult(tokens, tuple(steps), "max-length")
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - math.log(float(np.exp(shifted).sum()))
-
-
 def beam_search(provider, ctx: UtteranceContext, beam_width: int,
                 n_out: int, max_len: int) -> list[tuple[TokenSeq, float]]:
     """Length-unnormalized log-prob beam search.
@@ -106,6 +101,13 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     cap the surviving beams join them. Ordering is by total ln-probability,
     ties broken lexicographically on the token sequence, which makes
     beam_width 1 coincide with greedy decoding.
+
+    Each step runs on the whole beam at once: the provider is called once
+    per live beam, each row lands in one (beams, V) buffer, and the
+    log-softmax and the beam scores are applied to the buffer in place.
+    The per-row normaliser is `math.log` of the row's sum of exponentials,
+    taken in Python: `np.log` differs from it in the last bit on some
+    inputs, which would change the N-best lists.
     """
     if not beam_width >= n_out >= 1:
         raise InvalidParameterError(
@@ -116,24 +118,28 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
 
     live: list[tuple[TokenSeq, float]] = [((), 0.0)]  # lexicographically sorted
     pool: list[tuple[TokenSeq, float]] = []
+    v = provider.vocab.size
+    buffer = np.empty((beam_width, v))
     for _ in range(max_len):
         if not live:
             break
-        logps = np.stack([
-            _log_softmax(provider.next_logits((Vocabulary.BOS,) + seq, ctx))
-            for seq, _ in live
-        ])
-        scores = (np.array([s for _, s in live])[:, None] + logps).ravel()
+        rows = buffer[:len(live)]
+        for row, (seq, _) in zip(rows, live):
+            row[:] = provider.next_logits((Vocabulary.BOS,) + seq, ctx)
+        rows -= rows.max(axis=1, keepdims=True)
+        norms = [math.log(total) for total in np.exp(rows).sum(axis=1).tolist()]
+        rows -= np.array(norms)[:, None]
+        rows += np.array([s for _, s in live])[:, None]
+        scores = rows.ravel()
         # `live` is sorted by sequence, so ascending flat index is ascending
         # lexicographic order of the candidate sequences; pick the top
         # beam_width by score with exact tie handling at the boundary.
         k = min(beam_width, scores.size)
         boundary = np.partition(scores, scores.size - k)[scores.size - k]
-        chosen = np.flatnonzero(scores > boundary).tolist()
-        chosen += np.flatnonzero(scores == boundary).tolist()[: k - len(chosen)]
+        chosen = (scores > boundary).nonzero()[0].tolist()
+        chosen += (scores == boundary).nonzero()[0].tolist()[: k - len(chosen)]
         chosen.sort()
 
-        v = logps.shape[1]
         next_live = []
         for flat in chosen:
             seq = live[flat // v][0] + (flat % v,)

@@ -165,6 +165,8 @@ def _decode_logits(value) -> np.ndarray:
             raise ProviderIOError(f"base64 logits hold {len(raw)} bytes, not whole float64s")
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if isinstance(value, list):
+        if any(isinstance(item, (str, bool)) for item in value):
+            raise ProviderIOError("logits list holds a string or a boolean, not only numbers")
         try:
             return np.asarray(value, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -180,10 +182,14 @@ class ExternalProvider:
         self.vocab = vocab
         self._transport = transport
         self._lock = threading.Lock()
-        reply = self._request(
-            {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
-             "logits_encoding": LOGITS_ENCODING}
-        )
+        try:
+            reply = self._request(
+                {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
+                 "logits_encoding": LOGITS_ENCODING}
+            )
+        except ProviderIOError:
+            self.close()
+            raise
         if reply.get("ok") is not True:
             self.close()
             raise ConfigurationError(

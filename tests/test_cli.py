@@ -87,6 +87,17 @@ class TestSimulate:
     def test_missing_out_dir_is_config_error(self, tmp_path):
         assert run("simulate") == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("mean-len", "-1"), ("mean-len", "nan"), ("mean-len", "inf"),
+        ("concentration", "nan"), ("concentration", "inf"), ("seed", "-1"),
+    ])
+    def test_bad_generation_value_is_config_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                   "--n-test", 1, f"--{flag}", value) == 2
+        assert flag.replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigDrivenRun:
     def test_decode_entirely_from_config_file(self, workspace, tmp_path):

@@ -309,3 +309,124 @@ class TestSweepWers:
         cfgs = [FusionConfig(**base), FusionConfig(**{**base, **other})]
         with pytest.raises(InvalidParameterError):
             sweep_wers(llm, asr, cfgs, eval_set)
+
+
+def serial_log_softmax(logits):
+    shifted = logits - logits.max()
+    return shifted - math.log(float(np.exp(shifted).sum()))
+
+
+def serial_beam_search(provider, ctx, beam_width, n_out, max_len):
+    """Oracle: the beam search that ran one log-softmax per live beam."""
+    live = [((), 0.0)]
+    pool = []
+    for _ in range(max_len):
+        if not live:
+            break
+        logps = np.stack([
+            serial_log_softmax(provider.next_logits((Vocabulary.BOS,) + seq, ctx))
+            for seq, _ in live
+        ])
+        scores = (np.array([s for _, s in live])[:, None] + logps).ravel()
+        k = min(beam_width, scores.size)
+        boundary = np.partition(scores, scores.size - k)[scores.size - k]
+        chosen = np.flatnonzero(scores > boundary).tolist()
+        chosen += np.flatnonzero(scores == boundary).tolist()[: k - len(chosen)]
+        chosen.sort()
+        v = logps.shape[1]
+        next_live = []
+        for flat in chosen:
+            seq = live[flat // v][0] + (flat % v,)
+            entry = (seq, float(scores[flat]))
+            if seq[-1] == Vocabulary.EOS:
+                pool.append(entry)
+            else:
+                next_live.append(entry)
+        live = next_live
+    pool.extend(live)
+    pool.sort(key=lambda item: (-item[1], item[0]))
+    return pool[:n_out]
+
+
+class RandomLogits:
+    """Seeded logits per (salt, history). Quantised logits take few distinct
+    values, so candidates tie exactly, also at the top-k boundary. A large
+    scale makes peaked rows, whose sums of exponentials lie just above 1:
+    there `np.log` and `math.log` disagree in the last bit most often."""
+
+    def __init__(self, vocab, salt, quantised, scale):
+        self.vocab = vocab
+        self.salt = salt
+        self.quantised = quantised
+        self.scale = scale
+
+    def next_logits(self, history, ctx):
+        key = f"{self.salt}:{tuple(history)}".encode()
+        rng = np.random.default_rng(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+        logits = rng.normal(scale=self.scale, size=self.vocab.size)
+        return np.round(logits) if self.quantised else logits
+
+
+def sized_vocab(v):
+    return Vocabulary(tokens=("<s>", "</s>", "<unk>") + tuple(f"w{i}" for i in range(v - 3)))
+
+
+class TestBatchedBeamSearch:
+    """The batched step returns the serial beam search's lists bit for bit."""
+
+    @pytest.mark.parametrize("quantised", [False, True], ids=["continuous", "quantised"])
+    @pytest.mark.parametrize("v", [3, 7, 200])
+    def test_equals_serial_oracle(self, v, quantised):
+        vocab = sized_vocab(v)
+        rng = np.random.default_rng(v * 2 + quantised)
+        ties = 0
+        for case in range(30):
+            beam_width = int(rng.integers(1, 9))
+            n_out = int(rng.integers(1, beam_width + 1))
+            max_len = int(rng.integers(1, 11))
+            scale = (1.0, 3.0, 12.0)[case % 3]
+            provider = RandomLogits(vocab, f"{v}:{quantised}:{case}", quantised, scale)
+            ctx = UtteranceContext(utt_id=f"u{case}")
+            got = beam_search(provider, ctx, beam_width, n_out, max_len)
+            want = serial_beam_search(provider, ctx, beam_width, n_out, max_len)
+            assert got == want
+            assert [type(score) for _, score in got] == [float] * len(got)
+            scores = [score for _, score in want]
+            ties += len(set(scores)) < len(scores)
+        if quantised and v > 3:
+            assert ties  # the quantised cases do exercise exact ties
+
+    def test_generate_corpus_equals_serial_oracle(self, monkeypatch):
+        from latefuse import corpus, decoding
+
+        channel = corpus.ChannelSpec(seed=3)
+        batched = corpus.generate_corpus(channel, n_train=30, n_val=10, n_test=10)
+        monkeypatch.setattr(decoding, "beam_search", serial_beam_search)
+        serial = corpus.generate_corpus(channel, n_train=30, n_val=10, n_test=10)
+        assert batched[0] == serial[0]
+        assert batched[1].tokens == serial[1].tokens
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_row_normalisers_equal_the_serial_ones(self, rows):
+        rng = np.random.default_rng(rows)
+        for _ in range(50):
+            buffer = rng.normal(scale=4.0, size=(rows, 200))
+            buffer -= buffer.max(axis=1, keepdims=True)
+            sums = np.exp(buffer).sum(axis=1)
+            assert sums.tolist() == [float(np.exp(row).sum()) for row in buffer]
+            norms = [math.log(total) for total in sums.tolist()]
+            assert norms == [math.log(float(np.exp(row).sum())) for row in buffer]
+
+    def test_normaliser_is_math_log_of_the_row_sum(self, constant_provider_cls):
+        # Peaked rows: sums of exponentials in (1, 1.01), where np.log
+        # differs from math.log in the last bit for a few percent of sums.
+        vocab = sized_vocab(200)
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            logits = np.concatenate([[0.0], rng.uniform(-14.0, -8.0, size=199)])
+            total = float(np.exp(logits).sum())
+            provider = constant_provider_cls(vocab, logits)
+            (seq, score), = beam_search(provider, UtteranceContext(utt_id="u"),
+                                        beam_width=1, n_out=1, max_len=1)
+            assert seq == (Vocabulary.BOS,)
+            assert score == -math.log(total)

@@ -1,4 +1,5 @@
 import base64
+import gc
 import hashlib
 import inspect
 import io
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import latefuse
-from latefuse import cli
+from latefuse import cli, wire
 from latefuse.core import Vocabulary
 from latefuse.decoding import greedy_decode
 from latefuse.errors import ConfigurationError, ProviderIOError
@@ -134,6 +135,23 @@ class TestExternalProvider:
     def test_bad_endpoint_string(self, abc_vocab):
         with pytest.raises(ConfigurationError):
             connect_external("nonsense", abc_vocab)
+
+    def test_failed_handshake_closes_the_transport(self, abc_vocab, monkeypatch):
+        opened = []
+
+        class RecordedTransport(wire._TcpTransport):
+            def __init__(self, *args):
+                super().__init__(*args)
+                opened.append(self)
+
+        monkeypatch.setattr(wire, "_TcpTransport", RecordedTransport)
+        server = LineServer(scripted({"hello": None}))  # hangs up on the hello
+        try:
+            with pytest.raises(ProviderIOError):
+                connect_external(server.address, abc_vocab, timeout=2.0)
+        finally:
+            server.close()
+        assert opened[0]._sock.fileno() == -1
 
 
 class TestProviderServer:
@@ -347,6 +365,8 @@ class TestLogitsEncoding:
         b64_logits([-np.inf] + [0.0] * 5),
         [0.0] * 5 + [None],
         ["x"] * 6,
+        ["1.5", "0", "0", "0", "0", "0"],
+        [True, False, 0.5, 0.25, 0.0, 0.0],
         [[0.0]] * 5 + [[0.0, 1.0]],
         7.0,
         None,
@@ -505,6 +525,49 @@ class TestRequestLineCap:
                 sock.sendall(b"[" * (MAX_REQUEST_BYTES + 1))
                 assert b"longer than" in reader.readline()
                 assert reader.read() == b""
+
+
+class WatchedServer(ProviderServer):
+    """A ProviderServer that counts the connections whose requests ended."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ended = threading.Semaphore(0)
+
+    def _serve_connection(self, conn):
+        super()._serve_connection(conn)
+        self.ended.release()
+
+
+class TestCommandsCloseTheirConnections:
+    """Each command closes its wire connections before it returns, also
+    when it fails; the garbage collector is off, so nothing else does."""
+
+    @pytest.mark.parametrize("argv, served, code, connections", [
+        (["decode", "--mode", "llm", "--llm-endpoint"], ["u0"], 0, 1),
+        (["decode", "--mode", "llm", "--llm-endpoint"], [], 4, 1),
+        (["calibrate", "--which", "llm", "--llm-endpoint"], ["u0"], 0, 1),
+        (["reliability", "--which", "llm", "--llm-endpoint"], ["u0"], 0, 1),
+        (["sweep", "--axis", "beta", "--beta-values", "0,0.5",
+          "--asr-endpoint", "{}", "--llm-endpoint"], ["u0"], 0, 2),
+    ], ids=["decode", "decode-exits-4", "calibrate", "reliability", "sweep"])
+    def test_server_reads_end_of_stream(self, abc_vocab, tmp_path, argv, served, code,
+                                        connections):
+        abc_vocab.save(tmp_path / "vocab.txt")
+        (tmp_path / "test.jsonl").write_text(json.dumps(
+            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        contexts = {utt: HASH_CONTEXTS[utt] for utt in served}
+        gc.disable()
+        try:
+            with WatchedServer(HashProvider(abc_vocab), contexts) as server:
+                assert cli.main([arg.format(server.address) for arg in argv] + [
+                    server.address, "--corpus", str(tmp_path / "test.jsonl"),
+                    "--vocab", str(tmp_path / "vocab.txt"), "--timeout", "2",
+                    "--out", str(tmp_path / "out")]) == code
+                for _ in range(connections):
+                    assert server.ended.acquire(timeout=5.0)
+        finally:
+            gc.enable()
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
