@@ -67,12 +67,16 @@ def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -
     """Raw logits per reference step, conditioned on the reference prefix.
 
     Row t is the provider's output given history BOS + reference[:t]; the
-    trace has exactly one row per reference token (EOS included).
+    trace has exactly one row per reference token (EOS included). A
+    provider with a `prefetch` method (one served over the wire) is told
+    the whole path first, so it can fetch the rows in few round trips.
     """
     reference = tuple(reference)
     if not reference or reference[-1] != Vocabulary.EOS:
         raise InvalidInputError("reference must be non-empty and EOS-terminated")
     history: TokenSeq = (Vocabulary.BOS,)
+    if hasattr(provider, "prefetch"):
+        provider.prefetch(history, reference[:-1], ctx)
     rows = []
     for tok in reference:
         rows.append(provider.next_logits(history, ctx))

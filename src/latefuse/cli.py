@@ -268,6 +268,14 @@ def _open(spec: ProviderSpec, vocab: Vocabulary, opened: contextlib.ExitStack):
     return provider
 
 
+def _print_wire_counts(**providers):
+    """One line of wire counters for each provider served over the wire."""
+    for role, provider in providers.items():
+        if isinstance(provider, wire.ExternalProvider):
+            print(f"{role} over the wire: {provider.round_trips} round trips, "
+                  f"{provider.rows_used} of {provider.rows_received} rows used")
+
+
 def _build_llm(resolved: dict, vocab: Vocabulary, opened: contextlib.ExitStack):
     if resolved["llm_endpoint"]:
         spec = ProviderSpec("external", {"endpoint": resolved["llm_endpoint"],
@@ -376,6 +384,7 @@ def cmd_calibrate(resolved: dict):
     flag = " (clamped)" if report.clamped else ""
     print(f"{which}: tau={report.tau:.6g} conf={report.mean_confidence:.4f} "
           f"ter={report.ter:.4f} ece={report.ece:.4f}{flag}")
+    _print_wire_counts(**{which: provider})
     return 0
 
 
@@ -420,6 +429,7 @@ def cmd_decode(resolved: dict):
             log_f.close()
     _write_resolved(resolved, out.parent, f"decode-{cfg.mode}")
     print(f"decoded {len(records)} utterances in mode {cfg.mode} -> {out}")
+    _print_wire_counts(llm=llm, asr=asr)
     return 0
 
 
@@ -456,6 +466,7 @@ def cmd_sweep(resolved: dict):
             f.write(",".join(repr(value) for value in row) + "\n")
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     print(f"sweep over {axis} -> {out}")
+    _print_wire_counts(llm=llm, asr=asr)
     return 0
 
 
@@ -554,6 +565,7 @@ def cmd_reliability(resolved: dict):
     calibration.export_bins_csv(bins, out)
     _write_resolved(resolved, out.parent, f"reliability-{which}")
     print(f"{which} @ tau={tau:.6g}: ece={ece:.4f} -> {out}")
+    _print_wire_counts(**{which: provider})
     return 0
 
 

@@ -7,6 +7,10 @@ providers live here: an N-best-conditioned corrector (an n-gram language
 model mixed with a positional vote over the hypothesis list) and a
 noisy-channel acoustic model (a per-token confusion-matrix reader).
 Providers are immutable after construction and callable concurrently.
+The wire client, `wire.ExternalProvider`, is not immutable: it keeps the
+unread rows of its latest reply and counts what its steps took. Its lock
+guards that state, so it is callable concurrently too, but callers that
+interleave utterances on one client evict each other's rows.
 """
 
 from __future__ import annotations

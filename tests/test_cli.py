@@ -165,6 +165,10 @@ class TestDecode:
                         for l in out.read_text().splitlines())
         assert len(entries) == hyp_count  # one line per emitted token incl. EOS
 
+    def test_in_process_providers_print_no_wire_counters(self, workspace, tmp_path, capsys):
+        assert run(*decode_args(workspace, "uadf", tmp_path / "u.jsonl")) == 0
+        assert "over the wire" not in capsys.readouterr().out
+
     def test_invalid_mode_flag_is_config_error(self, workspace, tmp_path):
         out = tmp_path / "x.jsonl"
         argv = decode_args(workspace, "uadf", out) + ["--beta", "1.4"]

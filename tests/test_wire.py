@@ -18,8 +18,10 @@ import pytest
 import latefuse
 from latefuse import cli, wire
 from latefuse.core import Vocabulary
-from latefuse.decoding import greedy_decode
+from latefuse.calibration import collect_traces
+from latefuse.decoding import evaluation_max_len, fused_greedy_decode, greedy_decode
 from latefuse.errors import ConfigurationError, ProviderIOError
+from latefuse.fusion import FusionConfig
 from latefuse.providers import UtteranceContext, train_ngram_corrector
 from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
                            ProviderServer, _decode_logits, _LineChannel, connect_external,
@@ -606,3 +608,437 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     hello = next(m for direction, m in messages if m.get("op") == "hello")
     assert hello["logits_encoding"] == LOGITS_ENCODING
     assert {type(m["logits"]) for direction, m in messages if "logits" in m} == {str, list}
+
+
+def served_steps(vocab, steps, hello=True):
+    """The replies of `stdio_serve` (HashProvider, base64 hello) to `steps`."""
+    head = [{"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
+             "logits_encoding": LOGITS_ENCODING}] if hello else []
+    stdin = io.BytesIO("".join(json.dumps(m) + "\n" for m in head + steps).encode())
+    stdout = io.BytesIO()
+    stdio_serve(HashProvider(vocab), HASH_CONTEXTS, stdin=stdin, stdout=stdout)
+    return [json.loads(line) for line in stdout.getvalue().splitlines()][len(head):]
+
+
+class TestServerChecksRequests:
+    @pytest.mark.parametrize("field", ["history", "follow"])
+    @pytest.mark.parametrize("ids", [
+        [0, 99], [0, 6], [0, -1], [0, 1.7], [0, 1.0], [0, "3"], [0, True], [0, None],
+        [0, [3]], "0 3", 3, {"0": 3},
+    ], ids=repr)
+    def test_malformed_ids_get_an_error_naming_the_field(self, abc_vocab, field, ids):
+        bad = {"op": "step", "utt": "u0", "history": [0], field: ids}
+        good = {"op": "step", "utt": "u0", "history": [0, 3]}
+        for hello in (True, False):
+            error, served = served_steps(abc_vocab, [bad, good], hello=hello)
+            assert set(error) == {"error"} and repr(field) in error["error"]
+            assert "logits" in served  # the server keeps serving
+
+    @pytest.mark.parametrize("ahead", [-1, True, 1.5, "3", None, [2]], ids=repr)
+    def test_malformed_ahead_gets_an_error_naming_it(self, abc_vocab, ahead):
+        error, = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u0", "history": [0], "ahead": ahead}])
+        assert set(error) == {"error"} and "'ahead'" in error["error"]
+
+    def test_follow_longer_than_the_row_cap_is_an_error(self, abc_vocab):
+        at_cap, over = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u0", "history": [0], "follow": [3] * n}
+            for n in (wire.MAX_AHEAD - 1, wire.MAX_AHEAD)])
+        assert at_cap["path"] == [3] * (wire.MAX_AHEAD - 1)
+        assert set(over) == {"error"} and "'follow'" in over["error"]
+
+    def test_client_sending_a_bad_id_gets_provider_io_error(self, abc_vocab):
+        with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
+            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
+                with pytest.raises(ProviderIOError, match="'history'"):
+                    remote.next_logits((0, 99), HASH_CONTEXTS["u0"])
+
+    def test_lookahead_rows_follow_the_path(self, abc_vocab):
+        provider, ctx = HashProvider(abc_vocab), HASH_CONTEXTS["u1"]
+        plain, followed, ahead, both = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u1", "history": [0, 4]},
+            {"op": "step", "utt": "u1", "history": [0, 4], "follow": [5, 3, 3]},
+            {"op": "step", "utt": "u1", "history": [0, 4], "ahead": 500},
+            {"op": "step", "utt": "u1", "history": [0, 4], "follow": [1], "ahead": 2},
+        ])
+        assert set(plain) == {"logits"}
+        assert followed["path"] == [5, 3, 3]
+        history, argmax_path = (0, 4), []
+        while len(argmax_path) < wire.MAX_AHEAD - 1:
+            tok = int(np.argmax(provider.next_logits(history + tuple(argmax_path), ctx)))
+            if tok == Vocabulary.EOS:
+                break
+            argmax_path.append(tok)
+        assert ahead["path"] == argmax_path
+        assert both["path"][0] == 1 and len(both["path"]) <= 3
+        for reply in (plain, followed, ahead, both):
+            path = reply.get("path", [])
+            rows = _decode_logits(reply["logits"]).reshape(-1, abc_vocab.size)
+            assert len(rows) == len(path) + 1
+            for i, row in enumerate(rows):
+                assert row.tobytes() == provider.next_logits(
+                    history + tuple(path[:i]), ctx).tobytes()
+
+    def test_list_form_server_ignores_lookahead(self, abc_vocab):
+        reply, = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u0", "history": [0], "follow": [3], "ahead": 4}],
+            hello=False)
+        assert set(reply) == {"logits"} and len(reply["logits"]) == abc_vocab.size
+
+
+def rows_reply(n_rows, path):
+    """A base64 reply of `n_rows` rows of 6 logits, 0, 1, 2, ... in order."""
+    return {"logits": b64_logits(np.arange(n_rows * 6, dtype=float)), "path": path}
+
+
+class TestClientChecksLookaheadReplies:
+    """The client sends follow [3, 4] (announced by `prefetch`) or, without
+    it, ahead; each reply below is a ProviderIOError."""
+
+    @pytest.mark.parametrize("prefetch, reply", [
+        (False, {"logits": b64_logits([0.0] * 6), "path": "3"}),
+        (False, {"logits": b64_logits([0.0] * 6), "path": None}),
+        (False, {"logits": b64_logits([0.0] * 6), "path": {"0": 3}}),
+        (False, rows_reply(2, [True])),
+        (False, rows_reply(2, [1.0])),
+        (False, rows_reply(2, ["3"])),
+        (False, rows_reply(2, [-1])),
+        (False, rows_reply(2, [6])),
+        (False, rows_reply(2, [None])),
+        (False, rows_reply(1, [3])),
+        (False, rows_reply(3, [3])),
+        (False, rows_reply(2, [])),
+        (False, {"logits": b64_logits([0.0] * 12)}),
+        (False, {"logits": [0.0] * 12, "path": [3]}),
+        (True, rows_reply(3, [4, 3])),
+        (True, rows_reply(2, [3])),
+        (True, rows_reply(1, [])),
+        (True, rows_reply(4, [3, 5, 4])),
+        (True, rows_reply(2, [3, 4])),
+        (True, rows_reply(3, [3, 4, 5]) | {"logits": b64_logits([0.0] * 17 + [np.nan])}),
+    ], ids=lambda v: repr(v)[:40])
+    def test_bad_lookahead_reply_is_provider_io_error(self, abc_vocab, empty_ctx, prefetch,
+                                                      reply):
+        sent = []
+        server = LineServer(scripted({"hello": {"ok": True},
+                                      "step": lambda msg: sent.append(msg) or reply}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                if prefetch:
+                    remote.prefetch((0,), (3, 4), empty_ctx)
+                with pytest.raises(ProviderIOError):
+                    remote.next_logits((0,), empty_ctx)
+        finally:
+            server.close()
+        assert sent[0].get("follow") == ([3, 4] if prefetch else None)
+        assert sent[0].get("ahead") == (None if prefetch else wire.MAX_AHEAD - 1)
+
+    def test_good_lookahead_reply_serves_its_rows(self, abc_vocab, empty_ctx):
+        sent = []
+        server = LineServer(scripted({"hello": {"ok": True},
+                                      "step": lambda msg: sent.append(msg)
+                                      or rows_reply(4, [3, 4, 5])}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch((0,), (3, 4), empty_ctx)
+                served = [remote.next_logits(history, empty_ctx)
+                          for history in [(0,), (0, 3), (0, 3, 4), (0, 3, 4, 5)]]
+                for row, logits in enumerate(served):
+                    logits[:] = -1.0  # writable, and no other row changes
+                    assert all(other.tolist() == list(range(6 * i, 6 * i + 6))
+                               for i, other in enumerate(served) if i > row)
+                assert (remote.round_trips, remote.rows_used, remote.rows_received) == (1, 4, 4)
+                # each kept row is handed out once: reading it again asks again
+                assert remote.next_logits((0, 3), empty_ctx).tolist() == list(range(6))
+                assert (remote.round_trips, remote.rows_used, remote.rows_received) == (2, 5, 8)
+        finally:
+            server.close()
+        assert len(sent) == 2 and "follow" not in sent[1]
+
+    @pytest.mark.parametrize("reply", [
+        rows_reply(2, [1.5]), rows_reply(3, [3]), rows_reply(1, [3]),
+        {"logits": b64_logits([0.0] * 6), "path": "none"}], ids=lambda v: repr(v)[-30:])
+    def test_decode_against_a_bad_lookahead_server_exits_4(self, abc_vocab, tmp_path, reply):
+        abc_vocab.save(tmp_path / "vocab.txt")
+        (tmp_path / "test.jsonl").write_text(json.dumps(
+            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        server = LineServer(scripted({"hello": {"ok": True}, "step": reply}))
+        try:
+            assert cli.main([
+                "decode", "--corpus", str(tmp_path / "test.jsonl"),
+                "--vocab", str(tmp_path / "vocab.txt"), "--mode", "llm",
+                "--llm-endpoint", server.address, "--timeout", "2",
+                "--out", str(tmp_path / "hyp.jsonl")]) == 4
+        finally:
+            server.close()
+
+    def test_reply_cap_fits_the_longest_lookahead_reply(self):
+        for vocab_size in (3, 200, 50_000):
+            longest = {"logits": b64_logits(np.zeros(wire.MAX_AHEAD * vocab_size)),
+                       "path": [vocab_size - 1] * (wire.MAX_AHEAD - 1)}
+            assert len(json.dumps(longest)) <= max_reply_bytes(vocab_size)
+            longest_list = [-2.2250738585072014e-308] * vocab_size
+            assert len(json.dumps({"logits": longest_list})) <= max_reply_bytes(vocab_size, 1)
+
+    @pytest.mark.parametrize("form", ["list", "base64"])
+    def test_list_form_reply_keeps_the_one_row_cap(self, abc_vocab, empty_ctx, form):
+        """A reply between the one-row list cap and the full cap is read,
+        and refused only if its logits are a list."""
+        pad = max_reply_bytes(abc_vocab.size, rows=1) + 100
+        assert pad + 200 < max_reply_bytes(abc_vocab.size)
+        logits = [0.5] * abc_vocab.size
+        reply = {"logits": logits if form == "list" else b64_logits(logits), "pad": "x" * pad}
+        server = LineServer(scripted({"hello": {"ok": True}, "step": reply}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                if form == "list":
+                    with pytest.raises(ProviderIOError, match="list-form reply is longer"):
+                        remote.next_logits((0,), empty_ctx)
+                else:
+                    assert remote.next_logits((0,), empty_ctx).tolist() == logits
+        finally:
+            server.close()
+
+    def test_a_plan_ends_once_fetched_or_left(self, abc_vocab, empty_ctx):
+        sent = []
+        server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
+                                      or {"logits": b64_logits([0.0] * 6)}}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch((0,), (3, 4), empty_ctx)
+                remote.next_logits((0, 5), empty_ctx)  # leaves the plan
+                remote.next_logits((0,), empty_ctx)
+                remote.prefetch((0,), (3,), empty_ctx)
+                remote.next_logits((0,), empty_ctx)  # fetches the plan to its end
+                remote.next_logits((0,), empty_ctx)
+        finally:
+            server.close()
+        assert [set(msg) - {"op", "utt", "history"} for msg in sent] == [
+            {"ahead"}, {"ahead"}, {"follow"}, {"ahead"}]
+
+
+class CountingTransport:
+    """A transport that counts the step requests passing through it."""
+
+    def __init__(self, transport):
+        self._transport = transport
+        self.steps = 0
+
+    def round_trip(self, payload):
+        self.steps += payload["op"] == "step"
+        return self._transport.round_trip(payload)
+
+    def close(self):
+        self._transport.close()
+
+
+def counted_connection(address, vocab):
+    host, _, port = address.rpartition(":")
+    transport = CountingTransport(wire._TcpTransport(host, int(port), 5.0,
+                                                     max_reply_bytes(vocab.size)))
+    return ExternalProvider(transport, vocab), transport
+
+
+class TieFreeHashProvider(HashProvider):
+    """HashProvider without its -0.0 and subnormal entries, which the
+    softmax turns into a tie the raw logits do not have."""
+
+    def next_logits(self, history, ctx):
+        logits = super().next_logits(history, ctx)
+        logits[[0, 2]] = (-1.5, -2.5)
+        return logits
+
+
+class RolledHashProvider(TieFreeHashProvider):
+    """TieFreeHashProvider's logits rolled by one id: another argmax."""
+
+    def next_logits(self, history, ctx):
+        return np.roll(super().next_logits(history, ctx), 1)
+
+
+def hash_references(vocab, lengths):
+    """(ctx, EOS-terminated reference) pairs over HASH_CONTEXTS."""
+    rng = random.Random(7)
+    return [(ctx, tuple(rng.randint(3, vocab.size - 1) for _ in range(n - 1)) + (1,))
+            for ctx, n in zip(HASH_CONTEXTS.values(), lengths)]
+
+
+def lookahead_round_trips(provider, ctx, tokens):
+    """Round trips of a decode of at most MAX_AHEAD steps that emits
+    `tokens`: one, plus one after each token other than the argmax of the
+    raw logits, the server's path."""
+    history, trips = (Vocabulary.BOS,), 1
+    for tok in tokens[:-1]:
+        trips += tok != int(np.argmax(provider.next_logits(history, ctx)))
+        history += (tok,)
+    return trips
+
+
+class TestLookaheadLength:
+    def test_first_request_and_a_decode_that_always_follows_ask_for_a_full_reply(self):
+        assert [wire._ahead(taken, 0) for taken in (0, 1, 31, 10_000)] == \
+            [wire.MAX_AHEAD - 1] * 4
+
+    @pytest.mark.parametrize("follows, ahead", [(0.99, wire.MAX_AHEAD - 1), (0.9, 6),
+                                                (0.75, 2), (0.6, 1), (0.45, 0), (0.0, 0)])
+    def test_length_follows_the_share_of_rows_taken(self, follows, ahead):
+        taken = round(100_000 * follows)
+        assert wire._ahead(taken, 100_000 - taken) == ahead
+
+    def test_leaving_shortens_and_taking_lengthens(self):
+        assert [wire._ahead(0, left) for left in (0, 1, 2, 10, 63, 64)] == \
+            [31, 22, 15, 4, 1, 0]
+        assert [wire._ahead(taken, 64) for taken in (0, 64, 640)] == [0, 1, 7]
+
+
+class TestRoundTrips:
+    """Count-based guards on the lookahead: no timing, exact counts."""
+
+    def test_greedy_decode_makes_one_round_trip_per_utterance(self, abc_vocab):
+        local = TieFreeHashProvider(abc_vocab)
+        with ProviderServer(local, HASH_CONTEXTS) as server:
+            remote, transport = counted_connection(server.address, abc_vocab)
+            with remote:
+                for ctx in HASH_CONTEXTS.values():
+                    served = greedy_decode(remote, ctx, max_len=wire.MAX_AHEAD)
+                    here = greedy_decode(local, ctx, max_len=wire.MAX_AHEAD)
+                    assert served.tokens == here.tokens
+                    assert all(a.tobytes() == b.tobytes()
+                               for a, b in zip(served.steps, here.steps))
+        assert transport.steps == remote.round_trips == len(HASH_CONTEXTS)
+
+    @pytest.mark.parametrize("asr", [None, RolledHashProvider],
+                             ids=["greedy-with-softmax-ties", "fused-with-overrides"])
+    def test_leaving_the_raw_argmax_adds_one_round_trip(self, abc_vocab, asr):
+        if asr is None:
+            local = HashProvider(abc_vocab)
+            decode = lambda llm, ctx: greedy_decode(llm, ctx, max_len=16)
+        else:
+            local, asr = TieFreeHashProvider(abc_vocab), asr(abc_vocab)
+            cfg = FusionConfig(mode="static", w_llm=1.0, w_asr=1.0)
+            decode = lambda llm, ctx: fused_greedy_decode(llm, asr, cfg, ctx, max_len=16)
+        expected = 0
+        with ProviderServer(local, HASH_CONTEXTS) as server:
+            remote, transport = counted_connection(server.address, abc_vocab)
+            with remote:
+                for ctx in HASH_CONTEXTS.values():
+                    served, here = decode(remote, ctx), decode(local, ctx)
+                    assert served.tokens == here.tokens
+                    expected += lookahead_round_trips(local, ctx, served.tokens)
+        assert expected > len(HASH_CONTEXTS)
+        assert transport.steps == remote.round_trips == expected
+
+    def test_decode_that_never_follows_the_path_soon_sends_plain_requests(self, abc_vocab):
+        """Steps that always take the served argmin, never the argmax: the
+        client stops asking for rows it would not take."""
+        local = TieFreeHashProvider(abc_vocab)
+        sent = []
+        with ProviderServer(local, HASH_CONTEXTS) as server:
+            remote, transport = counted_connection(server.address, abc_vocab)
+            transport.round_trip = lambda payload, rt=transport.round_trip: \
+                sent.append(payload) or rt(payload)
+            with remote:
+                steps = 0
+                for ctx in list(HASH_CONTEXTS.values()) * 40:
+                    history = (Vocabulary.BOS,)
+                    for _ in range(8):
+                        row = remote.next_logits(history, ctx)
+                        assert row.tobytes() == local.next_logits(history, ctx).tobytes()
+                        history += (int(np.argmin(row)),)
+                        steps += 1
+        asks = ["ahead" in msg for msg in sent if msg["op"] == "step"]
+        assert remote.round_trips == remote.rows_used == steps == len(asks)
+        n_asks = asks.index(False)
+        # 2 * MAX_AHEAD paths left, plus replies whose path was empty (argmax EOS)
+        assert not any(asks[n_asks:]) and n_asks <= 4 * wire.MAX_AHEAD
+        assert steps - n_asks > 400  # most of the decode sends plain requests
+        assert remote.rows_received - remote.rows_used < 8 * wire.MAX_AHEAD
+
+    def test_calibration_makes_one_round_trip_per_reference(self, abc_vocab):
+        local = HashProvider(abc_vocab)
+        dataset = hash_references(abc_vocab, [1, 7, wire.MAX_AHEAD, 5])
+        with ProviderServer(local, HASH_CONTEXTS) as server:
+            remote, transport = counted_connection(server.address, abc_vocab)
+            with remote:
+                traces, targets = collect_traces(remote, dataset)
+        here, _ = collect_traces(local, dataset)
+        assert traces.tobytes() == here.tobytes()
+        assert transport.steps == remote.round_trips == len(dataset)
+        assert remote.rows_used == remote.rows_received == len(targets)
+
+    def test_long_reference_is_sent_in_stretches(self, abc_vocab):
+        local = HashProvider(abc_vocab)
+        dataset = hash_references(abc_vocab, [2 * wire.MAX_AHEAD + 1])
+        with ProviderServer(local, HASH_CONTEXTS) as server:
+            remote, transport = counted_connection(server.address, abc_vocab)
+            with remote:
+                traces, _ = collect_traces(remote, dataset)
+        assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
+        assert transport.steps == 3
+
+    def test_server_ignoring_lookahead_is_served_one_step_per_round_trip(self, abc_vocab):
+        local = HashProvider(abc_vocab)
+
+        def step(msg):
+            return {"logits": b64_logits(
+                local.next_logits(tuple(msg["history"]), HASH_CONTEXTS[msg["utt"]]))}
+
+        server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
+        dataset = hash_references(abc_vocab, [3, wire.MAX_AHEAD + 5, 1, 9])
+        try:
+            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
+                steps = 0
+                for ctx in HASH_CONTEXTS.values():
+                    served = greedy_decode(remote, ctx, max_len=12)
+                    assert served.tokens == greedy_decode(local, ctx, max_len=12).tokens
+                    steps += len(served.tokens)
+                assert remote.round_trips == steps
+                traces, targets = collect_traces(remote, dataset)
+                assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
+                assert remote.round_trips == steps + len(targets)
+                assert remote.rows_used == remote.rows_received == remote.round_trips
+        finally:
+            server.close()
+
+
+class TestWireCounters:
+    @pytest.mark.parametrize("argv, role, rows", [
+        (["decode", "--mode", "llm", "--llm-endpoint"], "llm", None),
+        (["calibrate", "--which", "llm", "--llm-endpoint"], "llm", 3),
+        (["reliability", "--which", "asr", "--asr-endpoint"], "asr", 3),
+    ], ids=["decode", "calibrate", "reliability"])
+    def test_command_prints_its_wire_counters(self, abc_vocab, tmp_path, capsys, argv, role,
+                                              rows):
+        abc_vocab.save(tmp_path / "vocab.txt")
+        (tmp_path / "test.jsonl").write_text(json.dumps(
+            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
+            assert cli.main(argv + [
+                server.address, "--corpus", str(tmp_path / "test.jsonl"),
+                "--vocab", str(tmp_path / "vocab.txt"), "--timeout", "5",
+                "--out", str(tmp_path / "out")]) == 0
+        if rows is None:  # one row per decoded token
+            rows = len(greedy_decode(HashProvider(abc_vocab), HASH_CONTEXTS["u0"],
+                                     evaluation_max_len(["a", "b"])).tokens)
+        line = capsys.readouterr().out.splitlines()[-1]
+        match = re.fullmatch(rf"{role} over the wire: 1 round trips, {rows} of (\d+) rows used",
+                             line)
+        assert match and int(match.group(1)) >= rows, line
+
+    def test_sweep_prints_a_line_per_wire_provider(self, abc_vocab, tmp_path, capsys):
+        abc_vocab.save(tmp_path / "vocab.txt")
+        (tmp_path / "test.jsonl").write_text(json.dumps(
+            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
+            assert cli.main([
+                "sweep", "--axis", "beta", "--beta-values", "0,0.5",
+                "--llm-endpoint", server.address, "--asr-endpoint", server.address,
+                "--corpus", str(tmp_path / "test.jsonl"), "--vocab", str(tmp_path / "vocab.txt"),
+                "--timeout", "5", "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()[-2:]
+        for role, line in zip(("llm", "asr"), lines):
+            match = re.fullmatch(rf"{role} over the wire: (\d+) round trips, "
+                                 r"(\d+) of (\d+) rows used", line)
+            assert match, line
+            trips, used, received = map(int, match.groups())
+            assert 1 <= trips <= used <= received
