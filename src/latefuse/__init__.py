@@ -13,7 +13,6 @@ from .calibration import (
     mean_confidence,
     reliability_bins,
     teacher_forced_trace,
-    token_error_rate,
 )
 from .core import (
     TokenSeq,
@@ -36,13 +35,11 @@ from .fusion import (
     FusionConfig,
     FusionStep,
     fuse_static,
-    fuse_uadf,
     grid_search_static,
     uadf_weight,
 )
 from .metrics import (
     ScoreReport,
-    lm_rescore,
     oracle_compositional,
     oracle_nbest,
     wer,
@@ -54,7 +51,6 @@ from .providers import (
     NgramModel,
     ProviderSpec,
     UtteranceContext,
-    make_acoustic_channel,
     train_ngram_corrector,
 )
 from .wire import ExternalProvider, ProviderServer, connect_external, stdio_serve

@@ -98,8 +98,8 @@ def collect_traces(provider, dataset):
 def _step_confidences(traces: np.ndarray, tau: float) -> np.ndarray:
     """Max of softmax(row / tau) per row; the max entry normalizes to
     1 / sum(exp((x - x_max) / tau))."""
-    if tau <= 0:
-        raise InvalidParameterError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise InvalidParameterError(f"tau must be finite and positive, got {tau}")
     shifted = (traces - traces.max(axis=1, keepdims=True)) / tau
     return 1.0 / np.exp(shifted).sum(axis=1)
 
@@ -109,16 +109,6 @@ def mean_confidence(traces: np.ndarray, tau: float) -> float:
     if traces.size == 0:
         raise InvalidInputError("traces are empty")
     return float(_step_confidences(traces, tau).mean())
-
-
-def token_error_rate(provider, dataset) -> float:
-    """Fraction of teacher-forced steps whose argmax misses the reference.
-
-    Temperature-invariant: scaling logits by any tau > 0 preserves every
-    argmax and tie.
-    """
-    traces, targets = collect_traces(provider, dataset)
-    return float((traces.argmax(axis=1) != targets).mean())
 
 
 def reliability_bins(traces: np.ndarray, targets: np.ndarray, tau: float,
@@ -157,10 +147,10 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
     flagged instead of raising.
     """
     tau_min, tau_max = float(bounds[0]), float(bounds[1])
-    if not 0 < tau_min < tau_max:
-        raise InvalidParameterError(f"need 0 < tau_min < tau_max, got {bounds}")
-    if tol <= 0:
-        raise InvalidParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tau_min < tau_max < math.inf:
+        raise InvalidParameterError(f"need 0 < tau_min < tau_max < inf, got {bounds}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
 
     traces, targets = collect_traces(provider, dataset)
     ter = float((traces.argmax(axis=1) != targets).mean())

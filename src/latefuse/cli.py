@@ -249,12 +249,8 @@ def build_provider(spec: ProviderSpec, vocab: Vocabulary):
         return _read_json(params["model_path"], lambda data: NgramCorrector(
             NgramModel.from_dict(data, vocab), vote_weight=float(data["vote_weight"])))
     if spec.kind == "acoustic-channel":
-        if "confusion" in params:
-            confusion = params["confusion"]
-        else:
-            channel = _read_json(params["manifest_path"], _channel)
-            confusion = corpus.decoder_confusion(vocab, channel)
-        return AcousticChannel(vocab, confusion, floor=float(params.get("floor", 0.0)))
+        channel = _read_json(params["manifest_path"], _channel)
+        return AcousticChannel(vocab, corpus.decoder_confusion(vocab, channel))
     return wire.connect_external(params["endpoint"], vocab,
                                  timeout=float(params.get("timeout", 5.0)))
 
@@ -398,35 +394,30 @@ def cmd_decode(resolved: dict):
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     out = Path(resolved["out"])
+    steps_log = resolved["steps_log"]
+    lines, log_lines = [], []  # kept as text: no DecodeResult outlives its utterance
     with contextlib.ExitStack() as opened:
         llm = _build_llm(resolved, vocab, opened) if cfg.mode != "asr-only" else None
         asr = _build_asr(resolved, vocab, opened) if cfg.mode != "llm-only" else None
-        out.parent.mkdir(parents=True, exist_ok=True)
-        results = []
-        for rec in records:
-            ctx, ref_words = corpus.record_context(rec, vocab)
-            results.append(decoding.fused_greedy_decode(
-                llm, asr, cfg, ctx,
-                max_len=decoding.evaluation_max_len(ref_words, resolved["max_len_factor"])))
+        eval_set = (corpus.record_context(rec, vocab) for rec in records)
+        results = decoding.decode_eval_set(llm, asr, [cfg], eval_set,
+                                           resolved["max_len_factor"])
+        for rec, result in zip(records, results):
+            lines.append(json.dumps({
+                "id": rec.id,
+                "text": vocab.decode(result.tokens),
+                "terminated": result.terminated,
+            }) + "\n")
+            if steps_log and cfg.mode in ("static", "uadf"):
+                log_lines.extend(json.dumps({"id": rec.id, **step.log_entry(i, vocab)}) + "\n"
+                                 for i, step in enumerate(result.steps))
 
-    steps_log = resolved["steps_log"]
-    log_f = open(steps_log, "w", encoding="utf-8") if steps_log else None
-    try:
-        with open(out, "w", encoding="utf-8") as f:
-            for rec, result in zip(records, results):
-                f.write(json.dumps({
-                    "id": rec.id,
-                    "text": vocab.decode(result.tokens),
-                    "terminated": result.terminated,
-                }) + "\n")
-                if log_f and cfg.mode in ("static", "uadf"):
-                    for i, step in enumerate(result.steps):
-                        entry = {"id": rec.id}
-                        entry.update(step.log_entry(i, vocab))
-                        log_f.write(json.dumps(entry) + "\n")
-    finally:
-        if log_f:
-            log_f.close()
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if steps_log:
+        with open(steps_log, "w", encoding="utf-8") as f:
+            f.writelines(log_lines)
+    with open(out, "w", encoding="utf-8") as f:
+        f.writelines(lines)
     _write_resolved(resolved, out.parent, f"decode-{cfg.mode}")
     print(f"decoded {len(records)} utterances in mode {cfg.mode} -> {out}")
     _print_wire_counts(llm=llm, asr=asr)

@@ -44,9 +44,9 @@ class Vocabulary:
         object.__setattr__(self, "_index", index)
 
     @classmethod
-    def from_words(cls, words, bos="<s>", eos="</s>", unk="<unk>"):
+    def from_words(cls, words):
         """Build a vocabulary from an iterable of words (specials prepended)."""
-        specials = (bos, eos, unk)
+        specials = ("<s>", "</s>", "<unk>")
         seen = dict.fromkeys(w for w in words if w not in specials)
         return cls(tokens=specials + tuple(seen))
 
@@ -75,16 +75,6 @@ class Vocabulary:
     def content_hash(self) -> str:
         """sha256 over the token list; used by the wire-protocol handshake."""
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
-
-    def validate_seq(self, ids) -> TokenSeq:
-        """Check TokenSeq invariants: ids in range, EOS at most once and last."""
-        ids = tuple(int(i) for i in ids)
-        for i in ids:
-            if not 0 <= i < self.size:
-                raise InvalidInputError(f"token id {i} outside vocabulary of size {self.size}")
-        if self.EOS in ids[:-1]:
-            raise InvalidInputError("EOS must be terminal")
-        return ids
 
     def save(self, path):
         """One token per line; line number is the id (specials first)."""

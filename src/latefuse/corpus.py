@@ -272,7 +272,6 @@ def generate_corpus(
     beam_width: int = 8,
     n_best: int = 5,
     mean_len: float = 12.0,
-    vocab: Vocabulary | None = None,
 ):
     """Generate disjoint train/val/test splits of CorpusRecords.
 
@@ -291,14 +290,13 @@ def generate_corpus(
     if beam_width < n_best:
         raise InvalidParameterError("beam_width must be >= n_best")
 
-    if vocab is None:
-        if source is None:
-            vocab = builtin_vocabulary()
-        else:
-            with open(source, "r", encoding="utf-8") as f:
-                vocab = Vocabulary.from_words(
-                    w for line in f for w in line.strip().lower().split()
-                )
+    if source is None:
+        vocab = builtin_vocabulary()
+    else:
+        with open(source, "r", encoding="utf-8") as f:
+            vocab = Vocabulary.from_words(
+                w for line in f for w in line.strip().lower().split()
+            )
     decoder = AcousticChannel(vocab, decoder_confusion(vocab, channel))
 
     total = n_train + n_val + n_test

@@ -56,8 +56,8 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
 
     `memo` maps a history of this utterance to its step's `step_inputs`;
     it is read and filled, so decodes of one utterance whose configs share
-    tau1, tau2 and the uncertainty variant (see `sweep_wers`) run the
-    providers and the softmaxes once per distinct history.
+    tau1, tau2 and the uncertainty variant (see `decode_eval_set`) run
+    the providers and the softmaxes once per distinct history.
     """
     cfg = cfg.normalized()
     if max_len < 1:
@@ -162,44 +162,41 @@ def evaluation_max_len(reference_words, factor: float = 2.0) -> int:
     return max(2, math.ceil(factor * (len(reference_words) + 1)))
 
 
-def decode_eval_set(llm_provider, asr_provider, cfg: FusionConfig, eval_set,
+def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
                     max_len_factor: float = 2.0):
-    """Decode (ctx, reference_words) pairs to word lists, order preserved."""
-    cfg = cfg.normalized()
-    vocab = (llm_provider or asr_provider).vocab
-    hyps = []
+    """Decode (ctx, reference_words) pairs at each of `cfgs`.
+
+    For each utterance, in order, yields one DecodeResult per config, in
+    config order. An utterance's decodes share one memo of step inputs,
+    which is dropped before the next utterance, so the configs must share
+    mode, tau1, tau2 and the uncertainty variant.
+    """
+    cfgs = [cfg.normalized() for cfg in cfgs]
+    if len({(c.mode, c.tau1, c.tau2, c.uncertainty) for c in cfgs}) > 1:
+        raise InvalidParameterError(
+            "configs must share mode, tau1, tau2 and the uncertainty variant")
     for ctx, ref_words in eval_set:
-        result = fused_greedy_decode(
-            llm_provider, asr_provider, cfg, ctx,
-            max_len=evaluation_max_len(ref_words, max_len_factor),
-        )
-        hyps.append(vocab.decode(result.tokens).split())
-    return hyps
+        max_len = evaluation_max_len(ref_words, max_len_factor)
+        memo = {}
+        for cfg in cfgs:
+            yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx,
+                                      max_len=max_len, memo=memo)
 
 
 def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,
                max_len_factor: float = 2.0) -> list[float]:
     """Corpus WER of `eval_set` decoded at each of `cfgs`, in order.
 
-    The set is decoded utterance by utterance: each utterance is decoded
-    at every config in turn, and those decodes share one memo of step
-    inputs, which is dropped before the next utterance. The configs must
-    therefore share mode, tau1, tau2 and the uncertainty variant. Each
-    distinct hypothesis of an utterance is aligned once.
+    The decodes come from `decode_eval_set`; each distinct hypothesis of
+    an utterance is aligned once.
     """
-    cfgs = [cfg.normalized() for cfg in cfgs]
-    if len({(c.mode, c.tau1, c.tau2, c.uncertainty) for c in cfgs}) > 1:
-        raise InvalidParameterError(
-            "sweep points must share mode, tau1, tau2 and the uncertainty variant")
     vocab = (llm_provider or asr_provider).vocab
+    results = decode_eval_set(llm_provider, asr_provider, cfgs, eval_set, max_len_factor)
     reports = [[] for _ in cfgs]
-    for ctx, ref_words in eval_set:
-        max_len = evaluation_max_len(ref_words, max_len_factor)
-        memo, aligned = {}, {}
-        for cfg, point in zip(cfgs, reports):
-            result = fused_greedy_decode(llm_provider, asr_provider, cfg, ctx,
-                                         max_len=max_len, memo=memo)
-            hyp = vocab.decode(result.tokens)
+    for _ctx, ref_words in eval_set:
+        aligned = {}
+        for point in reports:
+            hyp = vocab.decode(next(results).tokens)
             if hyp not in aligned:
                 aligned[hyp] = metrics.wer(hyp.split(), ref_words)
             point.append(aligned[hyp])

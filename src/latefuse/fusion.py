@@ -52,8 +52,8 @@ class FusionConfig:
         if self.uncertainty not in UNCERTAINTY_VARIANTS:
             raise InvalidParameterError(f"unknown uncertainty variant {self.uncertainty!r}")
         if mode == "static":
-            if self.w_llm < 0 or self.w_asr < 0:
-                raise InvalidParameterError("static weights must be >= 0")
+            if not all(0 <= w < math.inf for w in (self.w_llm, self.w_asr)):
+                raise InvalidParameterError("static weights must be finite and >= 0")
             if self.w_llm == 0 and self.w_asr == 0:
                 raise InvalidParameterError("static fusion needs at least one nonzero weight")
 
@@ -68,10 +68,10 @@ class FusionStep:
     w_asr_effective: float
     chosen: int
 
-    def log_entry(self, step: int, vocab, top_k: int = 3) -> dict:
+    def log_entry(self, step: int, vocab) -> dict:
         """Machine-readable per-step diagnostic (one JSON line per step)."""
         def top(p):
-            order = np.argsort(-p, kind="stable")[:top_k]
+            order = np.argsort(-p, kind="stable")[:3]
             return [{"token": vocab.token_of(int(i)), "prob": float(p[i])} for i in order]
 
         return {
@@ -136,11 +136,6 @@ def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) ->
         return FusionStep(p_llm, p_asr, u, cfg.w_asr,
                           argmax_token(_static_mix(p_llm, p_asr, cfg)))
     raise InvalidParameterError(f"fuse_step handles static/uadf, not {cfg.mode!r}")
-
-
-def fuse_uadf(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
-    """One dynamic-fusion step, whatever cfg.mode says; w_llm is fixed at 1."""
-    return fuse_step(logits_llm, logits_asr, replace(cfg, mode="uadf"))
 
 
 def fuse_step(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:

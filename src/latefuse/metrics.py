@@ -1,4 +1,4 @@
-"""Word error rate, relative reduction, N-best oracles, and rescoring.
+"""Word error rate, relative reduction and N-best oracles.
 
 All scoring functions take pre-tokenized word sequences; `normalize_text`
 is the default text hook (lowercase + whitespace split) and can be
@@ -8,8 +8,6 @@ swapped by callers ingesting external data with other conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 
@@ -207,25 +205,3 @@ def oracle_compositional(nbest, reference) -> float:
             new.append(min(cost[r] + skip, new[r - 1] + 1, consume))
         cost = new
     return cost[n_ref] / n_ref
-
-
-def lm_rescore(nbest, model, lam: float):
-    """Pick the hypothesis maximizing (1-lam)*acoustic + lam*lm log-prob.
-
-    `nbest` holds (text, acoustic_score) pairs, best-first; ties keep the
-    earlier rank. The result is always a member of the list.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidParameterError(f"interpolation weight must be in [0, 1], got {lam}")
-    nbest = list(nbest)
-    if not nbest:
-        raise InvalidInputError("nbest must be non-empty")
-    best_text, best_score = None, -np.inf
-    for text, acoustic in nbest:
-        if acoustic is None:
-            raise InvalidInputError("hypothesis is missing its acoustic score")
-        ids = model.vocab.encode(text, append_eos=True)
-        score = (1.0 - lam) * float(acoustic) + lam * model.sequence_logprob(ids)
-        if score > best_score:
-            best_text, best_score = text, score
-    return best_text

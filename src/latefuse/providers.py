@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -43,12 +42,6 @@ class UtteranceContext:
     observation: TokenSeq | None = None
 
 
-class LogitProvider(Protocol):
-    vocab: Vocabulary
-
-    def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray: ...
-
-
 class NgramModel:
     """Add-k smoothed n-gram model over token-id sequences.
 
@@ -59,8 +52,8 @@ class NgramModel:
     def __init__(self, vocab: Vocabulary, order: int = 2, smoothing: float = 0.5):
         if order < 1:
             raise InvalidParameterError(f"order must be >= 1, got {order}")
-        if smoothing < 0:
-            raise InvalidParameterError(f"smoothing must be >= 0, got {smoothing}")
+        if not 0 <= smoothing < np.inf:
+            raise InvalidParameterError(f"smoothing must be finite and >= 0, got {smoothing}")
         self.vocab = vocab
         self.order = int(order)
         self.smoothing = float(smoothing)
@@ -104,15 +97,6 @@ class NgramModel:
             dist = (counts + self.smoothing) / (total + self.smoothing * v)
         self._dist_cache[ctx] = dist
         return dist
-
-    def sequence_logprob(self, seq: TokenSeq) -> float:
-        """ln P(seq) as a sum of smoothed conditional log-probabilities."""
-        logp = 0.0
-        history: tuple = ()
-        for tok in seq:
-            logp += float(np.log(self.cond_dist(history)[tok] + LOG_EPS))
-            history += (tok,)
-        return logp
 
     def to_dict(self) -> dict:
         return {
@@ -194,26 +178,22 @@ class AcousticChannel:
     """Noisy-channel stand-in for an acoustic decoder.
 
     At each step it returns (the log of) the confusion row of the observed
-    token at that step, floored and renormalized; past the end of the
-    observation it returns an EOS-dominant distribution.
+    token at that step; past the end of the observation it returns an
+    EOS-dominant distribution.
     """
 
-    def __init__(self, vocab: Vocabulary, confusion: np.ndarray, floor: float = 0.0):
+    def __init__(self, vocab: Vocabulary, confusion: np.ndarray):
         confusion = np.asarray(confusion, dtype=np.float64)
         v = vocab.size
         if confusion.shape != (v, v):
             raise InvalidInputError(f"confusion matrix must be {v}x{v}, got {confusion.shape}")
         if np.any(confusion < 0) or np.any(np.abs(confusion.sum(axis=1) - 1.0) > 1e-9):
             raise InvalidInputError("confusion matrix rows must be nonnegative and sum to 1")
-        if floor < 0:
-            raise InvalidParameterError(f"floor must be >= 0, got {floor}")
         self.vocab = vocab
-        self.floor = float(floor)
-        floored = (confusion + floor) / (1.0 + floor * v)
-        self._log_rows = np.log(floored + LOG_EPS)
+        self._log_rows = np.log(confusion + LOG_EPS)
         eos_row = np.zeros(v)
         eos_row[Vocabulary.EOS] = 1.0
-        self._log_eos_row = np.log((eos_row + floor) / (1.0 + floor * v) + LOG_EPS)
+        self._log_eos_row = np.log(eos_row + LOG_EPS)
 
     def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
         obs = ctx.observation
@@ -223,10 +203,6 @@ class AcousticChannel:
         if step < len(obs):
             return self._log_rows[obs[step]].copy()
         return self._log_eos_row.copy()
-
-
-def make_acoustic_channel(vocab: Vocabulary, confusion, floor: float = 0.0) -> AcousticChannel:
-    return AcousticChannel(vocab, confusion, floor=floor)
 
 
 @dataclass(frozen=True)
@@ -245,9 +221,7 @@ class ProviderSpec:
             )
         if self.kind == "ngram-corrector" and "model_path" not in self.parameters:
             raise InvalidParameterError("ngram-corrector needs a model_path parameter")
-        if self.kind == "acoustic-channel" and not (
-                {"manifest_path", "confusion"} & self.parameters.keys()):
-            raise InvalidParameterError(
-                "acoustic-channel needs a manifest_path or confusion parameter")
+        if self.kind == "acoustic-channel" and "manifest_path" not in self.parameters:
+            raise InvalidParameterError("acoustic-channel needs a manifest_path parameter")
         if self.kind == "external" and "endpoint" not in self.parameters:
             raise InvalidParameterError("external provider needs an endpoint parameter")

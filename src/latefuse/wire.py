@@ -348,6 +348,8 @@ def _ahead(taken: int, left: int) -> int:
 
 def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> ExternalProvider:
     """Connect to "host:port" or spawn an argv-list subprocess endpoint."""
+    if not 0 < timeout < math.inf:
+        raise ConfigurationError(f"timeout must be finite and > 0, got {timeout}")
     limits = max_reply_bytes(vocab.size), max_reply_bytes(vocab.size, rows=1)
     if isinstance(endpoint, (list, tuple)):
         transport = _ProcTransport([str(c) for c in endpoint], timeout, *limits)

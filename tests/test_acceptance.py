@@ -64,8 +64,9 @@ def bench():
     test_set = [record_context(rec, vocab) for rec in splits["test"]]
 
     def test_wer(cfg):
-        hyps = decode_eval_set(llm, asr, cfg, test_set)
-        return corpus_wer([(h, ref) for h, (_c, ref) in zip(hyps, test_set)])
+        results = decode_eval_set(llm, asr, [cfg], test_set)
+        return corpus_wer([(vocab.decode(r.tokens).split(), ref)
+                           for r, (_c, ref) in zip(results, test_set)])
 
     return {
         "channel": channel, "splits": splits, "vocab": vocab,

@@ -9,16 +9,15 @@ from latefuse.calibration import (
     mean_confidence,
     reliability_bins,
     teacher_forced_trace,
-    token_error_rate,
 )
 from latefuse.core import Vocabulary
 from latefuse.errors import InvalidInputError, InvalidParameterError
-from latefuse.providers import UtteranceContext, make_acoustic_channel
+from latefuse.providers import AcousticChannel, UtteranceContext
 
 
 @pytest.fixture
 def identity_channel(abc_vocab):
-    return make_acoustic_channel(abc_vocab, np.eye(abc_vocab.size))
+    return AcousticChannel(abc_vocab, np.eye(abc_vocab.size))
 
 
 def dataset_from_texts(vocab, texts):
@@ -77,13 +76,13 @@ class TestMeanConfidence:
 class TestTokenErrorRate:
     def test_identity_channel_ter_is_zero(self, abc_vocab, identity_channel):
         dataset = dataset_from_texts(abc_vocab, ["a b", "c c a", "b"])
-        assert token_error_rate(identity_channel, dataset) == 0.0
+        assert fit_temperature(identity_channel, dataset).ter == 0.0
 
     def test_uniform_provider_picks_id_zero(self, abc_vocab, constant_provider_cls):
         provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size))
         # argmax of constant zeros is id 0 = BOS, never a reference token here
         dataset = dataset_from_texts(abc_vocab, ["a", "b c"])
-        assert token_error_rate(provider, dataset) == 1.0
+        assert fit_temperature(provider, dataset).ter == 1.0
 
     def test_constant_peaked_provider_by_hand(self, abc_vocab, constant_provider_cls):
         logits = np.zeros(abc_vocab.size)
@@ -91,7 +90,7 @@ class TestTokenErrorRate:
         provider = constant_provider_cls(abc_vocab, logits)
         # refs "a a b </s>"-style: steps = a a b EOS -> wrong at b and EOS
         dataset = dataset_from_texts(abc_vocab, ["a a b"])
-        assert token_error_rate(provider, dataset) == pytest.approx(2.0 / 4.0)
+        assert fit_temperature(provider, dataset).ter == pytest.approx(2.0 / 4.0)
 
     def test_ter_is_temperature_invariant(self, abc_vocab, constant_provider_cls):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shlex
@@ -205,6 +206,69 @@ class TestDecode:
         out = tmp_path / "x.jsonl"
         argv = decode_args(workspace, "uadf", out, **{"max-len-factor": factor})
         assert run(*argv) == 2
+        assert not out.exists()
+
+
+def sweep_args(workspace, out):
+    data = workspace / "data"
+    return ["sweep", "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
+            "--lm-model", workspace / "lm.json", "--manifest", data / "manifest.json",
+            "--out", out]
+
+
+def train_lm_args(workspace, out):
+    data = workspace / "data"
+    return ["train-lm", "--corpus", data / "train.jsonl", "--vocab", data / "vocab.txt",
+            "--out", out]
+
+
+def which_llm_args(command):
+    def argv(workspace, out):
+        data = workspace / "data"
+        return [command, "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
+                "--which", "llm", "--lm-model", workspace / "lm.json", "--out", out]
+    return argv
+
+
+COMMAND_ARGS = {
+    "decode": lambda ws, out: decode_args(ws, "static", out),
+    "decode-endpoint": lambda ws, out: decode_args(
+        ws, "llm", out, **{"llm-endpoint": "127.0.0.1:9"}),
+    "sweep": sweep_args,
+    "train-lm": train_lm_args,
+    "calibrate": which_llm_args("calibrate"),
+    "reliability": which_llm_args("reliability"),
+}
+
+NON_FINITE = [
+    ("decode", "--w-asr", "nan", "static weights"),
+    ("decode", "--w-llm", "inf", "static weights"),
+    ("sweep", "--w-asr-values", "0,nan", "static weights"),
+    ("sweep", "--w-asr-values", "0,inf", "static weights"),
+    ("train-lm", "--smoothing", "nan", "smoothing"),
+    ("train-lm", "--smoothing", "inf", "smoothing"),
+    ("calibrate", "--tol", "nan", "tol"),
+    ("calibrate", "--tol", "inf", "tol"),
+    ("calibrate", "--tau-max", "inf", "tau_max"),
+    ("reliability", "--tau", "nan", "tau"),
+    ("reliability", "--tau", "inf", "tau"),
+    ("decode-endpoint", "--timeout", "nan", "timeout"),
+    ("decode-endpoint", "--timeout", "-1", "timeout"),
+    ("decode-endpoint", "--timeout", "0", "timeout"),
+    ("decode-endpoint", "--timeout", "inf", "timeout"),
+]
+
+
+class TestNonFiniteValues:
+    """A number that parses but is out of range is a config error naming it,
+    and the command writes nothing."""
+
+    @pytest.mark.parametrize("command, flag, value, named", NON_FINITE,
+                             ids=[f"{c}{f[1:]}={v}" for c, f, v, _ in NON_FINITE])
+    def test_is_config_error(self, workspace, tmp_path, capsys, command, flag, value, named):
+        out = tmp_path / "out"
+        assert run(*COMMAND_ARGS[command](workspace, out), flag, value) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -543,3 +607,16 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(shlex.split(command)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+def test_readme_library_imports_resolve():
+    """Every name a README `python` block imports from latefuse exists there."""
+    import latefuse
+
+    names = []
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "latefuse":
+                names += [alias.name for alias in node.names]
+    assert "AcousticChannel" in names  # the library-surface block was found
+    assert [name for name in names if not hasattr(latefuse, name)] == []

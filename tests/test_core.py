@@ -195,13 +195,6 @@ class TestVocabulary:
         with pytest.raises(InvalidInputError):
             Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "a"))
 
-    def test_validate_seq_rejects_internal_eos(self, abc_vocab):
-        with pytest.raises(InvalidInputError):
-            abc_vocab.validate_seq((3, 1, 4))
-        with pytest.raises(InvalidInputError):
-            abc_vocab.validate_seq((3, 9))
-        assert abc_vocab.validate_seq((3, 4, 1)) == (3, 4, 1)
-
     def test_file_roundtrip(self, abc_vocab, tmp_path):
         path = tmp_path / "vocab.txt"
         abc_vocab.save(path)

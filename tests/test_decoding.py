@@ -16,12 +16,12 @@ from latefuse.decoding import (
 from latefuse.errors import ConfigurationError, InvalidParameterError
 from latefuse.fusion import FusionConfig, grid_search_static
 from latefuse.metrics import corpus_wer
-from latefuse.providers import UtteranceContext, make_acoustic_channel
+from latefuse.providers import AcousticChannel, UtteranceContext
 
 
 @pytest.fixture
 def identity_channel(abc_vocab):
-    return make_acoustic_channel(abc_vocab, np.eye(abc_vocab.size))
+    return AcousticChannel(abc_vocab, np.eye(abc_vocab.size))
 
 
 def obs_ctx(vocab, text, utt_id="u0"):
@@ -113,7 +113,7 @@ class TestFusedGreedyDecode:
 
     def test_vocabulary_mismatch_rejected(self, abc_vocab, identity_channel):
         other_vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "x"))
-        other = make_acoustic_channel(other_vocab, np.eye(4))
+        other = AcousticChannel(other_vocab, np.eye(4))
         with pytest.raises(ConfigurationError):
             fused_greedy_decode(identity_channel, other, FusionConfig(mode="uadf"),
                                 obs_ctx(abc_vocab, "a"), max_len=3)
@@ -199,9 +199,22 @@ class TestDecodeEvalSet:
         eval_set = []
         for i, text in enumerate(["a b", "c", "b b a"]):
             eval_set.append((obs_ctx(abc_vocab, text, f"u{i}"), text.split()))
-        cfg = FusionConfig(mode="asr-only")
-        assert decode_eval_set(None, identity_channel, cfg, eval_set) == \
-            [["a", "b"], ["c"], ["b", "b", "a"]]
+        results = decode_eval_set(None, identity_channel, [FusionConfig(mode="asr-only")],
+                                  eval_set)
+        assert [abc_vocab.decode(r.tokens) for r in results] == ["a b", "c", "b b a"]
+
+    def test_yields_each_config_per_utterance_in_order(self):
+        llm, asr, eval_set, (tau1, tau2) = random_case(5)
+        cfgs = [FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
+                for beta in (0.0, 0.5, 1.0)]
+        got = list(decode_eval_set(llm, asr, cfgs, eval_set, max_len_factor=1.5))
+        shared_calls = llm.calls
+        llm.calls = 0
+        want = [fused_greedy_decode(llm, asr, cfg, ctx, max_len=evaluation_max_len(ref, 1.5))
+                for ctx, ref in eval_set for cfg in cfgs]
+        assert [r.tokens for r in got] == [r.tokens for r in want]
+        assert [r.terminated for r in got] == [r.terminated for r in want]
+        assert shared_calls < llm.calls
 
     def test_evaluation_max_len(self):
         assert evaluation_max_len(["w"] * 5) == 12  # 2 * (5 + 1)

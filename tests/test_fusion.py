@@ -10,11 +10,10 @@ from latefuse.fusion import (
     FusionConfig,
     fuse_static,
     fuse_step,
-    fuse_uadf,
     grid_search_static,
     uadf_weight,
 )
-from latefuse.providers import UtteranceContext, make_acoustic_channel
+from latefuse.providers import AcousticChannel, UtteranceContext
 
 
 class TestUadfWeight:
@@ -71,7 +70,7 @@ class TestFuseUadf:
         cfg = FusionConfig(mode="uadf", beta=0.5)
         llm = np.array([200.0, 0.0, 0.0])
         asr = np.array([0.0, 0.0, 200.0])
-        step = fuse_uadf(llm, asr, cfg)
+        step = fuse_step(llm, asr, cfg)
         assert step.uncertainty == pytest.approx(0.0, abs=1e-12)
         assert step.w_asr_effective == pytest.approx(0.0, abs=1e-12)
         assert step.chosen == 0
@@ -80,7 +79,7 @@ class TestFuseUadf:
         # p_llm = [0.5, 0.5], p_asr = [0.9, 0.1], beta = 0.5:
         # u = ln 2, w = 2/3 - 1/2 = 1/6, sum = [0.65, 31/60]
         cfg = FusionConfig(mode="uadf", beta=0.5)
-        step = fuse_uadf(np.array([0.0, 0.0]), np.log([0.9, 0.1]), cfg)
+        step = fuse_step(np.array([0.0, 0.0]), np.log([0.9, 0.1]), cfg)
         assert step.uncertainty == pytest.approx(math.log(2.0), abs=1e-12)
         assert step.w_asr_effective == pytest.approx(1.0 / 6.0, abs=1e-12)
         summed = step.p_llm + step.w_asr_effective * step.p_asr
@@ -93,7 +92,7 @@ class TestFuseUadf:
         # Dirac on id 4 flips the decision
         p = np.array([0.2, 0.2, 0.2, 0.2001, 0.1999])
         cfg = FusionConfig(mode="uadf", beta=0.5)
-        step = fuse_uadf(np.log(p), np.log([1e-9, 1e-9, 1e-9, 1e-9, 1.0]), cfg)
+        step = fuse_step(np.log(p), np.log([1e-9, 1e-9, 1e-9, 1e-9, 1.0]), cfg)
         assert int(np.argmax(step.p_llm)) == 3
         assert step.w_asr_effective > 0.3
         assert step.chosen == 4
@@ -102,7 +101,7 @@ class TestFuseUadf:
         rng = np.random.default_rng(6)
         for _ in range(300):
             v = int(rng.integers(2, 12))
-            step = fuse_uadf(rng.normal(size=v), rng.normal(size=v),
+            step = fuse_step(rng.normal(size=v), rng.normal(size=v),
                              FusionConfig(mode="uadf", beta=0.5))
             assert 0.0 <= step.w_asr_effective < 1.0 / (1.0 + math.exp(-math.log(v))) - 0.5 + 1e-12
 
@@ -114,14 +113,14 @@ class TestFuseUadf:
         margin = 0.55 - 0.35
         l2 = np.array([-200.0, 0.0, -200.0])
         for beta in np.linspace(0.0, 1.0, 41):
-            step = fuse_uadf(l1, l2, FusionConfig(mode="uadf", beta=float(beta)))
+            step = fuse_step(l1, l2, FusionConfig(mode="uadf", beta=float(beta)))
             w = uadf_weight(u, float(beta))
             expected = 1 if w > margin else 0
             assert step.chosen == expected
 
     def test_top1_uncertainty_variant(self):
         cfg = FusionConfig(mode="uadf", beta=0.0, uncertainty="top1")
-        step = fuse_uadf(np.array([0.0, 0.0]), np.array([0.0, 0.0]), cfg)
+        step = fuse_step(np.array([0.0, 0.0]), np.array([0.0, 0.0]), cfg)
         # -0.5 * ln 0.5, not the full ln 2 entropy
         assert step.uncertainty == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
         cap = -1.0 / math.e * math.log(1.0 / math.e)
@@ -130,7 +129,7 @@ class TestFuseUadf:
 
     def test_fusion_step_log_entry(self, abc_vocab):
         cfg = FusionConfig(mode="uadf")
-        step = fuse_uadf(np.zeros(6), np.zeros(6), cfg)
+        step = fuse_step(np.zeros(6), np.zeros(6), cfg)
         entry = step.log_entry(3, abc_vocab)
         assert entry["step"] == 3
         assert len(entry["llm_top"]) == 3
@@ -256,11 +255,11 @@ class TestBruteForceEquivalence:
 
 class TestGridSearchStatic:
     def test_perfect_llm_wins_at_weight_zero(self, abc_vocab):
-        llm = make_acoustic_channel(abc_vocab, np.eye(6))
+        llm = AcousticChannel(abc_vocab, np.eye(6))
         noisy = np.full((6, 6), 0.05)
         np.fill_diagonal(noisy, 0.75)
         noisy /= noisy.sum(axis=1, keepdims=True)
-        asr = make_acoustic_channel(abc_vocab, noisy)
+        asr = AcousticChannel(abc_vocab, noisy)
         eval_set = []
         for i, text in enumerate(["a b c", "b a", "c c b"]):
             obs = (0,) + abc_vocab.encode(text) + (1,)
@@ -273,7 +272,7 @@ class TestGridSearchStatic:
         assert len(table) == len(grid)
 
     def test_tie_prefers_smaller_asr_weight(self, abc_vocab):
-        llm = make_acoustic_channel(abc_vocab, np.eye(6))
+        llm = AcousticChannel(abc_vocab, np.eye(6))
         eval_set = [(UtteranceContext(utt_id="u0",
                                       observation=(0,) + abc_vocab.encode("a b") + (1,)),
                      ["a", "b"])]
@@ -282,6 +281,6 @@ class TestGridSearchStatic:
         assert all(row["wer"] == 0.0 for row in table)
 
     def test_empty_grid_rejected(self, abc_vocab):
-        llm = make_acoustic_channel(abc_vocab, np.eye(6))
+        llm = AcousticChannel(abc_vocab, np.eye(6))
         with pytest.raises(InvalidParameterError):
             grid_search_static(llm, llm, [], [(1.0, 0.0)])

@@ -5,14 +5,12 @@ from latefuse.errors import InvalidInputError, InvalidParameterError
 from latefuse.metrics import (
     corpus_report,
     corpus_wer,
-    lm_rescore,
     normalize_text,
     oracle_compositional,
     oracle_nbest,
     wer,
     werr,
 )
-from latefuse.providers import NgramModel
 
 
 class TestWer:
@@ -180,42 +178,6 @@ class TestOracleCompositional:
         # second hypothesis adds a word; epsilon lets the path drop it
         nbest = ["a b".split(), "a z b".split()]
         assert oracle_compositional(nbest, "a b".split()) == 0.0
-
-
-class TestLmRescore:
-    def _model(self, abc_vocab, texts, order=2):
-        model = NgramModel(abc_vocab, order=order, smoothing=0.1)
-        model.train([abc_vocab.encode(t, append_eos=True) for t in texts])
-        return model
-
-    def test_lambda_zero_returns_first(self, abc_vocab):
-        model = self._model(abc_vocab, ["c c"])
-        nbest = [("a b", -1.0), ("c c", -2.0)]
-        assert lm_rescore(nbest, model, 0.0) == "a b"
-
-    def test_lambda_one_follows_language_model(self, abc_vocab):
-        model = self._model(abc_vocab, ["c c"])
-        nbest = [("a b", -1.0), ("c c", -2.0)]
-        assert lm_rescore(nbest, model, 1.0) == "c c"
-
-    def test_result_is_member(self, abc_vocab):
-        model = self._model(abc_vocab, ["a b c", "b c"])
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            nbest = [(" ".join(rng.choice(["a", "b", "c"], size=3)), float(-i))
-                     for i in range(4)]
-            assert lm_rescore(nbest, model, float(rng.uniform(0, 1))) in \
-                [t for t, _ in nbest]
-
-    def test_missing_score_rejected(self, abc_vocab):
-        model = self._model(abc_vocab, ["a"])
-        with pytest.raises(InvalidInputError):
-            lm_rescore([("a", None)], model, 0.5)
-
-    def test_bad_lambda_rejected(self, abc_vocab):
-        model = self._model(abc_vocab, ["a"])
-        with pytest.raises(InvalidParameterError):
-            lm_rescore([("a", -1.0)], model, 1.5)
 
 
 class TestCorpusAggregation:

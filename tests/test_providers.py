@@ -4,11 +4,11 @@ import pytest
 from latefuse.core import Vocabulary, softmax_with_temperature
 from latefuse.errors import InvalidInputError, InvalidParameterError
 from latefuse.providers import (
+    AcousticChannel,
     NgramCorrector,
     NgramModel,
     ProviderSpec,
     UtteranceContext,
-    make_acoustic_channel,
     train_ngram_corrector,
 )
 
@@ -41,17 +41,6 @@ class TestNgramModel:
         model = NgramModel(abc_vocab, order=2, smoothing=0.0)
         model.train([abc_vocab.encode("a b", append_eos=True)])
         np.testing.assert_allclose(model.cond_dist((5,)), np.full(6, 1 / 6))
-
-    def test_sequence_logprob_factorizes(self, abc_vocab):
-        model = NgramModel(abc_vocab, order=2, smoothing=0.5)
-        model.train([abc_vocab.encode("a b", append_eos=True)])
-        seq = abc_vocab.encode("a b", append_eos=True)
-        by_hand = 0.0
-        history = ()
-        for tok in seq:
-            by_hand += np.log(model.cond_dist(history)[tok] + 1e-12)
-            history += (tok,)
-        assert model.sequence_logprob(seq) == pytest.approx(by_hand)
 
     def test_dict_roundtrip(self, abc_vocab):
         model = NgramModel(abc_vocab, order=2, smoothing=0.25)
@@ -138,7 +127,7 @@ class TestNgramCorrector:
 
 class TestAcousticChannel:
     def test_identity_copies_observation(self, abc_vocab):
-        chan = make_acoustic_channel(abc_vocab, np.eye(6))
+        chan = AcousticChannel(abc_vocab, np.eye(6))
         obs = (0, 3, 4, 1)  # BOS a b EOS
         ctx = UtteranceContext(utt_id="u0", observation=obs)
         assert int(np.argmax(chan.next_logits((0,), ctx))) == 3
@@ -148,24 +137,14 @@ class TestAcousticChannel:
     def test_confusion_row_lookup(self, abc_vocab):
         confusion = np.eye(6)
         confusion[3] = [0, 0, 0, 0.7, 0, 0.3]  # "a" row: 0.7 a, 0.3 c
-        chan = make_acoustic_channel(abc_vocab, confusion)
+        chan = AcousticChannel(abc_vocab, confusion)
         ctx = UtteranceContext(utt_id="u0", observation=(0, 3, 1))
         dist = softmax_with_temperature(chan.next_logits((0,), ctx), 1.0)
         assert dist[3] == pytest.approx(0.7, abs=1e-9)
         assert dist[5] == pytest.approx(0.3, abs=1e-9)
 
-    def test_floor_renormalization_closed_form(self):
-        # V=4, Dirac row, floor f: hit token gets (1+f)/(1+4f)
-        vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a"))
-        f = 0.1
-        chan = make_acoustic_channel(vocab, np.eye(4), floor=f)
-        ctx = UtteranceContext(utt_id="u0", observation=(0, 3, 1))
-        dist = softmax_with_temperature(chan.next_logits((0,), ctx), 1.0)
-        assert dist[3] == pytest.approx((1 + f) / (1 + 4 * f), abs=1e-9)
-        assert dist[0] == pytest.approx(f / (1 + 4 * f), abs=1e-9)
-
     def test_past_observation_end_is_eos_dominant(self, abc_vocab):
-        chan = make_acoustic_channel(abc_vocab, np.eye(6))
+        chan = AcousticChannel(abc_vocab, np.eye(6))
         ctx = UtteranceContext(utt_id="u0", observation=(0, 3, 1))
         logits = chan.next_logits((0, 3, 1, 4, 4), ctx)
         assert int(np.argmax(logits)) == Vocabulary.EOS
@@ -174,10 +153,10 @@ class TestAcousticChannel:
         bad = np.eye(6)
         bad[2, 2] = 0.5
         with pytest.raises(InvalidInputError):
-            make_acoustic_channel(abc_vocab, bad)
+            AcousticChannel(abc_vocab, bad)
 
     def test_missing_observation_rejected(self, abc_vocab):
-        chan = make_acoustic_channel(abc_vocab, np.eye(6))
+        chan = AcousticChannel(abc_vocab, np.eye(6))
         with pytest.raises(InvalidInputError):
             chan.next_logits((0,), UtteranceContext(utt_id="u0"))
 
@@ -187,11 +166,9 @@ class TestProviderSpec:
         specs = [
             ProviderSpec("ngram-corrector", {"model_path": "lm.json"}),
             ProviderSpec("acoustic-channel", {"manifest_path": "manifest.json"}),
-            ProviderSpec("acoustic-channel", {"confusion": [[1.0]]}),
             ProviderSpec("external", {"endpoint": "127.0.0.1:9"}),
         ]
-        assert [s.kind for s in specs] == ["ngram-corrector", "acoustic-channel",
-                                           "acoustic-channel", "external"]
+        assert [s.kind for s in specs] == ["ngram-corrector", "acoustic-channel", "external"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
