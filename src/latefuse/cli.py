@@ -435,7 +435,6 @@ def cmd_sweep(resolved: dict):
         llm, asr = _build_llm(resolved, vocab, opened), _build_asr(resolved, vocab, opened)
         tau1 = _tau_from(resolved, "tau1", "calibration_llm")
         tau2 = _tau_from(resolved, "tau2", "calibration_asr")
-        out.parent.mkdir(parents=True, exist_ok=True)
         if axis == "static-grid":
             _best, table = fusion.grid_search_static(
                 llm, asr, eval_set, [(1.0, w) for w in resolved["w_asr_values"]],
@@ -451,6 +450,7 @@ def cmd_sweep(resolved: dict):
             ], eval_set, factor)
             header = "beta,wer"
             rows = list(zip(betas, wers))
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
         f.write(header + "\n")
         for row in rows:
@@ -486,8 +486,10 @@ def cmd_score(resolved: dict):
     systems = {}
     for pair in resolved["hyp"]:
         name, _, path = pair.partition("=")
-        if not path:
+        if not name or not path:
             raise ConfigurationError(f"--hyp expects name=path, got {pair!r}")
+        if name in systems:
+            raise ConfigurationError(f"--hyp names system {name!r} twice")
         hyps = _load_hypotheses(path)
         missing = set(refs) - set(hyps)
         if missing:

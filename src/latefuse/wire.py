@@ -3,32 +3,32 @@
 One JSON object per line. The client opens with a handshake
     {"op": "hello", "vocab_size": V, "vocab_hash": "<hex64>",
      "logits_encoding": "base64-f64le"}  ->  {"ok": true}
-then sends step requests
+then sends step requests, each history starting with BOS
     {"op": "step", "utt": "<id>", "history": [ids]}  ->  {"logits": "<base64>"}
 The base64 string holds the V logits as little-endian float64, 8 bytes
-each. A server that ignores "logits_encoding" replies with the list form
-{"logits": [V floats]} instead, in shortest round-trip decimal form; the
-client accepts either form on every reply. Both forms carry the exact
-float64 values, so a served built-in provider decodes bit-identically to
-in-process use.
+each: the exact values, so a served built-in provider decodes
+bit-identically to in-process use. The server refuses a hello without
+that "logits_encoding", and the client fails on a reply whose logits are
+not a base64 string.
 
 A step request may also carry "follow": [ids], tokens the client will
 append, and "ahead": n, a number of tokens to extend past them along the
 provider's own argmax of the raw logits (lowest id on ties), stopping once
-that argmax is EOS. A server on the base64 encoding then replies with
+that argmax is EOS. The server then replies with
 {"logits": "<base64>", "path": [ids]}: one row of V logits for history and
-one for each history + path[:i], at most MAX_AHEAD rows. The client keeps
-the unread rows of its latest reply and answers later steps along the path
-from them. It asks for as many argmax tokens as the decode has been
+one for each history + path[:i], at most MAX_AHEAD rows. A reply without
+"path" is the one row for history, so a server that ignores "follow" and
+"ahead" is served one step per round trip. The client keeps the unread
+rows of its latest reply and answers later steps along the path from
+them. It asks for as many argmax tokens as the decode has been
 likely to take (see `_ahead`): a greedy decode that follows the provider's
 argmax makes one round trip per utterance, plus one each time it leaves
 it, and one that mostly leaves it soon sends plain one-row requests. This
 relies on a served provider returning the same logits for the same
 (utt, history).
 
-Lines are capped: a reply longer than `max_reply_bytes(V)`, a list-form
-reply longer than `max_reply_bytes(V, rows=1)` and a request longer than
-MAX_REQUEST_BYTES end the exchange. Endpoints are either
+Lines are capped: a reply longer than `max_reply_bytes(V)` and a request
+longer than MAX_REQUEST_BYTES end the exchange. Endpoints are either
 "host:port" strings or argv lists for a subprocess bridged over
 stdin/stdout.
 """
@@ -51,7 +51,7 @@ from .core import Vocabulary
 from .errors import ConfigurationError, ProviderIOError
 from .providers import UtteranceContext
 
-# The hello's "logits_encoding": step replies carry base64 float64 logits.
+# The hello's required "logits_encoding": step replies carry base64 float64 logits.
 LOGITS_ENCODING = "base64-f64le"
 # The most rows of logits one step reply carries: the one for the request's
 # history and one per token of its path.
@@ -67,17 +67,12 @@ MIN_TAKE_CHANCE = 0.5
 MAX_REQUEST_BYTES = 1 << 20
 
 
-def max_reply_bytes(vocab_size: int, rows: int = MAX_AHEAD) -> int:
-    """The longest reply line the client reads, newline excluded, for a
-    reply of one list-form row or up to `rows` base64 rows.
-
-    64 bytes per logit hold any float of a list-form row (the longest
-    shortest round-trip float64 takes 24 characters, plus ", "). Base64
-    takes 32 characters per 3 logits, so 11 bytes per logit of each row.
-    4 KiB cover the rest of the object, the path included. With `rows`
-    1 this is the list-form limit, 64 * V + 4096.
-    """
-    return max(64, 11 * rows) * vocab_size + 4096
+def max_reply_bytes(vocab_size: int) -> int:
+    """The longest reply line the client reads, newline excluded: base64
+    takes 32 characters per 3 logits, so 11 bytes per logit of each of up
+    to MAX_AHEAD rows, and 4 KiB cover the rest of the object, the path
+    included."""
+    return 11 * MAX_AHEAD * vocab_size + 4096
 
 
 class _LineChannel:
@@ -86,15 +81,13 @@ class _LineChannel:
     Bytes read past a reply's newline are kept, not dropped. A byte the
     provider sends beyond the one reply line per request means replies
     no longer pair with requests, so the exchange fails with it. A reply
-    longer than `max_line` bytes fails as soon as it is, unread to its end,
-    and one whose logits are a list fails if longer than `max_list_line`.
+    longer than `max_line` bytes fails as soon as it is, unread to its end.
     """
 
-    def __init__(self, fd: int, recv, max_line: int, max_list_line: int | None = None):
+    def __init__(self, fd: int, recv, max_line: int):
         self._fd = fd  # polled, without blocking, for bytes nobody asked for
         self._recv = recv  # the next chunk, b"" at end of stream
         self._max_line = max_line
-        self._max_list_line = max_line if max_list_line is None else max_list_line
         self._buffer = bytearray()
 
     def exchange(self, send, payload: dict) -> dict:
@@ -120,23 +113,18 @@ class _LineChannel:
             raise ProviderIOError("provider sent more than one line for one request")
         line = bytes(self._buffer)
         self._buffer.clear()
-        reply = _parse_line(line)
-        if end > self._max_list_line and isinstance(reply.get("logits"), list):
-            raise ProviderIOError(
-                f"list-form reply is longer than {self._max_list_line} bytes")
-        return reply
+        return _parse_line(line)
 
 
 class _TcpTransport:
-    def __init__(self, host: str, port: int, timeout: float, max_line: int,
-                 max_list_line: int | None = None):
+    def __init__(self, host: str, port: int, timeout: float, max_line: int):
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
         # recv waits at most `timeout`, then raises (the socket keeps it)
         self._lines = _LineChannel(self._sock.fileno(), lambda: self._sock.recv(65536),
-                                   max_line, max_list_line)
+                                   max_line)
 
     def round_trip(self, payload: dict) -> dict:
         return self._lines.exchange(self._sock.sendall, payload)
@@ -149,16 +137,14 @@ class _TcpTransport:
 
 
 class _ProcTransport:
-    def __init__(self, command: list[str], timeout: float, max_line: int,
-                 max_list_line: int | None = None):
+    def __init__(self, command: list[str], timeout: float, max_line: int):
         self._timeout = timeout
         try:
             self._proc = subprocess.Popen(command, stdin=subprocess.PIPE,
                                           stdout=subprocess.PIPE)
         except OSError as exc:
             raise ProviderIOError(f"cannot start {command!r}: {exc}") from exc
-        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv, max_line,
-                                   max_list_line)
+        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv, max_line)
 
     def _send(self, data: bytes):
         self._proc.stdin.write(data)
@@ -194,24 +180,16 @@ def _parse_line(line: bytes) -> dict:
 
 
 def _decode_logits(value) -> np.ndarray:
-    """A step reply's logits, in either wire form, as a new float64 array."""
-    if isinstance(value, str):
-        try:
-            raw = base64.b64decode(value, validate=True)
-        except ValueError as exc:  # binascii.Error included
-            raise ProviderIOError(f"logits are not valid base64: {exc}") from exc
-        if len(raw) % 8:
-            raise ProviderIOError(f"base64 logits hold {len(raw)} bytes, not whole float64s")
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if isinstance(value, list):
-        if any(isinstance(item, (str, bool)) for item in value):
-            raise ProviderIOError("logits list holds a string or a boolean, not only numbers")
-        try:
-            return np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ProviderIOError(f"logits list is not numeric: {exc}") from exc
-    raise ProviderIOError(
-        f"logits must be a base64 string or a list, got {type(value).__name__}")
+    """A step reply's base64 logits as a new float64 array."""
+    if not isinstance(value, str):
+        raise ProviderIOError(f"logits must be a base64 string, got {type(value).__name__}")
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error included
+        raise ProviderIOError(f"logits are not valid base64: {exc}") from exc
+    if len(raw) % 8:
+        raise ProviderIOError(f"base64 logits hold {len(raw)} bytes, not whole float64s")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def _is_token_id_list(value, size: int) -> bool:
@@ -312,8 +290,6 @@ class ExternalProvider:
             if path[:len(follow)] != follow:
                 raise ProviderIOError(
                     f"path {path!r} does not start with the follow {follow!r}")
-            if path and isinstance(reply["logits"], list):
-                raise ProviderIOError("a list-form reply carries one row, so no path")
         if logits.ndim != 1 or logits.size != (len(path) + 1) * size:
             raise ProviderIOError(
                 f"expected {len(path) + 1} x {size} logits, got shape {logits.shape}"
@@ -350,14 +326,14 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
     """Connect to "host:port" or spawn an argv-list subprocess endpoint."""
     if not 0 < timeout < math.inf:
         raise ConfigurationError(f"timeout must be finite and > 0, got {timeout}")
-    limits = max_reply_bytes(vocab.size), max_reply_bytes(vocab.size, rows=1)
+    max_line = max_reply_bytes(vocab.size)
     if isinstance(endpoint, (list, tuple)):
-        transport = _ProcTransport([str(c) for c in endpoint], timeout, *limits)
+        transport = _ProcTransport([str(c) for c in endpoint], timeout, max_line)
     else:
         host, _, port = str(endpoint).rpartition(":")
         if not host or not port.isdigit():
             raise ConfigurationError(f"endpoint must be host:port or argv list, got {endpoint!r}")
-        transport = _TcpTransport(host, int(port), timeout, *limits)
+        transport = _TcpTransport(host, int(port), timeout, max_line)
     return ExternalProvider(transport, vocab)
 
 
@@ -389,45 +365,45 @@ def _encode_rows(rows) -> str:
         b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)).decode("ascii")
 
 
-def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
-                    encoding: str | None) -> dict:
+def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext]) -> dict:
     op = msg.get("op")
     if op == "hello":
         if msg.get("vocab_size") != provider.vocab.size:
             return {"ok": False, "error": "vocab_size mismatch"}
         if msg.get("vocab_hash") != provider.vocab.content_hash():
             return {"ok": False, "error": "vocab_hash mismatch"}
+        if msg.get("logits_encoding") != LOGITS_ENCODING:
+            return {"ok": False, "error": f"'logits_encoding' must be {LOGITS_ENCODING!r}, "
+                                          f"got {msg.get('logits_encoding')!r:.200}"}
         return {"ok": True}
     if op == "step":
         ctx = contexts.get(msg.get("utt"))
         if ctx is None:
             return {"error": f"unknown utterance {msg.get('utt')!r}"}
         history = _token_ids(msg, "history", provider.vocab.size)
-        if "follow" in msg or "ahead" in msg:
-            follow = _token_ids(msg, "follow", provider.vocab.size)
-            if len(follow) >= MAX_AHEAD:
-                return {"error": f"'follow' holds more than {MAX_AHEAD - 1} tokens"}
-            ahead = msg.get("ahead", 0)
-            if type(ahead) is not int or ahead < 0:
-                return {"error": f"'ahead' must be a non-negative integer, got {ahead!r}"}
-            if encoding == LOGITS_ENCODING:  # a list-form reply is the one row below
-                rows, path = _lookahead(provider, history, follow, ahead, ctx)
-                return {"logits": _encode_rows(rows), "path": path}
-        logits = provider.next_logits(history, ctx)
-        if encoding == LOGITS_ENCODING:
-            return {"logits": _encode_rows([logits])}
-        return {"logits": [float(x) for x in logits]}
+        if history[:1] != (Vocabulary.BOS,):
+            return {"error": f"'history' must start with BOS ({Vocabulary.BOS}), "
+                             f"got {list(history)!r:.200}"}
+        follow = _token_ids(msg, "follow", provider.vocab.size)
+        if len(follow) >= MAX_AHEAD:
+            return {"error": f"'follow' holds more than {MAX_AHEAD - 1} tokens"}
+        ahead = msg.get("ahead", 0)
+        if type(ahead) is not int or ahead < 0:
+            return {"error": f"'ahead' must be a non-negative integer, got {ahead!r}"}
+        rows, path = _lookahead(provider, history, follow, ahead, ctx)
+        reply = {"logits": _encode_rows(rows)}
+        if "follow" in msg or "ahead" in msg:  # a plain request gets a plain reply
+            reply["path"] = path
+        return reply
     return {"error": f"unknown op {op!r}"}
 
 
 def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext]):
     """Answer each request line of `reader` through `write`.
 
-    The "logits_encoding" of an accepted hello holds for the rest of the
-    connection. Stops at EOF, after a refused handshake, and after an
-    over-long request line, which gets an error reply.
+    Stops at EOF, after a refused handshake, and after an over-long
+    request line, which gets an error reply.
     """
-    encoding = None
     while line := reader.readline(MAX_REQUEST_BYTES + 1):
         if len(line) > MAX_REQUEST_BYTES:
             write((json.dumps({"error": f"request line longer than {MAX_REQUEST_BYTES} bytes"})
@@ -436,15 +412,12 @@ def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext])
         if not line.strip():
             continue
         try:
-            msg = _parse_line(line)
-            reply = _handle_request(msg, provider, contexts, encoding)
+            reply = _handle_request(_parse_line(line), provider, contexts)
         except Exception as exc:  # a bad request must not stop the server
             reply = {"error": str(exc)}
         write((json.dumps(reply) + "\n").encode("utf-8"))
         if reply.get("ok") is False:
             return
-        if reply.get("ok") is True:
-            encoding = msg.get("logits_encoding")
 
 
 class ProviderServer:

@@ -309,6 +309,21 @@ class TestScore:
                    "--hyp", f"a={hyp}", "--out", tmp_path / "s.json") == 3
         assert repr(field) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names, named", [
+        (("a", "a"), "'a' twice"), (("",), "name=path"),
+    ], ids=["repeated", "empty"])
+    def test_bad_system_name_is_config_error(self, workspace, tmp_path, capsys, names, named):
+        hyps = []
+        for name, mode in zip(names, ("llm", "asr")):
+            hyp = tmp_path / f"{mode}.jsonl"
+            assert run(*decode_args(workspace, mode, hyp)) == 0
+            hyps += ["--hyp", f"{name}={hyp}"]
+        out = tmp_path / "scores.json"
+        assert run("score", "--corpus", workspace / "data" / "test.jsonl", *hyps,
+                   "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_hypothesis_id_is_data_error(self, workspace, tmp_path, capsys):
         hyp = tmp_path / "h.jsonl"
         assert run(*decode_args(workspace, "llm", hyp)) == 0
@@ -368,6 +383,11 @@ class TestSweep:
         rows = out.read_text().splitlines()
         assert rows[0] == "beta,wer"
         assert len(rows) == 5
+
+    def test_failed_sweep_leaves_no_output_directory(self, workspace, tmp_path):
+        out = tmp_path / "nd" / "beta.csv"
+        assert run(*sweep_args(workspace, out), "--axis", "beta", "--beta-values", "0,2") == 2
+        assert not out.parent.exists()
 
 
 def _decode_score_wer(workspace, tmp_path, mode, **extra):

@@ -81,7 +81,7 @@ def scripted(replies_by_op):
 
 class TestExternalProvider:
     def test_echo_server_fixed_logits(self, abc_vocab, empty_ctx):
-        fixed = [1.0] + [0.0] * (abc_vocab.size - 1)
+        fixed = b64_logits([1.0] + [0.0] * (abc_vocab.size - 1))
         server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": fixed}}))
         provider = connect_external(server.address, abc_vocab, timeout=2.0)
         try:
@@ -93,7 +93,7 @@ class TestExternalProvider:
             server.close()
 
     def test_short_logits_vector_is_protocol_error(self, abc_vocab, empty_ctx):
-        short = [0.0] * (abc_vocab.size - 1)
+        short = b64_logits([0.0] * (abc_vocab.size - 1))
         server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": short}}))
         provider = connect_external(server.address, abc_vocab, timeout=2.0)
         try:
@@ -124,8 +124,9 @@ class TestExternalProvider:
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
         server = LineServer(scripted({
             "hello": {"ok": True},
-            "step": lambda msg: [{"logits": one_hot(3 + len(msg["history"]), vocab.size)},
-                                 {"logits": one_hot(3, vocab.size)}],
+            "step": lambda msg: [{"logits": b64_logits(one_hot(3 + len(msg["history"]),
+                                                               vocab.size))},
+                                 {"logits": b64_logits(one_hot(3, vocab.size))}],
         }))
         provider = connect_external(server.address, vocab, timeout=2.0)
         try:
@@ -213,7 +214,8 @@ class TestSubprocessEndpoint:
             "    if msg['op'] == 'hello':\n"
             "        print(json.dumps({'ok': True}), flush=True)\n"
             "    else:\n"
-            f"        print(json.dumps({{'logits': [1.0] + [0.0] * {abc_vocab.size - 1}}}), flush=True)\n"
+            f"        print(json.dumps({{'logits': {b64_logits(one_hot(0, abc_vocab.size))!r}}}),"
+            " flush=True)\n"
         )
         provider = connect_external([sys.executable, "-c", script], abc_vocab, timeout=5.0)
         try:
@@ -226,14 +228,14 @@ class TestSubprocessEndpoint:
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
         script = (
             "import json,sys\n"
-            f"def hot(i): return [1.0 if j == i else 0.0 for j in range({vocab.size})]\n"
+            f"hot = {[b64_logits(one_hot(i, vocab.size)) for i in range(vocab.size)]!r}\n"
             "for line in sys.stdin:\n"
             "    msg = json.loads(line)\n"
             "    if msg['op'] == 'hello':\n"
             "        print(json.dumps({'ok': True}), flush=True)\n"
             "    else:\n"
-            "        reply = json.dumps({'logits': hot(3 + len(msg['history']))})\n"
-            "        stray = json.dumps({'logits': hot(3)})\n"
+            "        reply = json.dumps({'logits': hot[3 + len(msg['history'])]})\n"
+            "        stray = json.dumps({'logits': hot[3]})\n"
             "        sys.stdout.write(reply + '\\n' + stray + '\\n')\n"
             "        sys.stdout.flush()\n"
         )
@@ -251,14 +253,15 @@ class TestStdioServe:
         provider = constant_provider_cls(abc_vocab, np.arange(abc_vocab.size, dtype=float))
         ctx = UtteranceContext(utt_id="u0")
         hello = json.dumps({"op": "hello", "vocab_size": abc_vocab.size,
-                            "vocab_hash": abc_vocab.content_hash()})
+                            "vocab_hash": abc_vocab.content_hash(),
+                            "logits_encoding": LOGITS_ENCODING})
         step = json.dumps({"op": "step", "utt": "u0", "history": [0]})
         stdin = io.BytesIO((hello + "\n" + step + "\n").encode())
         stdout = io.BytesIO()
         stdio_serve(provider, {"u0": ctx}, stdin=stdin, stdout=stdout)
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert replies[0] == {"ok": True}
-        assert replies[1]["logits"] == list(range(abc_vocab.size))
+        assert _decode_logits(replies[1]["logits"]).tolist() == list(range(abc_vocab.size))
 
 
 class HashProvider:
@@ -310,9 +313,9 @@ def assert_serves_like_in_process(remote, local):
 
 
 class TestLogitsEncoding:
-    @pytest.mark.parametrize("encoding, form", [
-        (LOGITS_ENCODING, str), (None, list), ("base85", list)])
-    def test_hello_field_selects_the_reply_form(self, abc_vocab, encoding, form):
+    @pytest.mark.parametrize("encoding", [LOGITS_ENCODING, None, "base85"])
+    def test_hello_must_ask_for_base64_logits(self, abc_vocab, encoding):
+        """A hello without the base64 encoding is refused and ends the session."""
         provider = HashProvider(abc_vocab)
         hello = {"op": "hello", "vocab_size": abc_vocab.size,
                  "vocab_hash": abc_vocab.content_hash()}
@@ -323,11 +326,14 @@ class TestLogitsEncoding:
         stdout = io.BytesIO()
         stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
         replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert replies[0] == {"ok": True}
-        expected = provider.next_logits((0, 3), HASH_CONTEXTS["u0"])
-        for reply in replies[1:]:
-            assert isinstance(reply["logits"], form)
-            assert _decode_logits(reply["logits"]).tobytes() == expected.tobytes()
+        if encoding == LOGITS_ENCODING:
+            assert replies[0] == {"ok": True} and len(replies) == 3
+            expected = provider.next_logits((0, 3), HASH_CONTEXTS["u0"])
+            for reply in replies[1:]:
+                assert _decode_logits(reply["logits"]).tobytes() == expected.tobytes()
+        else:
+            assert len(replies) == 1 and replies[0]["ok"] is False
+            assert "'logits_encoding'" in replies[0]["error"]
 
     def test_tcp_is_bit_identical_to_in_process(self, abc_vocab):
         local = HashProvider(abc_vocab)
@@ -338,23 +344,6 @@ class TestLogitsEncoding:
     def test_stdio_is_bit_identical_to_in_process(self, abc_vocab):
         with connect_external(stdio_endpoint(abc_vocab), abc_vocab, timeout=10.0) as remote:
             assert_serves_like_in_process(remote, HashProvider(abc_vocab))
-
-    def test_server_ignoring_the_hello_field_serves_lists(self, abc_vocab):
-        local = HashProvider(abc_vocab)
-        hellos = []
-
-        def step(msg):
-            logits = local.next_logits(tuple(msg["history"]), HASH_CONTEXTS[msg["utt"]])
-            return {"logits": [float(x) for x in logits]}
-
-        server = LineServer(scripted({"hello": lambda msg: hellos.append(msg) or {"ok": True},
-                                      "step": step}))
-        try:
-            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
-                assert_serves_like_in_process(remote, local)
-        finally:
-            server.close()
-        assert hellos[0]["logits_encoding"] == LOGITS_ENCODING
 
     @pytest.mark.parametrize("logits", [
         "not base64!",
@@ -432,9 +421,11 @@ class TestLineChannel:
 
     @staticmethod
     def reply_lines(seed):
-        logits = np.random.default_rng(seed).normal(scale=10.0, size=200)
-        return [(json.dumps({"logits": value}) + "\n").encode()
-                for value in (b64_logits(logits), [float(x) for x in logits])]
+        """A one-row reply and a lookahead reply of 3 rows."""
+        logits = np.random.default_rng(seed).normal(scale=10.0, size=600)
+        return [(json.dumps(reply) + "\n").encode()
+                for reply in ({"logits": b64_logits(logits[:200])},
+                              {"logits": b64_logits(logits), "path": [5, 7]})]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_split_reply_parses_like_the_whole_line(self, seed):
@@ -488,12 +479,12 @@ class TestLineChannel:
     @pytest.mark.parametrize("vocab_size", [3, 200, 50_000])
     def test_reply_cap_fits_the_longest_valid_replies(self, vocab_size):
         longest = np.full(vocab_size, -2.2250738585072014e-308)
-        for value in (b64_logits(longest), [float(x) for x in longest]):
-            assert len(json.dumps({"logits": value})) <= max_reply_bytes(vocab_size)
+        assert len(json.dumps({"logits": b64_logits(longest)})) <= max_reply_bytes(vocab_size)
 
     def test_over_long_reply_from_a_provider_is_provider_io_error(self, abc_vocab, empty_ctx):
-        huge = [0.0] * max_reply_bytes(abc_vocab.size)
-        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": huge}}))
+        huge = {"logits": b64_logits([0.0] * abc_vocab.size),
+                "pad": "x" * max_reply_bytes(abc_vocab.size)}
+        server = LineServer(scripted({"hello": {"ok": True}, "step": huge}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 with pytest.raises(ProviderIOError, match="longer than"):
@@ -516,7 +507,7 @@ class TestRequestLineCap:
         stdout = io.BytesIO()
         stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
         first, second = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert len(first["logits"]) == abc_vocab.size  # a line at the cap is served
+        assert _decode_logits(first["logits"]).size == abc_vocab.size  # a line at the cap is served
         assert second == {"error": f"request line longer than {MAX_REQUEST_BYTES} bytes"}
 
     def test_over_long_request_closes_the_connection(self, abc_vocab):
@@ -597,7 +588,7 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     class RecordingTransport:
         def round_trip(self, payload):
             sent.append(payload)
-            return {"ok": True, "logits": [0.0] * abc_vocab.size}
+            return {"ok": True, "logits": b64_logits([0.0] * abc_vocab.size)}
 
         def close(self):
             pass
@@ -607,7 +598,7 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
         {p["op"]: set(p) for p in sent}
     hello = next(m for direction, m in messages if m.get("op") == "hello")
     assert hello["logits_encoding"] == LOGITS_ENCODING
-    assert {type(m["logits"]) for direction, m in messages if "logits" in m} == {str, list}
+    assert {type(m["logits"]) for direction, m in messages if "logits" in m} == {str}
 
 
 def served_steps(vocab, steps, hello=True):
@@ -679,11 +670,13 @@ class TestServerChecksRequests:
                 assert row.tobytes() == provider.next_logits(
                     history + tuple(path[:i]), ctx).tobytes()
 
-    def test_list_form_server_ignores_lookahead(self, abc_vocab):
-        reply, = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u0", "history": [0], "follow": [3], "ahead": 4}],
-            hello=False)
-        assert set(reply) == {"logits"} and len(reply["logits"]) == abc_vocab.size
+    @pytest.mark.parametrize("history", [[], [3], [3, 0]], ids=repr)
+    def test_history_must_start_with_bos(self, abc_vocab, history):
+        error, served = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u0", "history": history},
+            {"op": "step", "utt": "u0", "history": [0, 3]}])
+        assert set(error) == {"error"} and "'history'" in error["error"]
+        assert "logits" in served  # the server keeps serving
 
 
 def rows_reply(n_rows, path):
@@ -777,25 +770,16 @@ class TestClientChecksLookaheadReplies:
             longest = {"logits": b64_logits(np.zeros(wire.MAX_AHEAD * vocab_size)),
                        "path": [vocab_size - 1] * (wire.MAX_AHEAD - 1)}
             assert len(json.dumps(longest)) <= max_reply_bytes(vocab_size)
-            longest_list = [-2.2250738585072014e-308] * vocab_size
-            assert len(json.dumps({"logits": longest_list})) <= max_reply_bytes(vocab_size, 1)
 
-    @pytest.mark.parametrize("form", ["list", "base64"])
-    def test_list_form_reply_keeps_the_one_row_cap(self, abc_vocab, empty_ctx, form):
-        """A reply between the one-row list cap and the full cap is read,
-        and refused only if its logits are a list."""
-        pad = max_reply_bytes(abc_vocab.size, rows=1) + 100
-        assert pad + 200 < max_reply_bytes(abc_vocab.size)
+    def test_reply_as_long_as_the_cap_is_read(self, abc_vocab, empty_ctx):
         logits = [0.5] * abc_vocab.size
-        reply = {"logits": logits if form == "list" else b64_logits(logits), "pad": "x" * pad}
+        reply = {"logits": b64_logits(logits), "pad": ""}
+        reply["pad"] = "x" * (max_reply_bytes(abc_vocab.size) - len(json.dumps(reply)))
+        assert len(json.dumps(reply)) == max_reply_bytes(abc_vocab.size)
         server = LineServer(scripted({"hello": {"ok": True}, "step": reply}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                if form == "list":
-                    with pytest.raises(ProviderIOError, match="list-form reply is longer"):
-                        remote.next_logits((0,), empty_ctx)
-                else:
-                    assert remote.next_logits((0,), empty_ctx).tolist() == logits
+                assert remote.next_logits((0,), empty_ctx).tolist() == logits
         finally:
             server.close()
 
