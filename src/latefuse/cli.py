@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,8 +212,17 @@ def _resolve(args: argparse.Namespace, options: dict) -> dict:
 
 
 def _write_resolved(resolved: dict, out_dir: Path, command: str):
+    """Make `out_dir` and write the resolved options to it as strict JSON.
+    A command calls this before it writes anything else: an option the
+    command ignored is not range-checked, and a NaN or infinity in one is
+    a configuration error here."""
+    for key, value in resolved.items():
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigurationError(f"{_flag(key)} must be finite, got {value!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{command}.config.json", "w", encoding="utf-8") as f:
-        json.dump(resolved, f, indent=2, sort_keys=True)
+        json.dump(resolved, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -320,7 +330,7 @@ def cmd_simulate(resolved: dict):
         beam_width=resolved["beam"], n_best=resolved["n_best"],
         mean_len=resolved["mean_len"],
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_resolved(resolved, out_dir, "simulate")
     for split, records in splits.items():
         corpus.save_corpus(records, out_dir / f"{split}.jsonl")
     vocab.save(out_dir / "vocab.txt")
@@ -331,7 +341,6 @@ def cmd_simulate(resolved: dict):
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    _write_resolved(resolved, out_dir, "simulate")
     print(f"wrote {sum(len(r) for r in splits.values())} records to {out_dir}")
     return 0
 
@@ -349,13 +358,12 @@ def cmd_train_lm(resolved: dict):
         vote_weight=resolved["vote_weight"],
     )
     out = Path(resolved["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_resolved(resolved, out.parent, "train-lm")
     payload = corrector.model.to_dict()
     payload["vote_weight"] = corrector.vote_weight
     with open(out, "w", encoding="utf-8") as f:
         json.dump(payload, f)
         f.write("\n")
-    _write_resolved(resolved, out.parent, "train-lm")
     print(f"trained order-{corrector.model.order} corrector on {len(pairs)} pairs -> {out}")
     return 0
 
@@ -372,11 +380,10 @@ def cmd_calibrate(resolved: dict):
             max_iter=resolved["max_iter"], n_bins=resolved["bins"],
         )
     out = Path(resolved["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_resolved(resolved, out.parent, f"calibrate-{which}")
     with open(out, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, indent=2)
         f.write("\n")
-    _write_resolved(resolved, out.parent, f"calibrate-{which}")
     flag = " (clamped)" if report.clamped else ""
     print(f"{which}: tau={report.tau:.6g} conf={report.mean_confidence:.4f} "
           f"ter={report.ter:.4f} ece={report.ece:.4f}{flag}")
@@ -412,13 +419,12 @@ def cmd_decode(resolved: dict):
                 log_lines.extend(json.dumps({"id": rec.id, **step.log_entry(i, vocab)}) + "\n"
                                  for i, step in enumerate(result.steps))
 
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_resolved(resolved, out.parent, f"decode-{cfg.mode}")
     if steps_log:
         with open(steps_log, "w", encoding="utf-8") as f:
             f.writelines(log_lines)
     with open(out, "w", encoding="utf-8") as f:
         f.writelines(lines)
-    _write_resolved(resolved, out.parent, f"decode-{cfg.mode}")
     print(f"decoded {len(records)} utterances in mode {cfg.mode} -> {out}")
     _print_wire_counts(llm=llm, asr=asr)
     return 0
@@ -450,12 +456,11 @@ def cmd_sweep(resolved: dict):
             ], eval_set, factor)
             header = "beta,wer"
             rows = list(zip(betas, wers))
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_resolved(resolved, out.parent, f"sweep-{axis}")
     with open(out, "w", encoding="utf-8") as f:
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(repr(value) for value in row) + "\n")
-    _write_resolved(resolved, out.parent, f"sweep-{axis}")
     print(f"sweep over {axis} -> {out}")
     _print_wire_counts(llm=llm, asr=asr)
     return 0
@@ -531,11 +536,10 @@ def cmd_score(resolved: dict):
         }
 
     out = Path(resolved["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_resolved(resolved, out.parent, "score")
     with open(out, "w", encoding="utf-8") as f:
         json.dump(document, f, indent=2, sort_keys=True)
         f.write("\n")
-    _write_resolved(resolved, out.parent, "score")
     for name, entry in document["systems"].items():
         werr_txt = f" werr={entry['werr']:+.3%}" if "werr" in entry else ""
         print(f"{name}: wer={entry['wer']:.4f}{werr_txt}")
@@ -554,9 +558,8 @@ def cmd_reliability(resolved: dict):
     bins, ece = calibration.reliability_bins(
         traces, targets, tau, n_bins=resolved["bins"])
     out = Path(resolved["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    calibration.export_bins_csv(bins, out)
     _write_resolved(resolved, out.parent, f"reliability-{which}")
+    calibration.export_bins_csv(bins, out)
     print(f"{which} @ tau={tau:.6g}: ece={ece:.4f} -> {out}")
     _print_wire_counts(**{which: provider})
     return 0

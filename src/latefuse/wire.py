@@ -1,41 +1,44 @@
-"""Newline-delimited JSON wire protocol for out-of-process providers.
+"""Wire protocol for out-of-process providers: JSON request lines, and
+replies that are a JSON header line, for a step followed by raw logits.
 
-One JSON object per line. The client opens with a handshake
+The client opens with a handshake
     {"op": "hello", "vocab_size": V, "vocab_hash": "<hex64>",
-     "logits_encoding": "base64-f64le"}  ->  {"ok": true}
+     "logits_encoding": "f64le-frame"}  ->  {"ok": true}
 then sends step requests, each history starting with BOS
-    {"op": "step", "utt": "<id>", "history": [ids]}  ->  {"logits": "<base64>"}
-The base64 string holds the V logits as little-endian float64, 8 bytes
-each: the exact values, so a served built-in provider decodes
-bit-identically to in-process use. The server refuses a hello without
-that "logits_encoding", and the client fails on a reply whose logits are
-not a base64 string.
+    {"op": "step", "utt": "<id>", "history": [ids]}  ->  {"logits_bytes": 8 * V}
+A step reply's header line is followed by exactly "logits_bytes" bytes,
+its frame: the V logits as little-endian float64s. These are the exact
+values, so a served built-in provider decodes bit-identically to
+in-process use. Header line and frame go out in one write. Hello and
+error replies are header lines without a frame. The server refuses a
+hello without that "logits_encoding", and ends the session after a
+first request that is not a hello it accepts.
 
 A step request may also carry "follow": [ids], tokens the client will
 append, and "ahead": n, a number of tokens to extend past them along the
 provider's own argmax of the raw logits (lowest id on ties), stopping once
 that argmax is EOS. The server then replies with
-{"logits": "<base64>", "path": [ids]}: one row of V logits for history and
-one for each history + path[:i], at most MAX_AHEAD rows. A reply without
-"path" is the one row for history, so a server that ignores "follow" and
-"ahead" is served one step per round trip. The client keeps the unread
-rows of its latest reply and answers later steps along the path from
-them. It asks for as many argmax tokens as the decode has been
+{"logits_bytes": N, "path": [ids]} and a frame of one row of V logits for
+history and one for each history + path[:i], at most MAX_AHEAD rows. A
+reply without "path" is the one row for history, so a server that ignores
+"follow" and "ahead" is served one step per round trip. The client keeps
+the unread rows of its latest reply and answers later steps along the
+path from them. It asks for as many argmax tokens as the decode has been
 likely to take (see `_ahead`): a greedy decode that follows the provider's
 argmax makes one round trip per utterance, plus one each time it leaves
 it, and one that mostly leaves it soon sends plain one-row requests. This
 relies on a served provider returning the same logits for the same
 (utt, history).
 
-Lines are capped: a reply longer than `max_reply_bytes(V)` and a request
-longer than MAX_REQUEST_BYTES end the exchange. Endpoints are either
-"host:port" strings or argv lists for a subprocess bridged over
-stdin/stdout.
+Replies and requests are capped: a reply header longer than
+MAX_HEADER_BYTES or announcing more than `max_logits_bytes(V)`, and a
+request line longer than MAX_REQUEST_BYTES, end the exchange. Endpoints
+are either "host:port" strings or argv lists for a subprocess bridged
+over stdin/stdout.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -51,8 +54,9 @@ from .core import Vocabulary
 from .errors import ConfigurationError, ProviderIOError
 from .providers import UtteranceContext
 
-# The hello's required "logits_encoding": step replies carry base64 float64 logits.
-LOGITS_ENCODING = "base64-f64le"
+# The hello's required "logits_encoding": a step reply's header line is
+# followed by a frame of raw little-endian float64 logits.
+LOGITS_ENCODING = "f64le-frame"
 # The most rows of logits one step reply carries: the one for the request's
 # history and one per token of its path.
 MAX_AHEAD = 32
@@ -60,73 +64,91 @@ MAX_AHEAD = 32
 # chance that the decode takes it is at least this. A row the decode takes
 # saves a round trip, and every row costs its encoding and decoding, so
 # this pays while a row costs less than the rest of a round trip. On
-# loopback, with either built-in provider, a row costs about half of it.
+# loopback, with the n-gram corrector served from a process sharing the
+# client's one core, a row of 200 logits costs 20-26 us and a one-row
+# round trip 130-150 us (2-core VM), so a row costs about a sixth of it.
 MIN_TAKE_CHANCE = 0.5
 # A request line longer than this, newline included, gets an error reply
 # and ends the connection; the longest hello or step request is far shorter.
 MAX_REQUEST_BYTES = 1 << 20
+# The longest reply header line the client reads, newline excluded: far
+# more than a path of MAX_AHEAD - 1 ids or an error message takes.
+MAX_HEADER_BYTES = 4096
 
 
-def max_reply_bytes(vocab_size: int) -> int:
-    """The longest reply line the client reads, newline excluded: base64
-    takes 32 characters per 3 logits, so 11 bytes per logit of each of up
-    to MAX_AHEAD rows, and 4 KiB cover the rest of the object, the path
-    included."""
-    return 11 * MAX_AHEAD * vocab_size + 4096
+def max_logits_bytes(vocab_size: int) -> int:
+    """The longest frame the client reads: MAX_AHEAD rows of float64s."""
+    return 8 * MAX_AHEAD * vocab_size
 
 
 class _LineChannel:
-    """Request/reply line framing over one byte stream.
+    """Request/reply framing over one byte stream: a request is one line,
+    a reply one header line, then as many raw bytes as its "logits_bytes".
 
-    Bytes read past a reply's newline are kept, not dropped. A byte the
-    provider sends beyond the one reply line per request means replies
-    no longer pair with requests, so the exchange fails with it. A reply
-    longer than `max_line` bytes fails as soon as it is, unread to its end.
+    Bytes read past a reply are kept, not dropped. A byte the provider
+    sends beyond the one reply per request means replies no longer pair
+    with requests, so the exchange fails with it. A header longer than
+    MAX_HEADER_BYTES fails as soon as it is, unread to its end, and one
+    whose "logits_bytes" is not an integer in [0, `max_frame`] fails
+    before any byte of its frame is read.
     """
 
-    def __init__(self, fd: int, recv, max_line: int):
+    def __init__(self, fd: int, recv, max_frame: int):
         self._fd = fd  # polled, without blocking, for bytes nobody asked for
         self._recv = recv  # the next chunk, b"" at end of stream
-        self._max_line = max_line
+        self._max_frame = max_frame
         self._buffer = bytearray()
 
-    def exchange(self, send, payload: dict) -> dict:
-        """Send `payload` as one line through `send`; parse the reply line."""
+    def exchange(self, send, request: dict) -> tuple[dict, bytearray]:
+        """Send `request` as one line through `send`; return the reply's
+        parsed header and its frame, empty for a header without one."""
         try:
             if not self._buffer and select.select([self._fd], [], [], 0)[0]:
                 self._buffer += self._recv()
             if self._buffer:
                 raise ProviderIOError(
                     f"provider sent {len(self._buffer)} bytes no request asked for")
-            send((json.dumps(payload) + "\n").encode("utf-8"))
-            while ((end := self._buffer.find(b"\n")) < 0
-                   and len(self._buffer) <= self._max_line):
-                chunk = self._recv()
-                if not chunk:
-                    raise ProviderIOError("provider closed its output")
-                self._buffer += chunk
+            send((json.dumps(request) + "\n").encode("utf-8"))
+            # the first newline ends the header: JSON escapes every other one
+            while ((end := self._buffer.find(b"\n", 0, MAX_HEADER_BYTES + 1)) < 0
+                   and len(self._buffer) <= MAX_HEADER_BYTES):
+                self._read()
+            if end < 0:
+                raise ProviderIOError(
+                    f"provider reply header is longer than {MAX_HEADER_BYTES} bytes")
+            header = _parse_line(bytes(self._buffer[:end + 1]))
+            size = header.get("logits_bytes", 0)
+            if type(size) is not int or not 0 <= size <= self._max_frame:
+                raise ProviderIOError(f"'logits_bytes' must be an integer in "
+                                      f"[0, {self._max_frame}], got {size!r:.200}")
+            del self._buffer[:end + 1]
+            while len(self._buffer) < size:
+                self._read()
         except OSError as exc:
             raise ProviderIOError(f"transport failure: {exc}") from exc
-        if not 0 <= end <= self._max_line:
-            raise ProviderIOError(f"provider reply is longer than {self._max_line} bytes")
-        if end + 1 < len(self._buffer):
-            raise ProviderIOError("provider sent more than one line for one request")
-        line = bytes(self._buffer)
-        self._buffer.clear()
-        return _parse_line(line)
+        if len(self._buffer) > size:
+            raise ProviderIOError("provider sent more than one reply for one request")
+        frame, self._buffer = self._buffer, bytearray()
+        return header, frame
+
+    def _read(self):
+        chunk = self._recv()
+        if not chunk:
+            raise ProviderIOError("provider closed its output")
+        self._buffer += chunk
 
 
 class _TcpTransport:
-    def __init__(self, host: str, port: int, timeout: float, max_line: int):
+    def __init__(self, host: str, port: int, timeout: float, max_frame: int):
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
         # recv waits at most `timeout`, then raises (the socket keeps it)
         self._lines = _LineChannel(self._sock.fileno(), lambda: self._sock.recv(65536),
-                                   max_line)
+                                   max_frame)
 
-    def round_trip(self, payload: dict) -> dict:
+    def round_trip(self, payload: dict) -> tuple[dict, bytearray]:
         return self._lines.exchange(self._sock.sendall, payload)
 
     def close(self):
@@ -137,14 +159,14 @@ class _TcpTransport:
 
 
 class _ProcTransport:
-    def __init__(self, command: list[str], timeout: float, max_line: int):
+    def __init__(self, command: list[str], timeout: float, max_frame: int):
         self._timeout = timeout
         try:
             self._proc = subprocess.Popen(command, stdin=subprocess.PIPE,
                                           stdout=subprocess.PIPE)
         except OSError as exc:
             raise ProviderIOError(f"cannot start {command!r}: {exc}") from exc
-        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv, max_line)
+        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv, max_frame)
 
     def _send(self, data: bytes):
         self._proc.stdin.write(data)
@@ -156,7 +178,7 @@ class _ProcTransport:
             raise ProviderIOError(f"provider timed out after {self._timeout}s")
         return os.read(fd, 65536)
 
-    def round_trip(self, payload: dict) -> dict:
+    def round_trip(self, payload: dict) -> tuple[dict, bytearray]:
         return self._lines.exchange(self._send, payload)
 
     def close(self):
@@ -177,19 +199,6 @@ def _parse_line(line: bytes) -> dict:
     if not isinstance(msg, dict):
         raise ProviderIOError(f"expected a JSON object, got {type(msg).__name__}")
     return msg
-
-
-def _decode_logits(value) -> np.ndarray:
-    """A step reply's base64 logits as a new float64 array."""
-    if not isinstance(value, str):
-        raise ProviderIOError(f"logits must be a base64 string, got {type(value).__name__}")
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error included
-        raise ProviderIOError(f"logits are not valid base64: {exc}") from exc
-    if len(raw) % 8:
-        raise ProviderIOError(f"base64 logits hold {len(raw)} bytes, not whole float64s")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def _is_token_id_list(value, size: int) -> bool:
@@ -221,7 +230,7 @@ class ExternalProvider:
         self._ahead = _ahead(0, 0)  # what the next request without a plan asks for
         self.round_trips = self.rows_received = self.rows_used = 0
         try:
-            reply = transport.round_trip(
+            reply, _ = transport.round_trip(
                 {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
                  "logits_encoding": LOGITS_ENCODING}
             )
@@ -267,33 +276,33 @@ class ExternalProvider:
             payload["follow"] = follow
         elif self._ahead and not on_plan:  # the end of a plan asks for one row
             payload["ahead"] = self._ahead
-        reply = self._transport.round_trip(payload)
+        header, frame = self._transport.round_trip(payload)
         self.round_trips += 1
-        rows, path = self._check_step_reply(reply, follow)
+        rows, path = self._check_step_reply(header, frame, follow)
         self._rows = {(utt, history + tuple(path[:i])): rows[i] for i in range(1, len(rows))}
         self._offered = len(path[len(follow):])
         self.rows_received += len(rows)
         return rows[0]
 
-    def _check_step_reply(self, reply: dict, follow: list):
+    def _check_step_reply(self, header: dict, frame: bytearray, follow: list):
         """The (rows, V) logits and the path of a step reply; a reply
         without "path" carries the one row for the request's history."""
-        if "logits" not in reply:
-            raise ProviderIOError(f"step reply carries no logits: {reply!r}")
-        logits = _decode_logits(reply["logits"])
+        if "logits_bytes" not in header:
+            raise ProviderIOError(f"step reply carries no logits: {header!r}")
         size = self.vocab.size
-        path = reply.get("path", [])
-        if "path" in reply:
+        path = header.get("path", [])
+        if "path" in header:
             if not _is_token_id_list(path, size):
                 raise ProviderIOError(f"path must be a list of token ids in [0, {size}), "
                                       f"got {path!r}")
             if path[:len(follow)] != follow:
                 raise ProviderIOError(
                     f"path {path!r} does not start with the follow {follow!r}")
-        if logits.ndim != 1 or logits.size != (len(path) + 1) * size:
+        if len(frame) != (len(path) + 1) * size * 8:
             raise ProviderIOError(
-                f"expected {len(path) + 1} x {size} logits, got shape {logits.shape}"
-            )
+                f"expected {len(path) + 1} x {size} logits, got {len(frame)} bytes")
+        # a view of the frame, which no one else holds: writable, no copy
+        logits = np.frombuffer(frame, dtype="<f8").astype(np.float64, copy=False)
         if not np.isfinite(logits).all():
             raise ProviderIOError("provider returned non-finite logits")
         return logits.reshape(len(path) + 1, size), path
@@ -326,14 +335,14 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
     """Connect to "host:port" or spawn an argv-list subprocess endpoint."""
     if not 0 < timeout < math.inf:
         raise ConfigurationError(f"timeout must be finite and > 0, got {timeout}")
-    max_line = max_reply_bytes(vocab.size)
+    max_frame = max_logits_bytes(vocab.size)
     if isinstance(endpoint, (list, tuple)):
-        transport = _ProcTransport([str(c) for c in endpoint], timeout, max_line)
+        transport = _ProcTransport([str(c) for c in endpoint], timeout, max_frame)
     else:
         host, _, port = str(endpoint).rpartition(":")
         if not host or not port.isdigit():
             raise ConfigurationError(f"endpoint must be host:port or argv list, got {endpoint!r}")
-        transport = _TcpTransport(host, int(port), timeout, max_line)
+        transport = _TcpTransport(host, int(port), timeout, max_frame)
     return ExternalProvider(transport, vocab)
 
 
@@ -359,51 +368,58 @@ def _lookahead(provider, history: tuple, follow: tuple, ahead: int,
     return rows, path
 
 
-def _encode_rows(rows) -> str:
-    """Rows of logits as one base64 string of little-endian float64s."""
-    return base64.b64encode(
-        b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)).decode("ascii")
+def _hello_reply(msg: dict, vocab: Vocabulary) -> dict:
+    if msg.get("vocab_size") != vocab.size:
+        return {"ok": False, "error": "vocab_size mismatch"}
+    if msg.get("vocab_hash") != vocab.content_hash():
+        return {"ok": False, "error": "vocab_hash mismatch"}
+    if msg.get("logits_encoding") != LOGITS_ENCODING:
+        return {"ok": False, "error": f"'logits_encoding' must be {LOGITS_ENCODING!r}, "
+                                      f"got {msg.get('logits_encoding')!r:.200}"}
+    return {"ok": True}
 
 
-def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext]) -> dict:
+def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
+                    greeted: bool) -> tuple[dict, bytes]:
+    """The reply to one request: its header and, for a step, its frame. A
+    bad request raises ValueError, whose message the error reply carries."""
     op = msg.get("op")
     if op == "hello":
-        if msg.get("vocab_size") != provider.vocab.size:
-            return {"ok": False, "error": "vocab_size mismatch"}
-        if msg.get("vocab_hash") != provider.vocab.content_hash():
-            return {"ok": False, "error": "vocab_hash mismatch"}
-        if msg.get("logits_encoding") != LOGITS_ENCODING:
-            return {"ok": False, "error": f"'logits_encoding' must be {LOGITS_ENCODING!r}, "
-                                          f"got {msg.get('logits_encoding')!r:.200}"}
-        return {"ok": True}
-    if op == "step":
-        ctx = contexts.get(msg.get("utt"))
-        if ctx is None:
-            return {"error": f"unknown utterance {msg.get('utt')!r}"}
-        history = _token_ids(msg, "history", provider.vocab.size)
-        if history[:1] != (Vocabulary.BOS,):
-            return {"error": f"'history' must start with BOS ({Vocabulary.BOS}), "
-                             f"got {list(history)!r:.200}"}
-        follow = _token_ids(msg, "follow", provider.vocab.size)
-        if len(follow) >= MAX_AHEAD:
-            return {"error": f"'follow' holds more than {MAX_AHEAD - 1} tokens"}
-        ahead = msg.get("ahead", 0)
-        if type(ahead) is not int or ahead < 0:
-            return {"error": f"'ahead' must be a non-negative integer, got {ahead!r}"}
-        rows, path = _lookahead(provider, history, follow, ahead, ctx)
-        reply = {"logits": _encode_rows(rows)}
-        if "follow" in msg or "ahead" in msg:  # a plain request gets a plain reply
-            reply["path"] = path
-        return reply
-    return {"error": f"unknown op {op!r}"}
+        return _hello_reply(msg, provider.vocab), b""
+    if not greeted:
+        raise ValueError(f"the first request must be a hello, got op {op!r:.200}")
+    if op != "step":
+        raise ValueError(f"unknown op {op!r:.200}")
+    ctx = contexts.get(msg.get("utt"))
+    if ctx is None:
+        raise ValueError(f"unknown utterance {msg.get('utt')!r:.200}")
+    history = _token_ids(msg, "history", provider.vocab.size)
+    if history[:1] != (Vocabulary.BOS,):
+        raise ValueError(f"'history' must start with BOS ({Vocabulary.BOS}), "
+                         f"got {list(history)!r:.200}")
+    follow = _token_ids(msg, "follow", provider.vocab.size)
+    if len(follow) >= MAX_AHEAD:
+        raise ValueError(f"'follow' holds more than {MAX_AHEAD - 1} tokens")
+    ahead = msg.get("ahead", 0)
+    if type(ahead) is not int or ahead < 0:
+        raise ValueError(f"'ahead' must be a non-negative integer, got {ahead!r:.200}")
+    rows, path = _lookahead(provider, history, follow, ahead, ctx)
+    frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)
+    header = {"logits_bytes": len(frame)}
+    if "follow" in msg or "ahead" in msg:  # a plain request gets a plain reply
+        header["path"] = path
+    return header, frame
 
 
 def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext]):
-    """Answer each request line of `reader` through `write`.
+    """Answer each request line of `reader` through `write`, one call per
+    reply: split writes of a header and its frame invite delayed-ACK stalls.
 
-    Stops at EOF, after a refused handshake, and after an over-long
-    request line, which gets an error reply.
+    Stops at EOF, after the reply to a first request that is not an
+    accepted hello, after a refused hello, and after an over-long request
+    line, which gets an error reply.
     """
+    greeted = False
     while line := reader.readline(MAX_REQUEST_BYTES + 1):
         if len(line) > MAX_REQUEST_BYTES:
             write((json.dumps({"error": f"request line longer than {MAX_REQUEST_BYTES} bytes"})
@@ -412,11 +428,12 @@ def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext])
         if not line.strip():
             continue
         try:
-            reply = _handle_request(_parse_line(line), provider, contexts)
+            reply, frame = _handle_request(_parse_line(line), provider, contexts, greeted)
         except Exception as exc:  # a bad request must not stop the server
-            reply = {"error": str(exc)}
-        write((json.dumps(reply) + "\n").encode("utf-8"))
-        if reply.get("ok") is False:
+            reply, frame = {"error": str(exc)}, b""
+        write((json.dumps(reply) + "\n").encode("utf-8") + frame)
+        greeted = greeted or reply.get("ok") is True
+        if not greeted or reply.get("ok") is False:
             return
 
 

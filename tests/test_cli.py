@@ -232,6 +232,7 @@ def which_llm_args(command):
 
 COMMAND_ARGS = {
     "decode": lambda ws, out: decode_args(ws, "static", out),
+    "decode-uadf": lambda ws, out: decode_args(ws, "uadf", out),
     "decode-endpoint": lambda ws, out: decode_args(
         ws, "llm", out, **{"llm-endpoint": "127.0.0.1:9"}),
     "sweep": sweep_args,
@@ -256,6 +257,11 @@ NON_FINITE = [
     ("decode-endpoint", "--timeout", "-1", "timeout"),
     ("decode-endpoint", "--timeout", "0", "timeout"),
     ("decode-endpoint", "--timeout", "inf", "timeout"),
+    # options the command ignores: no check of their own runs
+    ("decode-uadf", "--w-asr", "nan", "--w-asr"),
+    ("decode-uadf", "--w-llm", "inf", "--w-llm"),
+    ("decode", "--timeout", "inf", "--timeout"),
+    ("sweep", "--beta-values", "0,nan", "--beta-values"),
 ]
 
 
@@ -269,7 +275,16 @@ class TestNonFiniteValues:
         out = tmp_path / "out"
         assert run(*COMMAND_ARGS[command](workspace, out), flag, value) == 2
         assert named in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and not list(tmp_path.glob("*.config.json"))
+
+    def test_resolved_config_is_strict_json(self, workspace, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert run(*decode_args(workspace, "uadf", tmp_path / "out")) == 0
+        resolved = json.loads((tmp_path / "decode-uadf.config.json").read_text(),
+                              parse_constant=refuse)
+        assert resolved["w_asr"] == 0.25 and resolved["timeout"] == 5.0
 
 
 class TestScore:

@@ -1,4 +1,4 @@
-import base64
+import contextlib
 import gc
 import hashlib
 import inspect
@@ -23,14 +23,35 @@ from latefuse.decoding import evaluation_max_len, fused_greedy_decode, greedy_de
 from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.fusion import FusionConfig
 from latefuse.providers import UtteranceContext, train_ngram_corrector
-from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
-                           ProviderServer, _decode_logits, _LineChannel, connect_external,
-                           max_reply_bytes, stdio_serve)
+from latefuse.wire import (LOGITS_ENCODING, MAX_HEADER_BYTES, MAX_REQUEST_BYTES,
+                           ExternalProvider, ProviderServer, _LineChannel, connect_external,
+                           max_logits_bytes, stdio_serve)
+
+
+def frame(logits, **header):
+    """A step reply: a header line announcing `logits` as little-endian
+    float64s, unless `header` sets another "logits_bytes", then those bytes."""
+    raw = np.asarray(logits, dtype="<f8").tobytes()
+    return (json.dumps({"logits_bytes": len(raw), **header}) + "\n").encode() + raw
+
+
+def read_replies(data):
+    """(header, logits) of each reply in a server's output; logits is None
+    for a header line without a frame."""
+    replies = []
+    while data:
+        line, _, data = data.partition(b"\n")
+        header = json.loads(line)
+        size = header.get("logits_bytes")
+        replies.append((header, None if size is None else np.frombuffer(data[:size], "<f8")))
+        data = data[size or 0:]
+    return replies
 
 
 class LineServer:
-    """Raw scripted TCP server for protocol-violation tests; a reply that is
-    a list is sent as that many lines in one write."""
+    """Raw scripted TCP server for protocol-violation tests. A reply is a
+    dict, sent as a JSON line, bytes, sent as they are, or a list of these,
+    sent in one write; None, alone or ending the list, hangs up."""
 
     def __init__(self, reply_fn):
         self.reply_fn = reply_fn
@@ -50,10 +71,11 @@ class LineServer:
         with conn, conn.makefile("rb") as reader:
             for line in reader:
                 reply = self.reply_fn(json.loads(line))
-                if reply is None:
-                    return
                 replies = reply if isinstance(reply, list) else [reply]
-                conn.sendall("".join(json.dumps(r) + "\n" for r in replies).encode())
+                conn.sendall(b"".join(r if isinstance(r, bytes) else (json.dumps(r) + "\n").encode()
+                                      for r in replies if r is not None))
+                if None in replies:
+                    return
 
     def close(self):
         self.sock.close()
@@ -65,8 +87,8 @@ def one_hot(index, size):
 
 def assert_steps_stay_paired(provider, ctx):
     """The provider answers history h with argmax 3 + len(h), then sends one
-    unsolicited line (argmax 3). Every reply read must be the one asked
-    for, and the stray line must end the exchange as a ProviderIOError."""
+    unsolicited reply (argmax 3). Every reply read must be the one asked
+    for, and the stray reply must end the exchange as a ProviderIOError."""
     with pytest.raises(ProviderIOError):
         for history in ((0,), (0, 4), (0, 4, 5)):
             assert int(np.argmax(provider.next_logits(history, ctx))) == 3 + len(history)
@@ -81,8 +103,8 @@ def scripted(replies_by_op):
 
 class TestExternalProvider:
     def test_echo_server_fixed_logits(self, abc_vocab, empty_ctx):
-        fixed = b64_logits([1.0] + [0.0] * (abc_vocab.size - 1))
-        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": fixed}}))
+        fixed = frame([1.0] + [0.0] * (abc_vocab.size - 1))
+        server = LineServer(scripted({"hello": {"ok": True}, "step": fixed}))
         provider = connect_external(server.address, abc_vocab, timeout=2.0)
         try:
             for history in ((0,), (0, 3), (0, 3, 4)):
@@ -93,8 +115,8 @@ class TestExternalProvider:
             server.close()
 
     def test_short_logits_vector_is_protocol_error(self, abc_vocab, empty_ctx):
-        short = b64_logits([0.0] * (abc_vocab.size - 1))
-        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": short}}))
+        short = frame([0.0] * (abc_vocab.size - 1))
+        server = LineServer(scripted({"hello": {"ok": True}, "step": short}))
         provider = connect_external(server.address, abc_vocab, timeout=2.0)
         try:
             with pytest.raises(ProviderIOError):
@@ -124,9 +146,8 @@ class TestExternalProvider:
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
         server = LineServer(scripted({
             "hello": {"ok": True},
-            "step": lambda msg: [{"logits": b64_logits(one_hot(3 + len(msg["history"]),
-                                                               vocab.size))},
-                                 {"logits": b64_logits(one_hot(3, vocab.size))}],
+            "step": lambda msg: [frame(one_hot(3 + len(msg["history"]), vocab.size)),
+                                 frame(one_hot(3, vocab.size))],
         }))
         provider = connect_external(server.address, vocab, timeout=2.0)
         try:
@@ -205,19 +226,28 @@ class TestProviderServer:
                 remote.close()
 
 
+def scripted_stdio(step, hang_up=False, **names):
+    """argv of a subprocess that accepts a hello and answers each step with
+    the bytes of the expression `step`, evaluated with the request as
+    `msg` and `names` in scope; with `hang_up`, it exits after that reply."""
+    return [sys.executable, "-c", "\n".join([
+        "import json, sys",
+        *(f"{name} = {value!r}" for name, value in names.items()),
+        "out = sys.stdout.buffer",
+        "for line in sys.stdin.buffer:",
+        "    msg = json.loads(line)",
+        "    hello = msg['op'] == 'hello'",
+        f"    out.write(b'{{\"ok\": true}}\\n' if hello else {step})",
+        "    out.flush()",
+        f"    if {hang_up} and not hello:",
+        "        break",
+    ])]
+
+
 class TestSubprocessEndpoint:
     def test_subprocess_echo(self, abc_vocab, empty_ctx):
-        script = (
-            "import json,sys\n"
-            "for line in sys.stdin:\n"
-            "    msg = json.loads(line)\n"
-            "    if msg['op'] == 'hello':\n"
-            "        print(json.dumps({'ok': True}), flush=True)\n"
-            "    else:\n"
-            f"        print(json.dumps({{'logits': {b64_logits(one_hot(0, abc_vocab.size))!r}}}),"
-            " flush=True)\n"
-        )
-        provider = connect_external([sys.executable, "-c", script], abc_vocab, timeout=5.0)
+        script = scripted_stdio("reply", reply=frame(one_hot(0, abc_vocab.size)))
+        provider = connect_external(script, abc_vocab, timeout=5.0)
         try:
             logits = provider.next_logits((0,), empty_ctx)
             assert int(np.argmax(logits)) == 0
@@ -226,20 +256,9 @@ class TestSubprocessEndpoint:
 
     def test_unsolicited_line_is_provider_io_error(self, empty_ctx):
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
-        script = (
-            "import json,sys\n"
-            f"hot = {[b64_logits(one_hot(i, vocab.size)) for i in range(vocab.size)]!r}\n"
-            "for line in sys.stdin:\n"
-            "    msg = json.loads(line)\n"
-            "    if msg['op'] == 'hello':\n"
-            "        print(json.dumps({'ok': True}), flush=True)\n"
-            "    else:\n"
-            "        reply = json.dumps({'logits': hot[3 + len(msg['history'])]})\n"
-            "        stray = json.dumps({'logits': hot[3]})\n"
-            "        sys.stdout.write(reply + '\\n' + stray + '\\n')\n"
-            "        sys.stdout.flush()\n"
-        )
-        provider = connect_external([sys.executable, "-c", script], vocab, timeout=5.0)
+        script = scripted_stdio("hot[3 + len(msg['history'])] + hot[3]",
+                                hot=[frame(one_hot(i, vocab.size)) for i in range(vocab.size)])
+        provider = connect_external(script, vocab, timeout=5.0)
         try:
             assert_steps_stay_paired(provider, empty_ctx)
         finally:
@@ -259,9 +278,10 @@ class TestStdioServe:
         stdin = io.BytesIO((hello + "\n" + step + "\n").encode())
         stdout = io.BytesIO()
         stdio_serve(provider, {"u0": ctx}, stdin=stdin, stdout=stdout)
-        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert replies[0] == {"ok": True}
-        assert _decode_logits(replies[1]["logits"]).tolist() == list(range(abc_vocab.size))
+        (hello, no_frame), (step, logits) = read_replies(stdout.getvalue())
+        assert hello == {"ok": True} and no_frame is None
+        assert step == {"logits_bytes": 8 * abc_vocab.size}
+        assert logits.tolist() == list(range(abc_vocab.size))
 
 
 class HashProvider:
@@ -298,10 +318,6 @@ def stdio_endpoint(vocab):
     ])]
 
 
-def b64_logits(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
 def assert_serves_like_in_process(remote, local):
     for ctx in HASH_CONTEXTS.values():
         assert greedy_decode(remote, ctx, max_len=8).tokens == \
@@ -313,9 +329,9 @@ def assert_serves_like_in_process(remote, local):
 
 
 class TestLogitsEncoding:
-    @pytest.mark.parametrize("encoding", [LOGITS_ENCODING, None, "base85"])
-    def test_hello_must_ask_for_base64_logits(self, abc_vocab, encoding):
-        """A hello without the base64 encoding is refused and ends the session."""
+    @pytest.mark.parametrize("encoding", [LOGITS_ENCODING, None, "base64-f64le"])
+    def test_hello_must_ask_for_frames(self, abc_vocab, encoding):
+        """A hello without the frame encoding is refused and ends the session."""
         provider = HashProvider(abc_vocab)
         hello = {"op": "hello", "vocab_size": abc_vocab.size,
                  "vocab_hash": abc_vocab.content_hash()}
@@ -325,15 +341,15 @@ class TestLogitsEncoding:
         stdin = io.BytesIO("".join(json.dumps(m) + "\n" for m in (hello, step, step)).encode())
         stdout = io.BytesIO()
         stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
-        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        replies = read_replies(stdout.getvalue())
         if encoding == LOGITS_ENCODING:
-            assert replies[0] == {"ok": True} and len(replies) == 3
+            assert replies[0] == ({"ok": True}, None) and len(replies) == 3
             expected = provider.next_logits((0, 3), HASH_CONTEXTS["u0"])
-            for reply in replies[1:]:
-                assert _decode_logits(reply["logits"]).tobytes() == expected.tobytes()
+            for _, logits in replies[1:]:
+                assert logits.tobytes() == expected.tobytes()
         else:
-            assert len(replies) == 1 and replies[0]["ok"] is False
-            assert "'logits_encoding'" in replies[0]["error"]
+            (reply, _), = replies
+            assert reply["ok"] is False and "'logits_encoding'" in reply["error"]
 
     def test_tcp_is_bit_identical_to_in_process(self, abc_vocab):
         local = HashProvider(abc_vocab)
@@ -345,49 +361,95 @@ class TestLogitsEncoding:
         with connect_external(stdio_endpoint(abc_vocab), abc_vocab, timeout=10.0) as remote:
             assert_serves_like_in_process(remote, HashProvider(abc_vocab))
 
-    @pytest.mark.parametrize("logits", [
-        "not base64!",
-        b64_logits([0.0] * 6)[:-4],                      # cut inside the padding
-        base64.b64encode(bytes(6 * 8 - 3)).decode(),     # not whole float64s
-        b64_logits([0.0] * 5),
-        b64_logits([0.0] * 7),
-        b64_logits([0.0] * 5 + [np.nan]),
-        b64_logits([0.0] * 5 + [np.inf]),
-        b64_logits([-np.inf] + [0.0] * 5),
-        [0.0] * 5 + [None],
-        ["x"] * 6,
-        ["1.5", "0", "0", "0", "0", "0"],
-        [True, False, 0.5, 0.25, 0.0, 0.0],
-        [[0.0]] * 5 + [[0.0, 1.0]],
-        7.0,
-        None,
-        {"values": [0.0] * 6},
-        True,
-    ], ids=lambda v: repr(v)[:24])
-    def test_bad_logits_are_provider_io_errors(self, abc_vocab, empty_ctx, logits):
-        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": logits}}))
-        try:
-            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                with pytest.raises(ProviderIOError):
-                    remote.next_logits((0,), empty_ctx)
-        finally:
-            server.close()
 
-    @pytest.mark.parametrize("logits", [
-        b64_logits([0.0] * 2), "%%%%", 7.0, b64_logits([np.nan] * 6)])
-    def test_decode_against_a_bad_server_exits_4(self, abc_vocab, tmp_path, logits):
-        abc_vocab.save(tmp_path / "vocab.txt")
-        (tmp_path / "test.jsonl").write_text(json.dumps(
-            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
-        server = LineServer(scripted({"hello": {"ok": True}, "step": {"logits": logits}}))
-        try:
-            assert cli.main([
-                "decode", "--corpus", str(tmp_path / "test.jsonl"),
-                "--vocab", str(tmp_path / "vocab.txt"), "--mode", "llm",
-                "--llm-endpoint", server.address, "--timeout", "2",
-                "--out", str(tmp_path / "hyp.jsonl")]) == 4
-        finally:
-            server.close()
+def header_line(**fields):
+    return (json.dumps(fields) + "\n").encode()
+
+
+ZEROS = [0.0] * 6  # a row of logits of the 6-token `abc_vocab`
+
+# (id, step reply, whether the provider hangs up after it, the error it gives)
+BAD_FRAMES = [
+    ("frame-cut-then-eof", frame(ZEROS)[:-4], True, "closed its output"),
+    ("header-then-eof", frame(ZEROS)[:-48], True, "closed its output"),
+    # refused before a frame byte is read: none is sent, and none is awaited
+    ("size-bool", header_line(logits_bytes=True), False, "'logits_bytes'"),
+    ("size-negative", header_line(logits_bytes=-8), False, "'logits_bytes'"),
+    ("size-float", header_line(logits_bytes=48.0), False, "'logits_bytes'"),
+    ("size-string", header_line(logits_bytes="48"), False, "'logits_bytes'"),
+    ("size-null", header_line(logits_bytes=None), False, "'logits_bytes'"),
+    ("size-list", header_line(logits_bytes=[48]), False, "'logits_bytes'"),
+    ("size-over-cap", header_line(logits_bytes=max_logits_bytes(6) + 8), False,
+     "'logits_bytes'"),
+    ("5-logits", frame(ZEROS[:5]), False, "expected 1 x 6"),
+    ("7-logits", frame(ZEROS + [0.0]), False, "expected 1 x 6"),
+    ("not-whole-float64s", frame(ZEROS, logits_bytes=45)[:-3], False, "expected 1 x 6"),
+    ("2-rows-without-path", frame(ZEROS * 2), False, "expected 1 x 6"),
+    ("trailing-newline", frame(ZEROS) + b"\n", False, "more than one reply|no request"),
+    ("trailing-frame", frame(ZEROS) * 2, False, "more than one reply|no request"),
+    ("nan", frame(ZEROS[:5] + [np.nan]), False, "non-finite"),
+    ("inf", frame(ZEROS[:5] + [np.inf]), False, "non-finite"),
+    ("-inf", frame([-np.inf] + ZEROS[:5]), False, "non-finite"),
+    ("header-over-cap", frame(ZEROS, pad="x" * MAX_HEADER_BYTES), False, "longer than"),
+    ("header-never-ends", b'{"pad": "' + b"x" * (2 * MAX_HEADER_BYTES), False, "longer than"),
+    ("list-form-logits", header_line(logits=ZEROS), False, "carries no logits"),
+    ("base64-logits", header_line(logits="AAAAAAAAAAA="), False, "carries no logits"),
+    ("error-reply", header_line(error="boom"), False, "carries no logits"),
+]
+
+
+@contextlib.contextmanager
+def scripted_endpoint(transport, reply, hang_up=False):
+    """An endpoint, over TCP or a stdio subprocess, that accepts a hello and
+    answers each step with the bytes `reply`."""
+    if transport == "stdio":
+        yield scripted_stdio("reply", hang_up, reply=reply)
+        return
+    server = LineServer(scripted({"hello": {"ok": True},
+                                  "step": [reply, None] if hang_up else reply}))
+    try:
+        yield server.address
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("transport", ["tcp", "stdio"])
+class TestFrames:
+    @pytest.mark.parametrize("reply, hang_up, error", [case[1:] for case in BAD_FRAMES],
+                             ids=[case[0] for case in BAD_FRAMES])
+    def test_bad_frame_is_provider_io_error(self, abc_vocab, empty_ctx, transport, reply,
+                                            hang_up, error):
+        with scripted_endpoint(transport, reply, hang_up) as endpoint, \
+                connect_external(endpoint, abc_vocab, timeout=5.0) as remote:
+            with pytest.raises(ProviderIOError, match=error):
+                for history in ((0,), (0, 3)):  # stray bytes fail the next exchange
+                    remote.next_logits(history, empty_ctx)
+
+    def test_frame_of_newline_bytes_is_read_whole(self, abc_vocab, empty_ctx, transport):
+        """0x0A ends the header line, but not a frame that is full of it."""
+        newlines = b"\n" * (2 * 8 * abc_vocab.size)
+        reply = header_line(logits_bytes=len(newlines), path=[3]) + newlines
+        with scripted_endpoint(transport, reply) as endpoint, \
+                connect_external(endpoint, abc_vocab, timeout=5.0) as remote:
+            for history in ((0,), (0, 3), (0,)):
+                assert remote.next_logits(history, empty_ctx).tobytes() == newlines[:48]
+            assert (remote.round_trips, remote.rows_used, remote.rows_received) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("reply", [case[1] for case in BAD_FRAMES if not case[2]]
+                         + [frame(ZEROS[:2]), frame([np.nan] * 6)],
+                         ids=[case[0] for case in BAD_FRAMES if not case[2]]
+                         + ["2-logits", "all-nan"])
+def test_decode_against_a_bad_server_exits_4(abc_vocab, tmp_path, reply):
+    abc_vocab.save(tmp_path / "vocab.txt")
+    (tmp_path / "test.jsonl").write_text(json.dumps(
+        {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+    with scripted_endpoint("tcp", reply) as endpoint:
+        assert cli.main([
+            "decode", "--corpus", str(tmp_path / "test.jsonl"),
+            "--vocab", str(tmp_path / "vocab.txt"), "--mode", "llm",
+            "--llm-endpoint", endpoint, "--timeout", "2",
+            "--out", str(tmp_path / "hyp.jsonl")]) == 4
 
 
 def random_sizes(rng, total):
@@ -406,11 +468,11 @@ class TestLineChannel:
     every chunk the channel receives."""
 
     @staticmethod
-    def exchanges(replies, sizes, max_line=1 << 20):
+    def exchanges(replies, sizes, max_frame=1 << 20):
         client, peer = socket.socketpair()
         replies, sizes = iter(replies), iter(sizes)
         channel = _LineChannel(client.fileno(), lambda: client.recv(next(sizes, 65536)),
-                               max_line)
+                               max_frame)
         try:
             while True:
                 yield channel.exchange(lambda data: peer.sendall(next(replies, b"")),
@@ -420,46 +482,46 @@ class TestLineChannel:
             peer.close()
 
     @staticmethod
-    def reply_lines(seed):
-        """A one-row reply and a lookahead reply of 3 rows."""
+    def reply_frames(seed):
+        """A one-row reply and a lookahead reply of 3 rows, the first of
+        them as 0x0A bytes, as (bytes, header, logits)."""
         logits = np.random.default_rng(seed).normal(scale=10.0, size=600)
-        return [(json.dumps(reply) + "\n").encode()
-                for reply in ({"logits": b64_logits(logits[:200])},
-                              {"logits": b64_logits(logits), "path": [5, 7]})]
+        logits[:200] = np.frombuffer(b"\n" * 1600, "<f8")
+        return [(frame(rows, **header), {"logits_bytes": 8 * len(rows), **header}, rows)
+                for rows, header in ((logits[:200], {}), (logits, {"path": [5, 7]}))]
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_split_reply_parses_like_the_whole_line(self, seed):
+    def test_split_reply_parses_like_the_whole_frame(self, seed):
         rng = random.Random(seed)
-        for line in self.reply_lines(seed):
-            sizes = random_sizes(rng, len(line))
-            reply = next(self.exchanges([line], sizes))
-            assert reply == json.loads(line)
-            assert _decode_logits(reply["logits"]).tobytes() == \
-                _decode_logits(json.loads(line)["logits"]).tobytes()
+        for data, header, logits in self.reply_frames(seed):
+            sizes = random_sizes(rng, len(data))
+            got_header, got_frame = next(self.exchanges([data], sizes))
+            assert got_header == header
+            assert bytes(got_frame) == logits.tobytes()
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_any_byte_after_the_newline_is_provider_io_error(self, seed):
+    def test_any_byte_after_the_frame_is_provider_io_error(self, seed):
         rng = random.Random(seed)
-        for line in self.reply_lines(seed):
-            extra = rng.choice([b"\n", b" ", b"{", line, rng.randbytes(rng.randint(1, 300))])
-            sizes = random_sizes(rng, len(line) + len(extra))
+        for data, _, _ in self.reply_frames(seed):
+            extra = rng.choice([b"\n", b" ", b"{", data, rng.randbytes(rng.randint(1, 300))])
+            sizes = random_sizes(rng, len(data) + len(extra))
             with pytest.raises(ProviderIOError):
-                for _ in zip(range(2), self.exchanges([line + extra], sizes)):
+                for _ in zip(range(2), self.exchanges([data + extra], sizes)):
                     pass  # the stray bytes fail this exchange or the next one
 
-    @pytest.mark.parametrize("length, ok", [(1000, True), (1001, False)])
-    def test_reply_line_cap(self, length, ok):
+    @pytest.mark.parametrize("length, ok", [(MAX_HEADER_BYTES, True),
+                                            (MAX_HEADER_BYTES + 1, False)])
+    def test_header_line_cap(self, length, ok):
         line = b'{"p": "' + b"a" * (length - 9) + b'"}'
         assert len(line) == length
-        replies = self.exchanges([line + b"\n"], random_sizes(random.Random(length), length),
-                                 max_line=1000)
+        replies = self.exchanges([line + b"\n"], random_sizes(random.Random(length), length))
         if ok:
-            assert next(replies) == {"p": "a" * (length - 9)}
+            assert next(replies) == ({"p": "a" * (length - 9)}, bytearray())
         else:
-            with pytest.raises(ProviderIOError, match="longer than 1000 bytes"):
+            with pytest.raises(ProviderIOError, match=f"longer than {MAX_HEADER_BYTES} bytes"):
                 next(replies)
 
-    def test_endless_reply_fails_without_reading_it_all(self):
+    def test_endless_header_fails_without_reading_it_all(self):
         client, peer = socket.socketpair()
         chunks = []
 
@@ -468,29 +530,46 @@ class TestLineChannel:
             return chunks[-1]
 
         try:
-            channel = _LineChannel(client.fileno(), recv, max_line=1000)
-            with pytest.raises(ProviderIOError, match="longer than 1000 bytes"):
+            channel = _LineChannel(client.fileno(), recv, max_frame=1000)
+            with pytest.raises(ProviderIOError, match=f"longer than {MAX_HEADER_BYTES} bytes"):
                 channel.exchange(lambda data: None, {"op": "step"})
         finally:
             client.close()
             peer.close()
-        assert len(chunks) == 11
+        assert len(chunks) == MAX_HEADER_BYTES // 100 + 1
+
+    @pytest.mark.parametrize("size, ok", [(1000, True), (1001, False), (-1, False),
+                                          (True, False), (8.0, False)])
+    def test_frame_size_is_checked_before_the_frame_is_read(self, size, ok):
+        """The header comes in one chunk; each later chunk is one frame byte."""
+        client, peer = socket.socketpair()
+        chunks = [header_line(logits_bytes=size)]
+
+        def recv():
+            chunks.append(b"\n")
+            return chunks[-2]
+
+        try:
+            channel = _LineChannel(client.fileno(), recv, max_frame=1000)
+            if ok:
+                assert channel.exchange(lambda data: None, {"op": "step"}) == \
+                    ({"logits_bytes": size}, bytearray(b"\n" * size))
+            else:
+                with pytest.raises(ProviderIOError, match="'logits_bytes' must be an integer "
+                                                          r"in \[0, 1000\]"):
+                    channel.exchange(lambda data: None, {"op": "step"})
+        finally:
+            client.close()
+            peer.close()
+        assert len(chunks) == (1 + size + 1 if ok else 2)
 
     @pytest.mark.parametrize("vocab_size", [3, 200, 50_000])
-    def test_reply_cap_fits_the_longest_valid_replies(self, vocab_size):
-        longest = np.full(vocab_size, -2.2250738585072014e-308)
-        assert len(json.dumps({"logits": b64_logits(longest)})) <= max_reply_bytes(vocab_size)
-
-    def test_over_long_reply_from_a_provider_is_provider_io_error(self, abc_vocab, empty_ctx):
-        huge = {"logits": b64_logits([0.0] * abc_vocab.size),
-                "pad": "x" * max_reply_bytes(abc_vocab.size)}
-        server = LineServer(scripted({"hello": {"ok": True}, "step": huge}))
-        try:
-            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                with pytest.raises(ProviderIOError, match="longer than"):
-                    remote.next_logits((0,), empty_ctx)
-        finally:
-            server.close()
+    def test_caps_fit_the_longest_valid_replies(self, vocab_size):
+        rows = np.full((wire.MAX_AHEAD, vocab_size), -2.2250738585072014e-308)
+        data = frame(rows, path=[vocab_size - 1] * (wire.MAX_AHEAD - 1))
+        header, _, logits = data.partition(b"\n")
+        assert len(header) <= MAX_HEADER_BYTES
+        assert len(logits) == max_logits_bytes(vocab_size)
 
 
 def step_line(length):
@@ -502,12 +581,13 @@ def step_line(length):
 class TestRequestLineCap:
     def test_over_long_request_ends_the_stdio_session(self, abc_vocab):
         provider = HashProvider(abc_vocab)
-        stdin = io.BytesIO(step_line(MAX_REQUEST_BYTES) + step_line(MAX_REQUEST_BYTES + 1)
+        stdin = io.BytesIO((json.dumps(hello_request(abc_vocab)) + "\n").encode()
+                           + step_line(MAX_REQUEST_BYTES) + step_line(MAX_REQUEST_BYTES + 1)
                            + step_line(100))
         stdout = io.BytesIO()
         stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
-        first, second = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert _decode_logits(first["logits"]).size == abc_vocab.size  # a line at the cap is served
+        _, (_, first), (second, _) = read_replies(stdout.getvalue())
+        assert first.size == abc_vocab.size  # a line at the cap is served
         assert second == {"error": f"request line longer than {MAX_REQUEST_BYTES} bytes"}
 
     def test_over_long_request_closes_the_connection(self, abc_vocab):
@@ -588,7 +668,7 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     class RecordingTransport:
         def round_trip(self, payload):
             sent.append(payload)
-            return {"ok": True, "logits": b64_logits([0.0] * abc_vocab.size)}
+            return {"ok": True, "logits_bytes": 8 * abc_vocab.size}, bytearray(8 * abc_vocab.size)
 
         def close(self):
             pass
@@ -598,17 +678,22 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
         {p["op"]: set(p) for p in sent}
     hello = next(m for direction, m in messages if m.get("op") == "hello")
     assert hello["logits_encoding"] == LOGITS_ENCODING
-    assert {type(m["logits"]) for direction, m in messages if "logits" in m} == {str}
+    replies = [m for direction, m in messages if direction == "<-" and "ok" not in m]
+    assert replies and all(type(m["logits_bytes"]) is int for m in replies)
+
+
+def hello_request(vocab):
+    return {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
+            "logits_encoding": LOGITS_ENCODING}
 
 
 def served_steps(vocab, steps, hello=True):
-    """The replies of `stdio_serve` (HashProvider, base64 hello) to `steps`."""
-    head = [{"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
-             "logits_encoding": LOGITS_ENCODING}] if hello else []
+    """The (header, logits) replies of `stdio_serve` (HashProvider) to `steps`."""
+    head = [hello_request(vocab)] if hello else []
     stdin = io.BytesIO("".join(json.dumps(m) + "\n" for m in head + steps).encode())
     stdout = io.BytesIO()
     stdio_serve(HashProvider(vocab), HASH_CONTEXTS, stdin=stdin, stdout=stdout)
-    return [json.loads(line) for line in stdout.getvalue().splitlines()][len(head):]
+    return read_replies(stdout.getvalue())[len(head):]
 
 
 class TestServerChecksRequests:
@@ -620,23 +705,37 @@ class TestServerChecksRequests:
     def test_malformed_ids_get_an_error_naming_the_field(self, abc_vocab, field, ids):
         bad = {"op": "step", "utt": "u0", "history": [0], field: ids}
         good = {"op": "step", "utt": "u0", "history": [0, 3]}
-        for hello in (True, False):
-            error, served = served_steps(abc_vocab, [bad, good], hello=hello)
-            assert set(error) == {"error"} and repr(field) in error["error"]
-            assert "logits" in served  # the server keeps serving
+        (error, _), (_, served) = served_steps(abc_vocab, [bad, good])
+        assert set(error) == {"error"} and repr(field) in error["error"]
+        assert served.size == abc_vocab.size  # the server keeps serving
+        # without a hello, the first request gets an error and ends the session
+        (error, logits), = served_steps(abc_vocab, [bad, good], hello=False)
+        assert error == {"error": "the first request must be a hello, got op 'step'"}
+        assert logits is None
 
     @pytest.mark.parametrize("ahead", [-1, True, 1.5, "3", None, [2]], ids=repr)
     def test_malformed_ahead_gets_an_error_naming_it(self, abc_vocab, ahead):
-        error, = served_steps(abc_vocab, [
+        (error, _), = served_steps(abc_vocab, [
             {"op": "step", "utt": "u0", "history": [0], "ahead": ahead}])
         assert set(error) == {"error"} and "'ahead'" in error["error"]
 
     def test_follow_longer_than_the_row_cap_is_an_error(self, abc_vocab):
-        at_cap, over = served_steps(abc_vocab, [
+        (at_cap, _), (over, _) = served_steps(abc_vocab, [
             {"op": "step", "utt": "u0", "history": [0], "follow": [3] * n}
             for n in (wire.MAX_AHEAD - 1, wire.MAX_AHEAD)])
         assert at_cap["path"] == [3] * (wire.MAX_AHEAD - 1)
         assert set(over) == {"error"} and "'follow'" in over["error"]
+
+    @pytest.mark.parametrize("first", [b'{"op": "step", "utt": "u0", "history": [0]}\n',
+                                       b'{"op": "bye"}\n', b"[]\n", b"{\n"], ids=repr)
+    def test_a_first_request_other_than_a_hello_ends_the_connection(self, abc_vocab, first):
+        with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
+            host, _, port = server.address.rpartition(":")
+            with socket.create_connection((host, int(port)), timeout=5.0) as sock, \
+                    sock.makefile("rb") as reader:
+                sock.sendall(first + (json.dumps(hello_request(abc_vocab)) + "\n").encode())
+                assert set(json.loads(reader.readline())) == {"error"}
+                assert reader.read() == b""  # the hello after it is not served
 
     def test_client_sending_a_bad_id_gets_provider_io_error(self, abc_vocab):
         with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
@@ -652,19 +751,19 @@ class TestServerChecksRequests:
             {"op": "step", "utt": "u1", "history": [0, 4], "ahead": 500},
             {"op": "step", "utt": "u1", "history": [0, 4], "follow": [1], "ahead": 2},
         ])
-        assert set(plain) == {"logits"}
-        assert followed["path"] == [5, 3, 3]
+        assert set(plain[0]) == {"logits_bytes"}
+        assert followed[0]["path"] == [5, 3, 3]
         history, argmax_path = (0, 4), []
         while len(argmax_path) < wire.MAX_AHEAD - 1:
             tok = int(np.argmax(provider.next_logits(history + tuple(argmax_path), ctx)))
             if tok == Vocabulary.EOS:
                 break
             argmax_path.append(tok)
-        assert ahead["path"] == argmax_path
-        assert both["path"][0] == 1 and len(both["path"]) <= 3
-        for reply in (plain, followed, ahead, both):
-            path = reply.get("path", [])
-            rows = _decode_logits(reply["logits"]).reshape(-1, abc_vocab.size)
+        assert ahead[0]["path"] == argmax_path
+        assert both[0]["path"][0] == 1 and len(both[0]["path"]) <= 3
+        for header, logits in (plain, followed, ahead, both):
+            path = header.get("path", [])
+            rows = logits.reshape(-1, abc_vocab.size)
             assert len(rows) == len(path) + 1
             for i, row in enumerate(rows):
                 assert row.tobytes() == provider.next_logits(
@@ -672,16 +771,16 @@ class TestServerChecksRequests:
 
     @pytest.mark.parametrize("history", [[], [3], [3, 0]], ids=repr)
     def test_history_must_start_with_bos(self, abc_vocab, history):
-        error, served = served_steps(abc_vocab, [
+        (error, _), (_, served) = served_steps(abc_vocab, [
             {"op": "step", "utt": "u0", "history": history},
             {"op": "step", "utt": "u0", "history": [0, 3]}])
         assert set(error) == {"error"} and "'history'" in error["error"]
-        assert "logits" in served  # the server keeps serving
+        assert served.size == abc_vocab.size  # the server keeps serving
 
 
 def rows_reply(n_rows, path):
-    """A base64 reply of `n_rows` rows of 6 logits, 0, 1, 2, ... in order."""
-    return {"logits": b64_logits(np.arange(n_rows * 6, dtype=float)), "path": path}
+    """A reply of `n_rows` rows of 6 logits, 0, 1, 2, ... in order."""
+    return frame(np.arange(n_rows * 6, dtype=float), path=path)
 
 
 class TestClientChecksLookaheadReplies:
@@ -689,9 +788,9 @@ class TestClientChecksLookaheadReplies:
     it, ahead; each reply below is a ProviderIOError."""
 
     @pytest.mark.parametrize("prefetch, reply", [
-        (False, {"logits": b64_logits([0.0] * 6), "path": "3"}),
-        (False, {"logits": b64_logits([0.0] * 6), "path": None}),
-        (False, {"logits": b64_logits([0.0] * 6), "path": {"0": 3}}),
+        (False, frame(ZEROS, path="3")),
+        (False, frame(ZEROS, path=None)),
+        (False, frame(ZEROS, path={"0": 3})),
         (False, rows_reply(2, [True])),
         (False, rows_reply(2, [1.0])),
         (False, rows_reply(2, ["3"])),
@@ -701,14 +800,14 @@ class TestClientChecksLookaheadReplies:
         (False, rows_reply(1, [3])),
         (False, rows_reply(3, [3])),
         (False, rows_reply(2, [])),
-        (False, {"logits": b64_logits([0.0] * 12)}),
-        (False, {"logits": [0.0] * 12, "path": [3]}),
+        (False, frame(ZEROS * 2)),
+        (False, header_line(logits=ZEROS * 2, path=[3])),
         (True, rows_reply(3, [4, 3])),
         (True, rows_reply(2, [3])),
         (True, rows_reply(1, [])),
         (True, rows_reply(4, [3, 5, 4])),
         (True, rows_reply(2, [3, 4])),
-        (True, rows_reply(3, [3, 4, 5]) | {"logits": b64_logits([0.0] * 17 + [np.nan])}),
+        (True, frame(ZEROS * 3 + ZEROS[:5] + [np.nan], path=[3, 4, 5])),
     ], ids=lambda v: repr(v)[:40])
     def test_bad_lookahead_reply_is_provider_io_error(self, abc_vocab, empty_ctx, prefetch,
                                                       reply):
@@ -750,7 +849,7 @@ class TestClientChecksLookaheadReplies:
 
     @pytest.mark.parametrize("reply", [
         rows_reply(2, [1.5]), rows_reply(3, [3]), rows_reply(1, [3]),
-        {"logits": b64_logits([0.0] * 6), "path": "none"}], ids=lambda v: repr(v)[-30:])
+        frame(ZEROS, path="none")], ids=lambda v: repr(v)[:40])
     def test_decode_against_a_bad_lookahead_server_exits_4(self, abc_vocab, tmp_path, reply):
         abc_vocab.save(tmp_path / "vocab.txt")
         (tmp_path / "test.jsonl").write_text(json.dumps(
@@ -765,28 +864,27 @@ class TestClientChecksLookaheadReplies:
         finally:
             server.close()
 
-    def test_reply_cap_fits_the_longest_lookahead_reply(self):
-        for vocab_size in (3, 200, 50_000):
-            longest = {"logits": b64_logits(np.zeros(wire.MAX_AHEAD * vocab_size)),
-                       "path": [vocab_size - 1] * (wire.MAX_AHEAD - 1)}
-            assert len(json.dumps(longest)) <= max_reply_bytes(vocab_size)
-
-    def test_reply_as_long_as_the_cap_is_read(self, abc_vocab, empty_ctx):
-        logits = [0.5] * abc_vocab.size
-        reply = {"logits": b64_logits(logits), "pad": ""}
-        reply["pad"] = "x" * (max_reply_bytes(abc_vocab.size) - len(json.dumps(reply)))
-        assert len(json.dumps(reply)) == max_reply_bytes(abc_vocab.size)
-        server = LineServer(scripted({"hello": {"ok": True}, "step": reply}))
+    def test_reply_at_both_caps_is_read(self, abc_vocab, empty_ctx):
+        """A header line of MAX_HEADER_BYTES with a frame of MAX_AHEAD rows."""
+        path = [3] * (wire.MAX_AHEAD - 1)
+        logits = np.arange(wire.MAX_AHEAD * abc_vocab.size, dtype=float)
+        header = {"logits_bytes": logits.nbytes, "path": path, "pad": ""}
+        header["pad"] = "x" * (MAX_HEADER_BYTES - len(json.dumps(header)))
+        assert len(json.dumps(header)) == MAX_HEADER_BYTES
+        assert logits.nbytes == max_logits_bytes(abc_vocab.size)
+        server = LineServer(scripted({"hello": {"ok": True},
+                                      "step": frame(logits, path=path, pad=header["pad"])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                assert remote.next_logits((0,), empty_ctx).tolist() == logits
+                assert remote.next_logits((0,), empty_ctx).tolist() == list(range(6))
+                assert remote.rows_received == wire.MAX_AHEAD
         finally:
             server.close()
 
     def test_a_plan_ends_once_fetched_or_left(self, abc_vocab, empty_ctx):
         sent = []
         server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
-                                      or {"logits": b64_logits([0.0] * 6)}}))
+                                      or frame(ZEROS)}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch((0,), (3, 4), empty_ctx)
@@ -819,7 +917,7 @@ class CountingTransport:
 def counted_connection(address, vocab):
     host, _, port = address.rpartition(":")
     transport = CountingTransport(wire._TcpTransport(host, int(port), 5.0,
-                                                     max_reply_bytes(vocab.size)))
+                                                     max_logits_bytes(vocab.size)))
     return ExternalProvider(transport, vocab), transport
 
 
@@ -964,8 +1062,7 @@ class TestRoundTrips:
         local = HashProvider(abc_vocab)
 
         def step(msg):
-            return {"logits": b64_logits(
-                local.next_logits(tuple(msg["history"]), HASH_CONTEXTS[msg["utt"]]))}
+            return frame(local.next_logits(tuple(msg["history"]), HASH_CONTEXTS[msg["utt"]]))
 
         server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
         dataset = hash_references(abc_vocab, [3, wire.MAX_AHEAD + 5, 1, 9])
