@@ -35,7 +35,6 @@ from .fusion import (
     FusionConfig,
     FusionStep,
     fuse_static,
-    grid_search_static,
     uadf_weight,
 )
 from .metrics import (

@@ -442,24 +442,21 @@ def cmd_sweep(resolved: dict):
         tau1 = _tau_from(resolved, "tau1", "calibration_llm")
         tau2 = _tau_from(resolved, "tau2", "calibration_asr")
         if axis == "static-grid":
-            _best, table = fusion.grid_search_static(
-                llm, asr, eval_set, [(1.0, w) for w in resolved["w_asr_values"]],
-                tau1=tau1, tau2=tau2, max_len_factor=factor,
-            )
-            header = "w_llm,w_asr,wer"
-            rows = [(row["w_llm"], row["w_asr"], row["wer"]) for row in table]
+            columns = ("w_llm", "w_asr")
+            cfgs = [fusion.FusionConfig(mode="static", w_llm=1.0, w_asr=w_asr,
+                                        tau1=tau1, tau2=tau2)
+                    for w_asr in resolved["w_asr_values"]]
         else:  # beta
-            betas = resolved["beta_values"]
-            wers = decoding.sweep_wers(llm, asr, [
-                fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
-                                    uncertainty=resolved["uncertainty"]) for beta in betas
-            ], eval_set, factor)
-            header = "beta,wer"
-            rows = list(zip(betas, wers))
+            columns = ("beta",)
+            cfgs = [fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
+                                        uncertainty=resolved["uncertainty"])
+                    for beta in resolved["beta_values"]]
+        wers = decoding.sweep_wers(llm, asr, cfgs, eval_set, factor)
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     with open(out, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        for row in rows:
+        f.write(",".join(columns) + ",wer\n")
+        for cfg, wer in zip(cfgs, wers):
+            row = [getattr(cfg, column) for column in columns] + [wer]
             f.write(",".join(repr(value) for value in row) + "\n")
     print(f"sweep over {axis} -> {out}")
     _print_wire_counts(llm=llm, asr=asr)

@@ -1,9 +1,10 @@
 """Shared vocabulary, token-sequence and probability-vector primitives.
 
 Token sequences are plain tuples of ids. Logits and probability
-distributions are 1-D float64 numpy arrays of length V. All operations
-here are pure functions over immutable values and are safe to call
-concurrently.
+distributions are 1-D float64 numpy arrays of length V. A provider's
+logit row is checked once, by `as_logits` inside
+`softmax_with_temperature`; `entropy` and `argmax_token` then trust the
+arrays the program made and check nothing.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def as_prob_dist(values) -> np.ndarray:
     """Validate a probability vector: entries >= 0, sum within 1e-9 of 1.
 
     One min and one sum decide: a NaN entry makes the min NaN, and +inf
-    makes the sum infinite, so neither comparison can pass.
+    makes the sum infinite, so neither comparison can pass. No decoder
+    calls it; the benchmark's trace (bench/layers.py) wraps it by name.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -134,8 +136,12 @@ def softmax_with_temperature(logits, tau: float) -> np.ndarray:
 
 
 def entropy(dist) -> float:
-    """Shannon entropy in nats, with 0 * ln 0 := 0; result in [0, ln V]."""
-    p = as_prob_dist(dist)
+    """Shannon entropy in nats, with 0 * ln 0 := 0; result in [0, ln V].
+
+    `dist` must be a valid non-empty 1-D distribution, such as a
+    `softmax_with_temperature` output; it is not checked.
+    """
+    p = np.asarray(dist)
     nz = p[p > 0.0]
     h = float(-(nz * np.log(nz)).sum())
     # Clamp float noise; uniform gives exactly ln V up to rounding.
@@ -143,11 +149,13 @@ def entropy(dist) -> float:
 
 
 def argmax_token(dist) -> int:
-    """Index of the largest entry, ties broken toward the lowest id."""
-    arr = np.asarray(dist, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError("cannot take argmax of an empty vector")
-    return int(arr.argmax())
+    """Index of the largest entry, ties broken toward the lowest id.
+
+    `dist` must be a non-empty 1-D vector without NaN; it is not checked.
+    It calls the array method, because `np.argmax` costs about three times
+    as much per call.
+    """
+    return int(np.asarray(dist).argmax())
 
 
 def sigmoid(x: float) -> float:

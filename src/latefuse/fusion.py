@@ -142,31 +142,3 @@ def fuse_step(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
     """One fused step in cfg's mode (static or uadf)."""
     return decide(*step_inputs(logits_llm, logits_asr, cfg), cfg)
 
-
-def grid_search_static(
-    llm_provider,
-    asr_provider,
-    eval_set,
-    grid,
-    tau1: float = 1.0,
-    tau2: float = 1.0,
-    max_len_factor: float = 2.0,
-):
-    """Decode `eval_set` at every (w_llm, w_asr) grid point and pick the
-    lowest corpus WER (ties go to the smaller w_asr, then smaller w_llm).
-
-    `eval_set` is a list of (UtteranceContext, reference_words) pairs.
-    Returns ((w_llm, w_asr), table) where the table has one row per point.
-    """
-    from .decoding import sweep_wers
-
-    grid = [(float(wl), float(wa)) for wl, wa in grid]
-    if not grid or not eval_set:
-        raise InvalidParameterError("grid and eval_set must be non-empty")
-    cfgs = [FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr, tau1=tau1, tau2=tau2)
-            for w_llm, w_asr in grid]
-    wers = sweep_wers(llm_provider, asr_provider, cfgs, eval_set, max_len_factor)
-    table = [{"w_llm": w_llm, "w_asr": w_asr, "wer": wer}
-             for (w_llm, w_asr), wer in zip(grid, wers)]
-    best = min(table, key=lambda row: (row["wer"], row["w_asr"], row["w_llm"]))
-    return (best["w_llm"], best["w_asr"]), table

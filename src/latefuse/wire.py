@@ -191,13 +191,14 @@ class _ProcTransport:
         self._proc.stdout.close()
 
 
-def _parse_line(line: bytes) -> dict:
+def _parse_line(line: bytes, kind: str = "response") -> dict:
+    """The JSON object of one `kind` ("response" or "request") line."""
     try:
         msg = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProviderIOError(f"malformed response line: {exc}") from exc
+        raise ProviderIOError(f"malformed {kind} line: {exc}") from exc
     if not isinstance(msg, dict):
-        raise ProviderIOError(f"expected a JSON object, got {type(msg).__name__}")
+        raise ProviderIOError(f"expected a JSON object {kind}, got {type(msg).__name__}")
     return msg
 
 
@@ -222,7 +223,6 @@ class ExternalProvider:
     def __init__(self, transport, vocab: Vocabulary):
         self.vocab = vocab
         self._transport = transport
-        self._lock = threading.Lock()  # guards the transport, the rows and the plan
         self._rows = {}  # (utt, history) -> row of the latest reply no step has read
         self._plan = (None, ())  # (utt, history + follow) from `prefetch`, until fetched
         self._offered = 0  # rows of the latest reply along the server's argmax path
@@ -246,17 +246,15 @@ class ExternalProvider:
     def prefetch(self, history, follow, ctx: UtteranceContext):
         """Announce that `history` will be extended by `follow`: a later step
         along that path asks for the next MAX_AHEAD - 1 tokens of it."""
-        with self._lock:
-            self._plan = (ctx.utt_id, tuple(int(i) for i in (*history, *follow)))
+        self._plan = (ctx.utt_id, tuple(int(i) for i in (*history, *follow)))
 
     def next_logits(self, history, ctx: UtteranceContext) -> np.ndarray:
         key = (ctx.utt_id, tuple(history))
-        with self._lock:
-            row = self._rows.pop(key, None)
-            if row is None:
-                row = self._fetch(*key)
-            self.rows_used += 1
-            return row  # the client keeps no reference to it
+        row = self._rows.pop(key, None)
+        if row is None:
+            row = self._fetch(*key)
+        self.rows_used += 1
+        return row  # the client keeps no reference to it
 
     def _fetch(self, utt: str, history: tuple) -> np.ndarray:
         """One step round trip; its rows replace the kept ones. Returns the
@@ -428,7 +426,8 @@ def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext])
         if not line.strip():
             continue
         try:
-            reply, frame = _handle_request(_parse_line(line), provider, contexts, greeted)
+            reply, frame = _handle_request(_parse_line(line, "request"), provider, contexts,
+                                           greeted)
         except Exception as exc:  # a bad request must not stop the server
             reply, frame = {"error": str(exc)}, b""
         write((json.dumps(reply) + "\n").encode("utf-8") + frame)

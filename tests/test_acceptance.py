@@ -21,8 +21,8 @@ from latefuse.corpus import (
     generate_corpus,
     record_context,
 )
-from latefuse.decoding import decode_eval_set, fused_greedy_decode, greedy_decode
-from latefuse.fusion import FusionConfig, grid_search_static, uadf_weight
+from latefuse.decoding import decode_eval_set, fused_greedy_decode, greedy_decode, sweep_wers
+from latefuse.fusion import FusionConfig, uadf_weight
 from latefuse.metrics import (
     corpus_wer,
     normalize_text,
@@ -35,6 +35,14 @@ from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_co
 from latefuse.wire import ProviderServer, connect_external
 
 STATIC_GRID = [(1.0, w) for w in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)]
+
+
+def static_grid_wers(bench) -> dict:
+    """{(w_llm, w_asr): validation WER} over STATIC_GRID."""
+    cfgs = [FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr)
+            for w_llm, w_asr in STATIC_GRID]
+    wers = sweep_wers(bench["llm"], bench["asr"], cfgs, bench["val_set"])
+    return dict(zip(STATIC_GRID, wers))
 
 
 def check(num, desc, ok):
@@ -187,9 +195,7 @@ def test_static_band_near_optimum_is_flat(bench):
     # a band of weights around the optimum gives near-identical WER while
     # the grid ends (w_asr = 0 and 1) sit ~1+ point away; the band
     # tolerance is 0.25 points at this corpus size (one word ~ 0.04 points)
-    _best, table = grid_search_static(
-        bench["llm"], bench["asr"], bench["val_set"], STATIC_GRID)
-    by_weight = {row["w_asr"]: row["wer"] for row in table}
+    by_weight = {w_asr: wer for (_, w_asr), wer in static_grid_wers(bench).items()}
     floor = min(by_weight.values())
     band = [by_weight[w] for w in (0.25, 0.375, 0.5)]
     assert max(band) - floor <= 0.0025
@@ -203,9 +209,10 @@ def test_criterion_6_fusion_behavior_ordering(bench):
     wer_asr = bench["test_wer"](FusionConfig(mode="asr-only", tau2=rep_asr.tau))
     wer_uadf = bench["test_wer"](
         FusionConfig(mode="uadf", tau1=rep_llm.tau, tau2=rep_asr.tau))
-    # static baseline: weights grid-searched on the validation split
-    (w_llm, w_asr), _table = grid_search_static(
-        bench["llm"], bench["asr"], bench["val_set"], STATIC_GRID)
+    # static baseline: weights grid-searched on the validation split (ties
+    # go to the smaller w_asr, then the smaller w_llm)
+    grid = static_grid_wers(bench)
+    w_llm, w_asr = min(grid, key=lambda point: (grid[point], point[1], point[0]))
     wer_static = bench["test_wer"](
         FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr))
     ok = wer_uadf < wer_llm and wer_uadf < wer_asr and wer_uadf <= wer_static + 0.001

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from latefuse import decoding
-from latefuse.fusion import FusionConfig, grid_search_static
+from latefuse.fusion import FusionConfig
 from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -59,27 +59,27 @@ def test_install_wraps_and_uninstall_restores():
 def test_traced_set_level_decodes_count_each_utterance_and_config(bench_case):
     llm, asr, eval_set = bench_case
     betas = (0.0, 0.5, 1.0)
-    grid = [(1.0, 0.0), (1.0, 0.25)]
+    grid = [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.25)]
     tr = tracing.Tracer()
     layers.install(tr)
     try:
         decoded = list(decoding.decode_eval_set(llm, asr, [FusionConfig()], eval_set))
         decoding.sweep_wers(llm, asr, [FusionConfig(beta=b) for b in betas], eval_set)
-        grid_search_static(llm, asr, eval_set, grid)
+        decoding.sweep_wers(llm, asr, grid, eval_set)
     finally:
         tr.uninstall()
     m = layers.layer_metrics(tr, {})
     assert len(decoded) == len(eval_set)
     assert m["decoding.greedy.utts"] == len(eval_set) * (1 + len(betas) + len(grid))
-    untraced = [FusionConfig()], [FusionConfig(beta=b) for b in betas], \
-        [FusionConfig(mode="static", w_asr=w) for _, w in grid]
+    untraced = [FusionConfig()], [FusionConfig(beta=b) for b in betas], grid
     assert m["decoding.greedy.steps"] == sum(
         len(r.tokens) for cfgs in untraced
         for r in decoding.decode_eval_set(llm, asr, cfgs, eval_set))
     assert m["fusion.fuse_step.calls"] > 0
     assert m["providers.llm.calls"] > 0
     assert m["providers.asr.calls"] > 0
-    assert m["core.softmax.calls"] > 0
+    # each provider row is checked once, by the softmax that reads it
+    assert m["core.validate.calls"] == m["core.softmax.calls"] > 0
 
 
 def test_count_decodes_counts_each_utterance_and_config(bench_case):

@@ -399,6 +399,15 @@ class TestSweep:
         assert rows[0] == "beta,wer"
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("axis", ["static-grid", "beta"])
+    def test_empty_corpus_is_data_error(self, workspace, tmp_path, capsys, axis):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "nd" / "sweep.csv"
+        assert run(*sweep_args(workspace, out), "--axis", axis, "--corpus", empty) == 3
+        assert "no reference words to score" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_failed_sweep_leaves_no_output_directory(self, workspace, tmp_path):
         out = tmp_path / "nd" / "beta.csv"
         assert run(*sweep_args(workspace, out), "--axis", "beta", "--beta-values", "0,2") == 2

@@ -13,8 +13,8 @@ from latefuse.decoding import (
     greedy_decode,
     sweep_wers,
 )
-from latefuse.errors import ConfigurationError, InvalidParameterError
-from latefuse.fusion import FusionConfig, grid_search_static
+from latefuse.errors import ConfigurationError, InvalidInputError, InvalidParameterError
+from latefuse.fusion import FusionConfig
 from latefuse.metrics import corpus_wer
 from latefuse.providers import AcousticChannel, UtteranceContext
 
@@ -276,16 +276,16 @@ class TestSweepWers:
     """The memoized, utterance-major sweep gives the WERs of a plain loop."""
 
     @pytest.mark.parametrize("case", range(8))
-    def test_static_grid_table_equals_plain_loop(self, case):
+    def test_static_grid_equals_plain_loop(self, case):
         llm, asr, eval_set, (tau1, tau2) = random_case(case)
         grid = [(1.0, w) for w in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 2.0)] + [(0.5, 1.0)]
-        _best, table = grid_search_static(llm, asr, eval_set, grid, tau1=tau1, tau2=tau2)
-        shared_calls = llm.calls
         cfgs = [FusionConfig(mode="static", w_llm=wl, w_asr=wa, tau1=tau1, tau2=tau2)
                 for wl, wa in grid]
+        got = sweep_wers(llm, asr, cfgs, eval_set)
+        shared_calls = llm.calls
         llm.calls = 0
-        assert [row["wer"] for row in table] == plain_sweep(llm, asr, cfgs, eval_set)
-        assert [(row["w_llm"], row["w_asr"]) for row in table] == grid
+        assert got == plain_sweep(llm, asr, cfgs, eval_set)
+        assert len(got) == len(grid)
         assert shared_calls < llm.calls
 
     @pytest.mark.parametrize("uncertainty", ["entropy", "top1"])
@@ -443,3 +443,49 @@ class TestBatchedBeamSearch:
                                         beam_width=1, n_out=1, max_len=1)
             assert seq == (Vocabulary.BOS,)
             assert score == -math.log(total)
+
+
+class RowProvider:
+    """A plug-in provider that returns one fixed row for every history."""
+
+    def __init__(self, vocab, row):
+        self.vocab = vocab
+        self.row = np.asarray(row, dtype=np.float64)
+
+    def next_logits(self, history, ctx):
+        return self.row
+
+
+BAD_ROWS = {
+    "nan": [0.0, 1.0, math.nan, 0.0, 0.0, 0.0],
+    "+inf": [0.0, 1.0, math.inf, 0.0, 0.0, 0.0],
+    "-inf": [0.0, 1.0, -math.inf, 0.0, 0.0, 0.0],
+    "2-d": np.zeros((1, 6)),
+    "empty": np.zeros(0),
+}
+
+FUSED_DECODERS = {
+    "uadf": lambda llm, asr, ctx: fused_greedy_decode(llm, asr, FusionConfig(mode="uadf"), ctx),
+    "static": lambda llm, asr, ctx: fused_greedy_decode(
+        llm, asr, FusionConfig(mode="static"), ctx),
+    "sweep": lambda llm, asr, ctx: sweep_wers(
+        llm, asr, [FusionConfig(beta=0.0), FusionConfig(beta=0.5)], [(ctx, ["a", "b"])]),
+}
+
+
+@pytest.mark.parametrize("row", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+class TestRowCheckedWhereItEnters:
+    """The softmax is the one check a provider row gets, and every greedy
+    or fused decode passes each row through it."""
+
+    def test_greedy(self, abc_vocab, row):
+        with pytest.raises(InvalidInputError):
+            greedy_decode(RowProvider(abc_vocab, row), obs_ctx(abc_vocab, "a b"))
+
+    @pytest.mark.parametrize("bad_role", ["llm", "asr"])
+    @pytest.mark.parametrize("decoder", FUSED_DECODERS.values(), ids=FUSED_DECODERS.keys())
+    def test_fused(self, abc_vocab, identity_channel, row, decoder, bad_role):
+        bad = RowProvider(abc_vocab, row)
+        pair = (bad, identity_channel) if bad_role == "llm" else (identity_channel, bad)
+        with pytest.raises(InvalidInputError):
+            decoder(*pair, obs_ctx(abc_vocab, "a b"))

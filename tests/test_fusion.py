@@ -6,14 +6,8 @@ import pytest
 
 from latefuse.core import Vocabulary, entropy, softmax_with_temperature
 from latefuse.errors import InvalidParameterError
-from latefuse.fusion import (
-    FusionConfig,
-    fuse_static,
-    fuse_step,
-    grid_search_static,
-    uadf_weight,
-)
-from latefuse.providers import AcousticChannel, UtteranceContext
+from latefuse.fusion import FusionConfig, fuse_static, fuse_step, uadf_weight
+from latefuse.providers import UtteranceContext
 
 
 class TestUadfWeight:
@@ -252,35 +246,3 @@ class TestBruteForceEquivalence:
             cases += 1
         assert cases == 60
 
-
-class TestGridSearchStatic:
-    def test_perfect_llm_wins_at_weight_zero(self, abc_vocab):
-        llm = AcousticChannel(abc_vocab, np.eye(6))
-        noisy = np.full((6, 6), 0.05)
-        np.fill_diagonal(noisy, 0.75)
-        noisy /= noisy.sum(axis=1, keepdims=True)
-        asr = AcousticChannel(abc_vocab, noisy)
-        eval_set = []
-        for i, text in enumerate(["a b c", "b a", "c c b"]):
-            obs = (0,) + abc_vocab.encode(text) + (1,)
-            eval_set.append((UtteranceContext(utt_id=f"u{i}", observation=obs),
-                             text.split()))
-        grid = [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
-        best, table = grid_search_static(llm, asr, eval_set, grid)
-        assert best == (1.0, 0.0)
-        assert table[0]["wer"] == 0.0
-        assert len(table) == len(grid)
-
-    def test_tie_prefers_smaller_asr_weight(self, abc_vocab):
-        llm = AcousticChannel(abc_vocab, np.eye(6))
-        eval_set = [(UtteranceContext(utt_id="u0",
-                                      observation=(0,) + abc_vocab.encode("a b") + (1,)),
-                     ["a", "b"])]
-        best, table = grid_search_static(llm, llm, eval_set, [(1.0, 0.4), (1.0, 0.1)])
-        assert best == (1.0, 0.1)
-        assert all(row["wer"] == 0.0 for row in table)
-
-    def test_empty_grid_rejected(self, abc_vocab):
-        llm = AcousticChannel(abc_vocab, np.eye(6))
-        with pytest.raises(InvalidParameterError):
-            grid_search_static(llm, llm, [], [(1.0, 0.0)])

@@ -395,6 +395,8 @@ BAD_FRAMES = [
     ("list-form-logits", header_line(logits=ZEROS), False, "carries no logits"),
     ("base64-logits", header_line(logits="AAAAAAAAAAA="), False, "carries no logits"),
     ("error-reply", header_line(error="boom"), False, "carries no logits"),
+    ("header-not-json", b"{\n", False, "malformed response line"),
+    ("header-not-object", b"[]\n", False, "JSON object response"),
 ]
 
 
@@ -718,6 +720,20 @@ class TestServerChecksRequests:
         (error, _), = served_steps(abc_vocab, [
             {"op": "step", "utt": "u0", "history": [0], "ahead": ahead}])
         assert set(error) == {"error"} and "'ahead'" in error["error"]
+
+    @pytest.mark.parametrize("line, error", [
+        (b"{\n", "malformed request line: "),
+        (b"[]\n", "expected a JSON object request, got list"),
+    ], ids=repr)
+    def test_unparsable_request_gets_a_request_error(self, abc_vocab, line, error):
+        hello = (json.dumps(hello_request(abc_vocab)) + "\n").encode()
+        step = (json.dumps({"op": "step", "utt": "u0", "history": [0]}) + "\n").encode()
+        stdout = io.BytesIO()
+        stdio_serve(HashProvider(abc_vocab), HASH_CONTEXTS,
+                    stdin=io.BytesIO(hello + line + step), stdout=stdout)
+        _, (reply, _), (_, served) = read_replies(stdout.getvalue())
+        assert set(reply) == {"error"} and reply["error"].startswith(error)
+        assert served.size == abc_vocab.size  # the server keeps serving
 
     def test_follow_longer_than_the_row_cap_is_an_error(self, abc_vocab):
         (at_cap, _), (over, _) = served_steps(abc_vocab, [
