@@ -125,7 +125,6 @@ _WHICH = {"which": Option(choices=("llm", "asr"), required=True)}
 _FUSION = {
     "calibration_llm": Option(), "calibration_asr": Option(),
     "tau1": Option(number), "tau2": Option(number),
-    "uncertainty": Option(default="entropy", choices=fusion.UNCERTAINTY_VARIANTS),
     "max_len_factor": Option(number, 2.0),
 }
 
@@ -151,7 +150,7 @@ CALIBRATE = {
 }
 DECODE = {
     **_FILES, **_PROVIDERS, **_FUSION,
-    "mode": Option(default="uadf", choices=("llm", "asr", "static", "uadf")),
+    "mode": Option(default="uadf", choices=fusion.MODES),
     "beta": Option(number, 0.5), "w_llm": Option(number, 1.0), "w_asr": Option(number, 0.25),
     "steps_log": Option(help="write per-step fusion diagnostics (JSON lines)"),
 }
@@ -395,17 +394,15 @@ def cmd_decode(resolved: dict):
     cfg = fusion.FusionConfig(
         mode=resolved["mode"], w_llm=resolved["w_llm"], w_asr=resolved["w_asr"],
         tau1=_tau_from(resolved, "tau1", "calibration_llm"),
-        tau2=_tau_from(resolved, "tau2", "calibration_asr"),
-        beta=resolved["beta"], uncertainty=resolved["uncertainty"],
-    ).normalized()
+        tau2=_tau_from(resolved, "tau2", "calibration_asr"), beta=resolved["beta"])
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     out = Path(resolved["out"])
     steps_log = resolved["steps_log"]
     lines, log_lines = [], []  # kept as text: no DecodeResult outlives its utterance
     with contextlib.ExitStack() as opened:
-        llm = _build_llm(resolved, vocab, opened) if cfg.mode != "asr-only" else None
-        asr = _build_asr(resolved, vocab, opened) if cfg.mode != "llm-only" else None
+        llm = _build_llm(resolved, vocab, opened) if cfg.mode != "asr" else None
+        asr = _build_asr(resolved, vocab, opened) if cfg.mode != "llm" else None
         eval_set = (corpus.record_context(rec, vocab) for rec in records)
         results = decoding.decode_eval_set(llm, asr, [cfg], eval_set,
                                            resolved["max_len_factor"])
@@ -448,8 +445,7 @@ def cmd_sweep(resolved: dict):
                     for w_asr in resolved["w_asr_values"]]
         else:  # beta
             columns = ("beta",)
-            cfgs = [fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
-                                        uncertainty=resolved["uncertainty"])
+            cfgs = [fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
                     for beta in resolved["beta_values"]]
         wers = decoding.sweep_wers(llm, asr, cfgs, eval_set, factor)
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
@@ -509,13 +505,13 @@ def cmd_score(resolved: dict):
     if baseline and baseline not in systems:
         raise ConfigurationError(f"baseline {baseline!r} is not among the systems")
 
+    # a baseline that scores WER 0 leaves no relative reduction to report
+    base_wer = systems[baseline].wer if baseline else 0.0
     document = {"systems": {}, "baseline": baseline}
     for name, report in systems.items():
         entry = report.to_dict()
-        if baseline and name != baseline:
-            entry["werr"] = metrics.werr(systems[baseline].wer, report.wer)
-        elif baseline:
-            entry["werr"] = 0.0
+        if baseline:
+            entry["werr"] = metrics.werr(base_wer, report.wer) if base_wer > 0 else None
         document["systems"][name] = entry
 
     if records:  # the corpus loader rejects an empty N-best list
@@ -538,7 +534,7 @@ def cmd_score(resolved: dict):
         json.dump(document, f, indent=2, sort_keys=True)
         f.write("\n")
     for name, entry in document["systems"].items():
-        werr_txt = f" werr={entry['werr']:+.3%}" if "werr" in entry else ""
+        werr_txt = f" werr={entry['werr']:+.3%}" if entry.get("werr") is not None else ""
         print(f"{name}: wer={entry['wer']:.4f}{werr_txt}")
     return 0
 

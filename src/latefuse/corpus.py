@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -414,16 +415,19 @@ def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
                 raise schema_error("nbest_text", f"of hypothesis {rank} is not a string")
             text = hyp[fmap["nbest_text"]]
             score = hyp.get(fmap["nbest_score"])
-            try:
-                score = -float(rank) if score is None else float(score)
-            except (TypeError, ValueError):
+            if score is None:
+                score = -float(rank)
+            elif type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+                # a bool, a string, NaN, an infinity or an integer past the float range
                 raise schema_error(
-                    "nbest_score", f"of hypothesis {rank} is not a number: {score!r}") from None
-        nbest.append((text, score))
+                    "nbest_score", f"of hypothesis {rank} is not a finite number: {score!r}")
+        nbest.append((text, float(score)))
     observation = raw.get(fmap["observation"], nbest[0][0])
+    if not isinstance(observation, str):
+        raise schema_error("observation", f"must be a string, got {observation!r}")
     return CorpusRecord(
         id=str(utt_id),
         reference=reference,
-        observation=str(observation),
+        observation=observation,
         nbest=tuple(nbest),
     )

@@ -56,15 +56,14 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
 
     `memo` maps a history of this utterance to its step's `step_inputs`;
     it is read and filled, so decodes of one utterance whose configs share
-    tau1, tau2 and the uncertainty variant (see `decode_eval_set`) run
-    the providers and the softmaxes once per distinct history.
+    tau1 and tau2 (see `decode_eval_set`) run the providers and the
+    softmaxes once per distinct history.
     """
-    cfg = cfg.normalized()
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
-    if cfg.mode == "llm-only":
+    if cfg.mode == "llm":
         return greedy_decode(llm_provider, ctx, max_len, tau=cfg.tau1)
-    if cfg.mode == "asr-only":
+    if cfg.mode == "asr":
         return greedy_decode(asr_provider, ctx, max_len, tau=cfg.tau2)
     if llm_provider.vocab is not asr_provider.vocab and \
             llm_provider.vocab != asr_provider.vocab:
@@ -95,7 +94,7 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
 
 def beam_search(provider, ctx: UtteranceContext, beam_width: int,
                 n_out: int, max_len: int) -> list[tuple[TokenSeq, float]]:
-    """Length-unnormalized log-prob beam search.
+    """Beam search on total log-probability, with no length penalty.
 
     Hypotheses that emit EOS retire into the output pool; at the length
     cap the surviving beams join them. Ordering is by total ln-probability,
@@ -169,12 +168,10 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     For each utterance, in order, yields one DecodeResult per config, in
     config order. An utterance's decodes share one memo of step inputs,
     which is dropped before the next utterance, so the configs must share
-    mode, tau1, tau2 and the uncertainty variant.
+    mode, tau1 and tau2.
     """
-    cfgs = [cfg.normalized() for cfg in cfgs]
-    if len({(c.mode, c.tau1, c.tau2, c.uncertainty) for c in cfgs}) > 1:
-        raise InvalidParameterError(
-            "configs must share mode, tau1, tau2 and the uncertainty variant")
+    if len({(c.mode, c.tau1, c.tau2) for c in cfgs}) > 1:
+        raise InvalidParameterError("configs must share mode, tau1 and tau2")
     for ctx, ref_words in eval_set:
         max_len = evaluation_max_len(ref_words, max_len_factor)
         memo = {}

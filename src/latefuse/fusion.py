@@ -11,47 +11,36 @@ weight grows with the primary's uncertainty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import argmax_token, entropy, sigmoid, softmax_with_temperature
 from .errors import InvalidParameterError
 
-MODES = ("llm-only", "asr-only", "static", "uadf")
-_MODE_ALIASES = {"llm": "llm-only", "asr": "asr-only"}
-UNCERTAINTY_VARIANTS = ("entropy", "top1")
+MODES = ("llm", "asr", "static", "uadf")
 
 
 @dataclass(frozen=True)
 class FusionConfig:
+    """A fused decode's settings, checked when the config is built."""
+
     mode: str = "uadf"
     w_llm: float = 1.0
     w_asr: float = 0.25
     tau1: float = 1.0
     tau2: float = 1.0
     beta: float = 0.5
-    uncertainty: str = "entropy"
 
-    def normalized(self) -> "FusionConfig":
-        """Resolve mode aliases ("llm" -> "llm-only") and validate."""
-        cfg = self
-        if cfg.mode in _MODE_ALIASES:
-            cfg = replace(cfg, mode=_MODE_ALIASES[cfg.mode])
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        mode = _MODE_ALIASES.get(self.mode, self.mode)
-        if mode not in MODES:
-            raise InvalidParameterError(f"unknown fusion mode {self.mode!r}")
-        if not (self.tau1 > 0 and self.tau2 > 0):
-            raise InvalidParameterError("tau1 and tau2 must be positive")
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise InvalidParameterError(
+                f"unknown fusion mode {self.mode!r}; expected one of {MODES}")
+        if not all(0 < tau < math.inf for tau in (self.tau1, self.tau2)):
+            raise InvalidParameterError("tau1 and tau2 must be finite and positive")
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in [0, 1], got {self.beta}")
-        if self.uncertainty not in UNCERTAINTY_VARIANTS:
-            raise InvalidParameterError(f"unknown uncertainty variant {self.uncertainty!r}")
-        if mode == "static":
+        if self.mode == "static":
             if not all(0 <= w < math.inf for w in (self.w_llm, self.w_asr)):
                 raise InvalidParameterError("static weights must be finite and >= 0")
             if self.w_llm == 0 and self.w_asr == 0:
@@ -89,13 +78,6 @@ def uadf_weight(u: float, beta: float) -> float:
     return sigmoid(float(u)) - float(beta)
 
 
-def _uncertainty(p_llm: np.ndarray, variant: str) -> float:
-    if variant == "top1":
-        pmax = float(p_llm.max())
-        return -pmax * math.log(pmax) if pmax > 0.0 else 0.0
-    return entropy(p_llm)
-
-
 def _static_mix(p1: np.ndarray, p2: np.ndarray, cfg: FusionConfig) -> np.ndarray:
     total = cfg.w_llm + cfg.w_asr
     if total <= 0:
@@ -104,29 +86,27 @@ def _static_mix(p1: np.ndarray, p2: np.ndarray, cfg: FusionConfig) -> np.ndarray
 
 
 def fuse_static(logits_llm, logits_asr, cfg: FusionConfig) -> np.ndarray:
-    """w_llm * softmax(l1/tau1) + w_asr * softmax(l2/tau2), renormalized."""
+    """(w_llm * softmax(l1/tau1) + w_asr * softmax(l2/tau2)) / (w_llm + w_asr)."""
     return _static_mix(softmax_with_temperature(logits_llm, cfg.tau1),
                        softmax_with_temperature(logits_asr, cfg.tau2), cfg)
 
 
 def step_inputs(logits_llm, logits_asr, cfg: FusionConfig) -> tuple:
-    """(p_llm, p_asr, uncertainty) of one step.
+    """(p_llm, p_asr, entropy of p_llm) of one step.
 
     This is the part of a fused step that reads the provider outputs, and
-    it depends on cfg only through tau1, tau2 and the uncertainty variant
-    (static steps always record the entropy). Sweep points that share
-    those can therefore share it.
+    it depends on cfg only through tau1 and tau2, so sweep points that
+    share those can share it.
     """
     p_llm = softmax_with_temperature(logits_llm, cfg.tau1)
     p_asr = softmax_with_temperature(logits_asr, cfg.tau2)
-    variant = cfg.uncertainty if cfg.mode == "uadf" else "entropy"
-    return p_llm, p_asr, _uncertainty(p_llm, variant)
+    return p_llm, p_asr, entropy(p_llm)
 
 
 def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) -> FusionStep:
     """The fused choice of one step, given its `step_inputs`.
 
-    uadf picks the argmax of p_llm + w * p_asr, which is never normalized
+    uadf picks the argmax of p_llm + w * p_asr, which is never rescaled
     into a distribution; static picks the argmax of the weighted mixture.
     """
     if cfg.mode == "uadf":

@@ -109,11 +109,26 @@ class NgramModel:
 
     @classmethod
     def from_dict(cls, data: dict, vocab: Vocabulary) -> "NgramModel":
-        model = cls(vocab, order=int(data["order"]), smoothing=float(data["smoothing"]))
+        """The model `to_dict` wrote: each key is `order` token ids below V,
+        listed once with a positive count (a bool or a float is no integer)."""
+        order, smoothing, v = data["order"], data["smoothing"], vocab.size
+        if type(order) is not int or type(smoothing) not in (int, float):
+            raise InvalidParameterError(
+                f"order must be an integer and smoothing a number, got {order!r}, {smoothing!r}")
+        model = cls(vocab, order=order, smoothing=smoothing)
         for key, count in data["ngrams"]:
-            key = tuple(int(i) for i in key)
-            model.ngram_counts[key] = int(count)
-            model.context_totals[key[:-1]] += int(count)
+            if type(key) is not list or len(key) != order or \
+                    not all(type(i) is int and 0 <= i < v for i in key):
+                raise InvalidParameterError(
+                    f"n-gram key must be {order} token ids in [0, {v}), got {key!r}")
+            if type(count) is not int or count < 1:
+                raise InvalidParameterError(
+                    f"n-gram count must be a positive integer, got {count!r}")
+            key = tuple(key)
+            if key in model.ngram_counts:
+                raise InvalidParameterError(f"n-gram key {list(key)} is listed twice")
+            model.ngram_counts[key] = count
+            model.context_totals[key[:-1]] += count
         return model
 
 

@@ -205,8 +205,8 @@ def test_static_band_near_optimum_is_flat(bench):
 
 def test_criterion_6_fusion_behavior_ordering(bench):
     rep_llm, rep_asr = bench["rep_llm"], bench["rep_asr"]
-    wer_llm = bench["test_wer"](FusionConfig(mode="llm-only", tau1=rep_llm.tau))
-    wer_asr = bench["test_wer"](FusionConfig(mode="asr-only", tau2=rep_asr.tau))
+    wer_llm = bench["test_wer"](FusionConfig(mode="llm", tau1=rep_llm.tau))
+    wer_asr = bench["test_wer"](FusionConfig(mode="asr", tau2=rep_asr.tau))
     wer_uadf = bench["test_wer"](
         FusionConfig(mode="uadf", tau1=rep_llm.tau, tau2=rep_asr.tau))
     # static baseline: weights grid-searched on the validation split (ties
@@ -244,10 +244,10 @@ def test_criterion_7_full_confidence_bypass(bench):
             FusionConfig(mode="uadf", beta=0.5, tau2=bench["rep_asr"].tau),
             ctx, max_len)
         only = fused_greedy_decode(
-            dirac_llm, bench["asr"], FusionConfig(mode="llm-only"), ctx, max_len)
+            dirac_llm, bench["asr"], FusionConfig(mode="llm"), ctx, max_len)
         mismatched += uadf.tokens != only.tokens
     check(7, f"Dirac primary, beta=0.5: {mismatched} of {len(bench['test_set'])} "
-             f"utterances differ from llm-only", mismatched == 0)
+             f"utterances differ from mode llm", mismatched == 0)
 
 
 def test_criterion_8_oracle_ordering_and_severity(bench):

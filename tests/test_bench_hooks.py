@@ -5,9 +5,13 @@ the traced run, and `bench/workloads.count_decodes` counts decodes by
 patching `decoding.fused_greedy_decode`. A renamed or deleted name, or a
 set-level loop that stops looking the decoder up through the module,
 would break the bench's trace mode or its counts; these tests catch that
-without running the bench.
+without running the bench. The last test runs the `wire` workload's
+server, `bench/wire_server.py`, on a tiny corpus.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,11 +19,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from latefuse import decoding
+import latefuse
+from latefuse import cli, corpus, decoding, wire
+from latefuse.core import Vocabulary
 from latefuse.fusion import FusionConfig
-from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
+from latefuse.providers import (
+    AcousticChannel,
+    NgramCorrector,
+    NgramModel,
+    UtteranceContext,
+    train_ngram_corrector,
+)
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
 import layers  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -94,3 +107,32 @@ def test_count_decodes_counts_each_utterance_and_config(bench_case):
     assert len(results) == len(eval_set) * len(cfgs)
     assert it.records == 2 * len(results)
     assert it.steps == 2 * sum(len(r.tokens) for r in results)
+
+
+def test_wire_server_serves_the_in_process_corrector(tmp_path):
+    data, lm = tmp_path / "data", tmp_path / "lm.json"
+    assert cli.main(["simulate", "--out-dir", str(data), "--n-train", "20", "--n-val", "3",
+                     "--n-test", "3", "--seed", "2"]) == 0
+    assert cli.main(["train-lm", "--corpus", str(data / "train.jsonl"),
+                     "--vocab", str(data / "vocab.txt"), "--out", str(lm)]) == 0
+    vocab = Vocabulary.load(data / "vocab.txt")
+    saved = json.loads(lm.read_text())
+    local = NgramCorrector(NgramModel.from_dict(saved, vocab), vote_weight=saved["vote_weight"])
+    ctx = corpus.record_context(corpus.load_corpus(data / "test.jsonl")[0], vocab)[0]
+
+    env = {**os.environ, "PYTHONPATH": str(Path(latefuse.__file__).resolve().parents[1])}
+    with subprocess.Popen(
+            [sys.executable, str(BENCH / "wire_server.py"), "--data-dir", str(data),
+             "--lm-model", str(lm)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env) as server:
+        try:
+            address = json.loads(server.stdout.readline())["address"]
+            with wire.connect_external(address, vocab) as remote:
+                history = (Vocabulary.BOS,)
+                assert remote.next_logits(history, ctx).tobytes() == \
+                    local.next_logits(history, ctx).tobytes()
+        finally:
+            server.stdin.close()  # the server prints its stats and exits
+        stats = json.loads(server.stdout.readline())
+    assert server.returncode == 0
+    assert stats["calls"] >= 1

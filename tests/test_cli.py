@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -145,6 +146,7 @@ class TestDecode:
         for mode in ("llm", "asr", "uadf"):
             out = tmp_path / f"{mode}.jsonl"
             assert run(*decode_args(workspace, mode, out)) == 0
+            assert (tmp_path / f"decode-{mode}.config.json").exists()
             ids[mode] = [json.loads(l)["id"] for l in out.read_text().splitlines()]
         assert ids["llm"] == ids["asr"] == ids["uadf"]
 
@@ -190,7 +192,8 @@ class TestDecode:
         assert run(*argv) == 4
 
     @pytest.mark.parametrize("command", ["decode", "sweep"])
-    @pytest.mark.parametrize("removed", [{"workers": 4}, {"combine": "renormalize"}])
+    @pytest.mark.parametrize("removed", [{"workers": 4}, {"combine": "renormalize"},
+                                         {"uncertainty": "entropy"}])
     def test_removed_config_keys_are_config_errors(self, workspace, tmp_path,
                                                    command, removed):
         data = workspace / "data"
@@ -200,6 +203,7 @@ class TestDecode:
             lm_model=str(workspace / "lm.json"), manifest=str(data / "manifest.json"),
             out=str(tmp_path / "x.out"))))
         assert run(command, "--config", cfg) == 2
+        assert not (tmp_path / "x.out").exists()
 
     @pytest.mark.parametrize("factor", ["-1", "nan"])
     def test_bad_max_len_factor_is_config_error(self, workspace, tmp_path, factor):
@@ -302,6 +306,22 @@ class TestScore:
         oracles = doc["oracles"]
         assert oracles["o_cp"] <= oracles["o_nb"] <= oracles["wer_1best"]
 
+    def test_zero_wer_baseline_gives_null_werr(self, workspace, tmp_path, capsys):
+        data = workspace / "data"
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text("".join(
+            json.dumps({"id": rec["id"], "text": rec["reference"]}) + "\n"
+            for rec in map(json.loads, (data / "test.jsonl").read_text().splitlines())))
+        hyp = tmp_path / "uadf.jsonl"
+        assert run(*decode_args(workspace, "uadf", hyp)) == 0
+        out = tmp_path / "scores.json"
+        assert run("score", "--corpus", data / "test.jsonl", "--hyp", f"refs={refs}",
+                   "--hyp", f"uadf={hyp}", "--baseline", "refs", "--out", out) == 0
+        systems = json.loads(out.read_text())["systems"]
+        assert systems["refs"]["wer"] == 0.0 < systems["uadf"]["wer"]
+        assert systems["refs"]["werr"] is None and systems["uadf"]["werr"] is None
+        assert "werr" not in capsys.readouterr().out
+
     def test_unknown_baseline_is_config_error(self, workspace, tmp_path):
         data = workspace / "data"
         hyp = tmp_path / "h.jsonl"
@@ -375,7 +395,7 @@ class TestSweep:
         assert len(rows) == 3
         w0_wer = float(rows[1].split(",")[2])
 
-        # (1, 0) matches a plain llm-only decode of the same split
+        # (1, 0) matches a plain llm decode of the same split
         hyp = tmp_path / "llm-val.jsonl"
         argv = ["decode", "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
                 "--mode", "llm", "--lm-model", workspace / "lm.json",
@@ -427,13 +447,12 @@ class TestSweepMatchesDecode:
     """Each sweep row is the WER that decode + score give at that point,
     although the sweep shares step distributions across its points."""
 
-    @pytest.mark.parametrize("axis, flag, values, uncertainty", [
-        ("static-grid", "w-asr", ["0.0", "0.125", "0.25", "0.5", "1.0"], "entropy"),
-        ("beta", "beta", ["0.0", "0.25", "0.5", "0.75"], "entropy"),
-        ("beta", "beta", ["0.0", "0.5", "0.75"], "top1"),
+    @pytest.mark.parametrize("axis, flag, values", [
+        ("static-grid", "w-asr", ["0.0", "0.125", "0.25", "0.5", "1.0"]),
+        ("beta", "beta", ["0.0", "0.25", "0.5", "0.75"]),
     ])
     def test_every_row_equals_decode_and_score(self, workspace, tmp_path,
-                                               axis, flag, values, uncertainty):
+                                               axis, flag, values):
         data = workspace / "data"
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--axis", axis, "--corpus", data / "test.jsonl",
@@ -441,14 +460,12 @@ class TestSweepMatchesDecode:
                    "--manifest", data / "manifest.json",
                    "--calibration-llm", workspace / "calibration-llm.json",
                    "--calibration-asr", workspace / "calibration-asr.json",
-                   "--uncertainty", uncertainty,
                    f"--{flag}-values", ",".join(values), "--out", out) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [row[-2] for row in rows] == values
         mode = "static" if axis == "static-grid" else "uadf"
         for value, row in zip(values, rows):
-            want = _decode_score_wer(workspace, tmp_path, mode,
-                                     uncertainty=uncertainty, **{flag: value})
+            want = _decode_score_wer(workspace, tmp_path, mode, **{flag: value})
             assert float(row[-1]) == want, (axis, value)
 
 
@@ -472,6 +489,24 @@ def without(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
+def edit_lm(edit):
+    """Damage for lm.json: `edit` changes the parsed model in place."""
+    def damage(text):
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data)
+    return damage
+
+
+def set_first_ngram(key=None, count=None):
+    """Replace the key (given the old key) or the count of the first n-gram."""
+    def edit(data):
+        old_key, old_count = data["ngrams"][0]
+        data["ngrams"][0] = [old_key if key is None else key(old_key),
+                             old_count if count is None else count]
+    return edit_lm(edit)
+
+
 class TestSideFiles:
     @pytest.mark.parametrize("flag, source, damage", [
         ("lm-model", "lm.json", lambda text: text[:len(text) // 2]),
@@ -484,8 +519,17 @@ class TestSideFiles:
             r'"nbest": \[.*?\]\}', '"nbest": "xy"}', text, count=1)),
         ("corpus", "data/test.jsonl", lambda text: re.sub(
             r'"reference": "[^"]*"', '"reference": ""', text, count=1)),
+        ("lm-model", "lm.json", set_first_ngram(key=lambda k: k[:-1] + [math.inf])),
+        ("lm-model", "lm.json", set_first_ngram(key=lambda k: k[:-1] + [-1])),
+        ("lm-model", "lm.json", set_first_ngram(key=lambda k: k[:-1] + [10 ** 6])),
+        ("lm-model", "lm.json", set_first_ngram(count=1.7)),
+        ("lm-model", "lm.json", set_first_ngram(key=lambda k: k[-1:])),
+        ("lm-model", "lm.json", edit_lm(lambda data: data.update(order=True))),
+        ("lm-model", "lm.json", edit_lm(lambda data: data["ngrams"].append(data["ngrams"][0]))),
     ], ids=["lm-truncated", "lm-no-smoothing", "manifest-no-sub-rate", "calibration-no-tau",
-            "corpus-text-score", "corpus-string-nbest", "corpus-empty-reference"])
+            "corpus-text-score", "corpus-string-nbest", "corpus-empty-reference",
+            "lm-infinite-token", "lm-negative-token", "lm-token-beyond-vocab",
+            "lm-fractional-count", "lm-short-key", "lm-bool-order", "lm-repeated-key"])
     def test_malformed_file_is_data_error_naming_it(self, workspace, tmp_path, capsys,
                                                      flag, source, damage):
         broken = tmp_path / Path(source).name

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -225,6 +226,14 @@ class TestSerialization:
         ({"id": "a", "reference": None, "nbest": ["x"]}, "reference"),
         ({"id": "a", "reference": "x", "nbest": [{"text": 5}]}, "text"),
         ({"id": "a", "reference": "x", "nbest": ["x", 7]}, "text"),
+        ({"id": "a", "reference": "x", "nbest": [{"text": "x", "score": True}]}, "score"),
+        ({"id": "a", "reference": "x", "nbest": [{"text": "x", "score": "1.5"}]}, "score"),
+        ({"id": "a", "reference": "x", "nbest": [{"text": "x", "score": math.nan}]}, "score"),
+        ({"id": "a", "reference": "x", "nbest": [{"text": "x", "score": 10 ** 400}]}, "score"),
+        ({"id": "a", "reference": "x", "observation": -1, "nbest": ["x"]}, "observation"),
+        ({"id": "a", "reference": "x", "observation": ["a", "b"], "nbest": ["x"]},
+         "observation"),
+        ({"id": "a", "reference": "x", "observation": None, "nbest": ["x"]}, "observation"),
     ])
     def test_malformed_record_is_schema_error(self, tmp_path, raw, field):
         path = tmp_path / "bad.jsonl"

@@ -65,7 +65,7 @@ class TestFusedGreedyDecode:
                                           constant_provider_cls):
         other = constant_provider_cls(abc_vocab, np.arange(6.0))
         ctx = obs_ctx(abc_vocab, "c a b")
-        cfg = FusionConfig(mode="llm-only", tau1=3.0)
+        cfg = FusionConfig(mode="llm", tau1=3.0)
         fused = fused_greedy_decode(identity_channel, other, cfg, ctx, max_len=10)
         plain = greedy_decode(identity_channel, ctx, max_len=10)
         assert fused.tokens == plain.tokens
@@ -74,7 +74,7 @@ class TestFusedGreedyDecode:
                                            constant_provider_cls):
         other = constant_provider_cls(abc_vocab, np.arange(6.0))
         ctx = obs_ctx(abc_vocab, "b c")
-        cfg = FusionConfig(mode="asr-only")
+        cfg = FusionConfig(mode="asr")
         fused = fused_greedy_decode(other, identity_channel, cfg, ctx, max_len=10)
         assert abc_vocab.decode(fused.tokens) == "b c"
 
@@ -89,7 +89,7 @@ class TestFusedGreedyDecode:
         uadf = fused_greedy_decode(llm, identity_channel,
                                    FusionConfig(mode="uadf", beta=0.5), ctx, 10)
         only = fused_greedy_decode(llm, identity_channel,
-                                   FusionConfig(mode="llm-only"), ctx, 10)
+                                   FusionConfig(mode="llm"), ctx, 10)
         assert uadf.tokens == only.tokens == abc_vocab.encode("c b a", append_eos=True)
 
     def test_history_shared_and_steps_recorded(self, abc_vocab, identity_channel):
@@ -199,7 +199,7 @@ class TestDecodeEvalSet:
         eval_set = []
         for i, text in enumerate(["a b", "c", "b b a"]):
             eval_set.append((obs_ctx(abc_vocab, text, f"u{i}"), text.split()))
-        results = decode_eval_set(None, identity_channel, [FusionConfig(mode="asr-only")],
+        results = decode_eval_set(None, identity_channel, [FusionConfig(mode="asr")],
                                   eval_set)
         assert [abc_vocab.decode(r.tokens) for r in results] == ["a b", "c", "b b a"]
 
@@ -288,12 +288,10 @@ class TestSweepWers:
         assert len(got) == len(grid)
         assert shared_calls < llm.calls
 
-    @pytest.mark.parametrize("uncertainty", ["entropy", "top1"])
     @pytest.mark.parametrize("case", range(8))
-    def test_beta_sweep_equals_plain_loop(self, case, uncertainty):
+    def test_beta_sweep_equals_plain_loop(self, case):
         llm, asr, eval_set, (tau1, tau2) = random_case(case)
-        cfgs = [FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2,
-                             uncertainty=uncertainty)
+        cfgs = [FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
                 for beta in (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)]
         got = sweep_wers(llm, asr, cfgs, eval_set, max_len_factor=1.5)
         shared_calls = asr.calls
@@ -314,7 +312,7 @@ class TestSweepWers:
                 [s.w_asr_effective for s in alone.steps]
 
     @pytest.mark.parametrize("other", [
-        {"tau1": 0.5}, {"tau2": 2.0}, {"uncertainty": "top1"}, {"mode": "static"},
+        {"tau1": 0.5}, {"tau2": 2.0}, {"mode": "static"},
     ])
     def test_points_must_share_step_inputs(self, other):
         llm, asr, eval_set, _taus = random_case(0)

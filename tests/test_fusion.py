@@ -54,9 +54,8 @@ class TestFuseStatic:
             assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_both_weights_zero_rejected(self):
-        cfg = FusionConfig(mode="static", w_llm=0.0, w_asr=0.0)
         with pytest.raises(InvalidParameterError):
-            fuse_static(np.zeros(3), np.zeros(3), cfg)
+            FusionConfig(mode="static", w_llm=0.0, w_asr=0.0)
 
 
 class TestFuseUadf:
@@ -112,15 +111,6 @@ class TestFuseUadf:
             expected = 1 if w > margin else 0
             assert step.chosen == expected
 
-    def test_top1_uncertainty_variant(self):
-        cfg = FusionConfig(mode="uadf", beta=0.0, uncertainty="top1")
-        step = fuse_step(np.array([0.0, 0.0]), np.array([0.0, 0.0]), cfg)
-        # -0.5 * ln 0.5, not the full ln 2 entropy
-        assert step.uncertainty == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
-        cap = -1.0 / math.e * math.log(1.0 / math.e)
-        assert step.uncertainty <= 1.0 / math.e + 1e-12
-        assert cap == pytest.approx(1.0 / math.e)
-
     def test_fusion_step_log_entry(self, abc_vocab):
         cfg = FusionConfig(mode="uadf")
         step = fuse_step(np.zeros(6), np.zeros(6), cfg)
@@ -158,27 +148,24 @@ class TestFuseStep:
 
     def test_other_modes_rejected(self):
         with pytest.raises(InvalidParameterError):
-            fuse_step(np.zeros(3), np.zeros(3), FusionConfig(mode="llm-only"))
+            fuse_step(np.zeros(3), np.zeros(3), FusionConfig(mode="llm"))
 
 
 class TestFusionConfig:
-    def test_mode_aliases(self):
-        assert FusionConfig(mode="llm").normalized().mode == "llm-only"
-        assert FusionConfig(mode="asr").normalized().mode == "asr-only"
-
     @pytest.mark.parametrize("kwargs", [
         {"mode": "weird"},
         {"tau1": 0.0},
         {"tau2": -1.0},
         {"beta": 1.5},
         {"beta": -0.1},
-        {"uncertainty": "variance"},
+        {"tau1": math.inf},
         {"mode": "static", "w_llm": 0.0, "w_asr": 0.0},
         {"mode": "static", "w_asr": -0.5},
+        {"mode": "llm-only"},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
-            FusionConfig(**kwargs).validate()
+            FusionConfig(**kwargs)
 
 
 class HashProvider:

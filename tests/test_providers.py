@@ -48,6 +48,15 @@ class TestNgramModel:
         clone = NgramModel.from_dict(model.to_dict(), abc_vocab)
         np.testing.assert_array_equal(clone.cond_dist((3,)), model.cond_dist((3,)))
 
+    @pytest.mark.parametrize("key, ok", [([5, 5], True), ([5, 6], False), ([6, 0], False)])
+    def test_token_ids_must_be_below_the_vocabulary_size(self, abc_vocab, key, ok):
+        data = {"order": 2, "smoothing": 0.5, "ngrams": [[key, 1]]}
+        if ok:
+            assert NgramModel.from_dict(data, abc_vocab).ngram_counts[tuple(key)] == 1
+        else:
+            with pytest.raises(InvalidParameterError, match="token ids in \\[0, 6\\)"):
+                NgramModel.from_dict(data, abc_vocab)
+
     def test_bad_params(self, abc_vocab):
         with pytest.raises(InvalidParameterError):
             NgramModel(abc_vocab, order=0)
