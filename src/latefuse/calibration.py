@@ -47,21 +47,6 @@ class CalibrationReport:
             "clamped": self.clamped,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationReport":
-        tau = float(data["tau"])
-        if not (math.isfinite(tau) and tau > 0):
-            raise InvalidParameterError(f"tau must be a positive finite real, got {tau!r}")
-        return cls(
-            tau=tau,
-            mean_confidence=float(data["mean_confidence"]),
-            ter=float(data["ter"]),
-            n_dec=int(data["n_dec"]),
-            bins=tuple(tuple(b) for b in data["bins"]),
-            ece=float(data["ece"]),
-            clamped=bool(data["clamped"]),
-        )
-
 
 def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
     """Raw logits per reference step, conditioned on the reference prefix.

@@ -22,14 +22,13 @@ from pathlib import Path
 from typing import Callable
 
 from . import calibration, corpus, decoding, fusion, metrics, wire
-from .core import Vocabulary
+from .core import Vocabulary, json_field, loads
 from .errors import (
     ConfigurationError,
     CorpusParseError,
     CorpusSchemaError,
     InvalidInputError,
     InvalidParameterError,
-    LateFuseError,
     ProviderIOError,
 )
 from .providers import (
@@ -51,8 +50,8 @@ def text(value) -> str:
 
 
 def number(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(value, bool) or isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a number within the float range, got {value!r:.40}")
     return float(value)
 
 
@@ -186,10 +185,10 @@ def _resolve(args: argparse.Namespace, options: dict) -> dict:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
-                loaded = json.load(f)
+                loaded = loads(f.read())
         except OSError as exc:
             raise ConfigurationError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 (UnicodeDecodeError), or not JSON
             raise ConfigurationError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config {args.config} is not a JSON object")
@@ -226,29 +225,23 @@ def _write_resolved(resolved: dict, out_dir: Path, command: str):
 
 
 def _read_json(path, parse):
-    """`parse` applied to a JSON side file (lm, manifest, calibration
-    report); a file that is not valid JSON, lacks a field or holds a value
-    out of its range is a data error that names it."""
-    with open(path, "r", encoding="utf-8") as f:
-        content = f.read()
+    """`parse` applied to the JSON value of a side file (lm, manifest, report);
+    invalid JSON and a field `parse` refuses are data errors naming the file."""
     try:
-        return parse(json.loads(content))
+        with open(path, "r", encoding="utf-8") as f:
+            data = loads(f.read())
+    except ValueError as exc:  # not UTF-8 (UnicodeDecodeError), or not JSON
+        raise InvalidInputError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(data)
     except InvalidParameterError as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
-    except LateFuseError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise CorpusParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    except KeyError as exc:
-        raise CorpusSchemaError(exc.args[0], f"{path}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
+    except CorpusSchemaError as exc:
+        raise CorpusSchemaError(exc.field, f"{path}: {exc}") from exc
 
 
-def _channel(values: dict) -> corpus.ChannelSpec:
-    """The channel named by simulate's options, or by its manifest."""
-    return corpus.ChannelSpec(**{key: values[key] for key in (
-        "sub_rate", "del_rate", "ins_rate", "concentration", "seed")})
+# simulate's channel options, and the manifest fields `decode` reads
+_CHANNEL_FIELDS = ("sub_rate", "del_rate", "ins_rate", "concentration", "seed")
 
 
 def build_provider(spec: ProviderSpec, vocab: Vocabulary):
@@ -256,9 +249,12 @@ def build_provider(spec: ProviderSpec, vocab: Vocabulary):
     params = spec.parameters
     if spec.kind == "ngram-corrector":
         return _read_json(params["model_path"], lambda data: NgramCorrector(
-            NgramModel.from_dict(data, vocab), vote_weight=float(data["vote_weight"])))
+            NgramModel.from_dict(data, vocab),
+            vote_weight=json_field(data, "vote_weight", (int, float))))
     if spec.kind == "acoustic-channel":
-        channel = _read_json(params["manifest_path"], _channel)
+        channel = _read_json(params["manifest_path"], lambda data: corpus.ChannelSpec(
+            **{key: json_field(data, key, (int,) if key == "seed" else (int, float))
+               for key in _CHANNEL_FIELDS}))
         return AcousticChannel(vocab, corpus.decoder_confusion(vocab, channel))
     return wire.connect_external(params["endpoint"], vocab,
                                  timeout=float(params.get("timeout", 5.0)))
@@ -306,9 +302,9 @@ def _build_asr(resolved: dict, vocab: Vocabulary, opened: contextlib.ExitStack):
 def _tau_from(resolved: dict, explicit_key: str, report_key: str) -> float:
     if resolved[explicit_key] is not None:
         return resolved[explicit_key]
-    if resolved[report_key]:
-        return _read_json(resolved[report_key],
-                          lambda data: calibration.CalibrationReport.from_dict(data).tau)
+    if resolved[report_key]:  # a report is read for its tau only
+        return float(_read_json(resolved[report_key], lambda data: json_field(
+            data, "tau", (int, float), lambda tau: tau > 0, "a positive number")))
     return 1.0
 
 
@@ -321,7 +317,7 @@ def _calibration_set(records, vocab):
 
 def cmd_simulate(resolved: dict):
     out_dir = Path(resolved["out_dir"])
-    channel = _channel(resolved)
+    channel = corpus.ChannelSpec(**{key: resolved[key] for key in _CHANNEL_FIELDS})
     splits, vocab = corpus.generate_corpus(
         channel,
         n_train=resolved["n_train"], n_val=resolved["n_val"],
@@ -462,17 +458,13 @@ def cmd_sweep(resolved: dict):
 def _load_hypotheses(path) -> dict[str, str]:
     hyps, first_line = {}, {}
     for line_no, entry in corpus.read_json_lines(path):
-        for field in ("id", "text"):
-            if not isinstance(entry, dict) or not isinstance(entry.get(field), str):
-                raise CorpusSchemaError(
-                    field, f"{path}:{line_no}: {field!r} missing or not a string")
-        utt_id = entry["id"]
+        utt_id = json_field(entry, "id", (str,), where=f"{path}:{line_no}")
         if utt_id in first_line:
             raise CorpusSchemaError("id", (
                 f"{path}:{line_no}: 'id' {utt_id!r} repeats the hypothesis "
                 f"on line {first_line[utt_id]}"))
         first_line[utt_id] = line_no
-        hyps[utt_id] = entry["text"]
+        hyps[utt_id] = json_field(entry, "text", (str,), where=f"{path}:{line_no}")
     return hyps
 
 

@@ -1,4 +1,5 @@
-"""Shared vocabulary, token-sequence and probability-vector primitives.
+"""Shared vocabulary, token-sequence and probability-vector primitives,
+and the one JSON parse and field check every input file goes through.
 
 Token sequences are plain tuples of ids. Logits and probability
 distributions are 1-D float64 numpy arrays of length V. A provider's
@@ -10,12 +11,14 @@ arrays the program made and check nothing.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import CorpusSchemaError, InvalidInputError, InvalidParameterError
 
 TokenSeq = tuple[int, ...]
 
@@ -37,11 +40,9 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.tokens) < 3:
             raise InvalidInputError("vocabulary needs at least BOS, EOS and UNK")
-        index = {}
-        for i, tok in enumerate(self.tokens):
-            if tok in index:
-                raise InvalidInputError(f"duplicate token {tok!r}")
-            index[tok] = i
+        index = {tok: i for i, tok in enumerate(self.tokens)}
+        if len(index) < len(self.tokens):
+            raise InvalidInputError("vocabulary repeats a token")
         object.__setattr__(self, "_index", index)
 
     @classmethod
@@ -85,9 +86,59 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """The vocabulary `save` wrote, blank lines skipped; a token holding
+        whitespace (`encode` never yields one) or seen twice is a data error."""
+        first_line = {}  # token -> line; insertion order is id order
         with open(path, "r", encoding="utf-8") as f:
-            tokens = tuple(line.rstrip("\n") for line in f if line.rstrip("\n"))
-        return cls(tokens=tokens)
+            for line_no, line in enumerate(f, start=1):
+                tok = line.rstrip("\n")
+                if not tok:
+                    continue
+                if tok.split() != [tok]:
+                    raise InvalidInputError(f"{path}:{line_no}: token {tok!r} holds whitespace")
+                if tok in first_line:
+                    raise InvalidInputError(
+                        f"{path}:{line_no}: token {tok!r} repeats line {first_line[tok]}")
+                first_line[tok] = line_no
+        if len(first_line) < 3:
+            raise InvalidInputError(f"{path}: vocabulary needs at least BOS, EOS and UNK")
+        return cls(tokens=tuple(first_line))
+
+
+def loads(text: str):
+    """The JSON value of `text`. Every way of failing raises ValueError: a
+    syntax error, an integer past the digit limit, nesting too deep."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number", list: "a list"}
+_MISSING = object()
+
+
+def json_field(data, key: str, types: tuple, ok=None, rule: str | None = None,
+               where: str = ""):
+    """`data[key]` if its JSON type is one of `types` and `ok(value)`, if
+    given, holds; a bool is no number, and a number is finite and within
+    float range. Else CorpusSchemaError naming `key` (`data` not an object
+    included), saying what it must be (`rule`), prefixed by `where`."""
+    value = data.get(key, _MISSING) if type(data) is dict else _MISSING
+    kind = type(value)
+    if kind in types and (kind is not int and kind is not float
+                          or abs(value) <= sys.float_info.max) and (ok is None or ok(value)):
+        return value
+    prefix = f"{where}: " if where else ""
+    if value is _MISSING:
+        raise CorpusSchemaError(key, f"{prefix}{key!r} is a required field and is missing")
+    rule = rule or " or ".join(_KIND_NAMES[t] for t in types)
+    raise CorpusSchemaError(key, f"{prefix}{key!r} must be {rule}, got {value!r:.200}")
+
+
+def is_token_id_list(value, size: int) -> bool:
+    """A list of JSON integers in [0, size); a boolean is not one."""
+    return isinstance(value, list) and all(type(t) is int and 0 <= t < size for t in value)
 
 
 def as_logits(values, size: int | None = None) -> np.ndarray:

@@ -15,12 +15,11 @@ import functools
 import hashlib
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TokenSeq, Vocabulary
+from .core import TokenSeq, Vocabulary, json_field, loads
 from .errors import (
     CorpusParseError,
     CorpusSchemaError,
@@ -145,7 +144,8 @@ def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
     idx = np.arange(n_words)
     dist = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(dist, n_words - dist)
-    kernel = np.exp(-concentration * (dist - 1.0))
+    # the diagonal, zeroed below, decays from distance 1 too: exp(+concentration) overflows
+    kernel = np.exp(-concentration * (np.maximum(dist, 1) - 1.0))
     kernel *= 1.0 + 0.6 * np.cos(0.7 * (idx[:, None] + idx[None, :]))
     np.fill_diagonal(kernel, 0.0)
     kernel /= kernel.sum(axis=1, keepdims=True)
@@ -381,8 +381,8 @@ def read_json_lines(path):
             if not line.strip():
                 continue
             try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
+                value = loads(line)
+            except ValueError as exc:
                 raise CorpusParseError(path, line_no, f"invalid JSON: {exc}") from exc
             yield line_no, value
 
@@ -390,41 +390,21 @@ def read_json_lines(path):
 def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
     if not isinstance(raw, dict):
         raise CorpusParseError(path, line_no, "a record must be a JSON object")
-
-    def schema_error(key, problem):
-        return CorpusSchemaError(fmap[key], f"{path}:{line_no}: {fmap[key]!r} {problem}")
-
-    for key in ("id", "reference", "nbest"):
-        if fmap[key] not in raw:
-            raise schema_error(key, "is a required field and is missing")
-    utt_id = raw[fmap["id"]]
-    if isinstance(utt_id, bool) or not isinstance(utt_id, (str, int)):
-        raise schema_error("id", f"must be a string or an integer, got {utt_id!r}")
-    reference = raw[fmap["reference"]]
-    if not isinstance(reference, str) or not reference.strip():
-        raise schema_error("reference", "must be a non-empty string")
-    hyps = raw[fmap["nbest"]]
-    if not isinstance(hyps, list) or not hyps:
-        raise schema_error("nbest", "must be a non-empty list")
+    where = f"{path}:{line_no}"
+    utt_id = json_field(raw, fmap["id"], (str, int), where=where)
+    reference = json_field(raw, fmap["reference"], (str,), str.strip, "a non-empty string", where)
+    hyps = json_field(raw, fmap["nbest"], (list,), len, "a non-empty list", where)
     nbest = []
     for rank, hyp in enumerate(hyps):
-        if isinstance(hyp, str):
-            text, score = hyp, -float(rank)
-        else:
-            if not isinstance(hyp, dict) or not isinstance(hyp.get(fmap["nbest_text"]), str):
-                raise schema_error("nbest_text", f"of hypothesis {rank} is not a string")
-            text = hyp[fmap["nbest_text"]]
-            score = hyp.get(fmap["nbest_score"])
-            if score is None:
-                score = -float(rank)
-            elif type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
-                # a bool, a string, NaN, an infinity or an integer past the float range
-                raise schema_error(
-                    "nbest_score", f"of hypothesis {rank} is not a finite number: {score!r}")
-        nbest.append((text, float(score)))
-    observation = raw.get(fmap["observation"], nbest[0][0])
-    if not isinstance(observation, str):
-        raise schema_error("observation", f"must be a string, got {observation!r}")
+        at = f"{where}: hypothesis {rank}"
+        text = hyp if isinstance(hyp, str) else \
+            json_field(hyp, fmap["nbest_text"], (str,), where=at)
+        score = -float(rank)  # a plain string, or a hypothesis without a score
+        if isinstance(hyp, dict) and hyp.get(fmap["nbest_score"]) is not None:
+            score = float(json_field(hyp, fmap["nbest_score"], (int, float), where=at))
+        nbest.append((text, score))
+    observation = json_field(raw, fmap["observation"], (str,), where=where) \
+        if fmap["observation"] in raw else nbest[0][0]
     return CorpusRecord(
         id=str(utt_id),
         reference=reference,

@@ -35,7 +35,7 @@ class CorpusParseError(LateFuseError):
 
 
 class CorpusSchemaError(LateFuseError):
-    """A corpus record is missing a required field; names the field."""
+    """An input field is missing, or of the wrong type or range; names the field."""
 
     def __init__(self, field, message=None):
         super().__init__(message or f"record is missing required field {field!r}")

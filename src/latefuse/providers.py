@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TokenSeq, Vocabulary
+from .core import TokenSeq, Vocabulary, is_token_id_list, json_field
 from .errors import InvalidInputError, InvalidParameterError
 
 # Added inside ln() so logits stay finite even for exact-zero mixture
@@ -109,21 +109,18 @@ class NgramModel:
 
     @classmethod
     def from_dict(cls, data: dict, vocab: Vocabulary) -> "NgramModel":
-        """The model `to_dict` wrote: each key is `order` token ids below V,
-        listed once with a positive count (a bool or a float is no integer)."""
-        order, smoothing, v = data["order"], data["smoothing"], vocab.size
-        if type(order) is not int or type(smoothing) not in (int, float):
-            raise InvalidParameterError(
-                f"order must be an integer and smoothing a number, got {order!r}, {smoothing!r}")
-        model = cls(vocab, order=order, smoothing=smoothing)
-        for key, count in data["ngrams"]:
-            if type(key) is not list or len(key) != order or \
-                    not all(type(i) is int and 0 <= i < v for i in key):
+        """The model `to_dict` wrote: each n-gram is a [key, count] pair, its
+        key `order` token ids below V, listed once, its count in [1, 2**53]."""
+        order, v = json_field(data, "order", (int,)), vocab.size
+        model = cls(vocab, order=order, smoothing=json_field(data, "smoothing", (int, float)))
+        for entry in json_field(data, "ngrams", (list,)):
+            key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
+            if not is_token_id_list(key, v) or len(key) != order:
+                raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
+                                            f"token ids in [0, {v}), got {entry!r:.200}")
+            if type(count) is not int or not 1 <= count <= 2 ** 53:
                 raise InvalidParameterError(
-                    f"n-gram key must be {order} token ids in [0, {v}), got {key!r}")
-            if type(count) is not int or count < 1:
-                raise InvalidParameterError(
-                    f"n-gram count must be a positive integer, got {count!r}")
+                    f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
             key = tuple(key)
             if key in model.ngram_counts:
                 raise InvalidParameterError(f"n-gram key {list(key)} is listed twice")

@@ -50,7 +50,7 @@ import threading
 
 import numpy as np
 
-from .core import Vocabulary
+from .core import Vocabulary, is_token_id_list, json_field, loads
 from .errors import ConfigurationError, ProviderIOError
 from .providers import UtteranceContext
 
@@ -194,17 +194,12 @@ class _ProcTransport:
 def _parse_line(line: bytes, kind: str = "response") -> dict:
     """The JSON object of one `kind` ("response" or "request") line."""
     try:
-        msg = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        msg = loads(line.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError is one
         raise ProviderIOError(f"malformed {kind} line: {exc}") from exc
     if not isinstance(msg, dict):
         raise ProviderIOError(f"expected a JSON object {kind}, got {type(msg).__name__}")
     return msg
-
-
-def _is_token_id_list(value, size: int) -> bool:
-    """A list of JSON integers in [0, size); a boolean is not one."""
-    return isinstance(value, list) and all(type(t) is int and 0 <= t < size for t in value)
 
 
 class ExternalProvider:
@@ -290,7 +285,7 @@ class ExternalProvider:
         size = self.vocab.size
         path = header.get("path", [])
         if "path" in header:
-            if not _is_token_id_list(path, size):
+            if not is_token_id_list(path, size):
                 raise ProviderIOError(f"path must be a list of token ids in [0, {size}), "
                                       f"got {path!r}")
             if path[:len(follow)] != follow:
@@ -345,11 +340,9 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
 
 
 def _token_ids(msg: dict, field: str, size: int) -> tuple:
-    value = msg.get(field, [])
-    if not _is_token_id_list(value, size):
-        raise ValueError(f"{field!r} must be a list of integer token ids in [0, {size}), "
-                         f"got {value!r:.200}")
-    return tuple(value)
+    """The ids in `field`, () if the request leaves it out."""
+    return tuple(json_field(msg, field, (list,), lambda ids: is_token_id_list(ids, size),
+                            f"a list of integer token ids in [0, {size})")) if field in msg else ()
 
 
 def _lookahead(provider, history: tuple, follow: tuple, ahead: int,
@@ -380,7 +373,8 @@ def _hello_reply(msg: dict, vocab: Vocabulary) -> dict:
 def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
                     greeted: bool) -> tuple[dict, bytes]:
     """The reply to one request: its header and, for a step, its frame. A
-    bad request raises ValueError, whose message the error reply carries."""
+    bad request raises ValueError, or CorpusSchemaError for a bad field,
+    whose message the error reply carries."""
     op = msg.get("op")
     if op == "hello":
         return _hello_reply(msg, provider.vocab), b""
@@ -398,9 +392,8 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
     follow = _token_ids(msg, "follow", provider.vocab.size)
     if len(follow) >= MAX_AHEAD:
         raise ValueError(f"'follow' holds more than {MAX_AHEAD - 1} tokens")
-    ahead = msg.get("ahead", 0)
-    if type(ahead) is not int or ahead < 0:
-        raise ValueError(f"'ahead' must be a non-negative integer, got {ahead!r:.200}")
+    ahead = json_field(msg, "ahead", (int,), lambda n: n >= 0, "a non-negative integer") \
+        if "ahead" in msg else 0
     rows, path = _lookahead(provider, history, follow, ahead, ctx)
     frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)
     header = {"logits_bytes": len(frame)}

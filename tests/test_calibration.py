@@ -170,13 +170,6 @@ class TestFitTemperature:
         assert sum(b[2] for b in report.bins) == report.n_dec
         assert report.n_dec == 4 + 2 + 3
 
-    def test_report_dict_roundtrip(self, abc_vocab, identity_channel):
-        from latefuse.calibration import CalibrationReport
-
-        dataset = dataset_from_texts(abc_vocab, ["a b"])
-        report = fit_temperature(identity_channel, dataset)
-        assert CalibrationReport.from_dict(report.to_dict()) == report
-
 
 class TestReliabilityBins:
     def test_perfect_provider_has_zero_ece(self, abc_vocab, identity_channel):

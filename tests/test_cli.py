@@ -281,6 +281,18 @@ class TestNonFiniteValues:
         assert named in capsys.readouterr().err
         assert not out.exists() and not list(tmp_path.glob("*.config.json"))
 
+    @pytest.mark.parametrize("key", ["beta", "max_len_factor", "timeout", "tau1"])
+    def test_config_integer_past_float_range_is_config_error(self, workspace, tmp_path,
+                                                             capsys, key):
+        """A flag such as `--beta 1e400` parses to inf, which `_write_resolved`
+        refuses; a JSON integer that large cannot become a float at all."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 10 ** 400}))
+        out = tmp_path / "out"
+        assert run(*decode_args(workspace, "uadf", out), "--config", cfg) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not out.exists() and not list(tmp_path.glob("*.config.json"))
+
     def test_resolved_config_is_strict_json(self, workspace, tmp_path):
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -489,13 +501,18 @@ def without(key):
     return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
-def edit_lm(edit):
-    """Damage for lm.json: `edit` changes the parsed model in place."""
+def edit_json(edit):
+    """Damage for a JSON side file: `edit` changes its parsed value in place."""
     def damage(text):
         data = json.loads(text)
         edit(data)
         return json.dumps(data)
     return damage
+
+
+def setting(**values):
+    """Damage for a JSON side file: set these top-level keys."""
+    return edit_json(lambda data: data.update(values))
 
 
 def set_first_ngram(key=None, count=None):
@@ -504,7 +521,7 @@ def set_first_ngram(key=None, count=None):
         old_key, old_count = data["ngrams"][0]
         data["ngrams"][0] = [old_key if key is None else key(old_key),
                              old_count if count is None else count]
-    return edit_lm(edit)
+    return edit_json(edit)
 
 
 class TestSideFiles:
@@ -524,12 +541,33 @@ class TestSideFiles:
         ("lm-model", "lm.json", set_first_ngram(key=lambda k: k[:-1] + [10 ** 6])),
         ("lm-model", "lm.json", set_first_ngram(count=1.7)),
         ("lm-model", "lm.json", set_first_ngram(key=lambda k: k[-1:])),
-        ("lm-model", "lm.json", edit_lm(lambda data: data.update(order=True))),
-        ("lm-model", "lm.json", edit_lm(lambda data: data["ngrams"].append(data["ngrams"][0]))),
+        ("lm-model", "lm.json", setting(order=True)),
+        ("lm-model", "lm.json", edit_json(lambda data: data["ngrams"].append(data["ngrams"][0]))),
+        ("lm-model", "lm.json", setting(vote_weight=True)),
+        ("lm-model", "lm.json", setting(vote_weight=10 ** 400)),
+        ("lm-model", "lm.json", setting(smoothing=10 ** 400)),
+        ("lm-model", "lm.json", set_first_ngram(count=10 ** 400)),
+        ("calibration-llm", "calibration-llm.json", setting(tau=True)),
+        ("calibration-llm", "calibration-llm.json", setting(tau=10 ** 400)),
+        ("manifest", "data/manifest.json", setting(concentration=True)),
+        ("manifest", "data/manifest.json", setting(concentration=10 ** 400)),
+        ("manifest", "data/manifest.json", setting(seed=1.5)),
+        ("corpus", "data/test.jsonl", lambda text: text.replace(
+            '"score": ', '"score": ' + "9" * 5000 + ', "x": ', 1)),
+        ("corpus", "data/test.jsonl", lambda text: text.replace(
+            '"score": ', '"score": ' + "[" * 100000 + "]" * 100000 + ', "x": ', 1)),
+        ("vocab", "data/vocab.txt", lambda text: text + text.splitlines()[-1] + "\n"),
+        ("vocab", "data/vocab.txt", lambda text: "".join(text.splitlines(keepends=True)[:2])),
+        ("vocab", "data/vocab.txt", lambda text: text + "two words\n"),
     ], ids=["lm-truncated", "lm-no-smoothing", "manifest-no-sub-rate", "calibration-no-tau",
             "corpus-text-score", "corpus-string-nbest", "corpus-empty-reference",
             "lm-infinite-token", "lm-negative-token", "lm-token-beyond-vocab",
-            "lm-fractional-count", "lm-short-key", "lm-bool-order", "lm-repeated-key"])
+            "lm-fractional-count", "lm-short-key", "lm-bool-order", "lm-repeated-key",
+            "lm-bool-vote-weight", "lm-huge-vote-weight", "lm-huge-smoothing", "lm-huge-count",
+            "calibration-bool-tau", "calibration-huge-tau", "manifest-bool-concentration",
+            "manifest-huge-concentration", "manifest-fractional-seed", "corpus-5000-digits",
+            "corpus-deep-nesting", "vocab-repeated-token", "vocab-two-lines",
+            "vocab-whitespace-token"])
     def test_malformed_file_is_data_error_naming_it(self, workspace, tmp_path, capsys,
                                                      flag, source, damage):
         broken = tmp_path / Path(source).name

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from latefuse.core import (
     as_logits,
     as_prob_dist,
     entropy,
+    json_field,
+    loads,
     sigmoid,
     softmax_with_temperature,
 )
-from latefuse.errors import InvalidInputError, InvalidParameterError
+from latefuse.errors import CorpusSchemaError, InvalidInputError, InvalidParameterError
 
 
 class TestSoftmaxWithTemperature:
@@ -193,6 +196,54 @@ class TestVocabulary:
         assert loaded == abc_vocab
         assert loaded.content_hash() == abc_vocab.content_hash()
 
+    @pytest.mark.parametrize("lines, named", [
+        (["<s>", "</s>", "<unk>", "a", "", "a"], ":6: token 'a' repeats line 4"),
+        (["<s>", "</s>", "<unk>", "two words"], ":4: token 'two words' holds whitespace"),
+        (["<s>", "</s>", "<unk>", " a"], ":4: token ' a' holds whitespace"),
+        (["<s>", "</s>"], ": vocabulary needs at least BOS, EOS and UNK"),
+    ], ids=["repeated", "inner-space", "leading-space", "two-lines"])
+    def test_load_names_the_file_and_line(self, tmp_path, lines, named):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path) + named)}"):
+            Vocabulary.load(path)
+
     def test_from_words_dedupes_preserving_order(self):
         v = Vocabulary.from_words(["b", "a", "b", "c"])
         assert v.tokens[3:] == ("b", "a", "c")
+
+
+class TestJsonInput:
+    @pytest.mark.parametrize("text", [
+        "{", "[1, 2", "9" * 5000, "[" * 100000 + "]" * 100000,
+    ], ids=["truncated", "unclosed", "5000-digits", "deep"])
+    def test_every_parse_failure_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            loads(text)
+
+    @pytest.mark.parametrize("value, types, ok", [
+        ("x", (str,), True), (3, (int,), True), (3, (int, float), True),
+        (1.5, (int, float), True), (2 ** 70, (int,), True), ([], (list,), True),
+        (True, (int,), False), (False, (int, float), False), (1.5, (int,), False),
+        ("1.5", (int, float), False), (math.nan, (int, float), False),
+        (math.inf, (int, float), False), (10 ** 400, (int,), False),
+        (None, (str,), False), ([], (str,), False),
+    ])
+    def test_type_finiteness_and_float_range(self, value, types, ok):
+        if ok:
+            assert json_field({"k": value}, "k", types) is value
+        else:
+            with pytest.raises(CorpusSchemaError, match="^f.json: 'k' must be") as err:
+                json_field({"k": value}, "k", types, where="f.json")
+            assert err.value.field == "k"
+
+    @pytest.mark.parametrize("data", [{}, [], None, "k"])
+    def test_missing_field_or_non_object_names_the_field(self, data):
+        with pytest.raises(CorpusSchemaError, match="'k' is a required field") as err:
+            json_field(data, "k", (int,))
+        assert err.value.field == "k"
+
+    def test_rule_states_what_ok_requires(self):
+        assert json_field({"tau": 2}, "tau", (int, float), lambda t: t > 0, "positive") == 2
+        with pytest.raises(CorpusSchemaError, match="'tau' must be positive, got 0"):
+            json_field({"tau": 0}, "tau", (int, float), lambda t: t > 0, "positive")

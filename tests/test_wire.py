@@ -397,6 +397,7 @@ BAD_FRAMES = [
     ("error-reply", header_line(error="boom"), False, "carries no logits"),
     ("header-not-json", b"{\n", False, "malformed response line"),
     ("header-not-object", b"[]\n", False, "JSON object response"),
+    ("header-too-deep", b"[" * 2000 + b"]" * 2000 + b"\n", False, "nested too deeply"),
 ]
 
 
