@@ -2,9 +2,9 @@
 
 The primary predictor (an N-best-conditioned corrector standing in for a
 large language model) and a secondary acoustic-channel predictor share
-one vocabulary and one greedy decoding history; each step either mixes
-their calibrated distributions with fixed weights or weights the
-secondary by sigmoid(entropy of the primary) - beta.
+one vocabulary and one greedy decoding history; each step adds the
+secondary's calibrated distribution to the primary's with a fixed weight
+or with the weight sigmoid(entropy of the primary) - beta.
 """
 
 from .calibration import (
@@ -34,7 +34,6 @@ from .decoding import DecodeResult, beam_search, fused_greedy_decode, greedy_dec
 from .fusion import (
     FusionConfig,
     FusionStep,
-    fuse_static,
     uadf_weight,
 )
 from .metrics import (

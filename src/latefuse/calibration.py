@@ -82,10 +82,12 @@ def collect_traces(provider, dataset):
 
 def _step_confidences(traces: np.ndarray, tau: float) -> np.ndarray:
     """Max of softmax(row / tau) per row; the max entry normalizes to
-    1 / sum(exp((x - x_max) / tau))."""
+    1 / sum(exp((x - x_max) / tau)). A tiny tau may take a shifted entry
+    to -inf, whose exp is the limit 0."""
     if not 0 < tau < math.inf:
         raise InvalidParameterError(f"tau must be finite and positive, got {tau}")
-    shifted = (traces - traces.max(axis=1, keepdims=True)) / tau
+    with np.errstate(over="ignore"):
+        shifted = (traces - traces.max(axis=1, keepdims=True)) / tau
     return 1.0 / np.exp(shifted).sum(axis=1)
 
 

@@ -150,7 +150,7 @@ CALIBRATE = {
 DECODE = {
     **_FILES, **_PROVIDERS, **_FUSION,
     "mode": Option(default="uadf", choices=fusion.MODES),
-    "beta": Option(number, 0.5), "w_llm": Option(number, 1.0), "w_asr": Option(number, 0.25),
+    "beta": Option(number, 0.5), "w_asr": Option(number, 0.25),
     "steps_log": Option(help="write per-step fusion diagnostics (JSON lines)"),
 }
 SWEEP = {
@@ -343,13 +343,9 @@ def cmd_simulate(resolved: dict):
 def cmd_train_lm(resolved: dict):
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
-    pairs = [
-        (tuple(vocab.encode(t, append_eos=True) for t, _ in rec.nbest),
-         vocab.encode(rec.reference, append_eos=True))
-        for rec in records
-    ]
+    references = [vocab.encode(rec.reference, append_eos=True) for rec in records]
     corrector = train_ngram_corrector(
-        pairs, vocab, order=resolved["order"], smoothing=resolved["smoothing"],
+        references, vocab, order=resolved["order"], smoothing=resolved["smoothing"],
         vote_weight=resolved["vote_weight"],
     )
     out = Path(resolved["out"])
@@ -359,7 +355,8 @@ def cmd_train_lm(resolved: dict):
     with open(out, "w", encoding="utf-8") as f:
         json.dump(payload, f)
         f.write("\n")
-    print(f"trained order-{corrector.model.order} corrector on {len(pairs)} pairs -> {out}")
+    print(f"trained order-{corrector.model.order} corrector on {len(references)} "
+          f"references -> {out}")
     return 0
 
 
@@ -388,7 +385,7 @@ def cmd_calibrate(resolved: dict):
 
 def cmd_decode(resolved: dict):
     cfg = fusion.FusionConfig(
-        mode=resolved["mode"], w_llm=resolved["w_llm"], w_asr=resolved["w_asr"],
+        mode=resolved["mode"], w_asr=resolved["w_asr"],
         tau1=_tau_from(resolved, "tau1", "calibration_llm"),
         tau2=_tau_from(resolved, "tau2", "calibration_asr"), beta=resolved["beta"])
     vocab = Vocabulary.load(resolved["vocab"])
@@ -435,9 +432,8 @@ def cmd_sweep(resolved: dict):
         tau1 = _tau_from(resolved, "tau1", "calibration_llm")
         tau2 = _tau_from(resolved, "tau2", "calibration_asr")
         if axis == "static-grid":
-            columns = ("w_llm", "w_asr")
-            cfgs = [fusion.FusionConfig(mode="static", w_llm=1.0, w_asr=w_asr,
-                                        tau1=tau1, tau2=tau2)
+            columns = ("w_asr",)
+            cfgs = [fusion.FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
                     for w_asr in resolved["w_asr_values"]]
         else:  # beta
             columns = ("beta",)

@@ -1,5 +1,6 @@
 """Shared vocabulary, token-sequence and probability-vector primitives,
-and the one JSON parse and field check every input file goes through.
+and the one line reader, JSON parse and field check every input file
+goes through.
 
 Token sequences are plain tuples of ids. Logits and probability
 distributions are 1-D float64 numpy arrays of length V. A provider's
@@ -89,20 +90,31 @@ class Vocabulary:
         """The vocabulary `save` wrote, blank lines skipped; a token holding
         whitespace (`encode` never yields one) or seen twice is a data error."""
         first_line = {}  # token -> line; insertion order is id order
-        with open(path, "r", encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                tok = line.rstrip("\n")
-                if not tok:
-                    continue
-                if tok.split() != [tok]:
-                    raise InvalidInputError(f"{path}:{line_no}: token {tok!r} holds whitespace")
-                if tok in first_line:
-                    raise InvalidInputError(
-                        f"{path}:{line_no}: token {tok!r} repeats line {first_line[tok]}")
-                first_line[tok] = line_no
+        for line_no, tok in read_lines(path):
+            if not tok:
+                continue
+            if tok.split() != [tok]:
+                raise InvalidInputError(f"{path}:{line_no}: token {tok!r} holds whitespace")
+            if tok in first_line:
+                raise InvalidInputError(
+                    f"{path}:{line_no}: token {tok!r} repeats line {first_line[tok]}")
+            first_line[tok] = line_no
         if len(first_line) < 3:
             raise InvalidInputError(f"{path}: vocabulary needs at least BOS, EOS and UNK")
         return cls(tokens=tuple(first_line))
+
+
+def read_lines(path):
+    """(line number, line without its "\n" or "\r\n") for each line of a
+    UTF-8 text file; a line that is not UTF-8 is a data error naming the
+    file and the line."""
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InvalidInputError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
+            yield line_no, line.rstrip("\r\n")
 
 
 def loads(text: str):
@@ -175,12 +187,18 @@ def softmax_with_temperature(logits, tau: float) -> np.ndarray:
     """softmax(logits / tau) with max-subtraction for overflow safety.
 
     tau > 0 scales the logits before normalization, so the argmax (and any
-    ties) of the output always matches the argmax of the input.
+    ties) of the output always matches the argmax of the input. A tau so
+    small that a logit / tau overflows is a parameter error.
     """
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
         raise InvalidParameterError(f"tau must be a positive finite real, got {tau!r}")
-    scaled = as_logits(logits) / float(tau)
-    scaled -= scaled.max()
+    arr = as_logits(logits)
+    top = float(arr.max()) / tau  # == (arr / tau).max(): x / tau is monotone, correctly rounded
+    # only a tau < 1 can scale a finite logit past the float range
+    if tau < 1 and not (math.isfinite(top) and math.isfinite(float(arr.min()) / tau)):
+        raise InvalidParameterError(f"tau {tau!r} is too small: a logit / tau overflows")
+    scaled = arr / float(tau)
+    scaled -= top
     np.exp(scaled, out=scaled)
     scaled /= scaled.sum()
     return scaled

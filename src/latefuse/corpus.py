@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TokenSeq, Vocabulary, json_field, loads
+from .core import TokenSeq, Vocabulary, json_field, loads, read_lines
 from .errors import (
     CorpusParseError,
     CorpusSchemaError,
@@ -179,24 +179,20 @@ def decoder_confusion(vocab: Vocabulary, channel: ChannelSpec) -> np.ndarray:
     return matrix
 
 
-def sample_references(source, n: int, seed: int, mean_len: float = 12.0) -> list[str]:
-    """Draw `n` reference sentences from the grammar or a text file.
+def sample_references(sentences, n: int, seed: int, mean_len: float = 12.0) -> list[str]:
+    """Draw `n` reference sentences from the grammar or a list of sentences.
 
-    Text-file sources are sampled by line (with replacement); the
-    built-in grammar fills each sentence with whole phrases to an exact
-    per-sentence target length drawn around `mean_len`.
+    A list is sampled with replacement; the built-in grammar fills each
+    sentence with whole phrases to an exact per-sentence target length
+    drawn around `mean_len`.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     if not (math.isfinite(mean_len) and mean_len >= 0):
         raise InvalidParameterError(f"mean_len must be finite and >= 0, got {mean_len}")
     rng = np.random.default_rng(seed)
-    if source is not None:
-        with open(source, "r", encoding="utf-8") as f:
-            lines = [line.strip().lower() for line in f if line.strip()]
-        if not lines:
-            raise InvalidInputError(f"source file {source} has no sentences")
-        return [lines[int(rng.integers(len(lines)))] for _ in range(n)]
+    if sentences is not None:
+        return [sentences[int(rng.integers(len(sentences)))] for _ in range(n)]
     return [" ".join(_grammar_sentence(rng, mean_len)) for _ in range(n)]
 
 
@@ -292,16 +288,16 @@ def generate_corpus(
         raise InvalidParameterError("beam_width must be >= n_best")
 
     if source is None:
-        vocab = builtin_vocabulary()
+        sentences, vocab = None, builtin_vocabulary()
     else:
-        with open(source, "r", encoding="utf-8") as f:
-            vocab = Vocabulary.from_words(
-                w for line in f for w in line.strip().lower().split()
-            )
+        sentences = [line.strip().lower() for _, line in read_lines(source) if line.strip()]
+        if not sentences:
+            raise InvalidInputError(f"source file {source} has no sentences")
+        vocab = Vocabulary.from_words(w for line in sentences for w in line.split())
     decoder = AcousticChannel(vocab, decoder_confusion(vocab, channel))
 
     total = n_train + n_val + n_test
-    references = sample_references(source, total, channel.seed, mean_len=mean_len)
+    references = sample_references(sentences, total, channel.seed, mean_len=mean_len)
     splits: dict[str, list[CorpusRecord]] = {}
     cursor = 0
     for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
@@ -376,15 +372,14 @@ def load_corpus(path, field_map: dict | None = None) -> list[CorpusRecord]:
 
 def read_json_lines(path):
     """(line number, JSON value) for each non-blank line of the file."""
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                value = loads(line)
-            except ValueError as exc:
-                raise CorpusParseError(path, line_no, f"invalid JSON: {exc}") from exc
-            yield line_no, value
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            value = loads(line)
+        except ValueError as exc:
+            raise CorpusParseError(path, line_no, f"invalid JSON: {exc}") from exc
+        yield line_no, value
 
 
 def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:

@@ -1,11 +1,12 @@
 """Step-level combination of two calibrated token distributions.
 
-Two strategies: a static weighted sum of the temperature-scaled
-distributions, and uadf (uncertainty-aware dynamic fusion), where the
-secondary model's weight at each step is sigmoid(H) - beta with H the
-entropy of the primary model's calibrated distribution. A confident
-primary (H -> 0, beta = 0.5) therefore decides alone, and the secondary
-weight grows with the primary's uncertainty.
+Both strategies pick the argmax of p_llm + w * p_asr over the two
+temperature-scaled distributions. Static fusion holds the secondary
+model's weight w fixed at w_asr; uadf (uncertainty-aware dynamic fusion)
+sets it at each step to sigmoid(H) - beta with H the entropy of the
+primary model's calibrated distribution. A confident primary (H -> 0,
+beta = 0.5) therefore decides alone, and the secondary weight grows with
+the primary's uncertainty.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class FusionConfig:
     """A fused decode's settings, checked when the config is built."""
 
     mode: str = "uadf"
-    w_llm: float = 1.0
     w_asr: float = 0.25
     tau1: float = 1.0
     tau2: float = 1.0
@@ -40,11 +40,8 @@ class FusionConfig:
             raise InvalidParameterError("tau1 and tau2 must be finite and positive")
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidParameterError(f"beta must be in [0, 1], got {self.beta}")
-        if self.mode == "static":
-            if not all(0 <= w < math.inf for w in (self.w_llm, self.w_asr)):
-                raise InvalidParameterError("static weights must be finite and >= 0")
-            if self.w_llm == 0 and self.w_asr == 0:
-                raise InvalidParameterError("static fusion needs at least one nonzero weight")
+        if self.mode == "static" and not 0 <= self.w_asr < math.inf:
+            raise InvalidParameterError(f"w_asr must be finite and >= 0, got {self.w_asr}")
 
 
 @dataclass(frozen=True)
@@ -78,19 +75,6 @@ def uadf_weight(u: float, beta: float) -> float:
     return sigmoid(float(u)) - float(beta)
 
 
-def _static_mix(p1: np.ndarray, p2: np.ndarray, cfg: FusionConfig) -> np.ndarray:
-    total = cfg.w_llm + cfg.w_asr
-    if total <= 0:
-        raise InvalidParameterError("static fusion needs at least one nonzero weight")
-    return (cfg.w_llm * p1 + cfg.w_asr * p2) / total
-
-
-def fuse_static(logits_llm, logits_asr, cfg: FusionConfig) -> np.ndarray:
-    """(w_llm * softmax(l1/tau1) + w_asr * softmax(l2/tau2)) / (w_llm + w_asr)."""
-    return _static_mix(softmax_with_temperature(logits_llm, cfg.tau1),
-                       softmax_with_temperature(logits_asr, cfg.tau2), cfg)
-
-
 def step_inputs(logits_llm, logits_asr, cfg: FusionConfig) -> tuple:
     """(p_llm, p_asr, entropy of p_llm) of one step.
 
@@ -104,18 +88,19 @@ def step_inputs(logits_llm, logits_asr, cfg: FusionConfig) -> tuple:
 
 
 def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) -> FusionStep:
-    """The fused choice of one step, given its `step_inputs`.
+    """The fused choice of one step, given its `step_inputs`: the argmax of
+    p_llm + w * p_asr, with w = w_asr (static) or sigmoid(u) - beta (uadf).
 
-    uadf picks the argmax of p_llm + w * p_asr, which is never rescaled
-    into a distribution; static picks the argmax of the weighted mixture.
+    The sum is never rescaled into a distribution: dividing it by 1 + w
+    would not move its argmax.
     """
     if cfg.mode == "uadf":
         w = uadf_weight(u, cfg.beta)
-        return FusionStep(p_llm, p_asr, u, w, argmax_token(p_llm + w * p_asr))
-    if cfg.mode == "static":
-        return FusionStep(p_llm, p_asr, u, cfg.w_asr,
-                          argmax_token(_static_mix(p_llm, p_asr, cfg)))
-    raise InvalidParameterError(f"fuse_step handles static/uadf, not {cfg.mode!r}")
+    elif cfg.mode == "static":
+        w = cfg.w_asr
+    else:
+        raise InvalidParameterError(f"fuse_step handles static/uadf, not {cfg.mode!r}")
+    return FusionStep(p_llm, p_asr, u, w, argmax_token(p_llm + w * p_asr))
 
 
 def fuse_step(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:

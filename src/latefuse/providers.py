@@ -167,18 +167,15 @@ class NgramCorrector:
 
 
 def train_ngram_corrector(
-    corpus,
+    references,
     vocab: Vocabulary,
     order: int = 2,
     smoothing: float = 0.5,
     vote_weight: float = 0.5,
 ) -> NgramCorrector:
-    """Train the corrector's n-gram component on (nbest, reference) pairs.
-
-    Only references feed the n-gram; the hypothesis vote always comes from
-    the decode-time context.
+    """Train the corrector's n-gram component on a list of reference token
+    sequences; the hypothesis vote always comes from the decode-time context.
     """
-    references = [ref for _nbest, ref in corpus]
     if not references:
         raise InvalidInputError("training corpus is empty")
     model = NgramModel(vocab, order=order, smoothing=smoothing)

@@ -14,7 +14,7 @@ import pytest
 
 from latefuse.calibration import collect_traces, fit_temperature, reliability_bins
 from latefuse.cli import main as cli_main
-from latefuse.core import Vocabulary
+from latefuse.core import Vocabulary, argmax_token
 from latefuse.corpus import (
     ChannelSpec,
     decoder_confusion,
@@ -34,13 +34,12 @@ from latefuse.metrics import (
 from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
 from latefuse.wire import ProviderServer, connect_external
 
-STATIC_GRID = [(1.0, w) for w in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)]
+STATIC_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)
 
 
 def static_grid_wers(bench) -> dict:
-    """{(w_llm, w_asr): validation WER} over STATIC_GRID."""
-    cfgs = [FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr)
-            for w_llm, w_asr in STATIC_GRID]
+    """{w_asr: validation WER} over STATIC_GRID."""
+    cfgs = [FusionConfig(mode="static", w_asr=w_asr) for w_asr in STATIC_GRID]
     wers = sweep_wers(bench["llm"], bench["asr"], cfgs, bench["val_set"])
     return dict(zip(STATIC_GRID, wers))
 
@@ -54,12 +53,8 @@ def check(num, desc, ok):
 def bench():
     channel = ChannelSpec(sub_rate=0.15, del_rate=0.02, ins_rate=0.02, seed=0)
     splits, vocab = generate_corpus(channel, n_train=2000, n_val=200, n_test=500)
-    train_pairs = [
-        (tuple(vocab.encode(t, append_eos=True) for t, _ in rec.nbest),
-         vocab.encode(rec.reference, append_eos=True))
-        for rec in splits["train"]
-    ]
-    llm = train_ngram_corrector(train_pairs, vocab, order=2, smoothing=0.1,
+    train_refs = [vocab.encode(rec.reference, append_eos=True) for rec in splits["train"]]
+    llm = train_ngram_corrector(train_refs, vocab, order=2, smoothing=0.1,
                                 vote_weight=0.85)
     asr = AcousticChannel(vocab, decoder_confusion(vocab, channel))
     cal_set = [
@@ -177,7 +172,7 @@ def test_criterion_4_calibration_fixed_point(bench):
 
 def test_criterion_5_argmax_invariance():
     rng = np.random.default_rng(77)
-    from latefuse.core import argmax_token, softmax_with_temperature
+    from latefuse.core import softmax_with_temperature
 
     violations = 0
     for _ in range(10_000):
@@ -195,7 +190,7 @@ def test_static_band_near_optimum_is_flat(bench):
     # a band of weights around the optimum gives near-identical WER while
     # the grid ends (w_asr = 0 and 1) sit ~1+ point away; the band
     # tolerance is 0.25 points at this corpus size (one word ~ 0.04 points)
-    by_weight = {w_asr: wer for (_, w_asr), wer in static_grid_wers(bench).items()}
+    by_weight = static_grid_wers(bench)
     floor = min(by_weight.values())
     band = [by_weight[w] for w in (0.25, 0.375, 0.5)]
     assert max(band) - floor <= 0.0025
@@ -209,15 +204,34 @@ def test_criterion_6_fusion_behavior_ordering(bench):
     wer_asr = bench["test_wer"](FusionConfig(mode="asr", tau2=rep_asr.tau))
     wer_uadf = bench["test_wer"](
         FusionConfig(mode="uadf", tau1=rep_llm.tau, tau2=rep_asr.tau))
-    # static baseline: weights grid-searched on the validation split (ties
-    # go to the smaller w_asr, then the smaller w_llm)
+    # static baseline: w_asr grid-searched on the validation split (ties
+    # go to the smaller w_asr)
     grid = static_grid_wers(bench)
-    w_llm, w_asr = min(grid, key=lambda point: (grid[point], point[1], point[0]))
-    wer_static = bench["test_wer"](
-        FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr))
+    w_asr = min(grid, key=lambda w: (grid[w], w))
+    wer_static = bench["test_wer"](FusionConfig(mode="static", w_asr=w_asr))
     ok = wer_uadf < wer_llm and wer_uadf < wer_asr and wer_uadf <= wer_static + 0.001
     check(6, f"uadf={wer_uadf:.4f} < llm={wer_llm:.4f}, < asr={wer_asr:.4f}, "
              f"<= static(w_asr={w_asr})={wer_static:.4f} + 0.001", ok)
+
+
+def test_static_sum_has_the_mixture_argmax_at_every_grid_step(bench):
+    """Static fusion chooses argmax(p_llm + w * p_asr); the weighted mixture
+    (p_llm + w * p_asr) / (1 + w) has the same argmax in exact arithmetic,
+    and in floating point at every step the grid decodes take, uncalibrated
+    and calibrated."""
+    steps = differ = 0
+    for tau1, tau2 in ((1.0, 1.0), (bench["rep_llm"].tau, bench["rep_asr"].tau)):
+        cfgs = [FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
+                for w_asr in STATIC_GRID]
+        for result in decode_eval_set(bench["llm"], bench["asr"], cfgs,
+                                      bench["val_set"] + bench["test_set"]):
+            for step in result.steps:
+                summed = step.p_llm + step.w_asr_effective * step.p_asr
+                steps += 1
+                differ += argmax_token(summed) != argmax_token(
+                    summed / (1.0 + step.w_asr_effective))
+    assert steps > 100_000
+    assert differ == 0
 
 
 class _DiracWrapper:

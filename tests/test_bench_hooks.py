@@ -44,7 +44,7 @@ TEXTS = ["a b c", "b a", "c c b", "a"]
 def bench_case(abc_vocab):
     """An n-gram corrector, a noisy channel and a four-utterance eval set."""
     refs = [abc_vocab.encode(text, append_eos=True) for text in TEXTS]
-    llm = train_ngram_corrector([((ref,), ref) for ref in refs], abc_vocab,
+    llm = train_ngram_corrector(refs, abc_vocab,
                                 order=2, smoothing=0.1)
     noisy = np.full((6, 6), 0.05)
     np.fill_diagonal(noisy, 0.75)

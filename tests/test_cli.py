@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -193,7 +194,7 @@ class TestDecode:
 
     @pytest.mark.parametrize("command", ["decode", "sweep"])
     @pytest.mark.parametrize("removed", [{"workers": 4}, {"combine": "renormalize"},
-                                         {"uncertainty": "entropy"}])
+                                         {"uncertainty": "entropy"}, {"w_llm": 1}])
     def test_removed_config_keys_are_config_errors(self, workspace, tmp_path,
                                                    command, removed):
         data = workspace / "data"
@@ -204,6 +205,14 @@ class TestDecode:
             out=str(tmp_path / "x.out"))))
         assert run(command, "--config", cfg) == 2
         assert not (tmp_path / "x.out").exists()
+
+    def test_removed_w_llm_flag_is_config_error(self, workspace, tmp_path):
+        """Static fusion weights p_asr by w_asr against p_llm alone."""
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(*decode_args(workspace, "static", out, **{"w-llm": "1"}))
+        assert exc.value.code == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("factor", ["-1", "nan"])
     def test_bad_max_len_factor_is_config_error(self, workspace, tmp_path, factor):
@@ -246,10 +255,10 @@ COMMAND_ARGS = {
 }
 
 NON_FINITE = [
-    ("decode", "--w-asr", "nan", "static weights"),
-    ("decode", "--w-llm", "inf", "static weights"),
-    ("sweep", "--w-asr-values", "0,nan", "static weights"),
-    ("sweep", "--w-asr-values", "0,inf", "static weights"),
+    ("decode", "--w-asr", "nan", "w_asr"),
+    ("decode", "--w-asr", "inf", "w_asr"),
+    ("sweep", "--w-asr-values", "0,nan", "w_asr"),
+    ("sweep", "--w-asr-values", "0,inf", "w_asr"),
     ("train-lm", "--smoothing", "nan", "smoothing"),
     ("train-lm", "--smoothing", "inf", "smoothing"),
     ("calibrate", "--tol", "nan", "tol"),
@@ -263,7 +272,6 @@ NON_FINITE = [
     ("decode-endpoint", "--timeout", "inf", "timeout"),
     # options the command ignores: no check of their own runs
     ("decode-uadf", "--w-asr", "nan", "--w-asr"),
-    ("decode-uadf", "--w-llm", "inf", "--w-llm"),
     ("decode", "--timeout", "inf", "--timeout"),
     ("sweep", "--beta-values", "0,nan", "--beta-values"),
 ]
@@ -301,6 +309,75 @@ class TestNonFiniteValues:
         resolved = json.loads((tmp_path / "decode-uadf.config.json").read_text(),
                               parse_constant=refuse)
         assert resolved["w_asr"] == 0.25 and resolved["timeout"] == 5.0
+
+
+class TestSubnormalTau:
+    """A tau so small that a logit / tau overflows is a config error in a
+    decode; in calibration the shifted logits reach the limit
+    exp(-inf) = 0. Neither warns."""
+
+    @pytest.mark.parametrize("mode", ["uadf", "llm"])
+    def test_decode_is_config_error(self, workspace, tmp_path, capsys, mode):
+        report = tmp_path / "calibration-llm.json"
+        report.write_text(json.dumps({"tau": 1e-320}))
+        # uadf reads tau1 from a report, llm from its flag
+        extra = {"calibration-llm": report} if mode == "uadf" else {"tau1": "1e-320"}
+        out = tmp_path / "out" / "hyp.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*decode_args(workspace, mode, out, **extra)) == 2
+        assert "tau 1e-320 is too small" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command, flag", [("reliability", "--tau"),
+                                               ("calibrate", "--tau-min")])
+    def test_calibration_reaches_the_limit(self, workspace, tmp_path, command, flag):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*which_llm_args(command)(workspace, out), flag, "1e-320") == 0
+        assert out.exists()
+
+
+def with_byte_ff_on_line_2(path, out):
+    """A copy of `path` at `out` whose second line holds the byte 0xff,
+    which no UTF-8 text holds."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    out.write_bytes(lines[0] + b"\xff" + b"".join(lines[1:]))
+    return out
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is a data error naming the file and line,
+    and the command writes nothing."""
+
+    @pytest.mark.parametrize("kind", ["corpus", "vocab", "hyp"])
+    def test_read_file_is_data_error(self, workspace, tmp_path, capsys, kind):
+        data = workspace / "data"
+        out = tmp_path / "out" / "result"
+        if kind == "hyp":
+            hyp = tmp_path / "hyp.jsonl"
+            assert run(*decode_args(workspace, "llm", hyp)) == 0
+            broken = with_byte_ff_on_line_2(hyp, tmp_path / "broken.jsonl")
+            argv = ["score", "--corpus", data / "test.jsonl", "--hyp", f"llm={broken}",
+                    "--out", out]
+        else:
+            source = data / ("test.jsonl" if kind == "corpus" else "vocab.txt")
+            broken = with_byte_ff_on_line_2(source, tmp_path / f"broken-{source.name}")
+            argv = decode_args(workspace, "llm", out, **{kind: broken})
+        assert run(*argv) == 3
+        assert f"{broken}:2: not UTF-8" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_simulate_source_is_data_error(self, tmp_path, capsys):
+        source = tmp_path / "sentences.txt"
+        source.write_text("show the flight\nlist the fare\n")
+        broken = with_byte_ff_on_line_2(source, tmp_path / "broken.txt")
+        out = tmp_path / "out"
+        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                   "--n-test", 1, "--source", broken) == 3
+        assert f"{broken}:2: not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScore:
@@ -403,11 +480,11 @@ class TestSweep:
                 "--w-asr-values", "0,0.5", "--out", out]
         assert run(*argv) == 0
         rows = out.read_text().splitlines()
-        assert rows[0] == "w_llm,w_asr,wer"
+        assert rows[0] == "w_asr,wer"
         assert len(rows) == 3
-        w0_wer = float(rows[1].split(",")[2])
+        w0_wer = float(rows[1].split(",")[1])
 
-        # (1, 0) matches a plain llm decode of the same split
+        # w_asr = 0 matches a plain llm decode of the same split
         hyp = tmp_path / "llm-val.jsonl"
         argv = ["decode", "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
                 "--mode", "llm", "--lm-model", workspace / "lm.json",
@@ -682,7 +759,7 @@ class TestOptionTable:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("key, value", [
-        ("mode", "uadf"), ("beta", 0.9), ("w_llm", 7), ("w_asr", 9), ("steps_log", "s.jsonl"),
+        ("mode", "uadf"), ("beta", 0.9), ("w_asr", 9), ("steps_log", "s.jsonl"),
     ])
     def test_sweep_takes_no_decode_only_option(self, workspace, tmp_path, key, value):
         data = workspace / "data"

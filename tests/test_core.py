@@ -49,6 +49,12 @@ class TestSoftmaxWithTemperature:
         with pytest.raises(InvalidParameterError):
             softmax_with_temperature([0.0, 1.0], tau)
 
+    @pytest.mark.parametrize("logits, tau", [([-1.0, -2.0], 1e-320), ([1e308, 0.0], 0.5),
+                                             ([0.0, -30.0], 1e-308)])
+    def test_tau_that_overflows_a_logit_rejected(self, logits, tau):
+        with pytest.raises(InvalidParameterError, match="too small"):
+            softmax_with_temperature(logits, tau)
+
     def test_nonfinite_logits_rejected(self):
         with pytest.raises(InvalidInputError):
             softmax_with_temperature([0.0, float("inf")], 1.0)

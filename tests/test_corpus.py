@@ -58,9 +58,11 @@ class TestSampleReferences:
 
     def test_text_file_source(self, tmp_path):
         path = tmp_path / "lines.txt"
-        path.write_text("alpha beta\ngamma delta\n")
-        refs = sample_references(path, 20, seed=0)
-        assert set(refs) <= {"alpha beta", "gamma delta"}
+        path.write_text("Alpha beta\n\ngamma delta\n")
+        splits, vocab = generate_corpus(ChannelSpec(), 4, 1, 1, source=path)
+        assert vocab.tokens[3:] == ("alpha", "beta", "gamma", "delta")
+        refs = {rec.reference for records in splits.values() for rec in records}
+        assert refs <= {"alpha beta", "gamma delta"}
 
     def test_vocabulary_coverage(self):
         vocab = builtin_vocabulary()

@@ -48,8 +48,8 @@ class TestGreedyDecode:
     def test_memorized_corpus_replay(self, abc_vocab):
         from latefuse.providers import train_ngram_corrector
 
-        pairs = [((), abc_vocab.encode("a b c", append_eos=True))] * 10
-        corrector = train_ngram_corrector(pairs, abc_vocab, order=2,
+        refs = [abc_vocab.encode("a b c", append_eos=True)] * 10
+        corrector = train_ngram_corrector(refs, abc_vocab, order=2,
                                           smoothing=0.0, vote_weight=0.0)
         result = greedy_decode(corrector, UtteranceContext(utt_id="u"), max_len=10)
         assert abc_vocab.decode(result.tokens) == "a b c"
@@ -82,8 +82,8 @@ class TestFusedGreedyDecode:
         # a corrector that replays one sentence with near-certain votes
         from latefuse.providers import train_ngram_corrector
 
-        pairs = [((), abc_vocab.encode("c b a", append_eos=True))] * 5
-        llm = train_ngram_corrector(pairs, abc_vocab, order=2, smoothing=0.0,
+        refs = [abc_vocab.encode("c b a", append_eos=True)] * 5
+        llm = train_ngram_corrector(refs, abc_vocab, order=2, smoothing=0.0,
                                     vote_weight=0.0)
         ctx = obs_ctx(abc_vocab, "a a a")
         uadf = fused_greedy_decode(llm, identity_channel,
@@ -278,9 +278,9 @@ class TestSweepWers:
     @pytest.mark.parametrize("case", range(8))
     def test_static_grid_equals_plain_loop(self, case):
         llm, asr, eval_set, (tau1, tau2) = random_case(case)
-        grid = [(1.0, w) for w in (0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 2.0)] + [(0.5, 1.0)]
-        cfgs = [FusionConfig(mode="static", w_llm=wl, w_asr=wa, tau1=tau1, tau2=tau2)
-                for wl, wa in grid]
+        grid = (0.0, 0.125, 0.25, 0.5, 0.75, 1.0, 2.0, 4.0)
+        cfgs = [FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
+                for w_asr in grid]
         got = sweep_wers(llm, asr, cfgs, eval_set)
         shared_calls = llm.calls
         llm.calls = 0

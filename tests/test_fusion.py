@@ -6,7 +6,7 @@ import pytest
 
 from latefuse.core import Vocabulary, entropy, softmax_with_temperature
 from latefuse.errors import InvalidParameterError
-from latefuse.fusion import FusionConfig, fuse_static, fuse_step, uadf_weight
+from latefuse.fusion import FusionConfig, fuse_step, uadf_weight
 from latefuse.providers import UtteranceContext
 
 
@@ -27,35 +27,43 @@ class TestUadfWeight:
 
 
 class TestFuseStatic:
-    def test_symmetric_mix(self):
-        cfg = FusionConfig(mode="static", w_llm=1.0, w_asr=1.0)
-        out = fuse_static(np.log([0.8, 0.2]), np.log([0.2, 0.8]), cfg)
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
+    def test_equal_weights_hand_arithmetic(self):
+        # [0.8, 0.2] + 1 * [0.3, 0.7] = [1.1, 0.9]
+        step = fuse_step(np.log([0.8, 0.2]), np.log([0.3, 0.7]),
+                         FusionConfig(mode="static", w_asr=1.0))
+        np.testing.assert_allclose(step.p_llm + step.p_asr, [1.1, 0.9], atol=1e-12)
+        assert step.w_asr_effective == 1.0
+        assert step.chosen == 0
 
-    def test_zero_asr_weight_returns_calibrated_llm(self):
-        cfg = FusionConfig(mode="static", w_llm=1.0, w_asr=0.0, tau1=2.0)
+    def test_zero_asr_weight_chooses_calibrated_llm_argmax(self):
+        cfg = FusionConfig(mode="static", w_asr=0.0, tau1=2.0)
         logits = np.array([1.0, 0.0, -1.0])
-        out = fuse_static(logits, np.array([5.0, 0.0, 0.0]), cfg)
-        np.testing.assert_allclose(out, softmax_with_temperature(logits, 2.0), atol=1e-12)
+        step = fuse_step(logits, np.array([0.0, 0.0, 5.0]), cfg)
+        np.testing.assert_allclose(step.p_llm, softmax_with_temperature(logits, 2.0),
+                                   atol=1e-12)
+        assert step.w_asr_effective == 0.0
+        assert step.chosen == 0
 
-    def test_four_to_one_ratio_hand_arithmetic(self):
-        # (4*[0.6,0.4] + 1*[0.1,0.9]) / 5 = [0.5, 0.5]
-        cfg = FusionConfig(mode="static", w_llm=4.0, w_asr=1.0)
-        out = fuse_static(np.log([0.6, 0.4]), np.log([0.1, 0.9]), cfg)
-        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
+    def test_flip_threshold_is_the_llm_margin(self):
+        # secondary Dirac on id 1: the choice flips exactly when w_asr
+        # exceeds the primary's probability margin 0.55 - 0.35
+        l1 = np.log([0.55, 0.35, 0.10])
+        l2 = np.array([-200.0, 0.0, -200.0])
+        for w in (0.0, 0.1, 0.19, 0.21, 0.5, 1.0, 4.0):
+            step = fuse_step(l1, l2, FusionConfig(mode="static", w_asr=w))
+            assert step.chosen == (1 if w > 0.2 else 0)
 
-    def test_output_is_distribution(self):
+    def test_unnormalised_sum_has_the_mixture_argmax(self):
+        # (p_llm + w p_asr) / (1 + w) is the weighted mixture; the positive
+        # factor 1 / (1 + w) cannot move its argmax
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            cfg = FusionConfig(mode="static", w_llm=rng.uniform(0, 3),
-                               w_asr=rng.uniform(0.01, 3))
-            out = fuse_static(rng.normal(size=7), rng.normal(size=7), cfg)
-            assert out.min() >= 0
-            assert out.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_both_weights_zero_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            FusionConfig(mode="static", w_llm=0.0, w_asr=0.0)
+        for _ in range(200):
+            w = float(rng.uniform(0.0, 3.0))
+            step = fuse_step(rng.normal(size=7), rng.normal(size=7),
+                             FusionConfig(mode="static", w_asr=w))
+            mixture = (step.p_llm + w * step.p_asr) / (1.0 + w)
+            assert mixture.sum() == pytest.approx(1.0, abs=1e-9)
+            assert step.chosen == int(np.argmax(mixture))
 
 
 class TestFuseUadf:
@@ -123,28 +131,26 @@ class TestFuseUadf:
 
 class TestFuseStep:
     def test_chosen_is_argmax_of_the_fused_scores(self):
+        """Both modes choose argmax(p_llm + w * p_asr); only w differs."""
         rng = np.random.default_rng(11)
         for _ in range(300):
             v = int(rng.integers(2, 12))
             l1 = rng.normal(scale=2.0, size=v)
             l2 = rng.normal(scale=2.0, size=v)
             tau1, tau2 = (float(t) for t in rng.uniform(0.3, 3.0, size=2))
-            w_llm, w_asr = (float(w) for w in rng.uniform(0.0, 2.0, size=2))
+            w_asr = float(rng.uniform(0.0, 2.0))
             beta = float(rng.uniform(0.0, 1.0))
-
-            static = FusionConfig(mode="static", w_llm=w_llm, w_asr=w_asr,
-                                  tau1=tau1, tau2=tau2)
-            step = fuse_step(l1, l2, static)
-            assert step.chosen == int(np.argmax(fuse_static(l1, l2, static)))
-            assert step.w_asr_effective == w_asr
-
-            dynamic = FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
-            step = fuse_step(l1, l2, dynamic)
             p_llm = softmax_with_temperature(l1, tau1)
             p_asr = softmax_with_temperature(l2, tau2)
-            w = uadf_weight(entropy(p_llm), beta)
-            assert step.w_asr_effective == w
-            assert step.chosen == int(np.argmax(p_llm + w * p_asr))
+
+            for cfg, w in (
+                (FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2), w_asr),
+                (FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2),
+                 uadf_weight(entropy(p_llm), beta)),
+            ):
+                step = fuse_step(l1, l2, cfg)
+                assert step.w_asr_effective == w
+                assert step.chosen == int(np.argmax(p_llm + w * p_asr))
 
     def test_other_modes_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -159,8 +165,9 @@ class TestFusionConfig:
         {"beta": 1.5},
         {"beta": -0.1},
         {"tau1": math.inf},
-        {"mode": "static", "w_llm": 0.0, "w_asr": 0.0},
         {"mode": "static", "w_asr": -0.5},
+        {"mode": "static", "w_asr": math.inf},
+        {"mode": "static", "w_asr": math.nan},
         {"mode": "llm-only"},
     ])
     def test_invalid_configs_rejected(self, kwargs):

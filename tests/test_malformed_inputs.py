@@ -60,8 +60,7 @@ HARMLESS = [
     ("hyp", ("terminated",), ANY, "score reads only a hypothesis's id and text"),
     ("hyp", ("text",), {'""'}, "an empty hypothesis text is an empty output, read as EOS only"),
     ("config", (), {"null", DELETE}, "a config key that is null or left out keeps its default"),
-    ("config", ("w_asr",), ANY, "uadf ignores the static weights"),
-    ("config", ("w_llm",), ANY, "uadf ignores the static weights"),
+    ("config", ("w_asr",), ANY, "uadf ignores the static weight"),
     ("config", ("timeout",), ANY, "no endpoint is set, so no timeout is used"),
     ("config", ("llm_endpoint",), {'""'}, "an empty endpoint is no endpoint"),
     ("config", ("asr_endpoint",), {'""'}, "an empty endpoint is no endpoint"),

@@ -66,16 +66,16 @@ class TestNgramModel:
 
 class TestNgramCorrector:
     def test_vote_follows_unanimous_first_token(self, abc_vocab):
-        pairs = [((), abc_vocab.encode("a b", append_eos=True))]
-        corrector = train_ngram_corrector(pairs, abc_vocab, order=1,
+        refs = [abc_vocab.encode("a b", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab, order=1,
                                           smoothing=0.5, vote_weight=0.5)
         ctx = ctx_with_nbest(abc_vocab, ["c a", "c b", "c c", "c a", "c b"])
         logits = corrector.next_logits((Vocabulary.BOS,), ctx)
         assert int(np.argmax(logits)) == abc_vocab.id_of("c")
 
     def test_pure_vote_is_dirac_on_shared_reference(self, abc_vocab):
-        pairs = [((), abc_vocab.encode("a", append_eos=True))]
-        corrector = train_ngram_corrector(pairs, abc_vocab, vote_weight=1.0)
+        refs = [abc_vocab.encode("a", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab, vote_weight=1.0)
         ctx = ctx_with_nbest(abc_vocab, ["a b c"] * 5)
         # teacher-forced over the shared reference: argmax equals it everywhere
         reference = abc_vocab.encode("a b c", append_eos=True)
@@ -86,9 +86,9 @@ class TestNgramCorrector:
             history += (tok,)
 
     def test_vote_weight_zero_ignores_context(self, abc_vocab):
-        pairs = [((), abc_vocab.encode("a b a", append_eos=True)),
-                 ((), abc_vocab.encode("b c", append_eos=True))]
-        corrector = train_ngram_corrector(pairs, abc_vocab, order=1,
+        refs = [abc_vocab.encode("a b a", append_eos=True),
+                abc_vocab.encode("b c", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab, order=1,
                                           smoothing=0.5, vote_weight=0.0)
         ctx1 = ctx_with_nbest(abc_vocab, ["c c c"] * 5)
         ctx2 = UtteranceContext(utt_id="u1")
@@ -101,8 +101,8 @@ class TestNgramCorrector:
             [0.05, 0.25, 0.05, 0.25, 0.25, 0.15], atol=1e-9)
 
     def test_vote_beyond_all_hypotheses_is_uniform(self, abc_vocab):
-        pairs = [((), abc_vocab.encode("a", append_eos=True))]
-        corrector = train_ngram_corrector(pairs, abc_vocab, vote_weight=1.0)
+        refs = [abc_vocab.encode("a", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab, vote_weight=1.0)
         ctx = ctx_with_nbest(abc_vocab, ["a"])
         # position 5 is past the single 2-token hypothesis
         logits = corrector.next_logits((0, 3, 1, 3, 3, 3), ctx)
@@ -110,16 +110,16 @@ class TestNgramCorrector:
             softmax_with_temperature(logits, 1.0), np.full(6, 1 / 6), atol=1e-9)
 
     def test_determinism_bit_identical(self, abc_vocab):
-        pairs = [((), abc_vocab.encode("a b c", append_eos=True))]
-        corrector = train_ngram_corrector(pairs, abc_vocab)
+        refs = [abc_vocab.encode("a b c", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab)
         ctx = ctx_with_nbest(abc_vocab, ["a b", "a c"])
         one = corrector.next_logits((0, 3), ctx)
         two = corrector.next_logits((0, 3), ctx)
         np.testing.assert_array_equal(one, two)
 
     def test_logits_always_finite(self, abc_vocab):
-        pairs = [((), abc_vocab.encode("a", append_eos=True))]
-        corrector = train_ngram_corrector(pairs, abc_vocab, smoothing=0.0,
+        refs = [abc_vocab.encode("a", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab, smoothing=0.0,
                                           vote_weight=1.0)
         ctx = ctx_with_nbest(abc_vocab, ["a"] * 5)
         assert np.all(np.isfinite(corrector.next_logits((0,), ctx)))

@@ -187,10 +187,10 @@ class TestProviderServer:
                 connect_external(server.address, other, timeout=2.0)
 
     def test_loopback_decode_bit_identical(self, abc_vocab):
-        pairs = [((), abc_vocab.encode("a b c", append_eos=True)),
-                 ((), abc_vocab.encode("b c", append_eos=True)),
-                 ((), abc_vocab.encode("c a", append_eos=True))]
-        corrector = train_ngram_corrector(pairs, abc_vocab, order=2,
+        refs = [abc_vocab.encode("a b c", append_eos=True),
+                abc_vocab.encode("b c", append_eos=True),
+                abc_vocab.encode("c a", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab, order=2,
                                           smoothing=0.2, vote_weight=0.6)
         contexts = {}
         for i, text in enumerate(["a b", "b c a", "c", "a c b", "b b"]):
@@ -1014,7 +1014,7 @@ class TestRoundTrips:
             decode = lambda llm, ctx: greedy_decode(llm, ctx, max_len=16)
         else:
             local, asr = TieFreeHashProvider(abc_vocab), asr(abc_vocab)
-            cfg = FusionConfig(mode="static", w_llm=1.0, w_asr=1.0)
+            cfg = FusionConfig(mode="static", w_asr=1.0)
             decode = lambda llm, ctx: fused_greedy_decode(llm, asr, cfg, ctx, max_len=16)
         expected = 0
         with ProviderServer(local, HASH_CONTEXTS) as server:
