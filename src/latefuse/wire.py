@@ -33,15 +33,15 @@ relies on a served provider returning the same logits for the same
 Replies and requests are capped: a reply header longer than
 MAX_HEADER_BYTES or announcing more than `max_logits_bytes(V)`, and a
 request line longer than MAX_REQUEST_BYTES, end the exchange. Endpoints
-are either "host:port" strings or argv lists for a subprocess bridged
-over stdin/stdout.
+are either "host:port" strings or argv lists for a subprocess whose stdin
+and stdout are one end of a socket pair: the client talks to either over
+one socket.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import select
 import socket
 import subprocess
@@ -81,9 +81,12 @@ def max_logits_bytes(vocab_size: int) -> int:
     return 8 * MAX_AHEAD * vocab_size
 
 
-class _LineChannel:
-    """Request/reply framing over one byte stream: a request is one line,
-    a reply one header line, then as many raw bytes as its "logits_bytes".
+class _TcpTransport:
+    """Request/reply framing over one connected socket: a TCP connection,
+    or one end of a socket pair whose other end is the stdin and stdout of
+    the subprocess `proc`, which `close` stops. A request is one line, a
+    reply one header line, then as many raw bytes as its "logits_bytes".
+    The socket's timeout bounds each send and each receive.
 
     Bytes read past a reply are kept, not dropped. A byte the provider
     sends beyond the one reply per request means replies no longer pair
@@ -91,24 +94,28 @@ class _LineChannel:
     MAX_HEADER_BYTES fails as soon as it is, unread to its end, and one
     whose "logits_bytes" is not an integer in [0, `max_frame`] fails
     before any byte of its frame is read.
+
+    It keeps its name and `round_trip` for the bench's layer tracer, which
+    wraps `_TcpTransport.round_trip` through the class `__dict__`.
     """
 
-    def __init__(self, fd: int, recv, max_frame: int):
-        self._fd = fd  # polled, without blocking, for bytes nobody asked for
-        self._recv = recv  # the next chunk, b"" at end of stream
+    def __init__(self, sock: socket.socket, max_frame: int, proc=None):
+        self._sock = sock
         self._max_frame = max_frame
+        self._proc = proc
         self._buffer = bytearray()
 
-    def exchange(self, send, request: dict) -> tuple[dict, bytearray]:
-        """Send `request` as one line through `send`; return the reply's
-        parsed header and its frame, empty for a header without one."""
+    def round_trip(self, payload: dict) -> tuple[dict, bytearray]:
+        """Send `payload` as one line; return the reply's parsed header and
+        its frame, empty for a header without one."""
         try:
-            if not self._buffer and select.select([self._fd], [], [], 0)[0]:
-                self._buffer += self._recv()
+            # polled, without blocking, for bytes nobody asked for
+            if not self._buffer and select.select([self._sock], [], [], 0)[0]:
+                self._buffer += self._sock.recv(65536)
             if self._buffer:
                 raise ProviderIOError(
                     f"provider sent {len(self._buffer)} bytes no request asked for")
-            send((json.dumps(request) + "\n").encode("utf-8"))
+            self._sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
             # the first newline ends the header: JSON escapes every other one
             while ((end := self._buffer.find(b"\n", 0, MAX_HEADER_BYTES + 1)) < 0
                    and len(self._buffer) <= MAX_HEADER_BYTES):
@@ -124,6 +131,9 @@ class _LineChannel:
             del self._buffer[:end + 1]
             while len(self._buffer) < size:
                 self._read()
+        except TimeoutError as exc:
+            raise ProviderIOError(
+                f"provider timed out after {self._sock.gettimeout()}s") from exc
         except OSError as exc:
             raise ProviderIOError(f"transport failure: {exc}") from exc
         if len(self._buffer) > size:
@@ -132,63 +142,20 @@ class _LineChannel:
         return header, frame
 
     def _read(self):
-        chunk = self._recv()
+        chunk = self._sock.recv(65536)
         if not chunk:
             raise ProviderIOError("provider closed its output")
         self._buffer += chunk
 
-
-class _TcpTransport:
-    def __init__(self, host: str, port: int, timeout: float, max_frame: int):
-        try:
-            self._sock = socket.create_connection((host, port), timeout=timeout)
-        except OSError as exc:
-            raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
-        # recv waits at most `timeout`, then raises (the socket keeps it)
-        self._lines = _LineChannel(self._sock.fileno(), lambda: self._sock.recv(65536),
-                                   max_frame)
-
-    def round_trip(self, payload: dict) -> tuple[dict, bytearray]:
-        return self._lines.exchange(self._sock.sendall, payload)
-
     def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class _ProcTransport:
-    def __init__(self, command: list[str], timeout: float, max_frame: int):
-        self._timeout = timeout
-        try:
-            self._proc = subprocess.Popen(command, stdin=subprocess.PIPE,
-                                          stdout=subprocess.PIPE)
-        except OSError as exc:
-            raise ProviderIOError(f"cannot start {command!r}: {exc}") from exc
-        self._lines = _LineChannel(self._proc.stdout.fileno(), self._recv, max_frame)
-
-    def _send(self, data: bytes):
-        self._proc.stdin.write(data)
-        self._proc.stdin.flush()
-
-    def _recv(self) -> bytes:
-        fd = self._proc.stdout.fileno()
-        if not select.select([fd], [], [], self._timeout)[0]:
-            raise ProviderIOError(f"provider timed out after {self._timeout}s")
-        return os.read(fd, 65536)
-
-    def round_trip(self, payload: dict) -> tuple[dict, bytearray]:
-        return self._lines.exchange(self._send, payload)
-
-    def close(self):
-        self._proc.terminate()
-        try:
-            self._proc.wait(timeout=2)
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-        self._proc.stdin.close()  # every request was flushed, so nothing is pending
-        self._proc.stdout.close()
+        self._sock.close()
+        if self._proc is not None:
+            self._proc.terminate()
+            try:
+                self._proc.wait(timeout=2)
+            except subprocess.TimeoutExpired:
+                self._proc.kill()
+                self._proc.wait()
 
 
 def _parse_line(line: bytes, kind: str = "response") -> dict:
@@ -325,17 +292,33 @@ def _ahead(taken: int, left: int) -> int:
 
 
 def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> ExternalProvider:
-    """Connect to "host:port" or spawn an argv-list subprocess endpoint."""
-    if not 0 < timeout < math.inf:
-        raise ConfigurationError(f"timeout must be finite and > 0, got {timeout}")
+    """Connect to "host:port", or start an argv-list subprocess endpoint
+    whose stdin and stdout are one end of a socket pair."""
+    if not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ConfigurationError(
+            f"timeout must be in (0, {threading.TIMEOUT_MAX}] seconds, got {timeout}")
     max_frame = max_logits_bytes(vocab.size)
     if isinstance(endpoint, (list, tuple)):
-        transport = _ProcTransport([str(c) for c in endpoint], timeout, max_frame)
+        command = [str(c) for c in endpoint]
+        sock, theirs = socket.socketpair()
+        with theirs:  # close_fds keeps `sock` out of the child, so it sees end of stream
+            try:
+                proc = subprocess.Popen(command, stdin=theirs, stdout=theirs)
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in an argument
+                sock.close()
+                raise ProviderIOError(f"cannot start {command!r}: {exc}") from exc
+        sock.settimeout(timeout)
+        transport = _TcpTransport(sock, max_frame, proc)
     else:
         host, _, port = str(endpoint).rpartition(":")
-        if not host or not port.isdigit():
-            raise ConfigurationError(f"endpoint must be host:port or argv list, got {endpoint!r}")
-        transport = _TcpTransport(host, int(port), timeout, max_frame)
+        if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+            raise ConfigurationError("endpoint must be host:port with a port in [1, 65535], "
+                                     f"or an argv list, got {endpoint!r}")
+        try:
+            sock = socket.create_connection((host, int(port)), timeout=timeout)
+        except OSError as exc:
+            raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
+        transport = _TcpTransport(sock, max_frame)
     return ExternalProvider(transport, vocab)
 
 
@@ -382,9 +365,10 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
         raise ValueError(f"the first request must be a hello, got op {op!r:.200}")
     if op != "step":
         raise ValueError(f"unknown op {op!r:.200}")
-    ctx = contexts.get(msg.get("utt"))
+    utt = json_field(msg, "utt", (str,))
+    ctx = contexts.get(utt)
     if ctx is None:
-        raise ValueError(f"unknown utterance {msg.get('utt')!r:.200}")
+        raise ValueError(f"unknown utterance {utt!r:.200}")
     history = _token_ids(msg, "history", provider.vocab.size)
     if history[:1] != (Vocabulary.BOS,):
         raise ValueError(f"'history' must start with BOS ({Vocabulary.BOS}), "
@@ -436,10 +420,8 @@ class ProviderServer:
                  host: str = "127.0.0.1", port: int = 0):
         self._provider = provider
         self._contexts = contexts
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
+        # SO_REUSEADDR is set, and the socket closed if bind or listen fails
+        self._sock = socket.create_server((host, port))
         self._stopping = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
 

@@ -37,9 +37,10 @@ from latefuse.wire import ProviderServer, connect_external
 STATIC_GRID = (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)
 
 
-def static_grid_wers(bench) -> dict:
-    """{w_asr: validation WER} over STATIC_GRID."""
-    cfgs = [FusionConfig(mode="static", w_asr=w_asr) for w_asr in STATIC_GRID]
+def static_grid_wers(bench, tau1=1.0, tau2=1.0) -> dict:
+    """{w_asr: validation WER} over STATIC_GRID, at temperatures tau1, tau2."""
+    cfgs = [FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
+            for w_asr in STATIC_GRID]
     wers = sweep_wers(bench["llm"], bench["asr"], cfgs, bench["val_set"])
     return dict(zip(STATIC_GRID, wers))
 
@@ -204,11 +205,12 @@ def test_criterion_6_fusion_behavior_ordering(bench):
     wer_asr = bench["test_wer"](FusionConfig(mode="asr", tau2=rep_asr.tau))
     wer_uadf = bench["test_wer"](
         FusionConfig(mode="uadf", tau1=rep_llm.tau, tau2=rep_asr.tau))
-    # static baseline: w_asr grid-searched on the validation split (ties
-    # go to the smaller w_asr)
-    grid = static_grid_wers(bench)
+    # static baseline at the same fitted temperatures: w_asr grid-searched
+    # on the validation split (ties go to the smaller w_asr)
+    grid = static_grid_wers(bench, rep_llm.tau, rep_asr.tau)
     w_asr = min(grid, key=lambda w: (grid[w], w))
-    wer_static = bench["test_wer"](FusionConfig(mode="static", w_asr=w_asr))
+    wer_static = bench["test_wer"](
+        FusionConfig(mode="static", w_asr=w_asr, tau1=rep_llm.tau, tau2=rep_asr.tau))
     ok = wer_uadf < wer_llm and wer_uadf < wer_asr and wer_uadf <= wer_static + 0.001
     check(6, f"uadf={wer_uadf:.4f} < llm={wer_llm:.4f}, < asr={wer_asr:.4f}, "
              f"<= static(w_asr={w_asr})={wer_static:.4f} + 0.001", ok)

@@ -270,6 +270,11 @@ NON_FINITE = [
     ("decode-endpoint", "--timeout", "-1", "timeout"),
     ("decode-endpoint", "--timeout", "0", "timeout"),
     ("decode-endpoint", "--timeout", "inf", "timeout"),
+    ("decode-endpoint", "--timeout", "1e300", "timeout"),
+    ("decode-endpoint", "--timeout", "9223372037", "timeout"),
+    ("decode-endpoint", "--llm-endpoint", "127.0.0.1:\u00b2", "port"),
+    ("decode-endpoint", "--llm-endpoint", "127.0.0.1:99999999999", "port"),
+    ("decode-endpoint", "--llm-endpoint", "127.0.0.1:0", "port"),
     # options the command ignores: no check of their own runs
     ("decode-uadf", "--w-asr", "nan", "--w-asr"),
     ("decode", "--timeout", "inf", "--timeout"),

@@ -7,9 +7,11 @@ import json
 import random
 import re
 import socket
+import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.fusion import FusionConfig
 from latefuse.providers import UtteranceContext, train_ngram_corrector
 from latefuse.wire import (LOGITS_ENCODING, MAX_HEADER_BYTES, MAX_REQUEST_BYTES,
-                           ExternalProvider, ProviderServer, _LineChannel, connect_external,
+                           ExternalProvider, ProviderServer, _TcpTransport, connect_external,
                            max_logits_bytes, stdio_serve)
 
 
@@ -131,16 +133,20 @@ class TestExternalProvider:
             connect_external(server.address, abc_vocab, timeout=2.0)
         server.close()
 
-    def test_timeout_is_provider_io_error(self, abc_vocab, empty_ctx):
-        server = LineServer(scripted({"hello": {"ok": True},
-                                      "step": lambda msg: None}))  # never answers
-        provider = connect_external(server.address, abc_vocab, timeout=0.2)
-        try:
-            with pytest.raises(ProviderIOError):
-                provider.next_logits((0,), empty_ctx)
-        finally:
-            provider.close()
-            server.close()
+    @pytest.mark.parametrize("transport", ["tcp", "stdio"])
+    def test_timeout_is_provider_io_error(self, abc_vocab, empty_ctx, transport):
+        with scripted_endpoint(transport, b"") as endpoint, \
+                connect_external(endpoint, abc_vocab, timeout=0.5) as remote:  # never answers
+            start = time.monotonic()
+            with pytest.raises(ProviderIOError, match=r"provider timed out after 0\.5s"):
+                remote.next_logits((0,), empty_ctx)
+            assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("transport", ["tcp", "stdio"])
+    def test_longest_timeout_is_accepted(self, abc_vocab, empty_ctx, transport):
+        with scripted_endpoint(transport, frame(ZEROS)) as endpoint, \
+                connect_external(endpoint, abc_vocab, timeout=threading.TIMEOUT_MAX) as remote:
+            assert remote.next_logits((0,), empty_ctx).tolist() == ZEROS
 
     def test_unsolicited_line_is_provider_io_error(self, empty_ctx):
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
@@ -179,6 +185,13 @@ class TestExternalProvider:
 
 
 class TestProviderServer:
+    def test_failed_bind_closes_the_socket(self, abc_vocab):
+        with ProviderServer(HashProvider(abc_vocab), {}) as taken:
+            host, _, port = taken.address.rpartition(":")
+            with pytest.raises(OSError):
+                ProviderServer(HashProvider(abc_vocab), {}, host, int(port))
+        gc.collect()  # an unclosed socket warns as it is collected
+
     def test_vocab_hash_guard(self, abc_vocab, constant_provider_cls):
         provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size))
         other = Vocabulary(tokens=("<s>", "</s>", "<unk>", "x", "y", "z"))
@@ -245,6 +258,13 @@ def scripted_stdio(step, hang_up=False, **names):
 
 
 class TestSubprocessEndpoint:
+    @pytest.mark.parametrize("argv", [["/nonexistent/provider"], [sys.executable, "-c\0"]],
+                             ids=["missing", "nul"])
+    def test_command_that_cannot_start_is_provider_io_error(self, abc_vocab, argv):
+        with pytest.raises(ProviderIOError, match="cannot start"):
+            connect_external(argv, abc_vocab)
+        gc.collect()  # an unclosed socket warns as it is collected
+
     def test_subprocess_echo(self, abc_vocab, empty_ctx):
         script = scripted_stdio("reply", reply=frame(one_hot(0, abc_vocab.size)))
         provider = connect_external(script, abc_vocab, timeout=5.0)
@@ -302,8 +322,9 @@ class HashProvider:
 HASH_CONTEXTS = {f"u{i}": UtteranceContext(utt_id=f"u{i}") for i in range(4)}
 
 
-def stdio_endpoint(vocab):
-    """argv of a subprocess serving HashProvider through `stdio_serve`."""
+def stdio_endpoint(vocab, utts=tuple(HASH_CONTEXTS)):
+    """argv of a subprocess serving HashProvider through `stdio_serve`, for
+    the utterances `utts` of HASH_CONTEXTS."""
     src = str(Path(latefuse.__file__).resolve().parents[1])
     return [sys.executable, "-c", "\n".join([
         f"import sys; sys.path.insert(0, {src!r})",
@@ -314,7 +335,7 @@ def stdio_endpoint(vocab):
         "from latefuse.wire import stdio_serve",
         textwrap.dedent(inspect.getsource(HashProvider)),
         f"stdio_serve(HashProvider(Vocabulary(tokens={vocab.tokens!r})),",
-        f"            {{u: UtteranceContext(utt_id=u) for u in {list(HASH_CONTEXTS)!r}}})",
+        f"            {{u: UtteranceContext(utt_id=u) for u in {list(utts)!r}}})",
     ])]
 
 
@@ -465,23 +486,44 @@ def random_sizes(rng, total):
     return sizes
 
 
+class ScriptedSocket:
+    """The four socket methods `_TcpTransport` uses: `fileno` and `close`
+    of the real socket `sock`, and `recv` and `sendall` as the test scripts
+    them; `recv` ignores the size asked for."""
+
+    def __init__(self, sock, recv, sendall=lambda data: None):
+        self._sock, self._recv, self._sendall = sock, recv, sendall
+
+    def fileno(self):
+        return self._sock.fileno()
+
+    def recv(self, bufsize):
+        return self._recv()
+
+    def sendall(self, data):
+        self._sendall(data)
+
+    def close(self):
+        self._sock.close()
+
+
 class TestLineChannel:
-    """`_LineChannel` over a socket pair. The test plays the provider, whose
-    whole reply is pending once the request is sent, and picks the size of
-    every chunk the channel receives."""
+    """`_TcpTransport`'s framing over a socket pair. The test plays the
+    provider, whose whole reply is pending once the request is sent, and
+    picks the size of every chunk the transport receives."""
 
     @staticmethod
     def exchanges(replies, sizes, max_frame=1 << 20):
         client, peer = socket.socketpair()
         replies, sizes = iter(replies), iter(sizes)
-        channel = _LineChannel(client.fileno(), lambda: client.recv(next(sizes, 65536)),
-                               max_frame)
+        channel = _TcpTransport(ScriptedSocket(client, lambda: client.recv(next(sizes, 65536)),
+                                               lambda data: peer.sendall(next(replies, b""))),
+                                max_frame)
         try:
             while True:
-                yield channel.exchange(lambda data: peer.sendall(next(replies, b"")),
-                                       {"op": "step"})
+                yield channel.round_trip({"op": "step"})
         finally:
-            client.close()
+            channel.close()
             peer.close()
 
     @staticmethod
@@ -533,9 +575,9 @@ class TestLineChannel:
             return chunks[-1]
 
         try:
-            channel = _LineChannel(client.fileno(), recv, max_frame=1000)
+            channel = _TcpTransport(ScriptedSocket(client, recv), max_frame=1000)
             with pytest.raises(ProviderIOError, match=f"longer than {MAX_HEADER_BYTES} bytes"):
-                channel.exchange(lambda data: None, {"op": "step"})
+                channel.round_trip({"op": "step"})
         finally:
             client.close()
             peer.close()
@@ -553,14 +595,14 @@ class TestLineChannel:
             return chunks[-2]
 
         try:
-            channel = _LineChannel(client.fileno(), recv, max_frame=1000)
+            channel = _TcpTransport(ScriptedSocket(client, recv), max_frame=1000)
             if ok:
-                assert channel.exchange(lambda data: None, {"op": "step"}) == \
+                assert channel.round_trip({"op": "step"}) == \
                     ({"logits_bytes": size}, bytearray(b"\n" * size))
             else:
                 with pytest.raises(ProviderIOError, match="'logits_bytes' must be an integer "
                                                           r"in \[0, 1000\]"):
-                    channel.exchange(lambda data: None, {"op": "step"})
+                    channel.round_trip({"op": "step"})
         finally:
             client.close()
             peer.close()
@@ -645,6 +687,33 @@ class TestCommandsCloseTheirConnections:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("served, code", [(["u0"], 0), ([], 4)],
+                             ids=["decode", "decode-exits-4"])
+    def test_subprocess_is_stopped(self, abc_vocab, tmp_path, monkeypatch, served, code):
+        started = []
+
+        class RecordedPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(wire.subprocess, "Popen", RecordedPopen)
+        abc_vocab.save(tmp_path / "vocab.txt")
+        (tmp_path / "test.jsonl").write_text(json.dumps(
+            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"llm_endpoint": stdio_endpoint(abc_vocab, served)}))
+        gc.disable()
+        try:
+            assert cli.main([
+                "decode", "--mode", "llm", "--config", str(tmp_path / "cfg.json"),
+                "--corpus", str(tmp_path / "test.jsonl"), "--vocab", str(tmp_path / "vocab.txt"),
+                "--timeout", "10", "--out", str(tmp_path / "out")]) == code
+            (proc,) = started
+            assert proc.returncode is not None
+        finally:
+            gc.enable()
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -715,6 +784,14 @@ class TestServerChecksRequests:
         (error, logits), = served_steps(abc_vocab, [bad, good], hello=False)
         assert error == {"error": "the first request must be a hello, got op 'step'"}
         assert logits is None
+
+    @pytest.mark.parametrize("utt", [["x"], {"a": 1}, 3, None], ids=repr)
+    def test_malformed_utt_gets_an_error_naming_it(self, abc_vocab, utt):
+        (error, _), (_, served) = served_steps(abc_vocab, [
+            {"op": "step", "utt": utt, "history": [0]},
+            {"op": "step", "utt": "u0", "history": [0]}])
+        assert set(error) == {"error"} and "'utt'" in error["error"]
+        assert served.size == abc_vocab.size  # the server keeps serving
 
     @pytest.mark.parametrize("ahead", [-1, True, 1.5, "3", None, [2]], ids=repr)
     def test_malformed_ahead_gets_an_error_naming_it(self, abc_vocab, ahead):
@@ -933,8 +1010,8 @@ class CountingTransport:
 
 def counted_connection(address, vocab):
     host, _, port = address.rpartition(":")
-    transport = CountingTransport(wire._TcpTransport(host, int(port), 5.0,
-                                                     max_logits_bytes(vocab.size)))
+    sock = socket.create_connection((host, int(port)), timeout=5.0)
+    transport = CountingTransport(wire._TcpTransport(sock, max_logits_bytes(vocab.size)))
     return ExternalProvider(transport, vocab), transport
 
 
