@@ -37,6 +37,7 @@ class Vocabulary:
     BOS = 0
     EOS = 1
     UNK = 2
+    SPECIALS = ("<s>", "</s>", "<unk>")  # the tokens of ids 0, 1 and 2
 
     def __post_init__(self):
         if len(self.tokens) < 3:
@@ -49,9 +50,8 @@ class Vocabulary:
     @classmethod
     def from_words(cls, words):
         """Build a vocabulary from an iterable of words (specials prepended)."""
-        specials = ("<s>", "</s>", "<unk>")
-        seen = dict.fromkeys(w for w in words if w not in specials)
-        return cls(tokens=specials + tuple(seen))
+        seen = dict.fromkeys(w for w in words if w not in cls.SPECIALS)
+        return cls(tokens=cls.SPECIALS + tuple(seen))
 
     @property
     def size(self) -> int:

@@ -129,6 +129,10 @@ def _record_rng(seed: int, utt_id: str) -> np.random.Generator:
 HUB_CLUSTER = 8
 HUB_PULL = 0.55
 
+# Largest `mean_len` the grammar fills sentences to, in words: a sentence
+# is built word by word, so a huge mean would never finish.
+MAX_MEAN_LEN = 1000.0
+
 
 @functools.lru_cache(maxsize=8)
 def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
@@ -188,8 +192,9 @@ def sample_references(sentences, n: int, seed: int, mean_len: float = 12.0) -> l
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if not (math.isfinite(mean_len) and mean_len >= 0):
-        raise InvalidParameterError(f"mean_len must be finite and >= 0, got {mean_len}")
+    if not 0 <= mean_len <= MAX_MEAN_LEN:
+        raise InvalidParameterError(
+            f"mean_len must be in [0, {MAX_MEAN_LEN:g}], got {mean_len}")
     rng = np.random.default_rng(seed)
     if sentences is not None:
         return [sentences[int(rng.integers(len(sentences)))] for _ in range(n)]
@@ -212,6 +217,22 @@ def _grammar_sentence(rng: np.random.Generator, mean_len: float) -> list[str]:
             pool = WORD_POOLS[role]
             words.append(pool[int(rng.integers(len(pool)))])
     return words
+
+
+def _read_sentences(source) -> list[str]:
+    """The lower-cased non-blank lines of a source file; a line holding a
+    BOS or EOS token is a data error, since ids would misread it."""
+    reserved = {Vocabulary.SPECIALS[Vocabulary.BOS], Vocabulary.SPECIALS[Vocabulary.EOS]}
+    sentences = []
+    for line_no, line in read_lines(source):
+        sentence = line.strip().lower()
+        found = reserved.intersection(sentence.split())
+        if found:
+            raise InvalidInputError(
+                f"{source}:{line_no}: reserved token {min(found)!r} in a sentence")
+        if sentence:
+            sentences.append(sentence)
+    return sentences
 
 
 def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
@@ -277,20 +298,21 @@ def generate_corpus(
     channel's decoder matrix on one noise draw, and an independent second
     noise draw as the fusion-time observation.
     """
-    from .decoding import beam_search
+    from .decoding import MAX_BEAM_WIDTH, beam_search
 
     for name, count in (("n_train", n_train), ("n_val", n_val), ("n_test", n_test)):
         if count < 1:
             raise InvalidParameterError(f"{name} must be >= 1, got {count}")
     if n_best < 5:
         raise InvalidParameterError(f"n_best must be >= 5, got {n_best}")
-    if beam_width < n_best:
-        raise InvalidParameterError("beam_width must be >= n_best")
+    if not n_best <= beam_width <= MAX_BEAM_WIDTH:
+        raise InvalidParameterError(
+            f"beam_width must be in [n_best, {MAX_BEAM_WIDTH}], got {beam_width}")
 
     if source is None:
         sentences, vocab = None, builtin_vocabulary()
     else:
-        sentences = [line.strip().lower() for _, line in read_lines(source) if line.strip()]
+        sentences = _read_sentences(source)
         if not sentences:
             raise InvalidInputError(f"source file {source} has no sentences")
         vocab = Vocabulary.from_words(w for line in sentences for w in line.split())

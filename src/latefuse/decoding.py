@@ -15,12 +15,15 @@ import numpy as np
 
 from . import metrics
 from .core import TokenSeq, Vocabulary, argmax_token, softmax_with_temperature
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
 from .fusion import FusionConfig, decide, fuse_step
 from .providers import UtteranceContext
 
 # Length cap for decoding without a reference to scale against.
 DEFAULT_MAX_LEN = 64
+# Widest beam `beam_search` runs. A step scores beam_width x V candidates,
+# and live beams can grow as V^t, so a wider beam only exhausts memory.
+MAX_BEAM_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -101,16 +104,20 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     ties broken lexicographically on the token sequence, which makes
     beam_width 1 coincide with greedy decoding.
 
-    Each step runs on the whole beam at once: the provider is called once
-    per live beam, each row lands in one (beams, V) buffer, and the
-    log-softmax and the beam scores are applied to the buffer in place.
-    The per-row normaliser is `math.log` of the row's sum of exponentials,
-    taken in Python: `np.log` differs from it in the last bit on some
-    inputs, which would change the N-best lists.
+    Each step runs on the whole beam at once. A provider whose class sets
+    `length_only_rows` (see `AcousticChannel`) gives the same row to every
+    live beam, since they all share one length: it is asked once per step,
+    for the first live beam, and that one row is normalised. Any other
+    provider is asked once per live beam. The rows are copied into a
+    float64 array, never normalised where the provider keeps them, and
+    the beam scores are added by broadcasting. The per-row normaliser is
+    `math.log` of the row's sum of exponentials, taken in Python: `np.log`
+    differs from it in the last bit on some inputs, which would change the
+    N-best lists.
     """
-    if not beam_width >= n_out >= 1:
+    if not MAX_BEAM_WIDTH >= beam_width >= n_out >= 1:
         raise InvalidParameterError(
-            f"need beam_width >= n_out >= 1, got ({beam_width}, {n_out})"
+            f"need {MAX_BEAM_WIDTH} >= beam_width >= n_out >= 1, got ({beam_width}, {n_out})"
         )
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
@@ -118,18 +125,20 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     live: list[tuple[TokenSeq, float]] = [((), 0.0)]  # lexicographically sorted
     pool: list[tuple[TokenSeq, float]] = []
     v = provider.vocab.size
-    buffer = np.empty((beam_width, v))
+    length_only = getattr(provider, "length_only_rows", False)
     for _ in range(max_len):
         if not live:
             break
-        rows = buffer[:len(live)]
-        for row, (seq, _) in zip(rows, live):
-            row[:] = provider.next_logits((Vocabulary.BOS,) + seq, ctx)
+        asked = live[:1] if length_only else live
+        rows = np.array([provider.next_logits((Vocabulary.BOS,) + seq, ctx)
+                         for seq, _ in asked], dtype=np.float64)
+        if rows.shape != (len(asked), v):
+            raise InvalidInputError(f"logit rows must have vocabulary size {v}, got "
+                                    f"shape {rows.shape[1:]}")
         rows -= rows.max(axis=1, keepdims=True)
         norms = [math.log(total) for total in np.exp(rows).sum(axis=1).tolist()]
         rows -= np.array(norms)[:, None]
-        rows += np.array([s for _, s in live])[:, None]
-        scores = rows.ravel()
+        scores = (np.array([s for _, s in live])[:, None] + rows).ravel()
         # `live` is sorted by sequence, so ascending flat index is ascending
         # lexicographic order of the candidate sequences; pick the top
         # beam_width by score with exact tie handling at the boundary.

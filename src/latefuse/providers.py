@@ -7,10 +7,13 @@ providers live here: an N-best-conditioned corrector (an n-gram language
 model mixed with a positional vote over the hypothesis list) and a
 noisy-channel acoustic model (a per-token confusion-matrix reader).
 Their outputs depend only on their inputs, although `NgramModel` caches
-the distributions it computed. The wire client, `wire.ExternalProvider`,
-keeps the unread rows of its latest reply and counts what its steps
-took, so callers that interleave utterances on one client evict each
-other's rows.
+the distributions it computed. A provider class may set
+`length_only_rows = True` to declare that its row depends on the history
+only through the history's length, as `AcousticChannel`'s does; beam
+search then asks it for one row per step instead of one per live beam.
+The wire client, `wire.ExternalProvider`, keeps the unread rows of its
+latest reply and counts what its steps took, so callers that interleave
+utterances on one client evict each other's rows.
 """
 
 from __future__ import annotations
@@ -189,7 +192,14 @@ class AcousticChannel:
     At each step it returns (the log of) the confusion row of the observed
     token at that step; past the end of the observation it returns an
     EOS-dominant distribution.
+
+    The row depends on the history only through its length, which is what
+    `length_only_rows` declares: `beam_search` reads one row per step and
+    gives it to every live beam. A subclass whose row depends on the
+    tokens of the history must set it to False.
     """
+
+    length_only_rows = True
 
     def __init__(self, vocab: Vocabulary, confusion: np.ndarray):
         confusion = np.asarray(confusion, dtype=np.float64)

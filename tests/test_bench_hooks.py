@@ -95,6 +95,44 @@ def test_traced_set_level_decodes_count_each_utterance_and_config(bench_case):
     assert m["core.validate.calls"] == m["core.softmax.calls"] > 0
 
 
+def test_traced_generate_corpus_reads_one_acoustic_row_per_beam_step(monkeypatch):
+    channel = corpus.ChannelSpec(seed=4)
+    sizes = {"n_train": 6, "n_val": 2, "n_test": 2}
+    # Untraced reference: a wrapper that hides the channel's length-only
+    # declaration, so each search asks it once per live beam; the distinct
+    # history lengths it asks for are that search's steps.
+    steps, original = [0], decoding.beam_search
+
+    def per_beam_search(provider, ctx, *args, **kwargs):
+        lengths = set()
+
+        class PerBeam:
+            vocab = provider.vocab
+
+            def next_logits(self, history, ctx):
+                lengths.add(len(history))
+                return provider.next_logits(history, ctx)
+
+        result = original(PerBeam(), ctx, *args, **kwargs)
+        steps[0] += len(lengths)
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(decoding, "beam_search", per_beam_search)
+        want = corpus.generate_corpus(channel, **sizes)
+
+    tr = tracing.Tracer()
+    layers.install(tr)
+    try:
+        got = corpus.generate_corpus(channel, **sizes)
+    finally:
+        tr.uninstall()
+    m = layers.layer_metrics(tr, {})
+    assert got[0] == want[0]
+    assert m["decoding.beam_search.calls"] == sum(sizes.values())
+    assert m["decoding.beam_search.provider_calls"] == m["providers.asr.calls"] == steps[0] > 0
+
+
 def test_count_decodes_counts_each_utterance_and_config(bench_case):
     llm, asr, eval_set = bench_case
     cfgs = [FusionConfig(beta=b) for b in (0.0, 0.5)]

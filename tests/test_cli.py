@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latefuse import cli
+from latefuse import cli, corpus, decoding
 from latefuse.cli import main
 
 
@@ -100,6 +100,42 @@ class TestSimulate:
                    "--n-test", 1, f"--{flag}", value) == 2
         assert flag.replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("beam", "1025"), ("beam", "100000000"), ("mean-len", "1001"), ("mean-len", "1e300"),
+    ])
+    def test_generation_past_its_bound_is_refused_before_it_runs(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran past a refused bound")
+
+        monkeypatch.setattr(decoding, "beam_search", never)
+        monkeypatch.setattr(corpus, "_grammar_sentence", never)
+        out = tmp_path / "x"
+        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                   "--n-test", 1, f"--{flag}", value) == 2
+        err = capsys.readouterr().err
+        assert "beam_width" in err if flag == "beam" else "mean_len" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["<s> </s>", "show the </s> flight", "<S> show"])
+    def test_source_with_a_reserved_token_is_data_error(self, tmp_path, capsys, line):
+        source = tmp_path / "sentences.txt"
+        source.write_text(f"show the flight\n{line}\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                   "--n-test", 1, "--source", source) == 3
+        assert f"{source}:2: reserved token" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_source_with_unk_is_read_as_the_unknown_word(self, tmp_path):
+        source = tmp_path / "sentences.txt"
+        source.write_text("show the <unk> flight\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                   "--n-test", 1, "--source", source) == 0
+        record = json.loads((out / "test.jsonl").read_text().splitlines()[0])
+        assert record["reference"] == "show the <unk> flight"
 
 
 class TestConfigDrivenRun:

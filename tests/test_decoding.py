@@ -6,6 +6,7 @@ import pytest
 
 from latefuse.core import Vocabulary
 from latefuse.decoding import (
+    MAX_BEAM_WIDTH,
     beam_search,
     decode_eval_set,
     evaluation_max_len,
@@ -186,6 +187,15 @@ class TestBeamSearch:
         ctx = obs_ctx(abc_vocab, "a")
         with pytest.raises(InvalidParameterError):
             beam_search(identity_channel, ctx, beam_width=2, n_out=3, max_len=4)
+        with pytest.raises(InvalidParameterError, match=str(MAX_BEAM_WIDTH)):
+            beam_search(identity_channel, ctx, beam_width=MAX_BEAM_WIDTH + 1, n_out=1,
+                        max_len=4)
+
+    def test_widest_beam_runs(self, abc_vocab, identity_channel):
+        # V = 6 and 4 steps: at most 1296 candidates, so the width binds
+        hyps = beam_search(identity_channel, obs_ctx(abc_vocab, "a b c"),
+                           beam_width=MAX_BEAM_WIDTH, n_out=5, max_len=4)
+        assert abc_vocab.decode(hyps[0][0]) == "a b c"
 
     def test_determinism(self, abc_vocab, identity_channel):
         ctx = obs_ctx(abc_vocab, "b a c")
@@ -441,6 +451,99 @@ class TestBatchedBeamSearch:
                                         beam_width=1, n_out=1, max_len=1)
             assert seq == (Vocabulary.BOS,)
             assert score == -math.log(total)
+
+
+def confusion_with_ties(v, seed):
+    """Row-stochastic matrix of small integer counts, so rows hold ties."""
+    counts = np.random.default_rng(seed).integers(1, 4, size=(v, v)).astype(float)
+    return counts / counts.sum(axis=1, keepdims=True)
+
+
+class TestOneRowPerStep:
+    """A length-only provider is asked once per beam step, and its one
+    row gives the lists the per-beam serial search gives."""
+
+    @staticmethod
+    def history_lengths(provider):
+        """Wrap the instance's next_logits to log each history's length."""
+        lengths, original = [], provider.next_logits
+
+        def logged(history, ctx):
+            lengths.append(len(history))
+            return original(history, ctx)
+
+        provider.next_logits = logged
+        return lengths
+
+    @pytest.mark.parametrize("matrix", ["identity", "quantised"])
+    def test_acoustic_channel_equals_serial_oracle(self, abc_vocab, identity_channel,
+                                                   matrix):
+        rng = np.random.default_rng(11)
+        calls = {"per-beam": 0, "per-step": 0}
+        for case in range(20):
+            if matrix == "identity":
+                vocab, channel = abc_vocab, identity_channel
+            else:
+                vocab = sized_vocab(7)
+                channel = AcousticChannel(vocab, confusion_with_ties(7, case))
+            obs = (0,) + tuple(rng.integers(3, vocab.size, size=int(rng.integers(0, 6)))) + (1,)
+            ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
+            beam_width = int(rng.integers(1, 9))
+            n_out = int(rng.integers(1, beam_width + 1))
+            max_len = len(obs) + 2
+
+            per_beam = self.history_lengths(channel)
+            want = serial_beam_search(channel, ctx, beam_width, n_out, max_len)
+            del channel.next_logits
+            per_step = self.history_lengths(channel)
+            got = beam_search(channel, ctx, beam_width, n_out, max_len)
+            del channel.next_logits
+
+            assert got == want
+            # one call per step, and the steps are the ones the serial search ran
+            assert per_step == sorted(set(per_beam))
+            calls["per-beam"] += len(per_beam)
+            calls["per-step"] += len(per_step)
+        assert calls["per-beam"] > calls["per-step"] > 0
+
+    @pytest.mark.parametrize("length_only", [True, False], ids=["length-only", "per-beam"])
+    @pytest.mark.parametrize("kind", ["float64", "int-list"])
+    def test_cached_rows_are_copied_not_normalised(self, length_only, kind):
+        vocab = sized_vocab(7)
+        rng = np.random.default_rng(5)
+        cache = [rng.integers(-4, 5, size=vocab.size) for _ in range(6)]
+        cache = [row.tolist() if kind == "int-list" else row.astype(np.float64)
+                 for row in cache]
+        before = [np.array(row, dtype=np.float64).tobytes() for row in cache]
+
+        class CachedRows:
+            """Returns its cached row for the history's length, not a copy."""
+
+            length_only_rows = length_only
+
+            def __init__(self):
+                self.vocab = vocab
+
+            def next_logits(self, history, ctx):
+                return cache[min(len(history), len(cache)) - 1]
+
+        class Copies(CachedRows):
+            def next_logits(self, history, ctx):
+                return np.array(super().next_logits(history, ctx), dtype=np.float64)
+
+        ctx = UtteranceContext(utt_id="u")
+        for beam_width, max_len in ((1, 3), (4, 6), (8, 8)):
+            got = beam_search(CachedRows(), ctx, beam_width, min(beam_width, 3), max_len)
+            assert got == serial_beam_search(Copies(), ctx, beam_width,
+                                             min(beam_width, 3), max_len)
+        assert [np.array(row, dtype=np.float64).tobytes() for row in cache] == before
+        assert all(type(row) is (list if kind == "int-list" else np.ndarray)
+                   for row in cache)
+
+    def test_row_of_the_wrong_length_is_a_data_error(self, abc_vocab, constant_provider_cls):
+        provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size - 1))
+        with pytest.raises(InvalidInputError, match="vocabulary size 6"):
+            beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3)
 
 
 class RowProvider:
