@@ -388,10 +388,13 @@ def cmd_decode(resolved: dict):
         mode=resolved["mode"], w_asr=resolved["w_asr"],
         tau1=_tau_from(resolved, "tau1", "calibration_llm"),
         tau2=_tau_from(resolved, "tau2", "calibration_asr"), beta=resolved["beta"])
+    steps_log = resolved["steps_log"]
+    if steps_log and cfg.mode not in ("static", "uadf"):
+        raise ConfigurationError(
+            f"steps_log logs fused steps; mode {cfg.mode!r} has none (use static or uadf)")
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     out = Path(resolved["out"])
-    steps_log = resolved["steps_log"]
     lines, log_lines = [], []  # kept as text: no DecodeResult outlives its utterance
     with contextlib.ExitStack() as opened:
         llm = _build_llm(resolved, vocab, opened) if cfg.mode != "asr" else None
@@ -405,7 +408,7 @@ def cmd_decode(resolved: dict):
                 "text": vocab.decode(result.tokens),
                 "terminated": result.terminated,
             }) + "\n")
-            if steps_log and cfg.mode in ("static", "uadf"):
+            if steps_log:
                 log_lines.extend(json.dumps({"id": rec.id, **step.log_entry(i, vocab)}) + "\n"
                                  for i, step in enumerate(result.steps))
 

@@ -132,6 +132,10 @@ HUB_PULL = 0.55
 # Largest `mean_len` the grammar fills sentences to, in words: a sentence
 # is built word by word, so a huge mean would never finish.
 MAX_MEAN_LEN = 1000.0
+# Largest split `generate_corpus` makes, in records: every reference of
+# every split is drawn, and every record (about 2 KB) is held, before any
+# is written, so a huge split would only run until memory runs out.
+MAX_SPLIT_SIZE = 100_000
 
 
 @functools.lru_cache(maxsize=8)
@@ -301,8 +305,9 @@ def generate_corpus(
     from .decoding import MAX_BEAM_WIDTH, beam_search
 
     for name, count in (("n_train", n_train), ("n_val", n_val), ("n_test", n_test)):
-        if count < 1:
-            raise InvalidParameterError(f"{name} must be >= 1, got {count}")
+        if not 1 <= count <= MAX_SPLIT_SIZE:
+            raise InvalidParameterError(
+                f"{name} must be in [1, {MAX_SPLIT_SIZE}], got {count}")
     if n_best < 5:
         raise InvalidParameterError(f"n_best must be >= 5, got {n_best}")
     if not n_best <= beam_width <= MAX_BEAM_WIDTH:

@@ -3,7 +3,8 @@
 Greedy single-provider decoding, fused greedy decoding over a shared
 history (static or uadf), and beam search for N-best generation. All
 decoders start the history at BOS, are deterministic, and stop at EOS or
-a length cap.
+a length cap. A provider with a `row_key` is read once per beam step,
+and once per (key, temperature) in a decode set (`calibrated_row`).
 """
 
 from __future__ import annotations
@@ -33,16 +34,39 @@ class DecodeResult:
     terminated: str  # "eos" | "max-length"
 
 
+def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: float,
+                   rows: dict | None = None) -> np.ndarray:
+    """softmax_with_temperature(provider.next_logits(history, ctx), tau).
+
+    A provider with a `row_key` (see `providers`) gives one row per key, so
+    with a `rows` dict its row is read and normalised once per (provider,
+    key, tau): the dict keeps the distribution, made read-only, and hands
+    the same array out again. A provider without `row_key`, or a call
+    without `rows`, is read and normalised on every call.
+    """
+    row_key = getattr(provider, "row_key", None)
+    if row_key is None or rows is None:
+        return softmax_with_temperature(provider.next_logits(history, ctx), tau)
+    key = (id(provider), row_key(len(history), ctx), tau)
+    dist = rows.get(key)
+    if dist is None:
+        dist = softmax_with_temperature(provider.next_logits(history, ctx), tau)
+        dist.flags.writeable = False
+        rows[key] = dist
+    return dist
+
+
 def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
-                  tau: float = 1.0) -> DecodeResult:
-    """Append the argmax token until EOS or `max_len` emissions."""
+                  tau: float = 1.0, rows: dict | None = None) -> DecodeResult:
+    """Append the argmax token until EOS or `max_len` emissions; each step's
+    distribution comes from `calibrated_row` with `rows`."""
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
     history: TokenSeq = (Vocabulary.BOS,)
     tokens: TokenSeq = ()
     steps = []
     for _ in range(max_len):
-        dist = softmax_with_temperature(provider.next_logits(history, ctx), tau)
+        dist = calibrated_row(provider, history, ctx, tau, rows)
         steps.append(dist)
         tok = argmax_token(dist)
         tokens += (tok,)
@@ -53,21 +77,23 @@ def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LE
 
 
 def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
-                        ctx: UtteranceContext,
-                        max_len: int = DEFAULT_MAX_LEN, memo: dict | None = None) -> DecodeResult:
+                        ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
+                        memo: dict | None = None, rows: dict | None = None) -> DecodeResult:
     """Greedy decoding with one shared history driving both providers.
 
-    `memo` maps a history of this utterance to its step's `step_inputs`;
-    it is read and filled, so decodes of one utterance whose configs share
-    tau1 and tau2 (see `decode_eval_set`) run the providers and the
-    softmaxes once per distinct history.
+    `memo` maps a history of this utterance to its step's (p_llm, p_asr,
+    entropy of p_llm); it is read and filled, so decodes of one utterance
+    whose configs share tau1 and tau2 (see `decode_eval_set`) run the
+    providers and the softmaxes once per distinct history. The secondary's
+    distribution comes from `calibrated_row` with `rows`, which can span
+    utterances.
     """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
     if cfg.mode == "llm":
-        return greedy_decode(llm_provider, ctx, max_len, tau=cfg.tau1)
+        return greedy_decode(llm_provider, ctx, max_len, tau=cfg.tau1, rows=rows)
     if cfg.mode == "asr":
-        return greedy_decode(asr_provider, ctx, max_len, tau=cfg.tau2)
+        return greedy_decode(asr_provider, ctx, max_len, tau=cfg.tau2, rows=rows)
     if llm_provider.vocab is not asr_provider.vocab and \
             llm_provider.vocab != asr_provider.vocab:
         raise ConfigurationError("providers must share one vocabulary")
@@ -81,7 +107,7 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
         if inputs is None:
             step = fuse_step(
                 llm_provider.next_logits(history, ctx),
-                asr_provider.next_logits(history, ctx),
+                calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
                 cfg,
             )
             memo[history] = (step.p_llm, step.p_asr, step.uncertainty)
@@ -104,10 +130,10 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     ties broken lexicographically on the token sequence, which makes
     beam_width 1 coincide with greedy decoding.
 
-    Each step runs on the whole beam at once. A provider whose class sets
-    `length_only_rows` (see `AcousticChannel`) gives the same row to every
-    live beam, since they all share one length: it is asked once per step,
-    for the first live beam, and that one row is normalised. Any other
+    Each step runs on the whole beam at once. A provider with a `row_key`
+    (see `providers`) gives the same row to every live beam, since they all
+    share one length: it is asked once per step, for the first live beam,
+    and that one row is normalised. Any other
     provider is asked once per live beam. The rows are copied into a
     float64 array, never normalised where the provider keeps them, and
     the beam scores are added by broadcasting. The per-row normaliser is
@@ -125,11 +151,11 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     live: list[tuple[TokenSeq, float]] = [((), 0.0)]  # lexicographically sorted
     pool: list[tuple[TokenSeq, float]] = []
     v = provider.vocab.size
-    length_only = getattr(provider, "length_only_rows", False)
+    one_row = hasattr(provider, "row_key")
     for _ in range(max_len):
         if not live:
             break
-        asked = live[:1] if length_only else live
+        asked = live[:1] if one_row else live
         rows = np.array([provider.next_logits((Vocabulary.BOS,) + seq, ctx)
                          for seq, _ in asked], dtype=np.float64)
         if rows.shape != (len(asked), v):
@@ -177,16 +203,19 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     For each utterance, in order, yields one DecodeResult per config, in
     config order. An utterance's decodes share one memo of step inputs,
     which is dropped before the next utterance, so the configs must share
-    mode, tau1 and tau2.
+    mode, tau1 and tau2. All decodes share one dict of `calibrated_row`s,
+    so a keyed provider's row is normalised once per call of this
+    function, not once per step.
     """
     if len({(c.mode, c.tau1, c.tau2) for c in cfgs}) > 1:
         raise InvalidParameterError("configs must share mode, tau1 and tau2")
+    rows = {}
     for ctx, ref_words in eval_set:
         max_len = evaluation_max_len(ref_words, max_len_factor)
         memo = {}
         for cfg in cfgs:
             yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx,
-                                      max_len=max_len, memo=memo)
+                                      max_len=max_len, memo=memo, rows=rows)
 
 
 def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,

@@ -75,21 +75,10 @@ def uadf_weight(u: float, beta: float) -> float:
     return sigmoid(float(u)) - float(beta)
 
 
-def step_inputs(logits_llm, logits_asr, cfg: FusionConfig) -> tuple:
-    """(p_llm, p_asr, entropy of p_llm) of one step.
-
-    This is the part of a fused step that reads the provider outputs, and
-    it depends on cfg only through tau1 and tau2, so sweep points that
-    share those can share it.
-    """
-    p_llm = softmax_with_temperature(logits_llm, cfg.tau1)
-    p_asr = softmax_with_temperature(logits_asr, cfg.tau2)
-    return p_llm, p_asr, entropy(p_llm)
-
-
 def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) -> FusionStep:
-    """The fused choice of one step, given its `step_inputs`: the argmax of
-    p_llm + w * p_asr, with w = w_asr (static) or sigmoid(u) - beta (uadf).
+    """The fused choice of one step, given both calibrated distributions and
+    the primary's entropy u: the argmax of p_llm + w * p_asr, with
+    w = w_asr (static) or sigmoid(u) - beta (uadf).
 
     The sum is never rescaled into a distribution: dividing it by 1 + w
     would not move its argmax.
@@ -103,7 +92,14 @@ def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) ->
     return FusionStep(p_llm, p_asr, u, w, argmax_token(p_llm + w * p_asr))
 
 
-def fuse_step(logits_llm, logits_asr, cfg: FusionConfig) -> FusionStep:
-    """One fused step in cfg's mode (static or uadf)."""
-    return decide(*step_inputs(logits_llm, logits_asr, cfg), cfg)
-
+def fuse_step(logits_llm, p_asr: np.ndarray, cfg: FusionConfig) -> FusionStep:
+    """One fused step in cfg's mode (static or uadf), in the paper's two
+    stages: calibrate the primary's row (softmax at tau1) and measure its
+    entropy, then add the secondary's distribution, which arrives already
+    calibrated (the softmax of its row at tau2; see
+    `decoding.calibrated_row`). Only the decision depends on cfg beyond
+    tau1 and tau2, so sweep points that share those can share a step's
+    p_llm, p_asr and entropy.
+    """
+    p_llm = softmax_with_temperature(logits_llm, cfg.tau1)
+    return decide(p_llm, p_asr, entropy(p_llm), cfg)

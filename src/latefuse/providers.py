@@ -7,10 +7,13 @@ providers live here: an N-best-conditioned corrector (an n-gram language
 model mixed with a positional vote over the hypothesis list) and a
 noisy-channel acoustic model (a per-token confusion-matrix reader).
 Their outputs depend only on their inputs, although `NgramModel` caches
-the distributions it computed. A provider class may set
-`length_only_rows = True` to declare that its row depends on the history
-only through the history's length, as `AcousticChannel`'s does; beam
-search then asks it for one row per step instead of one per live beam.
+the distributions it computed and `NgramCorrector` the mixture parts it
+built from them. A provider may define `row_key(length, ctx)`, as
+`AcousticChannel` does, to declare that `next_logits(history, ctx)`
+depends only on `row_key(len(history), ctx)`: equal keys mean equal rows,
+also across utterances. Beam search then asks it for one row per step
+instead of one per live beam, and a decode set normalises each of its
+keyed rows once per temperature (`decoding.calibrated_row`).
 The wire client, `wire.ExternalProvider`, keeps the unread rows of its
 latest reply and counts what its steps took, so callers that interleave
 utterances on one client evict each other's rows.
@@ -140,6 +143,13 @@ class NgramCorrector:
     where p_vote is the relative frequency of tokens at position t across
     the hypotheses that are long enough (uniform when none is). Logits are
     the natural log of this mixture.
+
+    Both terms are built once and reused: the weighted vote of every
+    position of an N-best list when a step first reads that list (it is
+    held against the latest list only), and the weighted prior of an
+    n-gram context when a step first reads the row the model serves for
+    it (held against that row, so a model trained again, which serves new
+    rows, leaves none stale).
     """
 
     def __init__(self, model: NgramModel, vote_weight: float = 0.5):
@@ -148,25 +158,42 @@ class NgramCorrector:
         self.model = model
         self.vocab = model.vocab
         self.vote_weight = float(vote_weight)
+        self._priors: dict[int, tuple] = {}  # id(model row) -> (model row, weighted row)
+        self._votes: tuple = (None, None)  # (nbest, weighted vote rows) of the latest list
 
-    def _vote(self, position: int, nbest: tuple[TokenSeq, ...]) -> np.ndarray:
+    def _vote_rows(self, nbest: tuple[TokenSeq, ...]) -> list:
+        """vote_weight * p_vote for positions 0 .. longest hypothesis, one
+        row each; the last, uniform, stands for every position past them."""
+        held, rows = self._votes
+        if held is nbest:
+            return rows
         v = self.vocab.size
-        dist = np.zeros(v)
-        covering = 0
-        for hyp in nbest:
-            if position < len(hyp):
-                dist[hyp[position]] += 1.0
-                covering += 1
-        if covering == 0:
-            return np.full(v, 1.0 / v)
-        return dist / covering
+        counts = np.zeros((max(map(len, nbest), default=0) + 1, v))
+        np.add.at(counts, ([pos for hyp in nbest for pos in range(len(hyp))],
+                           [tok for hyp in nbest for tok in hyp]), 1.0)
+        covering = counts.sum(axis=1)  # hypotheses long enough for each position
+        vote = np.full(counts.shape, 1.0 / v)
+        some = covering > 0
+        vote[some] = counts[some] / covering[some, None]
+        rows = list(self.vote_weight * vote)
+        self._votes = (nbest, rows)
+        return rows
+
+    def _prior(self, history: TokenSeq) -> np.ndarray:
+        """(1 - vote_weight) * p_ngram(. | history), kept for as long as the
+        model serves the same row. The entry holds that row, so no other
+        array can take its id while the entry lives."""
+        p = self.model.cond_dist(history)
+        held = self._priors.get(id(p))
+        if held is None:
+            held = self._priors[id(p)] = (p, (1.0 - self.vote_weight) * p)
+        return held[1]
 
     def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
-        p = self.model.cond_dist(history)
-        if self.vote_weight > 0.0:
-            vote = self._vote(len(history) - 1, ctx.nbest)
-            p = (1.0 - self.vote_weight) * p + self.vote_weight * vote
-        return np.log(p + LOG_EPS)
+        votes = self._vote_rows(ctx.nbest)
+        row = self._prior(history) + votes[min(len(history) - 1, len(votes) - 1)]
+        row += LOG_EPS
+        return np.log(row, out=row)
 
 
 def train_ngram_corrector(
@@ -193,13 +220,11 @@ class AcousticChannel:
     token at that step; past the end of the observation it returns an
     EOS-dominant distribution.
 
-    The row depends on the history only through its length, which is what
-    `length_only_rows` declares: `beam_search` reads one row per step and
-    gives it to every live beam. A subclass whose row depends on the
-    tokens of the history must set it to False.
+    So the row depends on the history only through its length, and on the
+    utterance only through the observed token there: `row_key` names it.
+    `beam_search` reads one row per step and gives it to every live beam,
+    and a decode set normalises each row once per temperature.
     """
-
-    length_only_rows = True
 
     def __init__(self, vocab: Vocabulary, confusion: np.ndarray):
         confusion = np.asarray(confusion, dtype=np.float64)
@@ -214,14 +239,17 @@ class AcousticChannel:
         eos_row[Vocabulary.EOS] = 1.0
         self._log_eos_row = np.log(eos_row + LOG_EPS)
 
-    def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
+    def row_key(self, length: int, ctx: UtteranceContext) -> int:
+        """The observed token a history of `length` ids reads, or -1 past the
+        end of the observation, where every history gets the EOS row."""
         obs = ctx.observation
         if obs is None:
             raise InvalidInputError(f"utterance {ctx.utt_id!r} has no observation")
-        step = len(history)
-        if step < len(obs):
-            return self._log_rows[obs[step]].copy()
-        return self._log_eos_row.copy()
+        return obs[length] if length < len(obs) else -1
+
+    def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
+        key = self.row_key(len(history), ctx)
+        return (self._log_rows[key] if key >= 0 else self._log_eos_row).copy()
 
 
 @dataclass(frozen=True)

@@ -95,11 +95,50 @@ def test_traced_set_level_decodes_count_each_utterance_and_config(bench_case):
     assert m["core.validate.calls"] == m["core.softmax.calls"] > 0
 
 
+def test_traced_decode_sets_read_each_channel_row_once_per_key(bench_case, monkeypatch):
+    llm, asr, eval_set = bench_case
+    sets = [[FusionConfig(mode="asr", tau2=0.7)], [FusionConfig(tau2=0.7)],
+            [FusionConfig(beta=b) for b in (0.0, 0.5, 1.0)],
+            [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.25)]]
+    # Untraced reference: the channel's row keys each set reaches, and the
+    # fused steps that miss their utterance's memo, each one `fuse_step`.
+    keys, misses, original = 0, [0], decoding.fuse_step
+
+    def counted(*args):
+        misses[0] += 1
+        return original(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(decoding, "fuse_step", counted)
+        for cfgs in sets:
+            results = iter(list(decoding.decode_eval_set(llm, asr, cfgs, eval_set)))
+            reached = set()
+            for ctx, _ref in eval_set:
+                for _cfg in cfgs:
+                    n = len(next(results).tokens)
+                    reached.update(asr.row_key(1 + i, ctx) for i in range(n))
+            keys += len(reached)
+
+    tr = tracing.Tracer()
+    layers.install(tr)
+    try:
+        for cfgs in sets:
+            list(decoding.decode_eval_set(llm, asr, cfgs, eval_set))
+    finally:
+        tr.uninstall()
+    m = layers.layer_metrics(tr, {})
+    assert m["core.validate.calls"] == m["core.softmax.calls"] > 0
+    assert m["providers.asr.calls"] == keys > 0
+    assert m["fusion.fuse_step.calls"] == misses[0] > 0
+    # one softmax per memo miss (the primary's) and one per channel row read
+    assert m["core.softmax.calls"] == m["fusion.fuse_step.calls"] + m["providers.asr.calls"]
+
+
 def test_traced_generate_corpus_reads_one_acoustic_row_per_beam_step(monkeypatch):
     channel = corpus.ChannelSpec(seed=4)
     sizes = {"n_train": 6, "n_val": 2, "n_test": 2}
-    # Untraced reference: a wrapper that hides the channel's length-only
-    # declaration, so each search asks it once per live beam; the distinct
+    # Untraced reference: a wrapper that hides the channel's `row_key`, so
+    # each search asks it once per live beam; the distinct
     # history lengths it asks for are that search's steps.
     steps, original = [0], decoding.beam_search
 

@@ -101,21 +101,27 @@ class TestSimulate:
         assert flag.replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("beam", "1025"), ("beam", "100000000"), ("mean-len", "1001"), ("mean-len", "1e300"),
+    @pytest.mark.parametrize("flag, value, named", [
+        ("beam", "1025", "beam_width"), ("beam", "100000000", "beam_width"),
+        ("mean-len", "1001", "mean_len"), ("mean-len", "1e300", "mean_len"),
+        ("n-train", str(corpus.MAX_SPLIT_SIZE + 1), "n_train"),
+        ("n-train", "1000000000000", "n_train"),
+        ("n-val", "1000000000000", "n_val"), ("n-test", "1000000000000", "n_test"),
     ])
     def test_generation_past_its_bound_is_refused_before_it_runs(
-            self, tmp_path, capsys, monkeypatch, flag, value):
+            self, tmp_path, capsys, monkeypatch, flag, value, named):
         def never(*args, **kwargs):
             raise AssertionError("generation ran past a refused bound")
 
         monkeypatch.setattr(decoding, "beam_search", never)
         monkeypatch.setattr(corpus, "_grammar_sentence", never)
+        if named != "mean_len":  # sample_references checks the mean itself
+            monkeypatch.setattr(corpus, "sample_references", never)
         out = tmp_path / "x"
-        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
-                   "--n-test", 1, f"--{flag}", value) == 2
-        err = capsys.readouterr().err
-        assert "beam_width" in err if flag == "beam" else "mean_len" in err
+        sizes = {"n-train": 2, "n-val": 1, "n-test": 1, flag: value}
+        assert run("simulate", "--out-dir", out, *(item for name, size in sizes.items()
+                                                    for item in (f"--{name}", size))) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["<s> </s>", "show the </s> flight", "<S> show"])
@@ -204,6 +210,18 @@ class TestDecode:
         hyp_count = sum(len(json.loads(l)["text"].split()) + 1
                         for l in out.read_text().splitlines())
         assert len(entries) == hyp_count  # one line per emitted token incl. EOS
+
+    @pytest.mark.parametrize("mode", ["llm", "asr"])
+    def test_steps_log_in_a_single_model_mode_is_config_error(
+            self, workspace, tmp_path, capsys, monkeypatch, mode):
+        def never(*args, **kwargs):
+            raise AssertionError("decoded despite a refused steps log")
+
+        monkeypatch.setattr(decoding, "decode_eval_set", never)
+        out, log = tmp_path / "x.jsonl", tmp_path / "steps.jsonl"
+        assert run(*decode_args(workspace, mode, out, **{"steps-log": log})) == 2
+        assert f"mode {mode!r}" in capsys.readouterr().err
+        assert not out.exists() and not log.exists()
 
     def test_in_process_providers_print_no_wire_counters(self, workspace, tmp_path, capsys):
         assert run(*decode_args(workspace, "uadf", tmp_path / "u.jsonl")) == 0

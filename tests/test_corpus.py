@@ -180,6 +180,20 @@ class TestGenerateCorpus:
         with pytest.raises(InvalidParameterError):
             generate_corpus(ChannelSpec(), 1, 1, 1, n_best=3)
 
+    def test_largest_split_passes_the_size_check(self, monkeypatch):
+        from latefuse import corpus
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(corpus, "sample_references", reached)
+        for sizes in ((corpus.MAX_SPLIT_SIZE, 1, 1), (1, 1, corpus.MAX_SPLIT_SIZE)):
+            with pytest.raises(Reached):
+                generate_corpus(ChannelSpec(), *sizes)
+
 
 class TestSerialization:
     def _random_records(self, n):

@@ -1,10 +1,11 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from latefuse.core import Vocabulary
+from latefuse.core import Vocabulary, argmax_token, entropy, softmax_with_temperature
 from latefuse.decoding import (
     MAX_BEAM_WIDTH,
     beam_search,
@@ -15,7 +16,7 @@ from latefuse.decoding import (
     sweep_wers,
 )
 from latefuse.errors import ConfigurationError, InvalidInputError, InvalidParameterError
-from latefuse.fusion import FusionConfig
+from latefuse.fusion import FusionConfig, decide
 from latefuse.metrics import corpus_wer
 from latefuse.providers import AcousticChannel, UtteranceContext
 
@@ -460,8 +461,8 @@ def confusion_with_ties(v, seed):
 
 
 class TestOneRowPerStep:
-    """A length-only provider is asked once per beam step, and its one
-    row gives the lists the per-beam serial search gives."""
+    """A keyed provider is asked once per beam step, and its one row gives
+    the lists the per-beam serial search gives."""
 
     @staticmethod
     def history_lengths(provider):
@@ -506,9 +507,9 @@ class TestOneRowPerStep:
             calls["per-step"] += len(per_step)
         assert calls["per-beam"] > calls["per-step"] > 0
 
-    @pytest.mark.parametrize("length_only", [True, False], ids=["length-only", "per-beam"])
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "per-beam"])
     @pytest.mark.parametrize("kind", ["float64", "int-list"])
-    def test_cached_rows_are_copied_not_normalised(self, length_only, kind):
+    def test_cached_rows_are_copied_not_normalised(self, keyed, kind):
         vocab = sized_vocab(7)
         rng = np.random.default_rng(5)
         cache = [rng.integers(-4, 5, size=vocab.size) for _ in range(6)]
@@ -519,21 +520,24 @@ class TestOneRowPerStep:
         class CachedRows:
             """Returns its cached row for the history's length, not a copy."""
 
-            length_only_rows = length_only
-
             def __init__(self):
                 self.vocab = vocab
 
             def next_logits(self, history, ctx):
                 return cache[min(len(history), len(cache)) - 1]
 
+        class KeyedCachedRows(CachedRows):
+            def row_key(self, length, ctx):
+                return min(length, len(cache))
+
         class Copies(CachedRows):
             def next_logits(self, history, ctx):
                 return np.array(super().next_logits(history, ctx), dtype=np.float64)
 
         ctx = UtteranceContext(utt_id="u")
+        provider = KeyedCachedRows() if keyed else CachedRows()
         for beam_width, max_len in ((1, 3), (4, 6), (8, 8)):
-            got = beam_search(CachedRows(), ctx, beam_width, min(beam_width, 3), max_len)
+            got = beam_search(provider, ctx, beam_width, min(beam_width, 3), max_len)
             assert got == serial_beam_search(Copies(), ctx, beam_width,
                                              min(beam_width, 3), max_len)
         assert [np.array(row, dtype=np.float64).tobytes() for row in cache] == before
@@ -544,6 +548,145 @@ class TestOneRowPerStep:
         provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size - 1))
         with pytest.raises(InvalidInputError, match="vocabulary size 6"):
             beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3)
+
+
+def reference_decode(llm, asr, cfg, ctx, max_len):
+    """Oracle: the decode loop that reads and softmaxes every provider row at
+    every step, with no memo and no row cache. Its steps are the
+    distributions (single-model modes) or the FusionSteps (fused modes)."""
+    history, tokens, steps = (Vocabulary.BOS,), (), []
+    for _ in range(max_len):
+        if cfg.mode in ("llm", "asr"):
+            provider, tau = (llm, cfg.tau1) if cfg.mode == "llm" else (asr, cfg.tau2)
+            step = softmax_with_temperature(provider.next_logits(history, ctx), tau)
+            tok = argmax_token(step)
+        else:
+            p_llm = softmax_with_temperature(llm.next_logits(history, ctx), cfg.tau1)
+            p_asr = softmax_with_temperature(asr.next_logits(history, ctx), cfg.tau2)
+            step = decide(p_llm, p_asr, entropy(p_llm), cfg)
+            tok = step.chosen
+        steps.append(step)
+        tokens += (tok,)
+        history += (tok,)
+        if tok == Vocabulary.EOS:
+            return tokens, steps, "eos"
+    return tokens, steps, "max-length"
+
+
+def step_bytes(step):
+    if isinstance(step, np.ndarray):
+        return step.tobytes()
+    return step.p_llm.tobytes(), step.p_asr.tobytes(), step.uncertainty, step.chosen
+
+
+def assert_same_decode(result, want):
+    tokens, steps, terminated = want
+    assert result.tokens == tokens
+    assert result.terminated == terminated
+    assert [step_bytes(step) for step in result.steps] == [step_bytes(step) for step in steps]
+
+
+class CountingChannel(AcousticChannel):
+    """An acoustic channel that counts its reads per row key."""
+
+    def __init__(self, vocab, confusion):
+        super().__init__(vocab, confusion)
+        self.calls = Counter()
+
+    def next_logits(self, history, ctx):
+        self.calls[self.row_key(len(history), ctx)] += 1
+        return super().next_logits(history, ctx)
+
+
+def channel_case(seed, v=7, utts=6):
+    """A tied-confusion channel over a V-word vocabulary, an n-gram-free
+    seeded primary, and utterances whose observations share row keys."""
+    vocab = sized_vocab(v)
+    confusion = confusion_with_ties(v, seed)
+    rng = np.random.default_rng(seed)
+    eval_set = []
+    for u in range(utts):
+        words = rng.integers(3, v, size=int(rng.integers(1, 6)))
+        ctx = UtteranceContext(utt_id=f"s{seed}u{u}",
+                               observation=(0,) + tuple(int(w) for w in words) + (1,))
+        eval_set.append((ctx, [vocab.tokens[int(w)] for w in words]))
+    return vocab, confusion, SeededProvider(vocab, f"llm{seed}"), eval_set
+
+
+CONFIG_SETS = {
+    "asr": lambda tau2: [FusionConfig(mode="asr", tau2=tau2)],
+    "static": lambda tau2: [FusionConfig(mode="static", w_asr=w, tau1=0.8, tau2=tau2)
+                            for w in (0.0, 0.5, 2.0)],
+    "uadf": lambda tau2: [FusionConfig(mode="uadf", beta=b, tau1=0.8, tau2=tau2)
+                          for b in (0.0, 0.5, 1.0)],
+}
+
+
+class TestCalibratedRows:
+    """A keyed provider's row is read and normalised once per (key, tau) in a
+    decode set, and every decode equals the loop that softmaxes every row."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("configs", CONFIG_SETS.values(), ids=CONFIG_SETS.keys())
+    def test_one_read_per_key_and_tau(self, configs, seed):
+        vocab, confusion, llm, eval_set = channel_case(seed)
+        channel = CountingChannel(vocab, confusion)
+        plain = AcousticChannel(vocab, confusion)
+        reached, steps = Counter(), 0
+        for tau2 in (1.0, 0.6):
+            cfgs = configs(tau2)
+            results = iter(list(decode_eval_set(llm, channel, cfgs, eval_set)))
+            keys = set()
+            for ctx, ref in eval_set:
+                for cfg in cfgs:
+                    result = next(results)
+                    assert_same_decode(result, reference_decode(
+                        llm, plain, cfg, ctx, evaluation_max_len(ref)))
+                    keys.update(channel.row_key(1 + i, ctx) for i in range(len(result.tokens)))
+                    steps += len(result.tokens)
+            reached.update(keys)
+        # each key a decode reached was read once per tau; keys repeat across
+        # steps and utterances, so that is fewer reads than steps
+        assert channel.calls == reached
+        assert sum(reached.values()) < steps
+
+    def test_cached_distributions_refuse_writes(self):
+        vocab, confusion, llm, eval_set = channel_case(4)
+        channel = AcousticChannel(vocab, confusion)
+        for cfgs in (CONFIG_SETS["asr"](1.0), CONFIG_SETS["uadf"](1.0)):
+            for result in decode_eval_set(llm, channel, cfgs, eval_set):
+                for step in result.steps:
+                    dist = step if cfgs[0].mode == "asr" else step.p_asr
+                    with pytest.raises(ValueError, match="read-only"):
+                        dist[0] = 0.5
+
+    def test_keyed_providers_never_swap_rows(self):
+        """Two channels read the same keys off one observation, and one rows
+        dict serves both, in either role and at two taus."""
+        vocab, confusion, _llm, eval_set = channel_case(5)
+        one = AcousticChannel(vocab, confusion)
+        two = AcousticChannel(vocab, confusion_with_ties(vocab.size, 50))
+        rows = {}
+        for ctx, ref in eval_set:
+            max_len = evaluation_max_len(ref)
+            for llm, asr in ((one, two), (two, one)):
+                for cfg in (FusionConfig(mode="llm"), FusionConfig(mode="asr"),
+                            FusionConfig(mode="asr", tau2=0.5),
+                            FusionConfig(mode="uadf", tau2=0.5),
+                            FusionConfig(mode="static", w_asr=1.0)):
+                    got = fused_greedy_decode(llm, asr, cfg, ctx, max_len, rows=rows)
+                    assert_same_decode(got, reference_decode(llm, asr, cfg, ctx, max_len))
+        assert {(provider, tau) for provider, _key, tau in rows} == \
+            {(id(one), 1.0), (id(two), 1.0), (id(one), 0.5), (id(two), 0.5)}
+
+    def test_unkeyed_provider_is_read_every_step(self):
+        llm, asr, eval_set, (tau1, tau2) = random_case(7)
+        cfgs = [FusionConfig(mode="asr", tau2=tau2)]
+        results = list(decode_eval_set(llm, asr, cfgs, eval_set))
+        assert asr.calls == sum(len(r.tokens) for r in results)
+        for (ctx, ref), result in zip(eval_set, results):
+            assert_same_decode(result, reference_decode(llm, asr, cfgs[0], ctx,
+                                                        evaluation_max_len(ref)))
 
 
 class RowProvider:

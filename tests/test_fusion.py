@@ -10,6 +10,12 @@ from latefuse.fusion import FusionConfig, fuse_step, uadf_weight
 from latefuse.providers import UtteranceContext
 
 
+def fuse_rows(logits_llm, logits_asr, cfg):
+    """`fuse_step` on two logit rows, the acoustic one calibrated at tau2 as
+    the decoders calibrate it."""
+    return fuse_step(logits_llm, softmax_with_temperature(logits_asr, cfg.tau2), cfg)
+
+
 class TestUadfWeight:
     def test_zero_uncertainty_default_beta(self):
         assert uadf_weight(0.0, 0.5) == 0.0
@@ -29,7 +35,7 @@ class TestUadfWeight:
 class TestFuseStatic:
     def test_equal_weights_hand_arithmetic(self):
         # [0.8, 0.2] + 1 * [0.3, 0.7] = [1.1, 0.9]
-        step = fuse_step(np.log([0.8, 0.2]), np.log([0.3, 0.7]),
+        step = fuse_rows(np.log([0.8, 0.2]), np.log([0.3, 0.7]),
                          FusionConfig(mode="static", w_asr=1.0))
         np.testing.assert_allclose(step.p_llm + step.p_asr, [1.1, 0.9], atol=1e-12)
         assert step.w_asr_effective == 1.0
@@ -38,7 +44,7 @@ class TestFuseStatic:
     def test_zero_asr_weight_chooses_calibrated_llm_argmax(self):
         cfg = FusionConfig(mode="static", w_asr=0.0, tau1=2.0)
         logits = np.array([1.0, 0.0, -1.0])
-        step = fuse_step(logits, np.array([0.0, 0.0, 5.0]), cfg)
+        step = fuse_rows(logits, np.array([0.0, 0.0, 5.0]), cfg)
         np.testing.assert_allclose(step.p_llm, softmax_with_temperature(logits, 2.0),
                                    atol=1e-12)
         assert step.w_asr_effective == 0.0
@@ -50,7 +56,7 @@ class TestFuseStatic:
         l1 = np.log([0.55, 0.35, 0.10])
         l2 = np.array([-200.0, 0.0, -200.0])
         for w in (0.0, 0.1, 0.19, 0.21, 0.5, 1.0, 4.0):
-            step = fuse_step(l1, l2, FusionConfig(mode="static", w_asr=w))
+            step = fuse_rows(l1, l2, FusionConfig(mode="static", w_asr=w))
             assert step.chosen == (1 if w > 0.2 else 0)
 
     def test_unnormalised_sum_has_the_mixture_argmax(self):
@@ -59,7 +65,7 @@ class TestFuseStatic:
         rng = np.random.default_rng(2)
         for _ in range(200):
             w = float(rng.uniform(0.0, 3.0))
-            step = fuse_step(rng.normal(size=7), rng.normal(size=7),
+            step = fuse_rows(rng.normal(size=7), rng.normal(size=7),
                              FusionConfig(mode="static", w_asr=w))
             mixture = (step.p_llm + w * step.p_asr) / (1.0 + w)
             assert mixture.sum() == pytest.approx(1.0, abs=1e-9)
@@ -71,7 +77,7 @@ class TestFuseUadf:
         cfg = FusionConfig(mode="uadf", beta=0.5)
         llm = np.array([200.0, 0.0, 0.0])
         asr = np.array([0.0, 0.0, 200.0])
-        step = fuse_step(llm, asr, cfg)
+        step = fuse_rows(llm, asr, cfg)
         assert step.uncertainty == pytest.approx(0.0, abs=1e-12)
         assert step.w_asr_effective == pytest.approx(0.0, abs=1e-12)
         assert step.chosen == 0
@@ -80,7 +86,7 @@ class TestFuseUadf:
         # p_llm = [0.5, 0.5], p_asr = [0.9, 0.1], beta = 0.5:
         # u = ln 2, w = 2/3 - 1/2 = 1/6, sum = [0.65, 31/60]
         cfg = FusionConfig(mode="uadf", beta=0.5)
-        step = fuse_step(np.array([0.0, 0.0]), np.log([0.9, 0.1]), cfg)
+        step = fuse_rows(np.array([0.0, 0.0]), np.log([0.9, 0.1]), cfg)
         assert step.uncertainty == pytest.approx(math.log(2.0), abs=1e-12)
         assert step.w_asr_effective == pytest.approx(1.0 / 6.0, abs=1e-12)
         summed = step.p_llm + step.w_asr_effective * step.p_asr
@@ -93,7 +99,7 @@ class TestFuseUadf:
         # Dirac on id 4 flips the decision
         p = np.array([0.2, 0.2, 0.2, 0.2001, 0.1999])
         cfg = FusionConfig(mode="uadf", beta=0.5)
-        step = fuse_step(np.log(p), np.log([1e-9, 1e-9, 1e-9, 1e-9, 1.0]), cfg)
+        step = fuse_rows(np.log(p), np.log([1e-9, 1e-9, 1e-9, 1e-9, 1.0]), cfg)
         assert int(np.argmax(step.p_llm)) == 3
         assert step.w_asr_effective > 0.3
         assert step.chosen == 4
@@ -102,7 +108,7 @@ class TestFuseUadf:
         rng = np.random.default_rng(6)
         for _ in range(300):
             v = int(rng.integers(2, 12))
-            step = fuse_step(rng.normal(size=v), rng.normal(size=v),
+            step = fuse_rows(rng.normal(size=v), rng.normal(size=v),
                              FusionConfig(mode="uadf", beta=0.5))
             assert 0.0 <= step.w_asr_effective < 1.0 / (1.0 + math.exp(-math.log(v))) - 0.5 + 1e-12
 
@@ -114,14 +120,14 @@ class TestFuseUadf:
         margin = 0.55 - 0.35
         l2 = np.array([-200.0, 0.0, -200.0])
         for beta in np.linspace(0.0, 1.0, 41):
-            step = fuse_step(l1, l2, FusionConfig(mode="uadf", beta=float(beta)))
+            step = fuse_rows(l1, l2, FusionConfig(mode="uadf", beta=float(beta)))
             w = uadf_weight(u, float(beta))
             expected = 1 if w > margin else 0
             assert step.chosen == expected
 
     def test_fusion_step_log_entry(self, abc_vocab):
         cfg = FusionConfig(mode="uadf")
-        step = fuse_step(np.zeros(6), np.zeros(6), cfg)
+        step = fuse_rows(np.zeros(6), np.zeros(6), cfg)
         entry = step.log_entry(3, abc_vocab)
         assert entry["step"] == 3
         assert len(entry["llm_top"]) == 3
@@ -148,13 +154,26 @@ class TestFuseStep:
                 (FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2),
                  uadf_weight(entropy(p_llm), beta)),
             ):
-                step = fuse_step(l1, l2, cfg)
+                step = fuse_rows(l1, l2, cfg)
                 assert step.w_asr_effective == w
                 assert step.chosen == int(np.argmax(p_llm + w * p_asr))
 
+    def test_secondary_arrives_calibrated(self):
+        """fuse_step calibrates and measures only the primary; it takes the
+        secondary's distribution as given, the very array passed in."""
+        rng = np.random.default_rng(12)
+        l1 = rng.normal(size=9)
+        p_asr = softmax_with_temperature(rng.normal(size=9), 0.7)
+        for cfg in (FusionConfig(mode="static", tau1=1.3, tau2=0.7),
+                    FusionConfig(mode="uadf", tau1=1.3, tau2=0.7)):
+            step = fuse_step(l1, p_asr, cfg)
+            assert step.p_asr is p_asr
+            assert step.p_llm.tobytes() == softmax_with_temperature(l1, 1.3).tobytes()
+            assert step.uncertainty == entropy(step.p_llm)
+
     def test_other_modes_rejected(self):
         with pytest.raises(InvalidParameterError):
-            fuse_step(np.zeros(3), np.zeros(3), FusionConfig(mode="llm"))
+            fuse_rows(np.zeros(3), np.zeros(3), FusionConfig(mode="llm"))
 
 
 class TestFusionConfig:

@@ -4,6 +4,7 @@ import pytest
 from latefuse.core import Vocabulary, softmax_with_temperature
 from latefuse.errors import InvalidInputError, InvalidParameterError
 from latefuse.providers import (
+    LOG_EPS,
     AcousticChannel,
     NgramCorrector,
     NgramModel,
@@ -134,6 +135,92 @@ class TestNgramCorrector:
             NgramCorrector(model, vote_weight=1.5)
 
 
+def per_call_row(model, vote_weight, history, nbest):
+    """Oracle: the corrector's row built from scratch on every call, the
+    positional vote counted over the list, mixed with the prior, logged."""
+    v = model.vocab.size
+    position = len(history) - 1
+    dist = np.zeros(v)
+    covering = 0
+    for hyp in nbest:
+        if position < len(hyp):
+            dist[hyp[position]] += 1.0
+            covering += 1
+    vote = np.full(v, 1.0 / v) if covering == 0 else dist / covering
+    p = model.cond_dist(history)
+    if vote_weight > 0.0:
+        p = (1.0 - vote_weight) * p + vote_weight * vote
+    return np.log(p + LOG_EPS)
+
+
+def seven_word_case():
+    vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>") + tuple("defghij"))
+    rng = np.random.default_rng(3)
+    refs = [tuple(int(t) for t in rng.integers(3, 10, size=int(rng.integers(1, 7)))) + (1,)
+            for _ in range(20)]
+    model = NgramModel(vocab, order=2, smoothing=0.1)
+    model.train(refs)
+    lists = {
+        "A": tuple(refs[i] for i in range(5)),
+        "B": (refs[5], refs[6][:2], refs[7]),
+        "empty": (),
+    }
+    return vocab, model, lists, rng
+
+
+class TestCorrectorRows:
+    """The vote built once per N-best list and the prior once per context
+    give the per-call rows byte for byte."""
+
+    @pytest.mark.parametrize("vote_weight", [0.0, 0.5, 1.0])
+    def test_rows_equal_the_per_call_formula(self, vote_weight):
+        vocab, model, lists, rng = seven_word_case()
+        corrector = NgramCorrector(model, vote_weight=vote_weight)
+        rows = 0
+        for name in ("A", "B", "A", "empty", "B", "A"):
+            nbest = lists[name]
+            ctx = UtteranceContext(utt_id=name, nbest=nbest)
+            longest = max(map(len, nbest), default=0)
+            for position in range(longest + 3):
+                history = (Vocabulary.BOS,) + tuple(
+                    int(t) for t in rng.integers(1, vocab.size, size=position))
+                got = corrector.next_logits(history, ctx)
+                assert got.tobytes() == \
+                    per_call_row(model, vote_weight, history, nbest).tobytes()
+                rows += 1
+        assert rows > 30
+
+    def test_equal_list_in_a_new_tuple_gives_the_same_rows(self):
+        vocab, model, lists, _rng = seven_word_case()
+        corrector = NgramCorrector(model, vote_weight=0.85)
+        history = (Vocabulary.BOS, 3, 4)
+        first = corrector.next_logits(history, UtteranceContext("a", nbest=lists["A"]))
+        copy = tuple(tuple(hyp) for hyp in list(lists["A"]))
+        again = corrector.next_logits(history, UtteranceContext("b", nbest=copy))
+        assert first.tobytes() == again.tobytes()
+
+    def test_returned_row_is_the_callers(self):
+        vocab, model, lists, _rng = seven_word_case()
+        corrector = NgramCorrector(model, vote_weight=0.5)
+        ctx = UtteranceContext("a", nbest=lists["A"])
+        history = (Vocabulary.BOS, 5)
+        row = corrector.next_logits(history, ctx)
+        want = row.tobytes()
+        row[:] = 0.0
+        assert corrector.next_logits(history, ctx).tobytes() == want
+
+    def test_model_trained_again_serves_no_stale_prior(self):
+        vocab, model, lists, _rng = seven_word_case()
+        corrector = NgramCorrector(model, vote_weight=0.5)
+        ctx = UtteranceContext("a", nbest=lists["B"])
+        history = (Vocabulary.BOS, 4)
+        before = corrector.next_logits(history, ctx)
+        model.train([(4, 9, 9, 1)] * 30)
+        after = corrector.next_logits(history, ctx)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == per_call_row(model, 0.5, history, lists["B"]).tobytes()
+
+
 class TestAcousticChannel:
     def test_identity_copies_observation(self, abc_vocab):
         chan = AcousticChannel(abc_vocab, np.eye(6))
@@ -168,6 +255,22 @@ class TestAcousticChannel:
         chan = AcousticChannel(abc_vocab, np.eye(6))
         with pytest.raises(InvalidInputError):
             chan.next_logits((0,), UtteranceContext(utt_id="u0"))
+        with pytest.raises(InvalidInputError):
+            chan.row_key(1, UtteranceContext(utt_id="u0"))
+
+    def test_row_key_names_the_row(self, abc_vocab):
+        confusion = np.full((6, 6), 0.1)
+        np.fill_diagonal(confusion, 0.5)
+        chan = AcousticChannel(abc_vocab, confusion)
+        one = UtteranceContext(utt_id="u0", observation=(0, 3, 4, 1))
+        two = UtteranceContext(utt_id="u1", observation=(0, 4, 1))
+        assert [chan.row_key(n, one) for n in range(1, 7)] == [3, 4, 1, -1, -1, -1]
+        rows = {}
+        for ctx in (one, two):
+            for n in range(1, 7):
+                row = chan.next_logits((0,) + (5,) * (n - 1), ctx).tobytes()
+                assert rows.setdefault(chan.row_key(n, ctx), row) == row
+        assert len(set(rows.values())) == len(rows) == 4
 
 
 class TestProviderSpec:
