@@ -7,6 +7,11 @@ quantity and the fitted temperature is found by bisecting the
 confidence-vs-target gap, which is monotone non-increasing in tau.
 Teacher forcing conditions every step on the reference prefix, keeping
 the fit independent of any fused decoding.
+
+A fit shifts the trace by its row maxima once (`ShiftedTrace`), so each
+bisection evaluation only divides, exponentiates and sums into one
+reused buffer; the confidences come out bit for bit as shifting at every
+evaluation gives them.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ DEFAULT_BOUNDS = (1e-2, 1e2)
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 60
 DEFAULT_BINS = 10
+# Most reliability bins a report or CSV holds. Binning makes one pass over
+# the trace per bin, and the diagrams this bench draws use about ten; a
+# thousand already leaves most bins empty on a validation split of a few
+# thousand steps.
+MAX_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -80,34 +90,57 @@ def collect_traces(provider, dataset):
     return np.concatenate(traces, axis=0), np.asarray(targets, dtype=np.int64)
 
 
-def _step_confidences(traces: np.ndarray, tau: float) -> np.ndarray:
-    """Max of softmax(row / tau) per row; the max entry normalizes to
-    1 / sum(exp((x - x_max) / tau)). A tiny tau may take a shifted entry
-    to -inf, whose exp is the limit 0."""
-    if not 0 < tau < math.inf:
-        raise InvalidParameterError(f"tau must be finite and positive, got {tau}")
-    with np.errstate(over="ignore"):
-        shifted = (traces - traces.max(axis=1, keepdims=True)) / tau
-    return 1.0 / np.exp(shifted).sum(axis=1)
+class ShiftedTrace:
+    """A (steps, V) logit trace less its row maxima, shifted once.
+
+    `confidences(tau)` gives the max of softmax(row / tau) per row: the
+    max entry normalizes to 1 / sum(exp((x - x_max) / tau)). The shift is
+    the same subtraction whichever tau follows, so it is done here and
+    each call only divides, exponentiates and sums, in one buffer made on
+    the first call and reused after; the result is bit for bit what
+    shifting on every call gives. A tiny tau may take a shifted entry to
+    -inf, whose exp is the limit 0.
+    """
+
+    __slots__ = ("rows", "_buf")
+
+    def __init__(self, traces: np.ndarray):
+        traces = np.asarray(traces, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            self.rows = traces - traces.max(axis=1, keepdims=True)
+        self._buf = None
+
+    def confidences(self, tau: float) -> np.ndarray:
+        if not 0 < tau < math.inf:
+            raise InvalidParameterError(f"tau must be finite and positive, got {tau}")
+        if self._buf is None:
+            self._buf = np.empty_like(self.rows)
+        buf = self._buf
+        with np.errstate(over="ignore"):
+            np.divide(self.rows, tau, out=buf)
+        np.exp(buf, out=buf)
+        return 1.0 / buf.sum(axis=1)
 
 
-def mean_confidence(traces: np.ndarray, tau: float) -> float:
-    traces = np.asarray(traces, dtype=np.float64)
-    if traces.size == 0:
-        raise InvalidInputError("traces are empty")
-    return float(_step_confidences(traces, tau).mean())
+def mean_confidence(traces, tau: float) -> float:
+    """Mean over steps of the max scaled softmax probability; `traces` is
+    a raw (steps, V) trace or its `ShiftedTrace`."""
+    if not isinstance(traces, ShiftedTrace):
+        traces = np.asarray(traces, dtype=np.float64)
+        if traces.size == 0:
+            raise InvalidInputError("traces are empty")
+        traces = ShiftedTrace(traces)
+    return float(traces.confidences(tau).mean())
 
 
-def reliability_bins(traces: np.ndarray, targets: np.ndarray, tau: float,
-                     n_bins: int = DEFAULT_BINS):
-    """Equal-width confidence bins on [0, 1] plus the expected calibration
-    error; returns (bins, ece) with exactly n_bins rows."""
-    if n_bins < 2:
-        raise InvalidParameterError(f"n_bins must be >= 2, got {n_bins}")
-    traces = np.asarray(traces, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.int64)
-    conf = _step_confidences(traces, tau)
-    correct = traces.argmax(axis=1) == targets
+def check_bins(n_bins: int):
+    """Refuse a bin count outside [2, MAX_BINS]."""
+    if not 2 <= n_bins <= MAX_BINS:
+        raise InvalidParameterError(f"n_bins must be in [2, {MAX_BINS}], got {n_bins}")
+
+
+def _bin(conf: np.ndarray, correct: np.ndarray, n_bins: int):
+    """Equal-width bins of per-step confidences and hits, and the ECE."""
     idx = np.minimum((conf * n_bins).astype(int), n_bins - 1)
     bins = []
     ece = 0.0
@@ -124,6 +157,29 @@ def reliability_bins(traces: np.ndarray, targets: np.ndarray, tau: float,
     return tuple(bins), float(ece)
 
 
+def reliability_bins(traces: np.ndarray, targets: np.ndarray, tau: float,
+                     n_bins: int = DEFAULT_BINS):
+    """Equal-width confidence bins on [0, 1] plus the expected calibration
+    error; returns (bins, ece) with exactly n_bins rows."""
+    check_bins(n_bins)
+    traces = np.asarray(traces, dtype=np.float64)
+    correct = traces.argmax(axis=1) == np.asarray(targets, dtype=np.int64)
+    return _bin(ShiftedTrace(traces).confidences(tau), correct, n_bins)
+
+
+def check_fit_parameters(tol: float, bounds, max_iter: int, n_bins: int):
+    """Refuse the parameters of `fit_temperature`, so that a caller can
+    check them before it opens a provider."""
+    tau_min, tau_max = float(bounds[0]), float(bounds[1])
+    if not 0 < tau_min < tau_max < math.inf:
+        raise InvalidParameterError(f"need 0 < tau_min < tau_max < inf, got {bounds}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
+    check_bins(n_bins)
+
+
 def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
                     bounds=DEFAULT_BOUNDS, max_iter: int = DEFAULT_MAX_ITER,
                     n_bins: int = DEFAULT_BINS) -> CalibrationReport:
@@ -131,20 +187,25 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
 
     If the target lies outside the confidence range achievable on
     [tau_min, tau_max], the nearer bound is returned with the report
-    flagged instead of raising.
+    flagged instead of raising. At most `max_iter` midpoints are tried;
+    0 tries none, and the bracket's midpoint is returned, flagged unless
+    it is within tol. The search also stops, flagged, at a midpoint that
+    equals an end of its bracket: no later step could move it. Every
+    parameter is checked (`check_fit_parameters`) before the trace is
+    collected.
     """
+    check_fit_parameters(tol, bounds, max_iter, n_bins)
     tau_min, tau_max = float(bounds[0]), float(bounds[1])
-    if not 0 < tau_min < tau_max < math.inf:
-        raise InvalidParameterError(f"need 0 < tau_min < tau_max < inf, got {bounds}")
-    if not 0 < tol < math.inf:
-        raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
 
     traces, targets = collect_traces(provider, dataset)
-    ter = float((traces.argmax(axis=1) != targets).mean())
+    correct = traces.argmax(axis=1) == targets
+    ter = float((~correct).mean())
     target = 1.0 - ter
+    shifted = ShiftedTrace(traces)
+    del traces  # the raw rows are not read again; free them before the buffer
 
     def gap(tau):
-        return mean_confidence(traces, tau) - target
+        return mean_confidence(shifted, tau) - target
 
     gap_sharp, gap_flat = gap(tau_min), gap(tau_max)
     if gap_sharp <= 0.0:  # target at or above the reachable confidence peak
@@ -160,6 +221,9 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
             if abs(g) <= tol:
                 tau = mid
                 break
+            if mid == lo or mid == hi:  # every later midpoint would be this one
+                tau, clamped = mid, abs(g) > tol
+                break
             if g > 0.0:
                 lo = mid
             else:
@@ -168,10 +232,10 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
             tau = (lo + hi) / 2.0
             clamped = abs(gap(tau)) > tol
 
-    bins, ece = reliability_bins(traces, targets, tau, n_bins=n_bins)
+    bins, ece = _bin(shifted.confidences(tau), correct, n_bins)
     return CalibrationReport(
         tau=float(tau),
-        mean_confidence=mean_confidence(traces, tau),
+        mean_confidence=mean_confidence(shifted, tau),
         ter=ter,
         n_dec=int(targets.size),
         bins=bins,

@@ -361,16 +361,15 @@ def cmd_train_lm(resolved: dict):
 
 
 def cmd_calibrate(resolved: dict):
+    fit = dict(tol=resolved["tol"], bounds=(resolved["tau_min"], resolved["tau_max"]),
+               max_iter=resolved["max_iter"], n_bins=resolved["bins"])
+    calibration.check_fit_parameters(**fit)  # before any provider is opened
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     which = resolved["which"]
     with contextlib.ExitStack() as opened:
         provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab, opened)
-        report = calibration.fit_temperature(
-            provider, _calibration_set(records, vocab), tol=resolved["tol"],
-            bounds=(resolved["tau_min"], resolved["tau_max"]),
-            max_iter=resolved["max_iter"], n_bins=resolved["bins"],
-        )
+        report = calibration.fit_temperature(provider, _calibration_set(records, vocab), **fit)
     out = Path(resolved["out"])
     _write_resolved(resolved, out.parent, f"calibrate-{which}")
     with open(out, "w", encoding="utf-8") as f:
@@ -473,6 +472,7 @@ def cmd_score(resolved: dict):
     refs = {rec.id: norm(rec.reference) for rec in records}
 
     systems = {}
+    aligned = {}  # each distinct (hypothesis, reference) pair is aligned once
     for pair in resolved["hyp"]:
         name, _, path = pair.partition("=")
         if not name or not path:
@@ -490,7 +490,7 @@ def cmd_score(resolved: dict):
                 f"{path} has hypotheses for {len(unknown)} utterances not in the corpus, "
                 f"e.g. {min(unknown)!r}")
         systems[name] = metrics.corpus_report(
-            [(norm(hyps[utt_id]), ref) for utt_id, ref in refs.items()])
+            [(norm(hyps[utt_id]), ref) for utt_id, ref in refs.items()], aligned)
 
     baseline = resolved["baseline"]
     if baseline and baseline not in systems:
@@ -508,7 +508,8 @@ def cmd_score(resolved: dict):
     if records:  # the corpus loader rejects an empty N-best list
         nbests = [[norm(t) for t, _ in rec.nbest] for rec in records]
         ref_list = [refs[rec.id] for rec in records]
-        first = metrics.corpus_report([(nb[0], ref) for nb, ref in zip(nbests, ref_list)])
+        first = metrics.corpus_report([(nb[0], ref) for nb, ref in zip(nbests, ref_list)],
+                                      aligned)
         o_nb = [metrics.oracle_nbest(nb, ref) for nb, ref in zip(nbests, ref_list)]
         o_cp = [metrics.oracle_compositional(nb, ref) for nb, ref in zip(nbests, ref_list)]
         n_ref = [len(ref) for ref in ref_list]
@@ -531,6 +532,7 @@ def cmd_score(resolved: dict):
 
 
 def cmd_reliability(resolved: dict):
+    calibration.check_bins(resolved["bins"])  # before any provider is opened
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
     which = resolved["which"]

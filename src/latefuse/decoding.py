@@ -222,17 +222,23 @@ def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,
                max_len_factor: float = 2.0) -> list[float]:
     """Corpus WER of `eval_set` decoded at each of `cfgs`, in order.
 
-    The decodes come from `decode_eval_set`; each distinct hypothesis of
-    an utterance is aligned once.
+    The decodes come from `decode_eval_set`. A WER reads only S + I + D,
+    so each distinct hypothesis of an utterance gets its edit distance
+    (`metrics.distance_to`), with no alignment.
     """
     vocab = (llm_provider or asr_provider).vocab
     results = decode_eval_set(llm_provider, asr_provider, cfgs, eval_set, max_len_factor)
-    reports = [[] for _ in cfgs]
+    edits = [0] * len(cfgs)
+    n_words = 0
     for _ctx, ref_words in eval_set:
-        aligned = {}
-        for point in reports:
+        distance = metrics.distance_to(ref_words)
+        n_words += len(ref_words)
+        seen = {}
+        for k in range(len(cfgs)):
             hyp = vocab.decode(next(results).tokens)
-            if hyp not in aligned:
-                aligned[hyp] = metrics.wer(hyp.split(), ref_words)
-            point.append(aligned[hyp])
-    return [metrics.total_report(point).wer for point in reports]
+            if hyp not in seen:
+                seen[hyp] = distance(hyp.split())
+            edits[k] += seen[hyp]
+    if n_words == 0:
+        raise InvalidInputError("no reference words to score")
+    return [e / n_words for e in edits]

@@ -3,6 +3,13 @@
 All scoring functions take pre-tokenized word sequences; `normalize_text`
 is the default text hook (lowercase + whitespace split) and can be
 swapped by callers ingesting external data with other conventions.
+
+`wer` aligns a pair to split its edits into S, I and D; `corpus_report`
+aligns each distinct pair once, and can share its dict of alignments
+across calls. A caller that reads only S + I + D (the N-best oracle, a
+sweep's corpus WER) takes `distance_to`, a bit-parallel edit distance
+with no alignment to trace back. The edit tables of `wer` and of the
+confusion-network merge are one loop, `_edit_table`.
 """
 
 from __future__ import annotations
@@ -39,6 +46,28 @@ class ScoreReport:
         }
 
 
+def _edit_table(rows, cols) -> list[list[int]]:
+    """Unit-cost edit table of `cols` against `rows`, a sequence of word
+    sets: cell (i, j) is the fewest edits turning cols[:j] into rows[:i],
+    where a word matches a row when it is in that row's set."""
+    dist = [list(range(len(cols) + 1))]
+    for i, words in enumerate(rows, start=1):
+        prev = dist[-1]
+        row = [i]
+        left = i
+        for word, diag, up in zip(cols, prev, prev[1:]):
+            # min(diag, up + 1, left + 1) on integers: x < best means x + 1 <= best.
+            best = diag if word in words else diag + 1
+            if up < best:
+                best = up + 1
+            if left < best:
+                best = left + 1
+            row.append(best)
+            left = best
+        dist.append(row)
+    return dist
+
+
 def wer(hypothesis, reference) -> ScoreReport:
     """Unit-cost Levenshtein alignment of word sequences.
 
@@ -50,24 +79,7 @@ def wer(hypothesis, reference) -> ScoreReport:
     if not ref:
         raise InvalidInputError("reference must be non-empty")
 
-    rows, cols = len(ref) + 1, len(hyp) + 1
-    dist = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        dist[i][0] = i
-    for j in range(cols):
-        dist[0][j] = j
-    for i in range(1, rows):
-        row, prev, word = dist[i], dist[i - 1], ref[i - 1]
-        left = i
-        for j in range(1, cols):
-            # min(diag, up + 1, left + 1) on integers: x < best means x + 1 <= best.
-            best = prev[j - 1] if word == hyp[j - 1] else prev[j - 1] + 1
-            if prev[j] < best:
-                best = prev[j] + 1
-            if left < best:
-                best = left + 1
-            row[j] = left = best
-
+    dist = _edit_table([{word} for word in ref], hyp)
     subs = ins = dels = hits = 0
     i, j = len(ref), len(hyp)
     while i > 0 or j > 0:
@@ -86,9 +98,60 @@ def wer(hypothesis, reference) -> ScoreReport:
     return ScoreReport(subs, ins, dels, hits, len(ref))
 
 
-def corpus_report(pairs) -> ScoreReport:
-    """Aggregate (hypothesis, reference) pairs into one corpus-level report."""
-    return total_report(wer(hyp, ref) for hyp, ref in pairs)
+def distance_to(reference):
+    """The function taking a hypothesis to its unit-cost word edit distance
+    from `reference`, which is S + I + D of `wer(hypothesis, reference)`.
+
+    Bit-parallel (Myers 1999, in Hyyro's form for edit distance): bit i of
+    the vertical delta vectors is row i of one table column, so a word
+    costs a few integer operations whatever the reference length (a
+    Python int holds any width). The reference's bit masks are built
+    once, here, for every hypothesis scored against it.
+    """
+    ref = list(reference)
+    if not ref:
+        raise InvalidInputError("reference must be non-empty")
+    masks = {}
+    for i, word in enumerate(ref):
+        masks[word] = masks.get(word, 0) | 1 << i
+    full, top = (1 << len(ref)) - 1, 1 << (len(ref) - 1)
+
+    def distance(hypothesis) -> int:
+        pv, mv, score = full, 0, len(ref)
+        for word in hypothesis:
+            eq = masks.get(word, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & top:
+                score += 1
+            elif mh & top:
+                score -= 1
+            ph = ph << 1 | 1  # the top row grows by one per hypothesis word
+            pv = (mh << 1 | ~(xv | ph)) & full
+            mv = ph & xv
+        return score
+
+    return distance
+
+
+def corpus_report(pairs, aligned: dict | None = None) -> ScoreReport:
+    """Aggregate (hypothesis, reference) pairs into one corpus-level report.
+
+    Each distinct (hypothesis, reference) pair is aligned once. `aligned`,
+    a dict that this function reads and fills, carries the alignments
+    across every call that shares it.
+    """
+    aligned = {} if aligned is None else aligned
+    reports = []
+    for hyp, ref in pairs:
+        key = (tuple(hyp), tuple(ref))
+        report = aligned.get(key)
+        if report is None:
+            report = aligned[key] = wer(*key)
+        reports.append(report)
+    return total_report(reports)
 
 
 def total_report(reports) -> ScoreReport:
@@ -121,7 +184,10 @@ def oracle_nbest(nbest, reference) -> float:
     nbest = list(nbest)
     if not nbest:
         raise InvalidInputError("nbest must be non-empty")
-    return min(wer(hyp, reference).wer for hyp in nbest)
+    ref = list(reference)
+    distance = distance_to(ref)
+    # the smallest distance over one positive length is the smallest WER
+    return min(distance(hyp) for hyp in nbest) / len(ref)
 
 
 class _Slot:
@@ -142,19 +208,9 @@ def _merge_hypothesis(slots: list[_Slot], hyp: list) -> list[_Slot]:
     fresh slot that is epsilon for everything merged before it. Backtrace
     ties prefer match > substitution > skip-slot > new-slot.
     """
-    k, h = len(slots), len(hyp)
-    dist = [[0] * (h + 1) for _ in range(k + 1)]
-    for i in range(k + 1):
-        dist[i][0] = i
-    for j in range(h + 1):
-        dist[0][j] = j
-    for i in range(1, k + 1):
-        for j in range(1, h + 1):
-            diag = dist[i - 1][j - 1] + (0 if hyp[j - 1] in slots[i - 1].words else 1)
-            dist[i][j] = min(diag, dist[i - 1][j] + 1, dist[i][j - 1] + 1)
-
+    dist = _edit_table([slot.words for slot in slots], hyp)
     merged: list[_Slot] = []
-    i, j = k, h
+    i, j = len(slots), len(hyp)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + \
                 (0 if hyp[j - 1] in slots[i - 1].words else 1):
@@ -195,13 +251,20 @@ def oracle_compositional(nbest, reference) -> float:
 
     # Best-path DP: cost[r] = min edits after the slots seen so far,
     # having consumed r reference words.
-    n_ref = len(ref)
-    cost = list(range(n_ref + 1))
+    cost = list(range(len(ref) + 1))
     for slot in slots:
         skip = 0 if slot.has_epsilon else 1  # emit-as-insertion when no epsilon
-        new = [cost[0] + skip]
-        for r in range(1, n_ref + 1):
-            consume = cost[r - 1] + (0 if ref[r - 1] in slot.words else 1)
-            new.append(min(cost[r] + skip, new[r - 1] + 1, consume))
+        words = slot.words
+        left = cost[0] + skip
+        new = [left]
+        for word, diag, up in zip(ref, cost, cost[1:]):
+            # min(consume, up + skip, left + 1) on integers, as in `_edit_table`
+            best = diag if word in words else diag + 1
+            if up + skip < best:
+                best = up + skip
+            if left < best:
+                best = left + 1
+            new.append(best)
+            left = best
         cost = new
-    return cost[n_ref] / n_ref
+    return cost[-1] / len(ref)

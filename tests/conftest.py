@@ -47,3 +47,97 @@ def table_provider_cls():
 @pytest.fixture
 def constant_provider_cls():
     return ConstantProvider
+
+
+# -- temperature fit as it was before the trace shift was hoisted; kept
+# frozen so that `fit_temperature` can be compared with it bit for bit.
+
+
+def _frozen_step_confidences(traces, tau):
+    with np.errstate(over="ignore"):
+        shifted = (traces - traces.max(axis=1, keepdims=True)) / tau
+    return 1.0 / np.exp(shifted).sum(axis=1)
+
+
+def _frozen_mean_confidence(traces, tau):
+    traces = np.asarray(traces, dtype=np.float64)
+    return float(_frozen_step_confidences(traces, tau).mean())
+
+
+def _frozen_reliability_bins(traces, targets, tau, n_bins):
+    traces = np.asarray(traces, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.int64)
+    conf = _frozen_step_confidences(traces, tau)
+    correct = traces.argmax(axis=1) == targets
+    idx = np.minimum((conf * n_bins).astype(int), n_bins - 1)
+    bins = []
+    ece = 0.0
+    for b in range(n_bins):
+        mask = idx == b
+        count = int(mask.sum())
+        if count:
+            bin_conf = float(conf[mask].mean())
+            bin_acc = float(correct[mask].mean())
+            ece += (count / conf.size) * abs(bin_conf - bin_acc)
+        else:
+            bin_conf = bin_acc = 0.0
+        bins.append((b / n_bins, (b + 1) / n_bins, count, bin_conf, bin_acc))
+    return tuple(bins), float(ece)
+
+
+def _frozen_fit_temperature(provider, dataset, tol=1e-3, bounds=(1e-2, 1e2),
+                            max_iter=60, n_bins=10):
+    """The report `fit_temperature` gave, as a dict, and its evaluation count."""
+    from latefuse.calibration import collect_traces
+
+    tau_min, tau_max = float(bounds[0]), float(bounds[1])
+    traces, targets = collect_traces(provider, dataset)
+    ter = float((traces.argmax(axis=1) != targets).mean())
+    target = 1.0 - ter
+    evals = [0]
+
+    def gap(tau):
+        evals[0] += 1
+        return _frozen_mean_confidence(traces, tau) - target
+
+    gap_sharp, gap_flat = gap(tau_min), gap(tau_max)
+    if gap_sharp <= 0.0:
+        tau, clamped = tau_min, True
+    elif gap_flat >= 0.0:
+        tau, clamped = tau_max, True
+    else:
+        lo, hi = tau_min, tau_max
+        tau, clamped = None, False
+        for _ in range(max_iter):
+            mid = (lo + hi) / 2.0
+            g = gap(mid)
+            if abs(g) <= tol:
+                tau = mid
+                break
+            if g > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        if tau is None:
+            tau = (lo + hi) / 2.0
+            clamped = abs(gap(tau)) > tol
+
+    bins, ece = _frozen_reliability_bins(traces, targets, tau, n_bins)
+    evals[0] += 1
+    report = {
+        "tau": float(tau),
+        "mean_confidence": _frozen_mean_confidence(traces, tau),
+        "ter": ter,
+        "n_dec": int(targets.size),
+        "bins": [list(b) for b in bins],
+        "ece": ece,
+        "clamped": clamped,
+    }
+    return report, evals[0]
+
+
+@pytest.fixture
+def frozen_fit():
+    """`fit_temperature` before the shift was hoisted: (report dict, number
+    of mean-confidence evaluations)."""
+    return _frozen_fit_temperature

@@ -7,6 +7,7 @@ seed 0; the whole module is budgeted to stay well under two minutes.
 """
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -169,6 +170,17 @@ def test_criterion_4_calibration_fixed_point(bench):
                      f"ece {ece_pre:.4f}->{ece_post:.4f}")
         ok &= gap <= 1e-3 and not rep.clamped and ece_post < ece_pre
     check(4, "; ".join(parts), ok)
+
+
+@pytest.mark.parametrize("bounds", [(1e-2, 1e2), (1e-320, 1e2)], ids=["default", "tiny"])
+@pytest.mark.parametrize("name", ["llm", "asr"])
+def test_fit_equals_the_fit_that_shifts_per_evaluation(bench, frozen_fit, name, bounds):
+    """The fitted report is bit for bit the one the per-evaluation shift
+    gave; at tau_min 1e-320 every shifted logit but the maximum
+    overflows to -inf, whose weight is 0."""
+    got = fit_temperature(bench[name], bench["cal_set"], bounds=bounds).to_dict()
+    want, _evals = frozen_fit(bench[name], bench["cal_set"], bounds=bounds)
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_criterion_5_argmax_invariance():

@@ -172,6 +172,61 @@ def test_traced_generate_corpus_reads_one_acoustic_row_per_beam_step(monkeypatch
     assert m["decoding.beam_search.provider_calls"] == m["providers.asr.calls"] == steps[0] > 0
 
 
+def test_traced_calibrate_and_score_count_evaluations_rows_and_pairs(tmp_path, frozen_fit):
+    """A traced `calibrate` makes one `mean_confidence` call per bisection
+    evaluation and reads one trace row per reference token; a traced
+    `score` aligns each distinct (hypothesis, reference) pair once."""
+    data, lm = tmp_path / "data", tmp_path / "lm.json"
+    files = ["--vocab", data / "vocab.txt"]
+    assert cli.main(["simulate", "--out-dir", str(data), "--n-train", "30", "--n-val", "6",
+                     "--n-test", "8", "--seed", "5"]) == 0
+    assert cli.main(["train-lm", "--corpus", str(data / "train.jsonl"), *map(str, files),
+                     "--out", str(lm)]) == 0
+    vocab = Vocabulary.load(data / "vocab.txt")
+    saved = json.loads(lm.read_text())
+    providers = {"llm": ["--lm-model", lm], "asr": ["--manifest", data / "manifest.json"]}
+    cal_set = [(corpus.record_context(rec, vocab)[0],
+                vocab.encode(rec.reference, append_eos=True))
+               for rec in corpus.load_corpus(data / "val.jsonl")]
+    local = {"llm": NgramCorrector(NgramModel.from_dict(saved, vocab),
+                                   vote_weight=saved["vote_weight"]),
+             "asr": cli.build_provider(cli.ProviderSpec(
+                 "acoustic-channel", {"manifest_path": str(data / "manifest.json")}), vocab)}
+    want_evals = sum(frozen_fit(local[which], cal_set)[1] for which in providers)
+
+    tr = tracing.Tracer()
+    layers.install(tr)
+    try:
+        for which, flags in providers.items():
+            assert cli.main([str(a) for a in (
+                "calibrate", "--corpus", data / "val.jsonl", *files, "--which", which,
+                *flags, "--out", tmp_path / f"cal-{which}.json")]) == 0
+        hyps = []
+        for mode in ("llm", "asr", "uadf"):
+            out = tmp_path / f"hyp-{mode}.jsonl"
+            assert cli.main([str(a) for a in (
+                "decode", "--corpus", data / "test.jsonl", *files, "--mode", mode,
+                *providers["llm"], *providers["asr"], "--out", out)]) == 0
+            hyps += ["--hyp", f"{mode}={out}"]
+        assert cli.main([str(a) for a in ("score", "--corpus", data / "test.jsonl", *hyps,
+                                          "--out", tmp_path / "scores.json")]) == 0
+    finally:
+        tr.uninstall()
+    m = layers.layer_metrics(tr, {})
+    assert m["calibration.bisect_evals"] == want_evals > 0
+    assert m["calibration.trace_rows"] == 2 * sum(len(ref) for _ctx, ref in cal_set)
+
+    records = corpus.load_corpus(data / "test.jsonl")
+    pairs = {(tuple(rec.nbest[0][0].lower().split()), tuple(rec.reference.lower().split()))
+             for rec in records}
+    for mode in ("llm", "asr", "uadf"):
+        text = {entry["id"]: entry["text"] for entry in map(
+            json.loads, (tmp_path / f"hyp-{mode}.jsonl").read_text().splitlines())}
+        pairs |= {(tuple(text[rec.id].lower().split()), tuple(rec.reference.lower().split()))
+                  for rec in records}
+    assert m["metrics.wer.calls"] == len(pairs) < 4 * len(records)
+
+
 def test_count_decodes_counts_each_utterance_and_config(bench_case):
     llm, asr, eval_set = bench_case
     cfgs = [FusionConfig(beta=b) for b in (0.0, 0.5)]

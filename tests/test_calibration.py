@@ -1,9 +1,14 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from latefuse import calibration
 from latefuse.calibration import (
+    MAX_BINS,
+    ShiftedTrace,
     collect_traces,
     fit_temperature,
     mean_confidence,
@@ -202,3 +207,136 @@ class TestReliabilityBins:
     def test_min_bins(self, abc_vocab):
         with pytest.raises(InvalidParameterError):
             reliability_bins(np.zeros((3, 6)), np.zeros(3, dtype=int), 1.0, n_bins=1)
+
+
+class _MatrixProvider:
+    """Plays back row offset + t of a fixed matrix at step t of the
+    utterance whose id is `offset`."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def next_logits(self, history, ctx):
+        return self.matrix[int(ctx.utt_id) + len(history) - 1].copy()
+
+
+def matrix_case(seed, steps=1299, vocab=200, length=13, scale=3.0):
+    """A provider and teacher-forcing set whose trace is a seeded
+    (steps, vocab) logit matrix, references `length` tokens long."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(scale=scale, size=(steps, vocab))
+    # make about two thirds of the steps hit, so the fit is not clamped
+    targets = np.where(rng.random(steps) < 0.67, matrix.argmax(axis=1),
+                       rng.integers(2, vocab, size=steps))
+    dataset = []
+    for offset in range(0, steps, length):
+        n = min(length, steps - offset)
+        ref = tuple(int(t) for t in targets[offset:offset + n - 1]) + (Vocabulary.EOS,)
+        dataset.append((UtteranceContext(utt_id=str(offset)), ref))
+    return _MatrixProvider(matrix), dataset
+
+
+def fit_dict_and_evals(monkeypatch, provider, dataset, **kwargs):
+    """`fit_temperature`'s report as a dict and its `mean_confidence` calls."""
+    calls, original = [0], calibration.mean_confidence
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(calibration, "mean_confidence", counted)
+        report = fit_temperature(provider, dataset, **kwargs)
+    return report.to_dict(), calls[0]
+
+
+class TestShiftedTraceMatchesPerCallShift:
+    """Hoisting the row-max shift out of the bisection changes no bit."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"tol": 1e-6}, {"n_bins": 7}, {"max_iter": 3}, {"max_iter": 0},
+        {"bounds": (1e-320, 1e2)}, {"bounds": (0.5, 2.0)}, {"bounds": (30.0, 60.0)},
+    ], ids=repr)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fit_equals_frozen_fit(self, monkeypatch, frozen_fit, seed, kwargs):
+        provider, dataset = matrix_case(seed, steps=300)
+        got, evals = fit_dict_and_evals(monkeypatch, provider, dataset, **kwargs)
+        want, want_evals = frozen_fit(provider, dataset, **kwargs)
+        assert json.dumps(got) == json.dumps(want)
+        assert evals == want_evals
+
+    def test_unreachable_tol_stops_where_bisection_stalls(self, monkeypatch, frozen_fit):
+        """With tol below any gap the bisection reaches on this case, the
+        midpoint stops moving; the fit stops there, with the report the
+        full run of steps gives."""
+        provider, dataset = matrix_case(4, steps=200)
+        got, evals = fit_dict_and_evals(monkeypatch, provider, dataset,
+                                        tol=1e-300, max_iter=10_000)
+        want, want_evals = frozen_fit(provider, dataset, tol=1e-300, max_iter=400)
+        assert json.dumps(got) == json.dumps(want)
+        assert got["clamped"] and evals < want_evals
+
+    def test_confidences_equal_per_call_shift(self):
+        rng = np.random.default_rng(41)
+        traces = rng.normal(scale=40.0, size=(97, 31))
+        traces[5] = 0.0  # a uniform row
+        traces[6, 3] = 1e300  # a row whose shifted entries overflow to -inf
+        shifted = ShiftedTrace(traces)
+        for tau in (1e-320, 1e-5, 0.3, 1.0, 7.0, 1e5, 1e300):
+            with np.errstate(over="ignore"):
+                want = 1.0 / np.exp((traces - traces.max(axis=1, keepdims=True))
+                                    / tau).sum(axis=1)
+            assert shifted.confidences(tau).tobytes() == want.tobytes()
+            assert mean_confidence(shifted, tau) == mean_confidence(traces, tau) \
+                == float(want.mean())
+
+    def test_peak_memory_no_higher_than_frozen_fit(self, frozen_fit):
+        provider, dataset = matrix_case(0)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for fit in (fit_temperature, frozen_fit):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                fit(provider, dataset)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert sum(len(ref) for _ctx, ref in dataset) == 1299
+        assert peaks[0] <= peaks[1]
+
+
+class TestParameterBounds:
+    """A bad bin count or iteration limit is refused before any trace."""
+
+    @pytest.fixture
+    def no_traces(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("collected a trace")
+
+        monkeypatch.setattr(calibration, "collect_traces", refuse)
+
+    @pytest.mark.parametrize("n_bins", [1, 0, -3, MAX_BINS + 1, 100_000_000])
+    def test_bins_out_of_range(self, abc_vocab, identity_channel, no_traces, n_bins):
+        dataset = dataset_from_texts(abc_vocab, ["a"])
+        with pytest.raises(InvalidParameterError, match="n_bins"):
+            fit_temperature(identity_channel, dataset, n_bins=n_bins)
+        with pytest.raises(InvalidParameterError, match="n_bins"):
+            reliability_bins(np.zeros((3, 6)), np.zeros(3, dtype=int), 1.0, n_bins=n_bins)
+
+    def test_negative_max_iter(self, abc_vocab, identity_channel, no_traces):
+        dataset = dataset_from_texts(abc_vocab, ["a"])
+        with pytest.raises(InvalidParameterError, match="max_iter"):
+            fit_temperature(identity_channel, dataset, max_iter=-5)
+
+    def test_max_bins_is_accepted(self):
+        rng = np.random.default_rng(2)
+        bins, _ = reliability_bins(rng.normal(size=(50, 6)), rng.integers(0, 6, size=50),
+                                   1.0, n_bins=MAX_BINS)
+        assert len(bins) == MAX_BINS
+
+    def test_zero_max_iter_returns_the_flagged_midpoint(self):
+        provider, dataset = matrix_case(3, steps=100)
+        report = fit_temperature(provider, dataset, max_iter=0, bounds=(0.5, 2.0))
+        assert report.tau == 1.25
+        assert report.clamped == (abs(report.mean_confidence - (1 - report.ter)) > 1e-3)

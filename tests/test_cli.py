@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from latefuse import cli, corpus, decoding
+from latefuse import calibration, cli, corpus, decoding
 from latefuse.cli import main
 
 
@@ -334,6 +334,45 @@ NON_FINITE = [
     ("decode", "--timeout", "inf", "--timeout"),
     ("sweep", "--beta-values", "0,nan", "--beta-values"),
 ]
+
+
+BOUNDED = [
+    ("calibrate", "--bins", "1", "n_bins"),
+    ("calibrate", "--bins", "1001", "n_bins"),
+    ("calibrate", "--bins", "100000000", "n_bins"),
+    ("reliability", "--bins", "1", "n_bins"),
+    ("reliability", "--bins", "100000000", "n_bins"),
+    ("calibrate", "--max-iter", "-5", "max_iter"),
+]
+
+
+class TestCalibrationBounds:
+    """`--bins` outside [2, calibration.MAX_BINS] and a negative
+    `--max-iter` exit 2 before any provider is opened (an endpoint would
+    be started or connected to) or any trace is collected."""
+
+    @pytest.mark.parametrize("command, flag, value, named", BOUNDED,
+                             ids=[f"{c}{f[1:]}={v}" for c, f, v, _ in BOUNDED])
+    def test_is_config_error(self, workspace, tmp_path, capsys, monkeypatch,
+                             command, flag, value, named):
+        def refuse(*args):
+            raise AssertionError("opened a provider or collected a trace")
+
+        monkeypatch.setattr(calibration, "collect_traces", refuse)
+        monkeypatch.setattr(cli, "_build_llm", refuse)
+        monkeypatch.setattr(cli, "_build_asr", refuse)
+        out = tmp_path / "out"
+        assert run(*COMMAND_ARGS[command](workspace, out), flag, value) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_max_iter_runs_no_bisection_step(self, workspace, tmp_path):
+        out = tmp_path / "cal.json"
+        argv = which_llm_args("calibrate")(workspace, out)
+        assert run(*argv, "--max-iter", "0", "--tau-min", "0.5", "--tau-max", "2") == 0
+        report = json.loads(out.read_text())
+        assert report["tau"] == 1.25
+        assert report["clamped"] is (abs(report["mean_confidence"] - 1 + report["ter"]) > 1e-3)
 
 
 class TestNonFiniteValues:

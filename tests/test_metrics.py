@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from latefuse import metrics
 from latefuse.errors import InvalidInputError, InvalidParameterError
 from latefuse.metrics import (
     corpus_report,
     corpus_wer,
+    distance_to,
     normalize_text,
     oracle_compositional,
     oracle_nbest,
+    total_report,
     wer,
     werr,
 )
@@ -192,3 +197,138 @@ class TestCorpusAggregation:
     def test_normalize_text(self):
         assert normalize_text("Show  THE Flight") == ["show", "the", "flight"]
         assert normalize_text("Keep Case", lowercase=False) == ["Keep", "Case"]
+
+
+class TestDistanceKernel:
+    """`distance_to` is S + I + D of `wer`, with no alignment."""
+
+    @staticmethod
+    def edits(hyp, ref):
+        report = wer(hyp, ref)
+        return report.substitutions + report.insertions + report.deletions
+
+    def test_every_short_pair_over_three_words(self):
+        words = ("a", "b", "c")
+        hyps = [h for n in range(5) for h in itertools.product(words, repeat=n)]
+        refs = [r for n in range(1, 5) for r in itertools.product(words, repeat=n)]
+        for ref in refs:
+            distance = distance_to(ref)
+            for hyp in hyps:
+                assert distance(hyp) == self.edits(hyp, ref), (hyp, ref)
+
+    def test_seeded_pairs_longer_than_64_words(self):
+        rng = np.random.default_rng(43)
+        alphabet = [f"w{i}" for i in range(6)]
+        for _ in range(60):
+            ref = [alphabet[i] for i in rng.integers(0, 6, size=rng.integers(65, 200))]
+            hyp = [alphabet[i] for i in rng.integers(0, 6, size=rng.integers(0, 200))]
+            assert distance_to(ref)(hyp) == self.edits(hyp, ref)
+
+    def test_empty_reference_rejected(self):
+        with pytest.raises(InvalidInputError):
+            distance_to([])
+
+
+class TestCorpusReportSharesAlignments:
+    def test_each_distinct_pair_aligned_once(self, monkeypatch):
+        pairs = [("a b".split(), "a b".split()), ("x".split(), "a b".split()),
+                 ("a b".split(), "a b".split())]
+        calls, original = [0], metrics.wer
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "wer", counted)
+        alone = corpus_report(pairs)
+        assert calls[0] == 2
+        aligned = {}
+        first = corpus_report(pairs, aligned)
+        again = corpus_report(pairs[:2], aligned)
+        assert calls[0] == 4
+        assert first == alone == total_report(original(*pair) for pair in pairs)
+        assert again == total_report(original(*pair) for pair in pairs[:2])
+
+
+# -- the confusion-network oracle as it was before its edit tables moved
+# to the compare-chain loop; kept frozen for the equality test below.
+
+
+def _frozen_merge_hypothesis(slots, hyp):
+    k, h = len(slots), len(hyp)
+    dist = [[0] * (h + 1) for _ in range(k + 1)]
+    for i in range(k + 1):
+        dist[i][0] = i
+    for j in range(h + 1):
+        dist[0][j] = j
+    for i in range(1, k + 1):
+        for j in range(1, h + 1):
+            diag = dist[i - 1][j - 1] + (0 if hyp[j - 1] in slots[i - 1].words else 1)
+            dist[i][j] = min(diag, dist[i - 1][j] + 1, dist[i][j - 1] + 1)
+
+    merged = []
+    i, j = k, h
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + \
+                (0 if hyp[j - 1] in slots[i - 1].words else 1):
+            slots[i - 1].words.add(hyp[j - 1])
+            merged.append(slots[i - 1])
+            i, j = i - 1, j - 1
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            slots[i - 1].has_epsilon = True
+            merged.append(slots[i - 1])
+            i -= 1
+        else:
+            merged.append(metrics._Slot(hyp[j - 1], has_epsilon=True))
+            j -= 1
+    merged.reverse()
+    return merged
+
+
+def _frozen_oracle_compositional(nbest, reference):
+    nbest = [list(h) for h in nbest]
+    ref = list(reference)
+    slots = [metrics._Slot(w) for w in nbest[0]]
+    for hyp in nbest[1:]:
+        slots = _frozen_merge_hypothesis(slots, hyp)
+    n_ref = len(ref)
+    cost = list(range(n_ref + 1))
+    for slot in slots:
+        skip = 0 if slot.has_epsilon else 1
+        new = [cost[0] + skip]
+        for r in range(1, n_ref + 1):
+            consume = cost[r - 1] + (0 if ref[r - 1] in slot.words else 1)
+            new.append(min(cost[r] + skip, new[r - 1] + 1, consume))
+        cost = new
+    return cost[n_ref] / n_ref
+
+
+def _nbest_cases(seed, n):
+    """Seeded (N-best list, reference) pairs over a small alphabet, so
+    words repeat, with empty hypotheses mixed in."""
+    rng = np.random.default_rng(seed)
+    alphabet = list("abcde")
+    for _ in range(n):
+        ref = [alphabet[i] for i in rng.integers(0, 5, size=rng.integers(1, 10))]
+        nbest = [[alphabet[i] for i in rng.integers(0, 5, size=rng.integers(0, 10))]
+                 for _ in range(int(rng.integers(1, 7)))]
+        if rng.random() < 0.3:
+            nbest.insert(int(rng.integers(0, len(nbest) + 1)), [])
+        yield nbest, ref
+
+
+class TestOracleEqualsFrozenCode:
+    def test_merged_slots_equal(self):
+        for nbest, _ref in _nbest_cases(47, 400):
+            got = [metrics._Slot(w) for w in nbest[0]]
+            want = [metrics._Slot(w) for w in nbest[0]]
+            for hyp in nbest[1:]:
+                got = metrics._merge_hypothesis(got, hyp)
+                want = _frozen_merge_hypothesis(want, hyp)
+            assert [(s.words, s.has_epsilon) for s in got] == \
+                [(s.words, s.has_epsilon) for s in want], nbest
+
+    def test_oracles_equal(self):
+        for nbest, ref in _nbest_cases(53, 1500):
+            assert oracle_compositional(nbest, ref) == _frozen_oracle_compositional(nbest, ref)
+            assert oracle_nbest(nbest, ref) == min(wer(h, ref).wer for h in nbest)
