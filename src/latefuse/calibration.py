@@ -11,7 +11,9 @@ the fit independent of any fused decoding.
 A fit shifts the trace by its row maxima once (`ShiftedTrace`), so each
 bisection evaluation only divides, exponentiates and sums into one
 reused buffer; the confidences come out bit for bit as shifting at every
-evaluation gives them.
+evaluation gives them. The same shifted trace gives the report both
+reliability diagrams: its bins at tau 1, before calibration, and at the
+fitted tau.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ DEFAULT_BOUNDS = (1e-2, 1e2)
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 60
 DEFAULT_BINS = 10
-# Most reliability bins a report or CSV holds. Binning makes one pass over
+# Most reliability bins a report holds. Binning makes one pass over
 # the trace per bin, and the diagrams this bench draws use about ten; a
 # thousand already leaves most bins empty on a validation split of a few
 # thousand steps.
@@ -45,6 +47,8 @@ class CalibrationReport:
     bins: tuple  # ((lo, hi, count, confidence, accuracy), ...)
     ece: float
     clamped: bool  # tau hit a search bound / tolerance was unreachable
+    bins_tau1: tuple  # the bins and ECE of the uncalibrated trace, at tau 1
+    ece_tau1: float
 
     def to_dict(self) -> dict:
         return {
@@ -55,6 +59,8 @@ class CalibrationReport:
             "bins": [list(b) for b in self.bins],
             "ece": self.ece,
             "clamped": self.clamped,
+            "bins_tau1": [list(b) for b in self.bins_tau1],
+            "ece_tau1": self.ece_tau1,
         }
 
 
@@ -192,7 +198,8 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
     it is within tol. The search also stops, flagged, at a midpoint that
     equals an end of its bracket: no later step could move it. Every
     parameter is checked (`check_fit_parameters`) before the trace is
-    collected.
+    collected. Besides the bins at the fitted tau, the report holds those
+    at tau 1, the provider's own confidences before calibration.
     """
     check_fit_parameters(tol, bounds, max_iter, n_bins)
     tau_min, tau_max = float(bounds[0]), float(bounds[1])
@@ -233,6 +240,7 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
             clamped = abs(gap(tau)) > tol
 
     bins, ece = _bin(shifted.confidences(tau), correct, n_bins)
+    bins_tau1, ece_tau1 = _bin(shifted.confidences(1.0), correct, n_bins)
     return CalibrationReport(
         tau=float(tau),
         mean_confidence=mean_confidence(shifted, tau),
@@ -241,12 +249,7 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
         bins=bins,
         ece=ece,
         clamped=clamped,
+        bins_tau1=bins_tau1,
+        ece_tau1=ece_tau1,
     )
 
-
-def export_bins_csv(bins, path):
-    """Comma-separated reliability rows: bin_lo, bin_hi, count, confidence, accuracy."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("bin_lo,bin_hi,count,confidence,accuracy\n")
-        for lo, hi, count, conf, acc in bins:
-            f.write(f"{lo!r},{hi!r},{count},{conf!r},{acc!r}\n")

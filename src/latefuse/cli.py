@@ -1,5 +1,4 @@
-"""Command-line bench: simulate, train-lm, calibrate, decode, sweep, score,
-reliability.
+"""Command-line bench: simulate, train-lm, calibrate, decode, sweep, score.
 
 Each command declares its options once, in one table below: every entry
 is both a `--key-with-dashes` flag and a `key_with_underscores` config
@@ -8,6 +7,10 @@ as defaults <- config file <- explicit flags, runs deterministically from
 the resolved values (seeds included), and drops a copy of the resolved
 config next to its outputs. Exit codes: 0 success, 2 configuration
 error, 3 data error, 4 provider-io error.
+
+`calibrate` is the one source of temperatures and reliability diagrams:
+its report holds the fitted tau, with the bins at tau 1 and at that tau,
+and `decode` and `sweep` read a report for its tau only.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ _PROVIDERS = {
 _WHICH = {"which": Option(choices=("llm", "asr"), required=True)}
 _FUSION = {
     "calibration_llm": Option(), "calibration_asr": Option(),
-    "tau1": Option(number), "tau2": Option(number),
     "max_len_factor": Option(number, 2.0),
 }
 
@@ -165,12 +167,6 @@ SCORE = {
     "baseline": Option(help="system name WERR is computed against"),
     "lowercase": Option(boolean, True, help="true or false"),
     "out": Option(required=True),
-}
-RELIABILITY = {
-    **_FILES, **_PROVIDERS, **_WHICH,
-    "tau": Option(number, help="explicit temperature (default 1.0)"),
-    "calibration": Option(help="calibration report supplying the temperature"),
-    "bins": Option(integer, calibration.DEFAULT_BINS),
 }
 
 
@@ -299,9 +295,8 @@ def _build_asr(resolved: dict, vocab: Vocabulary, opened: contextlib.ExitStack):
     return _open(spec, vocab, opened)
 
 
-def _tau_from(resolved: dict, explicit_key: str, report_key: str) -> float:
-    if resolved[explicit_key] is not None:
-        return resolved[explicit_key]
+def _tau_from(resolved: dict, report_key: str) -> float:
+    """The tau of the calibration report `report_key` names, else 1.0."""
     if resolved[report_key]:  # a report is read for its tau only
         return float(_read_json(resolved[report_key], lambda data: json_field(
             data, "tau", (int, float), lambda tau: tau > 0, "a positive number")))
@@ -377,7 +372,7 @@ def cmd_calibrate(resolved: dict):
         f.write("\n")
     flag = " (clamped)" if report.clamped else ""
     print(f"{which}: tau={report.tau:.6g} conf={report.mean_confidence:.4f} "
-          f"ter={report.ter:.4f} ece={report.ece:.4f}{flag}")
+          f"ter={report.ter:.4f} ece_tau1={report.ece_tau1:.4f} ece={report.ece:.4f}{flag}")
     _print_wire_counts(**{which: provider})
     return 0
 
@@ -385,14 +380,16 @@ def cmd_calibrate(resolved: dict):
 def cmd_decode(resolved: dict):
     cfg = fusion.FusionConfig(
         mode=resolved["mode"], w_asr=resolved["w_asr"],
-        tau1=_tau_from(resolved, "tau1", "calibration_llm"),
-        tau2=_tau_from(resolved, "tau2", "calibration_asr"), beta=resolved["beta"])
+        tau1=_tau_from(resolved, "calibration_llm"),
+        tau2=_tau_from(resolved, "calibration_asr"), beta=resolved["beta"])
     steps_log = resolved["steps_log"]
     if steps_log and cfg.mode not in ("static", "uadf"):
         raise ConfigurationError(
             f"steps_log logs fused steps; mode {cfg.mode!r} has none (use static or uadf)")
     vocab = Vocabulary.load(resolved["vocab"])
     records = corpus.load_corpus(resolved["corpus"])
+    if not records:
+        raise InvalidInputError(f"{resolved['corpus']} holds no utterances to decode")
     out = Path(resolved["out"])
     lines, log_lines = [], []  # kept as text: no DecodeResult outlives its utterance
     with contextlib.ExitStack() as opened:
@@ -431,8 +428,8 @@ def cmd_sweep(resolved: dict):
     axis = resolved["axis"]
     with contextlib.ExitStack() as opened:
         llm, asr = _build_llm(resolved, vocab, opened), _build_asr(resolved, vocab, opened)
-        tau1 = _tau_from(resolved, "tau1", "calibration_llm")
-        tau2 = _tau_from(resolved, "tau2", "calibration_asr")
+        tau1 = _tau_from(resolved, "calibration_llm")
+        tau2 = _tau_from(resolved, "calibration_asr")
         if axis == "static-grid":
             columns = ("w_asr",)
             cfgs = [fusion.FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
@@ -531,34 +528,13 @@ def cmd_score(resolved: dict):
     return 0
 
 
-def cmd_reliability(resolved: dict):
-    calibration.check_bins(resolved["bins"])  # before any provider is opened
-    vocab = Vocabulary.load(resolved["vocab"])
-    records = corpus.load_corpus(resolved["corpus"])
-    which = resolved["which"]
-    with contextlib.ExitStack() as opened:
-        provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab, opened)
-        tau = _tau_from(resolved, "tau", "calibration")
-        traces, targets = calibration.collect_traces(
-            provider, _calibration_set(records, vocab))
-    bins, ece = calibration.reliability_bins(
-        traces, targets, tau, n_bins=resolved["bins"])
-    out = Path(resolved["out"])
-    _write_resolved(resolved, out.parent, f"reliability-{which}")
-    calibration.export_bins_csv(bins, out)
-    print(f"{which} @ tau={tau:.6g}: ece={ece:.4f} -> {out}")
-    _print_wire_counts(**{which: provider})
-    return 0
-
-
 COMMANDS = {
     "simulate": (cmd_simulate, SIMULATE, "generate corpus splits and a vocabulary"),
     "train-lm": (cmd_train_lm, TRAIN_LM, "train the N-best corrector's n-gram"),
-    "calibrate": (cmd_calibrate, CALIBRATE, "fit a provider temperature"),
+    "calibrate": (cmd_calibrate, CALIBRATE, "fit a provider temperature, report its bins"),
     "decode": (cmd_decode, DECODE, "decode a corpus in one fusion mode"),
     "sweep": (cmd_sweep, SWEEP, "decode the corpus across a parameter grid"),
     "score": (cmd_score, SCORE, "score hypothesis files against references"),
-    "reliability": (cmd_reliability, RELIABILITY, "export reliability-diagram bins"),
 }
 
 

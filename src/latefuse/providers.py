@@ -33,6 +33,13 @@ from .errors import InvalidInputError, InvalidParameterError
 # entries; shifts any downstream probability by less than V * 1e-12.
 LOG_EPS = 1e-12
 
+# Highest n-gram order a model takes. Each step builds an (order - 1)-id
+# context tuple, and a context read for the first time V keys of `order`
+# ids, so a step's work grows with the order, and an order in the
+# billions could only exhaust memory. 64 is far past the orders n-gram
+# models use (2 to 5).
+MAX_ORDER = 64
+
 
 @dataclass(frozen=True)
 class UtteranceContext:
@@ -56,8 +63,8 @@ class NgramModel:
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 2, smoothing: float = 0.5):
-        if order < 1:
-            raise InvalidParameterError(f"order must be >= 1, got {order}")
+        if not 1 <= order <= MAX_ORDER:
+            raise InvalidParameterError(f"order must be in [1, {MAX_ORDER}], got {order}")
         if not 0 <= smoothing < np.inf:
             raise InvalidParameterError(f"smoothing must be finite and >= 0, got {smoothing}")
         self.vocab = vocab

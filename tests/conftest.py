@@ -123,6 +123,7 @@ def _frozen_fit_temperature(provider, dataset, tol=1e-3, bounds=(1e-2, 1e2),
             clamped = abs(gap(tau)) > tol
 
     bins, ece = _frozen_reliability_bins(traces, targets, tau, n_bins)
+    bins_tau1, ece_tau1 = _frozen_reliability_bins(traces, targets, 1.0, n_bins)
     evals[0] += 1
     report = {
         "tau": float(tau),
@@ -132,6 +133,8 @@ def _frozen_fit_temperature(provider, dataset, tol=1e-3, bounds=(1e-2, 1e2),
         "bins": [list(b) for b in bins],
         "ece": ece,
         "clamped": clamped,
+        "bins_tau1": [list(b) for b in bins_tau1],
+        "ece_tau1": ece_tau1,
     }
     return report, evals[0]
 
@@ -141,3 +144,10 @@ def frozen_fit():
     """`fit_temperature` before the shift was hoisted: (report dict, number
     of mean-confidence evaluations)."""
     return _frozen_fit_temperature
+
+
+@pytest.fixture
+def frozen_bins():
+    """`reliability_bins` as first written, shifting the trace per call:
+    (bins, ece)."""
+    return _frozen_reliability_bins

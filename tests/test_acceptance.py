@@ -164,11 +164,12 @@ def test_criterion_4_calibration_fixed_point(bench):
         rep = bench[f"rep_{name}"]
         gap = abs(rep.mean_confidence - (1.0 - rep.ter))
         traces, targets = collect_traces(bench[name], bench["cal_set"])
-        _, ece_pre = reliability_bins(traces, targets, 1.0)
-        _, ece_post = reliability_bins(traces, targets, rep.tau)
         parts.append(f"{name}: tau={rep.tau:.3f} gap={gap:.1e} "
-                     f"ece {ece_pre:.4f}->{ece_post:.4f}")
-        ok &= gap <= 1e-3 and not rep.clamped and ece_post < ece_pre
+                     f"ece {rep.ece_tau1:.4f}->{rep.ece:.4f}")
+        ok &= gap <= 1e-3 and not rep.clamped and rep.ece < rep.ece_tau1
+        # the report's bins are those of the collected trace at each tau
+        assert (rep.bins_tau1, rep.ece_tau1) == reliability_bins(traces, targets, 1.0)
+        assert (rep.bins, rep.ece) == reliability_bins(traces, targets, rep.tau)
     check(4, "; ".join(parts), ok)
 
 

@@ -306,6 +306,36 @@ class TestShiftedTraceMatchesPerCallShift:
         assert peaks[0] <= peaks[1]
 
 
+class TestTau1Bins:
+    """The report's tau-1 diagram is that of the uncalibrated trace, binned
+    from the shifted trace the fit already holds."""
+
+    @pytest.mark.parametrize("n_bins", [2, 10, 37])
+    def test_equal_frozen_reliability_bins_at_tau_1(self, frozen_bins, n_bins):
+        provider, dataset = matrix_case(2, steps=300)
+        report = fit_temperature(provider, dataset, n_bins=n_bins)
+        traces, targets = collect_traces(provider, dataset)
+        bins, ece = frozen_bins(traces, targets, 1.0, n_bins)
+        assert json.dumps([list(b) for b in report.bins_tau1]) == \
+            json.dumps([list(b) for b in bins])
+        assert report.ece_tau1.hex() == ece.hex()
+
+    def test_independent_of_the_fitted_tau(self):
+        provider, dataset = matrix_case(3, steps=200)
+        wide = fit_temperature(provider, dataset)
+        narrow = fit_temperature(provider, dataset, bounds=(30.0, 60.0))
+        assert wide.tau != narrow.tau and wide.bins != narrow.bins
+        assert wide.bins_tau1 == narrow.bins_tau1
+        assert wide.ece_tau1 == narrow.ece_tau1
+
+    def test_written_after_the_fitted_keys(self, abc_vocab, identity_channel):
+        dataset = dataset_from_texts(abc_vocab, ["a b c", "c a"])
+        report = fit_temperature(identity_channel, dataset).to_dict()
+        assert list(report) == ["tau", "mean_confidence", "ter", "n_dec", "bins", "ece",
+                                "clamped", "bins_tau1", "ece_tau1"]
+        assert sum(b[2] for b in report["bins_tau1"]) == report["n_dec"]
+
+
 class TestParameterBounds:
     """A bad bin count or iteration limit is refused before any trace."""
 

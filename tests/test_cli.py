@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import json
 import math
 import re
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from latefuse import calibration, cli, corpus, decoding
+from latefuse import calibration, cli, corpus, decoding, fusion, providers
 from latefuse.cli import main
+from latefuse.core import Vocabulary
 
 
 def run(*argv):
@@ -156,9 +158,11 @@ class TestConfigDrivenRun:
         }))
         assert run("decode", "--config", cfg) == 0
         # flags-only run with the same effective settings matches it
+        unit = tmp_path / "tau-1.json"
+        unit.write_text(json.dumps({"tau": 1.0}))
         flags_out = tmp_path / "from-flags.jsonl"
-        assert run(*decode_args(workspace, "uadf", flags_out,
-                                tau1="1.0", tau2="1.0")) == 0
+        assert run(*decode_args(workspace, "uadf", flags_out, **{
+            "calibration-llm": unit, "calibration-asr": unit})) == 0
         assert out.read_bytes() == flags_out.read_bytes()
 
 
@@ -166,7 +170,37 @@ class TestCalibrate:
     def test_report_bins_sum_to_n_dec(self, workspace):
         report = json.loads((workspace / "calibration-llm.json").read_text())
         assert sum(b[2] for b in report["bins"]) == report["n_dec"]
+        assert sum(b[2] for b in report["bins_tau1"]) == report["n_dec"]
         assert report["tau"] > 0
+
+    def test_prints_both_eces(self, workspace, tmp_path, capsys):
+        out = tmp_path / "cal.json"
+        assert run(*which_llm_args("calibrate")(workspace, out)) == 0
+        report = json.loads(out.read_text())
+        assert f"ece_tau1={report['ece_tau1']:.4f} ece={report['ece']:.4f}" \
+            in capsys.readouterr().out
+
+    @pytest.mark.parametrize("which", ["llm", "asr"])
+    def test_report_bins_are_those_of_the_collected_trace(self, workspace, which):
+        """Both diagrams in a written report are `reliability_bins` of the
+        provider's teacher-forced trace, at tau 1 and at the fitted tau."""
+        report = json.loads((workspace / f"calibration-{which}.json").read_text())
+        data = workspace / "data"
+        resolved = resolve(["calibrate", "--corpus", data / "val.jsonl",
+                            "--vocab", data / "vocab.txt", "--which", which,
+                            "--lm-model", workspace / "lm.json",
+                            "--manifest", data / "manifest.json", "--out", "unused"])
+        vocab = Vocabulary.load(resolved["vocab"])
+        records = corpus.load_corpus(resolved["corpus"])
+        build = cli._build_llm if which == "llm" else cli._build_asr
+        with contextlib.ExitStack() as opened:
+            traces, targets = calibration.collect_traces(
+                build(resolved, vocab, opened), cli._calibration_set(records, vocab))
+        for tau, bins_key, ece_key in ((1.0, "bins_tau1", "ece_tau1"),
+                                       (report["tau"], "bins", "ece")):
+            bins, ece = calibration.reliability_bins(traces, targets, tau)
+            assert report[bins_key] == [list(b) for b in bins]
+            assert report[ece_key] == ece
 
     def test_identity_channel_clamps(self, tmp_path):
         data = tmp_path / "clean"
@@ -248,7 +282,8 @@ class TestDecode:
 
     @pytest.mark.parametrize("command", ["decode", "sweep"])
     @pytest.mark.parametrize("removed", [{"workers": 4}, {"combine": "renormalize"},
-                                         {"uncertainty": "entropy"}, {"w_llm": 1}])
+                                         {"uncertainty": "entropy"}, {"w_llm": 1},
+                                         {"tau1": 1.0}, {"tau2": 1.0}])
     def test_removed_config_keys_are_config_errors(self, workspace, tmp_path,
                                                    command, removed):
         data = workspace / "data"
@@ -267,6 +302,62 @@ class TestDecode:
             run(*decode_args(workspace, "static", out, **{"w-llm": "1"}))
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, removed", [
+        ("reliability", ["--tau", "1.0"]), ("decode", ["--tau1", "1.0"]),
+        ("sweep", ["--tau2", "1.0"]),
+    ])
+    def test_removed_reliability_and_tau_flags_exit_2(self, workspace, tmp_path,
+                                                      command, removed):
+        """Reliability bins come from `calibrate`'s report, and a decode's
+        temperatures from `--calibration-llm`/`--calibration-asr` only."""
+        argv = {"reliability": which_llm_args("reliability"),
+                "decode": lambda ws, out: decode_args(ws, "llm", out),
+                "sweep": sweep_args}[command](workspace, tmp_path / "x.out")
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *removed)
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_one_line_reports_set_both_temperatures(self, workspace, tmp_path,
+                                                    monkeypatch, command):
+        """With the explicit tau flags gone, a report holding only a tau is
+        how a run is given any temperature."""
+        built, original = [], fusion.FusionConfig
+
+        def recorded(**kwargs):
+            built.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(fusion, "FusionConfig", recorded)
+        reports = {}
+        for which, tau in (("llm", 0.375), ("asr", 2.5)):
+            reports[which] = tmp_path / f"tau-{which}.json"
+            reports[which].write_text(json.dumps({"tau": tau}))
+        extra = {"calibration-llm": reports["llm"], "calibration-asr": reports["asr"]}
+        out = tmp_path / "x.out"
+        if command == "decode":
+            argv = decode_args(workspace, "uadf", out, **extra)
+        else:
+            argv = sweep_args(workspace, out) + [
+                item for key, value in extra.items() for item in (f"--{key}", value)]
+        assert run(*argv) == 0
+        assert built and all((cfg["tau1"], cfg["tau2"]) == (0.375, 2.5) for cfg in built)
+
+    def test_empty_corpus_is_data_error_before_any_provider(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("opened a provider")
+
+        monkeypatch.setattr(cli, "_build_llm", refuse)
+        monkeypatch.setattr(cli, "_build_asr", refuse)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "nd" / "hyp.jsonl"
+        assert run(*decode_args(workspace, "uadf", out, corpus=empty)) == 3
+        assert f"{empty} holds no utterances to decode" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("factor", ["-1", "nan"])
     def test_bad_max_len_factor_is_config_error(self, workspace, tmp_path, factor):
@@ -305,7 +396,6 @@ COMMAND_ARGS = {
     "sweep": sweep_args,
     "train-lm": train_lm_args,
     "calibrate": which_llm_args("calibrate"),
-    "reliability": which_llm_args("reliability"),
 }
 
 NON_FINITE = [
@@ -318,8 +408,6 @@ NON_FINITE = [
     ("calibrate", "--tol", "nan", "tol"),
     ("calibrate", "--tol", "inf", "tol"),
     ("calibrate", "--tau-max", "inf", "tau_max"),
-    ("reliability", "--tau", "nan", "tau"),
-    ("reliability", "--tau", "inf", "tau"),
     ("decode-endpoint", "--timeout", "nan", "timeout"),
     ("decode-endpoint", "--timeout", "-1", "timeout"),
     ("decode-endpoint", "--timeout", "0", "timeout"),
@@ -340,8 +428,6 @@ BOUNDED = [
     ("calibrate", "--bins", "1", "n_bins"),
     ("calibrate", "--bins", "1001", "n_bins"),
     ("calibrate", "--bins", "100000000", "n_bins"),
-    ("reliability", "--bins", "1", "n_bins"),
-    ("reliability", "--bins", "100000000", "n_bins"),
     ("calibrate", "--max-iter", "-5", "max_iter"),
 ]
 
@@ -387,7 +473,7 @@ class TestNonFiniteValues:
         assert named in capsys.readouterr().err
         assert not out.exists() and not list(tmp_path.glob("*.config.json"))
 
-    @pytest.mark.parametrize("key", ["beta", "max_len_factor", "timeout", "tau1"])
+    @pytest.mark.parametrize("key", ["beta", "max_len_factor", "timeout", "w_asr"])
     def test_config_integer_past_float_range_is_config_error(self, workspace, tmp_path,
                                                              capsys, key):
         """A flag such as `--beta 1e400` parses to inf, which `_write_resolved`
@@ -418,22 +504,18 @@ class TestSubnormalTau:
     def test_decode_is_config_error(self, workspace, tmp_path, capsys, mode):
         report = tmp_path / "calibration-llm.json"
         report.write_text(json.dumps({"tau": 1e-320}))
-        # uadf reads tau1 from a report, llm from its flag
-        extra = {"calibration-llm": report} if mode == "uadf" else {"tau1": "1e-320"}
         out = tmp_path / "out" / "hyp.jsonl"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(*decode_args(workspace, mode, out, **extra)) == 2
+            assert run(*decode_args(workspace, mode, out, **{"calibration-llm": report})) == 2
         assert "tau 1e-320 is too small" in capsys.readouterr().err
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("command, flag", [("reliability", "--tau"),
-                                               ("calibrate", "--tau-min")])
-    def test_calibration_reaches_the_limit(self, workspace, tmp_path, command, flag):
+    def test_calibration_reaches_the_limit(self, workspace, tmp_path):
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(*which_llm_args(command)(workspace, out), flag, "1e-320") == 0
+            assert run(*which_llm_args("calibrate")(workspace, out), "--tau-min", "1e-320") == 0
         assert out.exists()
 
 
@@ -585,8 +667,7 @@ class TestSweep:
         # w_asr = 0 matches a plain llm decode of the same split
         hyp = tmp_path / "llm-val.jsonl"
         argv = ["decode", "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
-                "--mode", "llm", "--lm-model", workspace / "lm.json",
-                "--tau1", "1.0", "--out", hyp]
+                "--mode", "llm", "--lm-model", workspace / "lm.json", "--out", hyp]
         assert run(*argv) == 0
         score_out = tmp_path / "llm-val-score.json"
         assert run("score", "--corpus", data / "val.jsonl", "--hyp", f"llm={hyp}",
@@ -654,22 +735,6 @@ class TestSweepMatchesDecode:
         for value, row in zip(values, rows):
             want = _decode_score_wer(workspace, tmp_path, mode, **{flag: value})
             assert float(row[-1]) == want, (axis, value)
-
-
-class TestReliability:
-    def test_rows_and_columns(self, workspace, tmp_path):
-        data = workspace / "data"
-        out = tmp_path / "bins.csv"
-        argv = ["reliability", "--corpus", data / "val.jsonl",
-                "--vocab", data / "vocab.txt", "--which", "llm",
-                "--lm-model", workspace / "lm.json", "--bins", "10", "--out", out]
-        assert run(*argv) == 0
-        rows = out.read_text().splitlines()
-        assert rows[0] == "bin_lo,bin_hi,count,confidence,accuracy"
-        assert len(rows) == 11
-        counts = [int(r.split(",")[2]) for r in rows[1:]]
-        report = json.loads((workspace / "calibration-llm.json").read_text())
-        assert sum(counts) == report["n_dec"]
 
 
 def without(key):
@@ -785,6 +850,41 @@ class TestSideFiles:
         assert run("score", "--corpus", broken, "--hyp", f"a={hyp}",
                    "--out", tmp_path / "s.json") == 3
         assert not out.exists()
+
+
+class TestNgramOrderBound:
+    """An n-gram order outside [1, providers.MAX_ORDER] is refused before
+    any context tuple is built: from a flag it is a config error, from an
+    `lm.json` a data error naming the file."""
+
+    @pytest.fixture
+    def no_contexts(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built an n-gram context")
+
+        monkeypatch.setattr(providers.NgramModel, "_context", refuse)
+
+    @pytest.mark.parametrize("order", ["0", str(providers.MAX_ORDER + 1),
+                                       "10000000000000000000"])
+    def test_train_lm_flag_is_config_error(self, workspace, tmp_path, capsys, no_contexts,
+                                           order):
+        out = tmp_path / "nd" / "lm.json"
+        assert run(*train_lm_args(workspace, out), "--order", order) == 2
+        assert f"order must be in [1, {providers.MAX_ORDER}], got {order}" \
+            in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "decode"])
+    def test_lm_file_is_data_error(self, workspace, tmp_path, capsys, no_contexts, command):
+        lm = tmp_path / "lm.json"
+        lm.write_text(json.dumps({"order": 2 ** 62, "smoothing": 0.1, "ngrams": [],
+                                  "vote_weight": 0.85}))
+        out = tmp_path / "nd" / "out.json"
+        argv = (which_llm_args("calibrate")(workspace, out) if command == "calibrate"
+                else decode_args(workspace, "llm", out))
+        assert run(*argv, "--lm-model", lm) == 3
+        assert f"{lm}: order must be in [1, {providers.MAX_ORDER}]" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 def resolve(argv):

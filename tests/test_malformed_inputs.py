@@ -55,7 +55,8 @@ HARMLESS = [
     ("manifest", ("concentration",), {"1.5", "2**70"}, "a finite positive concentration"),
     ("manifest", ("seed",), {"2**70"}, "a non-negative integer seed"),
     *[("calibration", (key,), ANY, "a calibration report is read for its tau only")
-      for key in ("mean_confidence", "ter", "n_dec", "bins", "ece", "clamped")],
+      for key in ("mean_confidence", "ter", "n_dec", "bins", "ece", "clamped", "bins_tau1",
+                  "ece_tau1")],
     ("calibration", ("tau",), {"1.5", "2**70"}, "a positive finite temperature"),
     ("hyp", ("terminated",), ANY, "score reads only a hypothesis's id and text"),
     ("hyp", ("text",), {'""'}, "an empty hypothesis text is an empty output, read as EOS only"),
@@ -67,8 +68,6 @@ HARMLESS = [
     ("config", ("steps_log",), {'""'}, "an empty steps-log path writes no steps log"),
     ("config", ("calibration_llm",), {'""'}, "an empty report path leaves tau1 at 1"),
     ("config", ("calibration_asr",), {'""'}, "an empty report path leaves tau2 at 1"),
-    ("config", ("tau1",), {"1.5", "2**70"}, "a positive finite tau1 overrides the report"),
-    ("config", ("tau2",), {"1.5", "2**70"}, "a positive finite tau2 overrides the report"),
     ("config", ("max_len_factor",), {"1.5", "2**70"},
      "a finite positive length cap; each utterance still ends at EOS"),
 ]

@@ -5,6 +5,7 @@ from latefuse.core import Vocabulary, softmax_with_temperature
 from latefuse.errors import InvalidInputError, InvalidParameterError
 from latefuse.providers import (
     LOG_EPS,
+    MAX_ORDER,
     AcousticChannel,
     NgramCorrector,
     NgramModel,
@@ -63,6 +64,21 @@ class TestNgramModel:
             NgramModel(abc_vocab, order=0)
         with pytest.raises(InvalidParameterError):
             NgramModel(abc_vocab, smoothing=-1.0)
+
+    @pytest.mark.parametrize("order", [MAX_ORDER + 1, 2 ** 62, 10 ** 19])
+    def test_order_past_max_order_is_refused(self, abc_vocab, order):
+        refused = rf"order must be in \[1, {MAX_ORDER}\]"
+        with pytest.raises(InvalidParameterError, match=refused):
+            NgramModel(abc_vocab, order=order)
+        with pytest.raises(InvalidParameterError, match=refused):
+            NgramModel.from_dict({"order": order, "smoothing": 0.5, "ngrams": []}, abc_vocab)
+
+    def test_max_order_round_trips(self, abc_vocab):
+        model = NgramModel(abc_vocab, order=MAX_ORDER, smoothing=0.25)
+        model.train([abc_vocab.encode("a b c", append_eos=True)])
+        clone = NgramModel.from_dict(model.to_dict(), abc_vocab)
+        assert clone.order == MAX_ORDER
+        np.testing.assert_array_equal(clone.cond_dist((3,)), model.cond_dist((3,)))
 
 
 class TestNgramCorrector:

@@ -665,10 +665,10 @@ class TestCommandsCloseTheirConnections:
         (["decode", "--mode", "llm", "--llm-endpoint"], ["u0"], 0, 1),
         (["decode", "--mode", "llm", "--llm-endpoint"], [], 4, 1),
         (["calibrate", "--which", "llm", "--llm-endpoint"], ["u0"], 0, 1),
-        (["reliability", "--which", "llm", "--llm-endpoint"], ["u0"], 0, 1),
+        (["calibrate", "--which", "asr", "--asr-endpoint"], ["u0"], 0, 1),
         (["sweep", "--axis", "beta", "--beta-values", "0,0.5",
           "--asr-endpoint", "{}", "--llm-endpoint"], ["u0"], 0, 2),
-    ], ids=["decode", "decode-exits-4", "calibrate", "reliability", "sweep"])
+    ], ids=["decode", "decode-exits-4", "calibrate", "calibrate-asr", "sweep"])
     def test_server_reads_end_of_stream(self, abc_vocab, tmp_path, argv, served, code,
                                         connections):
         abc_vocab.save(tmp_path / "vocab.txt")
@@ -1180,8 +1180,8 @@ class TestWireCounters:
     @pytest.mark.parametrize("argv, role, rows", [
         (["decode", "--mode", "llm", "--llm-endpoint"], "llm", None),
         (["calibrate", "--which", "llm", "--llm-endpoint"], "llm", 3),
-        (["reliability", "--which", "asr", "--asr-endpoint"], "asr", 3),
-    ], ids=["decode", "calibrate", "reliability"])
+        (["calibrate", "--which", "asr", "--asr-endpoint"], "asr", 3),
+    ], ids=["decode", "calibrate", "calibrate-asr"])
     def test_command_prints_its_wire_counters(self, abc_vocab, tmp_path, capsys, argv, role,
                                               rows):
         abc_vocab.save(tmp_path / "vocab.txt")
