@@ -303,6 +303,15 @@ def _tau_from(resolved: dict, report_key: str) -> float:
     return 1.0
 
 
+def _load_records(resolved: dict, purpose: str):
+    """The records of the corpus file, read before any provider is opened;
+    a corpus with none is a data error naming the file."""
+    records = corpus.load_corpus(resolved["corpus"])
+    if not records:
+        raise InvalidInputError(f"{resolved['corpus']} holds no utterances {purpose}")
+    return records
+
+
 def _calibration_set(records, vocab):
     return [
         (corpus.record_context(rec, vocab)[0], vocab.encode(rec.reference, append_eos=True))
@@ -360,7 +369,7 @@ def cmd_calibrate(resolved: dict):
                max_iter=resolved["max_iter"], n_bins=resolved["bins"])
     calibration.check_fit_parameters(**fit)  # before any provider is opened
     vocab = Vocabulary.load(resolved["vocab"])
-    records = corpus.load_corpus(resolved["corpus"])
+    records = _load_records(resolved, "to calibrate on")
     which = resolved["which"]
     with contextlib.ExitStack() as opened:
         provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab, opened)
@@ -387,9 +396,7 @@ def cmd_decode(resolved: dict):
         raise ConfigurationError(
             f"steps_log logs fused steps; mode {cfg.mode!r} has none (use static or uadf)")
     vocab = Vocabulary.load(resolved["vocab"])
-    records = corpus.load_corpus(resolved["corpus"])
-    if not records:
-        raise InvalidInputError(f"{resolved['corpus']} holds no utterances to decode")
+    records = _load_records(resolved, "to decode")
     out = Path(resolved["out"])
     lines, log_lines = [], []  # kept as text: no DecodeResult outlives its utterance
     with contextlib.ExitStack() as opened:
@@ -421,7 +428,7 @@ def cmd_decode(resolved: dict):
 
 def cmd_sweep(resolved: dict):
     vocab = Vocabulary.load(resolved["vocab"])
-    records = corpus.load_corpus(resolved["corpus"])
+    records = _load_records(resolved, "to sweep: no reference words to score")
     eval_set = [corpus.record_context(rec, vocab) for rec in records]
     factor = resolved["max_len_factor"]
     out = Path(resolved["out"])

@@ -66,8 +66,11 @@ class Vocabulary:
 
     def encode(self, text: str, append_eos: bool = False) -> TokenSeq:
         """Whitespace-tokenize `text` into ids (UNK for unknown words)."""
-        ids = tuple(self.id_of(w) for w in text.split())
-        return ids + (self.EOS,) if append_eos else ids
+        get, unk = self._index.get, self.UNK
+        ids = [get(w, unk) for w in text.split()]
+        if append_eos:
+            ids.append(self.EOS)
+        return tuple(ids)
 
     def decode(self, ids: TokenSeq) -> str:
         """Surface form of `ids`, dropping BOS/EOS markers."""

@@ -280,7 +280,7 @@ def record_context(record: CorpusRecord, vocab: Vocabulary):
     ctx = UtteranceContext(
         utt_id=record.id,
         nbest=tuple(vocab.encode(text, append_eos=True) for text, _score in record.nbest),
-        observation=encode_observation(record.observation.split(), vocab),
+        observation=(Vocabulary.BOS,) + vocab.encode(record.observation) + (Vocabulary.EOS,),
     )
     return ctx, record.reference.split()
 

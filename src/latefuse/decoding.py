@@ -82,9 +82,10 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     """Greedy decoding with one shared history driving both providers.
 
     `memo` maps a history of this utterance to its step's (p_llm, p_asr,
-    entropy of p_llm); it is read and filled, so decodes of one utterance
-    whose configs share tau1 and tau2 (see `decode_eval_set`) run the
-    providers and the softmaxes once per distinct history. The secondary's
+    entropy of p_llm or None where no uadf step measured it); it is read
+    and filled, so decodes of one utterance whose configs share tau1 and
+    tau2 (see `decode_eval_set`) run the providers and the softmaxes once
+    per distinct history, and uadf ones the entropy too. The secondary's
     distribution comes from `calibrated_row` with `rows`, which can span
     utterances.
     """
@@ -110,7 +111,7 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
                 calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
                 cfg,
             )
-            memo[history] = (step.p_llm, step.p_asr, step.uncertainty)
+            memo[history] = (step.p_llm, step.p_asr, step.measured_u)
         else:
             step = decide(*inputs, cfg)
         steps.append(step)

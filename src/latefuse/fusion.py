@@ -6,7 +6,8 @@ model's weight w fixed at w_asr; uadf (uncertainty-aware dynamic fusion)
 sets it at each step to sigmoid(H) - beta with H the entropy of the
 primary model's calibrated distribution. A confident primary (H -> 0,
 beta = 0.5) therefore decides alone, and the secondary weight grows with
-the primary's uncertainty.
+the primary's uncertainty. Static fusion reads no entropy, so a static
+step computes it only if its `uncertainty` is read.
 """
 
 from __future__ import annotations
@@ -46,13 +47,25 @@ class FusionConfig:
 
 @dataclass(frozen=True)
 class FusionStep:
-    """Everything one fused decoding step saw and decided."""
+    """Everything one fused decoding step saw and decided.
+
+    `measured_u` is the entropy of p_llm where the step measured it (uadf,
+    whose weight reads it) and None where it did not (static, whose weight
+    does not). `uncertainty` is that entropy either way: a static step
+    computes it only when it is read.
+    """
 
     p_llm: np.ndarray
     p_asr: np.ndarray
-    uncertainty: float
+    measured_u: float | None
     w_asr_effective: float
     chosen: int
+
+    @property
+    def uncertainty(self) -> float:
+        """Entropy of p_llm in nats."""
+        u = self.measured_u
+        return entropy(self.p_llm) if u is None else u
 
     def log_entry(self, step: int, vocab) -> dict:
         """Machine-readable per-step diagnostic (one JSON line per step)."""
@@ -75,15 +88,19 @@ def uadf_weight(u: float, beta: float) -> float:
     return sigmoid(float(u)) - float(beta)
 
 
-def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) -> FusionStep:
+def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float | None,
+           cfg: FusionConfig) -> FusionStep:
     """The fused choice of one step, given both calibrated distributions and
-    the primary's entropy u: the argmax of p_llm + w * p_asr, with
-    w = w_asr (static) or sigmoid(u) - beta (uadf).
+    the primary's entropy u, or None where it is not yet measured: the
+    argmax of p_llm + w * p_asr, with w = w_asr (static) or
+    sigmoid(u) - beta (uadf, which measures a missing u).
 
     The sum is never rescaled into a distribution: dividing it by 1 + w
     would not move its argmax.
     """
     if cfg.mode == "uadf":
+        if u is None:
+            u = entropy(p_llm)
         w = uadf_weight(u, cfg.beta)
     elif cfg.mode == "static":
         w = cfg.w_asr
@@ -94,12 +111,12 @@ def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float, cfg: FusionConfig) ->
 
 def fuse_step(logits_llm, p_asr: np.ndarray, cfg: FusionConfig) -> FusionStep:
     """One fused step in cfg's mode (static or uadf), in the paper's two
-    stages: calibrate the primary's row (softmax at tau1) and measure its
-    entropy, then add the secondary's distribution, which arrives already
-    calibrated (the softmax of its row at tau2; see
-    `decoding.calibrated_row`). Only the decision depends on cfg beyond
-    tau1 and tau2, so sweep points that share those can share a step's
-    p_llm, p_asr and entropy.
+    stages: calibrate the primary's row (softmax at tau1), then add the
+    secondary's distribution, which arrives already calibrated (the
+    softmax of its row at tau2; see `decoding.calibrated_row`). Only uadf's
+    weight reads the primary's entropy, so only a uadf step measures it; a
+    static step computes it when its `uncertainty` is read. Only the
+    decision depends on cfg beyond tau1 and tau2, so sweep points that
+    share those can share a step's p_llm, p_asr and measured entropy.
     """
-    p_llm = softmax_with_temperature(logits_llm, cfg.tau1)
-    return decide(p_llm, p_asr, entropy(p_llm), cfg)
+    return decide(softmax_with_temperature(logits_llm, cfg.tau1), p_asr, None, cfg)

@@ -8,10 +8,13 @@ model mixed with a positional vote over the hypothesis list) and a
 noisy-channel acoustic model (a per-token confusion-matrix reader).
 Their outputs depend only on their inputs, although `NgramModel` caches
 the distributions it computed and `NgramCorrector` the mixture parts it
-built from them. A provider may define `row_key(length, ctx)`, as
-`AcousticChannel` does, to declare that `next_logits(history, ctx)`
-depends only on `row_key(len(history), ctx)`: equal keys mean equal rows,
-also across utterances. Beam search then asks it for one row per step
+built from them. `NgramModel` also indexes its counts by context, once
+per model, so a distribution it computes reads only the counts of its
+context, not one count per id of the vocabulary. A provider may
+define `row_key(length, ctx)`, as `AcousticChannel` does, to declare
+that `next_logits(history, ctx)` depends only on
+`row_key(len(history), ctx)`: equal keys mean equal rows, also across
+utterances. Beam search then asks it for one row per step
 instead of one per live beam, and a decode set normalises each of its
 keyed rows once per temperature (`decoding.calibrated_row`).
 The wire client, `wire.ExternalProvider`, keeps the unread rows of its
@@ -34,9 +37,8 @@ from .errors import InvalidInputError, InvalidParameterError
 LOG_EPS = 1e-12
 
 # Highest n-gram order a model takes. Each step builds an (order - 1)-id
-# context tuple, and a context read for the first time V keys of `order`
-# ids, so a step's work grows with the order, and an order in the
-# billions could only exhaust memory. 64 is far past the orders n-gram
+# context tuple, so a step's work grows with the order, and an order in
+# the billions could only exhaust memory. 64 is far past the orders n-gram
 # models use (2 to 5).
 MAX_ORDER = 64
 
@@ -60,6 +62,12 @@ class NgramModel:
 
     Contexts shorter than order-1 are left-padded with BOS, so training
     and decoding see identical context shapes.
+
+    When it first computes a distribution, the model indexes its n-gram
+    counts by context: each context maps to the ids seen after it and
+    their counts. A distribution then places its context's counts with one
+    assignment. `train` drops the index with the cached distributions, and
+    the next distribution indexes the new counts.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 2, smoothing: float = 0.5):
@@ -73,6 +81,7 @@ class NgramModel:
         self.ngram_counts: Counter = Counter()
         self.context_totals: Counter = Counter()
         self._dist_cache: dict[tuple, np.ndarray] = {}
+        self._by_context: dict[tuple, tuple[list, list]] | None = None
 
     def _context(self, history: TokenSeq) -> tuple:
         if self.order == 1:
@@ -90,6 +99,22 @@ class NgramModel:
                 self.context_totals[ctx] += 1
                 history += (tok,)
         self._dist_cache.clear()
+        self._by_context = None
+
+    def _context_index(self) -> dict[tuple, tuple[list, list]]:
+        """Each context's (ids seen after it, their counts), built from
+        `ngram_counts` on the first call after the model was made or
+        trained."""
+        if self._by_context is None:
+            index: dict[tuple, tuple[list, list]] = {}
+            for key, count in self.ngram_counts.items():
+                entry = index.get(key[:-1])
+                if entry is None:
+                    entry = index[key[:-1]] = ([], [])
+                entry[0].append(key[-1])
+                entry[1].append(count)
+            self._by_context = index
+        return self._by_context
 
     def cond_dist(self, history: TokenSeq) -> np.ndarray:
         """P(v | last order-1 tokens of history) over the whole vocabulary."""
@@ -103,10 +128,10 @@ class NgramModel:
             dist = np.full(v, 1.0 / v)
         else:
             counts = np.zeros(v)
-            for tok in range(v):
-                c = self.ngram_counts.get(ctx + (tok,))
-                if c:
-                    counts[tok] = c
+            seen = self._context_index().get(ctx)
+            if seen is not None:
+                toks, cnts = seen
+                counts[toks] = cnts  # integer counts, exact in float64
             dist = (counts + self.smoothing) / (total + self.smoothing * v)
         self._dist_cache[ctx] = dist
         return dist

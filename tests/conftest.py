@@ -151,3 +151,58 @@ def frozen_bins():
     """`reliability_bins` as first written, shifting the trace per call:
     (bins, ece)."""
     return _frozen_reliability_bins
+
+
+# -- n-gram rows, `encode` and `record_context` as they were before the
+# context index and the one-pass encode; kept frozen so that the new code
+# can be compared with them bit for bit.
+
+
+def _frozen_cond_dist(model, history):
+    """`NgramModel.cond_dist` as it probed every `ctx + (tok,)`, uncached."""
+    ctx = model._context(history)
+    v = model.vocab.size
+    total = model.context_totals.get(ctx, 0)
+    if total == 0 and model.smoothing == 0.0:
+        return np.full(v, 1.0 / v)
+    counts = np.zeros(v)
+    for tok in range(v):
+        c = model.ngram_counts.get(ctx + (tok,))
+        if c:
+            counts[tok] = c
+    return (counts + model.smoothing) / (total + model.smoothing * v)
+
+
+def _frozen_encode(vocab, text, append_eos=False):
+    ids = tuple(vocab.id_of(w) for w in text.split())
+    return ids + (vocab.EOS,) if append_eos else ids
+
+
+def _frozen_record_context(record, vocab):
+    words = record.observation.split()
+    observation = (Vocabulary.BOS,) + _frozen_encode(vocab, " ".join(words)) + (Vocabulary.EOS,)
+    ctx = UtteranceContext(
+        utt_id=record.id,
+        nbest=tuple(_frozen_encode(vocab, text, append_eos=True) for text, _ in record.nbest),
+        observation=observation,
+    )
+    return ctx, record.reference.split()
+
+
+@pytest.fixture
+def frozen_cond_dist():
+    """`NgramModel.cond_dist(model, history)` as the loop over every id
+    computed it, reading the model's counts as they are now."""
+    return _frozen_cond_dist
+
+
+@pytest.fixture
+def frozen_encode():
+    """`Vocabulary.encode(vocab, text, append_eos)` as first written."""
+    return _frozen_encode
+
+
+@pytest.fixture
+def frozen_record_context():
+    """`corpus.record_context(record, vocab)` as first written."""
+    return _frozen_record_context

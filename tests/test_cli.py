@@ -11,7 +11,7 @@ import pytest
 
 from latefuse import calibration, cli, corpus, decoding, fusion, providers
 from latefuse.cli import main
-from latefuse.core import Vocabulary
+from latefuse.core import Vocabulary, entropy, softmax_with_temperature
 
 
 def run(*argv):
@@ -359,12 +359,71 @@ class TestDecode:
         assert f"{empty} holds no utterances to decode" in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_static_steps_log_equals_the_log_that_measures_every_entropy(self, tmp_path):
+        """A static step computes its entropy only when the log reads it; the
+        log equals, byte for byte, the one written from steps that measure
+        it on every step (seed-0 corpus)."""
+        data, lm, out, log = (tmp_path / name for name in
+                              ("data", "lm.json", "hyp.jsonl", "steps.jsonl"))
+        assert run("simulate", "--out-dir", data, "--n-train", 60, "--n-val", 2,
+                   "--n-test", 12, "--seed", 0) == 0
+        assert run(*train_lm_args(tmp_path, lm)) == 0
+        argv = ["decode", "--corpus", data / "test.jsonl", "--vocab", data / "vocab.txt",
+                "--mode", "static", "--w-asr", "0.4", "--lm-model", lm,
+                "--manifest", data / "manifest.json", "--steps-log", log, "--out", out]
+        assert run(*argv) == 0
+
+        vocab = Vocabulary.load(data / "vocab.txt")
+        resolved = resolve(argv)
+        with contextlib.ExitStack() as opened:
+            llm = cli._build_llm(resolved, vocab, opened)
+            asr = cli._build_asr(resolved, vocab, opened)
+        cfg = fusion.FusionConfig(mode="static", w_asr=0.4)
+        want = []
+        for rec in corpus.load_corpus(data / "test.jsonl"):
+            ctx, ref = corpus.record_context(rec, vocab)
+            history = (Vocabulary.BOS,)
+            for i in range(decoding.evaluation_max_len(ref)):
+                p_llm = softmax_with_temperature(llm.next_logits(history, ctx), 1.0)
+                p_asr = softmax_with_temperature(asr.next_logits(history, ctx), 1.0)
+                step = fusion.decide(p_llm, p_asr, entropy(p_llm), cfg)
+                want.append(json.dumps({"id": rec.id, **step.log_entry(i, vocab)}) + "\n")
+                history += (step.chosen,)
+                if step.chosen == Vocabulary.EOS:
+                    break
+        assert log.read_text() == "".join(want)
+
     @pytest.mark.parametrize("factor", ["-1", "nan"])
     def test_bad_max_len_factor_is_config_error(self, workspace, tmp_path, factor):
         out = tmp_path / "x.jsonl"
         argv = decode_args(workspace, "uadf", out, **{"max-len-factor": factor})
         assert run(*argv) == 2
         assert not out.exists()
+
+
+class TestEmptyCorpusBeforeAnyProvider:
+    """`calibrate` and `sweep` share `decode`'s check: a corpus with no
+    records is a data error naming the file, before a provider opens."""
+
+    @pytest.mark.parametrize("command, purpose", [
+        (["calibrate", "--which", "llm"], "to calibrate on"),
+        (["sweep", "--axis", "static-grid"], "to sweep: no reference words to score"),
+        (["sweep", "--axis", "beta"], "to sweep: no reference words to score"),
+    ], ids=["calibrate", "sweep-static-grid", "sweep-beta"])
+    def test_is_data_error_before_the_endpoint_is_opened(
+            self, workspace, tmp_path, capsys, command, purpose):
+        """Nothing listens on the endpoint: a command that opened it before
+        reading the corpus would exit 4, not 3."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "nd" / "out.file"
+        data = workspace / "data"
+        argv = [*command, "--corpus", empty, "--vocab", data / "vocab.txt",
+                "--llm-endpoint", "127.0.0.1:9", "--timeout", "0.2",
+                "--manifest", data / "manifest.json", "--out", out]
+        assert run(*argv) == 3
+        assert f"{empty} holds no utterances {purpose}" in capsys.readouterr().err
+        assert not out.parent.exists()
 
 
 def sweep_args(workspace, out):

@@ -168,6 +168,12 @@ class TestSigmoid:
         assert sigmoid(1000.0) == 1.0
 
 
+ENCODE_TEXTS = ["a b c", "a zzz b", "zzz", "  a\tb\n\nc  ", "a  b\t\tc\r\n", "", " \t\n ",
+                "<s> </s> <unk> A a", "b\u00a0c", "a\x0bb\x0cc"]
+ENCODE_IDS = ["plain", "unknown-inside", "unknown-only", "tabs-newlines", "repeated-spaces",
+              "empty", "whitespace-only", "specials-and-case", "no-break-space", "vt-ff"]
+
+
 class TestVocabulary:
     def test_bijection(self, abc_vocab):
         for i, tok in enumerate(abc_vocab.tokens):
@@ -217,6 +223,14 @@ class TestVocabulary:
     def test_from_words_dedupes_preserving_order(self):
         v = Vocabulary.from_words(["b", "a", "b", "c"])
         assert v.tokens[3:] == ("b", "a", "c")
+
+    @pytest.mark.parametrize("append_eos", [False, True])
+    @pytest.mark.parametrize("text", ENCODE_TEXTS, ids=ENCODE_IDS)
+    def test_encode_equals_the_first_definition(self, abc_vocab, frozen_encode, text,
+                                                append_eos):
+        got = abc_vocab.encode(text, append_eos=append_eos)
+        assert type(got) is tuple
+        assert got == frozen_encode(abc_vocab, text, append_eos)
 
 
 class TestJsonInput:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latefuse.core import Vocabulary
 from latefuse.corpus import (
     ChannelSpec,
     CorpusRecord,
@@ -336,3 +337,21 @@ class TestRecordContext:
         for hyp_ids, (text, _score) in zip(ctx.nbest, rec.nbest):
             assert hyp_ids[-1] == vocab.EOS
             assert vocab.decode(hyp_ids) == text
+
+    @pytest.mark.parametrize("observation", [
+        "a b c", "a zzz b", "zzz", "  a\tb\n\nc  ", "a  b\t\tc\r\n", "", " \t\n "],
+        ids=["plain", "unknown-inside", "unknown-only", "tabs-newlines", "repeated-spaces",
+             "empty", "whitespace-only"])
+    def test_equals_the_first_definition(self, frozen_record_context, observation):
+        vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c"))
+        rec = CorpusRecord(id="u7", reference="a b  c", observation=observation,
+                           nbest=(("a  zzz\tc", -1.0), ("", -2.5), ("b\n", -3.0)))
+        got = record_context(rec, vocab)
+        assert got == frozen_record_context(rec, vocab)
+        assert all(type(ids) is tuple for ids in (got[0].observation, *got[0].nbest))
+
+    def test_generated_corpus_equals_the_first_definition(self, frozen_record_context):
+        splits, vocab = generate_corpus(ChannelSpec(seed=17), 6, 3, 6)
+        for records in splits.values():
+            for rec in records:
+                assert record_context(rec, vocab) == frozen_record_context(rec, vocab)

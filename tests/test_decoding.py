@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from latefuse import decoding, fusion
 from latefuse.core import Vocabulary, argmax_token, entropy, softmax_with_temperature
 from latefuse.decoding import (
     MAX_BEAM_WIDTH,
@@ -281,6 +282,73 @@ def random_case(case):
     asr = SeededProvider(vocab, f"asr{case}")
     taus = tuple(float(t) for t in rng.uniform(0.5, 2.0, size=2))
     return llm, asr, eval_set, taus
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; the count
+    is the one item of the returned list."""
+    calls, original = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestEntropyOnlyWhereRead:
+    """Only uadf's weight reads the primary's entropy, so a static decode
+    set computes none, and a uadf set one per step that misses its memo."""
+
+    GRID = (0.0, 0.25, 0.5, 1.0)
+    BETAS = (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_static_set_computes_no_entropy(self, monkeypatch, case):
+        llm, asr, eval_set, (tau1, tau2) = random_case(case)
+        cfgs = [FusionConfig(mode="static", w_asr=w, tau1=tau1, tau2=tau2) for w in self.GRID]
+        entropies = count_calls(monkeypatch, fusion, "entropy")
+        misses = count_calls(monkeypatch, decoding, "fuse_step")
+        results = list(decode_eval_set(llm, asr, cfgs, eval_set))
+        assert len(results) == len(eval_set) * len(cfgs)
+        assert misses[0] > 0
+        assert entropies[0] == 0
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_uadf_set_computes_one_entropy_per_miss(self, monkeypatch, case):
+        llm, asr, eval_set, (tau1, tau2) = random_case(case)
+        cfgs = [FusionConfig(mode="uadf", beta=b, tau1=tau1, tau2=tau2) for b in self.BETAS]
+        entropies = count_calls(monkeypatch, fusion, "entropy")
+        misses = count_calls(monkeypatch, decoding, "fuse_step")
+        results = list(decode_eval_set(llm, asr, cfgs, eval_set))
+        steps = sum(len(r.steps) for r in results)
+        assert entropies[0] == misses[0] > 0
+        assert steps > misses[0]  # memo hits reuse the measured entropy
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_static_step_computes_its_entropy_when_read(self, monkeypatch, case):
+        llm, asr, eval_set, (tau1, tau2) = random_case(case)
+        cfgs = [FusionConfig(mode="static", w_asr=w, tau1=tau1, tau2=tau2) for w in self.GRID]
+        steps = [step for r in decode_eval_set(llm, asr, cfgs, eval_set) for step in r.steps]
+        entropies = count_calls(monkeypatch, fusion, "entropy")
+        for k, step in enumerate(steps, start=1):
+            assert step.measured_u is None
+            assert step.uncertainty == entropy(step.p_llm)
+            assert entropies[0] == k
+
+    @pytest.mark.parametrize("mode", ["static", "uadf"])
+    def test_steps_equal_those_that_measure_every_entropy(self, mode):
+        """Each step of a set equals, bit for bit and in its uncertainty, the
+        step of a loop that measures the entropy at every step."""
+        llm, asr, eval_set, (tau1, tau2) = random_case(6)
+        cfgs = [FusionConfig(mode=mode, w_asr=w, beta=b, tau1=tau1, tau2=tau2)
+                for w, b in zip(self.GRID, self.BETAS)]
+        got = iter(decode_eval_set(llm, asr, cfgs, eval_set))
+        for ctx, ref in eval_set:
+            for cfg in cfgs:
+                assert_same_decode(next(got), reference_decode(
+                    llm, asr, cfg, ctx, evaluation_max_len(ref)))
 
 
 class TestSweepWers:

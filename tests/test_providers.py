@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,76 @@ class TestNgramModel:
         clone = NgramModel.from_dict(model.to_dict(), abc_vocab)
         assert clone.order == MAX_ORDER
         np.testing.assert_array_equal(clone.cond_dist((3,)), model.cond_dist((3,)))
+
+
+def random_sequences(vocab, seed, n=40):
+    """n EOS-terminated sequences of real-word ids (never UNK)."""
+    rng = np.random.default_rng(seed)
+    return [tuple(int(t) for t in rng.integers(3, vocab.size, size=int(rng.integers(0, 8))))
+            + (Vocabulary.EOS,) for _ in range(n)]
+
+
+def every_history(vocab, order):
+    """A BOS-led history for every context of `order` - 1 ids: seen in
+    training, unseen (those holding UNK or BOS past the padding), and
+    shorter than the context, so left-padded with BOS."""
+    return [(Vocabulary.BOS,)] + [(Vocabulary.BOS,) + ids for ids in
+                                  itertools.product(range(vocab.size), repeat=order - 1)]
+
+
+@pytest.fixture
+def word_vocab():
+    return Vocabulary(tokens=Vocabulary.SPECIALS + tuple(f"w{i}" for i in range(9)))
+
+
+class TestContextIndex:
+    """Rows built from the per-context index equal, bit for bit, the rows
+    of the loop that probed every id of the vocabulary."""
+
+    @staticmethod
+    def assert_rows_are_the_probe_loops(model, frozen_cond_dist):
+        histories = every_history(model.vocab, model.order)
+        unseen = [h for h in histories if model._context(h) not in model.context_totals]
+        assert model.order == 1 or unseen, "no context unseen in training was read"
+        for history in histories:
+            assert model.cond_dist(history).tobytes() == \
+                frozen_cond_dist(model, history).tobytes(), history
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_trained_model(self, word_vocab, frozen_cond_dist, order, smoothing):
+        model = NgramModel(word_vocab, order=order, smoothing=smoothing)
+        model.train(random_sequences(word_vocab, seed=order))
+        self.assert_rows_are_the_probe_loops(model, frozen_cond_dist)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_model_loaded_from_dict(self, word_vocab, frozen_cond_dist, order, smoothing):
+        model = NgramModel(word_vocab, order=order, smoothing=smoothing)
+        model.train(random_sequences(word_vocab, seed=10 + order))
+        clone = NgramModel.from_dict(model.to_dict(), word_vocab)
+        self.assert_rows_are_the_probe_loops(clone, frozen_cond_dist)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_context_never_seen_in_training(self, abc_vocab, frozen_cond_dist, smoothing):
+        model = NgramModel(abc_vocab, order=2, smoothing=smoothing)
+        model.train([abc_vocab.encode("a b", append_eos=True)])
+        for history in [(Vocabulary.BOS, Vocabulary.UNK), (5,), (3, 4, 1)]:
+            assert model._context(history) not in model.context_totals
+            assert model.cond_dist(history).tobytes() == \
+                frozen_cond_dist(model, history).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_model_trained_again_serves_the_new_counts(self, word_vocab, frozen_cond_dist,
+                                                       order):
+        model = NgramModel(word_vocab, order=order, smoothing=0.1)
+        model.train(random_sequences(word_vocab, seed=20 + order))
+        histories = every_history(word_vocab, order)
+        before = [model.cond_dist(h).tobytes() for h in histories]  # index built
+        model.train(random_sequences(word_vocab, seed=30 + order))
+        after = [model.cond_dist(h).tobytes() for h in histories]
+        assert after == [frozen_cond_dist(model, h).tobytes() for h in histories]
+        assert after != before
 
 
 class TestNgramCorrector:
