@@ -346,7 +346,7 @@ def cmd_simulate(resolved: dict):
 
 def cmd_train_lm(resolved: dict):
     vocab = Vocabulary.load(resolved["vocab"])
-    records = corpus.load_corpus(resolved["corpus"])
+    records = _load_records(resolved, "to train on")
     references = [vocab.encode(rec.reference, append_eos=True) for rec in records]
     corrector = train_ngram_corrector(
         references, vocab, order=resolved["order"], smoothing=resolved["smoothing"],
@@ -427,25 +427,24 @@ def cmd_decode(resolved: dict):
 
 
 def cmd_sweep(resolved: dict):
+    tau1 = _tau_from(resolved, "calibration_llm")
+    tau2 = _tau_from(resolved, "calibration_asr")
+    axis = resolved["axis"]
+    if axis == "static-grid":
+        columns = ("w_asr",)
+        cfgs = [fusion.FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
+                for w_asr in resolved["w_asr_values"]]
+    else:  # beta
+        columns = ("beta",)
+        cfgs = [fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
+                for beta in resolved["beta_values"]]
     vocab = Vocabulary.load(resolved["vocab"])
     records = _load_records(resolved, "to sweep: no reference words to score")
     eval_set = [corpus.record_context(rec, vocab) for rec in records]
-    factor = resolved["max_len_factor"]
     out = Path(resolved["out"])
-    axis = resolved["axis"]
     with contextlib.ExitStack() as opened:
         llm, asr = _build_llm(resolved, vocab, opened), _build_asr(resolved, vocab, opened)
-        tau1 = _tau_from(resolved, "calibration_llm")
-        tau2 = _tau_from(resolved, "calibration_asr")
-        if axis == "static-grid":
-            columns = ("w_asr",)
-            cfgs = [fusion.FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
-                    for w_asr in resolved["w_asr_values"]]
-        else:  # beta
-            columns = ("beta",)
-            cfgs = [fusion.FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
-                    for beta in resolved["beta_values"]]
-        wers = decoding.sweep_wers(llm, asr, cfgs, eval_set, factor)
+        wers = decoding.sweep_wers(llm, asr, cfgs, eval_set, resolved["max_len_factor"])
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     with open(out, "w", encoding="utf-8") as f:
         f.write(",".join(columns) + ",wer\n")
@@ -471,7 +470,7 @@ def _load_hypotheses(path) -> dict[str, str]:
 
 
 def cmd_score(resolved: dict):
-    records = corpus.load_corpus(resolved["corpus"])
+    records = _load_records(resolved, "to score")
     norm = lambda text: metrics.normalize_text(text, resolved["lowercase"])
     refs = {rec.id: norm(rec.reference) for rec in records}
 
@@ -509,20 +508,18 @@ def cmd_score(resolved: dict):
             entry["werr"] = metrics.werr(base_wer, report.wer) if base_wer > 0 else None
         document["systems"][name] = entry
 
-    if records:  # the corpus loader rejects an empty N-best list
-        nbests = [[norm(t) for t, _ in rec.nbest] for rec in records]
-        ref_list = [refs[rec.id] for rec in records]
-        first = metrics.corpus_report([(nb[0], ref) for nb, ref in zip(nbests, ref_list)],
-                                      aligned)
-        o_nb = [metrics.oracle_nbest(nb, ref) for nb, ref in zip(nbests, ref_list)]
-        o_cp = [metrics.oracle_compositional(nb, ref) for nb, ref in zip(nbests, ref_list)]
-        n_ref = [len(ref) for ref in ref_list]
-        weight = sum(n_ref)
-        document["oracles"] = {
-            "wer_1best": first.wer,
-            "o_nb": sum(o * n for o, n in zip(o_nb, n_ref)) / weight,
-            "o_cp": sum(o * n for o, n in zip(o_cp, n_ref)) / weight,
-        }
+    nbests = [[norm(t) for t, _ in rec.nbest] for rec in records]
+    ref_list = [refs[rec.id] for rec in records]
+    first = metrics.corpus_report([(nb[0], ref) for nb, ref in zip(nbests, ref_list)], aligned)
+    o_nb = [metrics.oracle_nbest(nb, ref) for nb, ref in zip(nbests, ref_list)]
+    o_cp = [metrics.oracle_compositional(nb, ref) for nb, ref in zip(nbests, ref_list)]
+    n_ref = [len(ref) for ref in ref_list]
+    weight = sum(n_ref)
+    document["oracles"] = {
+        "wer_1best": first.wer,
+        "o_nb": sum(o * n for o, n in zip(o_nb, n_ref)) / weight,
+        "o_cp": sum(o * n for o, n in zip(o_cp, n_ref)) / weight,
+    }
 
     out = Path(resolved["out"])
     _write_resolved(resolved, out.parent, "score")

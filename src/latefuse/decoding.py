@@ -1,10 +1,13 @@
 """Autoregressive decoding loops over logit providers.
 
-Greedy single-provider decoding, fused greedy decoding over a shared
-history (static or uadf), and beam search for N-best generation. All
-decoders start the history at BOS, are deterministic, and stop at EOS or
-a length cap. A provider with a `row_key` is read once per beam step,
-and once per (key, temperature) in a decode set (`calibrated_row`).
+One greedy loop, `fused_greedy_decode`, serves every fusion mode: each
+step decides a token from the calibrated rows, and the mode only changes
+how (one provider's argmax in mode llm or asr, a fused step in static or
+uadf). `greedy_decode` is that loop in mode llm. Beam search generates
+N-best lists. All decoders start the history at BOS, are deterministic,
+and stop at EOS or a length cap. A provider with a `row_key` is read once
+per beam step, and once per (key, temperature) in a decode set
+(`calibrated_row`).
 """
 
 from __future__ import annotations
@@ -58,68 +61,61 @@ def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: floa
 
 def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
                   tau: float = 1.0, rows: dict | None = None) -> DecodeResult:
-    """Append the argmax token until EOS or `max_len` emissions; each step's
-    distribution comes from `calibrated_row` with `rows`."""
-    if max_len < 1:
-        raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
-    history: TokenSeq = (Vocabulary.BOS,)
-    tokens: TokenSeq = ()
-    steps = []
-    for _ in range(max_len):
-        dist = calibrated_row(provider, history, ctx, tau, rows)
-        steps.append(dist)
-        tok = argmax_token(dist)
-        tokens += (tok,)
-        history += (tok,)
-        if tok == Vocabulary.EOS:
-            return DecodeResult(tokens, tuple(steps), "eos")
-    return DecodeResult(tokens, tuple(steps), "max-length")
+    """`fused_greedy_decode` in mode llm at `tau`, with no secondary."""
+    return fused_greedy_decode(provider, None, FusionConfig(mode="llm", tau1=tau), ctx,
+                               max_len, rows=rows)
 
 
 def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
                         ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
                         memo: dict | None = None, rows: dict | None = None) -> DecodeResult:
-    """Greedy decoding with one shared history driving both providers.
+    """Greedy decoding in any of cfg's modes, with one shared history
+    driving the providers.
 
-    `memo` maps a history of this utterance to its step's (p_llm, p_asr,
+    A step of mode llm or asr is the argmax of that provider's
+    `calibrated_row` (at tau1 or tau2), and its recorded step is that
+    distribution. A fused step (static or uadf) is a FusionStep. `memo`
+    maps a history of this utterance to its fused step's (p_llm, p_asr,
     entropy of p_llm or None where no uadf step measured it); it is read
-    and filled, so decodes of one utterance whose configs share tau1 and
-    tau2 (see `decode_eval_set`) run the providers and the softmaxes once
-    per distinct history, and uadf ones the entropy too. The secondary's
-    distribution comes from `calibrated_row` with `rows`, which can span
-    utterances.
+    and filled, so fused decodes of one utterance whose configs share tau1
+    and tau2 (see `decode_eval_set`) run the providers and the softmaxes
+    once per distinct history, and uadf ones the entropy too. The
+    secondary's distribution comes from `calibrated_row` with `rows`,
+    which can span utterances.
     """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
-    if cfg.mode == "llm":
-        return greedy_decode(llm_provider, ctx, max_len, tau=cfg.tau1, rows=rows)
-    if cfg.mode == "asr":
-        return greedy_decode(asr_provider, ctx, max_len, tau=cfg.tau2, rows=rows)
-    if llm_provider.vocab is not asr_provider.vocab and \
+    fused = cfg.mode in ("static", "uadf")
+    if not fused:
+        provider, tau = (llm_provider, cfg.tau1) if cfg.mode == "llm" else (asr_provider, cfg.tau2)
+    elif llm_provider.vocab is not asr_provider.vocab and \
             llm_provider.vocab != asr_provider.vocab:
         raise ConfigurationError("providers must share one vocabulary")
 
     memo = {} if memo is None else memo
     history: TokenSeq = (Vocabulary.BOS,)
-    tokens: TokenSeq = ()
     steps = []
     for _ in range(max_len):
-        inputs = memo.get(history)
-        if inputs is None:
-            step = fuse_step(
-                llm_provider.next_logits(history, ctx),
-                calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
-                cfg,
-            )
-            memo[history] = (step.p_llm, step.p_asr, step.measured_u)
+        if not fused:
+            step = calibrated_row(provider, history, ctx, tau, rows)
+            token = argmax_token(step)
         else:
-            step = decide(*inputs, cfg)
+            inputs = memo.get(history)
+            if inputs is None:
+                step = fuse_step(
+                    llm_provider.next_logits(history, ctx),
+                    calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
+                    cfg,
+                )
+                memo[history] = (step.p_llm, step.p_asr, step.measured_u)
+            else:
+                step = decide(*inputs, cfg)
+            token = step.chosen
         steps.append(step)
-        tokens += (step.chosen,)
-        history += (step.chosen,)
-        if step.chosen == Vocabulary.EOS:
-            return DecodeResult(tokens, tuple(steps), "eos")
-    return DecodeResult(tokens, tuple(steps), "max-length")
+        history += (token,)
+        if token == Vocabulary.EOS:
+            return DecodeResult(history[1:], tuple(steps), "eos")
+    return DecodeResult(history[1:], tuple(steps), "max-length")
 
 
 def beam_search(provider, ctx: UtteranceContext, beam_width: int,

@@ -8,8 +8,10 @@ swapped by callers ingesting external data with other conventions.
 aligns each distinct pair once, and can share its dict of alignments
 across calls. A caller that reads only S + I + D (the N-best oracle, a
 sweep's corpus WER) takes `distance_to`, a bit-parallel edit distance
-with no alignment to trace back. The edit tables of `wer` and of the
-confusion-network merge are one loop, `_edit_table`.
+with no alignment to trace back. The edit tables of `wer`, of the
+confusion-network merge and of the network's best path are one loop,
+`_edit_table`: unit cost for the first two, a per-slot pass cost for the
+third.
 """
 
 from __future__ import annotations
@@ -46,20 +48,24 @@ class ScoreReport:
         }
 
 
-def _edit_table(rows, cols) -> list[list[int]]:
-    """Unit-cost edit table of `cols` against `rows`, a sequence of word
-    sets: cell (i, j) is the fewest edits turning cols[:j] into rows[:i],
-    where a word matches a row when it is in that row's set."""
+def _edit_table(rows, cols, skips=None) -> list[list[int]]:
+    """Edit table of `cols` against `rows`, a sequence of word sets: cell
+    (i, j) is the fewest edits turning cols[:j] into rows[:i], where a word
+    matches a row when it is in that row's set. A substitution or an
+    unmatched column word costs 1; passing row i costs skips[i], and 1 when
+    `skips` is None (unit cost)."""
     dist = [list(range(len(cols) + 1))]
-    for i, words in enumerate(rows, start=1):
+    for i, words in enumerate(rows):
+        skip = 1 if skips is None else skips[i]
         prev = dist[-1]
-        row = [i]
-        left = i
+        left = prev[0] + skip
+        row = [left]
         for word, diag, up in zip(cols, prev, prev[1:]):
-            # min(diag, up + 1, left + 1) on integers: x < best means x + 1 <= best.
+            # min(diag + cost, up + skip, left + 1); on integers, left < best
+            # means left + 1 <= best.
             best = diag if word in words else diag + 1
-            if up < best:
-                best = up + 1
+            if up + skip < best:
+                best = up + skip
             if left < best:
                 best = left + 1
             row.append(best)
@@ -248,23 +254,7 @@ def oracle_compositional(nbest, reference) -> float:
     slots = [_Slot(w) for w in nbest[0]]
     for hyp in nbest[1:]:
         slots = _merge_hypothesis(slots, hyp)
-
-    # Best-path DP: cost[r] = min edits after the slots seen so far,
-    # having consumed r reference words.
-    cost = list(range(len(ref) + 1))
-    for slot in slots:
-        skip = 0 if slot.has_epsilon else 1  # emit-as-insertion when no epsilon
-        words = slot.words
-        left = cost[0] + skip
-        new = [left]
-        for word, diag, up in zip(ref, cost, cost[1:]):
-            # min(consume, up + skip, left + 1) on integers, as in `_edit_table`
-            best = diag if word in words else diag + 1
-            if up + skip < best:
-                best = up + skip
-            if left < best:
-                best = left + 1
-            new.append(best)
-            left = best
-        cost = new
-    return cost[-1] / len(ref)
+    # the best path: passing a slot without consuming a reference word
+    # costs nothing where it has epsilon, and an insertion where it has not
+    skips = [0 if slot.has_epsilon else 1 for slot in slots]
+    return _edit_table([slot.words for slot in slots], ref, skips)[-1][-1] / len(ref)

@@ -426,6 +426,52 @@ class TestEmptyCorpusBeforeAnyProvider:
         assert not out.parent.exists()
 
 
+class TestCalibrationReadBeforeAnyProvider:
+    """`decode` and `sweep` read their calibration reports before they open
+    a provider: a malformed report is a data error naming it, whatever the
+    endpoint would have said."""
+
+    @pytest.mark.parametrize("flag", ["calibration-llm", "calibration-asr"])
+    @pytest.mark.parametrize("command", [
+        ["decode", "--mode", "uadf"],
+        ["sweep", "--axis", "static-grid"],
+        ["sweep", "--axis", "beta"],
+    ], ids=["decode", "sweep-static-grid", "sweep-beta"])
+    def test_bad_report_is_data_error_before_the_endpoint_is_opened(
+            self, workspace, tmp_path, capsys, command, flag):
+        """Nothing listens on the endpoint: a command that opened it before
+        reading the report would exit 4, not 3."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"tau": "x"}))
+        out = tmp_path / "nd" / "out.file"
+        data = workspace / "data"
+        argv = [*command, "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
+                "--llm-endpoint", "127.0.0.1:9", "--timeout", "0.2",
+                "--manifest", data / "manifest.json", f"--{flag}", bad, "--out", out]
+        assert run(*argv) == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+class TestEmptyCorpusNamed:
+    """`train-lm` and `score` open no provider, and refuse an empty corpus
+    the same way: a data error naming the file."""
+
+    @pytest.mark.parametrize("command", ["train-lm", "score"])
+    def test_is_data_error_naming_the_file(self, workspace, tmp_path, capsys, command):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "nd" / "out.json"
+        if command == "train-lm":
+            argv, purpose = [*train_lm_args(workspace, out), "--corpus", empty], "to train on"
+        else:
+            argv, purpose = ["score", "--corpus", empty, "--hyp", f"a={empty}",
+                             "--out", out], "to score"
+        assert run(*argv) == 3
+        assert f"{empty} holds no utterances {purpose}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
 def sweep_args(workspace, out):
     data = workspace / "data"
     return ["sweep", "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",

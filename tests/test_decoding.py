@@ -682,6 +682,7 @@ def channel_case(seed, v=7, utts=6):
 
 
 CONFIG_SETS = {
+    "llm": lambda tau: [FusionConfig(mode="llm", tau1=tau)],
     "asr": lambda tau2: [FusionConfig(mode="asr", tau2=tau2)],
     "static": lambda tau2: [FusionConfig(mode="static", w_asr=w, tau1=0.8, tau2=tau2)
                             for w in (0.0, 0.5, 2.0)],
@@ -697,19 +698,23 @@ class TestCalibratedRows:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("configs", CONFIG_SETS.values(), ids=CONFIG_SETS.keys())
     def test_one_read_per_key_and_tau(self, configs, seed):
-        vocab, confusion, llm, eval_set = channel_case(seed)
+        """The channel is the secondary, or the primary in mode llm."""
+        vocab, confusion, seeded, eval_set = channel_case(seed)
         channel = CountingChannel(vocab, confusion)
         plain = AcousticChannel(vocab, confusion)
         reached, steps = Counter(), 0
-        for tau2 in (1.0, 0.6):
-            cfgs = configs(tau2)
-            results = iter(list(decode_eval_set(llm, channel, cfgs, eval_set)))
+        for tau in (1.0, 0.6):
+            cfgs = configs(tau)
+            in_llm_role = cfgs[0].mode == "llm"
+            roles = (channel, seeded) if in_llm_role else (seeded, channel)
+            plain_roles = (plain, seeded) if in_llm_role else (seeded, plain)
+            results = iter(list(decode_eval_set(*roles, cfgs, eval_set)))
             keys = set()
             for ctx, ref in eval_set:
                 for cfg in cfgs:
                     result = next(results)
                     assert_same_decode(result, reference_decode(
-                        llm, plain, cfg, ctx, evaluation_max_len(ref)))
+                        *plain_roles, cfg, ctx, evaluation_max_len(ref)))
                     keys.update(channel.row_key(1 + i, ctx) for i in range(len(result.tokens)))
                     steps += len(result.tokens)
             reached.update(keys)
@@ -755,6 +760,27 @@ class TestCalibratedRows:
         for (ctx, ref), result in zip(eval_set, results):
             assert_same_decode(result, reference_decode(llm, asr, cfgs[0], ctx,
                                                         evaluation_max_len(ref)))
+
+    @pytest.mark.parametrize("mode", ["llm", "asr"])
+    def test_single_model_decode_without_rows(self, mode):
+        """Without a rows dict, a decode of one keyed or unkeyed provider
+        equals the loop that softmaxes every row; the cap of 2 stops most
+        decodes at max-length."""
+        vocab, confusion, seeded, eval_set = channel_case(8)
+        terminated = Counter()
+        for provider in (AcousticChannel(vocab, confusion), seeded):
+            llm, asr = (provider, None) if mode == "llm" else (None, provider)
+            for ctx, ref in eval_set:
+                for max_len in (evaluation_max_len(ref), 2):
+                    for tau in (1.0, 0.6):
+                        cfg = FusionConfig(mode=mode, tau1=tau, tau2=tau)
+                        want = reference_decode(llm, asr, cfg, ctx, max_len)
+                        got = fused_greedy_decode(llm, asr, cfg, ctx, max_len)
+                        assert_same_decode(got, want)
+                        if mode == "llm":
+                            assert_same_decode(greedy_decode(provider, ctx, max_len, tau), want)
+                        terminated[got.terminated] += 1
+        assert terminated["eos"] > 0 and terminated["max-length"] > 0
 
 
 class RowProvider:
