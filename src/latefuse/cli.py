@@ -37,7 +37,6 @@ from .errors import (
 from .providers import (
     AcousticChannel,
     NgramCorrector,
-    NgramModel,
     ProviderSpec,
     train_ngram_corrector,
 )
@@ -244,14 +243,13 @@ def build_provider(spec: ProviderSpec, vocab: Vocabulary):
     """Construct a concrete provider from its declarative spec."""
     params = spec.parameters
     if spec.kind == "ngram-corrector":
-        return _read_json(params["model_path"], lambda data: NgramCorrector(
-            NgramModel.from_dict(data, vocab),
-            vote_weight=json_field(data, "vote_weight", (int, float))))
+        return _read_json(params["model_path"], lambda data: NgramCorrector.from_dict(data, vocab))
     if spec.kind == "acoustic-channel":
-        channel = _read_json(params["manifest_path"], lambda data: corpus.ChannelSpec(
-            **{key: json_field(data, key, (int,) if key == "seed" else (int, float))
-               for key in _CHANNEL_FIELDS}))
-        return AcousticChannel(vocab, corpus.decoder_confusion(vocab, channel))
+        def confusion(data):  # a spec no decoder matrix fits is a data error naming the file
+            return corpus.decoder_confusion(vocab, corpus.ChannelSpec(
+                **{key: json_field(data, key, (int,) if key == "seed" else (int, float))
+                   for key in _CHANNEL_FIELDS}))
+        return AcousticChannel(vocab, _read_json(params["manifest_path"], confusion))
     return wire.connect_external(params["endpoint"], vocab,
                                  timeout=float(params.get("timeout", 5.0)))
 
@@ -354,10 +352,8 @@ def cmd_train_lm(resolved: dict):
     )
     out = Path(resolved["out"])
     _write_resolved(resolved, out.parent, "train-lm")
-    payload = corrector.model.to_dict()
-    payload["vote_weight"] = corrector.vote_weight
     with open(out, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+        json.dump(corrector.to_dict(), f)
         f.write("\n")
     print(f"trained order-{corrector.model.order} corrector on {len(references)} "
           f"references -> {out}")
@@ -387,6 +383,7 @@ def cmd_calibrate(resolved: dict):
 
 
 def cmd_decode(resolved: dict):
+    decoding.check_max_len_factor(resolved["max_len_factor"])  # before any provider is opened
     cfg = fusion.FusionConfig(
         mode=resolved["mode"], w_asr=resolved["w_asr"],
         tau1=_tau_from(resolved, "calibration_llm"),
@@ -427,6 +424,7 @@ def cmd_decode(resolved: dict):
 
 
 def cmd_sweep(resolved: dict):
+    decoding.check_max_len_factor(resolved["max_len_factor"])  # before any provider is opened
     tau1 = _tau_from(resolved, "calibration_llm")
     tau2 = _tau_from(resolved, "calibration_asr")
     axis = resolved["axis"]

@@ -181,9 +181,15 @@ def decoder_confusion(vocab: Vocabulary, channel: ChannelSpec) -> np.ndarray:
     matrix = np.eye(v)
     if n_words > 1:
         kernel = _substitution_kernel(n_words, channel.concentration)
-        keep = 1.0 - channel.sub_rate - channel.del_rate
+        # rounding can take 1 - sub - del below 0 when sub + del is 1
+        keep = max(0.0, 1.0 - channel.sub_rate - channel.del_rate)
         block = keep * np.eye(n_words) + channel.sub_rate * kernel.T
-        matrix[3:, 3:] = block / block.sum(axis=1, keepdims=True)
+        mass = block.sum(axis=1, keepdims=True)
+        if not np.all(mass > 0):
+            raise InvalidParameterError(
+                f"sub_rate {channel.sub_rate} and del_rate {channel.del_rate} give an observed "
+                "word no true word to decode to (need sub_rate > 0 or sub_rate + del_rate < 1)")
+        matrix[3:, 3:] = block / mass
     return matrix
 
 
@@ -280,7 +286,7 @@ def record_context(record: CorpusRecord, vocab: Vocabulary):
     ctx = UtteranceContext(
         utt_id=record.id,
         nbest=tuple(vocab.encode(text, append_eos=True) for text, _score in record.nbest),
-        observation=(Vocabulary.BOS,) + vocab.encode(record.observation) + (Vocabulary.EOS,),
+        observation=encode_observation(record.observation.split(), vocab),
     )
     return ctx, record.reference.split()
 

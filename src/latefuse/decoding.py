@@ -25,6 +25,8 @@ from .providers import UtteranceContext
 
 # Length cap for decoding without a reference to scale against.
 DEFAULT_MAX_LEN = 64
+# Largest length factor: factor x (words + 1) must stay a finite float.
+MAX_LEN_FACTOR = 1e30
 # Widest beam `beam_search` runs. A step scores beam_width x V candidates,
 # and live beams can grow as V^t, so a wider beam only exhausts memory.
 MAX_BEAM_WIDTH = 1024
@@ -186,10 +188,16 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     return pool[:n_out]
 
 
+def check_max_len_factor(factor: float):
+    """Refuse a length factor; a caller checks it before opening a provider."""
+    if not 0 < factor <= MAX_LEN_FACTOR:
+        raise InvalidParameterError(
+            f"max_len_factor must be in (0, {MAX_LEN_FACTOR:g}], got {factor}")
+
+
 def evaluation_max_len(reference_words, factor: float = 2.0) -> int:
     """Length cap for scoring runs: factor x (words + EOS), at least 2."""
-    if not (math.isfinite(factor) and factor > 0):
-        raise InvalidParameterError(f"max_len_factor must be finite and > 0, got {factor}")
+    check_max_len_factor(factor)
     return max(2, math.ceil(factor * (len(reference_words) + 1)))
 
 

@@ -11,7 +11,8 @@ sweep's corpus WER) takes `distance_to`, a bit-parallel edit distance
 with no alignment to trace back. The edit tables of `wer`, of the
 confusion-network merge and of the network's best path are one loop,
 `_edit_table`: unit cost for the first two, a per-slot pass cost for the
-third.
+third. `wer` and the merge read one walk back through their table,
+`_alignment`.
 """
 
 from __future__ import annotations
@@ -74,6 +75,24 @@ def _edit_table(rows, cols, skips=None) -> list[list[int]]:
     return dist
 
 
+def _alignment(rows, cols):
+    """The unit-cost alignment of `cols` against `rows`, walked back from
+    the end: (i, j) aligns row i with column word j, and None marks a gap
+    on its side. Ties prefer aligned > passed row > unmatched word."""
+    dist = _edit_table(rows, cols)
+    i, j = len(rows), len(cols)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (cols[j - 1] not in rows[i - 1]):
+            i, j = i - 1, j - 1
+            yield i, j
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            i -= 1
+            yield i, None
+        else:
+            j -= 1
+            yield None, j
+
+
 def wer(hypothesis, reference) -> ScoreReport:
     """Unit-cost Levenshtein alignment of word sequences.
 
@@ -85,23 +104,12 @@ def wer(hypothesis, reference) -> ScoreReport:
     if not ref:
         raise InvalidInputError("reference must be non-empty")
 
-    dist = _edit_table([{word} for word in ref], hyp)
-    subs = ins = dels = hits = 0
-    i, j = len(ref), len(hyp)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dist[i][j] == dist[i - 1][j - 1]:
-            hits += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + 1:
-            subs += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return ScoreReport(subs, ins, dels, hits, len(ref))
+    # an aligned pair is a hit or a substitution, any other word an insertion or deletion
+    pairs = [(i, j) for i, j in _alignment([{word} for word in ref], hyp)
+             if i is not None and j is not None]
+    hits = sum(ref[i] == hyp[j] for i, j in pairs)
+    return ScoreReport(len(pairs) - hits, len(hyp) - len(pairs), len(ref) - len(pairs),
+                       hits, len(ref))
 
 
 def distance_to(reference):
@@ -214,22 +222,15 @@ def _merge_hypothesis(slots: list[_Slot], hyp: list) -> list[_Slot]:
     fresh slot that is epsilon for everything merged before it. Backtrace
     ties prefer match > substitution > skip-slot > new-slot.
     """
-    dist = _edit_table([slot.words for slot in slots], hyp)
     merged: list[_Slot] = []
-    i, j = len(slots), len(hyp)
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + \
-                (0 if hyp[j - 1] in slots[i - 1].words else 1):
-            slots[i - 1].words.add(hyp[j - 1])
-            merged.append(slots[i - 1])
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            slots[i - 1].has_epsilon = True
-            merged.append(slots[i - 1])
-            i -= 1
+    # the walk reads no row again once it has yielded it, so a slot may grow here
+    for i, j in _alignment([slot.words for slot in slots], hyp):
+        slot = _Slot(hyp[j], has_epsilon=True) if i is None else slots[i]
+        if j is None:
+            slot.has_epsilon = True
         else:
-            merged.append(_Slot(hyp[j - 1], has_epsilon=True))
-            j -= 1
+            slot.words.add(hyp[j])  # a fresh slot holds it already
+        merged.append(slot)
     merged.reverse()
     return merged
 

@@ -8,9 +8,10 @@ model mixed with a positional vote over the hypothesis list) and a
 noisy-channel acoustic model (a per-token confusion-matrix reader).
 Their outputs depend only on their inputs, although `NgramModel` caches
 the distributions it computed and `NgramCorrector` the mixture parts it
-built from them. `NgramModel` also indexes its counts by context, once
-per model, so a distribution it computes reads only the counts of its
-context, not one count per id of the vocabulary. A provider may
+built from them. `NgramModel` keeps its counts by context, so a
+distribution it computes reads only the counts of its context, not one
+count per id of the vocabulary. `NgramCorrector.to_dict`/`from_dict`
+write and read the whole of a trained corrector's `lm.json`. A provider may
 define `row_key(length, ctx)`, as `AcousticChannel` does, to declare
 that `next_logits(history, ctx)` depends only on
 `row_key(len(history), ctx)`: equal keys mean equal rows, also across
@@ -24,7 +25,6 @@ utterances on one client evict each other's rows.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +63,9 @@ class NgramModel:
     Contexts shorter than order-1 are left-padded with BOS, so training
     and decoding see identical context shapes.
 
-    When it first computes a distribution, the model indexes its n-gram
-    counts by context: each context maps to the ids seen after it and
-    their counts. A distribution then places its context's counts with one
-    assignment. `train` drops the index with the cached distributions, and
-    the next distribution indexes the new counts.
+    `counts` maps each context seen in training to the ids seen after it
+    and their counts, so a distribution places its context's counts with
+    one assignment, and its total is their (exact, integer) sum.
     """
 
     def __init__(self, vocab: Vocabulary, order: int = 2, smoothing: float = 0.5):
@@ -78,10 +76,8 @@ class NgramModel:
         self.vocab = vocab
         self.order = int(order)
         self.smoothing = float(smoothing)
-        self.ngram_counts: Counter = Counter()
-        self.context_totals: Counter = Counter()
+        self.counts: dict[tuple, dict[int, int]] = {}
         self._dist_cache: dict[tuple, np.ndarray] = {}
-        self._by_context: dict[tuple, tuple[list, list]] | None = None
 
     def _context(self, history: TokenSeq) -> tuple:
         if self.order == 1:
@@ -94,27 +90,10 @@ class NgramModel:
         for seq in sequences:
             history: tuple = ()
             for tok in seq:
-                ctx = self._context(history)
-                self.ngram_counts[ctx + (tok,)] += 1
-                self.context_totals[ctx] += 1
+                seen = self.counts.setdefault(self._context(history), {})
+                seen[tok] = seen.get(tok, 0) + 1
                 history += (tok,)
         self._dist_cache.clear()
-        self._by_context = None
-
-    def _context_index(self) -> dict[tuple, tuple[list, list]]:
-        """Each context's (ids seen after it, their counts), built from
-        `ngram_counts` on the first call after the model was made or
-        trained."""
-        if self._by_context is None:
-            index: dict[tuple, tuple[list, list]] = {}
-            for key, count in self.ngram_counts.items():
-                entry = index.get(key[:-1])
-                if entry is None:
-                    entry = index[key[:-1]] = ([], [])
-                entry[0].append(key[-1])
-                entry[1].append(count)
-            self._by_context = index
-        return self._by_context
 
     def cond_dist(self, history: TokenSeq) -> np.ndarray:
         """P(v | last order-1 tokens of history) over the whole vocabulary."""
@@ -123,27 +102,21 @@ class NgramModel:
         if cached is not None:
             return cached
         v = self.vocab.size
-        total = self.context_totals.get(ctx, 0)
+        seen = self.counts.get(ctx, {})
+        total = sum(seen.values())
         if total == 0 and self.smoothing == 0.0:
             dist = np.full(v, 1.0 / v)
         else:
             counts = np.zeros(v)
-            seen = self._context_index().get(ctx)
-            if seen is not None:
-                toks, cnts = seen
-                counts[toks] = cnts  # integer counts, exact in float64
+            counts[list(seen)] = list(seen.values())  # integer counts, exact in float64
             dist = (counts + self.smoothing) / (total + self.smoothing * v)
         self._dist_cache[ctx] = dist
         return dist
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "smoothing": self.smoothing,
-            "ngrams": [
-                [list(key), count] for key, count in sorted(self.ngram_counts.items())
-            ],
-        }
+        ngrams = sorted([[*ctx, tok], count] for ctx, seen in self.counts.items()
+                        for tok, count in seen.items())
+        return {"order": self.order, "smoothing": self.smoothing, "ngrams": ngrams}
 
     @classmethod
     def from_dict(cls, data: dict, vocab: Vocabulary) -> "NgramModel":
@@ -159,11 +132,10 @@ class NgramModel:
             if type(count) is not int or not 1 <= count <= 2 ** 53:
                 raise InvalidParameterError(
                     f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
-            key = tuple(key)
-            if key in model.ngram_counts:
-                raise InvalidParameterError(f"n-gram key {list(key)} is listed twice")
-            model.ngram_counts[key] = count
-            model.context_totals[key[:-1]] += count
+            seen = model.counts.setdefault(tuple(key[:-1]), {})
+            if key[-1] in seen:
+                raise InvalidParameterError(f"n-gram key {key} is listed twice")
+            seen[key[-1]] = count
         return model
 
 
@@ -192,6 +164,16 @@ class NgramCorrector:
         self.vote_weight = float(vote_weight)
         self._priors: dict[int, tuple] = {}  # id(model row) -> (model row, weighted row)
         self._votes: tuple = (None, None)  # (nbest, weighted vote rows) of the latest list
+
+    def to_dict(self) -> dict:
+        """The whole of `lm.json`: the model's fields, then `vote_weight`."""
+        return {**self.model.to_dict(), "vote_weight": self.vote_weight}
+
+    @classmethod
+    def from_dict(cls, data: dict, vocab: Vocabulary) -> "NgramCorrector":
+        """The corrector `to_dict` wrote."""
+        return cls(NgramModel.from_dict(data, vocab),
+                   vote_weight=json_field(data, "vote_weight", (int, float)))
 
     def _vote_rows(self, nbest: tuple[TokenSeq, ...]) -> list:
         """vote_weight * p_vote for positions 0 .. longest hypothesis, one
@@ -263,8 +245,9 @@ class AcousticChannel:
         v = vocab.size
         if confusion.shape != (v, v):
             raise InvalidInputError(f"confusion matrix must be {v}x{v}, got {confusion.shape}")
-        if np.any(confusion < 0) or np.any(np.abs(confusion.sum(axis=1) - 1.0) > 1e-9):
-            raise InvalidInputError("confusion matrix rows must be nonnegative and sum to 1")
+        # phrased so that a NaN fails: every comparison with NaN is False
+        if not (np.all(confusion >= 0) and np.all(np.abs(confusion.sum(axis=1) - 1.0) <= 1e-9)):
+            raise InvalidInputError("confusion rows must be finite, nonnegative and sum to 1")
         self.vocab = vocab
         self._log_rows = np.log(confusion + LOG_EPS)
         eos_row = np.zeros(v)

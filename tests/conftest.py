@@ -159,15 +159,17 @@ def frozen_bins():
 
 
 def _frozen_cond_dist(model, history):
-    """`NgramModel.cond_dist` as it probed every `ctx + (tok,)`, uncached."""
+    """`NgramModel.cond_dist` as it probed every `ctx + (tok,)`, uncached,
+    reading the counts the model writes to `lm.json`."""
     ctx = model._context(history)
     v = model.vocab.size
-    total = model.context_totals.get(ctx, 0)
+    ngram_counts = {tuple(key): count for key, count in model.to_dict()["ngrams"]}
+    total = sum(count for key, count in ngram_counts.items() if key[:-1] == ctx)
     if total == 0 and model.smoothing == 0.0:
         return np.full(v, 1.0 / v)
     counts = np.zeros(v)
     for tok in range(v):
-        c = model.ngram_counts.get(ctx + (tok,))
+        c = ngram_counts.get(ctx + (tok,))
         if c:
             counts[tok] = c
     return (counts + model.smoothing) / (total + model.smoothing * v)

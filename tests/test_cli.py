@@ -126,6 +126,28 @@ class TestSimulate:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_channel_without_a_decoder_is_config_error_before_anything_is_written(
+            self, tmp_path, capsys):
+        """With nothing kept or substituted, no observed word has a true
+        word to decode to: refused, not written with empty N-best lists."""
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                       "--n-test", 3, "--sub-rate", 0, "--del-rate", 1, "--ins-rate", 0.9,
+                       "--seed", 3) == 2
+        err = capsys.readouterr().err
+        assert "sub_rate 0.0 and del_rate 1.0" in err
+        assert not out.exists()
+
+    def test_rates_summing_to_one_make_a_corpus_train_lm_reads(self, tmp_path):
+        out = tmp_path / "x"
+        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                   "--n-test", 3, "--sub-rate", 0.9, "--del-rate", 0.1, "--seed", 3) == 0
+        assert all(rec.nbest for rec in corpus.load_corpus(out / "train.jsonl"))
+        assert run("train-lm", "--corpus", out / "train.jsonl", "--vocab", out / "vocab.txt",
+                   "--out", out / "lm.json") == 0
+
     @pytest.mark.parametrize("line", ["<s> </s>", "show the </s> flight", "<S> show"])
     def test_source_with_a_reserved_token_is_data_error(self, tmp_path, capsys, line):
         source = tmp_path / "sentences.txt"
@@ -393,11 +415,21 @@ class TestDecode:
                     break
         assert log.read_text() == "".join(want)
 
-    @pytest.mark.parametrize("factor", ["-1", "nan"])
-    def test_bad_max_len_factor_is_config_error(self, workspace, tmp_path, factor):
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    @pytest.mark.parametrize("factor", ["-1", "nan", "inf", "1e308"])
+    def test_bad_max_len_factor_is_config_error(self, workspace, tmp_path, capsys, command,
+                                                factor):
+        """Nothing listens on the endpoint: a command that opened it before
+        checking the factor would exit 4, not 2."""
         out = tmp_path / "x.jsonl"
-        argv = decode_args(workspace, "uadf", out, **{"max-len-factor": factor})
+        extra = {"max-len-factor": factor, "llm-endpoint": "127.0.0.1:9", "timeout": "0.2"}
+        if command == "decode":
+            argv = decode_args(workspace, "uadf", out, **extra)
+        else:
+            argv = [*sweep_args(workspace, out), "--axis", "beta",
+                    *(item for key, value in extra.items() for item in (f"--{key}", value))]
         assert run(*argv) == 2
+        assert "max_len_factor must be in" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -941,6 +973,23 @@ class TestSideFiles:
         out = tmp_path / "x.jsonl"
         assert run(*decode_args(workspace, "uadf", out, **{flag: broken})) == 3
         assert str(broken) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decode", "calibrate"])
+    def test_channel_without_a_decoder_is_data_error_naming_it(self, workspace, tmp_path,
+                                                                capsys, command):
+        broken = tmp_path / "manifest.json"
+        broken.write_text(setting(sub_rate=0, del_rate=1)(
+            (workspace / "data" / "manifest.json").read_text()))
+        out = tmp_path / "x.jsonl"
+        if command == "decode":
+            argv = decode_args(workspace, "uadf", out, manifest=broken)
+        else:
+            data = workspace / "data"
+            argv = ["calibrate", "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
+                    "--which", "asr", "--manifest", broken, "--out", out]
+        assert run(*argv) == 3
+        assert f"{broken}: sub_rate 0 and del_rate 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_corpus_id_is_data_error(self, workspace, tmp_path, capsys):

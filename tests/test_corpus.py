@@ -126,6 +126,18 @@ class TestDecoderConfusion:
         matrix = decoder_confusion(vocab, ChannelSpec())
         assert (matrix.argmax(axis=1) == np.arange(vocab.size)).all()
 
+    @pytest.mark.parametrize("sub_rate, del_rate", [(0.9, 0.1), (0.7, 0.3), (1.0, 0.0)])
+    def test_rates_summing_to_one_keep_nothing_and_stay_stochastic(self, sub_rate, del_rate):
+        # in floats 1.0 - 0.9 - 0.1 is -2.8e-17: the kept mass must not go below 0
+        matrix = decoder_confusion(builtin_vocabulary(), ChannelSpec(sub_rate, del_rate))
+        assert matrix.min() >= 0.0
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("sub_rate, del_rate", [(0.0, 1.0), (5e-324, 1.0)])
+    def test_channel_that_keeps_and_substitutes_nothing_is_refused(self, sub_rate, del_rate):
+        with pytest.raises(InvalidParameterError, match="sub_rate .* and del_rate"):
+            decoder_confusion(builtin_vocabulary(), ChannelSpec(sub_rate, del_rate))
+
 
 class TestGenerateCorpus:
     def test_split_sizes_and_ids(self):

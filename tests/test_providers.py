@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latefuse.core import Vocabulary, softmax_with_temperature
-from latefuse.errors import InvalidInputError, InvalidParameterError
+from latefuse.errors import CorpusSchemaError, InvalidInputError, InvalidParameterError
 from latefuse.providers import (
     LOG_EPS,
     MAX_ORDER,
@@ -56,7 +56,7 @@ class TestNgramModel:
     def test_token_ids_must_be_below_the_vocabulary_size(self, abc_vocab, key, ok):
         data = {"order": 2, "smoothing": 0.5, "ngrams": [[key, 1]]}
         if ok:
-            assert NgramModel.from_dict(data, abc_vocab).ngram_counts[tuple(key)] == 1
+            assert NgramModel.from_dict(data, abc_vocab).counts[(key[0],)] == {key[1]: 1}
         else:
             with pytest.raises(InvalidParameterError, match="token ids in \\[0, 6\\)"):
                 NgramModel.from_dict(data, abc_vocab)
@@ -104,13 +104,13 @@ def word_vocab():
 
 
 class TestContextIndex:
-    """Rows built from the per-context index equal, bit for bit, the rows
-    of the loop that probed every id of the vocabulary."""
+    """Rows built from the counts kept by context equal, bit for bit, the
+    rows of the loop that probed every id of the vocabulary."""
 
     @staticmethod
     def assert_rows_are_the_probe_loops(model, frozen_cond_dist):
         histories = every_history(model.vocab, model.order)
-        unseen = [h for h in histories if model._context(h) not in model.context_totals]
+        unseen = [h for h in histories if model._context(h) not in model.counts]
         assert model.order == 1 or unseen, "no context unseen in training was read"
         for history in histories:
             assert model.cond_dist(history).tobytes() == \
@@ -136,7 +136,7 @@ class TestContextIndex:
         model = NgramModel(abc_vocab, order=2, smoothing=smoothing)
         model.train([abc_vocab.encode("a b", append_eos=True)])
         for history in [(Vocabulary.BOS, Vocabulary.UNK), (5,), (3, 4, 1)]:
-            assert model._context(history) not in model.context_totals
+            assert model._context(history) not in model.counts
             assert model.cond_dist(history).tobytes() == \
                 frozen_cond_dist(model, history).tobytes()
 
@@ -146,7 +146,7 @@ class TestContextIndex:
         model = NgramModel(word_vocab, order=order, smoothing=0.1)
         model.train(random_sequences(word_vocab, seed=20 + order))
         histories = every_history(word_vocab, order)
-        before = [model.cond_dist(h).tobytes() for h in histories]  # index built
+        before = [model.cond_dist(h).tobytes() for h in histories]  # rows cached
         model.train(random_sequences(word_vocab, seed=30 + order))
         after = [model.cond_dist(h).tobytes() for h in histories]
         assert after == [frozen_cond_dist(model, h).tobytes() for h in histories]
@@ -221,6 +221,19 @@ class TestNgramCorrector:
         model = NgramModel(abc_vocab)
         with pytest.raises(InvalidParameterError):
             NgramCorrector(model, vote_weight=1.5)
+
+    def test_dict_roundtrip_is_the_whole_lm_file(self, abc_vocab):
+        refs = [abc_vocab.encode("a b c", append_eos=True)]
+        corrector = train_ngram_corrector(refs, abc_vocab, order=2, vote_weight=0.3)
+        data = corrector.to_dict()
+        assert list(data) == ["order", "smoothing", "ngrams", "vote_weight"]
+        clone = NgramCorrector.from_dict(data, abc_vocab)
+        assert clone.vote_weight == 0.3 and clone.to_dict() == data
+        ctx = ctx_with_nbest(abc_vocab, ["a b", "a c"])
+        assert clone.next_logits((0, 3), ctx).tobytes() == \
+            corrector.next_logits((0, 3), ctx).tobytes()
+        with pytest.raises(CorpusSchemaError, match="'vote_weight' is a required field"):
+            NgramCorrector.from_dict({k: data[k] for k in list(data)[:3]}, abc_vocab)
 
 
 def per_call_row(model, vote_weight, history, nbest):
@@ -337,6 +350,13 @@ class TestAcousticChannel:
         bad = np.eye(6)
         bad[2, 2] = 0.5
         with pytest.raises(InvalidInputError):
+            AcousticChannel(abc_vocab, bad)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, abc_vocab, entry):
+        bad = np.eye(6)
+        bad[3] = entry  # a 0/0 row of a channel that keeps and substitutes nothing
+        with pytest.raises(InvalidInputError, match="finite"):
             AcousticChannel(abc_vocab, bad)
 
     def test_missing_observation_rejected(self, abc_vocab):
