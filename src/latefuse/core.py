@@ -23,6 +23,14 @@ from .errors import CorpusSchemaError, InvalidInputError, InvalidParameterError
 
 TokenSeq = tuple[int, ...]
 
+# The ufunc reductions behind `ndarray.all/max/min/sum`, called directly:
+# the method wrappers cost more per call than a short row's reduction,
+# and the result is the same reduction, bit for bit.
+_all = np.logical_and.reduce
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+_sum = np.add.reduce
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -163,7 +171,7 @@ def as_logits(values, size: int | None = None) -> np.ndarray:
         raise InvalidInputError("logits must be a non-empty 1-D vector")
     if size is not None and arr.size != size:
         raise InvalidInputError(f"logits length {arr.size} != vocabulary size {size}")
-    if not np.isfinite(arr).all():
+    if not _all(np.isfinite(arr)):
         raise InvalidInputError("logits must be finite")
     return arr
 
@@ -196,14 +204,14 @@ def softmax_with_temperature(logits, tau: float) -> np.ndarray:
     if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
         raise InvalidParameterError(f"tau must be a positive finite real, got {tau!r}")
     arr = as_logits(logits)
-    top = float(arr.max()) / tau  # == (arr / tau).max(): x / tau is monotone, correctly rounded
+    top = float(_max(arr)) / tau  # == (arr / tau).max(): x / tau is monotone, correctly rounded
     # only a tau < 1 can scale a finite logit past the float range
-    if tau < 1 and not (math.isfinite(top) and math.isfinite(float(arr.min()) / tau)):
+    if tau < 1 and not (math.isfinite(top) and math.isfinite(float(_min(arr)) / tau)):
         raise InvalidParameterError(f"tau {tau!r} is too small: a logit / tau overflows")
     scaled = arr / float(tau)
     scaled -= top
     np.exp(scaled, out=scaled)
-    scaled /= scaled.sum()
+    scaled /= _sum(scaled)
     return scaled
 
 
@@ -211,11 +219,16 @@ def entropy(dist) -> float:
     """Shannon entropy in nats, with 0 * ln 0 := 0; result in [0, ln V].
 
     `dist` must be a valid non-empty 1-D distribution, such as a
-    `softmax_with_temperature` output; it is not checked.
+    `softmax_with_temperature` output; it is not checked. A row with no
+    zero is summed whole; only a row with one is copied without its zeros,
+    so the terms summed, and their order, are those of the nonzero entries
+    either way.
     """
     p = np.asarray(dist)
-    nz = p[p > 0.0]
-    h = float(-(nz * np.log(nz)).sum())
+    nz = p if _min(p) > 0.0 else p[p > 0.0]
+    terms = np.log(nz)
+    terms *= nz
+    h = -float(_sum(terms))
     # Clamp float noise; uniform gives exactly ln V up to rounding.
     return min(max(h, 0.0), math.log(p.size))
 

@@ -45,9 +45,13 @@ class FusionConfig:
             raise InvalidParameterError(f"w_asr must be finite and >= 0, got {self.w_asr}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FusionStep:
     """Everything one fused decoding step saw and decided.
+
+    A slotted record that callers treat as read-only: `decide` builds one
+    for every fused step, and a frozen dataclass would set each field
+    through `object.__setattr__`. Nothing assigns to a step or hashes one.
 
     `measured_u` is the entropy of p_llm where the step measured it (uadf,
     whose weight reads it) and None where it did not (static, whose weight

@@ -10,7 +10,11 @@ Their outputs depend only on their inputs, although `NgramModel` caches
 the distributions it computed and `NgramCorrector` the mixture parts it
 built from them. `NgramModel` keeps its counts by context, so a
 distribution it computes reads only the counts of its context, not one
-count per id of the vocabulary. `NgramCorrector.to_dict`/`from_dict`
+count per id of the vocabulary. `NgramCorrector` counts an N-best list's
+positional vote in one pass: one `np.bincount` over `position * V + id`
+gives every position's integer counts, and one `np.divide` by the number
+of hypotheses covering each position turns them into rows; the row past
+the longest hypothesis is uniform. `NgramCorrector.to_dict`/`from_dict`
 write and read the whole of a trained corrector's `lm.json`. A provider may
 define `row_key(length, ctx)`, as `AcousticChannel` does, to declare
 that `next_logits(history, ctx)` depends only on
@@ -26,6 +30,7 @@ utterances on one client evict each other's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +78,11 @@ class NgramModel:
             raise InvalidParameterError(f"order must be in [1, {MAX_ORDER}], got {order}")
         if not 0 <= smoothing < np.inf:
             raise InvalidParameterError(f"smoothing must be finite and >= 0, got {smoothing}")
+        # a row divides by total + smoothing * V: past the float range every
+        # row would come out all zeros instead of a distribution
+        if not smoothing * vocab.size < np.inf:
+            raise InvalidParameterError(f"smoothing {smoothing} times the vocabulary size "
+                                        f"{vocab.size} must be finite")
         self.vocab = vocab
         self.order = int(order)
         self.smoothing = float(smoothing)
@@ -121,22 +131,54 @@ class NgramModel:
     @classmethod
     def from_dict(cls, data: dict, vocab: Vocabulary) -> "NgramModel":
         """The model `to_dict` wrote: each n-gram is a [key, count] pair, its
-        key `order` token ids below V, listed once, its count in [1, 2**53]."""
+        key `order` token ids below V, listed once, its count in [1, 2**53].
+
+        The whole list is checked at once; only in a list that fails is each
+        entry checked on its own, so the first bad entry is the one named."""
         order, v = json_field(data, "order", (int,)), vocab.size
         model = cls(vocab, order=order, smoothing=json_field(data, "smoothing", (int, float)))
-        for entry in json_field(data, "ngrams", (list,)):
-            key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
-            if not is_token_id_list(key, v) or len(key) != order:
-                raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
-                                            f"token ids in [0, {v}), got {entry!r:.200}")
-            if type(count) is not int or not 1 <= count <= 2 ** 53:
-                raise InvalidParameterError(
-                    f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
-            seen = model.counts.setdefault(tuple(key[:-1]), {})
+        entries = json_field(data, "ngrams", (list,))
+        well_formed = _ngrams_well_formed(entries, order, v)
+        ctx = None
+        for entry in entries:
+            if not well_formed:
+                _check_ngram(entry, order, v)
+            key, count = entry
+            if key[:-1] != ctx:  # `to_dict` lists a context's n-grams together
+                ctx = key[:-1]
+                seen = model.counts.setdefault(tuple(ctx), {})
             if key[-1] in seen:
                 raise InvalidParameterError(f"n-gram key {key} is listed twice")
             seen[key[-1]] = count
         return model
+
+
+def _check_ngram(entry, order: int, v: int):
+    """Refuse an n-gram entry that is not a [key, count] pair with a key of
+    `order` token ids in [0, v) and a count in [1, 2**53]."""
+    key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
+    if not is_token_id_list(key, v) or len(key) != order:
+        raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
+                                    f"token ids in [0, {v}), got {entry!r:.200}")
+    if type(count) is not int or not 1 <= count <= 2 ** 53:
+        raise InvalidParameterError(
+            f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
+
+
+def _ngrams_well_formed(entries: list, order: int, v: int) -> bool:
+    """Whether every entry passes `_check_ngram`, decided with one pass of
+    C-level `map`/`min`/`max` per property instead of a Python loop per id:
+    types are compared exactly, so a bool is no integer here either."""
+    if not entries:
+        return True
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return False
+    keys, counts = zip(*entries)
+    if set(map(type, keys)) != {list} or set(map(len, keys)) != {order}:
+        return False
+    ids = list(chain.from_iterable(keys))
+    return (set(map(type, ids)) == {int} and set(map(type, counts)) == {int}
+            and 0 <= min(ids) and max(ids) < v and 1 <= min(counts) and max(counts) <= 2 ** 53)
 
 
 class NgramCorrector:
@@ -150,7 +192,8 @@ class NgramCorrector:
 
     Both terms are built once and reused: the weighted vote of every
     position of an N-best list when a step first reads that list (it is
-    held against the latest list only), and the weighted prior of an
+    held against the latest list only; `_vote_rows` counts the whole list
+    with one `np.bincount` and divides once), and the weighted prior of an
     n-gram context when a step first reads the row the model serves for
     it (held against that row, so a model trained again, which serves new
     rows, leaves none stale).
@@ -177,35 +220,45 @@ class NgramCorrector:
 
     def _vote_rows(self, nbest: tuple[TokenSeq, ...]) -> list:
         """vote_weight * p_vote for positions 0 .. longest hypothesis, one
-        row each; the last, uniform, stands for every position past them."""
-        held, rows = self._votes
-        if held is nbest:
-            return rows
+        row each; the last, uniform, stands for every position past them.
+
+        One `np.bincount` over `pos * V + tok` counts every position's
+        tokens, and one `np.divide` by the number of hypotheses covering
+        each position turns the counts into rows. Every position short of
+        the longest hypothesis is covered (by that hypothesis), so only the
+        last row needs the uniform fill. The counts are exact integers, so
+        each entry is one correctly rounded division of two integers. A
+        token id outside [0, V) is refused: it would count in another
+        position's row."""
         v = self.vocab.size
-        counts = np.zeros((max(map(len, nbest), default=0) + 1, v))
-        np.add.at(counts, ([pos for hyp in nbest for pos in range(len(hyp))],
-                           [tok for hyp in nbest for tok in hyp]), 1.0)
-        covering = counts.sum(axis=1)  # hypotheses long enough for each position
-        vote = np.full(counts.shape, 1.0 / v)
-        some = covering > 0
-        vote[some] = counts[some] / covering[some, None]
-        rows = list(self.vote_weight * vote)
+        toks = [tok for hyp in nbest for tok in hyp]
+        if toks and not (0 <= min(toks) and max(toks) < v):
+            bad = next(tok for tok in toks if not 0 <= tok < v)
+            raise InvalidInputError(f"N-best token id {bad} is outside [0, {v})")
+        n_pos = max(map(len, nbest), default=0) + 1
+        counts = np.bincount([pos * v + tok for hyp in nbest for pos, tok in enumerate(hyp)],
+                             minlength=n_pos * v).reshape(n_pos, v)
+        covered = counts[:-1]
+        vote = np.empty(counts.shape)
+        np.divide(covered, covered.sum(axis=1, keepdims=True), out=vote[:-1])
+        vote[-1] = 1.0 / v
+        vote *= self.vote_weight
+        rows = list(vote)
         self._votes = (nbest, rows)
         return rows
 
-    def _prior(self, history: TokenSeq) -> np.ndarray:
-        """(1 - vote_weight) * p_ngram(. | history), kept for as long as the
-        model serves the same row. The entry holds that row, so no other
-        array can take its id while the entry lives."""
-        p = self.model.cond_dist(history)
-        held = self._priors.get(id(p))
-        if held is None:
-            held = self._priors[id(p)] = (p, (1.0 - self.vote_weight) * p)
-        return held[1]
-
     def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
-        votes = self._vote_rows(ctx.nbest)
-        row = self._prior(history) + votes[min(len(history) - 1, len(votes) - 1)]
+        held, votes = self._votes
+        if held is not ctx.nbest:
+            votes = self._vote_rows(ctx.nbest)
+        # (1 - vote_weight) * p_ngram(. | history), kept for as long as the
+        # model serves the same row. The entry holds that row, so no other
+        # array can take its id while the entry lives.
+        p = self.model.cond_dist(history)
+        prior = self._priors.get(id(p))
+        if prior is None:
+            prior = self._priors[id(p)] = (p, (1.0 - self.vote_weight) * p)
+        row = prior[1] + votes[min(len(history), len(votes)) - 1]
         row += LOG_EPS
         return np.log(row, out=row)
 

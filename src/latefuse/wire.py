@@ -50,7 +50,7 @@ import threading
 
 import numpy as np
 
-from .core import Vocabulary, is_token_id_list, json_field, loads
+from .core import Vocabulary, argmax_token, is_token_id_list, json_field, loads
 from .errors import ConfigurationError, ProviderIOError
 from .providers import UtteranceContext
 
@@ -336,7 +336,7 @@ def _lookahead(provider, history: tuple, follow: tuple, ahead: int,
     path = list(follow)
     rows = [provider.next_logits(history + tuple(path[:i]), ctx) for i in range(len(path) + 1)]
     n_rows = min(MAX_AHEAD, len(path) + 1 + ahead)
-    while len(rows) < n_rows and (tok := int(np.argmax(rows[-1]))) != Vocabulary.EOS:
+    while len(rows) < n_rows and (tok := argmax_token(rows[-1])) != Vocabulary.EOS:
         path.append(tok)
         rows.append(provider.next_logits(history + tuple(path), ctx))
     return rows, path

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,59 @@ def frozen_encode():
 def frozen_record_context():
     """`corpus.record_context(record, vocab)` as first written."""
     return _frozen_record_context
+
+
+# -- the corrector's vote rows and the row math as first written (`np.add.at`
+# and boolean-mask copies; the `ndarray` reduction methods); kept frozen so
+# that the one-pass vote rows and the direct ufunc reductions can be
+# compared with them bit for bit.
+
+
+def _frozen_vote_rows(corrector, nbest):
+    """`NgramCorrector._vote_rows` as it counted with `np.add.at`."""
+    v = corrector.vocab.size
+    counts = np.zeros((max(map(len, nbest), default=0) + 1, v))
+    np.add.at(counts, ([pos for hyp in nbest for pos in range(len(hyp))],
+                       [tok for hyp in nbest for tok in hyp]), 1.0)
+    covering = counts.sum(axis=1)
+    vote = np.full(counts.shape, 1.0 / v)
+    some = covering > 0
+    vote[some] = counts[some] / covering[some, None]
+    return list(corrector.vote_weight * vote)
+
+
+def _frozen_softmax(logits, tau):
+    """`softmax_with_temperature` on a valid row and tau, as first written."""
+    arr = np.asarray(logits, dtype=np.float64)
+    top = float(arr.max()) / tau
+    scaled = arr / float(tau)
+    scaled -= top
+    np.exp(scaled, out=scaled)
+    scaled /= scaled.sum()
+    return scaled
+
+
+def _frozen_entropy(dist):
+    """`entropy` as first written: every row copied without its zeros."""
+    p = np.asarray(dist)
+    nz = p[p > 0.0]
+    h = float(-(nz * np.log(nz)).sum())
+    return min(max(h, 0.0), math.log(p.size))
+
+
+@pytest.fixture
+def frozen_vote_rows():
+    """`NgramCorrector._vote_rows(corrector, nbest)` as first written."""
+    return _frozen_vote_rows
+
+
+@pytest.fixture
+def frozen_softmax():
+    """`softmax_with_temperature(logits, tau)` as first written."""
+    return _frozen_softmax
+
+
+@pytest.fixture
+def frozen_entropy():
+    """`entropy(dist)` as first written."""
+    return _frozen_entropy

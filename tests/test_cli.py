@@ -542,6 +542,7 @@ NON_FINITE = [
     ("sweep", "--w-asr-values", "0,inf", "w_asr"),
     ("train-lm", "--smoothing", "nan", "smoothing"),
     ("train-lm", "--smoothing", "inf", "smoothing"),
+    ("train-lm", "--smoothing", "1e306", "smoothing"),  # times V = 200 overflows
     ("calibrate", "--tol", "nan", "tol"),
     ("calibrate", "--tol", "inf", "tol"),
     ("calibrate", "--tau-max", "inf", "tau_max"),
@@ -990,6 +991,23 @@ class TestSideFiles:
                     "--which", "asr", "--manifest", broken, "--out", out]
         assert run(*argv) == 3
         assert f"{broken}: sub_rate 0 and del_rate 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decode", "calibrate"])
+    def test_smoothing_that_overflows_is_data_error_naming_it(self, workspace, tmp_path,
+                                                              capsys, command):
+        """smoothing * V past the float range would make every n-gram row
+        all zeros; here V = 200."""
+        broken = tmp_path / "lm.json"
+        broken.write_text(setting(smoothing=1e306)((workspace / "lm.json").read_text()))
+        out = tmp_path / "x.jsonl"
+        if command == "decode":
+            argv = decode_args(workspace, "uadf", out, **{"lm-model": broken})
+        else:
+            argv = [*which_llm_args("calibrate")(workspace, out), "--lm-model", broken]
+        assert run(*argv) == 3
+        assert f"{broken}: smoothing 1e+306 times the vocabulary size 200 must be finite" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_corpus_id_is_data_error(self, workspace, tmp_path, capsys):

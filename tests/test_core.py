@@ -87,6 +87,38 @@ class TestEntropy:
             assert 0.0 <= h <= math.log(v) + 1e-12
 
 
+class TestRowMathFirstDefinitions:
+    """The reductions called as ufuncs, and an entropy that copies only a
+    row holding a zero, give the first definitions' results bit for bit."""
+
+    @staticmethod
+    def logit_rows():
+        rng = np.random.default_rng(23)
+        rows = [rng.normal(scale=scale, size=int(rng.integers(2, 300)))
+                for scale in (0.5, 5.0, 50.0, 500.0, 5000.0) for _ in range(20)]
+        rows += [np.array([0.0, -1000.0, 3.0]), np.log(np.array([1.0, 1e-12, 0.5, 1e-12])),
+                 np.zeros(200), np.array([7.0])]
+        return rows
+
+    @pytest.mark.parametrize("tau", [0.3, 0.75, 1.0, 1.6, 4.0])
+    def test_softmax_and_entropy(self, frozen_softmax, frozen_entropy, tau):
+        with_zero = 0
+        rows = self.logit_rows()
+        for logits in rows:
+            p = softmax_with_temperature(logits, tau)
+            assert p.tobytes() == frozen_softmax(logits, tau).tobytes()
+            assert entropy(p).hex() == frozen_entropy(p).hex()
+            with_zero += bool((p == 0.0).any())
+        assert 0 < with_zero < len(rows)  # both of entropy's paths ran
+
+    @pytest.mark.parametrize("dist", [
+        [1.0, 0.0, 0.0], [0.0, 1.0], [0.5, 0.5, 0.0, 0.0], [0.25] * 4, [1.0],
+        [0.0, 5e-324, 1.0], [0.3, 0.7],
+    ])
+    def test_entropy_of_hand_rows(self, frozen_entropy, dist):
+        assert entropy(np.array(dist)).hex() == frozen_entropy(np.array(dist)).hex()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -113,6 +145,21 @@ class TestValidationTable:
         else:
             with pytest.raises(InvalidInputError):
                 check(values)
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.0, NAN], "logits must be finite"),
+        ([0.0, INF], "logits must be finite"),
+        ([0.0, -INF], "logits must be finite"),
+        ([], "logits must be a non-empty 1-D vector"),
+        ([[0.0, 1.0]], "logits must be a non-empty 1-D vector"),
+        (np.zeros((2, 2)), "logits must be a non-empty 1-D vector"),
+    ], ids=["nan", "inf", "-inf", "empty", "row-in-a-list", "2-D"])
+    @pytest.mark.parametrize("check", [as_logits,
+                                       lambda v: softmax_with_temperature(v, 1.0)],
+                             ids=["as_logits", "softmax"])
+    def test_logits_message(self, check, values, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            check(values)
 
     @pytest.mark.parametrize("values, ok", [
         ([0.25, 0.75], True),

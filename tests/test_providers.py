@@ -1,9 +1,12 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from latefuse.cli import main
 from latefuse.core import Vocabulary, softmax_with_temperature
+from latefuse.corpus import load_corpus, record_context
 from latefuse.errors import CorpusSchemaError, InvalidInputError, InvalidParameterError
 from latefuse.providers import (
     LOG_EPS,
@@ -61,11 +64,74 @@ class TestNgramModel:
             with pytest.raises(InvalidParameterError, match="token ids in \\[0, 6\\)"):
                 NgramModel.from_dict(data, abc_vocab)
 
+    KEY = "n-gram [key, count] must have a key of 2 token ids in [0, 6), got "
+    COUNT = "n-gram count must be an integer in [1, 2**53], got "
+    TWICE = "n-gram key [3, 4] is listed twice"
+
+    @pytest.mark.parametrize("ngrams, message", [
+        ([[[3, 4], 1], "ab"], KEY + "'ab'"),
+        ([[[3, 4], 1, 2]], KEY + "[[3, 4], 1, 2]"),
+        ([[[3, 4]]], KEY + "[[3, 4]]"),
+        ([["ab", 1]], KEY + "['ab', 1]"),
+        ([[[3, True], 1]], KEY + "[[3, True], 1]"),
+        ([[[3, 4.0], 1]], KEY + "[[3, 4.0], 1]"),
+        ([[[3, -1], 1]], KEY + "[[3, -1], 1]"),
+        ([[[3, 6], 1]], KEY + "[[3, 6], 1]"),
+        ([[[3], 1]], KEY + "[[3], 1]"),
+        ([[[3, 4, 5], 1]], KEY + "[[3, 4, 5], 1]"),
+        ([[[3, 4], 0]], COUNT + "0"),
+        ([[[3, 4], 2 ** 53 + 1]], COUNT + str(2 ** 53 + 1)),
+        ([[[3, 4], True]], COUNT + "True"),
+        ([[[3, 4], 1.0]], COUNT + "1.0"),
+        ([[[3, 4], "1"]], COUNT + "'1'"),
+        ([[[3, 4], 1], [[3, 4], 2]], TWICE),
+        ([[[3, 4], 1], [[5, 5], 1], [[3, 4], 2]], TWICE),
+        # the first bad entry is the one named, whatever follows it
+        ([[[3, 5], 1], [[3, 4], 0], [[3, 9], 1]], COUNT + "0"),
+        ([[[3, 5], 1], [[3, 9], 1], [[3, 4], 0]], KEY + "[[3, 9], 1]"),
+        ([[[3, 4], 1], [[3, 4], 1], [[3, 9], 1]], TWICE),
+        ([[[3, 4], 1], [[3, 9], 1], [[3, 4], 1]], KEY + "[[3, 9], 1]"),
+    ])
+    def test_bad_ngram_is_refused_naming_the_first(self, abc_vocab, ngrams, message):
+        data = {"order": 2, "smoothing": 0.5, "ngrams": ngrams}
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            NgramModel.from_dict(data, abc_vocab)
+
+    def test_ngrams_in_any_order_give_the_same_counts(self, word_vocab):
+        model = NgramModel(word_vocab, order=3, smoothing=0.1)
+        model.train(random_sequences(word_vocab, seed=5))
+        data = model.to_dict()
+        shuffled = dict(data, ngrams=list(reversed(data["ngrams"][1::2] + data["ngrams"][::2])))
+        assert NgramModel.from_dict(shuffled, word_vocab).counts == model.counts
+
+    def test_ngrams_must_be_a_list(self, abc_vocab):
+        data = {"order": 2, "smoothing": 0.5, "ngrams": {"3 4": 1}}
+        with pytest.raises(CorpusSchemaError,
+                           match=re.escape("'ngrams' must be a list, got {'3 4': 1}")):
+            NgramModel.from_dict(data, abc_vocab)
+
     def test_bad_params(self, abc_vocab):
         with pytest.raises(InvalidParameterError):
             NgramModel(abc_vocab, order=0)
         with pytest.raises(InvalidParameterError):
             NgramModel(abc_vocab, smoothing=-1.0)
+
+    @pytest.mark.parametrize("smoothing, ok", [(1e305, True), (1e306, False), (1e308, False)])
+    def test_smoothing_times_the_vocabulary_size_must_be_finite(self, smoothing, ok):
+        vocab = Vocabulary.from_words(f"w{i}" for i in range(197))
+        assert vocab.size == 200
+        data = {"order": 2, "smoothing": smoothing, "ngrams": [[[3, 4], 2]]}
+        if ok:
+            for model in (NgramModel(vocab, smoothing=smoothing),
+                          NgramModel.from_dict(data, vocab)):
+                assert model.cond_dist((Vocabulary.BOS, 3)).sum() == pytest.approx(1.0)
+        else:
+            refused = re.escape(f"smoothing {smoothing} times the vocabulary size 200 "
+                                "must be finite")
+            with pytest.raises(InvalidParameterError, match=refused):
+                NgramModel(vocab, smoothing=smoothing)
+            with pytest.raises(InvalidParameterError, match=refused):
+                NgramModel.from_dict(data, vocab)
 
     @pytest.mark.parametrize("order", [MAX_ORDER + 1, 2 ** 62, 10 ** 19])
     def test_order_past_max_order_is_refused(self, abc_vocab, order):
@@ -320,6 +386,60 @@ class TestCorrectorRows:
         after = corrector.next_logits(history, ctx)
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == per_call_row(model, 0.5, history, lists["B"]).tobytes()
+
+
+@pytest.fixture(scope="module")
+def walkthrough_lists(tmp_path_factory):
+    """(vocabulary, every N-best list) of the seed-0 300/60/100 walkthrough
+    corpus, all three splits, as `decode` reads them."""
+    out = tmp_path_factory.mktemp("walkthrough") / "data"
+    assert main(["simulate", "--out-dir", str(out), "--n-train", "300", "--n-val", "60",
+                 "--n-test", "100", "--seed", "0"]) == 0
+    vocab = Vocabulary.load(out / "vocab.txt")
+    lists = [record_context(record, vocab)[0].nbest
+             for split in ("train", "val", "test")
+             for record in load_corpus(out / f"{split}.jsonl")]
+    return vocab, lists
+
+
+class TestVoteRows:
+    """The vote rows counted in one pass equal, bit for bit, the rows the
+    `np.add.at` count gave, and an id outside the vocabulary is refused."""
+
+    @staticmethod
+    def assert_first_definition(corrector, nbest, frozen_vote_rows):
+        got = corrector._vote_rows(nbest)
+        want = frozen_vote_rows(corrector, nbest)
+        assert len(got) == len(want) == max(map(len, nbest), default=0) + 1
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want], nbest
+
+    @pytest.mark.parametrize("vote_weight", [0.0, 0.35, 1.0])
+    def test_walkthrough_lists(self, walkthrough_lists, frozen_vote_rows, vote_weight):
+        vocab, lists = walkthrough_lists
+        assert len(lists) == 460
+        corrector = NgramCorrector(NgramModel(vocab), vote_weight=vote_weight)
+        for nbest in lists:
+            self.assert_first_definition(corrector, nbest, frozen_vote_rows)
+
+    @pytest.mark.parametrize("nbest", [
+        (),
+        ((3, 4, 5, 1), (3, 1), (5, 5, 5, 5, 5, 1)),
+        ((), (4, 1)),
+        ((),),
+        ((1,), (1,), (2, 1)),
+    ], ids=["empty-list", "unequal-lengths", "empty-hypothesis", "only-empty", "short"])
+    @pytest.mark.parametrize("vote_weight", [0.35, 1.0])
+    def test_edge_lists(self, abc_vocab, frozen_vote_rows, nbest, vote_weight):
+        corrector = NgramCorrector(NgramModel(abc_vocab), vote_weight=vote_weight)
+        self.assert_first_definition(corrector, nbest, frozen_vote_rows)
+
+    @pytest.mark.parametrize("bad", [6, -1, 2 ** 70], ids=["V", "minus-1", "2**70"])
+    def test_token_id_outside_the_vocabulary_is_refused(self, abc_vocab, bad):
+        corrector = NgramCorrector(NgramModel(abc_vocab), vote_weight=0.5)
+        ctx = UtteranceContext("u0", nbest=((3, 4, 1), (3, bad, 1)))
+        with pytest.raises(InvalidInputError,
+                           match=rf"N-best token id {bad} is outside \[0, 6\)"):
+            corrector.next_logits((Vocabulary.BOS, 3), ctx)
 
 
 class TestAcousticChannel:
