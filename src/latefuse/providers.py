@@ -30,7 +30,6 @@ utterances on one client evict each other's rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -76,16 +75,21 @@ class NgramModel:
     def __init__(self, vocab: Vocabulary, order: int = 2, smoothing: float = 0.5):
         if not 1 <= order <= MAX_ORDER:
             raise InvalidParameterError(f"order must be in [1, {MAX_ORDER}], got {order}")
-        if not 0 <= smoothing < np.inf:
-            raise InvalidParameterError(f"smoothing must be finite and >= 0, got {smoothing}")
+        try:
+            s = float(smoothing)
+        except OverflowError:  # an int past the float range
+            s = np.inf
+        if not 0 <= s < np.inf:
+            raise InvalidParameterError(
+                f"smoothing must be finite and >= 0, got {smoothing!s:.200}")
         # a row divides by total + smoothing * V: past the float range every
         # row would come out all zeros instead of a distribution
-        if not smoothing * vocab.size < np.inf:
-            raise InvalidParameterError(f"smoothing {smoothing} times the vocabulary size "
+        if not s * vocab.size < np.inf:
+            raise InvalidParameterError(f"smoothing {s} times the vocabulary size "
                                         f"{vocab.size} must be finite")
         self.vocab = vocab
         self.order = int(order)
-        self.smoothing = float(smoothing)
+        self.smoothing = s
         self.counts: dict[tuple, dict[int, int]] = {}
         self._dist_cache: dict[tuple, np.ndarray] = {}
 
@@ -131,54 +135,22 @@ class NgramModel:
     @classmethod
     def from_dict(cls, data: dict, vocab: Vocabulary) -> "NgramModel":
         """The model `to_dict` wrote: each n-gram is a [key, count] pair, its
-        key `order` token ids below V, listed once, its count in [1, 2**53].
-
-        The whole list is checked at once; only in a list that fails is each
-        entry checked on its own, so the first bad entry is the one named."""
+        key `order` token ids below V, listed once, its count in [1, 2**53]."""
         order, v = json_field(data, "order", (int,)), vocab.size
         model = cls(vocab, order=order, smoothing=json_field(data, "smoothing", (int, float)))
-        entries = json_field(data, "ngrams", (list,))
-        well_formed = _ngrams_well_formed(entries, order, v)
-        ctx = None
-        for entry in entries:
-            if not well_formed:
-                _check_ngram(entry, order, v)
-            key, count = entry
-            if key[:-1] != ctx:  # `to_dict` lists a context's n-grams together
-                ctx = key[:-1]
-                seen = model.counts.setdefault(tuple(ctx), {})
+        for entry in json_field(data, "ngrams", (list,)):
+            key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
+            if not is_token_id_list(key, v) or len(key) != order:
+                raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
+                                            f"token ids in [0, {v}), got {entry!r:.200}")
+            if type(count) is not int or not 1 <= count <= 2 ** 53:
+                raise InvalidParameterError(
+                    f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
+            seen = model.counts.setdefault(tuple(key[:-1]), {})
             if key[-1] in seen:
                 raise InvalidParameterError(f"n-gram key {key} is listed twice")
             seen[key[-1]] = count
         return model
-
-
-def _check_ngram(entry, order: int, v: int):
-    """Refuse an n-gram entry that is not a [key, count] pair with a key of
-    `order` token ids in [0, v) and a count in [1, 2**53]."""
-    key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
-    if not is_token_id_list(key, v) or len(key) != order:
-        raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
-                                    f"token ids in [0, {v}), got {entry!r:.200}")
-    if type(count) is not int or not 1 <= count <= 2 ** 53:
-        raise InvalidParameterError(
-            f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
-
-
-def _ngrams_well_formed(entries: list, order: int, v: int) -> bool:
-    """Whether every entry passes `_check_ngram`, decided with one pass of
-    C-level `map`/`min`/`max` per property instead of a Python loop per id:
-    types are compared exactly, so a bool is no integer here either."""
-    if not entries:
-        return True
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return False
-    keys, counts = zip(*entries)
-    if set(map(type, keys)) != {list} or set(map(len, keys)) != {order}:
-        return False
-    ids = list(chain.from_iterable(keys))
-    return (set(map(type, ids)) == {int} and set(map(type, counts)) == {int}
-            and 0 <= min(ids) and max(ids) < v and 1 <= min(counts) and max(counts) <= 2 ** 53)
 
 
 class NgramCorrector:

@@ -993,13 +993,14 @@ class TestSideFiles:
         assert f"{broken}: sub_rate 0 and del_rate 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("smoothing", [1e306, 10 ** 306], ids=["float", "int"])
     @pytest.mark.parametrize("command", ["decode", "calibrate"])
     def test_smoothing_that_overflows_is_data_error_naming_it(self, workspace, tmp_path,
-                                                              capsys, command):
+                                                              capsys, command, smoothing):
         """smoothing * V past the float range would make every n-gram row
         all zeros; here V = 200."""
         broken = tmp_path / "lm.json"
-        broken.write_text(setting(smoothing=1e306)((workspace / "lm.json").read_text()))
+        broken.write_text(setting(smoothing=smoothing)((workspace / "lm.json").read_text()))
         out = tmp_path / "x.jsonl"
         if command == "decode":
             argv = decode_args(workspace, "uadf", out, **{"lm-model": broken})

@@ -115,8 +115,12 @@ class TestNgramModel:
             NgramModel(abc_vocab, order=0)
         with pytest.raises(InvalidParameterError):
             NgramModel(abc_vocab, smoothing=-1.0)
+        with pytest.raises(InvalidParameterError, match="smoothing must be finite and >= 0"):
+            NgramModel(abc_vocab, smoothing=10 ** 400)  # an int past the float range
 
-    @pytest.mark.parametrize("smoothing, ok", [(1e305, True), (1e306, False), (1e308, False)])
+    @pytest.mark.parametrize("smoothing, ok", [(1e305, True), (1e306, False), (1e308, False),
+                                               (10 ** 305, True), (10 ** 306, False)],
+                             ids=["1e305", "1e306", "1e308", "int-10**305", "int-10**306"])
     def test_smoothing_times_the_vocabulary_size_must_be_finite(self, smoothing, ok):
         vocab = Vocabulary.from_words(f"w{i}" for i in range(197))
         assert vocab.size == 200
@@ -126,7 +130,7 @@ class TestNgramModel:
                           NgramModel.from_dict(data, vocab)):
                 assert model.cond_dist((Vocabulary.BOS, 3)).sum() == pytest.approx(1.0)
         else:
-            refused = re.escape(f"smoothing {smoothing} times the vocabulary size 200 "
+            refused = re.escape(f"smoothing {float(smoothing)} times the vocabulary size 200 "
                                 "must be finite")
             with pytest.raises(InvalidParameterError, match=refused):
                 NgramModel(vocab, smoothing=smoothing)
