@@ -10,8 +10,6 @@ or with the weight sigmoid(entropy of the primary) - beta.
 from .calibration import (
     CalibrationReport,
     fit_temperature,
-    mean_confidence,
-    reliability_bins,
     teacher_forced_trace,
 )
 from .core import (

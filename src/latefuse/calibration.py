@@ -13,13 +13,15 @@ bisection evaluation only divides, exponentiates and sums into one
 reused buffer; the confidences come out bit for bit as shifting at every
 evaluation gives them. The same shifted trace gives the report both
 reliability diagrams: its bins at tau 1, before calibration, and at the
-fitted tau.
+fitted tau. The report is the one way results leave this module: only
+the fit bins a trace, and `mean_confidence` reads only the
+`ShiftedTrace` the fit builds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,17 +53,7 @@ class CalibrationReport:
     ece_tau1: float
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "mean_confidence": self.mean_confidence,
-            "ter": self.ter,
-            "n_dec": self.n_dec,
-            "bins": [list(b) for b in self.bins],
-            "ece": self.ece,
-            "clamped": self.clamped,
-            "bins_tau1": [list(b) for b in self.bins_tau1],
-            "ece_tau1": self.ece_tau1,
-        }
+        return asdict(self)
 
 
 def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
@@ -128,21 +120,9 @@ class ShiftedTrace:
         return 1.0 / buf.sum(axis=1)
 
 
-def mean_confidence(traces, tau: float) -> float:
-    """Mean over steps of the max scaled softmax probability; `traces` is
-    a raw (steps, V) trace or its `ShiftedTrace`."""
-    if not isinstance(traces, ShiftedTrace):
-        traces = np.asarray(traces, dtype=np.float64)
-        if traces.size == 0:
-            raise InvalidInputError("traces are empty")
-        traces = ShiftedTrace(traces)
-    return float(traces.confidences(tau).mean())
-
-
-def check_bins(n_bins: int):
-    """Refuse a bin count outside [2, MAX_BINS]."""
-    if not 2 <= n_bins <= MAX_BINS:
-        raise InvalidParameterError(f"n_bins must be in [2, {MAX_BINS}], got {n_bins}")
+def mean_confidence(shifted: ShiftedTrace, tau: float) -> float:
+    """Mean over steps of the max scaled softmax probability."""
+    return float(shifted.confidences(tau).mean())
 
 
 def _bin(conf: np.ndarray, correct: np.ndarray, n_bins: int):
@@ -163,16 +143,6 @@ def _bin(conf: np.ndarray, correct: np.ndarray, n_bins: int):
     return tuple(bins), float(ece)
 
 
-def reliability_bins(traces: np.ndarray, targets: np.ndarray, tau: float,
-                     n_bins: int = DEFAULT_BINS):
-    """Equal-width confidence bins on [0, 1] plus the expected calibration
-    error; returns (bins, ece) with exactly n_bins rows."""
-    check_bins(n_bins)
-    traces = np.asarray(traces, dtype=np.float64)
-    correct = traces.argmax(axis=1) == np.asarray(targets, dtype=np.int64)
-    return _bin(ShiftedTrace(traces).confidences(tau), correct, n_bins)
-
-
 def check_fit_parameters(tol: float, bounds, max_iter: int, n_bins: int):
     """Refuse the parameters of `fit_temperature`, so that a caller can
     check them before it opens a provider."""
@@ -183,7 +153,8 @@ def check_fit_parameters(tol: float, bounds, max_iter: int, n_bins: int):
         raise InvalidParameterError(f"tol must be finite and positive, got {tol}")
     if max_iter < 0:
         raise InvalidParameterError(f"max_iter must be >= 0, got {max_iter}")
-    check_bins(n_bins)
+    if not 2 <= n_bins <= MAX_BINS:
+        raise InvalidParameterError(f"n_bins must be in [2, {MAX_BINS}], got {n_bins}")
 
 
 def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,

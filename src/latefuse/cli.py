@@ -20,7 +20,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -236,7 +236,7 @@ def _read_json(path, parse):
 
 
 # simulate's channel options, and the manifest fields `decode` reads
-_CHANNEL_FIELDS = ("sub_rate", "del_rate", "ins_rate", "concentration", "seed")
+_CHANNEL_FIELDS = tuple(f.name for f in fields(corpus.ChannelSpec))
 
 
 def build_provider(spec: ProviderSpec, vocab: Vocabulary):
@@ -331,7 +331,7 @@ def cmd_simulate(resolved: dict):
     for split, records in splits.items():
         corpus.save_corpus(records, out_dir / f"{split}.jsonl")
     vocab.save(out_dir / "vocab.txt")
-    manifest = dict(channel.to_dict())
+    manifest = channel.to_dict()
     manifest.update({key: resolved[key] for key in
                      ("n_train", "n_val", "n_test", "beam", "n_best", "mean_len")})
     manifest["vocab_size"] = vocab.size

@@ -36,7 +36,8 @@ _sum = np.add.reduce
 class Vocabulary:
     """Bijective token-id <-> token-string map with reserved boundary ids.
 
-    Ids 0, 1, 2 are BOS, EOS and UNK respectively; real words follow.
+    Ids 0, 1, 2 are BOS, EOS and UNK respectively, with the tokens of
+    `SPECIALS`; real words follow.
     """
 
     tokens: tuple[str, ...]
@@ -48,8 +49,9 @@ class Vocabulary:
     SPECIALS = ("<s>", "</s>", "<unk>")  # the tokens of ids 0, 1 and 2
 
     def __post_init__(self):
-        if len(self.tokens) < 3:
-            raise InvalidInputError("vocabulary needs at least BOS, EOS and UNK")
+        if self.tokens[:3] != self.SPECIALS:
+            raise InvalidInputError(
+                f"vocabulary must begin with {self.SPECIALS}, got {self.tokens[:3]}")
         index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(index) < len(self.tokens):
             raise InvalidInputError("vocabulary repeats a token")
@@ -99,7 +101,8 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """The vocabulary `save` wrote, blank lines skipped; a token holding
-        whitespace (`encode` never yields one) or seen twice is a data error."""
+        whitespace (`encode` never yields one) or seen twice, or a file whose
+        first three tokens are not `SPECIALS` in order, is a data error."""
         first_line = {}  # token -> line; insertion order is id order
         for line_no, tok in read_lines(path):
             if not tok:
@@ -110,6 +113,11 @@ class Vocabulary:
                 raise InvalidInputError(
                     f"{path}:{line_no}: token {tok!r} repeats line {first_line[tok]}")
             first_line[tok] = line_no
+        for tok, special in zip(first_line, cls.SPECIALS):
+            if tok != special:
+                raise InvalidInputError(
+                    f"{path}:{first_line[tok]}: token {tok!r} where {special!r} belongs; "
+                    f"the first three tokens must be {' '.join(cls.SPECIALS)}")
         if len(first_line) < 3:
             raise InvalidInputError(f"{path}: vocabulary needs at least BOS, EOS and UNK")
         return cls(tokens=tuple(first_line))

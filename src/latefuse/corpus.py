@@ -15,7 +15,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -98,13 +98,7 @@ class ChannelSpec:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "sub_rate": self.sub_rate,
-            "del_rate": self.del_rate,
-            "ins_rate": self.ins_rate,
-            "concentration": self.concentration,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -229,17 +223,26 @@ def _grammar_sentence(rng: np.random.Generator, mean_len: float) -> list[str]:
     return words
 
 
+_RESERVED = frozenset(Vocabulary.SPECIALS[:Vocabulary.UNK])  # the BOS and EOS tokens
+
+
+def _words(text: str, key: str, where: str) -> str:
+    """`text`, unless a word of it is the BOS or EOS token, which `encode`
+    would read as that id: then CorpusSchemaError naming `key`, prefixed
+    by `where`."""
+    if "s>" in text:  # both tokens end so; the substring test is cheaper than a split
+        found = _RESERVED.intersection(text.split())
+        if found:
+            raise CorpusSchemaError(key, f"{where}: reserved token {min(found)!r} in {key!r}")
+    return text
+
+
 def _read_sentences(source) -> list[str]:
     """The lower-cased non-blank lines of a source file; a line holding a
-    BOS or EOS token is a data error, since ids would misread it."""
-    reserved = {Vocabulary.SPECIALS[Vocabulary.BOS], Vocabulary.SPECIALS[Vocabulary.EOS]}
+    BOS or EOS token is a data error (`_words`)."""
     sentences = []
     for line_no, line in read_lines(source):
-        sentence = line.strip().lower()
-        found = reserved.intersection(sentence.split())
-        if found:
-            raise InvalidInputError(
-                f"{source}:{line_no}: reserved token {min(found)!r} in a sentence")
+        sentence = _words(line.strip().lower(), "sentence", f"{source}:{line_no}")
         if sentence:
             sentences.append(sentence)
     return sentences
@@ -420,7 +423,8 @@ def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
         raise CorpusParseError(path, line_no, "a record must be a JSON object")
     where = f"{path}:{line_no}"
     utt_id = json_field(raw, fmap["id"], (str, int), where=where)
-    reference = json_field(raw, fmap["reference"], (str,), str.strip, "a non-empty string", where)
+    reference = _words(json_field(raw, fmap["reference"], (str,), str.strip,
+                                  "a non-empty string", where), fmap["reference"], where)
     hyps = json_field(raw, fmap["nbest"], (list,), len, "a non-empty list", where)
     nbest = []
     for rank, hyp in enumerate(hyps):
@@ -430,8 +434,9 @@ def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
         score = -float(rank)  # a plain string, or a hypothesis without a score
         if isinstance(hyp, dict) and hyp.get(fmap["nbest_score"]) is not None:
             score = float(json_field(hyp, fmap["nbest_score"], (int, float), where=at))
-        nbest.append((text, score))
-    observation = json_field(raw, fmap["observation"], (str,), where=where) \
+        nbest.append((_words(text, fmap["nbest_text"], at), score))
+    observation = _words(json_field(raw, fmap["observation"], (str,), where=where),
+                         fmap["observation"], where) \
         if fmap["observation"] in raw else nbest[0][0]
     return CorpusRecord(
         id=str(utt_id),

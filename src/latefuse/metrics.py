@@ -17,7 +17,7 @@ third. `wer` and the merge read one walk back through their table,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidInputError, InvalidParameterError
 
@@ -39,14 +39,7 @@ class ScoreReport:
         return (self.substitutions + self.insertions + self.deletions) / self.n_ref_words
 
     def to_dict(self) -> dict:
-        return {
-            "wer": self.wer,
-            "substitutions": self.substitutions,
-            "insertions": self.insertions,
-            "deletions": self.deletions,
-            "hits": self.hits,
-            "n_ref_words": self.n_ref_words,
-        }
+        return {"wer": self.wer, **asdict(self)}
 
 
 def _edit_table(rows, cols, skips=None) -> list[list[int]]:

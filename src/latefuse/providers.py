@@ -274,10 +274,10 @@ class AcousticChannel:
         if not (np.all(confusion >= 0) and np.all(np.abs(confusion.sum(axis=1) - 1.0) <= 1e-9)):
             raise InvalidInputError("confusion rows must be finite, nonnegative and sum to 1")
         self.vocab = vocab
-        self._log_rows = np.log(confusion + LOG_EPS)
         eos_row = np.zeros(v)
         eos_row[Vocabulary.EOS] = 1.0
-        self._log_eos_row = np.log(eos_row + LOG_EPS)
+        # the EOS row last, so that row_key's -1 indexes it
+        self._log_rows = np.log(np.vstack([confusion, eos_row]) + LOG_EPS)
 
     def row_key(self, length: int, ctx: UtteranceContext) -> int:
         """The observed token a history of `length` ids reads, or -1 past the
@@ -288,8 +288,7 @@ class AcousticChannel:
         return obs[length] if length < len(obs) else -1
 
     def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
-        key = self.row_key(len(history), ctx)
-        return (self._log_rows[key] if key >= 0 else self._log_eos_row).copy()
+        return self._log_rows[self.row_key(len(history), ctx)].copy()
 
 
 @dataclass(frozen=True)

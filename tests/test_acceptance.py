@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from latefuse.calibration import collect_traces, fit_temperature, reliability_bins
+from latefuse.calibration import collect_traces, fit_temperature
 from latefuse.cli import main as cli_main
 from latefuse.core import Vocabulary, argmax_token
 from latefuse.corpus import (
@@ -157,7 +157,7 @@ def test_criterion_3_brute_force_equivalence():
              f"({mismatches} mismatches)", cases >= 200 and mismatches == 0)
 
 
-def test_criterion_4_calibration_fixed_point(bench):
+def test_criterion_4_calibration_fixed_point(bench, frozen_bins):
     ok = True
     parts = []
     for name in ("llm", "asr"):
@@ -168,8 +168,8 @@ def test_criterion_4_calibration_fixed_point(bench):
                      f"ece {rep.ece_tau1:.4f}->{rep.ece:.4f}")
         ok &= gap <= 1e-3 and not rep.clamped and rep.ece < rep.ece_tau1
         # the report's bins are those of the collected trace at each tau
-        assert (rep.bins_tau1, rep.ece_tau1) == reliability_bins(traces, targets, 1.0)
-        assert (rep.bins, rep.ece) == reliability_bins(traces, targets, rep.tau)
+        assert (rep.bins_tau1, rep.ece_tau1) == frozen_bins(traces, targets, 1.0, 10)
+        assert (rep.bins, rep.ece) == frozen_bins(traces, targets, rep.tau, 10)
     check(4, "; ".join(parts), ok)
 
 

@@ -7,12 +7,15 @@ import pytest
 
 from latefuse import calibration
 from latefuse.calibration import (
+    DEFAULT_BOUNDS,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     MAX_BINS,
     ShiftedTrace,
+    check_fit_parameters,
     collect_traces,
     fit_temperature,
     mean_confidence,
-    reliability_bins,
     teacher_forced_trace,
 )
 from latefuse.core import Vocabulary
@@ -59,23 +62,19 @@ class TestTeacherForcedTrace:
 class TestMeanConfidence:
     def test_dirac_logits_give_one(self):
         traces = np.array([[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
-        assert mean_confidence(traces, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert mean_confidence(ShiftedTrace(traces), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_logits_give_uniform(self):
-        traces = np.zeros((10, 4))
+        shifted = ShiftedTrace(np.zeros((10, 4)))
         for tau in (0.3, 1.0, 7.0):
-            assert mean_confidence(traces, tau) == pytest.approx(0.25, abs=1e-12)
+            assert mean_confidence(shifted, tau) == pytest.approx(0.25, abs=1e-12)
 
     def test_monotone_nonincreasing_in_tau(self):
         rng = np.random.default_rng(11)
-        traces = rng.normal(scale=3.0, size=(50, 8))
+        shifted = ShiftedTrace(rng.normal(scale=3.0, size=(50, 8)))
         taus = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
-        confs = [mean_confidence(traces, t) for t in taus]
+        confs = [mean_confidence(shifted, t) for t in taus]
         assert all(a >= b - 1e-12 for a, b in zip(confs, confs[1:]))
-
-    def test_empty_traces_rejected(self):
-        with pytest.raises(InvalidInputError):
-            mean_confidence(np.zeros((0, 4)), 1.0)
 
 
 class TestTokenErrorRate:
@@ -141,7 +140,8 @@ class TestFitTemperature:
         traces, targets = collect_traces(provider, dataset)
         target = 1.0 - (traces.argmax(axis=1) != targets).mean()
         grid = np.geomspace(1e-2, 1e2, 20001)
-        grid_gaps = [abs(mean_confidence(traces, t) - target) for t in grid]
+        shifted = ShiftedTrace(traces)
+        grid_gaps = [abs(mean_confidence(shifted, t) - target) for t in grid]
         assert abs(report.mean_confidence - target) <= min(grid_gaps) + 1e-4
 
     def test_overconfident_provider_fits_tau_above_one(self, abc_vocab):
@@ -176,22 +176,26 @@ class TestFitTemperature:
         assert report.n_dec == 4 + 2 + 3
 
 
-class TestReliabilityBins:
+class TestReportBins:
+    """The report's two reliability diagrams: equal-width confidence bins
+    on [0, 1] and the expected calibration error, at tau 1 and at the
+    fitted tau."""
+
     def test_perfect_provider_has_zero_ece(self, abc_vocab, identity_channel):
         dataset = dataset_from_texts(abc_vocab, ["a b c"])
-        traces, targets = collect_traces(identity_channel, dataset)
-        bins, ece = reliability_bins(traces, targets, tau=1.0, n_bins=10)
-        occupied = [b for b in bins if b[2] > 0]
-        assert len(occupied) == 1
-        assert ece == pytest.approx(0.0, abs=1e-9)
+        report = fit_temperature(identity_channel, dataset, n_bins=10)
+        for bins, ece in ((report.bins_tau1, report.ece_tau1), (report.bins, report.ece)):
+            occupied = [b for b in bins if b[2] > 0]
+            assert len(occupied) == 1
+            assert ece == pytest.approx(0.0, abs=1e-9)
 
-    def test_counts_partition_steps(self, abc_vocab):
-        rng = np.random.default_rng(23)
-        traces = rng.normal(size=(137, abc_vocab.size))
-        targets = rng.integers(0, abc_vocab.size, size=137)
-        bins, _ = reliability_bins(traces, targets, tau=1.0, n_bins=7)
-        assert len(bins) == 7
-        assert sum(b[2] for b in bins) == 137
+    def test_counts_partition_steps(self):
+        provider, dataset = matrix_case(23, steps=137, vocab=6)
+        report = fit_temperature(provider, dataset, n_bins=7)
+        assert report.n_dec == 137
+        for bins in (report.bins, report.bins_tau1):
+            assert len(bins) == 7
+            assert sum(b[2] for b in bins) == 137
 
     def test_calibration_reduces_ece_for_overconfident_provider(self, abc_vocab):
         rows = [[0.0, 0.0, 9.0, 0.0, 0.0, 0.0]]
@@ -199,14 +203,14 @@ class TestReliabilityBins:
         dataset = [(UtteranceContext(utt_id="u0"), (2,) * 15 + (1,) * 1),
                    (UtteranceContext(utt_id="u1"), (2,) * 12 + (1,))]
         report = fit_temperature(provider, dataset)
-        traces, targets = collect_traces(provider, dataset)
-        _, ece_before = reliability_bins(traces, targets, tau=1.0)
-        _, ece_after = reliability_bins(traces, targets, tau=report.tau)
-        assert ece_after < ece_before
+        assert report.ece < report.ece_tau1
 
-    def test_min_bins(self, abc_vocab):
-        with pytest.raises(InvalidParameterError):
-            reliability_bins(np.zeros((3, 6)), np.zeros(3, dtype=int), 1.0, n_bins=1)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equal_frozen_reliability_bins_at_the_fitted_tau(self, frozen_bins, seed):
+        provider, dataset = matrix_case(seed, steps=300)
+        report = fit_temperature(provider, dataset)
+        traces, targets = collect_traces(provider, dataset)
+        assert (report.bins, report.ece) == frozen_bins(traces, targets, report.tau, 10)
 
 
 class _MatrixProvider:
@@ -287,8 +291,7 @@ class TestShiftedTraceMatchesPerCallShift:
                 want = 1.0 / np.exp((traces - traces.max(axis=1, keepdims=True))
                                     / tau).sum(axis=1)
             assert shifted.confidences(tau).tobytes() == want.tobytes()
-            assert mean_confidence(shifted, tau) == mean_confidence(traces, tau) \
-                == float(want.mean())
+            assert mean_confidence(shifted, tau) == float(want.mean())
 
     def test_peak_memory_no_higher_than_frozen_fit(self, frozen_fit):
         provider, dataset = matrix_case(0)
@@ -352,7 +355,7 @@ class TestParameterBounds:
         with pytest.raises(InvalidParameterError, match="n_bins"):
             fit_temperature(identity_channel, dataset, n_bins=n_bins)
         with pytest.raises(InvalidParameterError, match="n_bins"):
-            reliability_bins(np.zeros((3, 6)), np.zeros(3, dtype=int), 1.0, n_bins=n_bins)
+            check_fit_parameters(DEFAULT_TOL, DEFAULT_BOUNDS, DEFAULT_MAX_ITER, n_bins)
 
     def test_negative_max_iter(self, abc_vocab, identity_channel, no_traces):
         dataset = dataset_from_texts(abc_vocab, ["a"])
@@ -360,10 +363,9 @@ class TestParameterBounds:
             fit_temperature(identity_channel, dataset, max_iter=-5)
 
     def test_max_bins_is_accepted(self):
-        rng = np.random.default_rng(2)
-        bins, _ = reliability_bins(rng.normal(size=(50, 6)), rng.integers(0, 6, size=50),
-                                   1.0, n_bins=MAX_BINS)
-        assert len(bins) == MAX_BINS
+        provider, dataset = matrix_case(2, steps=50, vocab=6)
+        report = fit_temperature(provider, dataset, n_bins=MAX_BINS)
+        assert len(report.bins) == len(report.bins_tau1) == MAX_BINS
 
     def test_zero_max_iter_returns_the_flagged_midpoint(self):
         provider, dataset = matrix_case(3, steps=100)

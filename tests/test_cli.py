@@ -203,9 +203,10 @@ class TestCalibrate:
             in capsys.readouterr().out
 
     @pytest.mark.parametrize("which", ["llm", "asr"])
-    def test_report_bins_are_those_of_the_collected_trace(self, workspace, which):
-        """Both diagrams in a written report are `reliability_bins` of the
-        provider's teacher-forced trace, at tau 1 and at the fitted tau."""
+    def test_report_bins_are_those_of_the_collected_trace(self, workspace, frozen_bins, which):
+        """Both diagrams in a written report are the reference bins
+        (`frozen_bins`) of the provider's teacher-forced trace, at tau 1 and
+        at the fitted tau."""
         report = json.loads((workspace / f"calibration-{which}.json").read_text())
         data = workspace / "data"
         resolved = resolve(["calibrate", "--corpus", data / "val.jsonl",
@@ -220,7 +221,7 @@ class TestCalibrate:
                 build(resolved, vocab, opened), cli._calibration_set(records, vocab))
         for tau, bins_key, ece_key in ((1.0, "bins_tau1", "ece_tau1"),
                                        (report["tau"], "bins", "ece")):
-            bins, ece = calibration.reliability_bins(traces, targets, tau)
+            bins, ece = frozen_bins(traces, targets, tau, resolved["bins"])
             assert report[bins_key] == [list(b) for b in bins]
             assert report[ece_key] == ece
 
@@ -696,6 +697,53 @@ class TestNonUtf8Input:
                    "--n-test", 1, "--source", broken) == 3
         assert f"{broken}:2: not UTF-8" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMisreadableInput:
+    """Input that token ids would misread is a data error naming the file
+    and line, and `decode` writes nothing: a vocabulary whose first three
+    tokens are not the specials, and corpus text holding BOS or EOS."""
+
+    def test_vocabulary_without_the_specials_first(self, workspace, tmp_path, capsys):
+        words = (workspace / "data" / "vocab.txt").read_text().splitlines()[3:]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(words) + "\n")
+        out = tmp_path / "out" / "hyp.jsonl"
+        assert run(*decode_args(workspace, "asr", out, vocab=vocab)) == 3
+        assert f"{vocab}:1: token {words[0]!r} where '<s>' belongs" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    @staticmethod
+    def with_word_in_line_2(workspace, tmp_path, field, word):
+        """A copy of the test split whose second record's `field` (the text
+        of its second hypothesis, for "text") holds `word` after two words."""
+        lines = (workspace / "data" / "test.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        holder = record["nbest"][1] if field == "text" else record
+        words = holder[field].split()
+        holder[field] = " ".join(words[:2] + [word] + words[2:])
+        lines[1] = json.dumps(record)
+        path = tmp_path / "test.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("field, word, named", [
+        ("observation", "</s>", ""), ("reference", "<s>", ""),
+        ("text", "</s>", " hypothesis 1:"),
+    ])
+    def test_reserved_token_in_corpus_text(self, workspace, tmp_path, capsys, field, word,
+                                           named):
+        broken = self.with_word_in_line_2(workspace, tmp_path, field, word)
+        out = tmp_path / "out" / "hyp.jsonl"
+        assert run(*decode_args(workspace, "asr", out, corpus=broken)) == 3
+        assert f"{broken}:2:{named} reserved token {word!r} in {field!r}" \
+            in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_unknown_word_token_in_corpus_text_is_read(self, workspace, tmp_path):
+        corpus_path = self.with_word_in_line_2(workspace, tmp_path, "observation", "<unk>")
+        out = tmp_path / "hyp.jsonl"
+        assert run(*decode_args(workspace, "asr", out, corpus=corpus_path)) == 0
 
 
 class TestScore:

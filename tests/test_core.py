@@ -242,6 +242,13 @@ class TestVocabulary:
         with pytest.raises(InvalidInputError):
             Vocabulary(tokens=("<s>", "</s>"))
 
+    @pytest.mark.parametrize("tokens", [
+        ("a", "b", "c", "d"), ("<s>", "<unk>", "</s>"), ("a", "<s>", "</s>", "<unk>"),
+    ], ids=["none", "swapped", "shifted"])
+    def test_specials_first_in_order(self, tokens):
+        with pytest.raises(InvalidInputError, match="must begin with"):
+            Vocabulary(tokens=tokens)
+
     def test_duplicates_rejected(self):
         with pytest.raises(InvalidInputError):
             Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "a"))
@@ -260,7 +267,12 @@ class TestVocabulary:
         (["<s>", "</s>", "<unk>", "two words"], ":4: token 'two words' holds whitespace"),
         (["<s>", "</s>", "<unk>", " a"], ":4: token ' a' holds whitespace"),
         (["<s>", "</s>"], ": vocabulary needs at least BOS, EOS and UNK"),
-    ], ids=["repeated", "inner-space", "leading-space", "two-lines"])
+        (["hello", "world", "foo", "bar"], ":1: token 'hello' where '<s>' belongs"),
+        (["<s>", "<unk>", "</s>", "a"], ":2: token '<unk>' where '</s>' belongs"),
+        (["", "<s>", "</s>", "", "a", "<unk>"], ":5: token 'a' where '<unk>' belongs"),
+        (["<s>", "a"], ":2: token 'a' where '</s>' belongs"),
+    ], ids=["repeated", "inner-space", "leading-space", "two-lines", "no-specials",
+            "specials-swapped", "unk-after-a-word", "short-without-eos"])
     def test_load_names_the_file_and_line(self, tmp_path, lines, named):
         path = tmp_path / "vocab.txt"
         path.write_text("\n".join(lines) + "\n")

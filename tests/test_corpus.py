@@ -272,6 +272,45 @@ class TestSerialization:
         assert err.value.field == field
         assert f"{path}:1:" in str(err.value)
 
+    @pytest.mark.parametrize("raw, field, named", [
+        ({"id": "a", "reference": "x </s> y", "nbest": ["x"]}, "reference", ""),
+        ({"id": "a", "reference": "x", "observation": "<s> x", "nbest": ["x"]},
+         "observation", ""),
+        ({"id": "a", "reference": "x", "observation": "x </s>", "nbest": ["x"]},
+         "observation", ""),
+        ({"id": "a", "reference": "x", "nbest": ["x", "x </s> <s>"]}, "text", " hypothesis 1:"),
+        ({"id": "a", "reference": "x", "nbest": [{"text": "</s>", "score": 0}]},
+         "text", " hypothesis 0:"),
+    ], ids=["reference", "observation-bos", "observation-eos", "string-hypothesis",
+            "hypothesis-text"])
+    def test_reserved_token_in_text_is_schema_error(self, tmp_path, raw, field, named):
+        """`encode` would read <s> and </s> as the BOS and EOS ids."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "z", "reference": "x", "nbest": ["x"]}) + "\n"
+                        + json.dumps(raw) + "\n")
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert err.value.field == field
+        message = str(err.value)
+        assert message.startswith(f"{path}:2:{named} reserved token ")
+        assert message.endswith(f" in {field!r}")
+
+    def test_reserved_token_names_the_mapped_field(self, tmp_path):
+        path = tmp_path / "external.jsonl"
+        path.write_text(json.dumps({"id": "a", "output": "x </s>", "nbest": ["x"]}) + "\n")
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path, field_map={"reference": "output"})
+        assert err.value.field == "output"
+
+    def test_unknown_word_token_is_text(self, tmp_path):
+        raw = {"id": "a", "reference": "x <unk>", "observation": "<unk> x",
+               "nbest": ["<unk>", {"text": "x <unk>"}]}
+        path = tmp_path / "unk.jsonl"
+        path.write_text(json.dumps(raw) + "\n")
+        rec, = load_corpus(path)
+        assert (rec.reference, rec.observation) == ("x <unk>", "<unk> x")
+        assert [text for text, _ in rec.nbest] == ["<unk>", "x <unk>"]
+
     def test_non_object_line_is_parse_error(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('["a", "x", ["x"]]\n')

@@ -759,12 +759,13 @@ def hello_request(vocab):
             "logits_encoding": LOGITS_ENCODING}
 
 
-def served_steps(vocab, steps, hello=True):
-    """The (header, logits) replies of `stdio_serve` (HashProvider) to `steps`."""
+def served_steps(vocab, steps, hello=True, provider=None):
+    """The (header, logits) replies of `stdio_serve` (`provider`, by default
+    HashProvider) to `steps`."""
     head = [hello_request(vocab)] if hello else []
     stdin = io.BytesIO("".join(json.dumps(m) + "\n" for m in head + steps).encode())
     stdout = io.BytesIO()
-    stdio_serve(HashProvider(vocab), HASH_CONTEXTS, stdin=stdin, stdout=stdout)
+    stdio_serve(provider or HashProvider(vocab), HASH_CONTEXTS, stdin=stdin, stdout=stdout)
     return read_replies(stdout.getvalue())[len(head):]
 
 
@@ -862,6 +863,31 @@ class TestServerChecksRequests:
             for i, row in enumerate(rows):
                 assert row.tobytes() == provider.next_logits(
                     history + tuple(path[:i]), ctx).tobytes()
+
+    def test_lookahead_follows_the_lower_of_tied_ids(self, abc_vocab):
+        """Rows tie ids 3 and 5 until the history holds 4 ids, then offer
+        EOS: the path takes id 3, as `argmax_token` does, and each row is
+        the one that path's history gets."""
+
+        class TiedProvider:
+            vocab = abc_vocab
+
+            def next_logits(self, history, ctx):
+                row = np.zeros(abc_vocab.size)
+                if len(history) < 4:
+                    row[[3, 5]] = 1.0
+                    row[4] = 0.1 * history.count(3)  # the two paths' rows differ
+                else:
+                    row[Vocabulary.EOS] = 1.0
+                return row
+
+        provider, ctx = TiedProvider(), HASH_CONTEXTS["u0"]
+        (header, logits), = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u0", "history": [0], "ahead": 10}], provider=provider)
+        assert header["path"] == [3, 3, 3]
+        rows = logits.reshape(-1, abc_vocab.size)
+        assert [row.tobytes() for row in rows] == \
+            [provider.next_logits((0,) + (3,) * i, ctx).tobytes() for i in range(4)]
 
     @pytest.mark.parametrize("history", [[], [3], [3, 0]], ids=repr)
     def test_history_must_start_with_bos(self, abc_vocab, history):
