@@ -60,16 +60,14 @@ def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -
     """Raw logits per reference step, conditioned on the reference prefix.
 
     Row t is the provider's output given history BOS + reference[:t]; the
-    trace has exactly one row per reference token (EOS included). A
-    provider with a `prefetch` method (one served over the wire) is told
-    the whole path first, so it can fetch the rows in few round trips.
+    trace has exactly one row per reference token (EOS included). It
+    announces nothing to the provider: `collect_traces` announces a whole
+    set.
     """
     reference = tuple(reference)
     if not reference or reference[-1] != Vocabulary.EOS:
         raise InvalidInputError("reference must be non-empty and EOS-terminated")
     history: TokenSeq = (Vocabulary.BOS,)
-    if hasattr(provider, "prefetch"):
-        provider.prefetch(history, reference[:-1], ctx)
     rows = []
     for tok in reference:
         rows.append(provider.next_logits(history, ctx))
@@ -78,7 +76,15 @@ def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -
 
 
 def collect_traces(provider, dataset):
-    """Stack teacher-forced logits and targets over (ctx, reference) pairs."""
+    """Stack teacher-forced logits and targets over (ctx, reference) pairs.
+
+    A provider with a `prefetch` method (one served over the wire) is told
+    the whole set first, each reference but its EOS as the follow of its
+    utterance, so it can fetch the rows of many references per round trip.
+    """
+    dataset = list(dataset)
+    if hasattr(provider, "prefetch"):
+        provider.prefetch([(ctx, tuple(reference)[:-1]) for ctx, reference in dataset])
     traces, targets = [], []
     for ctx, reference in dataset:
         traces.append(teacher_forced_trace(provider, reference, ctx))

@@ -23,8 +23,10 @@ utterances. Beam search then asks it for one row per step
 instead of one per live beam, and a decode set normalises each of its
 keyed rows once per temperature (`decoding.calibrated_row`).
 The wire client, `wire.ExternalProvider`, keeps the unread rows of its
-latest reply and counts what its steps took, so callers that interleave
-utterances on one client evict each other's rows.
+replies by utterance and counts what its steps took. A caller that
+announces its utterances (`prefetch`) gets the first rows of up to
+`wire.MAX_ENTRIES` of them per round trip; starting an utterance drops
+the rows of those announced before it, and of any not announced.
 """
 
 from __future__ import annotations

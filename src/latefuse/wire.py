@@ -21,14 +21,28 @@ that argmax is EOS. The server then replies with
 {"logits_bytes": N, "path": [ids]} and a frame of one row of V logits for
 history and one for each history + path[:i], at most MAX_AHEAD rows. A
 reply without "path" is the one row for history, so a server that ignores
-"follow" and "ahead" is served one step per round trip. The client keeps
-the unread rows of its latest reply and answers later steps along the
-path from them. It asks for as many argmax tokens as the decode has been
-likely to take (see `_ahead`): a greedy decode that follows the provider's
-argmax makes one round trip per utterance, plus one each time it leaves
-it, and one that mostly leaves it soon sends plain one-row requests. This
-relies on a served provider returning the same logits for the same
+"follow" and "ahead" is served one step per round trip. The client asks
+for as many argmax tokens as the decode has been likely to take (see
+`_ahead`): a greedy decode that follows the provider's argmax needs no
+request past an utterance's first, plus one each time it leaves the
+path, and one that mostly leaves it soon sends plain one-row requests.
+This relies on a served provider returning the same logits for the same
 (utt, history).
+
+A caller that knows the utterances it will step through announces them
+(`ExternalProvider.prefetch`), each with the follow it will take from
+BOS: empty for a decode, the reference for teacher forcing. The request
+for an utterance's first row then also carries "more": up to
+MAX_ENTRIES - 1 entries {"utt", "history", "follow" | "ahead"} for the
+announced utterances after it that no request has named yet. The reply
+header adds "more_paths", one path per entry, and the frame appends each
+entry's len(path) + 1 rows in order, so a decode set that follows the
+served argmax makes one round trip per MAX_ENTRIES utterances. A reply
+without "more_paths" carries no rows for them, so a server that ignores
+"more" is served one round trip per utterance. The client keeps the unread rows of each utterance it fetched
+and answers later steps from them; starting an utterance drops the rows
+of the utterances announced before it, so it keeps the rows of at most
+MAX_ENTRIES utterances.
 
 Replies and requests are capped: a reply header longer than
 MAX_HEADER_BYTES or announcing more than `max_logits_bytes(V)`, and a
@@ -71,14 +85,22 @@ MIN_TAKE_CHANCE = 0.5
 # A request line longer than this, newline included, gets an error reply
 # and ends the connection; the longest hello or step request is far shorter.
 MAX_REQUEST_BYTES = 1 << 20
-# The longest reply header line the client reads, newline excluded: far
-# more than a path of MAX_AHEAD - 1 ids or an error message takes.
-MAX_HEADER_BYTES = 4096
+# The most utterances one step request names: its own, and up to
+# MAX_ENTRIES - 1 announced ones in its "more".
+MAX_ENTRIES = 16
+# The most digits of a token id that the header cap makes room for: a
+# vocabulary of up to 10 ** MAX_ID_DIGITS tokens.
+MAX_ID_DIGITS = 7
+# The longest reply header line the client reads, newline excluded: room
+# for MAX_ENTRIES paths of MAX_AHEAD - 1 ids, each with its ", ", plus
+# 512 bytes for the rest of the header, or for an error message.
+MAX_HEADER_BYTES = 512 + MAX_ENTRIES * (MAX_AHEAD - 1) * (MAX_ID_DIGITS + 2)
 
 
 def max_logits_bytes(vocab_size: int) -> int:
-    """The longest frame the client reads: MAX_AHEAD rows of float64s."""
-    return 8 * MAX_AHEAD * vocab_size
+    """The longest frame the client reads: MAX_AHEAD rows of float64s for
+    each of MAX_ENTRIES entries."""
+    return 8 * MAX_ENTRIES * MAX_AHEAD * vocab_size
 
 
 class _TcpTransport:
@@ -172,24 +194,33 @@ def _parse_line(line: bytes, kind: str = "response") -> dict:
 class ExternalProvider:
     """Client side of the wire protocol; validates every response.
 
-    Only the unread rows of the latest step reply are kept, keyed by
-    (utt, history); a step takes its row out, so callers that interleave
-    utterances on one client evict each other's rows. A step the rows do
-    not cover asks for the next stretch of the path `prefetch` announced,
-    if the step is on it, or else for as many tokens of the provider's
-    argmax path as `_ahead` gives for the rows the steps so far took and
-    left. `round_trips`, `rows_received` and `rows_used` count step
+    The unread rows of the step replies are kept by utterance, then by
+    history. A step takes its row out. A step the rows do not cover asks
+    for the next stretch of the follow `prefetch` announced for its
+    utterance, if the step is on it, or else for as many tokens of the
+    provider's argmax path as `_ahead` gives for the rows the steps so far
+    took and left. The request for the first row of an announced utterance
+    also asks for the first rows of the announced utterances after it (see
+    the module docstring). A fetch for an utterance replaces only that
+    utterance's rows, and starting an utterance drops the rows of every
+    other except the MAX_ENTRIES - 1 announced after it, so callers that
+    interleave unannounced utterances on one client drop each other's
+    rows. `round_trips`, `rows_received` and `rows_used` count step
     requests, the rows their replies carried and the rows a step read.
     """
 
     def __init__(self, transport, vocab: Vocabulary):
         self.vocab = vocab
         self._transport = transport
-        self._rows = {}  # (utt, history) -> row of the latest reply no step has read
-        self._plan = (None, ())  # (utt, history + follow) from `prefetch`, until fetched
-        self._offered = 0  # rows of the latest reply along the server's argmax path
+        self._rows = {}  # utt -> {history: row of a reply that no step has read}
+        self._offered = {}  # utt -> rows of its latest reply along the server's argmax path
+        self._plans = {}  # utt -> BOS + follow from `prefetch`, until fetched or left
+        self._announced = []  # the announced utts, in order
+        self._order = {}  # announced utt -> its place in `_announced`
+        self._next = 0  # the first place no request has named since `prefetch`
+        self._utt = None  # the utterance of the latest step
         self._taken = self._left = 0  # offered rows a step read; replies a step left early
-        self._ahead = _ahead(0, 0)  # what the next request without a plan asks for
+        self._ahead = _ahead(0, 0)  # what the next request off a plan asks for
         self.round_trips = self.rows_received = self.rows_used = 0
         try:
             reply, _ = transport.round_trip(
@@ -205,67 +236,133 @@ class ExternalProvider:
                 f"provider refused handshake: {reply.get('error', reply)!r}"
             )
 
-    def prefetch(self, history, follow, ctx: UtteranceContext):
-        """Announce that `history` will be extended by `follow`: a later step
-        along that path asks for the next MAX_AHEAD - 1 tokens of it."""
-        self._plan = (ctx.utt_id, tuple(int(i) for i in (*history, *follow)))
+    def prefetch(self, entries):
+        """Announce the utterances the next steps go through, in order, as
+        (ctx, follow) pairs: `follow` is the tokens the steps will append
+        to BOS, empty for a decode. Drops every kept row; an utterance
+        announced twice keeps its first place and follow."""
+        for utt in list(self._rows):
+            self._drop(utt)
+        self._plans, self._order = {}, {}
+        for ctx, follow in entries:
+            if ctx.utt_id not in self._order:
+                self._order[ctx.utt_id] = len(self._order)
+                if len(follow):
+                    self._plans[ctx.utt_id] = (Vocabulary.BOS, *(int(i) for i in follow))
+        self._announced = list(self._order)
+        self._next = 0
+        self._utt = None
 
     def next_logits(self, history, ctx: UtteranceContext) -> np.ndarray:
-        key = (ctx.utt_id, tuple(history))
-        row = self._rows.pop(key, None)
+        utt, history = ctx.utt_id, tuple(history)
+        if utt != self._utt:
+            self._start(utt)
+        rows = self._rows.get(utt)
+        row = rows.pop(history, None) if rows else None
         if row is None:
-            row = self._fetch(*key)
+            row = self._fetch(utt, history)
         self.rows_used += 1
         return row  # the client keeps no reference to it
 
-    def _fetch(self, utt: str, history: tuple) -> np.ndarray:
-        """One step round trip; its rows replace the kept ones. Returns the
-        row for `history`."""
-        if self._offered:  # the rows past the follow, those the steps may leave
-            untaken = min(len(self._rows), self._offered)
-            self._taken += self._offered - untaken
+    def _start(self, utt: str):
+        """Make `utt` the utterance the steps are on: drop the rows of every
+        other utterance but the MAX_ENTRIES - 1 announced after it."""
+        self._utt = utt
+        place = self._order.get(utt)
+        after = range(place + 1, place + MAX_ENTRIES) if place is not None else range(0)
+        for other in list(self._rows):
+            if other != utt and self._order.get(other) not in after:
+                self._drop(other)
+
+    def _drop(self, utt: str):
+        """Forget the rows kept for `utt`, counting which offered rows a
+        step took and whether the steps left its path early."""
+        rows = self._rows.pop(utt, None)
+        offered = self._offered.pop(utt, 0)
+        if offered:  # the rows past the follow, those the steps may leave
+            untaken = min(len(rows), offered)
+            self._taken += offered - untaken
             self._left += bool(untaken)
             self._ahead = _ahead(self._taken, self._left)
-        plan_utt, plan = self._plan
-        on_plan = plan_utt == utt and plan[:len(history)] == history
-        follow = list(plan[len(history):len(history) + MAX_AHEAD - 1]) if on_plan else []
-        if not on_plan or len(history) + len(follow) == len(plan):
-            self._plan = (None, ())  # the step left the plan, or fetches it to its end
-        payload = {"op": "step", "utt": utt, "history": [int(i) for i in history]}
-        if follow:
-            payload["follow"] = follow
-        elif self._ahead and not on_plan:  # the end of a plan asks for one row
-            payload["ahead"] = self._ahead
+
+    def _entry(self, utt: str, history: tuple):
+        """The request fields for the rows of `utt` from `history` on, and
+        the follow they carry: the next stretch of its plan, if `history`
+        is on it, else `ahead` argmax tokens, if any. The end of a plan
+        asks for one row."""
+        fields = {"utt": utt, "history": [int(i) for i in history]}
+        plan = self._plans.get(utt, ())
+        follow = []
+        if plan[:len(history)] == history:
+            follow = list(plan[len(history):len(history) + MAX_AHEAD - 1])
+            if follow:
+                fields["follow"] = follow
+        elif self._ahead:
+            fields["ahead"] = self._ahead
+        return fields, follow
+
+    def _fetch(self, utt: str, history: tuple) -> np.ndarray:
+        """One step round trip, whose rows replace those kept for `utt`
+        (the other utterances it names have none). Returns the row for
+        `history`."""
+        self._drop(utt)
+        asked = [(utt, history)]
+        place = self._order.get(utt)
+        if place is not None and history == (Vocabulary.BOS,):
+            first = max(self._next, place + 1)
+            self._next = max(self._next, place + MAX_ENTRIES)
+            asked += [(later, history) for later in self._announced[first:self._next]]
+        entries = [self._entry(*key) for key in asked]
+        payload = {"op": "step", **entries[0][0]}
+        if len(entries) > 1:
+            payload["more"] = [fields for fields, _ in entries[1:]]
         header, frame = self._transport.round_trip(payload)
         self.round_trips += 1
-        rows, path = self._check_step_reply(header, frame, follow)
-        self._rows = {(utt, history + tuple(path[:i])): rows[i] for i in range(1, len(rows))}
-        self._offered = len(path[len(follow):])
+        rows, paths = self._check_step_reply(header, frame, [f for _, f in entries])
         self.rows_received += len(rows)
-        return rows[0]
+        at = 0  # where the next entry's rows start in the frame
+        # a reply that ignored "more" has one path, so only its own entry is kept
+        for (u, h), (_, follow), path in zip(asked, entries, paths):
+            plan = self._plans.get(u)
+            if plan is not None and (plan[:len(h)] != h or len(h) + len(follow) == len(plan)):
+                del self._plans[u]  # the step left the plan, or fetches it to its end
+            self._rows[u] = {h + tuple(path[:i]): rows[at + i] for i in range(len(path) + 1)}
+            self._offered[u] = len(path[len(follow):])
+            at += len(path) + 1
+        return self._rows[utt].pop(history)
 
-    def _check_step_reply(self, header: dict, frame: bytearray, follow: list):
-        """The (rows, V) logits and the path of a step reply; a reply
-        without "path" carries the one row for the request's history."""
+    def _check_step_reply(self, header: dict, frame: bytearray, follows: list):
+        """The (rows, V) logits of a step reply and the path of each entry
+        the request named, whose follows are `follows`. A reply without
+        "path" carries the one row for the request's history, and one
+        without "more_paths" no rows for the entries of "more"."""
         if "logits_bytes" not in header:
             raise ProviderIOError(f"step reply carries no logits: {header!r}")
         size = self.vocab.size
-        path = header.get("path", [])
-        if "path" in header:
+        paths = [header.get("path", [])]
+        if "more_paths" in header:
+            more = header["more_paths"]
+            if not (isinstance(more, list) and len(more) == len(follows) - 1):
+                raise ProviderIOError(f"'more_paths' must be a list of {len(follows) - 1} "
+                                      f"paths, got {more!r:.200}")
+            paths += more
+        checked = zip(paths, follows) if "path" in header else zip(paths[1:], follows[1:])
+        for path, follow in checked:
             if not is_token_id_list(path, size):
                 raise ProviderIOError(f"path must be a list of token ids in [0, {size}), "
-                                      f"got {path!r}")
+                                      f"got {path!r:.200}")
             if path[:len(follow)] != follow:
                 raise ProviderIOError(
-                    f"path {path!r} does not start with the follow {follow!r}")
-        if len(frame) != (len(path) + 1) * size * 8:
+                    f"path {path!r:.200} does not start with the follow {follow!r}")
+        n_rows = sum(len(path) + 1 for path in paths)
+        if len(frame) != n_rows * size * 8:
             raise ProviderIOError(
-                f"expected {len(path) + 1} x {size} logits, got {len(frame)} bytes")
+                f"expected {n_rows} x {size} logits, got {len(frame)} bytes")
         # a view of the frame, which no one else holds: writable, no copy
         logits = np.frombuffer(frame, dtype="<f8").astype(np.float64, copy=False)
         if not np.isfinite(logits).all():
             raise ProviderIOError("provider returned non-finite logits")
-        return logits.reshape(len(path) + 1, size), path
+        return logits.reshape(n_rows, size), paths
 
     def close(self):
         self._transport.close()
@@ -322,10 +419,32 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
     return ExternalProvider(transport, vocab)
 
 
-def _token_ids(msg: dict, field: str, size: int) -> tuple:
+def _token_ids(msg: dict, field: str, size: int, where: str = "") -> tuple:
     """The ids in `field`, () if the request leaves it out."""
     return tuple(json_field(msg, field, (list,), lambda ids: is_token_id_list(ids, size),
-                            f"a list of integer token ids in [0, {size})")) if field in msg else ()
+                            f"a list of integer token ids in [0, {size})",
+                            where)) if field in msg else ()
+
+
+def _step_entry(msg: dict, contexts: dict[str, UtteranceContext], size: int,
+                where: str = ""):
+    """The (history, follow, ahead, ctx) a step request asks for, or an
+    entry of its "more", which `where` names in an error."""
+    prefix = f"{where}: " if where else ""
+    utt = json_field(msg, "utt", (str,), where=where)
+    ctx = contexts.get(utt)
+    if ctx is None:
+        raise ValueError(f"{prefix}unknown utterance {utt!r:.200}")
+    history = _token_ids(msg, "history", size, where)
+    if history[:1] != (Vocabulary.BOS,):
+        raise ValueError(f"{prefix}'history' must start with BOS ({Vocabulary.BOS}), "
+                         f"got {list(history)!r:.200}")
+    follow = _token_ids(msg, "follow", size, where)
+    if len(follow) >= MAX_AHEAD:
+        raise ValueError(f"{prefix}'follow' holds more than {MAX_AHEAD - 1} tokens")
+    ahead = json_field(msg, "ahead", (int,), lambda n: n >= 0, "a non-negative integer",
+                       where) if "ahead" in msg else 0
+    return history, follow, ahead, ctx
 
 
 def _lookahead(provider, history: tuple, follow: tuple, ahead: int,
@@ -365,24 +484,27 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
         raise ValueError(f"the first request must be a hello, got op {op!r:.200}")
     if op != "step":
         raise ValueError(f"unknown op {op!r:.200}")
-    utt = json_field(msg, "utt", (str,))
-    ctx = contexts.get(utt)
-    if ctx is None:
-        raise ValueError(f"unknown utterance {utt!r:.200}")
-    history = _token_ids(msg, "history", provider.vocab.size)
-    if history[:1] != (Vocabulary.BOS,):
-        raise ValueError(f"'history' must start with BOS ({Vocabulary.BOS}), "
-                         f"got {list(history)!r:.200}")
-    follow = _token_ids(msg, "follow", provider.vocab.size)
-    if len(follow) >= MAX_AHEAD:
-        raise ValueError(f"'follow' holds more than {MAX_AHEAD - 1} tokens")
-    ahead = json_field(msg, "ahead", (int,), lambda n: n >= 0, "a non-negative integer") \
-        if "ahead" in msg else 0
-    rows, path = _lookahead(provider, history, follow, ahead, ctx)
+    size = provider.vocab.size
+    entries = [_step_entry(msg, contexts, size)]
+    more = json_field(msg, "more", (list,), rule="a list of objects") if "more" in msg else []
+    for i, entry in enumerate(more):
+        where = f"'more'[{i}]"
+        if i == MAX_ENTRIES - 1:
+            raise ValueError(f"{where}: 'more' holds more than {MAX_ENTRIES - 1} entries")
+        if type(entry) is not dict:
+            raise ValueError(f"{where} must be an object, got {entry!r:.200}")
+        entries.append(_step_entry(entry, contexts, size, where))
+    rows, paths = [], []
+    for entry in entries:
+        entry_rows, path = _lookahead(provider, *entry)
+        rows += entry_rows
+        paths.append(path)
     frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)
     header = {"logits_bytes": len(frame)}
     if "follow" in msg or "ahead" in msg:  # a plain request gets a plain reply
-        header["path"] = path
+        header["path"] = paths[0]
+    if "more" in msg:
+        header["more_paths"] = paths[1:]
     return header, frame
 
 

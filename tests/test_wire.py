@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import random
 import re
 import socket
@@ -21,7 +22,8 @@ import latefuse
 from latefuse import cli, wire
 from latefuse.core import Vocabulary
 from latefuse.calibration import collect_traces
-from latefuse.decoding import evaluation_max_len, fused_greedy_decode, greedy_decode
+from latefuse.decoding import (decode_eval_set, evaluation_max_len, fused_greedy_decode,
+                               greedy_decode)
 from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.fusion import FusionConfig
 from latefuse.providers import UtteranceContext, train_ngram_corrector
@@ -608,13 +610,17 @@ class TestLineChannel:
             peer.close()
         assert len(chunks) == (1 + size + 1 if ok else 2)
 
-    @pytest.mark.parametrize("vocab_size", [3, 200, 50_000])
+    @pytest.mark.parametrize("vocab_size", [3, 200, 50_000, 10 ** wire.MAX_ID_DIGITS])
     def test_caps_fit_the_longest_valid_replies(self, vocab_size):
-        rows = np.full((wire.MAX_AHEAD, vocab_size), -2.2250738585072014e-308)
-        data = frame(rows, path=[vocab_size - 1] * (wire.MAX_AHEAD - 1))
-        header, _, logits = data.partition(b"\n")
-        assert len(header) <= MAX_HEADER_BYTES
-        assert len(logits) == max_logits_bytes(vocab_size)
+        """The longest legal reply: every entry's path MAX_AHEAD - 1 of the
+        longest ids, and a frame of their rows. The header is built, not
+        the frame: at the largest V it would take gigabytes."""
+        path = [vocab_size - 1] * (wire.MAX_AHEAD - 1)
+        n_rows = wire.MAX_ENTRIES * wire.MAX_AHEAD
+        header = header_line(logits_bytes=8 * n_rows * vocab_size, path=path,
+                             more_paths=[path] * (wire.MAX_ENTRIES - 1))
+        assert len(header) - 1 <= MAX_HEADER_BYTES
+        assert max_logits_bytes(vocab_size) == 8 * n_rows * vocab_size
 
 
 def step_line(length):
@@ -733,21 +739,37 @@ def readme_protocol_messages():
 
 
 def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
+    """Every request the client sends, and every entry of its "more", has
+    the fields of one README example: an unannounced step, then the first
+    step of an announced decode set and of an announced calibration set."""
     messages = readme_protocol_messages()
     assert all(isinstance(m, dict) for _, m in messages)
     sent = []
 
     class RecordingTransport:
-        def round_trip(self, payload):
+        def round_trip(self, payload):  # each entry's path is its follow
             sent.append(payload)
-            return {"ok": True, "logits_bytes": 8 * abc_vocab.size}, bytearray(8 * abc_vocab.size)
+            more = payload.get("more", [])
+            paths = [entry.get("follow", []) for entry in [payload, *more]]
+            size = 8 * abc_vocab.size * sum(len(path) + 1 for path in paths)
+            header = {"ok": True, "logits_bytes": size, "path": paths[0]}
+            if more:
+                header["more_paths"] = paths[1:]
+            return header, bytearray(size)
 
         def close(self):
             pass
 
-    ExternalProvider(RecordingTransport(), abc_vocab).next_logits((0,), empty_ctx)
-    assert {m["op"]: set(m) for direction, m in messages if direction == "->"} == \
-        {p["op"]: set(p) for p in sent}
+    remote = ExternalProvider(RecordingTransport(), abc_vocab)
+    remote.next_logits((0,), empty_ctx)
+    for follows in ([(), ()], [(3,), (4, 5)]):
+        remote.prefetch(list(zip([HASH_CONTEXTS["u1"], HASH_CONTEXTS["u2"]], follows)))
+        remote.next_logits((0,), HASH_CONTEXTS["u1"])
+    requests = [m for direction, m in messages if direction == "->"]
+    assert {frozenset(p) for p in sent} <= {frozenset(m) for m in requests}
+    assert {frozenset(e) for p in sent for e in p.get("more", [])} <= \
+        {frozenset(e) for m in requests for e in m.get("more", [])}
+    assert {"ahead", "follow", "more"} <= {key for p in sent for key in p}
     hello = next(m for direction, m in messages if m.get("op") == "hello")
     assert hello["logits_encoding"] == LOGITS_ENCODING
     replies = [m for direction, m in messages if direction == "<-" and "ok" not in m]
@@ -889,6 +911,53 @@ class TestServerChecksRequests:
         assert [row.tobytes() for row in rows] == \
             [provider.next_logits((0,) + (3,) * i, ctx).tobytes() for i in range(4)]
 
+    @pytest.mark.parametrize("more, error", [
+        (3, "'more' must be a list of objects"),
+        ({"utt": "u1"}, "'more' must be a list of objects"),
+        ([{"utt": "u1", "history": [0]}, [0]], "'more'[1] must be an object"),
+        ([{"utt": "u1", "history": [0]}, "u2"], "'more'[1] must be an object"),
+        ([{"utt": "u1", "history": [0]}] * wire.MAX_ENTRIES,
+         f"'more'[{wire.MAX_ENTRIES - 1}]: 'more' holds more than"),
+        ([{"utt": "u1", "history": [0]}, {"utt": "nobody", "history": [0]}],
+         "'more'[1]: unknown utterance 'nobody'"),
+        ([{"utt": 3, "history": [0]}], "'more'[0]: 'utt'"),
+        ([{"utt": "u1"}], "'more'[0]: 'history' must start with BOS"),
+        ([{"utt": "u1", "history": [3]}], "'more'[0]: 'history' must start with BOS"),
+        ([{"utt": "u1", "history": [0, 99]}], "'more'[0]: 'history' must be"),
+        ([{"utt": "u1", "history": [0], "follow": [3] * wire.MAX_AHEAD}],
+         "'more'[0]: 'follow' holds more than"),
+        ([{"utt": "u1", "history": [0], "ahead": -1}], "'more'[0]: 'ahead' must be"),
+    ], ids=lambda v: repr(v)[:40])
+    def test_malformed_more_gets_an_error_naming_its_entry(self, abc_vocab, more, error):
+        (reply, logits), (_, served) = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u0", "history": [0], "more": more},
+            {"op": "step", "utt": "u0", "history": [0, 3]}])
+        assert set(reply) == {"error"} and reply["error"].startswith(error), reply
+        assert logits is None
+        assert served.size == abc_vocab.size  # the server keeps serving
+
+    def test_more_rows_follow_each_entry_in_order(self, abc_vocab):
+        provider = HashProvider(abc_vocab)
+        more = [{"utt": "u1", "history": [0, 4], "follow": [5, 3]},
+                {"utt": "u2", "history": [0]},
+                {"utt": "u3", "history": [0], "ahead": 2}]
+        (plain, plain_logits), (header, logits) = served_steps(abc_vocab, [
+            {"op": "step", "utt": "u0", "history": [0], "more": []},
+            {"op": "step", "utt": "u0", "history": [0, 3], "more": more}])
+        assert plain == {"logits_bytes": 8 * abc_vocab.size, "more_paths": []}
+        assert plain_logits.size == abc_vocab.size
+        assert set(header) == {"logits_bytes", "more_paths"}  # no "path": a plain main entry
+        paths = header["more_paths"]
+        assert paths[:2] == [[5, 3], []] and len(paths[2]) <= 2
+        rows = iter(logits.reshape(-1, abc_vocab.size))
+        assert next(rows).tobytes() == provider.next_logits((0, 3), HASH_CONTEXTS["u0"]).tobytes()
+        for entry, path in zip(more, paths):
+            for i in range(len(path) + 1):
+                expected = provider.next_logits((*entry["history"], *path[:i]),
+                                                HASH_CONTEXTS[entry["utt"]])
+                assert next(rows).tobytes() == expected.tobytes()
+        assert next(rows, None) is None
+
     @pytest.mark.parametrize("history", [[], [3], [3, 0]], ids=repr)
     def test_history_must_start_with_bos(self, abc_vocab, history):
         (error, _), (_, served) = served_steps(abc_vocab, [
@@ -898,9 +967,9 @@ class TestServerChecksRequests:
         assert served.size == abc_vocab.size  # the server keeps serving
 
 
-def rows_reply(n_rows, path):
+def rows_reply(n_rows, path, **header):
     """A reply of `n_rows` rows of 6 logits, 0, 1, 2, ... in order."""
-    return frame(np.arange(n_rows * 6, dtype=float), path=path)
+    return frame(np.arange(n_rows * 6, dtype=float), path=path, **header)
 
 
 class TestClientChecksLookaheadReplies:
@@ -937,7 +1006,7 @@ class TestClientChecksLookaheadReplies:
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 if prefetch:
-                    remote.prefetch((0,), (3, 4), empty_ctx)
+                    remote.prefetch([(empty_ctx, (3, 4))])
                 with pytest.raises(ProviderIOError):
                     remote.next_logits((0,), empty_ctx)
         finally:
@@ -952,7 +1021,7 @@ class TestClientChecksLookaheadReplies:
                                       or rows_reply(4, [3, 4, 5])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                remote.prefetch((0,), (3, 4), empty_ctx)
+                remote.prefetch([(empty_ctx, (3, 4))])
                 served = [remote.next_logits(history, empty_ctx)
                           for history in [(0,), (0, 3), (0, 3, 4), (0, 3, 4, 5)]]
                 for row, logits in enumerate(served):
@@ -966,6 +1035,73 @@ class TestClientChecksLookaheadReplies:
         finally:
             server.close()
         assert len(sent) == 2 and "follow" not in sent[1]
+
+    # announced (follow) of u0, u1 and u2; the client sends u0's as the
+    # request's own entry and the other two in its "more"
+    ANNOUNCED = {"u0": (3, 4), "u1": (4,), "u2": ()}
+
+    @pytest.mark.parametrize("reply", [
+        rows_reply(5, [3, 4], more_paths=[[4]]),
+        rows_reply(11, [3, 4], more_paths=[[4], [3, 5], [3]]),
+        rows_reply(3, [3, 4], more_paths=[]),
+        rows_reply(8, [3, 4], more_paths="[[4], [3, 5]]"),
+        rows_reply(8, [3, 4], more_paths=None),
+        rows_reply(8, [3, 4], more_paths=[[5], [3, 5]]),
+        rows_reply(7, [3, 4], more_paths=[[], [3, 5]]),
+        rows_reply(8, [3, 4], more_paths=[[4], ["3", 5]]),
+        rows_reply(8, [3, 4], more_paths=[[4], [3, 6]]),
+        rows_reply(8, [3, 4], more_paths=[4, [3, 5]]),
+        rows_reply(7, [3, 4], more_paths=[[4], [3, 5]]),
+        rows_reply(9, [3, 4], more_paths=[[4], [3, 5]]),
+        rows_reply(8, [3], more_paths=[[4], [3, 5]]),
+    ], ids=lambda v: repr(v)[:60])
+    def test_bad_more_reply_is_provider_io_error(self, abc_vocab, reply):
+        sent = []
+        server = LineServer(scripted({"hello": {"ok": True},
+                                      "step": lambda msg: sent.append(msg) or reply}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch([(HASH_CONTEXTS[u], f) for u, f in self.ANNOUNCED.items()])
+                with pytest.raises(ProviderIOError):
+                    remote.next_logits((0,), HASH_CONTEXTS["u0"])
+        finally:
+            server.close()
+        assert sent[0]["follow"] == [3, 4]
+        assert sent[0]["more"] == [{"utt": "u1", "history": [0], "follow": [4]},
+                                   {"utt": "u2", "history": [0], "ahead": wire.MAX_AHEAD - 1}]
+
+    def test_good_more_reply_serves_every_entry(self, abc_vocab):
+        sent = []
+        server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
+                                      or rows_reply(8, [3, 4], more_paths=[[4], [3, 5]])}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch([(HASH_CONTEXTS[u], f) for u, f in self.ANNOUNCED.items()])
+                served = [remote.next_logits(history, HASH_CONTEXTS[utt]).tolist()
+                          for utt, history in [("u0", (0,)), ("u0", (0, 3)), ("u0", (0, 3, 4)),
+                                               ("u1", (0,)), ("u1", (0, 4)),
+                                               ("u2", (0,)), ("u2", (0, 3)), ("u2", (0, 3, 5))]]
+                assert served == [list(range(6 * i, 6 * i + 6)) for i in range(8)]
+                assert (remote.round_trips, remote.rows_used, remote.rows_received) == (1, 8, 8)
+        finally:
+            server.close()
+        assert len(sent) == 1
+
+    def test_reply_without_more_paths_serves_the_request_alone(self, abc_vocab):
+        """A server that ignores "more" serves the request's own entry; the
+        client then asks for each announced utterance on its own."""
+        sent = []
+        server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
+                                      or rows_reply(1, [])}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch([(ctx, ()) for ctx in HASH_CONTEXTS.values()])
+                for ctx in HASH_CONTEXTS.values():
+                    assert remote.next_logits((0,), ctx).tolist() == list(range(6))
+                assert (remote.round_trips, remote.rows_received) == (4, 4)
+        finally:
+            server.close()
+        assert [len(msg.get("more", ())) for msg in sent] == [3, 0, 0, 0]
 
     @pytest.mark.parametrize("reply", [
         rows_reply(2, [1.5]), rows_reply(3, [3]), rows_reply(1, [3]),
@@ -984,20 +1120,48 @@ class TestClientChecksLookaheadReplies:
         finally:
             server.close()
 
-    def test_reply_at_both_caps_is_read(self, abc_vocab, empty_ctx):
-        """A header line of MAX_HEADER_BYTES with a frame of MAX_AHEAD rows."""
+    def test_reply_at_both_caps_is_read(self, abc_vocab):
+        """A header line of MAX_HEADER_BYTES with a frame of MAX_AHEAD rows
+        for each of MAX_ENTRIES announced utterances."""
+        contexts = [UtteranceContext(utt_id=f"v{i}") for i in range(wire.MAX_ENTRIES)]
         path = [3] * (wire.MAX_AHEAD - 1)
-        logits = np.arange(wire.MAX_AHEAD * abc_vocab.size, dtype=float)
-        header = {"logits_bytes": logits.nbytes, "path": path, "pad": ""}
+        logits = np.arange(wire.MAX_ENTRIES * wire.MAX_AHEAD * abc_vocab.size, dtype=float)
+        more_paths = [path] * (wire.MAX_ENTRIES - 1)
+        header = {"logits_bytes": logits.nbytes, "path": path, "more_paths": more_paths,
+                  "pad": ""}
         header["pad"] = "x" * (MAX_HEADER_BYTES - len(json.dumps(header)))
         assert len(json.dumps(header)) == MAX_HEADER_BYTES
         assert logits.nbytes == max_logits_bytes(abc_vocab.size)
-        server = LineServer(scripted({"hello": {"ok": True},
-                                      "step": frame(logits, path=path, pad=header["pad"])}))
+        server = LineServer(scripted({"hello": {"ok": True}, "step": frame(
+            logits, path=path, more_paths=more_paths, pad=header["pad"])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                assert remote.next_logits((0,), empty_ctx).tolist() == list(range(6))
-                assert remote.rows_received == wire.MAX_AHEAD
+                remote.prefetch([(ctx, ()) for ctx in contexts])
+                assert remote.next_logits((0,), contexts[0]).tolist() == list(range(6))
+                last = remote.next_logits((0, *path), contexts[-1])
+                assert last.tolist() == logits[-6:].tolist()
+                assert remote.rows_received == wire.MAX_ENTRIES * wire.MAX_AHEAD
+                assert remote.round_trips == 1
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("length, code", [(MAX_HEADER_BYTES, 0),
+                                              (MAX_HEADER_BYTES + 1, 4)])
+    def test_header_one_byte_past_the_cap_exits_4(self, abc_vocab, tmp_path, length, code):
+        header = {"logits_bytes": 8 * abc_vocab.size, "pad": ""}
+        header["pad"] = "x" * (length - len(json.dumps(header)))
+        reply = frame(ZEROS, pad=header["pad"])
+        assert reply.index(b"\n") == length
+        abc_vocab.save(tmp_path / "vocab.txt")
+        (tmp_path / "test.jsonl").write_text(json.dumps(
+            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        server = LineServer(scripted({"hello": {"ok": True}, "step": reply}))
+        try:
+            assert cli.main([
+                "decode", "--corpus", str(tmp_path / "test.jsonl"),
+                "--vocab", str(tmp_path / "vocab.txt"), "--mode", "llm",
+                "--llm-endpoint", server.address, "--timeout", "2",
+                "--out", str(tmp_path / "hyp.jsonl")]) == code
         finally:
             server.close()
 
@@ -1007,10 +1171,10 @@ class TestClientChecksLookaheadReplies:
                                       or frame(ZEROS)}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                remote.prefetch((0,), (3, 4), empty_ctx)
+                remote.prefetch([(empty_ctx, (3, 4))])
                 remote.next_logits((0, 5), empty_ctx)  # leaves the plan
                 remote.next_logits((0,), empty_ctx)
-                remote.prefetch((0,), (3,), empty_ctx)
+                remote.prefetch([(empty_ctx, (3,))])
                 remote.next_logits((0,), empty_ctx)  # fetches the plan to its end
                 remote.next_logits((0,), empty_ctx)
         finally:
@@ -1058,11 +1222,14 @@ class RolledHashProvider(TieFreeHashProvider):
         return np.roll(super().next_logits(history, ctx), 1)
 
 
-def hash_references(vocab, lengths):
-    """(ctx, EOS-terminated reference) pairs over HASH_CONTEXTS."""
+def hash_references(vocab, lengths, contexts=HASH_CONTEXTS):
+    """(ctx, EOS-terminated reference) pairs over `contexts`."""
     rng = random.Random(7)
     return [(ctx, tuple(rng.randint(3, vocab.size - 1) for _ in range(n - 1)) + (1,))
-            for ctx, n in zip(HASH_CONTEXTS.values(), lengths)]
+            for ctx, n in zip(contexts.values(), lengths)]
+
+
+MANY_CONTEXTS = {f"m{i}": UtteranceContext(utt_id=f"m{i}") for i in range(40)}
 
 
 def lookahead_round_trips(provider, ctx, tokens):
@@ -1156,17 +1323,101 @@ class TestRoundTrips:
         assert steps - n_asks > 400  # most of the decode sends plain requests
         assert remote.rows_received - remote.rows_used < 8 * wire.MAX_AHEAD
 
-    def test_calibration_makes_one_round_trip_per_reference(self, abc_vocab):
+    @pytest.mark.parametrize("n", [1, wire.MAX_ENTRIES, wire.MAX_ENTRIES + 1, 40])
+    def test_calibration_makes_one_round_trip_per_block_of_references(self, abc_vocab, n):
+        """References of 2 to MAX_AHEAD tokens, announced by `collect_traces`:
+        MAX_ENTRIES of them per round trip, and every row is used."""
         local = HashProvider(abc_vocab)
-        dataset = hash_references(abc_vocab, [1, 7, wire.MAX_AHEAD, 5])
-        with ProviderServer(local, HASH_CONTEXTS) as server:
+        lengths = [2, 7, wire.MAX_AHEAD, 5] * 10
+        dataset = hash_references(abc_vocab, lengths[:n], MANY_CONTEXTS)
+        with ProviderServer(local, MANY_CONTEXTS) as server:
             remote, transport = counted_connection(server.address, abc_vocab)
             with remote:
                 traces, targets = collect_traces(remote, dataset)
         here, _ = collect_traces(local, dataset)
         assert traces.tobytes() == here.tobytes()
-        assert transport.steps == remote.round_trips == len(dataset)
+        assert transport.steps == remote.round_trips == math.ceil(n / wire.MAX_ENTRIES)
         assert remote.rows_used == remote.rows_received == len(targets)
+
+    @pytest.mark.parametrize("n", [1, wire.MAX_ENTRIES, wire.MAX_ENTRIES + 1, 40])
+    def test_announced_decode_set_makes_one_round_trip_per_block(self, abc_vocab, n):
+        """`decode_eval_set` announces its utterances: a decode set that
+        follows the served argmax makes one round trip per MAX_ENTRIES."""
+        local = TieFreeHashProvider(abc_vocab)
+        eval_set = [(ctx, ["w"] * 10) for ctx in list(MANY_CONTEXTS.values())[:n]]
+        cfgs = [FusionConfig(mode="llm")]
+        with ProviderServer(local, MANY_CONTEXTS) as server:
+            remote, transport = counted_connection(server.address, abc_vocab)
+            with remote:
+                served = list(decode_eval_set(remote, None, cfgs, eval_set))
+        here = list(decode_eval_set(local, None, cfgs, eval_set))
+        assert [r.tokens for r in served] == [r.tokens for r in here]
+        assert all(a.tobytes() == b.tobytes()
+                   for x, y in zip(served, here) for a, b in zip(x.steps, y.steps))
+        assert transport.steps == remote.round_trips == math.ceil(n / wire.MAX_ENTRIES)
+
+    def test_each_detour_of_an_announced_decode_adds_one_round_trip(self, abc_vocab):
+        local, asr = TieFreeHashProvider(abc_vocab), RolledHashProvider(abc_vocab)
+        eval_set = [(ctx, ["w"] * 3) for ctx in list(MANY_CONTEXTS.values())[:20]]
+        cfgs = [FusionConfig(mode="static", w_asr=1.0)]
+        with ProviderServer(local, MANY_CONTEXTS) as server:
+            remote, transport = counted_connection(server.address, abc_vocab)
+            with remote:
+                served = list(decode_eval_set(remote, asr, cfgs, eval_set))
+        here = list(decode_eval_set(local, asr, cfgs, eval_set))
+        assert [r.tokens for r in served] == [r.tokens for r in here]
+        detours = sum(lookahead_round_trips(local, ctx, r.tokens) - 1
+                      for (ctx, _), r in zip(eval_set, served))
+        assert detours > len(eval_set)
+        assert transport.steps == remote.round_trips == \
+            math.ceil(len(eval_set) / wire.MAX_ENTRIES) + detours
+
+    def test_server_ignoring_more_is_served_one_round_trip_per_utterance(self, abc_vocab):
+        local = TieFreeHashProvider(abc_vocab)
+        sent = []
+
+        def step(msg):  # the reply of a server that never reads "more"
+            sent.append(msg)
+            return list(wire._handle_request({k: v for k, v in msg.items() if k != "more"},
+                                             local, MANY_CONTEXTS, True))
+
+        server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
+        eval_set = [(ctx, ["w"] * 10) for ctx in list(MANY_CONTEXTS.values())[:20]]
+        dataset = hash_references(abc_vocab, [2, 7, wire.MAX_AHEAD, 5] * 5, MANY_CONTEXTS)
+        cfgs = [FusionConfig(mode="llm")]
+        try:
+            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
+                served = decode_eval_set(remote, None, cfgs, eval_set)
+                here = decode_eval_set(local, None, cfgs, eval_set)
+                assert [r.tokens for r in served] == [r.tokens for r in here]
+                assert remote.round_trips == len(eval_set)
+                traces, _ = collect_traces(remote, dataset)
+                assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
+                assert remote.round_trips == len(eval_set) + len(dataset)
+        finally:
+            server.close()
+        assert len(sent[0]["more"]) == wire.MAX_ENTRIES - 1
+
+    def test_client_keeps_the_rows_of_at_most_max_entries_utterances(self, abc_vocab):
+        local, asr = TieFreeHashProvider(abc_vocab), RolledHashProvider(abc_vocab)
+        eval_set = [(ctx, ["w"] * 5) for ctx in MANY_CONTEXTS.values()]
+        dataset = hash_references(abc_vocab, [9, 3, 40] * 13, MANY_CONTEXTS)
+        kept = []
+        with ProviderServer(local, MANY_CONTEXTS) as server:
+            remote, _ = counted_connection(server.address, abc_vocab)
+            step = remote.next_logits
+
+            def next_logits(history, ctx):
+                row = step(history, ctx)
+                kept.append(len(remote._rows))
+                return row
+
+            remote.next_logits = next_logits
+            with remote:
+                for _ in decode_eval_set(remote, asr, [FusionConfig(mode="uadf")], eval_set):
+                    pass
+                collect_traces(remote, dataset)
+        assert max(kept) == wire.MAX_ENTRIES
 
     def test_long_reference_is_sent_in_stretches(self, abc_vocab):
         local = HashProvider(abc_vocab)
