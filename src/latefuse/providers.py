@@ -25,8 +25,8 @@ keyed rows once per temperature (`decoding.calibrated_row`).
 The wire client, `wire.ExternalProvider`, keeps the unread rows of its
 replies by utterance and counts what its steps took. A caller that
 announces its utterances (`prefetch`) gets the first rows of up to
-`wire.MAX_ENTRIES` of them per round trip; starting an utterance drops
-the rows of those announced before it, and of any not announced.
+`wire.MAX_ENTRIES` of them per round trip; a fetch for an utterance
+drops the rows of every other but those announced after it.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ This relies on a served provider returning the same logits for the same
 
 A caller that knows the utterances it will step through announces them
 (`ExternalProvider.prefetch`), each with the follow it will take from
-BOS: empty for a decode, the reference for teacher forcing. The request
+BOS: None for a decode, the reference for teacher forcing. The request
 for an utterance's first row then also carries "more": up to
 MAX_ENTRIES - 1 entries {"utt", "history", "follow" | "ahead"} for the
 announced utterances after it that no request has named yet. The reply
@@ -39,17 +39,18 @@ header adds "more_paths", one path per entry, and the frame appends each
 entry's len(path) + 1 rows in order, so a decode set that follows the
 served argmax makes one round trip per MAX_ENTRIES utterances. A reply
 without "more_paths" carries no rows for them, so a server that ignores
-"more" is served one round trip per utterance. The client keeps the unread rows of each utterance it fetched
-and answers later steps from them; starting an utterance drops the rows
-of the utterances announced before it, so it keeps the rows of at most
+"more" is served one round trip per utterance. The client keeps the
+unread rows of each utterance it fetched and answers later steps from
+them; a fetch drops the rows of every utterance but the MAX_ENTRIES - 1
+announced after its own, so the client keeps the rows of at most
 MAX_ENTRIES utterances.
 
 Replies and requests are capped: a reply header longer than
-MAX_HEADER_BYTES or announcing more than `max_logits_bytes(V)`, and a
-request line longer than MAX_REQUEST_BYTES, end the exchange. Endpoints
-are either "host:port" strings or argv lists for a subprocess whose stdin
-and stdout are one end of a socket pair: the client talks to either over
-one socket.
+`max_header_bytes(V)` or announcing more rows than its request asked
+for, and a request line longer than MAX_REQUEST_BYTES, end the
+exchange. Endpoints are either "host:port" strings or argv lists for a
+subprocess whose stdin and stdout are one end of a socket pair: the
+client talks to either over one socket.
 """
 
 from __future__ import annotations
@@ -88,19 +89,28 @@ MAX_REQUEST_BYTES = 1 << 20
 # The most utterances one step request names: its own, and up to
 # MAX_ENTRIES - 1 announced ones in its "more".
 MAX_ENTRIES = 16
-# The most digits of a token id that the header cap makes room for: a
-# vocabulary of up to 10 ** MAX_ID_DIGITS tokens.
-MAX_ID_DIGITS = 7
-# The longest reply header line the client reads, newline excluded: room
-# for MAX_ENTRIES paths of MAX_AHEAD - 1 ids, each with its ", ", plus
-# 512 bytes for the rest of the header, or for an error message.
-MAX_HEADER_BYTES = 512 + MAX_ENTRIES * (MAX_AHEAD - 1) * (MAX_ID_DIGITS + 2)
+
+
+def max_header_bytes(vocab_size: int) -> int:
+    """The longest reply header line the client reads, newline excluded:
+    room for MAX_ENTRIES paths of MAX_AHEAD - 1 of the longest ids, each
+    with its ", ", plus 4096 bytes for the rest of the header, or for an
+    error message."""
+    return 4096 + MAX_ENTRIES * (MAX_AHEAD - 1) * (len(str(vocab_size - 1)) + 2)
 
 
 def max_logits_bytes(vocab_size: int) -> int:
     """The longest frame the client reads: MAX_AHEAD rows of float64s for
     each of MAX_ENTRIES entries."""
     return 8 * MAX_ENTRIES * MAX_AHEAD * vocab_size
+
+
+def _rows_asked(payload: dict) -> int:
+    """The most rows a reply to the request `payload` may carry: for it
+    and each entry of its "more", one for the history, one per token of
+    the follow and one per token ahead, at most MAX_AHEAD."""
+    return sum(min(MAX_AHEAD, 1 + len(entry.get("follow", ())) + entry.get("ahead", 0))
+               for entry in (payload, *payload.get("more", ())))
 
 
 class _TcpTransport:
@@ -112,18 +122,22 @@ class _TcpTransport:
 
     Bytes read past a reply are kept, not dropped. A byte the provider
     sends beyond the one reply per request means replies no longer pair
-    with requests, so the exchange fails with it. A header longer than
-    MAX_HEADER_BYTES fails as soon as it is, unread to its end, and one
-    whose "logits_bytes" is not an integer in [0, `max_frame`] fails
+    with requests, so the exchange fails with it. For a vocabulary of
+    `vocab_size` tokens, a header longer than `max_header_bytes` fails as
+    soon as it is, unread to its end, and one whose "logits_bytes" is not
+    an integer in [0, 8 * vocab_size * rows], where rows is what the
+    request asked for (`_rows_asked`), at most `max_logits_bytes`, fails
     before any byte of its frame is read.
 
     It keeps its name and `round_trip` for the bench's layer tracer, which
     wraps `_TcpTransport.round_trip` through the class `__dict__`.
     """
 
-    def __init__(self, sock: socket.socket, max_frame: int, proc=None):
+    def __init__(self, sock: socket.socket, vocab_size: int, proc=None):
         self._sock = sock
-        self._max_frame = max_frame
+        self._row_bytes = 8 * vocab_size
+        self._max_frame = max_logits_bytes(vocab_size)
+        self._max_header = max_header_bytes(vocab_size)
         self._proc = proc
         self._buffer = bytearray()
 
@@ -138,18 +152,19 @@ class _TcpTransport:
                 raise ProviderIOError(
                     f"provider sent {len(self._buffer)} bytes no request asked for")
             self._sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
+            max_frame = min(self._max_frame, self._row_bytes * _rows_asked(payload))
             # the first newline ends the header: JSON escapes every other one
-            while ((end := self._buffer.find(b"\n", 0, MAX_HEADER_BYTES + 1)) < 0
-                   and len(self._buffer) <= MAX_HEADER_BYTES):
+            while ((end := self._buffer.find(b"\n", 0, self._max_header + 1)) < 0
+                   and len(self._buffer) <= self._max_header):
                 self._read()
             if end < 0:
                 raise ProviderIOError(
-                    f"provider reply header is longer than {MAX_HEADER_BYTES} bytes")
+                    f"provider reply header is longer than {self._max_header} bytes")
             header = _parse_line(bytes(self._buffer[:end + 1]))
             size = header.get("logits_bytes", 0)
-            if type(size) is not int or not 0 <= size <= self._max_frame:
+            if type(size) is not int or not 0 <= size <= max_frame:
                 raise ProviderIOError(f"'logits_bytes' must be an integer in "
-                                      f"[0, {self._max_frame}], got {size!r:.200}")
+                                      f"[0, {max_frame}], got {size!r:.200}")
             del self._buffer[:end + 1]
             while len(self._buffer) < size:
                 self._read()
@@ -201,12 +216,12 @@ class ExternalProvider:
     provider's argmax path as `_ahead` gives for the rows the steps so far
     took and left. The request for the first row of an announced utterance
     also asks for the first rows of the announced utterances after it (see
-    the module docstring). A fetch for an utterance replaces only that
-    utterance's rows, and starting an utterance drops the rows of every
-    other except the MAX_ENTRIES - 1 announced after it, so callers that
-    interleave unannounced utterances on one client drop each other's
-    rows. `round_trips`, `rows_received` and `rows_used` count step
-    requests, the rows their replies carried and the rows a step read.
+    the module docstring). A fetch for an utterance replaces its rows and
+    drops those of every other except the MAX_ENTRIES - 1 announced after
+    it, so callers that interleave unannounced utterances on one client
+    drop each other's rows. `round_trips`, `rows_received` and
+    `rows_used` count step requests, the rows their replies carried and
+    the rows a step read.
     """
 
     def __init__(self, transport, vocab: Vocabulary):
@@ -218,7 +233,6 @@ class ExternalProvider:
         self._announced = []  # the announced utts, in order
         self._order = {}  # announced utt -> its place in `_announced`
         self._next = 0  # the first place no request has named since `prefetch`
-        self._utt = None  # the utterance of the latest step
         self._taken = self._left = 0  # offered rows a step read; replies a step left early
         self._ahead = _ahead(0, 0)  # what the next request off a plan asks for
         self.round_trips = self.rows_received = self.rows_used = 0
@@ -239,7 +253,8 @@ class ExternalProvider:
     def prefetch(self, entries):
         """Announce the utterances the next steps go through, in order, as
         (ctx, follow) pairs: `follow` is the tokens the steps will append
-        to BOS, empty for a decode. Drops every kept row; an utterance
+        to BOS (empty for a reference of EOS alone), or None for a decode,
+        whose tokens are not known. Drops every kept row; an utterance
         announced twice keeps its first place and follow."""
         for utt in list(self._rows):
             self._drop(utt)
@@ -247,32 +262,19 @@ class ExternalProvider:
         for ctx, follow in entries:
             if ctx.utt_id not in self._order:
                 self._order[ctx.utt_id] = len(self._order)
-                if len(follow):
+                if follow is not None:
                     self._plans[ctx.utt_id] = (Vocabulary.BOS, *(int(i) for i in follow))
         self._announced = list(self._order)
         self._next = 0
-        self._utt = None
 
     def next_logits(self, history, ctx: UtteranceContext) -> np.ndarray:
         utt, history = ctx.utt_id, tuple(history)
-        if utt != self._utt:
-            self._start(utt)
         rows = self._rows.get(utt)
         row = rows.pop(history, None) if rows else None
         if row is None:
             row = self._fetch(utt, history)
         self.rows_used += 1
         return row  # the client keeps no reference to it
-
-    def _start(self, utt: str):
-        """Make `utt` the utterance the steps are on: drop the rows of every
-        other utterance but the MAX_ENTRIES - 1 announced after it."""
-        self._utt = utt
-        place = self._order.get(utt)
-        after = range(place + 1, place + MAX_ENTRIES) if place is not None else range(0)
-        for other in list(self._rows):
-            if other != utt and self._order.get(other) not in after:
-                self._drop(other)
 
     def _drop(self, utt: str):
         """Forget the rows kept for `utt`, counting which offered rows a
@@ -303,11 +305,15 @@ class ExternalProvider:
 
     def _fetch(self, utt: str, history: tuple) -> np.ndarray:
         """One step round trip, whose rows replace those kept for `utt`
-        (the other utterances it names have none). Returns the row for
-        `history`."""
-        self._drop(utt)
-        asked = [(utt, history)]
+        (the other utterances it names have none). First drops the rows of
+        `utt` and of every utterance but the MAX_ENTRIES - 1 announced after
+        it. Returns the row for `history`."""
         place = self._order.get(utt)
+        after = range(place + 1, place + MAX_ENTRIES) if place is not None else range(0)
+        for other in list(self._rows):
+            if self._order.get(other) not in after:
+                self._drop(other)
+        asked = [(utt, history)]
         if place is not None and history == (Vocabulary.BOS,):
             first = max(self._next, place + 1)
             self._next = max(self._next, place + MAX_ENTRIES)
@@ -394,7 +400,6 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
     if not 0 < timeout <= threading.TIMEOUT_MAX:
         raise ConfigurationError(
             f"timeout must be in (0, {threading.TIMEOUT_MAX}] seconds, got {timeout}")
-    max_frame = max_logits_bytes(vocab.size)
     if isinstance(endpoint, (list, tuple)):
         command = [str(c) for c in endpoint]
         sock, theirs = socket.socketpair()
@@ -405,7 +410,7 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
                 sock.close()
                 raise ProviderIOError(f"cannot start {command!r}: {exc}") from exc
         sock.settimeout(timeout)
-        transport = _TcpTransport(sock, max_frame, proc)
+        transport = _TcpTransport(sock, vocab.size, proc)
     else:
         host, _, port = str(endpoint).rpartition(":")
         if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
@@ -415,7 +420,7 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
             sock = socket.create_connection((host, int(port)), timeout=timeout)
         except OSError as exc:
             raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
-        transport = _TcpTransport(sock, max_frame)
+        transport = _TcpTransport(sock, vocab.size)
     return ExternalProvider(transport, vocab)
 
 

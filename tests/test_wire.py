@@ -27,8 +27,8 @@ from latefuse.decoding import (decode_eval_set, evaluation_max_len, fused_greedy
 from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.fusion import FusionConfig
 from latefuse.providers import UtteranceContext, train_ngram_corrector
-from latefuse.wire import (LOGITS_ENCODING, MAX_HEADER_BYTES, MAX_REQUEST_BYTES,
-                           ExternalProvider, ProviderServer, _TcpTransport, connect_external,
+from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
+                           ProviderServer, _TcpTransport, connect_external, max_header_bytes,
                            max_logits_bytes, stdio_serve)
 
 
@@ -413,8 +413,9 @@ BAD_FRAMES = [
     ("nan", frame(ZEROS[:5] + [np.nan]), False, "non-finite"),
     ("inf", frame(ZEROS[:5] + [np.inf]), False, "non-finite"),
     ("-inf", frame([-np.inf] + ZEROS[:5]), False, "non-finite"),
-    ("header-over-cap", frame(ZEROS, pad="x" * MAX_HEADER_BYTES), False, "longer than"),
-    ("header-never-ends", b'{"pad": "' + b"x" * (2 * MAX_HEADER_BYTES), False, "longer than"),
+    ("header-over-cap", frame(ZEROS, pad="x" * max_header_bytes(6)), False, "longer than"),
+    ("header-never-ends", b'{"pad": "' + b"x" * (2 * max_header_bytes(6)), False,
+     "longer than"),
     ("list-form-logits", header_line(logits=ZEROS), False, "carries no logits"),
     ("base64-logits", header_line(logits="AAAAAAAAAAA="), False, "carries no logits"),
     ("error-reply", header_line(error="boom"), False, "carries no logits"),
@@ -512,18 +513,21 @@ class ScriptedSocket:
 class TestLineChannel:
     """`_TcpTransport`'s framing over a socket pair. The test plays the
     provider, whose whole reply is pending once the request is sent, and
-    picks the size of every chunk the transport receives."""
+    picks the size of every chunk the transport receives. Rows are of
+    200 logits."""
+
+    HEADER_CAP = max_header_bytes(200)
 
     @staticmethod
-    def exchanges(replies, sizes, max_frame=1 << 20):
+    def exchanges(replies, sizes):
         client, peer = socket.socketpair()
         replies, sizes = iter(replies), iter(sizes)
         channel = _TcpTransport(ScriptedSocket(client, lambda: client.recv(next(sizes, 65536)),
                                                lambda data: peer.sendall(next(replies, b""))),
-                                max_frame)
+                                200)
         try:
             while True:
-                yield channel.round_trip({"op": "step"})
+                yield channel.round_trip({"op": "step", "ahead": wire.MAX_AHEAD - 1})
         finally:
             channel.close()
             peer.close()
@@ -556,8 +560,7 @@ class TestLineChannel:
                 for _ in zip(range(2), self.exchanges([data + extra], sizes)):
                     pass  # the stray bytes fail this exchange or the next one
 
-    @pytest.mark.parametrize("length, ok", [(MAX_HEADER_BYTES, True),
-                                            (MAX_HEADER_BYTES + 1, False)])
+    @pytest.mark.parametrize("length, ok", [(HEADER_CAP, True), (HEADER_CAP + 1, False)])
     def test_header_line_cap(self, length, ok):
         line = b'{"p": "' + b"a" * (length - 9) + b'"}'
         assert len(line) == length
@@ -565,7 +568,7 @@ class TestLineChannel:
         if ok:
             assert next(replies) == ({"p": "a" * (length - 9)}, bytearray())
         else:
-            with pytest.raises(ProviderIOError, match=f"longer than {MAX_HEADER_BYTES} bytes"):
+            with pytest.raises(ProviderIOError, match=f"longer than {self.HEADER_CAP} bytes"):
                 next(replies)
 
     def test_endless_header_fails_without_reading_it_all(self):
@@ -577,18 +580,32 @@ class TestLineChannel:
             return chunks[-1]
 
         try:
-            channel = _TcpTransport(ScriptedSocket(client, recv), max_frame=1000)
-            with pytest.raises(ProviderIOError, match=f"longer than {MAX_HEADER_BYTES} bytes"):
+            channel = _TcpTransport(ScriptedSocket(client, recv), 200)
+            with pytest.raises(ProviderIOError, match=f"longer than {self.HEADER_CAP} bytes"):
                 channel.round_trip({"op": "step"})
         finally:
             client.close()
             peer.close()
-        assert len(chunks) == MAX_HEADER_BYTES // 100 + 1
+        assert len(chunks) == self.HEADER_CAP // 100 + 1
+
+    # (step request, the most rows its reply may carry)
+    ASKED_ROWS = [
+        ({"op": "step"}, 1),
+        ({"op": "step", "ahead": 0}, 1),
+        ({"op": "step", "ahead": 3}, 4),
+        ({"op": "step", "follow": [3, 4]}, 3),
+        ({"op": "step", "ahead": 40}, wire.MAX_AHEAD),
+        ({"op": "step", "follow": [3] * 31}, wire.MAX_AHEAD),
+        ({"op": "step", "ahead": 2, "more": [{"follow": [3]}, {"ahead": 0}, {}]}, 7),
+        ({"op": "step", "ahead": 31, "more": [{"ahead": 31}] * 15}, 16 * wire.MAX_AHEAD),
+    ]
 
     @pytest.mark.parametrize("size, ok", [(1000, True), (1001, False), (-1, False),
                                           (True, False), (8.0, False)])
     def test_frame_size_is_checked_before_the_frame_is_read(self, size, ok):
-        """The header comes in one chunk; each later chunk is one frame byte."""
+        """The header comes in one chunk; each later chunk is one frame byte.
+        A plain request over a vocabulary of 125 asks for one row of 1000
+        bytes."""
         client, peer = socket.socketpair()
         chunks = [header_line(logits_bytes=size)]
 
@@ -597,7 +614,7 @@ class TestLineChannel:
             return chunks[-2]
 
         try:
-            channel = _TcpTransport(ScriptedSocket(client, recv), max_frame=1000)
+            channel = _TcpTransport(ScriptedSocket(client, recv), 125)
             if ok:
                 assert channel.round_trip({"op": "step"}) == \
                     ({"logits_bytes": size}, bytearray(b"\n" * size))
@@ -610,17 +627,46 @@ class TestLineChannel:
             peer.close()
         assert len(chunks) == (1 + size + 1 if ok else 2)
 
-    @pytest.mark.parametrize("vocab_size", [3, 200, 50_000, 10 ** wire.MAX_ID_DIGITS])
+    @pytest.mark.parametrize("payload, rows", ASKED_ROWS, ids=lambda v: repr(v)[:60])
+    @pytest.mark.parametrize("extra, ok", [(0, True), (1, False)])
+    def test_frame_is_capped_by_the_rows_asked(self, payload, rows, extra, ok):
+        """A reply may carry the rows its request asked for and no byte more;
+        a larger "logits_bytes" fails before any frame byte is read."""
+        size = 8 * 200 * rows + extra
+        client, peer = socket.socketpair()
+        chunks = [header_line(logits_bytes=size)]
+
+        def recv():
+            chunks.append(b"\n" * 8)
+            return chunks[-2]
+
+        try:
+            channel = _TcpTransport(ScriptedSocket(client, recv), 200)
+            if ok:
+                assert channel.round_trip(payload)[1] == bytearray(b"\n" * size)
+            else:
+                with pytest.raises(ProviderIOError, match=r"'logits_bytes' must be an integer "
+                                                          rf"in \[0, {size - 1}\]"):
+                    channel.round_trip(payload)
+                assert len(chunks) == 2
+        finally:
+            client.close()
+            peer.close()
+
+    @pytest.mark.parametrize("vocab_size", [3, 200, 50_000, 10 ** 7, 10 ** 9])
     def test_caps_fit_the_longest_valid_replies(self, vocab_size):
         """The longest legal reply: every entry's path MAX_AHEAD - 1 of the
-        longest ids, and a frame of their rows. The header is built, not
-        the frame: at the largest V it would take gigabytes."""
+        longest ids, and a frame of their rows, what a request of
+        MAX_ENTRIES entries asking for MAX_AHEAD rows each may get. The
+        header is built, not the frame: at the largest V it would take
+        gigabytes."""
         path = [vocab_size - 1] * (wire.MAX_AHEAD - 1)
         n_rows = wire.MAX_ENTRIES * wire.MAX_AHEAD
         header = header_line(logits_bytes=8 * n_rows * vocab_size, path=path,
                              more_paths=[path] * (wire.MAX_ENTRIES - 1))
-        assert len(header) - 1 <= MAX_HEADER_BYTES
+        assert len(header) - 1 <= max_header_bytes(vocab_size)
         assert max_logits_bytes(vocab_size) == 8 * n_rows * vocab_size
+        assert wire._rows_asked(self.ASKED_ROWS[-1][0]) == n_rows
 
 
 def step_line(length):
@@ -762,7 +808,7 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
 
     remote = ExternalProvider(RecordingTransport(), abc_vocab)
     remote.next_logits((0,), empty_ctx)
-    for follows in ([(), ()], [(3,), (4, 5)]):
+    for follows in ([None, None], [(3,), (4, 5)]):
         remote.prefetch(list(zip([HASH_CONTEXTS["u1"], HASH_CONTEXTS["u2"]], follows)))
         remote.next_logits((0,), HASH_CONTEXTS["u1"])
     requests = [m for direction, m in messages if direction == "->"]
@@ -995,6 +1041,7 @@ class TestClientChecksLookaheadReplies:
         (True, rows_reply(2, [3])),
         (True, rows_reply(1, [])),
         (True, rows_reply(4, [3, 5, 4])),
+        (True, rows_reply(4, [3, 4, 5])),  # a row past the follow, which asked for none
         (True, rows_reply(2, [3, 4])),
         (True, frame(ZEROS * 3 + ZEROS[:5] + [np.nan], path=[3, 4, 5])),
     ], ids=lambda v: repr(v)[:40])
@@ -1021,7 +1068,7 @@ class TestClientChecksLookaheadReplies:
                                       or rows_reply(4, [3, 4, 5])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                remote.prefetch([(empty_ctx, (3, 4))])
+                remote.prefetch([(empty_ctx, (3, 4, 5))])
                 served = [remote.next_logits(history, empty_ctx)
                           for history in [(0,), (0, 3), (0, 3, 4), (0, 3, 4, 5)]]
                 for row, logits in enumerate(served):
@@ -1038,7 +1085,7 @@ class TestClientChecksLookaheadReplies:
 
     # announced (follow) of u0, u1 and u2; the client sends u0's as the
     # request's own entry and the other two in its "more"
-    ANNOUNCED = {"u0": (3, 4), "u1": (4,), "u2": ()}
+    ANNOUNCED = {"u0": (3, 4), "u1": (4,), "u2": None}
 
     @pytest.mark.parametrize("reply", [
         rows_reply(5, [3, 4], more_paths=[[4]]),
@@ -1095,7 +1142,7 @@ class TestClientChecksLookaheadReplies:
                                       or rows_reply(1, [])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                remote.prefetch([(ctx, ()) for ctx in HASH_CONTEXTS.values()])
+                remote.prefetch([(ctx, None) for ctx in HASH_CONTEXTS.values()])
                 for ctx in HASH_CONTEXTS.values():
                     assert remote.next_logits((0,), ctx).tolist() == list(range(6))
                 assert (remote.round_trips, remote.rows_received) == (4, 4)
@@ -1121,7 +1168,7 @@ class TestClientChecksLookaheadReplies:
             server.close()
 
     def test_reply_at_both_caps_is_read(self, abc_vocab):
-        """A header line of MAX_HEADER_BYTES with a frame of MAX_AHEAD rows
+        """A header line of `max_header_bytes(V)` with a frame of MAX_AHEAD rows
         for each of MAX_ENTRIES announced utterances."""
         contexts = [UtteranceContext(utt_id=f"v{i}") for i in range(wire.MAX_ENTRIES)]
         path = [3] * (wire.MAX_AHEAD - 1)
@@ -1129,14 +1176,14 @@ class TestClientChecksLookaheadReplies:
         more_paths = [path] * (wire.MAX_ENTRIES - 1)
         header = {"logits_bytes": logits.nbytes, "path": path, "more_paths": more_paths,
                   "pad": ""}
-        header["pad"] = "x" * (MAX_HEADER_BYTES - len(json.dumps(header)))
-        assert len(json.dumps(header)) == MAX_HEADER_BYTES
+        header["pad"] = "x" * (max_header_bytes(abc_vocab.size) - len(json.dumps(header)))
+        assert len(json.dumps(header)) == max_header_bytes(abc_vocab.size)
         assert logits.nbytes == max_logits_bytes(abc_vocab.size)
         server = LineServer(scripted({"hello": {"ok": True}, "step": frame(
             logits, path=path, more_paths=more_paths, pad=header["pad"])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                remote.prefetch([(ctx, ()) for ctx in contexts])
+                remote.prefetch([(ctx, None) for ctx in contexts])
                 assert remote.next_logits((0,), contexts[0]).tolist() == list(range(6))
                 last = remote.next_logits((0, *path), contexts[-1])
                 assert last.tolist() == logits[-6:].tolist()
@@ -1145,8 +1192,8 @@ class TestClientChecksLookaheadReplies:
         finally:
             server.close()
 
-    @pytest.mark.parametrize("length, code", [(MAX_HEADER_BYTES, 0),
-                                              (MAX_HEADER_BYTES + 1, 4)])
+    @pytest.mark.parametrize("length, code", [(max_header_bytes(6), 0),
+                                              (max_header_bytes(6) + 1, 4)])
     def test_header_one_byte_past_the_cap_exits_4(self, abc_vocab, tmp_path, length, code):
         header = {"logits_bytes": 8 * abc_vocab.size, "pad": ""}
         header["pad"] = "x" * (length - len(json.dumps(header)))
@@ -1201,7 +1248,7 @@ class CountingTransport:
 def counted_connection(address, vocab):
     host, _, port = address.rpartition(":")
     sock = socket.create_connection((host, int(port)), timeout=5.0)
-    transport = CountingTransport(wire._TcpTransport(sock, max_logits_bytes(vocab.size)))
+    transport = CountingTransport(wire._TcpTransport(sock, vocab.size))
     return ExternalProvider(transport, vocab), transport
 
 
@@ -1325,10 +1372,10 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("n", [1, wire.MAX_ENTRIES, wire.MAX_ENTRIES + 1, 40])
     def test_calibration_makes_one_round_trip_per_block_of_references(self, abc_vocab, n):
-        """References of 2 to MAX_AHEAD tokens, announced by `collect_traces`:
+        """References of 1 to MAX_AHEAD tokens, announced by `collect_traces`:
         MAX_ENTRIES of them per round trip, and every row is used."""
         local = HashProvider(abc_vocab)
-        lengths = [2, 7, wire.MAX_AHEAD, 5] * 10
+        lengths = [1, 7, wire.MAX_AHEAD, 5] * 10
         dataset = hash_references(abc_vocab, lengths[:n], MANY_CONTEXTS)
         with ProviderServer(local, MANY_CONTEXTS) as server:
             remote, transport = counted_connection(server.address, abc_vocab)
@@ -1383,7 +1430,7 @@ class TestRoundTrips:
 
         server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
         eval_set = [(ctx, ["w"] * 10) for ctx in list(MANY_CONTEXTS.values())[:20]]
-        dataset = hash_references(abc_vocab, [2, 7, wire.MAX_AHEAD, 5] * 5, MANY_CONTEXTS)
+        dataset = hash_references(abc_vocab, [1, 7, wire.MAX_AHEAD, 5] * 5, MANY_CONTEXTS)
         cfgs = [FusionConfig(mode="llm")]
         try:
             with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
