@@ -309,7 +309,8 @@ def generate_corpus(
     Returns (splits, vocab) where splits maps split name to records. Each
     record carries an N-best list produced by beam search over the
     channel's decoder matrix on one noise draw, and an independent second
-    noise draw as the fusion-time observation.
+    noise draw as the fusion-time observation. The searches share one
+    `rows` dict, so each decoder row is normalised and ranked once.
     """
     from .decoding import MAX_BEAM_WIDTH, beam_search
 
@@ -335,6 +336,7 @@ def generate_corpus(
     total = n_train + n_val + n_test
     references = sample_references(sentences, total, channel.seed, mean_len=mean_len)
     splits: dict[str, list[CorpusRecord]] = {}
+    rows = {}
     cursor = 0
     for split, count in (("train", n_train), ("val", n_val), ("test", n_test)):
         records = []
@@ -349,7 +351,7 @@ def generate_corpus(
             )
             hyps = beam_search(
                 decoder, ctx, beam_width, n_best,
-                max_len=max(4, len(nbest_words) + 4),
+                max_len=max(4, len(nbest_words) + 4), rows=rows,
             )
             records.append(CorpusRecord(
                 id=utt_id,

@@ -6,8 +6,9 @@ how (one provider's argmax in mode llm or asr, a fused step in static or
 uadf). `greedy_decode` is that loop in mode llm. Beam search generates
 N-best lists. All decoders start the history at BOS, are deterministic,
 and stop at EOS or a length cap. A provider with a `row_key` is read once
-per beam step, and once per (key, temperature) in a decode set
-(`calibrated_row`).
+per key in a corpus's beam searches (`beam_search` with `rows`), where a
+step scores the live beams x the top-ranked ids of that row, and once
+per (key, temperature) in a decode set (`calibrated_row`).
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from .providers import UtteranceContext
 DEFAULT_MAX_LEN = 64
 # Largest length factor: factor x (words + 1) must stay a finite float.
 MAX_LEN_FACTOR = 1e30
-# Widest beam `beam_search` runs. A step scores beam_width x V candidates,
-# and live beams can grow as V^t, so a wider beam only exhausts memory.
+# Widest beam `beam_search` runs. A step scores up to beam_width x V
+# candidates (an unkeyed provider's step, or a widened one, scores all V
+# ids per beam), so a wider beam only exhausts memory.
 MAX_BEAM_WIDTH = 1024
 
 
@@ -120,8 +122,47 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     return DecodeResult(history[1:], tuple(steps), "max-length")
 
 
-def beam_search(provider, ctx: UtteranceContext, beam_width: int,
-                n_out: int, max_len: int) -> list[tuple[TokenSeq, float]]:
+def _log_rows(provider, seqs, ctx: UtteranceContext, v: int) -> np.ndarray:
+    """The provider's rows for `seqs`, log-normalised in a new float64 array.
+
+    The normaliser is `math.log` of the row's sum of exponentials, taken in
+    Python: `np.log` differs from it in the last bit on some inputs, which
+    would change the N-best lists.
+    """
+    rows = np.array([provider.next_logits((Vocabulary.BOS,) + seq, ctx) for seq in seqs],
+                    dtype=np.float64)
+    if rows.shape != (len(seqs), v):
+        raise InvalidInputError(f"logit rows must have vocabulary size {v}, got "
+                                f"shape {rows.shape[1:]}")
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("logit rows must be finite")
+    rows -= rows.max(axis=1, keepdims=True)
+    norms = [math.log(total) for total in np.exp(rows).sum(axis=1).tolist()]
+    rows -= np.array(norms)[:, None]
+    return rows
+
+
+class _RankedRow:
+    """One log-normalised row (shape 1 x V) ranked for `beam_search`: its ids
+    by value descending, then by id ascending.
+    `prefix(m)` gives the columns of the first m ranked ids and those ids,
+    in ascending id order; each m is built once."""
+
+    def __init__(self, logp: np.ndarray):
+        self.logp = logp
+        self.order = np.argsort(-logp[0], kind="stable")
+        self.prefixes = {}
+
+    def prefix(self, m: int):
+        cached = self.prefixes.get(m)
+        if cached is None:
+            ids = np.sort(self.order[:m])
+            cached = self.prefixes[m] = (self.logp[:, ids], ids.tolist())
+        return cached
+
+
+def beam_search(provider, ctx: UtteranceContext, beam_width: int, n_out: int,
+                max_len: int, rows: dict | None = None) -> list[tuple[TokenSeq, float]]:
     """Beam search on total log-probability, with no length penalty.
 
     Hypotheses that emit EOS retire into the output pool; at the length
@@ -129,16 +170,24 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     ties broken lexicographically on the token sequence, which makes
     beam_width 1 coincide with greedy decoding.
 
-    Each step runs on the whole beam at once. A provider with a `row_key`
-    (see `providers`) gives the same row to every live beam, since they all
-    share one length: it is asked once per step, for the first live beam,
-    and that one row is normalised. Any other
-    provider is asked once per live beam. The rows are copied into a
-    float64 array, never normalised where the provider keeps them, and
-    the beam scores are added by broadcasting. The per-row normaliser is
-    `math.log` of the row's sum of exponentials, taken in Python: `np.log`
-    differs from it in the last bit on some inputs, which would change the
-    N-best lists.
+    Each step runs on the whole beam at once: the beam scores are added to
+    the log-normalised rows (`_log_rows`) by broadcasting, and the top
+    beam_width candidates are selected with exact tie handling. A provider
+    with a `row_key` (see `providers`) gives the same row to every live
+    beam, since they all share one length: it is asked once per step, for
+    the first live beam. Any other provider is asked once per live beam.
+    Rows are copied, never normalised where the provider keeps them.
+
+    With a `rows` dict, a keyed provider's row is read, checked,
+    normalised and ranked (ids by value descending, then by id) once per
+    key, for every search that shares the dict. A step then scores the
+    live beams x the first m ranked ids only, m = min(beam_width, V) at
+    first. If some beam's score plus the row's (m+1)-th ranked value
+    reaches the selection boundary, m doubles, up to V, and the step
+    selects again; otherwise every id left out scores strictly below the
+    boundary, so the lists, scores included, equal the full step's bit for
+    bit. Without `rows`, or for an unkeyed provider, every id is a
+    candidate.
     """
     if not MAX_BEAM_WIDTH >= beam_width >= n_out >= 1:
         raise InvalidParameterError(
@@ -150,32 +199,43 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int,
     live: list[tuple[TokenSeq, float]] = [((), 0.0)]  # lexicographically sorted
     pool: list[tuple[TokenSeq, float]] = []
     v = provider.vocab.size
-    one_row = hasattr(provider, "row_key")
+    row_key = getattr(provider, "row_key", None)
+    ranked = row_key is not None and rows is not None
     for _ in range(max_len):
         if not live:
             break
-        asked = live[:1] if one_row else live
-        rows = np.array([provider.next_logits((Vocabulary.BOS,) + seq, ctx)
-                         for seq, _ in asked], dtype=np.float64)
-        if rows.shape != (len(asked), v):
-            raise InvalidInputError(f"logit rows must have vocabulary size {v}, got "
-                                    f"shape {rows.shape[1:]}")
-        rows -= rows.max(axis=1, keepdims=True)
-        norms = [math.log(total) for total in np.exp(rows).sum(axis=1).tolist()]
-        rows -= np.array(norms)[:, None]
-        scores = (np.array([s for _, s in live])[:, None] + rows).ravel()
-        # `live` is sorted by sequence, so ascending flat index is ascending
-        # lexicographic order of the candidate sequences; pick the top
-        # beam_width by score with exact tie handling at the boundary.
-        k = min(beam_width, scores.size)
-        boundary = np.partition(scores, scores.size - k)[scores.size - k]
+        seqs, beam_scores = zip(*live)
+        base = np.array(beam_scores)
+        if ranked:
+            key = (id(provider), row_key(len(seqs[0]) + 1, ctx))
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _RankedRow(_log_rows(provider, seqs[:1], ctx, v))
+            logp, m = row.logp, min(beam_width, v)
+            best = max(beam_scores)
+        else:
+            logp, m = _log_rows(provider, seqs[:1] if row_key else seqs, ctx, v), v
+        while True:
+            cols, ids = (logp, range(v)) if m == v else row.prefix(m)
+            scores = (base[:, None] + cols).ravel()
+            # Ascending flat index is ascending lexicographic order of the
+            # candidate sequences (`live` and `ids` are sorted); pick the
+            # top beam_width by score with exact tie handling at the boundary.
+            k = min(beam_width, scores.size)
+            boundary = np.partition(scores, scores.size - k)[scores.size - k]
+            # fl(s + r) is monotone in s and in r: if the best beam plus the
+            # first id left out stays below the boundary, so does every
+            # candidate left out
+            if m == v or not best + logp[0, row.order[m]] >= boundary:
+                break
+            m = min(2 * m, v)
         chosen = (scores > boundary).nonzero()[0].tolist()
         chosen += (scores == boundary).nonzero()[0].tolist()[: k - len(chosen)]
         chosen.sort()
 
         next_live = []
         for flat in chosen:
-            seq = live[flat // v][0] + (flat % v,)
+            seq = seqs[flat // m] + (ids[flat % m],)
             entry = (seq, float(scores[flat]))
             if seq[-1] == Vocabulary.EOS:
                 pool.append(entry)

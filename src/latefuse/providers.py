@@ -19,9 +19,11 @@ write and read the whole of a trained corrector's `lm.json`. A provider may
 define `row_key(length, ctx)`, as `AcousticChannel` does, to declare
 that `next_logits(history, ctx)` depends only on
 `row_key(len(history), ctx)`: equal keys mean equal rows, also across
-utterances. Beam search then asks it for one row per step
-instead of one per live beam, and a decode set normalises each of its
-keyed rows once per temperature (`decoding.calibrated_row`).
+utterances. Beam search then asks it for one row per step instead of
+one per live beam; with a `rows` dict (one per corpus in
+`corpus.generate_corpus`) it reads, normalises and ranks each key's row
+once, for every search that shares the dict. A decode set normalises
+each of its keyed rows once per temperature (`decoding.calibrated_row`).
 The wire client, `wire.ExternalProvider`, keeps the unread rows of its
 replies by utterance and counts what its steps took. A caller that
 announces its utterances (`prefetch`) gets the first rows of up to
@@ -264,7 +266,8 @@ class AcousticChannel:
     So the row depends on the history only through its length, and on the
     utterance only through the observed token there: `row_key` names it.
     `beam_search` reads one row per step and gives it to every live beam,
-    and a decode set normalises each row once per temperature.
+    or, with a corpus's `rows` dict, one row per key for the whole corpus;
+    a decode set normalises each row once per temperature.
     """
 
     def __init__(self, vocab: Vocabulary, confusion: np.ndarray):

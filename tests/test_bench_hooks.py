@@ -134,27 +134,23 @@ def test_traced_decode_sets_read_each_channel_row_once_per_key(bench_case, monke
     assert m["core.softmax.calls"] == m["fusion.fuse_step.calls"] + m["providers.asr.calls"]
 
 
-def test_traced_generate_corpus_reads_one_acoustic_row_per_beam_step(monkeypatch):
+def test_traced_generate_corpus_reads_each_acoustic_row_key_once(monkeypatch):
     channel = corpus.ChannelSpec(seed=4)
     sizes = {"n_train": 6, "n_val": 2, "n_test": 2}
     # Untraced reference: a wrapper that hides the channel's `row_key`, so
-    # each search asks it once per live beam; the distinct
-    # history lengths it asks for are that search's steps.
-    steps, original = [0], decoding.beam_search
+    # each search asks it once per live beam; the row keys of the histories
+    # it asks for are the keys the corpus reaches.
+    keys, original = set(), decoding.beam_search
 
     def per_beam_search(provider, ctx, *args, **kwargs):
-        lengths = set()
-
         class PerBeam:
             vocab = provider.vocab
 
             def next_logits(self, history, ctx):
-                lengths.add(len(history))
+                keys.add(provider.row_key(len(history), ctx))
                 return provider.next_logits(history, ctx)
 
-        result = original(PerBeam(), ctx, *args, **kwargs)
-        steps[0] += len(lengths)
-        return result
+        return original(PerBeam(), ctx, *args, **kwargs)
 
     with monkeypatch.context() as patched:
         patched.setattr(decoding, "beam_search", per_beam_search)
@@ -169,7 +165,8 @@ def test_traced_generate_corpus_reads_one_acoustic_row_per_beam_step(monkeypatch
     m = layers.layer_metrics(tr, {})
     assert got[0] == want[0]
     assert m["decoding.beam_search.calls"] == sum(sizes.values())
-    assert m["decoding.beam_search.provider_calls"] == m["providers.asr.calls"] == steps[0] > 0
+    # the corpus shares one `rows` dict, so each distinct key is read once
+    assert m["decoding.beam_search.provider_calls"] == m["providers.asr.calls"] == len(keys) > 0
 
 
 def test_traced_calibrate_and_score_count_evaluations_rows_and_pairs(tmp_path, frozen_fit):

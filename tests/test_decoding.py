@@ -406,8 +406,9 @@ def serial_log_softmax(logits):
     return shifted - math.log(float(np.exp(shifted).sum()))
 
 
-def serial_beam_search(provider, ctx, beam_width, n_out, max_len):
-    """Oracle: the beam search that ran one log-softmax per live beam."""
+def serial_beam_search(provider, ctx, beam_width, n_out, max_len, rows=None):
+    """Oracle: the beam search that ran one log-softmax per live beam and
+    scored every id. It takes `beam_search`'s `rows` and ignores it."""
     live = [((), 0.0)]
     pool = []
     for _ in range(max_len):
@@ -616,6 +617,123 @@ class TestOneRowPerStep:
         provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size - 1))
         with pytest.raises(InvalidInputError, match="vocabulary size 6"):
             beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3)
+
+
+class ByLength:
+    """Provider whose row is `table[min(len(history), len(table)) - 1]`."""
+
+    def __init__(self, vocab, table):
+        self.vocab = vocab
+        self.table = [np.asarray(row, dtype=np.float64) for row in table]
+
+    def next_logits(self, history, ctx):
+        return self.table[min(len(history), len(self.table)) - 1].copy()
+
+
+class KeyedByLength(ByLength):
+    def row_key(self, length, ctx):
+        return min(length, len(self.table))
+
+
+class TestRankedRows:
+    """With a `rows` dict, a step scores the first m ranked ids of a keyed
+    row and widens m when an id left out could still reach the boundary;
+    the lists equal the serial search's, which scores every id."""
+
+    @staticmethod
+    def spy_widths(monkeypatch):
+        """Log the m of every prefix a step scores."""
+        widths, original = [], decoding._RankedRow.prefix
+
+        def logged(self, m):
+            widths.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(decoding._RankedRow, "prefix", logged)
+        return widths
+
+    def test_ids_that_round_to_the_boundary_widen_the_step(self, monkeypatch):
+        # Step 2 ranks id 9 first and id 8 second, their values differ, but
+        # added to the one beam's score they round to the same float: the
+        # tie goes to the lower id, 8, which a step of the top-1 id misses.
+        vocab = sized_vocab(200)
+        first = np.zeros(200)
+        first[3] = 1e-9
+        s = serial_log_softmax(first)[3]
+        for ulps in range(1, 64):
+            second = np.full(200, -50.0)
+            second[9], second[8] = 0.0, -ulps * 2.0**-53
+            r = serial_log_softmax(second)
+            if r[8] < r[9] and s + r[8] == s + r[9]:
+                break
+        else:
+            pytest.fail("no row rounds to a tie")
+        provider = KeyedByLength(vocab, [first, second])
+        ctx = UtteranceContext(utt_id="u")
+        widths = self.spy_widths(monkeypatch)
+
+        got = beam_search(provider, ctx, 1, 1, 2, rows={})
+        assert got == serial_beam_search(provider, ctx, 1, 1, 2)
+        assert got[0][0] == (3, 8)
+        assert widths == [1, 1, 2]
+
+    @pytest.mark.parametrize("v", [7, 30])
+    def test_shared_rows_over_a_tied_confusion_equal_serial_oracle(self, v, monkeypatch):
+        vocab = sized_vocab(v)
+        confusion = confusion_with_ties(v, v)
+        channel, oracle = AcousticChannel(vocab, confusion), AcousticChannel(vocab, confusion)
+        reads, original = [0], channel.next_logits
+
+        def counted(history, ctx):
+            reads[0] += 1
+            return original(history, ctx)
+
+        channel.next_logits = counted
+        widths = self.spy_widths(monkeypatch)
+        rng = np.random.default_rng(v)
+        rows, widened, ties = {}, 0, 0
+        for case in range(60):
+            obs = (0,) + tuple(rng.integers(3, v, size=int(rng.integers(0, 8)))) + (1,)
+            ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
+            beam_width = int(rng.integers(1, 9))
+            n_out = int(rng.integers(1, beam_width + 1))
+            max_len = len(obs) + 2
+            widths.clear()
+            got = beam_search(channel, ctx, beam_width, n_out, max_len, rows=rows)
+            want = serial_beam_search(oracle, ctx, beam_width, n_out, max_len)
+            assert got == want
+            widened += any(m > min(beam_width, v) for m in widths)
+            scores = [score for _, score in want]
+            ties += len(set(scores)) < len(scores)
+        # each key was read and ranked once, for all 60 searches
+        assert reads[0] == len(rows) <= v + 1
+        assert widened and ties
+
+    def test_beam_as_wide_as_the_vocabulary_scores_every_id(self, monkeypatch):
+        vocab = sized_vocab(7)
+        channel = AcousticChannel(vocab, confusion_with_ties(7, 3))
+        widths = self.spy_widths(monkeypatch)
+        rows = {}
+        rng = np.random.default_rng(2)
+        for case, beam_width in enumerate((7, 8, 16, 7, 12)):
+            obs = (0,) + tuple(rng.integers(3, 7, size=4)) + (1,)
+            ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
+            got = beam_search(channel, ctx, beam_width, 5, 7, rows=rows)
+            assert got == serial_beam_search(channel, ctx, beam_width, 5, 7)
+        assert widths == []  # every step took the whole row
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "unkeyed"])
+    @pytest.mark.parametrize("with_rows", [True, False], ids=["rows", "no-rows"])
+    def test_non_finite_row_is_a_data_error(self, bad, keyed, with_rows):
+        # a finite first row, then a second row holding one non-finite entry
+        vocab = sized_vocab(7)
+        second = np.zeros(7)
+        second[4] = bad
+        provider = (KeyedByLength if keyed else ByLength)(vocab, [np.zeros(7), second])
+        kwargs = {"rows": {}} if with_rows else {}
+        with pytest.raises(InvalidInputError, match="finite"):
+            beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3, **kwargs)
 
 
 def reference_decode(llm, asr, cfg, ctx, max_len):
