@@ -2,11 +2,14 @@
 
 References come from a small template grammar (or a text file), pass
 through a per-word noisy channel, and get an N-best list from beam
-search over an analytically derived decoder matrix. The N-best noise
-draw and the stored fusion-time observation are independent draws of
-the same channel, so hypothesis evidence and the acoustic provider are
-correlated but distinct. Everything is deterministic: per-record RNG
-streams are derived from the corpus seed and the utterance id.
+search over an analytically derived decoder matrix. The channel draws a
+substitution by inverse CDF, from cumulative kernel rows cached once
+per kernel: the same draw `Generator.choice` makes with the row as `p`.
+The N-best noise draw and the stored fusion-time observation are
+independent draws of the same channel, so hypothesis evidence and the
+acoustic provider are correlated but distinct. Everything is
+deterministic: per-record RNG streams are derived from the corpus seed
+and the utterance id.
 """
 
 from __future__ import annotations
@@ -130,6 +133,14 @@ MAX_MEAN_LEN = 1000.0
 # every split is drawn, and every record (about 2 KB) is held, before any
 # is written, so a huge split would only run until memory runs out.
 MAX_SPLIT_SIZE = 100_000
+# Largest vocabulary the noisy channel takes, in tokens (specials
+# included): `decoder_confusion` and `_substitution_kernel` build dense
+# V x V float64 arrays, 8 x 4096^2 B = 134 MB each at the cap, and
+# building the channel holds about six at its peak (the kernel, its
+# cumulative rows, the decoder matrix, the provider's log rows and
+# temporaries), about 0.8 GB. A larger vocabulary would only run until
+# memory runs out.
+MAX_CHANNEL_VOCAB = 4096
 
 
 @functools.lru_cache(maxsize=8)
@@ -141,7 +152,7 @@ def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
     modulated so different word pairs have different margins (a constant
     profile would make all single-substitution beam candidates tie
     exactly). Built once per (n_words, concentration) and returned
-    read-only, since every record's `corrupt` reads it.
+    read-only, since the cache shares it.
     """
     idx = np.arange(n_words)
     dist = np.abs(idx[:, None] - idx[None, :])
@@ -160,6 +171,21 @@ def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
     return kernel
 
 
+@functools.lru_cache(maxsize=8)
+def _substitution_cdf(n_words: int, concentration: float) -> np.ndarray:
+    """Row-wise cumulative sums of `_substitution_kernel`, each row divided
+    by its last entry, as `Generator.choice(n, p=row)` builds them per call.
+
+    A row's `searchsorted(rng.random(), side="right")` is then the draw
+    `choice` makes, from the same single uniform. Built once per
+    (n_words, concentration) and returned read-only, like the kernel.
+    """
+    cdf = _substitution_kernel(n_words, concentration).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def decoder_confusion(vocab: Vocabulary, channel: ChannelSpec) -> np.ndarray:
     """Posterior matrix P(true token | observed token) for the channel.
 
@@ -171,6 +197,11 @@ def decoder_confusion(vocab: Vocabulary, channel: ChannelSpec) -> np.ndarray:
     alignment instead, which this per-position model cannot represent.
     """
     v = vocab.size
+    if v > MAX_CHANNEL_VOCAB:  # before any V x V array is allocated
+        raise InvalidInputError(
+            f"a vocabulary of {v} tokens is over the noisy channel's cap of "
+            f"{MAX_CHANNEL_VOCAB}: each of its {v}x{v} float64 matrices would take "
+            f"{8 * v * v / 1e6:.0f} MB")
     n_words = v - 3
     matrix = np.eye(v)
     if n_words > 1:
@@ -254,11 +285,14 @@ def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
 
     Deterministic given (channel.seed, utt_id). Substitutions are drawn
     from the kernel row of the source word, which never returns the
-    original; inserted words are uniform over the word inventory.
+    original: an inverse-CDF lookup of one uniform in the row's cached
+    cumulative sums (`_substitution_cdf`), the same draw, and the same
+    generator state after it, as `rng.choice(n_words, p=kernel[wid])`.
+    Inserted words are uniform over the word inventory.
     """
     rng = _record_rng(channel.seed, utt_id)
     n_words = vocab.size - 3
-    kernel = _substitution_kernel(n_words, channel.concentration) if n_words > 1 else None
+    cdf = _substitution_cdf(n_words, channel.concentration) if n_words > 1 else None
     out: list[str] = []
     for word in reference_words:
         if rng.random() < channel.ins_rate and n_words > 0:
@@ -266,8 +300,9 @@ def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
         roll = rng.random()
         if roll < channel.sub_rate:
             wid = vocab.id_of(word) - 3
-            if kernel is not None and wid >= 0:
-                out.append(vocab.token_of(3 + int(rng.choice(n_words, p=kernel[wid]))))
+            if cdf is not None and wid >= 0:
+                out.append(vocab.token_of(
+                    3 + int(cdf[wid].searchsorted(rng.random(), side="right"))))
             else:
                 out.append(word)
         elif roll < channel.sub_rate + channel.del_rate:

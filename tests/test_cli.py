@@ -38,6 +38,14 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture
+def no_channel_matrix(monkeypatch):
+    """Fails a test that would reach the channel's first V x V allocation."""
+    def eye(*args, **kwargs):
+        raise AssertionError("the noisy channel allocated its matrices")
+    monkeypatch.setattr(corpus.np, "eye", eye)
+
+
 def decode_args(workspace, mode, out, **extra):
     data = workspace / "data"
     argv = ["decode", "--corpus", data / "test.jsonl", "--vocab", data / "vocab.txt",
@@ -167,6 +175,19 @@ class TestSimulate:
         record = json.loads((out / "test.jsonl").read_text().splitlines()[0])
         assert record["reference"] == "show the <unk> flight"
 
+    def test_source_over_the_channel_vocabulary_cap_is_data_error(
+            self, tmp_path, capsys, no_channel_matrix):
+        source = tmp_path / "sentences.txt"
+        # with the three specials, one token over the cap
+        words = [f"w{i}" for i in range(corpus.MAX_CHANNEL_VOCAB - 2)]
+        source.write_text("\n".join(" ".join(words[i:i + 10]) for i in range(0, len(words), 10)))
+        out = tmp_path / "out"
+        assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,
+                   "--n-test", 1, "--source", source) == 3
+        assert f"{corpus.MAX_CHANNEL_VOCAB + 1} tokens is over the noisy channel's cap" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigDrivenRun:
     def test_decode_entirely_from_config_file(self, workspace, tmp_path):
@@ -283,6 +304,18 @@ class TestDecode:
     def test_in_process_providers_print_no_wire_counters(self, workspace, tmp_path, capsys):
         assert run(*decode_args(workspace, "uadf", tmp_path / "u.jsonl")) == 0
         assert "over the wire" not in capsys.readouterr().out
+
+    def test_vocabulary_over_the_channel_cap_is_data_error(self, workspace, tmp_path, capsys,
+                                                           no_channel_matrix):
+        words = (workspace / "data" / "vocab.txt").read_text().splitlines()
+        words += [f"extra{i}" for i in range(corpus.MAX_CHANNEL_VOCAB + 1 - len(words))]
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(words) + "\n")
+        out = tmp_path / "out" / "hyp.jsonl"
+        assert run(*decode_args(workspace, "asr", out, vocab=vocab)) == 3
+        assert f"{corpus.MAX_CHANNEL_VOCAB + 1} tokens is over the noisy channel's cap" \
+            in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_invalid_mode_flag_is_config_error(self, workspace, tmp_path):
         out = tmp_path / "x.jsonl"

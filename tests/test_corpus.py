@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from latefuse import corpus
 from latefuse.core import Vocabulary
 from latefuse.corpus import (
     ChannelSpec,
@@ -20,6 +21,7 @@ from latefuse.corpus import (
 from latefuse.errors import (
     CorpusParseError,
     CorpusSchemaError,
+    InvalidInputError,
     InvalidParameterError,
 )
 from latefuse.metrics import corpus_wer, normalize_text, oracle_nbest
@@ -107,7 +109,61 @@ class TestCorrupt:
             corrupt(words, spec, vocab, "a") == words  # ids rarely collide
 
 
+class TestSubstitutionDraw:
+    """`corrupt` draws a substitution from the cached cumulative row of the
+    kernel: the draw and the generator state after it must be those of
+    `rng.choice(n_words, p=row)`, which every corpus file was made with."""
+
+    KEYS = [(n_words, concentration)
+            for n_words in (2, 9, 197) for concentration in (0.1, 1.0, 30.0)]
+
+    @pytest.mark.parametrize("n_words, concentration", KEYS)
+    def test_cumulative_row_draw_equals_choice_on_a_twin_generator(self, n_words,
+                                                                   concentration):
+        kernel = corpus._substitution_kernel(n_words, concentration)
+        cdf = corpus._substitution_cdf(n_words, concentration)
+        for seed in range(4):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for row in range(n_words):
+                for _ in range(5):
+                    drawn = int(cdf[row].searchsorted(rng.random(), side="right"))
+                    assert drawn == int(twin.choice(n_words, p=kernel[row]))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n_words, concentration", KEYS)
+    def test_table_is_read_only_and_built_once_per_key(self, n_words, concentration):
+        cdf = corpus._substitution_cdf(n_words, concentration)
+        assert cdf.shape == (n_words, n_words)
+        assert not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0, 0] = 0.0
+        misses = corpus._substitution_cdf.cache_info().misses
+        assert corpus._substitution_cdf(n_words, concentration) is cdf
+        assert corpus._substitution_cdf.cache_info().misses == misses
+
+
 class TestDecoderConfusion:
+    @staticmethod
+    def words(n):
+        return Vocabulary.from_words(f"w{i}" for i in range(n))
+
+    def test_vocabulary_at_the_cap_passes_the_size_check(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(corpus.np, "eye", reached)  # the first V x V allocation
+        vocab = self.words(corpus.MAX_CHANNEL_VOCAB - 3)
+        assert vocab.size == corpus.MAX_CHANNEL_VOCAB
+        with pytest.raises(Reached):
+            decoder_confusion(vocab, ChannelSpec())
+        with pytest.raises(InvalidInputError, match=(
+                f"{corpus.MAX_CHANNEL_VOCAB + 1} tokens is over the noisy channel's cap "
+                f"of {corpus.MAX_CHANNEL_VOCAB}")):
+            decoder_confusion(self.words(corpus.MAX_CHANNEL_VOCAB - 2), ChannelSpec())
+
     def test_rows_are_stochastic(self):
         vocab = builtin_vocabulary()
         matrix = decoder_confusion(vocab, ChannelSpec())
