@@ -270,16 +270,18 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     which is dropped before the next utterance, so the configs must share
     mode, tau1 and tau2. All decodes share one dict of `calibrated_row`s,
     so a keyed provider's row is normalised once per call of this
-    function, not once per step. A corrector with a `prefetch` method (one
-    served over the wire) is told the utterances first, in order, so it can
-    fetch the first rows of many of them per round trip. The acoustic
-    model is not: fused decodes leave its argmax path more often than not.
+    function, not once per step. The provider whose argmax the mode
+    follows, the acoustic model in mode asr and the corrector in the
+    others, is told the utterances first, in order, if it has a `prefetch`
+    method (one served over the wire), so it can fetch the first rows of
+    many of them per round trip, each with its argmax path.
     """
     if len({(c.mode, c.tau1, c.tau2) for c in cfgs}) > 1:
         raise InvalidParameterError("configs must share mode, tau1 and tau2")
     eval_set = list(eval_set)
-    if hasattr(llm_provider, "prefetch"):
-        llm_provider.prefetch([(ctx, None) for ctx, _ in eval_set])
+    primary = asr_provider if any(c.mode == "asr" for c in cfgs) else llm_provider
+    if hasattr(primary, "prefetch"):
+        primary.prefetch([(ctx, None) for ctx, _ in eval_set])
     rows = {}
     for ctx, ref_words in eval_set:
         max_len = evaluation_max_len(ref_words, max_len_factor)

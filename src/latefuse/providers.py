@@ -25,10 +25,11 @@ one per live beam; with a `rows` dict (one per corpus in
 once, for every search that shares the dict. A decode set normalises
 each of its keyed rows once per temperature (`decoding.calibrated_row`).
 The wire client, `wire.ExternalProvider`, keeps the unread rows of its
-replies by utterance and counts what its steps took. A caller that
-announces its utterances (`prefetch`) gets the first rows of up to
-`wire.MAX_ENTRIES` of them per round trip; a fetch for an utterance
-drops the rows of every other but those announced after it.
+replies by utterance. A caller that announces its utterances
+(`prefetch`) gets the first rows of up to `wire.MAX_ENTRIES` of them per
+round trip, each with the provider's argmax path past its follow; an
+utterance nobody announced gets one row per step. A fetch for an
+utterance drops the rows of every other but those announced after it.
 """
 
 from __future__ import annotations

@@ -19,20 +19,21 @@ append, and "ahead": n, a number of tokens to extend past them along the
 provider's own argmax of the raw logits (lowest id on ties), stopping once
 that argmax is EOS. The server then replies with
 {"logits_bytes": N, "path": [ids]} and a frame of one row of V logits for
-history and one for each history + path[:i], at most MAX_AHEAD rows. A
-reply without "path" is the one row for history, so a server that ignores
-"follow" and "ahead" is served one step per round trip. The client asks
-for as many argmax tokens as the decode has been likely to take (see
-`_ahead`): a greedy decode that follows the provider's argmax needs no
-request past an utterance's first, plus one each time it leaves the
-path, and one that mostly leaves it soon sends plain one-row requests.
-This relies on a served provider returning the same logits for the same
-(utt, history).
+history and one for each history + path[:i], at most MAX_AHEAD rows; the
+client refuses a path that leaves the argmax of its rows past the follow.
+A reply without "path" is the one row for history, so a server that
+ignores "follow" and "ahead" is served one step per round trip. All this
+relies on a served provider giving the same logits for one (utt, history).
 
 A caller that knows the utterances it will step through announces them
 (`ExternalProvider.prefetch`), each with the follow it will take from
-BOS: None for a decode, the reference for teacher forcing. The request
-for an utterance's first row then also carries "more": up to
+BOS: None for a decode, the reference for teacher forcing. Announcing is
+the one lookahead policy: a step of an announced utterance that leaves
+its follow, or has none, asks for MAX_AHEAD - 1 argmax tokens, so a
+greedy decode that follows the provider's argmax needs no request past
+an utterance's first, plus one each time it leaves the path; a step of
+an utterance nobody announced asks for its one row. The request for an
+announced utterance's first row also carries "more": up to
 MAX_ENTRIES - 1 entries {"utt", "history", "follow" | "ahead"} for the
 announced utterances after it that no request has named yet. The reply
 header adds "more_paths", one path per entry, and the frame appends each
@@ -41,9 +42,8 @@ served argmax makes one round trip per MAX_ENTRIES utterances. A reply
 without "more_paths" carries no rows for them, so a server that ignores
 "more" is served one round trip per utterance. The client keeps the
 unread rows of each utterance it fetched and answers later steps from
-them; a fetch drops the rows of every utterance but the MAX_ENTRIES - 1
-announced after its own, so the client keeps the rows of at most
-MAX_ENTRIES utterances.
+them, and a fetch drops those of every utterance but the MAX_ENTRIES - 1
+announced after its own.
 
 Replies and requests are capped: a reply header longer than
 `max_header_bytes(V)` or announcing more rows than its request asked
@@ -56,7 +56,6 @@ client talks to either over one socket.
 from __future__ import annotations
 
 import json
-import math
 import select
 import socket
 import subprocess
@@ -75,14 +74,6 @@ LOGITS_ENCODING = "f64le-frame"
 # The most rows of logits one step reply carries: the one for the request's
 # history and one per token of its path.
 MAX_AHEAD = 32
-# The client asks for a row of the server's argmax path only while the
-# chance that the decode takes it is at least this. A row the decode takes
-# saves a round trip, and every row costs its encoding and decoding, so
-# this pays while a row costs less than the rest of a round trip. On
-# loopback, with the n-gram corrector served from a process sharing the
-# client's one core, a row of 200 logits costs 20-26 us and a one-row
-# round trip 130-150 us (2-core VM), so a row costs about a sixth of it.
-MIN_TAKE_CHANCE = 0.5
 # A request line longer than this, newline included, gets an error reply
 # and ends the connection; the longest hello or step request is far shorter.
 MAX_REQUEST_BYTES = 1 << 20
@@ -212,14 +203,14 @@ class ExternalProvider:
     The unread rows of the step replies are kept by utterance, then by
     history. A step takes its row out. A step the rows do not cover asks
     for the next stretch of the follow `prefetch` announced for its
-    utterance, if the step is on it, or else for as many tokens of the
-    provider's argmax path as `_ahead` gives for the rows the steps so far
-    took and left. The request for the first row of an announced utterance
-    also asks for the first rows of the announced utterances after it (see
-    the module docstring). A fetch for an utterance replaces its rows and
-    drops those of every other except the MAX_ENTRIES - 1 announced after
-    it, so callers that interleave unannounced utterances on one client
-    drop each other's rows. `round_trips`, `rows_received` and
+    utterance, if the step is on it, or else for MAX_AHEAD - 1 tokens of
+    the provider's argmax path if its utterance was announced, and for
+    its one row if not. The request for the first row of an announced
+    utterance also asks for the first rows of the announced utterances
+    after it (see the module docstring). A fetch for an utterance replaces
+    its rows and drops those of every other except the MAX_ENTRIES - 1
+    announced after it, so callers that interleave unannounced utterances
+    on one client drop each other's rows. `round_trips`, `rows_received` and
     `rows_used` count step requests, the rows their replies carried and
     the rows a step read.
     """
@@ -228,13 +219,10 @@ class ExternalProvider:
         self.vocab = vocab
         self._transport = transport
         self._rows = {}  # utt -> {history: row of a reply that no step has read}
-        self._offered = {}  # utt -> rows of its latest reply along the server's argmax path
         self._plans = {}  # utt -> BOS + follow from `prefetch`, until fetched or left
         self._announced = []  # the announced utts, in order
         self._order = {}  # announced utt -> its place in `_announced`
         self._next = 0  # the first place no request has named since `prefetch`
-        self._taken = self._left = 0  # offered rows a step read; replies a step left early
-        self._ahead = _ahead(0, 0)  # what the next request off a plan asks for
         self.round_trips = self.rows_received = self.rows_used = 0
         try:
             reply, _ = transport.round_trip(
@@ -256,9 +244,7 @@ class ExternalProvider:
         to BOS (empty for a reference of EOS alone), or None for a decode,
         whose tokens are not known. Drops every kept row; an utterance
         announced twice keeps its first place and follow."""
-        for utt in list(self._rows):
-            self._drop(utt)
-        self._plans, self._order = {}, {}
+        self._rows, self._plans, self._order = {}, {}, {}
         for ctx, follow in entries:
             if ctx.utt_id not in self._order:
                 self._order[ctx.utt_id] = len(self._order)
@@ -276,22 +262,11 @@ class ExternalProvider:
         self.rows_used += 1
         return row  # the client keeps no reference to it
 
-    def _drop(self, utt: str):
-        """Forget the rows kept for `utt`, counting which offered rows a
-        step took and whether the steps left its path early."""
-        rows = self._rows.pop(utt, None)
-        offered = self._offered.pop(utt, 0)
-        if offered:  # the rows past the follow, those the steps may leave
-            untaken = min(len(rows), offered)
-            self._taken += offered - untaken
-            self._left += bool(untaken)
-            self._ahead = _ahead(self._taken, self._left)
-
     def _entry(self, utt: str, history: tuple):
         """The request fields for the rows of `utt` from `history` on, and
         the follow they carry: the next stretch of its plan, if `history`
-        is on it, else `ahead` argmax tokens, if any. The end of a plan
-        asks for one row."""
+        is on it, else MAX_AHEAD - 1 argmax tokens if `utt` was announced,
+        and none if not. The end of a plan asks for one row."""
         fields = {"utt": utt, "history": [int(i) for i in history]}
         plan = self._plans.get(utt, ())
         follow = []
@@ -299,8 +274,8 @@ class ExternalProvider:
             follow = list(plan[len(history):len(history) + MAX_AHEAD - 1])
             if follow:
                 fields["follow"] = follow
-        elif self._ahead:
-            fields["ahead"] = self._ahead
+        elif utt in self._order:
+            fields["ahead"] = MAX_AHEAD - 1
         return fields, follow
 
     def _fetch(self, utt: str, history: tuple) -> np.ndarray:
@@ -310,9 +285,7 @@ class ExternalProvider:
         it. Returns the row for `history`."""
         place = self._order.get(utt)
         after = range(place + 1, place + MAX_ENTRIES) if place is not None else range(0)
-        for other in list(self._rows):
-            if self._order.get(other) not in after:
-                self._drop(other)
+        self._rows = {u: rows for u, rows in self._rows.items() if self._order.get(u) in after}
         asked = [(utt, history)]
         if place is not None and history == (Vocabulary.BOS,):
             first = max(self._next, place + 1)
@@ -333,7 +306,6 @@ class ExternalProvider:
             if plan is not None and (plan[:len(h)] != h or len(h) + len(follow) == len(plan)):
                 del self._plans[u]  # the step left the plan, or fetches it to its end
             self._rows[u] = {h + tuple(path[:i]): rows[at + i] for i in range(len(path) + 1)}
-            self._offered[u] = len(path[len(follow):])
             at += len(path) + 1
         return self._rows[utt].pop(history)
 
@@ -341,7 +313,8 @@ class ExternalProvider:
         """The (rows, V) logits of a step reply and the path of each entry
         the request named, whose follows are `follows`. A reply without
         "path" carries the one row for the request's history, and one
-        without "more_paths" no rows for the entries of "more"."""
+        without "more_paths" no rows for the entries of "more". Past its
+        follow, each path must be the argmax of its rows."""
         if "logits_bytes" not in header:
             raise ProviderIOError(f"step reply carries no logits: {header!r}")
         size = self.vocab.size
@@ -368,7 +341,13 @@ class ExternalProvider:
         logits = np.frombuffer(frame, dtype="<f8").astype(np.float64, copy=False)
         if not np.isfinite(logits).all():
             raise ProviderIOError("provider returned non-finite logits")
-        return logits.reshape(n_rows, size), paths
+        logits, at = logits.reshape(n_rows, size), 0  # at: the entry's first row
+        for path, follow in zip(paths, follows):  # past its follow, its rows' argmax
+            ahead = path[len(follow):]
+            if logits[at + len(follow):at + len(path)].argmax(axis=1).tolist() != ahead:
+                raise ProviderIOError(f"path {path!r:.200} is not the argmax of its rows")
+            at += len(path) + 1
+        return logits, paths
 
     def close(self):
         self._transport.close()
@@ -378,20 +357,6 @@ class ExternalProvider:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def _ahead(taken: int, left: int) -> int:
-    """How many tokens of the server's argmax path to ask for, given that
-    steps took `taken` offered rows and left `left` replies' paths early:
-    as many as keep the chance of taking the last one, p ** n, at least
-    MIN_TAKE_CHANCE. p, the chance of following the path one more step,
-    is counted from the rows so far with a prior of 2 * MAX_AHEAD taken
-    to 1 left, so the first request asks for a full reply. A decode that
-    follows the path 3 steps in 4 comes to be offered 2 rows; one that
-    follows it less than half the time, none, and then sends plain
-    requests, as its counts no longer change."""
-    p = (taken + 2 * MAX_AHEAD) / (taken + left + 2 * MAX_AHEAD + 1)
-    return min(MAX_AHEAD - 1, int(math.log(MIN_TAKE_CHANCE) / math.log(p)))
 
 
 def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> ExternalProvider:

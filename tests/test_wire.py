@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -26,10 +27,11 @@ from latefuse.decoding import (decode_eval_set, evaluation_max_len, fused_greedy
                                greedy_decode)
 from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.fusion import FusionConfig
-from latefuse.providers import UtteranceContext, train_ngram_corrector
+from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
 from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
                            ProviderServer, _TcpTransport, connect_external, max_header_bytes,
                            max_logits_bytes, stdio_serve)
+from test_decoding import step_bytes
 
 
 def frame(logits, **header):
@@ -448,6 +450,7 @@ class TestFrames:
                                             hang_up, error):
         with scripted_endpoint(transport, reply, hang_up) as endpoint, \
                 connect_external(endpoint, abc_vocab, timeout=5.0) as remote:
+            remote.prefetch([(empty_ctx, None)])  # its requests ask for 32 rows
             with pytest.raises(ProviderIOError, match=error):
                 for history in ((0,), (0, 3)):  # stray bytes fail the next exchange
                     remote.next_logits(history, empty_ctx)
@@ -455,10 +458,11 @@ class TestFrames:
     def test_frame_of_newline_bytes_is_read_whole(self, abc_vocab, empty_ctx, transport):
         """0x0A ends the header line, but not a frame that is full of it."""
         newlines = b"\n" * (2 * 8 * abc_vocab.size)
-        reply = header_line(logits_bytes=len(newlines), path=[3]) + newlines
+        reply = header_line(logits_bytes=len(newlines), path=[0]) + newlines  # equal rows
         with scripted_endpoint(transport, reply) as endpoint, \
                 connect_external(endpoint, abc_vocab, timeout=5.0) as remote:
-            for history in ((0,), (0, 3), (0,)):
+            remote.prefetch([(empty_ctx, None)])
+            for history in ((0,), (0, 0), (0,)):
                 assert remote.next_logits(history, empty_ctx).tobytes() == newlines[:48]
             assert (remote.round_trips, remote.rows_used, remote.rows_received) == (2, 3, 4)
 
@@ -822,6 +826,25 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     assert replies and all(type(m["logits_bytes"]) is int for m in replies)
 
 
+def test_readme_names_resolve_in_their_modules():
+    """Each `module.name` or `latefuse.module.name` of README.md, call
+    parentheses aside, where module is a latefuse module, names something
+    that module has, so the README names nothing the code removed."""
+    modules = {path.stem for path in Path(latefuse.__file__).parent.glob("*.py")}
+    refs = [(module, names.split(".")[1:]) for module, names in re.findall(
+        r"`(?:latefuse\.)?([a-z_]+)((?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", README.read_text())
+        if module in modules]
+    assert len(refs) >= 16
+    missing = []
+    for module, names in refs:
+        value = importlib.import_module(f"latefuse.{module}")
+        for name in names:
+            value = getattr(value, name, missing)
+        if value is missing:
+            missing.append(".".join([module, *names]))
+    assert not missing
+
+
 def hello_request(vocab):
     return {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
             "logits_encoding": LOGITS_ENCODING}
@@ -1019,10 +1042,10 @@ def rows_reply(n_rows, path, **header):
 
 
 class TestClientChecksLookaheadReplies:
-    """The client sends follow [3, 4] (announced by `prefetch`) or, without
-    it, ahead; each reply below is a ProviderIOError."""
+    """The client announces its utterance with follow [3, 4], and sends it,
+    or as a decode, and sends ahead; each reply below is a ProviderIOError."""
 
-    @pytest.mark.parametrize("prefetch, reply", [
+    @pytest.mark.parametrize("with_follow, reply", [
         (False, frame(ZEROS, path="3")),
         (False, frame(ZEROS, path=None)),
         (False, frame(ZEROS, path={"0": 3})),
@@ -1035,6 +1058,7 @@ class TestClientChecksLookaheadReplies:
         (False, rows_reply(1, [3])),
         (False, rows_reply(3, [3])),
         (False, rows_reply(2, [])),
+        (False, rows_reply(2, [3])),  # the row's argmax is 5
         (False, frame(ZEROS * 2)),
         (False, header_line(logits=ZEROS * 2, path=[3])),
         (True, rows_reply(3, [4, 3])),
@@ -1045,27 +1069,27 @@ class TestClientChecksLookaheadReplies:
         (True, rows_reply(2, [3, 4])),
         (True, frame(ZEROS * 3 + ZEROS[:5] + [np.nan], path=[3, 4, 5])),
     ], ids=lambda v: repr(v)[:40])
-    def test_bad_lookahead_reply_is_provider_io_error(self, abc_vocab, empty_ctx, prefetch,
+    def test_bad_lookahead_reply_is_provider_io_error(self, abc_vocab, empty_ctx, with_follow,
                                                       reply):
         sent = []
         server = LineServer(scripted({"hello": {"ok": True},
                                       "step": lambda msg: sent.append(msg) or reply}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                if prefetch:
-                    remote.prefetch([(empty_ctx, (3, 4))])
+                remote.prefetch([(empty_ctx, (3, 4) if with_follow else None)])
                 with pytest.raises(ProviderIOError):
                     remote.next_logits((0,), empty_ctx)
         finally:
             server.close()
-        assert sent[0].get("follow") == ([3, 4] if prefetch else None)
-        assert sent[0].get("ahead") == (None if prefetch else wire.MAX_AHEAD - 1)
+        assert sent[0].get("follow") == ([3, 4] if with_follow else None)
+        assert sent[0].get("ahead") == (None if with_follow else wire.MAX_AHEAD - 1)
 
     def test_good_lookahead_reply_serves_its_rows(self, abc_vocab, empty_ctx):
         sent = []
+        # the follow, else the argmax path of rows 0, 1, 2, ...
         server = LineServer(scripted({"hello": {"ok": True},
                                       "step": lambda msg: sent.append(msg)
-                                      or rows_reply(4, [3, 4, 5])}))
+                                      or rows_reply(4, msg.get("follow", [5, 5, 5]))}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(empty_ctx, (3, 4, 5))])
@@ -1120,19 +1144,46 @@ class TestClientChecksLookaheadReplies:
     def test_good_more_reply_serves_every_entry(self, abc_vocab):
         sent = []
         server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
-                                      or rows_reply(8, [3, 4], more_paths=[[4], [3, 5]])}))
+                                      or rows_reply(8, [3, 4], more_paths=[[4], [5, 5]])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(HASH_CONTEXTS[u], f) for u, f in self.ANNOUNCED.items()])
                 served = [remote.next_logits(history, HASH_CONTEXTS[utt]).tolist()
                           for utt, history in [("u0", (0,)), ("u0", (0, 3)), ("u0", (0, 3, 4)),
                                                ("u1", (0,)), ("u1", (0, 4)),
-                                               ("u2", (0,)), ("u2", (0, 3)), ("u2", (0, 3, 5))]]
+                                               ("u2", (0,)), ("u2", (0, 5)), ("u2", (0, 5, 5))]]
                 assert served == [list(range(6 * i, 6 * i + 6)) for i in range(8)]
                 assert (remote.round_trips, remote.rows_used, remote.rows_received) == (1, 8, 8)
         finally:
             server.close()
         assert len(sent) == 1
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_paths_must_be_the_argmax_of_their_rows(self, abc_vocab, swap):
+        """A served reply to four announced decodes, as sent or with two
+        different "more_paths" swapped: a path past its follow must be the
+        argmax of its rows, so no utterance takes another's rows."""
+        utts = list(HASH_CONTEXTS)
+        entries = [{"utt": u, "history": [0], "ahead": wire.MAX_AHEAD - 1} for u in utts]
+        (header, logits), = served_steps(abc_vocab, [{"op": "step", **entries[0],
+                                                      "more": entries[1:]}])
+        more = header["more_paths"]
+        if swap:
+            i, j = next((i, j) for i in range(3) for j in range(i) if more[i] != more[j])
+            more[i], more[j] = more[j], more[i]
+        server = LineServer(scripted({"hello": {"ok": True}, "step": frame(
+            logits, path=header["path"], more_paths=more)}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch([(HASH_CONTEXTS[u], None) for u in utts])
+                if swap:
+                    with pytest.raises(ProviderIOError, match="not the argmax of its rows"):
+                        remote.next_logits((0,), HASH_CONTEXTS["u0"])
+                else:
+                    assert remote.next_logits((0,), HASH_CONTEXTS["u0"]).tobytes() == \
+                        logits[:abc_vocab.size].tobytes()
+        finally:
+            server.close()
 
     def test_reply_without_more_paths_serves_the_request_alone(self, abc_vocab):
         """A server that ignores "more" serves the request's own entry; the
@@ -1171,7 +1222,7 @@ class TestClientChecksLookaheadReplies:
         """A header line of `max_header_bytes(V)` with a frame of MAX_AHEAD rows
         for each of MAX_ENTRIES announced utterances."""
         contexts = [UtteranceContext(utt_id=f"v{i}") for i in range(wire.MAX_ENTRIES)]
-        path = [3] * (wire.MAX_AHEAD - 1)
+        path = [5] * (wire.MAX_AHEAD - 1)  # the argmax of each row
         logits = np.arange(wire.MAX_ENTRIES * wire.MAX_AHEAD * abc_vocab.size, dtype=float)
         more_paths = [path] * (wire.MAX_ENTRIES - 1)
         header = {"logits_bytes": logits.nbytes, "path": path, "more_paths": more_paths,
@@ -1252,6 +1303,30 @@ def counted_connection(address, vocab):
     return ExternalProvider(transport, vocab), transport
 
 
+def recorded_connection(address, vocab):
+    """A client of `address`, past its hello, and the list of the requests
+    it sends from then on."""
+    remote, transport = counted_connection(address, vocab)
+    sent = []
+    transport.round_trip = lambda payload, rt=transport.round_trip: \
+        sent.append(payload) or rt(payload)
+    return remote, sent
+
+
+def take_the_argmin(remote, local, contexts, n_steps=8):
+    """Step each of `contexts` `n_steps` times along the argmin of the rows
+    `remote` serves, each checked against `local`; the number of steps."""
+    steps = 0
+    for ctx in contexts:
+        history = (Vocabulary.BOS,)
+        for _ in range(n_steps):
+            row = remote.next_logits(history, ctx)
+            assert row.tobytes() == local.next_logits(history, ctx).tobytes()
+            history += (int(np.argmin(row)),)
+            steps += 1
+    return steps
+
+
 class TieFreeHashProvider(HashProvider):
     """HashProvider without its -0.0 and subnormal entries, which the
     softmax turns into a tie the raw logits do not have."""
@@ -1290,23 +1365,6 @@ def lookahead_round_trips(provider, ctx, tokens):
     return trips
 
 
-class TestLookaheadLength:
-    def test_first_request_and_a_decode_that_always_follows_ask_for_a_full_reply(self):
-        assert [wire._ahead(taken, 0) for taken in (0, 1, 31, 10_000)] == \
-            [wire.MAX_AHEAD - 1] * 4
-
-    @pytest.mark.parametrize("follows, ahead", [(0.99, wire.MAX_AHEAD - 1), (0.9, 6),
-                                                (0.75, 2), (0.6, 1), (0.45, 0), (0.0, 0)])
-    def test_length_follows_the_share_of_rows_taken(self, follows, ahead):
-        taken = round(100_000 * follows)
-        assert wire._ahead(taken, 100_000 - taken) == ahead
-
-    def test_leaving_shortens_and_taking_lengthens(self):
-        assert [wire._ahead(0, left) for left in (0, 1, 2, 10, 63, 64)] == \
-            [31, 22, 15, 4, 1, 0]
-        assert [wire._ahead(taken, 64) for taken in (0, 64, 640)] == [0, 1, 7]
-
-
 class TestRoundTrips:
     """Count-based guards on the lookahead: no timing, exact counts."""
 
@@ -1316,6 +1374,7 @@ class TestRoundTrips:
             remote, transport = counted_connection(server.address, abc_vocab)
             with remote:
                 for ctx in HASH_CONTEXTS.values():
+                    remote.prefetch([(ctx, None)])
                     served = greedy_decode(remote, ctx, max_len=wire.MAX_AHEAD)
                     here = greedy_decode(local, ctx, max_len=wire.MAX_AHEAD)
                     assert served.tokens == here.tokens
@@ -1338,37 +1397,45 @@ class TestRoundTrips:
             remote, transport = counted_connection(server.address, abc_vocab)
             with remote:
                 for ctx in HASH_CONTEXTS.values():
+                    remote.prefetch([(ctx, None)])
                     served, here = decode(remote, ctx), decode(local, ctx)
                     assert served.tokens == here.tokens
                     expected += lookahead_round_trips(local, ctx, served.tokens)
         assert expected > len(HASH_CONTEXTS)
         assert transport.steps == remote.round_trips == expected
 
-    def test_decode_that_never_follows_the_path_soon_sends_plain_requests(self, abc_vocab):
+    def test_announced_decode_asks_for_a_full_path_on_every_request(self, abc_vocab):
         """Steps that always take the served argmin, never the argmax: the
-        client stops asking for rows it would not take."""
+        utterances were announced, so every request and every entry of its
+        "more" asks for MAX_AHEAD - 1 argmax tokens all the same."""
         local = TieFreeHashProvider(abc_vocab)
-        sent = []
         with ProviderServer(local, HASH_CONTEXTS) as server:
-            remote, transport = counted_connection(server.address, abc_vocab)
-            transport.round_trip = lambda payload, rt=transport.round_trip: \
-                sent.append(payload) or rt(payload)
+            remote, sent = recorded_connection(server.address, abc_vocab)
             with remote:
-                steps = 0
-                for ctx in list(HASH_CONTEXTS.values()) * 40:
-                    history = (Vocabulary.BOS,)
-                    for _ in range(8):
-                        row = remote.next_logits(history, ctx)
-                        assert row.tobytes() == local.next_logits(history, ctx).tobytes()
-                        history += (int(np.argmin(row)),)
-                        steps += 1
-        asks = ["ahead" in msg for msg in sent if msg["op"] == "step"]
-        assert remote.round_trips == remote.rows_used == steps == len(asks)
-        n_asks = asks.index(False)
-        # 2 * MAX_AHEAD paths left, plus replies whose path was empty (argmax EOS)
-        assert not any(asks[n_asks:]) and n_asks <= 4 * wire.MAX_AHEAD
-        assert steps - n_asks > 400  # most of the decode sends plain requests
-        assert remote.rows_received - remote.rows_used < 8 * wire.MAX_AHEAD
+                remote.prefetch([(ctx, None) for ctx in HASH_CONTEXTS.values()])
+                steps = take_the_argmin(remote, local, HASH_CONTEXTS.values())
+        assert all(entry.get("ahead") == wire.MAX_AHEAD - 1 and "follow" not in entry
+                   for msg in sent for entry in (msg, *msg.get("more", ())))
+        assert [len(msg.get("more", ())) for msg in sent[:2]] == [len(HASH_CONTEXTS) - 1, 0]
+        # the first request brings every first row; every other step left a path
+        assert remote.round_trips == len(sent) == steps - (len(HASH_CONTEXTS) - 1)
+        assert remote.rows_used == steps
+
+    def test_unannounced_steps_send_plain_requests(self, abc_vocab):
+        """Steps of utterances nobody announced, whether they take the served
+        argmin or follow the argmax, ask for their one row each."""
+        local = TieFreeHashProvider(abc_vocab)
+        with ProviderServer(local, HASH_CONTEXTS) as server:
+            remote, sent = recorded_connection(server.address, abc_vocab)
+            with remote:
+                steps = take_the_argmin(remote, local, HASH_CONTEXTS.values())
+                for ctx in HASH_CONTEXTS.values():
+                    served = greedy_decode(remote, ctx, max_len=8)
+                    assert served.tokens == greedy_decode(local, ctx, max_len=8).tokens
+                    steps += len(served.steps)
+        assert all(set(msg) == {"op", "utt", "history"} for msg in sent)
+        assert remote.round_trips == len(sent) == steps
+        assert remote.rows_received == remote.rows_used == steps
 
     @pytest.mark.parametrize("n", [1, wire.MAX_ENTRIES, wire.MAX_ENTRIES + 1, 40])
     def test_calibration_makes_one_round_trip_per_block_of_references(self, abc_vocab, n):
@@ -1418,6 +1485,38 @@ class TestRoundTrips:
         assert detours > len(eval_set)
         assert transport.steps == remote.round_trips == \
             math.ceil(len(eval_set) / wire.MAX_ENTRIES) + detours
+
+    @pytest.mark.parametrize("n", [1, wire.MAX_ENTRIES + 1, 40])
+    def test_served_channel_is_announced_in_mode_asr_only(self, abc_vocab, n):
+        """Mode asr follows the acoustic model's argmax, so `decode_eval_set`
+        announces its set to a served channel: one round trip per
+        MAX_ENTRIES utterances. A fused decode leaves that argmax, so it
+        does not announce it, and each of its steps asks for one row."""
+        noisy = np.full((6, 6), 0.05)
+        np.fill_diagonal(noisy, 0.75)
+        channel = AcousticChannel(abc_vocab, noisy / noisy.sum(axis=1, keepdims=True))
+        rng = random.Random(n)
+        eval_set = []
+        for i in range(n):
+            words = [rng.choice("abc") for _ in range(rng.randint(1, 8))]
+            ref = abc_vocab.encode(" ".join(words), append_eos=True)
+            eval_set.append((UtteranceContext(utt_id=f"c{i}", observation=(0,) + ref), words))
+        contexts = {ctx.utt_id: ctx for ctx, _ in eval_set}
+        llm = TieFreeHashProvider(abc_vocab)
+        for cfg in (FusionConfig(mode="asr"), FusionConfig(mode="uadf")):
+            with ProviderServer(channel, contexts) as server:
+                remote, sent = recorded_connection(server.address, abc_vocab)
+                with remote:
+                    served = list(decode_eval_set(llm, remote, [cfg], eval_set))
+            here = list(decode_eval_set(llm, channel, [cfg], eval_set))
+            assert [r.tokens for r in served] == [r.tokens for r in here]
+            assert [list(map(step_bytes, r.steps)) for r in served] == \
+                [list(map(step_bytes, r.steps)) for r in here]
+            if cfg.mode == "asr":
+                assert remote.round_trips == len(sent) == math.ceil(n / wire.MAX_ENTRIES)
+            else:
+                assert all(set(msg) == {"op", "utt", "history"} for msg in sent)
+                assert remote.round_trips == remote.rows_received == remote.rows_used
 
     def test_server_ignoring_more_is_served_one_round_trip_per_utterance(self, abc_vocab):
         local = TieFreeHashProvider(abc_vocab)
@@ -1478,20 +1577,25 @@ class TestRoundTrips:
 
     def test_server_ignoring_lookahead_is_served_one_step_per_round_trip(self, abc_vocab):
         local = HashProvider(abc_vocab)
+        sent = []
 
         def step(msg):
+            sent.append(msg)
             return frame(local.next_logits(tuple(msg["history"]), HASH_CONTEXTS[msg["utt"]]))
 
         server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
         dataset = hash_references(abc_vocab, [3, wire.MAX_AHEAD + 5, 1, 9])
         try:
             with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
+                remote.prefetch([(ctx, None) for ctx in HASH_CONTEXTS.values()])
                 steps = 0
                 for ctx in HASH_CONTEXTS.values():
                     served = greedy_decode(remote, ctx, max_len=12)
                     assert served.tokens == greedy_decode(local, ctx, max_len=12).tokens
                     steps += len(served.tokens)
                 assert remote.round_trips == steps
+                assert all(msg["ahead"] == wire.MAX_AHEAD - 1 for msg in sent)
+                assert "more" in sent[0]
                 traces, targets = collect_traces(remote, dataset)
                 assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
                 assert remote.round_trips == steps + len(targets)

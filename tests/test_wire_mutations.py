@@ -1,0 +1,248 @@
+"""Seeded mutation test of the wire's step replies.
+
+A shim between the client and a real `ProviderServer` relays every
+request and reply of one command, and changes one step reply with one
+seeded mutation: a header node replaced by one of
+`test_malformed_inputs.MUTANTS` or deleted; "logits_bytes" moved by 8 or
+doubled; the frame cut short (and the connection closed) or extended; a
+"more_paths" entry dropped, duplicated or swapped with a different one;
+or a path id set to V or -1. The commands are a decode that announces its
+set to a served corrector, a decode that does not announce it to a served
+acoustic model, and a calibration of a served corrector. A mutated run
+must exit 4 and leave no output file, unless its mutation is on HARMLESS,
+whose entries each say why the run may succeed; its output must then
+equal the unmutated run's byte for byte. No run may raise, print a
+traceback or emit a warning. The seed and the number of cases are fixed,
+so the same cases run each time.
+"""
+
+import contextlib
+import json
+import random
+import socket
+import threading
+from dataclasses import fields
+
+import pytest
+
+from latefuse import corpus
+from latefuse.core import Vocabulary
+from latefuse.providers import AcousticChannel, NgramCorrector
+from latefuse.wire import ProviderServer
+from test_malformed_inputs import DELETE, MUTANTS, mutate, nodes, run
+
+SEED = 29
+CASES_PER_COMMAND = 15
+# a mutated run waits this long for bytes a mutated header promised
+TIMEOUT = "0.3"
+
+# mutation kind -> (when a run it changes may succeed, given the reply's
+# header and whether it is the run's last, and why)
+HARMLESS = {
+    "delete path": (lambda header, last: header.get("path") == [],
+                    "a reply whose path is empty carries the one row a reply without "
+                    "\"path\" carries"),
+    "frame extended": (lambda header, last: last,
+                       "bytes past the last reply of a run pair with no later request, "
+                       "and every row the run used was its own"),
+}
+
+
+def harmless(kind, header: dict, last: bool) -> bool:
+    return kind in HARMLESS and HARMLESS[kind][0](header, last)
+
+
+class Shim:
+    """A relay of one connection to the server at `upstream`. The reply to
+    the step request numbered `target` (from 0) goes to `change`, which
+    returns the bytes to send instead and whether to hang up after them.
+    `headers` keeps the header of each step reply as the server sent it."""
+
+    def __init__(self, upstream: str, target=None, change=None):
+        self._upstream = upstream
+        self._target, self._change = target, change
+        self.headers = []
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @property
+    def address(self) -> str:
+        host, port = self._sock.getsockname()
+        return f"{host}:{port}"
+
+    def _serve(self):
+        host, _, port = self._upstream.rpartition(":")
+        try:
+            conn, _ = self._sock.accept()
+            with conn, conn.makefile("rb") as client, \
+                    socket.create_connection((host, int(port)), timeout=10) as up, \
+                    up.makefile("rb") as server:
+                for line in client:
+                    up.sendall(line)
+                    head = server.readline()
+                    header = json.loads(head)
+                    reply, hang_up = head + server.read(header.get("logits_bytes", 0)), False
+                    if json.loads(line)["op"] == "step":
+                        if len(self.headers) == self._target:
+                            reply, hang_up = self._change(header, reply[len(head):])
+                        self.headers.append(header)
+                    conn.sendall(reply)
+                    if hang_up:
+                        return
+        except OSError:
+            pass  # the client went away
+        finally:
+            self._sock.close()
+
+    def close(self):
+        with contextlib.suppress(OSError):  # wakes an `accept` that no client answered
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._sock.close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+def line(header: dict) -> bytes:
+    return (json.dumps(header) + "\n").encode()
+
+
+def choose_mutation(rng: random.Random, header: dict, frame: bytes, size: int):
+    """(kind, what, reply, hang up) for one seeded mutation of the step
+    reply `header` + `frame` over a vocabulary of `size` ids."""
+    paths = [("path",)] * ("path" in header) + \
+        [("more_paths", i) for i in range(len(header.get("more_paths", [])))]
+    ids = [(*at, i) for at in paths for i in range(len(get(header, at)))]
+    kinds = ["node", "logits_bytes", "frame"] + ["more_paths"] * bool(header.get("more_paths")) \
+        + ["path id"] * bool(ids)
+    kind = rng.choice(kinds)
+    if kind == "node":
+        path = rng.choice(list(nodes(header)))
+        mutation = rng.choice(list(MUTANTS) + [DELETE] * bool(path))
+        name = "delete path" if (path, mutation) == (("path",), DELETE) else kind
+        return name, f"{list(path)} <- {mutation}", \
+            (mutate(header, path, mutation) + "\n").encode() + frame, False
+    if kind == "logits_bytes":
+        n = len(frame)
+        new = rng.choice([n + 8, n - 8, 2 * n])
+        return kind, f"logits_bytes {n} -> {new}", line({**header, "logits_bytes": new}) + \
+            frame, False
+    if kind == "frame":
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(frame))
+            return "frame cut", f"frame cut to {cut} of {len(frame)} bytes, then hang up", \
+                line(header) + frame[:cut], True
+        extra = rng.randbytes(rng.choice([1, 8, len(frame)]))
+        return "frame extended", f"frame extended by {len(extra)} bytes", \
+            line(header) + frame + extra, False
+    if kind == "more_paths":
+        more = list(header["more_paths"])
+        i = rng.randrange(len(more))
+        ops = ["drop", "duplicate"] + ["swap"] * any(p != more[i] for p in more)
+        op = rng.choice(ops)
+        if op == "drop":
+            del more[i]
+        elif op == "duplicate":
+            more.insert(i, more[i])
+        else:
+            j = rng.choice([j for j, p in enumerate(more) if p != more[i]])
+            more[i], more[j] = more[j], more[i]
+        return f"more_paths {op}", f"more_paths[{i}] {op}", \
+            line({**header, "more_paths": more}) + frame, False
+    at = rng.choice(ids)
+    value = rng.choice([size, -1])
+    changed = json.loads(json.dumps(header))
+    get(changed, at[:-1])[at[-1]] = value
+    return kind, f"{list(at)} <- {value}", line(changed) + frame, False
+
+
+def get(doc, at):
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A 20/20/20 corpus, its corrector and channel served by three
+    ProviderServers, and the argv of each command, less its endpoint,
+    output and timeout."""
+    root = tmp_path_factory.mktemp("wire-mutations")
+    data = root / "data"
+    for argv in (["simulate", "--out-dir", data, "--n-train", 20, "--n-val", 20,
+                  "--n-test", 20, "--seed", 2],
+                 ["train-lm", "--corpus", data / "train.jsonl", "--vocab", data / "vocab.txt",
+                  "--out", root / "lm.json"]):
+        assert run(argv)[0] == 0
+    vocab = Vocabulary.load(data / "vocab.txt")
+    llm = NgramCorrector.from_dict(json.loads((root / "lm.json").read_text()), vocab)
+    manifest = json.loads((data / "manifest.json").read_text())
+    asr = AcousticChannel(vocab, corpus.decoder_confusion(vocab, corpus.ChannelSpec(
+        **{f.name: manifest[f.name] for f in fields(corpus.ChannelSpec)})))
+    records = corpus.load_corpus(data / "val.jsonl") + corpus.load_corpus(data / "test.jsonl")
+    contexts = {rec.id: corpus.record_context(rec, vocab)[0] for rec in records}
+    common = ["--vocab", data / "vocab.txt"]
+    commands = {
+        "announced-decode": (llm, ["decode", "--mode", "uadf", "--corpus", data / "test.jsonl",
+                                   "--manifest", data / "manifest.json", *common,
+                                   "--llm-endpoint"]),
+        "unannounced-decode": (asr, ["decode", "--mode", "uadf", "--corpus",
+                                     data / "test.jsonl", "--lm-model", root / "lm.json",
+                                     *common, "--asr-endpoint"]),
+        "calibration": (llm, ["calibrate", "--which", "llm", "--corpus", data / "val.jsonl",
+                              *common, "--llm-endpoint"]),
+    }
+    servers = {name: ProviderServer(provider, contexts).start()
+               for name, (provider, _) in commands.items()}
+    yield vocab.size, {name: (servers[name].address, argv)
+                       for name, (_, argv) in commands.items()}
+    for server in servers.values():
+        server.stop()
+
+
+def run_through(shim: Shim, argv, out, timeout):
+    """`run` the command `argv` through `shim`, then close the shim."""
+    try:
+        return run([*argv, shim.address, "--timeout", timeout, "--out", out])
+    finally:
+        shim.close()
+
+
+@pytest.mark.parametrize("command", ["announced-decode", "unannounced-decode", "calibration"])
+def test_mutated_reply_fails_cleanly_or_is_harmless(served, tmp_path, command):
+    size, commands = served
+    upstream, argv = commands[command]
+    (tmp_path / "clean").mkdir()
+    clean = Shim(upstream)
+    code, err, caught = run_through(clean, argv, tmp_path / "clean" / "out", "10")
+    assert (code, caught) == (0, []), err
+    good = (tmp_path / "clean" / "out").read_bytes()
+    headers = clean.headers
+    failures = []
+    for case in range(CASES_PER_COMMAND):
+        case_dir = tmp_path / str(case)
+        case_dir.mkdir()
+        rng = random.Random(f"{SEED}:{command}:{case}")
+        target = rng.randrange(len(headers))
+        mutation = {}
+
+        def change(header, frame):
+            kind, what, reply, hang_up = choose_mutation(rng, header, frame, size)
+            mutation.update(kind=kind, what=what)
+            return reply, hang_up
+
+        code, err, caught = run_through(Shim(upstream, target, change), argv,
+                                        case_dir / "out", TIMEOUT)
+        what = f"reply {target} of {len(headers)}, {mutation.get('what')}: exit {code}"
+        kind = mutation.get("kind")
+        last = err.strip().rpartition("\n")[2]
+        if caught or "Traceback" in err:
+            failures.append(f"{what}, {caught or last}")
+        elif code == 4:
+            if list(case_dir.iterdir()):
+                failures.append(f"{what}, but left {sorted(p.name for p in case_dir.iterdir())}")
+        elif code != 0 or not harmless(kind, headers[target], target == len(headers) - 1):
+            failures.append(f"{what}, not on HARMLESS")
+        elif (case_dir / "out").read_bytes() != good:
+            failures.append(f"{what}, harmless, but its output differs")
+    assert not failures, "\n".join(failures)
