@@ -27,8 +27,9 @@ each of its keyed rows once per temperature (`decoding.calibrated_row`).
 The wire client, `wire.ExternalProvider`, keeps the unread rows of its
 replies by utterance. A caller that announces its utterances
 (`prefetch`) gets the first rows of up to `wire.MAX_ENTRIES` of them per
-round trip, each with the provider's argmax path past its follow; an
-utterance nobody announced gets one row per step. A fetch for an
+round trip, one entry of a step request each, with the provider's argmax
+path past its follow; an utterance nobody announced gets one row per
+step. A fetch for an
 utterance drops the rows of every other but those announced after it.
 """
 

@@ -4,26 +4,25 @@ replies that are a JSON header line, for a step followed by raw logits.
 The client opens with a handshake
     {"op": "hello", "vocab_size": V, "vocab_hash": "<hex64>",
      "logits_encoding": "f64le-frame"}  ->  {"ok": true}
-then sends step requests, each history starting with BOS
-    {"op": "step", "utt": "<id>", "history": [ids]}  ->  {"logits_bytes": 8 * V}
-A step reply's header line is followed by exactly "logits_bytes" bytes,
-its frame: the V logits as little-endian float64s. These are the exact
-values, so a served built-in provider decodes bit-identically to
-in-process use. Header line and frame go out in one write. Hello and
-error replies are header lines without a frame. The server refuses a
-hello without that "logits_encoding", and ends the session after a
-first request that is not a hello it accepts.
-
-A step request may also carry "follow": [ids], tokens the client will
-append, and "ahead": n, a number of tokens to extend past them along the
-provider's own argmax of the raw logits (lowest id on ties), stopping once
-that argmax is EOS. The server then replies with
-{"logits_bytes": N, "path": [ids]} and a frame of one row of V logits for
-history and one for each history + path[:i], at most MAX_AHEAD rows; the
-client refuses a path that leaves the argmax of its rows past the follow.
-A reply without "path" is the one row for history, so a server that
-ignores "follow" and "ahead" is served one step per round trip. All this
-relies on a served provider giving the same logits for one (utt, history).
+then sends step requests of 1 to MAX_ENTRIES entries, each history
+starting with BOS
+    {"op": "step", "entries": [{"utt": "<id>", "history": [ids]}, ...]}
+      ->  {"logits_bytes": N, "paths": [[ids], ...]}
+An entry may also carry "follow": [ids], tokens the client will append,
+and "ahead": n, a number of tokens to extend past them along the
+provider's own argmax of the raw logits (lowest id on ties), stopping
+once that argmax is EOS. Its path is the follow, then those tokens ([]
+for an entry with neither). The header line is followed by exactly
+"logits_bytes" bytes, its frame: for each entry in order, the V logits
+for history and for each history + path[:i], at most MAX_AHEAD rows, as
+little-endian float64s. These are the exact values, so a served
+built-in provider decodes bit-identically to in-process use. Header
+line and frame go out in one write; hello and error replies have no
+frame. The server refuses a hello without that "logits_encoding", and
+ends the session after a first request that is not a hello it accepts.
+The client refuses a path that leaves the argmax of its rows past its
+follow. All this relies on a served provider giving the same logits for
+one (utt, history).
 
 A caller that knows the utterances it will step through announces them
 (`ExternalProvider.prefetch`), each with the follow it will take from
@@ -33,17 +32,13 @@ its follow, or has none, asks for MAX_AHEAD - 1 argmax tokens, so a
 greedy decode that follows the provider's argmax needs no request past
 an utterance's first, plus one each time it leaves the path; a step of
 an utterance nobody announced asks for its one row. The request for an
-announced utterance's first row also carries "more": up to
-MAX_ENTRIES - 1 entries {"utt", "history", "follow" | "ahead"} for the
-announced utterances after it that no request has named yet. The reply
-header adds "more_paths", one path per entry, and the frame appends each
-entry's len(path) + 1 rows in order, so a decode set that follows the
-served argmax makes one round trip per MAX_ENTRIES utterances. A reply
-without "more_paths" carries no rows for them, so a server that ignores
-"more" is served one round trip per utterance. The client keeps the
-unread rows of each utterance it fetched and answers later steps from
-them, and a fetch drops those of every utterance but the MAX_ENTRIES - 1
-announced after its own.
+announced utterance's first row also lists the announced utterances
+after it that no request has named yet, up to MAX_ENTRIES entries in
+all, so a decode set that follows the served argmax makes one round trip
+per MAX_ENTRIES utterances. The client keeps the unread rows of each
+utterance it fetched and answers later steps from them, and a fetch
+drops those of every utterance but the MAX_ENTRIES - 1 announced after
+its own.
 
 Replies and requests are capped: a reply header longer than
 `max_header_bytes(V)` or announcing more rows than its request asked
@@ -71,14 +66,13 @@ from .providers import UtteranceContext
 # The hello's required "logits_encoding": a step reply's header line is
 # followed by a frame of raw little-endian float64 logits.
 LOGITS_ENCODING = "f64le-frame"
-# The most rows of logits one step reply carries: the one for the request's
-# history and one per token of its path.
+# The most rows of logits one entry of a step reply carries: the one for
+# its history and one per token of its path.
 MAX_AHEAD = 32
 # A request line longer than this, newline included, gets an error reply
 # and ends the connection; the longest hello or step request is far shorter.
 MAX_REQUEST_BYTES = 1 << 20
-# The most utterances one step request names: its own, and up to
-# MAX_ENTRIES - 1 announced ones in its "more".
+# The most entries one step request lists.
 MAX_ENTRIES = 16
 
 
@@ -97,11 +91,11 @@ def max_logits_bytes(vocab_size: int) -> int:
 
 
 def _rows_asked(payload: dict) -> int:
-    """The most rows a reply to the request `payload` may carry: for it
-    and each entry of its "more", one for the history, one per token of
-    the follow and one per token ahead, at most MAX_AHEAD."""
+    """The most rows a reply to the request `payload` may carry: for each
+    of its "entries", one for the history, one per token of the follow and
+    one per token ahead, at most MAX_AHEAD. A hello asks for none."""
     return sum(min(MAX_AHEAD, 1 + len(entry.get("follow", ())) + entry.get("ahead", 0))
-               for entry in (payload, *payload.get("more", ())))
+               for entry in payload.get("entries", ()))
 
 
 class _TcpTransport:
@@ -206,13 +200,13 @@ class ExternalProvider:
     utterance, if the step is on it, or else for MAX_AHEAD - 1 tokens of
     the provider's argmax path if its utterance was announced, and for
     its one row if not. The request for the first row of an announced
-    utterance also asks for the first rows of the announced utterances
-    after it (see the module docstring). A fetch for an utterance replaces
-    its rows and drops those of every other except the MAX_ENTRIES - 1
-    announced after it, so callers that interleave unannounced utterances
-    on one client drop each other's rows. `round_trips`, `rows_received` and
-    `rows_used` count step requests, the rows their replies carried and
-    the rows a step read.
+    utterance also lists the announced utterances after it (see the
+    module docstring). A fetch for an utterance replaces its rows and
+    drops those of every other except the MAX_ENTRIES - 1 announced after
+    it, so callers that interleave unannounced utterances on one client
+    drop each other's rows. `round_trips`, `rows_received` and `rows_used`
+    count step requests, the rows their replies carried and the rows a
+    step read.
     """
 
     def __init__(self, transport, vocab: Vocabulary):
@@ -263,7 +257,7 @@ class ExternalProvider:
         return row  # the client keeps no reference to it
 
     def _entry(self, utt: str, history: tuple):
-        """The request fields for the rows of `utt` from `history` on, and
+        """The request entry for the rows of `utt` from `history` on, and
         the follow they carry: the next stretch of its plan, if `history`
         is on it, else MAX_AHEAD - 1 argmax tokens if `utt` was announced,
         and none if not. The end of a plan asks for one row."""
@@ -280,7 +274,7 @@ class ExternalProvider:
 
     def _fetch(self, utt: str, history: tuple) -> np.ndarray:
         """One step round trip, whose rows replace those kept for `utt`
-        (the other utterances it names have none). First drops the rows of
+        (the other utterances it lists have none). First drops the rows of
         `utt` and of every utterance but the MAX_ENTRIES - 1 announced after
         it. Returns the row for `history`."""
         place = self._order.get(utt)
@@ -292,15 +286,12 @@ class ExternalProvider:
             self._next = max(self._next, place + MAX_ENTRIES)
             asked += [(later, history) for later in self._announced[first:self._next]]
         entries = [self._entry(*key) for key in asked]
-        payload = {"op": "step", **entries[0][0]}
-        if len(entries) > 1:
-            payload["more"] = [fields for fields, _ in entries[1:]]
-        header, frame = self._transport.round_trip(payload)
+        header, frame = self._transport.round_trip(
+            {"op": "step", "entries": [fields for fields, _ in entries]})
         self.round_trips += 1
         rows, paths = self._check_step_reply(header, frame, [f for _, f in entries])
         self.rows_received += len(rows)
         at = 0  # where the next entry's rows start in the frame
-        # a reply that ignored "more" has one path, so only its own entry is kept
         for (u, h), (_, follow), path in zip(asked, entries, paths):
             plan = self._plans.get(u)
             if plan is not None and (plan[:len(h)] != h or len(h) + len(follow) == len(plan)):
@@ -310,23 +301,17 @@ class ExternalProvider:
         return self._rows[utt].pop(history)
 
     def _check_step_reply(self, header: dict, frame: bytearray, follows: list):
-        """The (rows, V) logits of a step reply and the path of each entry
-        the request named, whose follows are `follows`. A reply without
-        "path" carries the one row for the request's history, and one
-        without "more_paths" no rows for the entries of "more". Past its
-        follow, each path must be the argmax of its rows."""
+        """The (rows, V) logits of a step reply and its "paths", one per
+        entry of the request, whose follows are `follows`. Each path starts
+        with its follow and is, past it, the argmax of its rows."""
         if "logits_bytes" not in header:
             raise ProviderIOError(f"step reply carries no logits: {header!r}")
         size = self.vocab.size
-        paths = [header.get("path", [])]
-        if "more_paths" in header:
-            more = header["more_paths"]
-            if not (isinstance(more, list) and len(more) == len(follows) - 1):
-                raise ProviderIOError(f"'more_paths' must be a list of {len(follows) - 1} "
-                                      f"paths, got {more!r:.200}")
-            paths += more
-        checked = zip(paths, follows) if "path" in header else zip(paths[1:], follows[1:])
-        for path, follow in checked:
+        paths = header.get("paths")
+        if not (isinstance(paths, list) and len(paths) == len(follows)):
+            raise ProviderIOError(f"'paths' must be a list of {len(follows)} paths, "
+                                  f"got {paths!r:.200}")
+        for path, follow in zip(paths, follows):
             if not is_token_id_list(path, size):
                 raise ProviderIOError(f"path must be a list of token ids in [0, {size}), "
                                       f"got {path!r:.200}")
@@ -389,18 +374,19 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
     return ExternalProvider(transport, vocab)
 
 
-def _token_ids(msg: dict, field: str, size: int, where: str = "") -> tuple:
+def _token_ids(msg: dict, field: str, size: int, where: str) -> tuple:
     """The ids in `field`, () if the request leaves it out."""
     return tuple(json_field(msg, field, (list,), lambda ids: is_token_id_list(ids, size),
                             f"a list of integer token ids in [0, {size})",
                             where)) if field in msg else ()
 
 
-def _step_entry(msg: dict, contexts: dict[str, UtteranceContext], size: int,
-                where: str = ""):
-    """The (history, follow, ahead, ctx) a step request asks for, or an
-    entry of its "more", which `where` names in an error."""
-    prefix = f"{where}: " if where else ""
+def _step_entry(msg: dict, contexts: dict[str, UtteranceContext], size: int, where: str):
+    """The (history, follow, ahead, ctx) a step request's entry `msg` asks
+    for; `where` names the entry in an error."""
+    if type(msg) is not dict:
+        raise ValueError(f"{where} must be an object, got {msg!r:.200}")
+    prefix = f"{where}: "
     utt = json_field(msg, "utt", (str,), where=where)
     ctx = contexts.get(utt)
     if ctx is None:
@@ -454,28 +440,13 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
         raise ValueError(f"the first request must be a hello, got op {op!r:.200}")
     if op != "step":
         raise ValueError(f"unknown op {op!r:.200}")
-    size = provider.vocab.size
-    entries = [_step_entry(msg, contexts, size)]
-    more = json_field(msg, "more", (list,), rule="a list of objects") if "more" in msg else []
-    for i, entry in enumerate(more):
-        where = f"'more'[{i}]"
-        if i == MAX_ENTRIES - 1:
-            raise ValueError(f"{where}: 'more' holds more than {MAX_ENTRIES - 1} entries")
-        if type(entry) is not dict:
-            raise ValueError(f"{where} must be an object, got {entry!r:.200}")
-        entries.append(_step_entry(entry, contexts, size, where))
-    rows, paths = [], []
-    for entry in entries:
-        entry_rows, path = _lookahead(provider, *entry)
-        rows += entry_rows
-        paths.append(path)
-    frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)
-    header = {"logits_bytes": len(frame)}
-    if "follow" in msg or "ahead" in msg:  # a plain request gets a plain reply
-        header["path"] = paths[0]
-    if "more" in msg:
-        header["more_paths"] = paths[1:]
-    return header, frame
+    entries = json_field(msg, "entries", (list,), lambda e: 0 < len(e) <= MAX_ENTRIES,
+                         f"a list of 1 to {MAX_ENTRIES} objects")
+    entries = [_step_entry(entry, contexts, provider.vocab.size, f"'entries'[{i}]")
+               for i, entry in enumerate(entries)]
+    looked = [_lookahead(provider, *entry) for entry in entries]
+    frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for rows, _ in looked for row in rows)
+    return {"logits_bytes": len(frame), "paths": [path for _, path in looked]}, frame
 
 
 def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext]):

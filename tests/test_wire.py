@@ -34,11 +34,21 @@ from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
 from test_decoding import step_bytes
 
 
-def frame(logits, **header):
-    """A step reply: a header line announcing `logits` as little-endian
-    float64s, unless `header` sets another "logits_bytes", then those bytes."""
+def bare_frame(logits, **header):
+    """A reply: a header line announcing `logits` as little-endian float64s,
+    unless `header` sets another "logits_bytes", then those bytes."""
     raw = np.asarray(logits, dtype="<f8").tobytes()
     return (json.dumps({"logits_bytes": len(raw), **header}) + "\n").encode() + raw
+
+
+def frame(logits, **header):
+    """A step reply: `bare_frame` with the "paths" of one entry that asked
+    for one row, [[]], unless `header` sets other paths."""
+    return bare_frame(logits, **{"paths": [[]], **header})
+
+
+def step_request(*entries):
+    return {"op": "step", "entries": list(entries)}
 
 
 def read_replies(data):
@@ -156,7 +166,8 @@ class TestExternalProvider:
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
         server = LineServer(scripted({
             "hello": {"ok": True},
-            "step": lambda msg: [frame(one_hot(3 + len(msg["history"]), vocab.size)),
+            "step": lambda msg: [frame(one_hot(3 + len(msg["entries"][0]["history"]),
+                                                vocab.size)),
                                  frame(one_hot(3, vocab.size))],
         }))
         provider = connect_external(server.address, vocab, timeout=2.0)
@@ -186,6 +197,18 @@ class TestExternalProvider:
         finally:
             server.close()
         assert opened[0]._sock.fileno() == -1
+
+    @pytest.mark.parametrize("reply", [frame([0.0] * 6, ok=True),
+                                       {"ok": True, "logits_bytes": 8}], ids=["row", "8-bytes"])
+    def test_hello_reply_with_a_frame_is_provider_io_error(self, abc_vocab, reply):
+        """A hello asks for no rows, so its reply may announce no frame."""
+        server = LineServer(scripted({"hello": reply}))
+        try:
+            with pytest.raises(ProviderIOError, match=r"'logits_bytes' must be an integer "
+                                                      r"in \[0, 0\]"):
+                connect_external(server.address, abc_vocab, timeout=2.0)
+        finally:
+            server.close()
 
 
 class TestProviderServer:
@@ -280,7 +303,7 @@ class TestSubprocessEndpoint:
 
     def test_unsolicited_line_is_provider_io_error(self, empty_ctx):
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
-        script = scripted_stdio("hot[3 + len(msg['history'])] + hot[3]",
+        script = scripted_stdio("hot[3 + len(msg['entries'][0]['history'])] + hot[3]",
                                 hot=[frame(one_hot(i, vocab.size)) for i in range(vocab.size)])
         provider = connect_external(script, vocab, timeout=5.0)
         try:
@@ -298,13 +321,13 @@ class TestStdioServe:
         hello = json.dumps({"op": "hello", "vocab_size": abc_vocab.size,
                             "vocab_hash": abc_vocab.content_hash(),
                             "logits_encoding": LOGITS_ENCODING})
-        step = json.dumps({"op": "step", "utt": "u0", "history": [0]})
+        step = json.dumps(step_request({"utt": "u0", "history": [0]}))
         stdin = io.BytesIO((hello + "\n" + step + "\n").encode())
         stdout = io.BytesIO()
         stdio_serve(provider, {"u0": ctx}, stdin=stdin, stdout=stdout)
         (hello, no_frame), (step, logits) = read_replies(stdout.getvalue())
         assert hello == {"ok": True} and no_frame is None
-        assert step == {"logits_bytes": 8 * abc_vocab.size}
+        assert step == {"logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
         assert logits.tolist() == list(range(abc_vocab.size))
 
 
@@ -362,7 +385,7 @@ class TestLogitsEncoding:
                  "vocab_hash": abc_vocab.content_hash()}
         if encoding is not None:
             hello["logits_encoding"] = encoding
-        step = {"op": "step", "utt": "u0", "history": [0, 3]}
+        step = step_request({"utt": "u0", "history": [0, 3]})
         stdin = io.BytesIO("".join(json.dumps(m) + "\n" for m in (hello, step, step)).encode())
         stdout = io.BytesIO()
         stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
@@ -409,7 +432,7 @@ BAD_FRAMES = [
     ("5-logits", frame(ZEROS[:5]), False, "expected 1 x 6"),
     ("7-logits", frame(ZEROS + [0.0]), False, "expected 1 x 6"),
     ("not-whole-float64s", frame(ZEROS, logits_bytes=45)[:-3], False, "expected 1 x 6"),
-    ("2-rows-without-path", frame(ZEROS * 2), False, "expected 1 x 6"),
+    ("2-rows-for-an-empty-path", frame(ZEROS * 2), False, "expected 1 x 6"),
     ("trailing-newline", frame(ZEROS) + b"\n", False, "more than one reply|no request"),
     ("trailing-frame", frame(ZEROS) * 2, False, "more than one reply|no request"),
     ("nan", frame(ZEROS[:5] + [np.nan]), False, "non-finite"),
@@ -458,7 +481,7 @@ class TestFrames:
     def test_frame_of_newline_bytes_is_read_whole(self, abc_vocab, empty_ctx, transport):
         """0x0A ends the header line, but not a frame that is full of it."""
         newlines = b"\n" * (2 * 8 * abc_vocab.size)
-        reply = header_line(logits_bytes=len(newlines), path=[0]) + newlines  # equal rows
+        reply = header_line(logits_bytes=len(newlines), paths=[[0]]) + newlines  # equal rows
         with scripted_endpoint(transport, reply) as endpoint, \
                 connect_external(endpoint, abc_vocab, timeout=5.0) as remote:
             remote.prefetch([(empty_ctx, None)])
@@ -531,7 +554,7 @@ class TestLineChannel:
                                 200)
         try:
             while True:
-                yield channel.round_trip({"op": "step", "ahead": wire.MAX_AHEAD - 1})
+                yield channel.round_trip(step_request({"ahead": wire.MAX_AHEAD - 1}))
         finally:
             channel.close()
             peer.close()
@@ -543,7 +566,8 @@ class TestLineChannel:
         logits = np.random.default_rng(seed).normal(scale=10.0, size=600)
         logits[:200] = np.frombuffer(b"\n" * 1600, "<f8")
         return [(frame(rows, **header), {"logits_bytes": 8 * len(rows), **header}, rows)
-                for rows, header in ((logits[:200], {}), (logits, {"path": [5, 7]}))]
+                for rows, header in ((logits[:200], {"paths": [[]]}),
+                                     (logits, {"paths": [[5, 7]]}))]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_split_reply_parses_like_the_whole_frame(self, seed):
@@ -586,7 +610,7 @@ class TestLineChannel:
         try:
             channel = _TcpTransport(ScriptedSocket(client, recv), 200)
             with pytest.raises(ProviderIOError, match=f"longer than {self.HEADER_CAP} bytes"):
-                channel.round_trip({"op": "step"})
+                channel.round_trip(step_request({}))
         finally:
             client.close()
             peer.close()
@@ -594,22 +618,22 @@ class TestLineChannel:
 
     # (step request, the most rows its reply may carry)
     ASKED_ROWS = [
-        ({"op": "step"}, 1),
-        ({"op": "step", "ahead": 0}, 1),
-        ({"op": "step", "ahead": 3}, 4),
-        ({"op": "step", "follow": [3, 4]}, 3),
-        ({"op": "step", "ahead": 40}, wire.MAX_AHEAD),
-        ({"op": "step", "follow": [3] * 31}, wire.MAX_AHEAD),
-        ({"op": "step", "ahead": 2, "more": [{"follow": [3]}, {"ahead": 0}, {}]}, 7),
-        ({"op": "step", "ahead": 31, "more": [{"ahead": 31}] * 15}, 16 * wire.MAX_AHEAD),
+        ({"op": "hello"}, 0),
+        (step_request({}), 1),
+        (step_request({"ahead": 0}), 1),
+        (step_request({"ahead": 3}), 4),
+        (step_request({"follow": [3, 4]}), 3),
+        (step_request({"ahead": 40}), wire.MAX_AHEAD),
+        (step_request({"follow": [3] * 31}), wire.MAX_AHEAD),
+        (step_request({"ahead": 2}, {"follow": [3]}, {"ahead": 0}, {}), 7),
+        (step_request(*[{"ahead": 31}] * 16), 16 * wire.MAX_AHEAD),
     ]
 
     @pytest.mark.parametrize("size, ok", [(1000, True), (1001, False), (-1, False),
                                           (True, False), (8.0, False)])
     def test_frame_size_is_checked_before_the_frame_is_read(self, size, ok):
         """The header comes in one chunk; each later chunk is one frame byte.
-        A plain request over a vocabulary of 125 asks for one row of 1000
-        bytes."""
+        A one-row request over a vocabulary of 125 asks for 1000 bytes."""
         client, peer = socket.socketpair()
         chunks = [header_line(logits_bytes=size)]
 
@@ -620,12 +644,12 @@ class TestLineChannel:
         try:
             channel = _TcpTransport(ScriptedSocket(client, recv), 125)
             if ok:
-                assert channel.round_trip({"op": "step"}) == \
+                assert channel.round_trip(step_request({})) == \
                     ({"logits_bytes": size}, bytearray(b"\n" * size))
             else:
                 with pytest.raises(ProviderIOError, match="'logits_bytes' must be an integer "
                                                           r"in \[0, 1000\]"):
-                    channel.round_trip({"op": "step"})
+                    channel.round_trip(step_request({}))
         finally:
             client.close()
             peer.close()
@@ -666,8 +690,8 @@ class TestLineChannel:
         gigabytes."""
         path = [vocab_size - 1] * (wire.MAX_AHEAD - 1)
         n_rows = wire.MAX_ENTRIES * wire.MAX_AHEAD
-        header = header_line(logits_bytes=8 * n_rows * vocab_size, path=path,
-                             more_paths=[path] * (wire.MAX_ENTRIES - 1))
+        header = header_line(logits_bytes=8 * n_rows * vocab_size,
+                             paths=[path] * wire.MAX_ENTRIES)
         assert len(header) - 1 <= max_header_bytes(vocab_size)
         assert max_logits_bytes(vocab_size) == 8 * n_rows * vocab_size
         assert wire._rows_asked(self.ASKED_ROWS[-1][0]) == n_rows
@@ -675,7 +699,7 @@ class TestLineChannel:
 
 def step_line(length):
     """A step request of exactly `length` bytes, newline included."""
-    line = json.dumps({"op": "step", "utt": "u0", "history": [0]})
+    line = json.dumps(step_request({"utt": "u0", "history": [0]}))
     return (line + " " * (length - len(line) - 1) + "\n").encode()
 
 
@@ -789,9 +813,11 @@ def readme_protocol_messages():
 
 
 def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
-    """Every request the client sends, and every entry of its "more", has
-    the fields of one README example: an unannounced step, then the first
-    step of an announced decode set and of an announced calibration set."""
+    """Every request the client sends, and every one of its entries, has
+    the fields of README's example: an unannounced step, then the first
+    step of an announced decode set and of an announced calibration set.
+    The example's reply holds one path per entry, and a frame of their
+    rows at V = 200."""
     messages = readme_protocol_messages()
     assert all(isinstance(m, dict) for _, m in messages)
     sent = []
@@ -799,13 +825,9 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     class RecordingTransport:
         def round_trip(self, payload):  # each entry's path is its follow
             sent.append(payload)
-            more = payload.get("more", [])
-            paths = [entry.get("follow", []) for entry in [payload, *more]]
+            paths = [entry.get("follow", []) for entry in payload.get("entries", [])]
             size = 8 * abc_vocab.size * sum(len(path) + 1 for path in paths)
-            header = {"ok": True, "logits_bytes": size, "path": paths[0]}
-            if more:
-                header["more_paths"] = paths[1:]
-            return header, bytearray(size)
+            return {"ok": True, "logits_bytes": size, "paths": paths}, bytearray(size)
 
         def close(self):
             pass
@@ -815,15 +837,17 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     for follows in ([None, None], [(3,), (4, 5)]):
         remote.prefetch(list(zip([HASH_CONTEXTS["u1"], HASH_CONTEXTS["u2"]], follows)))
         remote.next_logits((0,), HASH_CONTEXTS["u1"])
-    requests = [m for direction, m in messages if direction == "->"]
-    assert {frozenset(p) for p in sent} <= {frozenset(m) for m in requests}
-    assert {frozenset(e) for p in sent for e in p.get("more", [])} <= \
-        {frozenset(e) for m in requests for e in m.get("more", [])}
-    assert {"ahead", "follow", "more"} <= {key for p in sent for key in p}
-    hello = next(m for direction, m in messages if m.get("op") == "hello")
-    assert hello["logits_encoding"] == LOGITS_ENCODING
-    replies = [m for direction, m in messages if direction == "<-" and "ok" not in m]
-    assert replies and all(type(m["logits_bytes"]) is int for m in replies)
+    assert [direction for direction, _ in messages] == ["->", "<-", "->", "<-"]
+    (_, hello), (_, ok), (_, request), (_, reply) = messages
+    assert hello["logits_encoding"] == LOGITS_ENCODING and ok == {"ok": True}
+    steps = sent[1:]
+    assert {frozenset(p) for p in steps} == {frozenset(request)} == {frozenset({"op", "entries"})}
+    assert {frozenset(e) for p in steps for e in p["entries"]} == \
+        {frozenset(e) for e in request["entries"]}
+    assert max(len(p["entries"]) for p in steps) > 1
+    assert set(reply) == {"logits_bytes", "paths"}
+    assert len(reply["paths"]) == len(request["entries"])
+    assert reply["logits_bytes"] == 8 * 200 * sum(len(path) + 1 for path in reply["paths"])
 
 
 def test_readme_names_resolve_in_their_modules():
@@ -867,10 +891,10 @@ class TestServerChecksRequests:
         [0, [3]], "0 3", 3, {"0": 3},
     ], ids=repr)
     def test_malformed_ids_get_an_error_naming_the_field(self, abc_vocab, field, ids):
-        bad = {"op": "step", "utt": "u0", "history": [0], field: ids}
-        good = {"op": "step", "utt": "u0", "history": [0, 3]}
+        bad = step_request({"utt": "u0", "history": [0], field: ids})
+        good = step_request({"utt": "u0", "history": [0, 3]})
         (error, _), (_, served) = served_steps(abc_vocab, [bad, good])
-        assert set(error) == {"error"} and repr(field) in error["error"]
+        assert set(error) == {"error"} and error["error"].startswith(f"'entries'[0]: {field!r}")
         assert served.size == abc_vocab.size  # the server keeps serving
         # without a hello, the first request gets an error and ends the session
         (error, logits), = served_steps(abc_vocab, [bad, good], hello=False)
@@ -880,16 +904,16 @@ class TestServerChecksRequests:
     @pytest.mark.parametrize("utt", [["x"], {"a": 1}, 3, None], ids=repr)
     def test_malformed_utt_gets_an_error_naming_it(self, abc_vocab, utt):
         (error, _), (_, served) = served_steps(abc_vocab, [
-            {"op": "step", "utt": utt, "history": [0]},
-            {"op": "step", "utt": "u0", "history": [0]}])
-        assert set(error) == {"error"} and "'utt'" in error["error"]
+            step_request({"utt": utt, "history": [0]}),
+            step_request({"utt": "u0", "history": [0]})])
+        assert set(error) == {"error"} and error["error"].startswith("'entries'[0]: 'utt'")
         assert served.size == abc_vocab.size  # the server keeps serving
 
     @pytest.mark.parametrize("ahead", [-1, True, 1.5, "3", None, [2]], ids=repr)
     def test_malformed_ahead_gets_an_error_naming_it(self, abc_vocab, ahead):
         (error, _), = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u0", "history": [0], "ahead": ahead}])
-        assert set(error) == {"error"} and "'ahead'" in error["error"]
+            step_request({"utt": "u0", "history": [0], "ahead": ahead})])
+        assert set(error) == {"error"} and error["error"].startswith("'entries'[0]: 'ahead'")
 
     @pytest.mark.parametrize("line, error", [
         (b"{\n", "malformed request line: "),
@@ -897,7 +921,7 @@ class TestServerChecksRequests:
     ], ids=repr)
     def test_unparsable_request_gets_a_request_error(self, abc_vocab, line, error):
         hello = (json.dumps(hello_request(abc_vocab)) + "\n").encode()
-        step = (json.dumps({"op": "step", "utt": "u0", "history": [0]}) + "\n").encode()
+        step = (json.dumps(step_request({"utt": "u0", "history": [0]})) + "\n").encode()
         stdout = io.BytesIO()
         stdio_serve(HashProvider(abc_vocab), HASH_CONTEXTS,
                     stdin=io.BytesIO(hello + line + step), stdout=stdout)
@@ -907,13 +931,14 @@ class TestServerChecksRequests:
 
     def test_follow_longer_than_the_row_cap_is_an_error(self, abc_vocab):
         (at_cap, _), (over, _) = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u0", "history": [0], "follow": [3] * n}
+            step_request({"utt": "u0", "history": [0], "follow": [3] * n})
             for n in (wire.MAX_AHEAD - 1, wire.MAX_AHEAD)])
-        assert at_cap["path"] == [3] * (wire.MAX_AHEAD - 1)
+        assert at_cap["paths"] == [[3] * (wire.MAX_AHEAD - 1)]
         assert set(over) == {"error"} and "'follow'" in over["error"]
 
-    @pytest.mark.parametrize("first", [b'{"op": "step", "utt": "u0", "history": [0]}\n',
-                                       b'{"op": "bye"}\n', b"[]\n", b"{\n"], ids=repr)
+    @pytest.mark.parametrize("first", [
+        b'{"op": "step", "entries": [{"utt": "u0", "history": [0]}]}\n',
+        b'{"op": "bye"}\n', b"[]\n", b"{\n"], ids=repr)
     def test_a_first_request_other_than_a_hello_ends_the_connection(self, abc_vocab, first):
         with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
             host, _, port = server.address.rpartition(":")
@@ -932,23 +957,23 @@ class TestServerChecksRequests:
     def test_lookahead_rows_follow_the_path(self, abc_vocab):
         provider, ctx = HashProvider(abc_vocab), HASH_CONTEXTS["u1"]
         plain, followed, ahead, both = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u1", "history": [0, 4]},
-            {"op": "step", "utt": "u1", "history": [0, 4], "follow": [5, 3, 3]},
-            {"op": "step", "utt": "u1", "history": [0, 4], "ahead": 500},
-            {"op": "step", "utt": "u1", "history": [0, 4], "follow": [1], "ahead": 2},
+            step_request({"utt": "u1", "history": [0, 4]}),
+            step_request({"utt": "u1", "history": [0, 4], "follow": [5, 3, 3]}),
+            step_request({"utt": "u1", "history": [0, 4], "ahead": 500}),
+            step_request({"utt": "u1", "history": [0, 4], "follow": [1], "ahead": 2}),
         ])
-        assert set(plain[0]) == {"logits_bytes"}
-        assert followed[0]["path"] == [5, 3, 3]
+        assert plain[0] == {"logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
+        assert followed[0]["paths"] == [[5, 3, 3]]
         history, argmax_path = (0, 4), []
         while len(argmax_path) < wire.MAX_AHEAD - 1:
             tok = int(np.argmax(provider.next_logits(history + tuple(argmax_path), ctx)))
             if tok == Vocabulary.EOS:
                 break
             argmax_path.append(tok)
-        assert ahead[0]["path"] == argmax_path
-        assert both[0]["path"][0] == 1 and len(both[0]["path"]) <= 3
+        assert ahead[0]["paths"] == [argmax_path]
+        assert both[0]["paths"][0][0] == 1 and len(both[0]["paths"][0]) <= 3
         for header, logits in (plain, followed, ahead, both):
-            path = header.get("path", [])
+            (path,) = header["paths"]
             rows = logits.reshape(-1, abc_vocab.size)
             assert len(rows) == len(path) + 1
             for i, row in enumerate(rows):
@@ -974,71 +999,83 @@ class TestServerChecksRequests:
 
         provider, ctx = TiedProvider(), HASH_CONTEXTS["u0"]
         (header, logits), = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u0", "history": [0], "ahead": 10}], provider=provider)
-        assert header["path"] == [3, 3, 3]
+            step_request({"utt": "u0", "history": [0], "ahead": 10})], provider=provider)
+        assert header["paths"] == [[3, 3, 3]]
         rows = logits.reshape(-1, abc_vocab.size)
         assert [row.tobytes() for row in rows] == \
             [provider.next_logits((0,) + (3,) * i, ctx).tobytes() for i in range(4)]
 
-    @pytest.mark.parametrize("more, error", [
-        (3, "'more' must be a list of objects"),
-        ({"utt": "u1"}, "'more' must be a list of objects"),
-        ([{"utt": "u1", "history": [0]}, [0]], "'more'[1] must be an object"),
-        ([{"utt": "u1", "history": [0]}, "u2"], "'more'[1] must be an object"),
-        ([{"utt": "u1", "history": [0]}] * wire.MAX_ENTRIES,
-         f"'more'[{wire.MAX_ENTRIES - 1}]: 'more' holds more than"),
-        ([{"utt": "u1", "history": [0]}, {"utt": "nobody", "history": [0]}],
-         "'more'[1]: unknown utterance 'nobody'"),
-        ([{"utt": 3, "history": [0]}], "'more'[0]: 'utt'"),
-        ([{"utt": "u1"}], "'more'[0]: 'history' must start with BOS"),
-        ([{"utt": "u1", "history": [3]}], "'more'[0]: 'history' must start with BOS"),
-        ([{"utt": "u1", "history": [0, 99]}], "'more'[0]: 'history' must be"),
-        ([{"utt": "u1", "history": [0], "follow": [3] * wire.MAX_AHEAD}],
-         "'more'[0]: 'follow' holds more than"),
-        ([{"utt": "u1", "history": [0], "ahead": -1}], "'more'[0]: 'ahead' must be"),
+    U1 = {"utt": "u1", "history": [0]}
+
+    @pytest.mark.parametrize("msg, error", [
+        ({"op": "step"}, "'entries' is a required field and is missing"),
+        ({"op": "step", "utt": "u0", "history": [0]},
+         "'entries' is a required field and is missing"),
+        ({"op": "step", "utt": "u0", "history": [0], "more": [U1]},
+         "'entries' is a required field and is missing"),
+        (step_request(), f"'entries' must be a list of 1 to {wire.MAX_ENTRIES} objects"),
+        (step_request(*[U1] * (wire.MAX_ENTRIES + 1)),
+         f"'entries' must be a list of 1 to {wire.MAX_ENTRIES} objects"),
+        ({"op": "step", "entries": 3}, "'entries' must be a list of 1 to"),
+        ({"op": "step", "entries": U1}, "'entries' must be a list of 1 to"),
+        (step_request(U1, [0]), "'entries'[1] must be an object"),
+        (step_request(U1, "u2"), "'entries'[1] must be an object"),
+        (step_request(U1, {"utt": "nobody", "history": [0]}),
+         "'entries'[1]: unknown utterance 'nobody'"),
+        (step_request({"utt": 3, "history": [0]}), "'entries'[0]: 'utt'"),
+        (step_request({"history": [0]}), "'entries'[0]: 'utt' is a required field"),
+        (step_request({"utt": "u1"}), "'entries'[0]: 'history' must start with BOS"),
+        (step_request({"utt": "u1", "history": [3]}),
+         "'entries'[0]: 'history' must start with BOS"),
+        (step_request({"utt": "u1", "history": [0, 99]}), "'entries'[0]: 'history' must be"),
+        (step_request(U1, {"utt": "u1", "history": [0], "follow": [3] * wire.MAX_AHEAD}),
+         "'entries'[1]: 'follow' holds more than"),
+        (step_request({"utt": "u1", "history": [0], "ahead": -1}),
+         "'entries'[0]: 'ahead' must be"),
     ], ids=lambda v: repr(v)[:40])
-    def test_malformed_more_gets_an_error_naming_its_entry(self, abc_vocab, more, error):
+    def test_malformed_entries_get_an_error_naming_them(self, abc_vocab, msg, error):
         (reply, logits), (_, served) = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u0", "history": [0], "more": more},
-            {"op": "step", "utt": "u0", "history": [0, 3]}])
+            msg, step_request({"utt": "u0", "history": [0, 3]})])
         assert set(reply) == {"error"} and reply["error"].startswith(error), reply
         assert logits is None
         assert served.size == abc_vocab.size  # the server keeps serving
 
-    def test_more_rows_follow_each_entry_in_order(self, abc_vocab):
+    def test_rows_follow_each_entry_in_order(self, abc_vocab):
         provider = HashProvider(abc_vocab)
-        more = [{"utt": "u1", "history": [0, 4], "follow": [5, 3]},
-                {"utt": "u2", "history": [0]},
-                {"utt": "u3", "history": [0], "ahead": 2}]
-        (plain, plain_logits), (header, logits) = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u0", "history": [0], "more": []},
-            {"op": "step", "utt": "u0", "history": [0, 3], "more": more}])
-        assert plain == {"logits_bytes": 8 * abc_vocab.size, "more_paths": []}
-        assert plain_logits.size == abc_vocab.size
-        assert set(header) == {"logits_bytes", "more_paths"}  # no "path": a plain main entry
-        paths = header["more_paths"]
-        assert paths[:2] == [[5, 3], []] and len(paths[2]) <= 2
+        entries = [{"utt": "u0", "history": [0, 3]},
+                   {"utt": "u1", "history": [0, 4], "follow": [5, 3]},
+                   {"utt": "u2", "history": [0]},
+                   {"utt": "u3", "history": [0], "ahead": 2}]
+        (header, logits), (full, full_logits) = served_steps(abc_vocab, [
+            step_request(*entries),
+            step_request(*[{"utt": "u2", "history": [0]}] * wire.MAX_ENTRIES)])
+        assert set(header) == {"logits_bytes", "paths"}
+        paths = header["paths"]
+        assert paths[:3] == [[], [5, 3], []] and len(paths[3]) <= 2
         rows = iter(logits.reshape(-1, abc_vocab.size))
-        assert next(rows).tobytes() == provider.next_logits((0, 3), HASH_CONTEXTS["u0"]).tobytes()
-        for entry, path in zip(more, paths):
+        for entry, path in zip(entries, paths):
             for i in range(len(path) + 1):
                 expected = provider.next_logits((*entry["history"], *path[:i]),
                                                 HASH_CONTEXTS[entry["utt"]])
                 assert next(rows).tobytes() == expected.tobytes()
         assert next(rows, None) is None
+        # a request may list MAX_ENTRIES entries, one utterance's included
+        assert full["paths"] == [[]] * wire.MAX_ENTRIES
+        assert full_logits.tobytes() == \
+            provider.next_logits((0,), HASH_CONTEXTS["u2"]).tobytes() * wire.MAX_ENTRIES
 
     @pytest.mark.parametrize("history", [[], [3], [3, 0]], ids=repr)
     def test_history_must_start_with_bos(self, abc_vocab, history):
         (error, _), (_, served) = served_steps(abc_vocab, [
-            {"op": "step", "utt": "u0", "history": history},
-            {"op": "step", "utt": "u0", "history": [0, 3]}])
-        assert set(error) == {"error"} and "'history'" in error["error"]
+            step_request({"utt": "u0", "history": history}),
+            step_request({"utt": "u0", "history": [0, 3]})])
+        assert set(error) == {"error"} and "'entries'[0]: 'history'" in error["error"]
         assert served.size == abc_vocab.size  # the server keeps serving
 
 
-def rows_reply(n_rows, path, **header):
+def rows_reply(n_rows, paths, **header):
     """A reply of `n_rows` rows of 6 logits, 0, 1, 2, ... in order."""
-    return frame(np.arange(n_rows * 6, dtype=float), path=path, **header)
+    return frame(np.arange(n_rows * 6, dtype=float), paths=paths, **header)
 
 
 class TestClientChecksLookaheadReplies:
@@ -1046,28 +1083,37 @@ class TestClientChecksLookaheadReplies:
     or as a decode, and sends ahead; each reply below is a ProviderIOError."""
 
     @pytest.mark.parametrize("with_follow, reply", [
-        (False, frame(ZEROS, path="3")),
-        (False, frame(ZEROS, path=None)),
-        (False, frame(ZEROS, path={"0": 3})),
-        (False, rows_reply(2, [True])),
-        (False, rows_reply(2, [1.0])),
-        (False, rows_reply(2, ["3"])),
-        (False, rows_reply(2, [-1])),
-        (False, rows_reply(2, [6])),
-        (False, rows_reply(2, [None])),
-        (False, rows_reply(1, [3])),
-        (False, rows_reply(3, [3])),
-        (False, rows_reply(2, [])),
-        (False, rows_reply(2, [3])),  # the row's argmax is 5
+        (False, frame(ZEROS, paths=["3"])),
+        (False, frame(ZEROS, paths=[None])),
+        (False, frame(ZEROS, paths=[{"0": 3}])),
+        (False, rows_reply(2, [[True]])),
+        (False, rows_reply(2, [[1.0]])),
+        (False, rows_reply(2, [["3"]])),
+        (False, rows_reply(2, [[-1]])),
+        (False, rows_reply(2, [[6]])),
+        (False, rows_reply(2, [[None]])),
+        (False, rows_reply(1, [[3]])),
+        (False, rows_reply(3, [[3]])),
+        (False, rows_reply(2, [[]])),
+        (False, rows_reply(2, [[3]])),  # the row's argmax is 5
         (False, frame(ZEROS * 2)),
-        (False, header_line(logits=ZEROS * 2, path=[3])),
-        (True, rows_reply(3, [4, 3])),
-        (True, rows_reply(2, [3])),
-        (True, rows_reply(1, [])),
-        (True, rows_reply(4, [3, 5, 4])),
-        (True, rows_reply(4, [3, 4, 5])),  # a row past the follow, which asked for none
-        (True, rows_reply(2, [3, 4])),
-        (True, frame(ZEROS * 3 + ZEROS[:5] + [np.nan], path=[3, 4, 5])),
+        (False, header_line(logits=ZEROS * 2, paths=[[3]])),
+        # "paths" missing, not a list, or not one path per entry
+        (False, bare_frame(ZEROS)),
+        (False, bare_frame(ZEROS, path=[])),  # "path" in place of "paths"
+        (False, frame(ZEROS, paths=None)),
+        (False, frame(ZEROS, paths="[[]]")),
+        (False, frame(ZEROS, paths={"0": []})),
+        (False, frame(ZEROS, paths=[])),
+        (False, rows_reply(2, [[], []])),
+        (True, rows_reply(3, [[4, 3]])),
+        (True, rows_reply(2, [[3]])),
+        (True, rows_reply(1, [[]])),
+        (True, rows_reply(4, [[3, 5, 4]])),
+        (True, rows_reply(4, [[3, 4, 5]])),  # a row past the follow, which asked for none
+        (True, rows_reply(2, [[3, 4]])),
+        (True, bare_frame(np.arange(18.0), path=[3, 4])),
+        (True, frame(ZEROS * 3 + ZEROS[:5] + [np.nan], paths=[[3, 4, 5]])),
     ], ids=lambda v: repr(v)[:40])
     def test_bad_lookahead_reply_is_provider_io_error(self, abc_vocab, empty_ctx, with_follow,
                                                       reply):
@@ -1081,15 +1127,16 @@ class TestClientChecksLookaheadReplies:
                     remote.next_logits((0,), empty_ctx)
         finally:
             server.close()
-        assert sent[0].get("follow") == ([3, 4] if with_follow else None)
-        assert sent[0].get("ahead") == (None if with_follow else wire.MAX_AHEAD - 1)
+        (entry,) = sent[0]["entries"]
+        assert entry.get("follow") == ([3, 4] if with_follow else None)
+        assert entry.get("ahead") == (None if with_follow else wire.MAX_AHEAD - 1)
 
     def test_good_lookahead_reply_serves_its_rows(self, abc_vocab, empty_ctx):
         sent = []
         # the follow, else the argmax path of rows 0, 1, 2, ...
         server = LineServer(scripted({"hello": {"ok": True},
-                                      "step": lambda msg: sent.append(msg)
-                                      or rows_reply(4, msg.get("follow", [5, 5, 5]))}))
+                                      "step": lambda msg: sent.append(msg) or rows_reply(
+                                          4, [msg["entries"][0].get("follow", [5, 5, 5])])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(empty_ctx, (3, 4, 5))])
@@ -1105,28 +1152,32 @@ class TestClientChecksLookaheadReplies:
                 assert (remote.round_trips, remote.rows_used, remote.rows_received) == (2, 5, 8)
         finally:
             server.close()
-        assert len(sent) == 2 and "follow" not in sent[1]
+        assert len(sent) == 2 and "follow" not in sent[1]["entries"][0]
 
-    # announced (follow) of u0, u1 and u2; the client sends u0's as the
-    # request's own entry and the other two in its "more"
+    # announced (follow) of u0, u1 and u2; the client lists all three in
+    # the request for u0's first row
     ANNOUNCED = {"u0": (3, 4), "u1": (4,), "u2": None}
 
     @pytest.mark.parametrize("reply", [
-        rows_reply(5, [3, 4], more_paths=[[4]]),
-        rows_reply(11, [3, 4], more_paths=[[4], [3, 5], [3]]),
-        rows_reply(3, [3, 4], more_paths=[]),
-        rows_reply(8, [3, 4], more_paths="[[4], [3, 5]]"),
-        rows_reply(8, [3, 4], more_paths=None),
-        rows_reply(8, [3, 4], more_paths=[[5], [3, 5]]),
-        rows_reply(7, [3, 4], more_paths=[[], [3, 5]]),
-        rows_reply(8, [3, 4], more_paths=[[4], ["3", 5]]),
-        rows_reply(8, [3, 4], more_paths=[[4], [3, 6]]),
-        rows_reply(8, [3, 4], more_paths=[4, [3, 5]]),
-        rows_reply(7, [3, 4], more_paths=[[4], [3, 5]]),
-        rows_reply(9, [3, 4], more_paths=[[4], [3, 5]]),
-        rows_reply(8, [3], more_paths=[[4], [3, 5]]),
+        rows_reply(5, [[3, 4], [4]]),
+        rows_reply(11, [[3, 4], [4], [3, 5], [3]]),
+        rows_reply(3, [[3, 4]]),
+        rows_reply(8, "[[3, 4], [4], [5, 5]]"),
+        rows_reply(8, None),
+        rows_reply(8, [[3, 4], [5], [5, 5]]),
+        rows_reply(7, [[3, 4], [], [5, 5]]),
+        rows_reply(8, [[3, 4], [4], ["5", 5]]),
+        rows_reply(8, [[3, 4], [4], [5, 6]]),
+        rows_reply(8, [[3, 4], 4, [5, 5]]),
+        rows_reply(7, [[3, 4], [4], [5, 5]]),
+        rows_reply(9, [[3, 4], [4], [5, 5]]),
+        rows_reply(8, [[3], [4], [5, 5]]),
+        rows_reply(8, [[3, 4], [4], [5, 5], [5]]),
+        rows_reply(8, [[3, 4], [3, 4], [4], [5, 5]]),
+        rows_reply(8, [[3, 4], [5, 5], [4]]),
+        bare_frame(np.arange(48.0), path=[3, 4], more_paths=[[4], [5, 5]]),
     ], ids=lambda v: repr(v)[:60])
-    def test_bad_more_reply_is_provider_io_error(self, abc_vocab, reply):
+    def test_bad_reply_to_several_entries_is_provider_io_error(self, abc_vocab, reply):
         sent = []
         server = LineServer(scripted({"hello": {"ok": True},
                                       "step": lambda msg: sent.append(msg) or reply}))
@@ -1137,14 +1188,15 @@ class TestClientChecksLookaheadReplies:
                     remote.next_logits((0,), HASH_CONTEXTS["u0"])
         finally:
             server.close()
-        assert sent[0]["follow"] == [3, 4]
-        assert sent[0]["more"] == [{"utt": "u1", "history": [0], "follow": [4]},
-                                   {"utt": "u2", "history": [0], "ahead": wire.MAX_AHEAD - 1}]
+        assert sent[0]["entries"] == [
+            {"utt": "u0", "history": [0], "follow": [3, 4]},
+            {"utt": "u1", "history": [0], "follow": [4]},
+            {"utt": "u2", "history": [0], "ahead": wire.MAX_AHEAD - 1}]
 
-    def test_good_more_reply_serves_every_entry(self, abc_vocab):
+    def test_good_reply_to_several_entries_serves_every_entry(self, abc_vocab):
         sent = []
         server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
-                                      or rows_reply(8, [3, 4], more_paths=[[4], [5, 5]])}))
+                                      or rows_reply(8, [[3, 4], [4], [5, 5]])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(HASH_CONTEXTS[u], f) for u, f in self.ANNOUNCED.items()])
@@ -1161,18 +1213,16 @@ class TestClientChecksLookaheadReplies:
     @pytest.mark.parametrize("swap", [False, True])
     def test_paths_must_be_the_argmax_of_their_rows(self, abc_vocab, swap):
         """A served reply to four announced decodes, as sent or with two
-        different "more_paths" swapped: a path past its follow must be the
-        argmax of its rows, so no utterance takes another's rows."""
+        different paths swapped: a path past its follow must be the argmax
+        of its rows, so no utterance takes another's rows."""
         utts = list(HASH_CONTEXTS)
-        entries = [{"utt": u, "history": [0], "ahead": wire.MAX_AHEAD - 1} for u in utts]
-        (header, logits), = served_steps(abc_vocab, [{"op": "step", **entries[0],
-                                                      "more": entries[1:]}])
-        more = header["more_paths"]
+        (header, logits), = served_steps(abc_vocab, [step_request(
+            *[{"utt": u, "history": [0], "ahead": wire.MAX_AHEAD - 1} for u in utts])])
+        paths = header["paths"]
         if swap:
-            i, j = next((i, j) for i in range(3) for j in range(i) if more[i] != more[j])
-            more[i], more[j] = more[j], more[i]
-        server = LineServer(scripted({"hello": {"ok": True}, "step": frame(
-            logits, path=header["path"], more_paths=more)}))
+            i, j = next((i, j) for i in range(4) for j in range(i) if paths[i] != paths[j])
+            paths[i], paths[j] = paths[j], paths[i]
+        server = LineServer(scripted({"hello": {"ok": True}, "step": frame(logits, paths=paths)}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(HASH_CONTEXTS[u], None) for u in utts])
@@ -1185,25 +1235,10 @@ class TestClientChecksLookaheadReplies:
         finally:
             server.close()
 
-    def test_reply_without_more_paths_serves_the_request_alone(self, abc_vocab):
-        """A server that ignores "more" serves the request's own entry; the
-        client then asks for each announced utterance on its own."""
-        sent = []
-        server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
-                                      or rows_reply(1, [])}))
-        try:
-            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
-                remote.prefetch([(ctx, None) for ctx in HASH_CONTEXTS.values()])
-                for ctx in HASH_CONTEXTS.values():
-                    assert remote.next_logits((0,), ctx).tolist() == list(range(6))
-                assert (remote.round_trips, remote.rows_received) == (4, 4)
-        finally:
-            server.close()
-        assert [len(msg.get("more", ())) for msg in sent] == [3, 0, 0, 0]
-
     @pytest.mark.parametrize("reply", [
-        rows_reply(2, [1.5]), rows_reply(3, [3]), rows_reply(1, [3]),
-        frame(ZEROS, path="none")], ids=lambda v: repr(v)[:40])
+        rows_reply(2, [[1.5]]), rows_reply(3, [[3]]), rows_reply(1, [[3]]),
+        frame(ZEROS, paths="none"), bare_frame(ZEROS), rows_reply(2, [[], []])],
+        ids=lambda v: repr(v)[:40])
     def test_decode_against_a_bad_lookahead_server_exits_4(self, abc_vocab, tmp_path, reply):
         abc_vocab.save(tmp_path / "vocab.txt")
         (tmp_path / "test.jsonl").write_text(json.dumps(
@@ -1224,14 +1259,13 @@ class TestClientChecksLookaheadReplies:
         contexts = [UtteranceContext(utt_id=f"v{i}") for i in range(wire.MAX_ENTRIES)]
         path = [5] * (wire.MAX_AHEAD - 1)  # the argmax of each row
         logits = np.arange(wire.MAX_ENTRIES * wire.MAX_AHEAD * abc_vocab.size, dtype=float)
-        more_paths = [path] * (wire.MAX_ENTRIES - 1)
-        header = {"logits_bytes": logits.nbytes, "path": path, "more_paths": more_paths,
-                  "pad": ""}
+        paths = [path] * wire.MAX_ENTRIES
+        header = {"logits_bytes": logits.nbytes, "paths": paths, "pad": ""}
         header["pad"] = "x" * (max_header_bytes(abc_vocab.size) - len(json.dumps(header)))
         assert len(json.dumps(header)) == max_header_bytes(abc_vocab.size)
         assert logits.nbytes == max_logits_bytes(abc_vocab.size)
         server = LineServer(scripted({"hello": {"ok": True}, "step": frame(
-            logits, path=path, more_paths=more_paths, pad=header["pad"])}))
+            logits, paths=paths, pad=header["pad"])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(ctx, None) for ctx in contexts])
@@ -1246,7 +1280,7 @@ class TestClientChecksLookaheadReplies:
     @pytest.mark.parametrize("length, code", [(max_header_bytes(6), 0),
                                               (max_header_bytes(6) + 1, 4)])
     def test_header_one_byte_past_the_cap_exits_4(self, abc_vocab, tmp_path, length, code):
-        header = {"logits_bytes": 8 * abc_vocab.size, "pad": ""}
+        header = {"logits_bytes": 8 * abc_vocab.size, "paths": [[]], "pad": ""}
         header["pad"] = "x" * (length - len(json.dumps(header)))
         reply = frame(ZEROS, pad=header["pad"])
         assert reply.index(b"\n") == length
@@ -1265,8 +1299,13 @@ class TestClientChecksLookaheadReplies:
 
     def test_a_plan_ends_once_fetched_or_left(self, abc_vocab, empty_ctx):
         sent = []
-        server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
-                                      or frame(ZEROS)}))
+
+        def step(msg):  # each path is its entry's follow
+            sent.append(msg)
+            follow = msg["entries"][0].get("follow", [])
+            return frame(ZEROS * (len(follow) + 1), paths=[follow])
+
+        server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(empty_ctx, (3, 4))])
@@ -1277,8 +1316,8 @@ class TestClientChecksLookaheadReplies:
                 remote.next_logits((0,), empty_ctx)
         finally:
             server.close()
-        assert [set(msg) - {"op", "utt", "history"} for msg in sent] == [
-            {"ahead"}, {"ahead"}, {"follow"}, {"ahead"}]
+        assert [[set(entry) - {"utt", "history"} for entry in msg["entries"]]
+                for msg in sent] == [[{"ahead"}], [{"ahead"}], [{"follow"}], [{"ahead"}]]
 
 
 class CountingTransport:
@@ -1351,6 +1390,12 @@ def hash_references(vocab, lengths, contexts=HASH_CONTEXTS):
             for ctx, n in zip(contexts.values(), lengths)]
 
 
+def plain_request(msg) -> bool:
+    """Whether `msg` is a step request of one entry that asks for one row."""
+    return set(msg) == {"op", "entries"} and len(msg["entries"]) == 1 and \
+        set(msg["entries"][0]) == {"utt", "history"}
+
+
 MANY_CONTEXTS = {f"m{i}": UtteranceContext(utt_id=f"m{i}") for i in range(40)}
 
 
@@ -1406,8 +1451,8 @@ class TestRoundTrips:
 
     def test_announced_decode_asks_for_a_full_path_on_every_request(self, abc_vocab):
         """Steps that always take the served argmin, never the argmax: the
-        utterances were announced, so every request and every entry of its
-        "more" asks for MAX_AHEAD - 1 argmax tokens all the same."""
+        utterances were announced, so every entry of every request asks for
+        MAX_AHEAD - 1 argmax tokens all the same."""
         local = TieFreeHashProvider(abc_vocab)
         with ProviderServer(local, HASH_CONTEXTS) as server:
             remote, sent = recorded_connection(server.address, abc_vocab)
@@ -1415,15 +1460,16 @@ class TestRoundTrips:
                 remote.prefetch([(ctx, None) for ctx in HASH_CONTEXTS.values()])
                 steps = take_the_argmin(remote, local, HASH_CONTEXTS.values())
         assert all(entry.get("ahead") == wire.MAX_AHEAD - 1 and "follow" not in entry
-                   for msg in sent for entry in (msg, *msg.get("more", ())))
-        assert [len(msg.get("more", ())) for msg in sent[:2]] == [len(HASH_CONTEXTS) - 1, 0]
+                   for msg in sent for entry in msg["entries"])
+        assert [len(msg["entries"]) for msg in sent[:2]] == [len(HASH_CONTEXTS), 1]
         # the first request brings every first row; every other step left a path
         assert remote.round_trips == len(sent) == steps - (len(HASH_CONTEXTS) - 1)
         assert remote.rows_used == steps
 
     def test_unannounced_steps_send_plain_requests(self, abc_vocab):
         """Steps of utterances nobody announced, whether they take the served
-        argmin or follow the argmax, ask for their one row each."""
+        argmin or follow the argmax, ask for their one row each, one entry
+        per request."""
         local = TieFreeHashProvider(abc_vocab)
         with ProviderServer(local, HASH_CONTEXTS) as server:
             remote, sent = recorded_connection(server.address, abc_vocab)
@@ -1433,7 +1479,7 @@ class TestRoundTrips:
                     served = greedy_decode(remote, ctx, max_len=8)
                     assert served.tokens == greedy_decode(local, ctx, max_len=8).tokens
                     steps += len(served.steps)
-        assert all(set(msg) == {"op", "utt", "history"} for msg in sent)
+        assert all(plain_request(msg) for msg in sent)
         assert remote.round_trips == len(sent) == steps
         assert remote.rows_received == remote.rows_used == steps
 
@@ -1515,34 +1561,8 @@ class TestRoundTrips:
             if cfg.mode == "asr":
                 assert remote.round_trips == len(sent) == math.ceil(n / wire.MAX_ENTRIES)
             else:
-                assert all(set(msg) == {"op", "utt", "history"} for msg in sent)
+                assert all(plain_request(msg) for msg in sent)
                 assert remote.round_trips == remote.rows_received == remote.rows_used
-
-    def test_server_ignoring_more_is_served_one_round_trip_per_utterance(self, abc_vocab):
-        local = TieFreeHashProvider(abc_vocab)
-        sent = []
-
-        def step(msg):  # the reply of a server that never reads "more"
-            sent.append(msg)
-            return list(wire._handle_request({k: v for k, v in msg.items() if k != "more"},
-                                             local, MANY_CONTEXTS, True))
-
-        server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
-        eval_set = [(ctx, ["w"] * 10) for ctx in list(MANY_CONTEXTS.values())[:20]]
-        dataset = hash_references(abc_vocab, [1, 7, wire.MAX_AHEAD, 5] * 5, MANY_CONTEXTS)
-        cfgs = [FusionConfig(mode="llm")]
-        try:
-            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
-                served = decode_eval_set(remote, None, cfgs, eval_set)
-                here = decode_eval_set(local, None, cfgs, eval_set)
-                assert [r.tokens for r in served] == [r.tokens for r in here]
-                assert remote.round_trips == len(eval_set)
-                traces, _ = collect_traces(remote, dataset)
-                assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
-                assert remote.round_trips == len(eval_set) + len(dataset)
-        finally:
-            server.close()
-        assert len(sent[0]["more"]) == wire.MAX_ENTRIES - 1
 
     def test_client_keeps_the_rows_of_at_most_max_entries_utterances(self, abc_vocab):
         local, asr = TieFreeHashProvider(abc_vocab), RolledHashProvider(abc_vocab)
@@ -1574,35 +1594,6 @@ class TestRoundTrips:
                 traces, _ = collect_traces(remote, dataset)
         assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
         assert transport.steps == 3
-
-    def test_server_ignoring_lookahead_is_served_one_step_per_round_trip(self, abc_vocab):
-        local = HashProvider(abc_vocab)
-        sent = []
-
-        def step(msg):
-            sent.append(msg)
-            return frame(local.next_logits(tuple(msg["history"]), HASH_CONTEXTS[msg["utt"]]))
-
-        server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
-        dataset = hash_references(abc_vocab, [3, wire.MAX_AHEAD + 5, 1, 9])
-        try:
-            with connect_external(server.address, abc_vocab, timeout=5.0) as remote:
-                remote.prefetch([(ctx, None) for ctx in HASH_CONTEXTS.values()])
-                steps = 0
-                for ctx in HASH_CONTEXTS.values():
-                    served = greedy_decode(remote, ctx, max_len=12)
-                    assert served.tokens == greedy_decode(local, ctx, max_len=12).tokens
-                    steps += len(served.tokens)
-                assert remote.round_trips == steps
-                assert all(msg["ahead"] == wire.MAX_AHEAD - 1 for msg in sent)
-                assert "more" in sent[0]
-                traces, targets = collect_traces(remote, dataset)
-                assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
-                assert remote.round_trips == steps + len(targets)
-                assert remote.rows_used == remote.rows_received == remote.round_trips
-        finally:
-            server.close()
-
 
 class TestWireCounters:
     @pytest.mark.parametrize("argv, role, rows", [

@@ -1,19 +1,25 @@
-"""Seeded mutation test of the wire's step replies.
+"""Seeded mutation tests of the wire's step replies and requests.
 
 A shim between the client and a real `ProviderServer` relays every
 request and reply of one command, and changes one step reply with one
 seeded mutation: a header node replaced by one of
 `test_malformed_inputs.MUTANTS` or deleted; "logits_bytes" moved by 8 or
 doubled; the frame cut short (and the connection closed) or extended; a
-"more_paths" entry dropped, duplicated or swapped with a different one;
-or a path id set to V or -1. The commands are a decode that announces its
-set to a served corrector, a decode that does not announce it to a served
+"paths" entry dropped, duplicated or swapped with a different one; or a
+path id set to V or -1. The commands are a decode that announces its set
+to a served corrector, a decode that does not announce it to a served
 acoustic model, and a calibration of a served corrector. A mutated run
 must exit 4 and leave no output file, unless its mutation is on HARMLESS,
 whose entries each say why the run may succeed; its output must then
 equal the unmutated run's byte for byte. No run may raise, print a
-traceback or emit a warning. The seed and the number of cases are fixed,
-so the same cases run each time.
+traceback or emit a warning.
+
+The requests the shim relays on a clean run are mutated the same way,
+one node each, and sent to the server after a hello. Each must get one
+reply: an error header without a frame, or a step reply whose frame
+holds the rows of its paths. The unmutated request sent next must get
+the bytes it gets on a fresh connection. The seeds and the numbers of
+cases are fixed, so the same cases run each time.
 """
 
 import contextlib
@@ -33,15 +39,13 @@ from test_malformed_inputs import DELETE, MUTANTS, mutate, nodes, run
 
 SEED = 29
 CASES_PER_COMMAND = 15
+REQUEST_CASES_PER_COMMAND = 50
 # a mutated run waits this long for bytes a mutated header promised
 TIMEOUT = "0.3"
 
 # mutation kind -> (when a run it changes may succeed, given the reply's
 # header and whether it is the run's last, and why)
 HARMLESS = {
-    "delete path": (lambda header, last: header.get("path") == [],
-                    "a reply whose path is empty carries the one row a reply without "
-                    "\"path\" carries"),
     "frame extended": (lambda header, last: last,
                        "bytes past the last reply of a run pair with no later request, "
                        "and every row the run used was its own"),
@@ -56,12 +60,13 @@ class Shim:
     """A relay of one connection to the server at `upstream`. The reply to
     the step request numbered `target` (from 0) goes to `change`, which
     returns the bytes to send instead and whether to hang up after them.
-    `headers` keeps the header of each step reply as the server sent it."""
+    `requests` keeps each request line, the hello's first, and `headers`
+    the header of each step reply as the server sent it."""
 
     def __init__(self, upstream: str, target=None, change=None):
         self._upstream = upstream
         self._target, self._change = target, change
-        self.headers = []
+        self.requests, self.headers = [], []
         self._sock = socket.create_server(("127.0.0.1", 0))
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -79,6 +84,7 @@ class Shim:
                     socket.create_connection((host, int(port)), timeout=10) as up, \
                     up.makefile("rb") as server:
                 for line in client:
+                    self.requests.append(line)
                     up.sendall(line)
                     head = server.readline()
                     header = json.loads(head)
@@ -110,17 +116,13 @@ def line(header: dict) -> bytes:
 def choose_mutation(rng: random.Random, header: dict, frame: bytes, size: int):
     """(kind, what, reply, hang up) for one seeded mutation of the step
     reply `header` + `frame` over a vocabulary of `size` ids."""
-    paths = [("path",)] * ("path" in header) + \
-        [("more_paths", i) for i in range(len(header.get("more_paths", [])))]
-    ids = [(*at, i) for at in paths for i in range(len(get(header, at)))]
-    kinds = ["node", "logits_bytes", "frame"] + ["more_paths"] * bool(header.get("more_paths")) \
-        + ["path id"] * bool(ids)
-    kind = rng.choice(kinds)
+    paths = header["paths"]
+    ids = [("paths", i, k) for i, path in enumerate(paths) for k in range(len(path))]
+    kind = rng.choice(["node", "logits_bytes", "frame", "paths"] + ["path id"] * bool(ids))
     if kind == "node":
         path = rng.choice(list(nodes(header)))
         mutation = rng.choice(list(MUTANTS) + [DELETE] * bool(path))
-        name = "delete path" if (path, mutation) == (("path",), DELETE) else kind
-        return name, f"{list(path)} <- {mutation}", \
+        return kind, f"{list(path)} <- {mutation}", \
             (mutate(header, path, mutation) + "\n").encode() + frame, False
     if kind == "logits_bytes":
         n = len(frame)
@@ -135,20 +137,19 @@ def choose_mutation(rng: random.Random, header: dict, frame: bytes, size: int):
         extra = rng.randbytes(rng.choice([1, 8, len(frame)]))
         return "frame extended", f"frame extended by {len(extra)} bytes", \
             line(header) + frame + extra, False
-    if kind == "more_paths":
-        more = list(header["more_paths"])
-        i = rng.randrange(len(more))
-        ops = ["drop", "duplicate"] + ["swap"] * any(p != more[i] for p in more)
+    if kind == "paths":
+        paths = list(paths)
+        i = rng.randrange(len(paths))
+        ops = ["drop", "duplicate"] + ["swap"] * any(p != paths[i] for p in paths)
         op = rng.choice(ops)
         if op == "drop":
-            del more[i]
+            del paths[i]
         elif op == "duplicate":
-            more.insert(i, more[i])
+            paths.insert(i, paths[i])
         else:
-            j = rng.choice([j for j, p in enumerate(more) if p != more[i]])
-            more[i], more[j] = more[j], more[i]
-        return f"more_paths {op}", f"more_paths[{i}] {op}", \
-            line({**header, "more_paths": more}) + frame, False
+            j = rng.choice([j for j, p in enumerate(paths) if p != paths[i]])
+            paths[i], paths[j] = paths[j], paths[i]
+        return f"paths {op}", f"paths[{i}] {op}", line({**header, "paths": paths}) + frame, False
     at = rng.choice(ids)
     value = rng.choice([size, -1])
     changed = json.loads(json.dumps(header))
@@ -208,16 +209,29 @@ def run_through(shim: Shim, argv, out, timeout):
         shim.close()
 
 
-@pytest.mark.parametrize("command", ["announced-decode", "unannounced-decode", "calibration"])
-def test_mutated_reply_fails_cleanly_or_is_harmless(served, tmp_path, command):
+@pytest.fixture(scope="module")
+def clean_runs(served, tmp_path_factory):
+    """command -> (its output, and the request lines and step reply
+    headers of its run through a shim that changes nothing)."""
+    _, commands = served
+    root = tmp_path_factory.mktemp("clean")
+    runs = {}
+    for command, (upstream, argv) in commands.items():
+        shim = Shim(upstream)
+        code, err, caught = run_through(shim, argv, root / command, "10")
+        assert (code, caught) == (0, []), err
+        runs[command] = (root / command).read_bytes(), shim.requests, shim.headers
+    return runs
+
+
+COMMANDS = ["announced-decode", "unannounced-decode", "calibration"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_mutated_reply_fails_cleanly_or_is_harmless(served, clean_runs, tmp_path, command):
     size, commands = served
     upstream, argv = commands[command]
-    (tmp_path / "clean").mkdir()
-    clean = Shim(upstream)
-    code, err, caught = run_through(clean, argv, tmp_path / "clean" / "out", "10")
-    assert (code, caught) == (0, []), err
-    good = (tmp_path / "clean" / "out").read_bytes()
-    headers = clean.headers
+    good, _, headers = clean_runs[command]
     failures = []
     for case in range(CASES_PER_COMMAND):
         case_dir = tmp_path / str(case)
@@ -245,4 +259,67 @@ def test_mutated_reply_fails_cleanly_or_is_harmless(served, tmp_path, command):
             failures.append(f"{what}, not on HARMLESS")
         elif (case_dir / "out").read_bytes() != good:
             failures.append(f"{what}, harmless, but its output differs")
+    assert not failures, "\n".join(failures)
+
+
+def exchange(address: str, lines) -> bytes:
+    """Every byte the server at `address` sends on a fresh connection that
+    sends `lines`, then shuts its side for writing."""
+    host, _, port = address.rpartition(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(b"".join(lines))
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def split_reply(data: bytes, size: int):
+    """(the first reply of `data`, the bytes after it) if that reply is an
+    error header without a frame, or a step reply whose frame holds
+    len(path) + 1 rows of `size` logits for each of its paths; else
+    (None, why not)."""
+    head, newline, rest = data.partition(b"\n")
+    if not newline:
+        return None, f"no reply line in {data[:200]!r}"
+    header = json.loads(head)
+    if set(header) == {"error"} and isinstance(header["error"], str):
+        return header, rest
+    paths = header.get("paths") if set(header) == {"logits_bytes", "paths"} else None
+    if not (isinstance(paths, list) and all(isinstance(path, list) for path in paths)):
+        return None, f"the reply {head[:200]!r}"
+    n_bytes = 8 * size * sum(len(path) + 1 for path in paths)
+    if header["logits_bytes"] != n_bytes or len(rest) < n_bytes:
+        return None, f"{len(rest)} bytes after the reply {head[:200]!r}"
+    return header, rest[n_bytes:]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_mutated_request_gets_one_reply_and_the_next_is_served(served, clean_runs, command):
+    size, commands = served
+    upstream, _ = commands[command]
+    _, (hello, *steps), _ = clean_runs[command]
+    fresh = {}  # step request line -> what a fresh connection gets for a hello and it
+    failures = []
+    for case in range(REQUEST_CASES_PER_COMMAND):
+        rng = random.Random(f"{SEED}:request:{command}:{case}")
+        at = rng.randrange(len(steps))
+        good = steps[at]
+        doc = json.loads(good)
+        path = rng.choice(list(nodes(doc)))
+        mutation = rng.choice(list(MUTANTS) + [DELETE] * bool(path))
+        mutant = (mutate(doc, path, mutation) + "\n").encode()
+        if good not in fresh:
+            fresh[good] = exchange(upstream, [hello, good])
+        expected = fresh[good]
+        greeting = expected[:expected.index(b"\n") + 1]
+        got = exchange(upstream, [hello, mutant, good])
+        what = f"request {at} of {len(steps)}, {list(path)} <- {mutation}"
+        header, after = split_reply(got[len(greeting):], size) \
+            if got.startswith(greeting) else (None, "no hello reply")
+        if header is None:
+            failures.append(f"{what}: {after}")
+        elif after != expected[len(greeting):]:
+            failures.append(f"{what}: {header!r:.200}, then the next reply differs")
     assert not failures, "\n".join(failures)
