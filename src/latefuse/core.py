@@ -6,7 +6,9 @@ Token sequences are plain tuples of ids. Logits and probability
 distributions are 1-D float64 numpy arrays of length V. A provider's
 logit row is checked once, by `as_logits` inside
 `softmax_with_temperature`; `entropy` and `argmax_token` then trust the
-arrays the program made and check nothing.
+arrays the program made and check nothing. `softmax_rows` and `entropy`
+also take a `(B, V)` block of rows the program made, and give each row
+the 1-D result, bit for bit, for one call's overhead instead of B.
 """
 
 from __future__ import annotations
@@ -223,7 +225,37 @@ def softmax_with_temperature(logits, tau: float) -> np.ndarray:
     return scaled
 
 
-def entropy(dist) -> float:
+def softmax_rows(block: np.ndarray, tau: float) -> np.ndarray:
+    """`softmax_with_temperature` of each row of a `(B, V)` float64 block,
+    bit for bit, with its checks made per row before any division: a row
+    with a logit that is not finite, or one that tau would overflow, comes
+    out all NaN instead of raising, and nothing warns.
+
+    It is a function of its own because a provider's row must stay 1-D:
+    `softmax_with_temperature` refuses a `(1, V)` row as a data error. It
+    repeats that function's arithmetic on the block rather than share a
+    helper with it: the helper's calls measurably slowed the 1-D function,
+    which every row read without a lattice goes through.
+    """
+    if not (isinstance(tau, (int, float)) and math.isfinite(tau) and tau > 0):
+        raise InvalidParameterError(f"tau must be a positive finite real, got {tau!r}")
+    with np.errstate(over="ignore"):  # an overflow here is what the check looks for
+        top = _max(block, axis=1, keepdims=True) / tau
+        bottom = _min(block, axis=1, keepdims=True) / tau
+    # a NaN or infinite logit makes its row's max or min one too
+    bad = ~(np.isfinite(top) & np.isfinite(bottom))
+    if bad.any():  # zero the flagged rows so that nothing below overflows
+        block = np.where(bad, 0.0, block)
+        top[bad] = 0.0
+    scaled = block / float(tau)
+    scaled -= top
+    np.exp(scaled, out=scaled)
+    scaled /= _sum(scaled, axis=1, keepdims=True)
+    scaled[bad[:, 0]] = np.nan
+    return scaled
+
+
+def entropy(dist) -> float | list[float]:
     """Shannon entropy in nats, with 0 * ln 0 := 0; result in [0, ln V].
 
     `dist` must be a valid non-empty 1-D distribution, such as a
@@ -231,14 +263,33 @@ def entropy(dist) -> float:
     zero is summed whole; only a row with one is copied without its zeros,
     so the terms summed, and their order, are those of the nonzero entries
     either way.
+
+    A 2-D `(B, V)` block of such rows gives a list of B floats, each the
+    1-D result for its row: the rows without a zero are summed in one
+    block, and a row with one goes through the 1-D rule.
     """
     p = np.asarray(dist)
+    if p.ndim == 2:
+        return _row_entropies(p)
     nz = p if _min(p) > 0.0 else p[p > 0.0]
     terms = np.log(nz)
     terms *= nz
     h = -float(_sum(terms))
     # Clamp float noise; uniform gives exactly ln V up to rounding.
     return min(max(h, 0.0), math.log(p.size))
+
+
+def _row_entropies(p: np.ndarray) -> list[float]:
+    """The 2-D case of `entropy`."""
+    whole = _min(p, axis=1) > 0.0
+    nz = p if whole.all() else p[whole]
+    terms = np.log(nz)
+    terms *= nz
+    hs = np.minimum(np.maximum(-_sum(terms, axis=1), 0.0), math.log(p.shape[1])).tolist()
+    if nz is p:
+        return hs
+    hs = iter(hs)
+    return [next(hs) if w else entropy(row) for w, row in zip(whole.tolist(), p)]
 
 
 def argmax_token(dist) -> int:

@@ -8,7 +8,11 @@ N-best lists. All decoders start the history at BOS, are deterministic,
 and stop at EOS or a length cap. A provider with a `row_key` is read once
 per key in a corpus's beam searches (`beam_search` with `rows`), where a
 step scores the live beams x the top-ranked ids of that row, and once
-per (key, temperature) in a decode set (`calibrated_row`).
+per (key, temperature) in a decode set (`calibrated_row`). A corrector
+with a `lattice` (`providers.NgramCorrector`) has its rows for an
+utterance's N-best prefixes calibrated once per utterance of a decode
+set, as one block (`calibrated_lattice`), which every config of that
+utterance reads: a step's p_llm may then be a read-only row of it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .core import TokenSeq, Vocabulary, argmax_token, softmax_with_temperature
+from .core import (TokenSeq, Vocabulary, argmax_token, entropy, softmax_rows,
+                   softmax_with_temperature)
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
 from .fusion import FusionConfig, decide, fuse_step
 from .providers import UtteranceContext
@@ -63,6 +68,25 @@ def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: floa
     return dist
 
 
+def calibrated_lattice(provider, ctx: UtteranceContext, tau: float, uadf: bool) -> dict:
+    """The corrector's lattice for `ctx` (`provider.lattice`), calibrated as
+    one block: {key: (p, u)}, p the row's softmax at `tau`, a read-only row
+    of one read-only `(B, V)` array, and u its entropy if `uadf`, else None.
+
+    A row that `softmax_rows` flags is left out, so nothing here raises for
+    it: a step whose key it is reads the provider, and raises that check's
+    error there.
+    """
+    keys, raw = provider.lattice(ctx)
+    p = softmax_rows(raw, tau)
+    kept = ~np.isnan(p[:, 0])
+    if not kept.all():
+        keys = [key for key, ok in zip(keys, kept.tolist()) if ok]
+        p = p[kept]
+    p.flags.writeable = False
+    return dict(zip(keys, zip(p, entropy(p) if uadf else [None] * len(keys))))
+
+
 def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
                   tau: float = 1.0, rows: dict | None = None) -> DecodeResult:
     """`fused_greedy_decode` in mode llm at `tau`, with no secondary."""
@@ -72,7 +96,8 @@ def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LE
 
 def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
                         ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
-                        memo: dict | None = None, rows: dict | None = None) -> DecodeResult:
+                        memo: dict | None = None, rows: dict | None = None,
+                        lattice: dict | None = None) -> DecodeResult:
     """Greedy decoding in any of cfg's modes, with one shared history
     driving the providers.
 
@@ -86,6 +111,12 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     once per distinct history, and uadf ones the entropy too. The
     secondary's distribution comes from `calibrated_row` with `rows`,
     which can span utterances.
+
+    `lattice`, given in modes llm, static and uadf only, is the corrector's
+    `calibrated_lattice` for `ctx` at tau1, with entropies in mode uadf. A
+    step whose history's key it holds (at a memo miss, in the fused modes)
+    reads the corrector's p_llm, and its entropy, from it; any other step
+    reads the corrector.
     """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
@@ -97,20 +128,29 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
         raise ConfigurationError("providers must share one vocabulary")
 
     memo = {} if memo is None else memo
+    key_of = llm_provider.history_key if lattice else None
     history: TokenSeq = (Vocabulary.BOS,)
     steps = []
     for _ in range(max_len):
         if not fused:
-            step = calibrated_row(provider, history, ctx, tau, rows)
+            on_lattice = key_of and lattice.get(key_of(history, ctx))
+            step = on_lattice[0] if on_lattice else calibrated_row(provider, history, ctx,
+                                                                  tau, rows)
             token = argmax_token(step)
         else:
             inputs = memo.get(history)
             if inputs is None:
-                step = fuse_step(
-                    llm_provider.next_logits(history, ctx),
-                    calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
-                    cfg,
-                )
+                on_lattice = key_of and lattice.get(key_of(history, ctx))
+                if on_lattice:
+                    p_llm, u = on_lattice
+                    step = decide(p_llm, calibrated_row(asr_provider, history, ctx, cfg.tau2,
+                                                        rows), u, cfg)
+                else:
+                    step = fuse_step(
+                        llm_provider.next_logits(history, ctx),
+                        calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
+                        cfg,
+                    )
                 memo[history] = (step.p_llm, step.p_asr, step.measured_u)
             else:
                 step = decide(*inputs, cfg)
@@ -270,25 +310,32 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     which is dropped before the next utterance, so the configs must share
     mode, tau1 and tau2. All decodes share one dict of `calibrated_row`s,
     so a keyed provider's row is normalised once per call of this
-    function, not once per step. The provider whose argmax the mode
-    follows, the acoustic model in mode asr and the corrector in the
-    others, is told the utterances first, in order, if it has a `prefetch`
-    method (one served over the wire), so it can fetch the first rows of
-    many of them per round trip, each with its argmax path.
+    function, not once per step. In modes llm, static and uadf, a
+    corrector with a `lattice` gets one `calibrated_lattice` per utterance
+    at the shared tau1, which all of the utterance's decodes read. The
+    provider whose argmax the mode follows, the acoustic model in mode asr
+    and the corrector in the others, is told the utterances first, in
+    order, if it has a `prefetch` method (one served over the wire), so it
+    can fetch the first rows of many of them per round trip, each with its
+    argmax path.
     """
     if len({(c.mode, c.tau1, c.tau2) for c in cfgs}) > 1:
         raise InvalidParameterError("configs must share mode, tau1 and tau2")
     eval_set = list(eval_set)
-    primary = asr_provider if any(c.mode == "asr" for c in cfgs) else llm_provider
+    mode = cfgs[0].mode if cfgs else None
+    primary = asr_provider if mode == "asr" else llm_provider
     if hasattr(primary, "prefetch"):
         primary.prefetch([(ctx, None) for ctx, _ in eval_set])
     rows = {}
+    with_lattice = mode in ("llm", "static", "uadf") and hasattr(llm_provider, "lattice")
     for ctx, ref_words in eval_set:
         max_len = evaluation_max_len(ref_words, max_len_factor)
         memo = {}
+        lattice = (calibrated_lattice(llm_provider, ctx, cfgs[0].tau1, uadf=mode == "uadf")
+                   if with_lattice else None)
         for cfg in cfgs:
-            yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx,
-                                      max_len=max_len, memo=memo, rows=rows)
+            yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx, max_len=max_len,
+                                      memo=memo, rows=rows, lattice=lattice)
 
 
 def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,

@@ -24,12 +24,16 @@ one per live beam; with a `rows` dict (one per corpus in
 `corpus.generate_corpus`) it reads, normalises and ranks each key's row
 once, for every search that shares the dict. A decode set normalises
 each of its keyed rows once per temperature (`decoding.calibrated_row`).
-The wire client, `wire.ExternalProvider`, keeps the unread rows of its
-replies by utterance. A caller that announces its utterances
-(`prefetch`) gets the first rows of up to `wire.MAX_ENTRIES` of them per
-round trip, one entry of a step request each, with the provider's argmax
-path past its follow; an utterance nobody announced gets one row per
-step. A fetch for an
+`NgramCorrector` reads a history only through its key (`history_key`):
+its vote row and its n-gram context. Its `lattice(ctx)` gives the keys
+of an utterance's N-best prefixes and their rows as one `(B, V)` block,
+which a decode set calibrates once per utterance
+(`decoding.calibrated_lattice`). The wire client, `wire.ExternalProvider`,
+has no lattice; it keeps the unread rows of its replies by utterance. A
+caller that announces its utterances (`prefetch`) gets the first rows of
+up to `wire.MAX_ENTRIES` of them per round trip, one entry of a step
+request each, with the provider's argmax path past its follow; an
+utterance nobody announced gets one row per step. A fetch for an
 utterance drops the rows of every other but those announced after it.
 """
 
@@ -175,6 +179,11 @@ class NgramCorrector:
     n-gram context when a step first reads the row the model serves for
     it (held against that row, so a model trained again, which serves new
     rows, leaves none stale).
+
+    A row reads its history only through its key (`history_key`): the
+    vote row, min(len(history), len(votes)) - 1, and the n-gram context,
+    the last order - 1 ids. `lattice` builds the rows of an utterance's
+    N-best prefixes at once.
     """
 
     def __init__(self, model: NgramModel, vote_weight: float = 0.5):
@@ -225,20 +234,64 @@ class NgramCorrector:
         self._votes = (nbest, rows)
         return rows
 
-    def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
+    def _held_votes(self, nbest: tuple[TokenSeq, ...]) -> list:
+        """The weighted vote rows of `nbest`, counted when it is not the
+        list they are held against."""
         held, votes = self._votes
-        if held is not ctx.nbest:
-            votes = self._vote_rows(ctx.nbest)
-        # (1 - vote_weight) * p_ngram(. | history), kept for as long as the
-        # model serves the same row. The entry holds that row, so no other
-        # array can take its id while the entry lives.
+        return votes if held is nbest else self._vote_rows(nbest)
+
+    def _prior(self, history: TokenSeq) -> np.ndarray:
+        """(1 - vote_weight) * p_ngram(. | history), kept for as long as the
+        model serves the same row. The entry holds that row, so no other
+        array can take its id while the entry lives."""
         p = self.model.cond_dist(history)
         prior = self._priors.get(id(p))
         if prior is None:
             prior = self._priors[id(p)] = (p, (1.0 - self.vote_weight) * p)
-        row = prior[1] + votes[min(len(history), len(votes)) - 1]
+        return prior[1]
+
+    @staticmethod
+    def _vote_row(history: TokenSeq, votes: list) -> int:
+        """The index of the row of `votes` that a step after `history` reads."""
+        return min(len(history), len(votes)) - 1
+
+    def history_key(self, history: TokenSeq, ctx: UtteranceContext) -> tuple:
+        """All that `next_logits(history, ctx)` reads of `history`: its vote
+        row, and its n-gram context, which is all `_prior` reads of it.
+        Histories of one utterance with one key get one row."""
+        return (self._vote_row(history, self._held_votes(ctx.nbest)),
+                self.model._context(history))
+
+    def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
+        votes = self._held_votes(ctx.nbest)
+        row = self._prior(history) + votes[self._vote_row(history, votes)]
         row += LOG_EPS
         return np.log(row, out=row)
+
+    def lattice(self, ctx: UtteranceContext) -> tuple[list, np.ndarray]:
+        """The keys of the BOS-prefixed prefixes of ctx's N-best list up to
+        each hypothesis's EOS, BOS alone included, each once (see
+        `history_key`), and their raw rows as one new `(B, V)` array: row i
+        `==` `next_logits(history, ctx)` for every history of key i.
+
+        A prefix of t tokens is no longer than the longest hypothesis, so
+        its vote row is t, unclipped, and its context is a slice of the
+        hypothesis padded as `_context` pads a history: `history_key` of
+        the prefix, with no call per prefix. The rows are the held weighted
+        priors (a context is its own history) plus the held vote rows, with
+        `next_logits`'s elementwise ops on the whole block.
+        """
+        votes = self._held_votes(ctx.nbest)
+        k = self.model.order - 1
+        keys = {}
+        for hyp in ctx.nbest or ((),):
+            end = hyp.index(Vocabulary.EOS) if Vocabulary.EOS in hyp else len(hyp)
+            padded = (Vocabulary.BOS,) * (k + 1) + tuple(hyp[:end])
+            keys.update(dict.fromkeys([(t, padded[t + 1:t + 1 + k]) for t in range(end + 1)]))
+        rows = np.array([self._prior(context) for _, context in keys])
+        rows += np.array([votes[vote_row] for vote_row, _ in keys])
+        rows += LOG_EPS
+        return list(keys), np.log(rows, out=rows)
 
 
 def train_ngram_corrector(

@@ -42,7 +42,12 @@ TEXTS = ["a b c", "b a", "c c b", "a"]
 
 @pytest.fixture
 def bench_case(abc_vocab):
-    """An n-gram corrector, a noisy channel and a four-utterance eval set."""
+    """An n-gram corrector, a noisy channel and a five-utterance eval set.
+
+    The first four utterances' decodes follow their one-hypothesis N-best
+    lists, so the corrector's lattice serves every step; the last has no
+    N-best list, so its decodes leave the lattice after BOS and read the
+    corrector through `next_logits` and `fuse_step`."""
     refs = [abc_vocab.encode(text, append_eos=True) for text in TEXTS]
     llm = train_ngram_corrector(refs, abc_vocab,
                                 order=2, smoothing=0.1)
@@ -51,6 +56,8 @@ def bench_case(abc_vocab):
     asr = AcousticChannel(abc_vocab, noisy / noisy.sum(axis=1, keepdims=True))
     eval_set = [(UtteranceContext(utt_id=f"u{i}", nbest=(ref,), observation=(0,) + ref),
                  text.split()) for i, (text, ref) in enumerate(zip(TEXTS, refs))]
+    eval_set.append((UtteranceContext(utt_id="no-nbest", observation=(0,) + refs[0]),
+                     TEXTS[0].split()))
     return llm, asr, eval_set
 
 

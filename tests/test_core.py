@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from latefuse.core import (
     json_field,
     loads,
     sigmoid,
+    softmax_rows,
     softmax_with_temperature,
 )
 from latefuse.errors import CorpusSchemaError, InvalidInputError, InvalidParameterError
@@ -120,6 +123,104 @@ class TestRowMathFirstDefinitions:
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+def mixed_block(b, v, seed):
+    """b logit rows of width v: normal rows at four scales, and logs of
+    sparse mixtures, as the corrector's rows are."""
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(b, v)) * rng.choice([0.5, 5.0, 50.0, 500.0], size=(b, 1))
+    sparse = rng.dirichlet(np.full(v, 0.05), size=b) + 1e-12
+    return np.where(rng.random((b, 1)) < 0.5, block, np.log(sparse))
+
+
+def one_row_at_a_time(block, tau):
+    """Oracle: each row through the 1-D calls, or the error it raises."""
+    out = []
+    for row in block:
+        try:
+            p = softmax_with_temperature(row, tau)
+        except (InvalidInputError, InvalidParameterError) as exc:
+            out.append(type(exc))
+        else:
+            out.append((p.tobytes(), entropy(p).hex()))
+    return out
+
+
+def by_block(block, tau):
+    """softmax_rows and entropy of the block, row by row, with no warning;
+    a flagged row reads as None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = softmax_rows(block, tau)
+        flagged = np.isnan(p).all(axis=1)
+        assert (flagged | ~np.isnan(p).any(axis=1)).all()  # all NaN or none
+        hs = entropy(p[~flagged])
+    hs = iter(hs)
+    return [None if bad else (row.tobytes(), next(hs).hex()) for row, bad in zip(p, flagged)]
+
+
+class TestRowKernels:
+    """`softmax_rows` and `entropy` of a (B, V) block give each row the 1-D
+    calls' result bit for bit; a row the 1-D softmax refuses comes out
+    flagged (all NaN), and nothing warns."""
+
+    @pytest.mark.parametrize("b", range(1, 33))
+    def test_every_row_equals_the_1d_result(self, b):
+        block = mixed_block(b, 200, seed=b)
+        for tau in (0.3, 1.0, 1.14, 4.0):
+            want = one_row_at_a_time(block, tau)
+            assert by_block(block, tau) == want
+            assert all(isinstance(row, tuple) for row in want)
+
+    @pytest.mark.parametrize("v", [37, 203])
+    @pytest.mark.parametrize("b", [1, 7, 17, 32])
+    def test_odd_widths(self, b, v):
+        block = mixed_block(b, v, seed=v * b)
+        for tau in (0.3, 1.0, 1.46):
+            assert by_block(block, tau) == one_row_at_a_time(block, tau)
+
+    def test_entropy_rows_with_an_exact_zero(self):
+        block = mixed_block(12, 200, seed=5)
+        p = softmax_rows(block, 0.01)  # a small tau underflows most entries to 0
+        p[3] = softmax_with_temperature(np.arange(200.0), 1.0)  # no zero
+        p[7] = 0.0
+        p[7, 11] = 1.0  # one-hot
+        with_zero = (p == 0.0).any(axis=1)
+        assert 0 < with_zero.sum() < len(p)
+        assert [h.hex() for h in entropy(p)] == [entropy(row).hex() for row in p]
+
+    def test_tau_that_overflows_some_rows_flags_exactly_those(self):
+        rng = np.random.default_rng(11)
+        block = rng.uniform(-5.0, 0.0, size=(20, 200))
+        deep = [2, 3, 11, 19]
+        block[deep, 7] = -30.0  # 30 / tau overflows where 5 / tau does not
+        block[5, 9] = 1e-3  # a positive max that does not overflow either
+        tau = 10.0 / sys.float_info.max
+        want = one_row_at_a_time(block, tau)
+        assert [i for i, row in enumerate(want) if row is InvalidParameterError] == deep
+        got = by_block(block, tau)
+        assert [i for i, row in enumerate(got) if row is None] == deep
+        assert [row for row in got if row is not None] == \
+            [row for row in want if row is not InvalidParameterError]
+
+    def test_rows_that_are_not_finite_are_flagged(self):
+        block = mixed_block(6, 50, seed=2)
+        block[1, 3], block[2, 0], block[4, 49] = NAN, INF, -INF
+        for tau in (0.5, 1.0, 2.0):
+            want = one_row_at_a_time(block, tau)
+            assert [row is InvalidInputError for row in want] == \
+                [False, True, True, False, True, False]
+            got = by_block(block, tau)
+            assert [row is None for row in got] == [row is InvalidInputError for row in want]
+            assert [row for row in got if row] == [row for row in want if isinstance(row, tuple)]
+
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, NAN, INF])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(InvalidParameterError):
+            softmax_rows(np.zeros((2, 3)), tau)
+
+
 
 
 class TestValidationTable:

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from latefuse import decoding, fusion
+from latefuse.calibration import fit_temperature
 from latefuse.core import Vocabulary, argmax_token, entropy, softmax_with_temperature
 from latefuse.decoding import (
     MAX_BEAM_WIDTH,
@@ -19,7 +21,8 @@ from latefuse.decoding import (
 from latefuse.errors import ConfigurationError, InvalidInputError, InvalidParameterError
 from latefuse.fusion import FusionConfig, decide
 from latefuse.metrics import corpus_wer
-from latefuse.providers import AcousticChannel, UtteranceContext
+from latefuse.corpus import ChannelSpec, decoder_confusion, generate_corpus, record_context
+from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
 
 
 @pytest.fixture
@@ -945,3 +948,123 @@ class TestRowCheckedWhereItEnters:
         pair = (bad, identity_channel) if bad_role == "llm" else (identity_channel, bad)
         with pytest.raises(InvalidInputError):
             decoder(*pair, obs_ctx(abc_vocab, "a b"))
+
+
+class PlainCorrector:
+    """A corrector with only `vocab` and `next_logits`: a decode set reads
+    it as it reads any provider without a lattice."""
+
+    def __init__(self, corrector):
+        self.vocab = corrector.vocab
+        self.next_logits = corrector.next_logits
+
+
+def decode_fields(result):
+    """Everything a decode result says: its tokens, how it ended, and each
+    step's p_llm bytes, uncertainty (measured or not), weight and choice."""
+    def step_fields(step):
+        if isinstance(step, np.ndarray):
+            return step.tobytes()
+        return (step.p_llm.tobytes(), step.p_asr.tobytes(), step.uncertainty,
+                step.measured_u, step.w_asr_effective, step.chosen)
+
+    return result.tokens, result.terminated, [step_fields(step) for step in result.steps]
+
+
+def assert_lattice_changes_nothing(llm, asr, cfgs, eval_set, monkeypatch):
+    """The set decoded with the corrector's lattice equals the set decoded
+    through `PlainCorrector`, field for field; returns the corrector's own
+    reads and the steps of the set with the lattice."""
+    without = [decode_fields(r) for r in decode_eval_set(PlainCorrector(llm), asr, cfgs,
+                                                          eval_set)]
+    with monkeypatch.context() as patched:
+        reads = count_calls(patched, llm, "next_logits")
+        results = list(decode_eval_set(llm, asr, cfgs, eval_set))
+    assert [decode_fields(r) for r in results] == without
+    return reads[0], [step for r in results for step in r.steps]
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["seed1", "seed2"])
+def small_walkthrough(request):
+    """The README walkthrough's corpus at test size (200/30/40), its decoder
+    channel, and the val and test sets; the test set ends with an
+    utterance whose N-best list is empty."""
+    channel = ChannelSpec(seed=request.param)
+    splits, vocab = generate_corpus(channel, n_train=200, n_val=30, n_test=40)
+    train = [vocab.encode(rec.reference, append_eos=True) for rec in splits["train"]]
+    asr = AcousticChannel(vocab, decoder_confusion(vocab, channel))
+    val = [record_context(rec, vocab) for rec in splits["val"]]
+    test = [record_context(rec, vocab) for rec in splits["test"]]
+    ctx, ref = test[0]
+    test.append((UtteranceContext("no-nbest", observation=ctx.observation), ref))
+    return vocab, train, asr, val, test
+
+
+class TestCorrectorLattice:
+    """A decode set that reads the corrector's rows from its per-utterance
+    calibrated lattice decodes exactly as one that reads every row through
+    `next_logits`."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_walkthrough_sets_equal_the_sets_without_it(self, small_walkthrough, order,
+                                                        monkeypatch):
+        vocab, train, asr, val, test = small_walkthrough
+        llm = train_ngram_corrector(train, vocab, order=order, smoothing=0.1,
+                                    vote_weight=0.85)
+        cal_set = [(ctx, vocab.encode(" ".join(ref), append_eos=True)) for ctx, ref in val]
+        taus = {"tau1": fit_temperature(llm, cal_set).tau,
+                "tau2": fit_temperature(asr, cal_set).tau}
+        sets = [([FusionConfig(mode=mode, **taus)], test)
+                for mode in ("llm", "asr", "static", "uadf")]
+        sets.append(([FusionConfig(mode="static", w_asr=w, **taus)
+                      for w in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)], val))
+        sets.append(([FusionConfig(beta=b, **taus) for b in (0.0, 0.25, 0.5, 0.75)], val))
+        for cfgs, eval_set in sets:
+            reads, steps = assert_lattice_changes_nothing(llm, asr, cfgs, eval_set,
+                                                          monkeypatch)
+            if cfgs[0].mode == "asr":
+                assert reads == 0
+                continue
+            rows = [step if isinstance(step, np.ndarray) else step.p_llm for step in steps]
+            on_lattice = sum(not row.flags.writeable for row in rows)
+            # most rows come from the lattice. Past BOS, the decodes of the
+            # utterance with no N-best list leave it, unless an order-1
+            # corrector reads that utterance's one key at every step.
+            assert reads < on_lattice
+            assert reads > 0 or order == 1
+
+    @pytest.mark.parametrize("mode", ["llm", "static", "uadf"])
+    def test_rows_that_fail_a_check_stay_off_the_lattice(self, abc_vocab, identity_channel,
+                                                         mode, monkeypatch):
+        """At this tau the lattice row of context "a" after two tokens
+        overflows (its smallest logit is about -13.8) and the others do not
+        (about -8.3 and -7.6). A decode that never reads that row succeeds,
+        as it does without the lattice; one that reads it raises the
+        softmax's error, with the lattice or without."""
+        llm = train_ngram_corrector([(5,) + (3,) * 500 + (1,), (4, 1)], abc_vocab,
+                                    order=2, smoothing=1e-3, vote_weight=0.5)
+        cfg = FusionConfig(mode=mode, tau1=11.0 / sys.float_info.max)
+        b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 4, 1))
+        keys, _ = llm.lattice(b_then_eos)
+        lattice = decoding.calibrated_lattice(llm, b_then_eos, cfg.tau1, mode == "uadf")
+        assert len(lattice) == len(keys) - 1 and (2, (3,)) not in lattice
+        assert_lattice_changes_nothing(llm, identity_channel, [cfg],
+                                       [(b_then_eos, ["b"])], monkeypatch)
+        c_then_a = UtteranceContext("c", nbest=((5, 3, 1),), observation=(0, 5, 3, 1))
+        for corrector in (llm, PlainCorrector(llm)):
+            with pytest.raises(InvalidParameterError, match="is too small"):
+                list(decode_eval_set(corrector, identity_channel, [cfg],
+                                     [(c_then_a, ["c", "a"])]))
+
+    def test_block_is_read_only_and_shared_by_every_config(self, abc_vocab, identity_channel):
+        llm = train_ngram_corrector([(3, 4, 1), (3, 5, 1), (4, 1)], abc_vocab, order=2)
+        asr = identity_channel
+        ctx = UtteranceContext("u", nbest=((3, 4, 1), (3, 5, 1)), observation=(0, 3, 4, 1))
+        cfgs = [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.5)]
+        first, second = decode_eval_set(llm, asr, cfgs, [(ctx, ["a", "b"])])
+        blocks = {id(step.p_llm.base) for r in (first, second) for step in r.steps}
+        assert len(blocks) == 1
+        row = first.steps[0].p_llm
+        assert not row.flags.writeable and not row.base.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0

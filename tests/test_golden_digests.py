@@ -5,12 +5,22 @@ paths, so each file it writes, resolved configs included, has the same
 bytes on every run of the same code. `golden_digests.json` holds the
 sha256 of each, with the Python and numpy versions that wrote them.
 
-A change meant to keep every output leaves that file as it is. A change
-that alters an output by design rewrites it with
+numpy picks its loops by CPU at run time, and its AVX-512 (X86_V4) loops
+round a few results differently from its AVX2 and baseline ones, so five
+files (the corpus splits and the two step logs) differ without them.
+`golden_digests.json` pins a run with X86_V4, and
+`golden_digests_without_avx512.json` a run without it (the AVX2 and the
+baseline loops give the same files); the test reads the set for the CPU
+features numpy runs with. To check the second set on a machine with
+AVX-512, run with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
+
+A change meant to keep every output leaves both files as they are. A
+change that alters an output by design rewrites the running path's file
+with
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
-and names each changed digest, and why, in CHANGES.md.
+(once per path), and names each changed digest, and why, in CHANGES.md.
 """
 
 import hashlib
@@ -22,10 +32,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from latefuse.cli import main
 
-GOLDEN = Path(__file__).with_name("golden_digests.json")
+GOLDEN = Path(__file__).with_name("golden_digests.json" if __cpu_features__.get("X86_V4")
+                                  else "golden_digests_without_avx512.json")
 
 _VOCAB = ["--vocab", "data/vocab.txt"]
 _PROVIDERS = ["--lm-model", "lm.json", "--manifest", "data/manifest.json"]

@@ -446,6 +446,82 @@ class TestVoteRows:
             corrector.next_logits((Vocabulary.BOS, 3), ctx)
 
 
+def nbest_prefixes(nbest):
+    """Oracle: every BOS-prefixed prefix of each hypothesis up to its EOS,
+    BOS alone included, in hypothesis order, repeats kept."""
+    for hyp in nbest or ((),):
+        for t in range(len(hyp) + 1):
+            yield (Vocabulary.BOS,) + tuple(hyp[:t])
+            if t < len(hyp) and hyp[t] == Vocabulary.EOS:
+                break
+
+
+class TestLattice:
+    """`NgramCorrector.lattice` gives the keys of an utterance's N-best
+    prefixes once each, in order of first appearance, and for each key the
+    row `next_logits` gives every history of that key, byte for byte."""
+
+    @staticmethod
+    def assert_lattice(corrector, nbest, extra_histories=()):
+        ctx = UtteranceContext("u", nbest=nbest)
+        keys, rows = corrector.lattice(ctx)
+        prefixes = list(nbest_prefixes(nbest))
+        assert keys == list(dict.fromkeys(corrector.history_key(h, ctx) for h in prefixes))
+        assert rows.shape == (len(keys), corrector.vocab.size)
+        index = {key: i for i, key in enumerate(keys)}
+        read = 0
+        for history in prefixes + list(extra_histories):
+            i = index.get(corrector.history_key(history, ctx))
+            if i is not None:
+                assert rows[i].tobytes() == corrector.next_logits(history, ctx).tobytes()
+                read += 1
+        return keys, read
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("vote_weight", [0.0, 0.5, 1.0])
+    def test_rows_equal_next_logits(self, order, vote_weight):
+        vocab, _model, lists, rng = seven_word_case()
+        model = NgramModel(vocab, order=order, smoothing=0.1)
+        model.train(random_sequences(vocab, seed=order))
+        corrector = NgramCorrector(model, vote_weight=vote_weight)
+        edge = {
+            "no-EOS": ((3, 4, 5), (3, 4)),
+            "EOS-inside": ((3, 1, 4, 5, 1), (3, 4, 1)),
+            "EOS-only": ((1,), (1,)),
+            "empty-hypothesis": ((), (6, 1)),
+        }
+        read_off = 0
+        for nbest in [*lists.values(), *edge.values()]:
+            # histories off the prefixes: some share a prefix's key, and
+            # some run past the longest hypothesis, onto the uniform vote row
+            off = [(Vocabulary.BOS,) + tuple(int(t) for t in rng.integers(1, vocab.size, n))
+                   for n in range(9) for _ in range(6)]
+            _keys, read = self.assert_lattice(corrector, nbest, off)
+            read_off += read - len(list(nbest_prefixes(nbest)))
+        assert read_off > 0
+
+    def test_empty_list_has_the_bos_row_alone(self, abc_vocab):
+        corrector = train_ngram_corrector([(3, 4, 1)], abc_vocab, order=3)
+        keys, read = self.assert_lattice(corrector, ())
+        assert keys == [(0, (Vocabulary.BOS,) * 2)] and read == 1
+
+    def test_shared_prefixes_and_contexts_give_one_key(self, abc_vocab):
+        corrector = train_ngram_corrector([(3, 4, 1)], abc_vocab, order=2)
+        # "a b" and "a c" share BOS and "a"; "c a" reaches context (a,) at
+        # vote row 2, "a" reaches it at vote row 1
+        nbest = tuple(abc_vocab.encode(t, append_eos=True) for t in ["a b", "a c", "c a"])
+        keys, _ = self.assert_lattice(corrector, nbest)
+        assert keys == [(0, (0,)), (1, (3,)), (2, (4,)), (2, (5,)), (1, (5,)), (2, (3,))]
+
+    def test_walkthrough_lists(self, walkthrough_lists):
+        vocab, lists = walkthrough_lists
+        corrector = train_ngram_corrector([hyp for nbest in lists[:300] for hyp in nbest],
+                                          vocab, order=2, smoothing=0.1, vote_weight=0.85)
+        keys = sum(len(self.assert_lattice(corrector, nbest)[0]) for nbest in lists[300:])
+        prefixes = sum(len(list(nbest_prefixes(nbest))) for nbest in lists[300:])
+        assert 0 < keys < prefixes / 2  # the hypotheses share most of their prefixes
+
+
 class TestAcousticChannel:
     def test_identity_copies_observation(self, abc_vocab):
         chan = AcousticChannel(abc_vocab, np.eye(6))
