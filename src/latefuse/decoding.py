@@ -8,25 +8,31 @@ N-best lists. All decoders start the history at BOS, are deterministic,
 and stop at EOS or a length cap. A provider with a `row_key` is read once
 per key in a corpus's beam searches (`beam_search` with `rows`), where a
 step scores the live beams x the top-ranked ids of that row, and once
-per (key, temperature) in a decode set (`calibrated_row`). A corrector
-with a `lattice` (`providers.NgramCorrector`) has its rows for an
-utterance's N-best prefixes calibrated once per utterance of a decode
-set, as one block (`calibrated_lattice`), which every config of that
-utterance reads: a step's p_llm may then be a read-only row of it.
+per (key, temperature) in a decode set (`calibrated_row`).
+
+A corrector with a `lattice` (`providers.NgramCorrector`) gives the rows
+of an utterance's N-best prefixes, each keyed by its step count t and its
+n-gram context. A step's inputs depend on nothing else, so in modes llm,
+static and uadf (the fused ones with a keyed acoustic model) a decode set
+decides every config's choice at every key of the utterance in one array
+op (`choice_tables`), and each decode walks that table: a step whose
+(t, context) it holds reads its choice there, and any other step reads
+the providers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics
-from .core import (TokenSeq, Vocabulary, argmax_token, entropy, softmax_rows,
+from .core import (TokenSeq, Vocabulary, argmax_token, entropy, sigmoid, softmax_rows,
                    softmax_with_temperature)
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
-from .fusion import FusionConfig, decide, fuse_step
+from .fusion import FusionConfig, FusionStep, decide, fuse_step
 from .providers import UtteranceContext
 
 # Length cap for decoding without a reference to scale against.
@@ -68,23 +74,90 @@ def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: floa
     return dist
 
 
-def calibrated_lattice(provider, ctx: UtteranceContext, tau: float, uadf: bool) -> dict:
-    """The corrector's lattice for `ctx` (`provider.lattice`), calibrated as
-    one block: {key: (p, u)}, p the row's softmax at `tau`, a read-only row
-    of one read-only `(B, V)` array, and u its entropy if `uadf`, else None.
+class ChoiceTable(NamedTuple):
+    """One config's choices at the keys of one utterance's corrector lattice
+    (see `choice_tables`): row i is the step after t tokens whose last
+    order - 1 ids are `context`, where `index[(t, context)] == i`."""
 
-    A row that `softmax_rows` flags is left out, so nothing here raises for
-    it: a step whose key it is reads the provider, and raises that check's
-    error there.
+    index: dict          # (t, context) -> row i
+    start: tuple         # the context of the first step: BOS, order - 1 times
+    p_llm: list          # row i's calibrated corrector row, read-only
+    p_asr: list | None   # row i's calibrated acoustic row; None in mode llm
+    u: list | None       # row i's entropy of p_llm in uadf, else None; None in mode llm
+    w: list | None       # row i's weight of p_asr; None in mode llm
+    chosen: list         # row i's choice
+
+
+def _keyed_rows(provider, n: int, ctx: UtteranceContext, tau: float, rows: dict) -> list:
+    """`calibrated_row` of a keyed provider for histories of 1 .. n ids, or
+    None for one that raises a row's check: the step that reads it raises
+    the error there, as it would without a table. A keyed row depends on
+    the history only through its length, so BOS ids stand for any history."""
+    dists = []
+    for length in range(1, n + 1):
+        try:
+            dists.append(calibrated_row(provider, (Vocabulary.BOS,) * length, ctx, tau, rows))
+        except (InvalidInputError, InvalidParameterError):
+            dists.append(None)
+    return dists
+
+
+def choice_tables(llm_provider, asr_provider, cfgs, ctx: UtteranceContext,
+                  rows: dict) -> list[ChoiceTable] | None:
+    """One `ChoiceTable` per config of `cfgs` (which share mode, tau1 and
+    tau2; mode llm, static or uadf), decided at once on the keys of the
+    corrector's `lattice(ctx)`, or None when none of its rows is usable.
+
+    The corrector's rows are calibrated as one block (`softmax_rows` at
+    tau1, P) and, in uadf, take their entropies u as one block. In the
+    fused modes, A holds the secondary's `calibrated_row` for each key's
+    length t + 1 (it must have a `row_key`; read through `rows`), and W,
+    `(K, B)`, each config's weight per row: w_asr, or sigmoid(u) - beta
+    (`uadf_weight`), with `math`'s sigmoid and a float64 subtraction. The
+    choices are then `argmax(P + W * A)` over the vocabulary, one op for
+    every config and row, or `argmax(P)` in mode llm. Elementwise multiply
+    and add are correctly rounded and argmax takes the first maximum, so
+    every cell equals `fusion.decide`'s choice bit for bit.
+
+    A row that `softmax_rows` flags, or whose acoustic row raises, is left
+    out, so nothing here raises for it: the step that reads it reads the
+    providers and raises that check's error there.
     """
-    keys, raw = provider.lattice(ctx)
-    p = softmax_rows(raw, tau)
+    cfg = cfgs[0]
+    keys, raw = llm_provider.lattice(ctx)
+    start = (Vocabulary.BOS,) * len(keys[0][1])
+    p = softmax_rows(raw, cfg.tau1)
     kept = ~np.isnan(p[:, 0])
+    fused = cfg.mode != "llm"
+    if fused:
+        lengths = [t for t, _ in keys]
+        dists = _keyed_rows(asr_provider, max(lengths) + 1, ctx, cfg.tau2, rows)
+        kept &= np.array([dists[t] is not None for t in lengths])
     if not kept.all():
         keys = [key for key, ok in zip(keys, kept.tolist()) if ok]
+        if not keys:
+            return None
         p = p[kept]
     p.flags.writeable = False
-    return dict(zip(keys, zip(p, entropy(p) if uadf else [None] * len(keys))))
+    index = {key: i for i, key in enumerate(keys)}
+    p_llm = list(p)
+    if not fused:
+        return [ChoiceTable(index, start, p_llm, None, None, None,
+                            p.argmax(axis=1).tolist())] * len(cfgs)
+    p_asr = [dists[t] for t, _ in keys]
+    if cfg.mode == "uadf":
+        u = entropy(p)
+        w = np.array([sigmoid(h) for h in u]) - np.array([c.beta for c in cfgs], float)[:, None]
+        ws = w.tolist()
+    else:
+        u = [None] * len(keys)
+        w = np.array([c.w_asr for c in cfgs], float)[:, None]
+        ws = [[c.w_asr] * len(keys) for c in cfgs]
+    fused_rows = w[:, :, None] * np.array(p_asr)
+    fused_rows += p
+    chosen = fused_rows.argmax(axis=2).tolist()
+    return [ChoiceTable(index, start, p_llm, p_asr, u, ws[k], chosen[k])
+            for k in range(len(cfgs))]
 
 
 def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
@@ -97,7 +170,7 @@ def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LE
 def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
                         ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
                         memo: dict | None = None, rows: dict | None = None,
-                        lattice: dict | None = None) -> DecodeResult:
+                        table: ChoiceTable | None = None) -> DecodeResult:
     """Greedy decoding in any of cfg's modes, with one shared history
     driving the providers.
 
@@ -112,11 +185,11 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     secondary's distribution comes from `calibrated_row` with `rows`,
     which can span utterances.
 
-    `lattice`, given in modes llm, static and uadf only, is the corrector's
-    `calibrated_lattice` for `ctx` at tau1, with entropies in mode uadf. A
-    step whose history's key it holds (at a memo miss, in the fused modes)
-    reads the corrector's p_llm, and its entropy, from it; any other step
-    reads the corrector.
+    `table`, given in modes llm, static and uadf only, is cfg's
+    `ChoiceTable` for `ctx` (see `choice_tables`). The decode then walks
+    it: a step whose (t, context) it holds takes the table's choice, and
+    its recorded step is built from the table's rows, equal to the step
+    the providers would give; any other step reads them as above.
     """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
@@ -128,29 +201,22 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
         raise ConfigurationError("providers must share one vocabulary")
 
     memo = {} if memo is None else memo
-    key_of = llm_provider.history_key if lattice else None
+    if table is not None:
+        return _walk(llm_provider, asr_provider, cfg, ctx, max_len, memo, rows, table)
     history: TokenSeq = (Vocabulary.BOS,)
     steps = []
     for _ in range(max_len):
         if not fused:
-            on_lattice = key_of and lattice.get(key_of(history, ctx))
-            step = on_lattice[0] if on_lattice else calibrated_row(provider, history, ctx,
-                                                                  tau, rows)
+            step = calibrated_row(provider, history, ctx, tau, rows)
             token = argmax_token(step)
         else:
             inputs = memo.get(history)
             if inputs is None:
-                on_lattice = key_of and lattice.get(key_of(history, ctx))
-                if on_lattice:
-                    p_llm, u = on_lattice
-                    step = decide(p_llm, calibrated_row(asr_provider, history, ctx, cfg.tau2,
-                                                        rows), u, cfg)
-                else:
-                    step = fuse_step(
-                        llm_provider.next_logits(history, ctx),
-                        calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
-                        cfg,
-                    )
+                step = fuse_step(
+                    llm_provider.next_logits(history, ctx),
+                    calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
+                    cfg,
+                )
                 memo[history] = (step.p_llm, step.p_asr, step.measured_u)
             else:
                 step = decide(*inputs, cfg)
@@ -160,6 +226,46 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
         if token == Vocabulary.EOS:
             return DecodeResult(history[1:], tuple(steps), "eos")
     return DecodeResult(history[1:], tuple(steps), "max-length")
+
+
+def _walk(llm_provider, asr_provider, cfg: FusionConfig, ctx: UtteranceContext,
+          max_len: int, memo: dict, rows: dict | None, table: ChoiceTable) -> DecodeResult:
+    """`fused_greedy_decode` along `table`. The state is the step count t
+    and the last order - 1 ids, never the corrector's `history_key`: past
+    the longest hypothesis, or with no N-best list, one key spans several
+    lengths, and so several acoustic rows."""
+    fused = cfg.mode != "llm"
+    index, context, p_llm, p_asr, u, w, chosen = table
+    tokens, steps = [], []
+    for t in range(max_len):
+        i = index.get((t, context))
+        if i is not None:
+            token = chosen[i]
+            steps.append(FusionStep(p_llm[i], p_asr[i], u[i], w[i], token) if fused
+                         else p_llm[i])
+        else:
+            history = (Vocabulary.BOS, *tokens)
+            if not fused:
+                step = calibrated_row(llm_provider, history, ctx, cfg.tau1, rows)
+                token = argmax_token(step)
+            else:
+                inputs = memo.get(history)
+                if inputs is None:
+                    step = fuse_step(
+                        llm_provider.next_logits(history, ctx),
+                        calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
+                        cfg,
+                    )
+                    memo[history] = (step.p_llm, step.p_asr, step.measured_u)
+                else:
+                    step = decide(*inputs, cfg)
+                token = step.chosen
+            steps.append(step)
+        tokens.append(token)
+        if token == Vocabulary.EOS:
+            return DecodeResult(tuple(tokens), tuple(steps), "eos")
+        context = (*context, token)[1:]
+    return DecodeResult(tuple(tokens), tuple(steps), "max-length")
 
 
 def _log_rows(provider, seqs, ctx: UtteranceContext, v: int) -> np.ndarray:
@@ -311,13 +417,13 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     mode, tau1 and tau2. All decodes share one dict of `calibrated_row`s,
     so a keyed provider's row is normalised once per call of this
     function, not once per step. In modes llm, static and uadf, a
-    corrector with a `lattice` gets one `calibrated_lattice` per utterance
-    at the shared tau1, which all of the utterance's decodes read. The
-    provider whose argmax the mode follows, the acoustic model in mode asr
-    and the corrector in the others, is told the utterances first, in
-    order, if it has a `prefetch` method (one served over the wire), so it
-    can fetch the first rows of many of them per round trip, each with its
-    argmax path.
+    corrector with a `lattice` gets one set of `choice_tables` per
+    utterance, which its decodes walk, if the mode is llm or the acoustic
+    model has a `row_key` and the corrector's vocabulary. The provider
+    whose argmax the mode follows, the acoustic model in mode asr and the
+    corrector in the others, is told the utterances first, in order, if it
+    has a `prefetch` method (one served over the wire), so it can fetch the
+    first rows of many of them per round trip, each with its argmax path.
     """
     if len({(c.mode, c.tau1, c.tau2) for c in cfgs}) > 1:
         raise InvalidParameterError("configs must share mode, tau1 and tau2")
@@ -327,15 +433,16 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     if hasattr(primary, "prefetch"):
         primary.prefetch([(ctx, None) for ctx, _ in eval_set])
     rows = {}
-    with_lattice = mode in ("llm", "static", "uadf") and hasattr(llm_provider, "lattice")
+    with_tables = mode in ("llm", "static", "uadf") and hasattr(llm_provider, "lattice") and (
+        mode == "llm" or getattr(asr_provider, "row_key", None) is not None
+        and asr_provider.vocab == llm_provider.vocab)
     for ctx, ref_words in eval_set:
         max_len = evaluation_max_len(ref_words, max_len_factor)
         memo = {}
-        lattice = (calibrated_lattice(llm_provider, ctx, cfgs[0].tau1, uadf=mode == "uadf")
-                   if with_lattice else None)
-        for cfg in cfgs:
+        tables = with_tables and choice_tables(llm_provider, asr_provider, cfgs, ctx, rows)
+        for k, cfg in enumerate(cfgs):
             yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx, max_len=max_len,
-                                      memo=memo, rows=rows, lattice=lattice)
+                                      memo=memo, rows=rows, table=tables[k] if tables else None)
 
 
 def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,

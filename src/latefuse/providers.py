@@ -26,9 +26,11 @@ once, for every search that shares the dict. A decode set normalises
 each of its keyed rows once per temperature (`decoding.calibrated_row`).
 `NgramCorrector` reads a history only through its key (`history_key`):
 its vote row and its n-gram context. Its `lattice(ctx)` gives the keys
-of an utterance's N-best prefixes and their rows as one `(B, V)` block,
-which a decode set calibrates once per utterance
-(`decoding.calibrated_lattice`). The wire client, `wire.ExternalProvider`,
+of an utterance's N-best prefixes and their rows as one `(B, V)` block. A
+decode set calibrates that block once per utterance and decides every
+config's choice at each of its keys in one array op
+(`decoding.choice_tables`); each decode walks that table and reads the
+corrector only at the steps off it. The wire client, `wire.ExternalProvider`,
 has no lattice; it keeps the unread rows of its replies by utterance. A
 caller that announces its utterances (`prefetch`) gets the first rows of
 up to `wire.MAX_ENTRIES` of them per round trip, one entry of a step

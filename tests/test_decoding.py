@@ -8,7 +8,7 @@ import pytest
 
 from latefuse import decoding, fusion
 from latefuse.calibration import fit_temperature
-from latefuse.core import Vocabulary, argmax_token, entropy, softmax_with_temperature
+from latefuse.core import Vocabulary, argmax_token, entropy, sigmoid, softmax_with_temperature
 from latefuse.decoding import (
     MAX_BEAM_WIDTH,
     beam_search,
@@ -1001,9 +1001,9 @@ def small_walkthrough(request):
 
 
 class TestCorrectorLattice:
-    """A decode set that reads the corrector's rows from its per-utterance
-    calibrated lattice decodes exactly as one that reads every row through
-    `next_logits`."""
+    """A decode set that walks the per-utterance choice tables built on the
+    corrector's calibrated lattice decodes exactly as one that reads every
+    row through `next_logits`."""
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_walkthrough_sets_equal_the_sets_without_it(self, small_walkthrough, order,
@@ -1033,29 +1033,6 @@ class TestCorrectorLattice:
             assert reads < on_lattice
             assert reads > 0 or order == 1
 
-    @pytest.mark.parametrize("mode", ["llm", "static", "uadf"])
-    def test_rows_that_fail_a_check_stay_off_the_lattice(self, abc_vocab, identity_channel,
-                                                         mode, monkeypatch):
-        """At this tau the lattice row of context "a" after two tokens
-        overflows (its smallest logit is about -13.8) and the others do not
-        (about -8.3 and -7.6). A decode that never reads that row succeeds,
-        as it does without the lattice; one that reads it raises the
-        softmax's error, with the lattice or without."""
-        llm = train_ngram_corrector([(5,) + (3,) * 500 + (1,), (4, 1)], abc_vocab,
-                                    order=2, smoothing=1e-3, vote_weight=0.5)
-        cfg = FusionConfig(mode=mode, tau1=11.0 / sys.float_info.max)
-        b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 4, 1))
-        keys, _ = llm.lattice(b_then_eos)
-        lattice = decoding.calibrated_lattice(llm, b_then_eos, cfg.tau1, mode == "uadf")
-        assert len(lattice) == len(keys) - 1 and (2, (3,)) not in lattice
-        assert_lattice_changes_nothing(llm, identity_channel, [cfg],
-                                       [(b_then_eos, ["b"])], monkeypatch)
-        c_then_a = UtteranceContext("c", nbest=((5, 3, 1),), observation=(0, 5, 3, 1))
-        for corrector in (llm, PlainCorrector(llm)):
-            with pytest.raises(InvalidParameterError, match="is too small"):
-                list(decode_eval_set(corrector, identity_channel, [cfg],
-                                     [(c_then_a, ["c", "a"])]))
-
     def test_block_is_read_only_and_shared_by_every_config(self, abc_vocab, identity_channel):
         llm = train_ngram_corrector([(3, 4, 1), (3, 5, 1), (4, 1)], abc_vocab, order=2)
         asr = identity_channel
@@ -1068,3 +1045,176 @@ class TestCorrectorLattice:
         assert not row.flags.writeable and not row.base.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 0.0
+
+
+class FixedLattice:
+    """A corrector stub whose lattice is fixed raw rows, row i keyed by
+    step count i and a one-id context."""
+
+    def __init__(self, vocab, raw):
+        self.vocab = vocab
+        self.raw = raw
+
+    def lattice(self, ctx):
+        return [(i, (i,)) for i in range(len(self.raw))], self.raw.copy()
+
+
+class RowsByLength:
+    """A keyed acoustic stub: a history of n ids reads rows[min(n, len(rows)) - 1]."""
+
+    def __init__(self, vocab, rows):
+        self.vocab = vocab
+        self.rows = np.asarray(rows, dtype=np.float64)
+
+    def row_key(self, length, ctx):
+        return min(length, len(self.rows))
+
+    def next_logits(self, history, ctx):
+        return self.rows[self.row_key(len(history), ctx) - 1].copy()
+
+
+def crossing_weights(p, a, low, high):
+    """Each weight in [low, high] at which two ids of p + w * a (nearly) tie,
+    with its two neighbouring floats."""
+    weights = set()
+    for j in range(p.size):
+        for k in range(j + 1, p.size):
+            if a[j] != a[k]:
+                w = (p[j] - p[k]) / (a[k] - a[j])
+                weights.update(x for x in (np.nextafter(w, -np.inf), w, np.nextafter(w, np.inf))
+                               if low <= x <= high)
+    return sorted(float(w) for w in weights)
+
+
+class TestChoiceTable:
+    """`choice_tables` decides every (config, row) cell as `fusion.decide`
+    does, and a decode set that walks the tables decodes as one that reads
+    every corrector row through `next_logits`."""
+
+    @pytest.mark.parametrize("mode", ["static", "uadf"])
+    def test_every_cell_equals_decide_at_near_and_exact_ties(self, mode):
+        """The configs' weights are the points where two ids of a row's
+        fused sum cross, and the floats next to them; in uadf they include
+        weights below 0 (beta > sigmoid(u)). Row 0 ties ids 3 and 4 in both
+        distributions, so their fused sums tie exactly."""
+        vocab = sized_vocab(7)
+        rng = np.random.default_rng(5)
+        raw_p = rng.integers(0, 4, size=(6, 7)) * 0.75
+        raw_a = rng.integers(0, 4, size=(6, 7)) * 0.5
+        raw_p[0] = [0, 0, 0, 2, 2, 0, 0]
+        raw_a[0] = [0, 0, 0, 1, 1, 0, 0]
+        tau1, tau2 = 0.9, 1.3
+        p = np.array([softmax_with_temperature(row, tau1) for row in raw_p])
+        a = np.array([softmax_with_temperature(row, tau2) for row in raw_a])
+        if mode == "static":
+            cfgs = [FusionConfig(mode="static", w_asr=w, tau1=tau1, tau2=tau2)
+                    for i in range(len(p)) for w in crossing_weights(p[i], a[i], 0.0, 8.0)]
+        else:
+            betas = {1.0}
+            for i in range(len(p)):
+                s = sigmoid(entropy(p[i]))
+                betas.update(s - w for w in crossing_weights(p[i], a[i], s - 1.0, s))
+            cfgs = [FusionConfig(mode="uadf", beta=b, tau1=tau1, tau2=tau2)
+                    for b in sorted(betas) if 0.0 <= b <= 1.0]
+        tables = decoding.choice_tables(FixedLattice(vocab, raw_p), RowsByLength(vocab, raw_a),
+                                        cfgs, UtteranceContext("u"), {})
+        near, overrides = 0, 0
+        for cfg, table in zip(cfgs, tables):
+            for i in range(len(p)):
+                assert table.p_llm[i].tobytes() == p[i].tobytes()
+                assert table.p_asr[i].tobytes() == a[i].tobytes()
+                step = decide(table.p_llm[i], table.p_asr[i], None, cfg)
+                assert (table.chosen[i], table.w[i], table.u[i]) == \
+                    (step.chosen, step.w_asr_effective, step.measured_u)
+                fused = np.sort(p[i] + step.w_asr_effective * a[i])
+                near += bool(fused[-1] - fused[-2] <= 4 * np.spacing(fused[-1]))
+                overrides += step.chosen != argmax_token(p[i])
+            assert table.chosen[0] != 4
+            assert table.chosen[0] == 3 or table.w[0] < 0
+        assert near > 0 and overrides > 0
+        assert mode == "static" or min(w for table in tables for w in table.w) < 0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_clipped_keys_equal_the_sets_without_tables(self, abc_vocab, order, monkeypatch):
+        """With no N-best list, or past the longest hypothesis, the
+        corrector's key clips, so one key spans several lengths and several
+        acoustic rows: the walk must leave the table there. Some step of
+        these decodes has a lattice key for its history but not its
+        (t, context)."""
+        refs = [abc_vocab.encode(text, append_eos=True)
+                for text in ("a b c", "b a", "c c b", "a", "a b a b", "a a a a")]
+        llm = train_ngram_corrector(refs, abc_vocab, order=order, smoothing=0.1)
+        noisy = np.full((6, 6), 0.05)
+        np.fill_diagonal(noisy, 0.75)
+        asr = AcousticChannel(abc_vocab, noisy / noisy.sum(axis=1, keepdims=True))
+        eval_set = [
+            (UtteranceContext("empty", observation=(0, 3, 4, 5, 1)), ["a", "b", "c"]),
+            (UtteranceContext("short", nbest=((3,),), observation=(0, 3, 4, 3, 4, 1)),
+             ["a", "b", "a", "b"]),
+            (UtteranceContext("repeat", nbest=((3, 3),), observation=(0, 3, 3, 3, 3, 1)),
+             ["a", "a", "a", "a"]),
+        ]
+        sets = [[FusionConfig(mode="llm")],
+                [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.5, 2.0)],
+                [FusionConfig(beta=b) for b in (0.0, 0.5, 1.0)]]
+        clipped = 0
+        for cfgs in sets:
+            _reads, steps = assert_lattice_changes_nothing(llm, asr, cfgs, eval_set,
+                                                           monkeypatch)
+            results = iter(list(decode_eval_set(llm, asr, cfgs, eval_set)))
+            for ctx, _ref in eval_set:
+                keys = set(llm.lattice(ctx)[0])
+                for _cfg in cfgs:
+                    tokens = next(results).tokens
+                    for t in range(len(tokens)):
+                        history = (Vocabulary.BOS,) + tokens[:t]
+                        clipped += (llm.history_key(history, ctx) in keys
+                                    and (t, llm.model._context(history)) not in keys)
+        assert clipped > 0
+
+    @pytest.mark.parametrize("mode", ["llm", "static", "uadf"])
+    def test_rows_that_fail_a_check_stay_off_the_table(self, abc_vocab, identity_channel,
+                                                       mode, monkeypatch):
+        """At this tau the lattice row of context "a" after two tokens
+        overflows (its smallest logit is about -13.8) and the others do not
+        (about -8.3 and -7.6). A decode that never reads that row succeeds,
+        as it does without the table; one that reads it raises the
+        softmax's error, with the table or without."""
+        llm = train_ngram_corrector([(5,) + (3,) * 500 + (1,), (4, 1)], abc_vocab,
+                                    order=2, smoothing=1e-3, vote_weight=0.5)
+        cfg = FusionConfig(mode=mode, tau1=11.0 / sys.float_info.max)
+        b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 4, 1))
+        keys, _ = llm.lattice(b_then_eos)
+        (table,) = decoding.choice_tables(llm, identity_channel, [cfg], b_then_eos, {})
+        assert len(table.index) == len(keys) - 1 and (2, (3,)) not in table.index
+        assert_lattice_changes_nothing(llm, identity_channel, [cfg],
+                                       [(b_then_eos, ["b"])], monkeypatch)
+        c_then_a = UtteranceContext("c", nbest=((5, 3, 1),), observation=(0, 5, 3, 1))
+        for corrector in (llm, PlainCorrector(llm)):
+            with pytest.raises(InvalidParameterError, match="is too small"):
+                list(decode_eval_set(corrector, identity_channel, [cfg],
+                                     [(c_then_a, ["c", "a"])]))
+
+    @pytest.mark.parametrize("mode", ["static", "uadf"])
+    def test_acoustic_rows_that_fail_a_check_stay_off_the_table(self, abc_vocab, mode,
+                                                                monkeypatch):
+        """The acoustic row of three ids is not finite. The keys of that
+        length stay off the table: a decode that stops before it succeeds,
+        as it does without the table, and one that reads it raises."""
+        llm = train_ngram_corrector([(4, 1)] * 3 + [(5, 3, 1)], abc_vocab, order=2)
+        rows = np.zeros((3, 6))
+        rows[0, 4] = rows[1, 1] = 5.0
+        rows[2, 2] = np.nan
+        asr = RowsByLength(abc_vocab, rows)
+        cfgs = [FusionConfig(mode=mode, w_asr=1.0, beta=0.0)]
+        b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)))
+        (table,) = decoding.choice_tables(llm, asr, cfgs, b_then_eos, {})
+        assert sorted(t for t, _ in table.index) == [0, 1, 1]
+        _reads, steps = assert_lattice_changes_nothing(llm, asr, cfgs, [(b_then_eos, ["b"])],
+                                                       monkeypatch)
+        assert len(steps) == 2
+        c_then_a = UtteranceContext("c", nbest=((5, 3, 1),))
+        cfgs = [FusionConfig(mode=mode, w_asr=0.0, beta=1.0)]
+        for corrector in (llm, PlainCorrector(llm)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                list(decode_eval_set(corrector, asr, cfgs, [(c_then_a, ["c", "a"])]))
