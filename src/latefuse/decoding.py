@@ -10,20 +10,21 @@ per key in a corpus's beam searches (`beam_search` with `rows`), where a
 step scores the live beams x the top-ranked ids of that row, and once
 per (key, temperature) in a decode set (`calibrated_row`).
 
-A corrector with a `lattice` (`providers.NgramCorrector`) gives the rows
-of an utterance's N-best prefixes, each keyed by its step count t and its
-n-gram context. A step's inputs depend on nothing else, so in modes llm,
-static and uadf (the fused ones with a keyed acoustic model) a decode set
-decides every config's choice at every key of the utterance in one array
-op (`choice_tables`), and each decode walks that table: a step whose
-(t, context) it holds reads its choice there, and any other step reads
-the providers.
+A corrector with `lattices` (`providers.NgramCorrector`) gives the rows
+of the N-best prefixes of a chunk of utterances as one block, each row
+keyed by its step count t and its n-gram context. A step's inputs depend
+on nothing else, so in modes llm, static and uadf (the fused ones with a
+keyed acoustic model) a decode set decides every config's choice at
+every key of a chunk of `CHUNK_UTTERANCES` utterances in one array op
+(`choice_tables`), and each decode walks its utterance's table: a step
+whose (t, context) it holds reads its choice there, and any other step
+reads the providers. A step read off the table is built only when the
+result's `steps` is first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,17 +40,47 @@ from .providers import UtteranceContext
 DEFAULT_MAX_LEN = 64
 # Largest length factor: factor x (words + 1) must stay a finite float.
 MAX_LEN_FACTOR = 1e30
+# Utterances whose `choice_tables` a decode set builds as one block. Each
+# block op's fixed cost is paid once per chunk, but a bigger block means
+# bigger fresh arrays, which the allocator may map and fault in anew: on
+# the bench's `fuse` workload (V = 200, about 17 rows per utterance),
+# chunks of 4 to 16 decoded about equally fast, but peak memory grew with
+# the chunk, and with glibc's mmap threshold held at 128 KiB chunks of 4
+# cut the decode commands' time by about 27%, chunks of 8 by 16%. A whole
+# set's block was slower.
+CHUNK_UTTERANCES = 4
 # Widest beam `beam_search` runs. A step scores up to beam_width x V
 # candidates (an unkeyed provider's step, or a widened one, scores all V
 # ids per beam), so a wider beam only exhausts memory.
 MAX_BEAM_WIDTH = 1024
 
 
-@dataclass(frozen=True)
 class DecodeResult:
-    tokens: TokenSeq
-    steps: tuple
-    terminated: str  # "eos" | "max-length"
+    """A decode's tokens, how it ended ("eos" | "max-length"), and its
+    steps: each step's distribution in mode llm or asr, its `FusionStep`
+    in static or uadf.
+
+    A step that a decode read off its choice table is recorded as the
+    table's row index, and `steps` builds it there (`ChoiceTable.step`)
+    the first time it is read, then keeps the tuple; a sweep never reads
+    it, nor does a plain `decode`.
+    """
+
+    __slots__ = ("tokens", "terminated", "_steps", "_table")
+
+    def __init__(self, tokens: TokenSeq, steps, terminated: str, table=None):
+        self.tokens = tokens
+        self.terminated = terminated
+        self._steps = steps
+        self._table = table
+
+    @property
+    def steps(self) -> tuple:
+        table = self._table
+        if table is not None:
+            self._steps = tuple(table.step(s) if type(s) is int else s for s in self._steps)
+            self._table = None
+        return self._steps
 
 
 def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: float,
@@ -75,89 +106,131 @@ def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: floa
 
 
 class ChoiceTable(NamedTuple):
-    """One config's choices at the keys of one utterance's corrector lattice
-    (see `choice_tables`): row i is the step after t tokens whose last
-    order - 1 ids are `context`, where `index[(t, context)] == i`."""
+    """One config's choices at the lattice keys of one utterance of a chunk
+    (see `choice_tables`): the step after t tokens whose last order - 1 ids
+    are `context` is row `index[(t, context)]` of the chunk's blocks."""
 
-    index: dict          # (t, context) -> row i
-    start: tuple         # the context of the first step: BOS, order - 1 times
-    p_llm: list          # row i's calibrated corrector row, read-only
-    p_asr: list | None   # row i's calibrated acoustic row; None in mode llm
-    u: list | None       # row i's entropy of p_llm in uadf, else None; None in mode llm
-    w: list | None       # row i's weight of p_asr; None in mode llm
-    chosen: list         # row i's choice
+    index: dict               # (t, context) -> row i of the chunk
+    start: tuple              # the context of the first step: BOS, order - 1 times
+    p_llm: np.ndarray         # the chunk's calibrated corrector rows, read-only
+    p_asr: np.ndarray | None  # the chunk's calibrated acoustic rows, read-only; None in llm
+    u: list | None            # row i's entropy of p_llm in uadf, else None; None in llm
+    w: list | None            # row i's weight of p_asr; None in mode llm
+    chosen: list              # row i's choice
+
+    def step(self, i: int):
+        """The step a decode reads at row i: the row `p_llm[i]` in mode llm,
+        else the `FusionStep` of the row's inputs, weight and choice, the
+        step `fusion.decide` gives there."""
+        if self.w is None:
+            return self.p_llm[i]
+        return FusionStep(self.p_llm[i], self.p_asr[i], self.u[i], self.w[i], self.chosen[i])
 
 
-def _keyed_rows(provider, n: int, ctx: UtteranceContext, tau: float, rows: dict) -> list:
-    """`calibrated_row` of a keyed provider for histories of 1 .. n ids, or
-    None for one that raises a row's check: the step that reads it raises
-    the error there, as it would without a table. A keyed row depends on
-    the history only through its length, so BOS ids stand for any history."""
-    dists = []
-    for length in range(1, n + 1):
+def _acoustic_rows(provider, ctxs, lattices, tau: float, rows: dict):
+    """A, the read-only `(B, V)` block of the `calibrated_row`s that a keyed
+    provider gives the length t + 1 of each key (t, context) of `lattices`,
+    and a mask of the keys it gave one: a key whose row raises a check, or
+    has another length than V, gets a row of zeros and False. The rows are
+    gathered by `row_key` from `rows`, where each is read once per decode
+    set; a key whose row raised is held there as None, which
+    `calibrated_row` reads as a row not yet read. A keyed row depends on
+    the history only through its length, so BOS ids stand for any
+    history."""
+    row_key, v, pid = provider.row_key, provider.vocab.size, id(provider)
+
+    def row_of(length, ctx):
         try:
-            dists.append(calibrated_row(provider, (Vocabulary.BOS,) * length, ctx, tau, rows))
+            key = (pid, row_key(length, ctx), tau)  # `calibrated_row`'s key
+            if key not in rows:
+                rows[key] = None
+                calibrated_row(provider, (Vocabulary.BOS,) * length, ctx, tau, rows)
         except (InvalidInputError, InvalidParameterError):
-            dists.append(None)
-    return dists
+            return None
+        dist = rows[key]
+        return dist if dist is not None and dist.shape == (v,) else None
+
+    gathered = []
+    for ctx, lattice in zip(ctxs, lattices):
+        if lattice is not None:
+            dists = [row_of(length, ctx)
+                     for length in range(1, 2 + max(t for t, _ in lattice.keys))]
+            gathered += [dists[t] for t, _ in lattice.keys]
+    given = [dist is not None for dist in gathered]
+    if not all(given):
+        gathered = [np.zeros(v) if dist is None else dist for dist in gathered]
+    a = np.array(gathered)
+    a.flags.writeable = False
+    return a, np.array(given)
 
 
-def choice_tables(llm_provider, asr_provider, cfgs, ctx: UtteranceContext,
-                  rows: dict) -> list[ChoiceTable] | None:
-    """One `ChoiceTable` per config of `cfgs` (which share mode, tau1 and
-    tau2; mode llm, static or uadf), decided at once on the keys of the
-    corrector's `lattice(ctx)`, or None when none of its rows is usable.
+def choice_tables(llm_provider, asr_provider, cfgs, ctxs, rows: dict) -> tuple[list, list]:
+    """The lattices of `ctxs`, a chunk of a decode set, from the corrector's
+    `lattices(ctxs)`, and for each utterance one `ChoiceTable` per config
+    of `cfgs` (which share mode, tau1 and tau2; mode llm, static or uadf),
+    decided at once on the keys of every lattice of the chunk; or None for
+    an utterance without a lattice.
 
-    The corrector's rows are calibrated as one block (`softmax_rows` at
-    tau1, P) and, in uadf, take their entropies u as one block. In the
+    The chunk's corrector rows are calibrated as one block (`softmax_rows`
+    at tau1, P) and, in uadf, take their entropies u as one block. In the
     fused modes, A holds the secondary's `calibrated_row` for each key's
-    length t + 1 (it must have a `row_key`; read through `rows`), and W,
+    length t + 1 (`_acoustic_rows`; it must have a `row_key`), and W,
     `(K, B)`, each config's weight per row: w_asr, or sigmoid(u) - beta
     (`uadf_weight`), with `math`'s sigmoid and a float64 subtraction. The
-    choices are then `argmax(P + W * A)` over the vocabulary, one op for
-    every config and row, or `argmax(P)` in mode llm. Elementwise multiply
-    and add are correctly rounded and argmax takes the first maximum, so
-    every cell equals `fusion.decide`'s choice bit for bit.
+    choices are then `argmax(P + W * A)` over the vocabulary, one multiply,
+    add and argmax per config for every row of the chunk, or `argmax(P)`
+    in mode llm. Elementwise multiply and add are correctly rounded and
+    argmax takes the first maximum, so every cell equals `fusion.decide`'s
+    choice bit for bit.
 
-    A row that `softmax_rows` flags, or whose acoustic row raises, is left
-    out, so nothing here raises for it: the step that reads it reads the
-    providers and raises that check's error there.
+    A row that `softmax_rows` flags, or whose acoustic row raises, stays
+    off its utterance's table, so nothing here raises for it: the step
+    that reads it reads the providers and raises that check's error there,
+    after the utterances before it have decoded.
     """
     cfg = cfgs[0]
-    keys, raw = llm_provider.lattice(ctx)
-    start = (Vocabulary.BOS,) * len(keys[0][1])
+    lattices, raw = llm_provider.lattices(ctxs)
+    if not len(raw):  # no list of the chunk is usable
+        return lattices, [None] * len(ctxs)
     p = softmax_rows(raw, cfg.tau1)
-    kept = ~np.isnan(p[:, 0])
-    fused = cfg.mode != "llm"
-    if fused:
-        lengths = [t for t, _ in keys]
-        dists = _keyed_rows(asr_provider, max(lengths) + 1, ctx, cfg.tau2, rows)
-        kept &= np.array([dists[t] is not None for t in lengths])
-    if not kept.all():
-        keys = [key for key, ok in zip(keys, kept.tolist()) if ok]
-        if not keys:
-            return None
-        p = p[kept]
     p.flags.writeable = False
-    index = {key: i for i, key in enumerate(keys)}
-    p_llm = list(p)
-    if not fused:
-        return [ChoiceTable(index, start, p_llm, None, None, None,
-                            p.argmax(axis=1).tolist())] * len(cfgs)
-    p_asr = [dists[t] for t, _ in keys]
-    if cfg.mode == "uadf":
-        u = entropy(p)
-        w = np.array([sigmoid(h) for h in u]) - np.array([c.beta for c in cfgs], float)[:, None]
-        ws = w.tolist()
+    kept = ~np.isnan(p[:, 0])
+    if cfg.mode == "llm":
+        a = u = ws = None
+        chosen = [p.argmax(axis=1).tolist()] * len(cfgs)
     else:
-        u = [None] * len(keys)
-        w = np.array([c.w_asr for c in cfgs], float)[:, None]
-        ws = [[c.w_asr] * len(keys) for c in cfgs]
-    fused_rows = w[:, :, None] * np.array(p_asr)
-    fused_rows += p
-    chosen = fused_rows.argmax(axis=2).tolist()
-    return [ChoiceTable(index, start, p_llm, p_asr, u, ws[k], chosen[k])
-            for k in range(len(cfgs))]
+        a, given = _acoustic_rows(asr_provider, ctxs, lattices, cfg.tau2, rows)
+        kept &= given
+        if cfg.mode == "uadf":
+            u = entropy(p)
+            w = np.array([sigmoid(h) for h in u]) - np.array([c.beta for c in cfgs], float)[:, None]
+            ws = w.tolist()
+        else:
+            u = [None] * len(p)
+            w = np.array([c.w_asr for c in cfgs], float)[:, None]
+            ws = [[c.w_asr] * len(p) for c in cfgs]
+        # one config at a time, in the raw block, which nothing reads now: a
+        # fresh (K, B, V) block costs more than the K - 1 extra calls
+        fused_rows, chosen = raw, []
+        for w_k in w:
+            np.multiply(w_k[:, None], a, out=fused_rows)
+            fused_rows += p
+            chosen.append(fused_rows.argmax(axis=1).tolist())
+    kept = None if kept.all() else kept.tolist()
+    tables, lo = [], 0
+    for lattice in lattices:
+        if lattice is None:
+            tables.append(None)
+            continue
+        hi = lo + len(lattice.keys)
+        index = dict(zip(lattice.keys, range(lo, hi)))
+        if kept is not None:
+            index = {key: i for key, i in index.items() if kept[i]}
+        start = lattice.keys[0][1]
+        tables.append([ChoiceTable(index, start, p, a, u, None if ws is None else ws[k],
+                                   chosen[k]) for k in range(len(cfgs))])
+        lo = hi
+    return lattices, tables
 
 
 def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
@@ -188,8 +261,9 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     `table`, given in modes llm, static and uadf only, is cfg's
     `ChoiceTable` for `ctx` (see `choice_tables`). The decode then walks
     it: a step whose (t, context) it holds takes the table's choice, and
-    its recorded step is built from the table's rows, equal to the step
-    the providers would give; any other step reads them as above.
+    its recorded step, built from the table's rows when `steps` is first
+    read, equals the step the providers would give; any other step reads
+    them as above.
     """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
@@ -233,16 +307,16 @@ def _walk(llm_provider, asr_provider, cfg: FusionConfig, ctx: UtteranceContext,
     """`fused_greedy_decode` along `table`. The state is the step count t
     and the last order - 1 ids, never the corrector's `history_key`: past
     the longest hypothesis, or with no N-best list, one key spans several
-    lengths, and so several acoustic rows."""
+    lengths, and so several acoustic rows. A step on the table is recorded
+    as its row index (see `DecodeResult`)."""
     fused = cfg.mode != "llm"
-    index, context, p_llm, p_asr, u, w, chosen = table
+    index, context, chosen = table.index, table.start, table.chosen
     tokens, steps = [], []
     for t in range(max_len):
         i = index.get((t, context))
         if i is not None:
             token = chosen[i]
-            steps.append(FusionStep(p_llm[i], p_asr[i], u[i], w[i], token) if fused
-                         else p_llm[i])
+            steps.append(i)
         else:
             history = (Vocabulary.BOS, *tokens)
             if not fused:
@@ -263,9 +337,9 @@ def _walk(llm_provider, asr_provider, cfg: FusionConfig, ctx: UtteranceContext,
             steps.append(step)
         tokens.append(token)
         if token == Vocabulary.EOS:
-            return DecodeResult(tuple(tokens), tuple(steps), "eos")
+            return DecodeResult(tuple(tokens), steps, "eos", table)
         context = (*context, token)[1:]
-    return DecodeResult(tuple(tokens), tuple(steps), "max-length")
+    return DecodeResult(tuple(tokens), steps, "max-length", table)
 
 
 def _log_rows(provider, seqs, ctx: UtteranceContext, v: int) -> np.ndarray:
@@ -417,13 +491,15 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     mode, tau1 and tau2. All decodes share one dict of `calibrated_row`s,
     so a keyed provider's row is normalised once per call of this
     function, not once per step. In modes llm, static and uadf, a
-    corrector with a `lattice` gets one set of `choice_tables` per
-    utterance, which its decodes walk, if the mode is llm or the acoustic
-    model has a `row_key` and the corrector's vocabulary. The provider
-    whose argmax the mode follows, the acoustic model in mode asr and the
-    corrector in the others, is told the utterances first, in order, if it
-    has a `prefetch` method (one served over the wire), so it can fetch the
-    first rows of many of them per round trip, each with its argmax path.
+    corrector with `lattices` gets one set of `choice_tables` per chunk of
+    `CHUNK_UTTERANCES` utterances, which their decodes walk, if the mode
+    is llm or the acoustic model has a `row_key` and the corrector's
+    vocabulary; before an utterance's decodes, the corrector holds its
+    vote rows from the chunk (`hold_votes`). The provider whose argmax the
+    mode follows, the acoustic model in mode asr and the corrector in the
+    others, is told the utterances first, in order, if it has a `prefetch`
+    method (one served over the wire), so it can fetch the first rows of
+    many of them per round trip, each with its argmax path.
     """
     if len({(c.mode, c.tau1, c.tau2) for c in cfgs}) > 1:
         raise InvalidParameterError("configs must share mode, tau1 and tau2")
@@ -433,16 +509,25 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     if hasattr(primary, "prefetch"):
         primary.prefetch([(ctx, None) for ctx, _ in eval_set])
     rows = {}
-    with_tables = mode in ("llm", "static", "uadf") and hasattr(llm_provider, "lattice") and (
+    with_tables = mode in ("llm", "static", "uadf") and hasattr(llm_provider, "lattices") and (
         mode == "llm" or getattr(asr_provider, "row_key", None) is not None
         and asr_provider.vocab == llm_provider.vocab)
-    for ctx, ref_words in eval_set:
-        max_len = evaluation_max_len(ref_words, max_len_factor)
-        memo = {}
-        tables = with_tables and choice_tables(llm_provider, asr_provider, cfgs, ctx, rows)
-        for k, cfg in enumerate(cfgs):
-            yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx, max_len=max_len,
-                                      memo=memo, rows=rows, table=tables[k] if tables else None)
+    for lo in range(0, len(eval_set), CHUNK_UTTERANCES):
+        chunk = eval_set[lo:lo + CHUNK_UTTERANCES]
+        if with_tables:
+            lattices, tables = choice_tables(llm_provider, asr_provider, cfgs,
+                                             [ctx for ctx, _ in chunk], rows)
+        else:
+            lattices = tables = [None] * len(chunk)
+        for (ctx, ref_words), lattice, utt_tables in zip(chunk, lattices, tables):
+            max_len = evaluation_max_len(ref_words, max_len_factor)
+            memo = {}
+            if lattice is not None:
+                llm_provider.hold_votes(ctx, lattice)
+            for k, cfg in enumerate(cfgs):
+                yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx, max_len=max_len,
+                                          memo=memo, rows=rows,
+                                          table=utt_tables[k] if utt_tables else None)
 
 
 def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,

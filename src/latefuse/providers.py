@@ -25,13 +25,17 @@ one per live beam; with a `rows` dict (one per corpus in
 once, for every search that shares the dict. A decode set normalises
 each of its keyed rows once per temperature (`decoding.calibrated_row`).
 `NgramCorrector` reads a history only through its key (`history_key`):
-its vote row and its n-gram context. Its `lattice(ctx)` gives the keys
-of an utterance's N-best prefixes and their rows as one `(B, V)` block. A
-decode set calibrates that block once per utterance and decides every
-config's choice at each of its keys in one array op
-(`decoding.choice_tables`); each decode walks that table and reads the
-corrector only at the steps off it. The wire client, `wire.ExternalProvider`,
-has no lattice; it keeps the unread rows of its replies by utterance. A
+its vote row and its n-gram context. Its `lattices(ctxs)` gives the keys
+of the N-best prefixes of a chunk of utterances and their rows as one
+`(B, V)` block: one `np.bincount` counts the vote rows of every list of
+the chunk, and the weighted priors are gathered from rows held by
+context for as long as the model serves them. A decode set calibrates
+that block once per chunk and decides every config's choice at each of
+its keys (`decoding.choice_tables`); each decode walks its utterance's
+table and reads the corrector only at the steps off it, with the vote
+rows of the chunk held for it (`hold_votes`), so a step off the table
+counts no list again. The wire client, `wire.ExternalProvider`, has no
+lattices; it keeps the unread rows of its replies by utterance. A
 caller that announces its utterances (`prefetch`) gets the first rows of
 up to `wire.MAX_ENTRIES` of them per round trip, one entry of a step
 request each, with the provider's argmax path past its follow; an
@@ -42,6 +46,8 @@ utterance drops the rows of every other but those announced after it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +77,13 @@ class UtteranceContext:
     utt_id: str
     nbest: tuple[TokenSeq, ...] = ()
     observation: TokenSeq | None = None
+
+
+class Lattice(NamedTuple):
+    """One utterance's part of `NgramCorrector.lattices`."""
+
+    keys: list          # the key (t, n-gram context) of each of its rows, in block order
+    votes: np.ndarray   # its weighted vote rows, as `_vote_rows` counts them
 
 
 class NgramModel:
@@ -119,7 +132,9 @@ class NgramModel:
                 seen = self.counts.setdefault(self._context(history), {})
                 seen[tok] = seen.get(tok, 0) + 1
                 history += (tok,)
-        self._dist_cache.clear()
+        # a new dict, not a cleared one: a holder of rows built from the old
+        # cache sees by its identity that the model serves new rows
+        self._dist_cache = {}
 
     def cond_dist(self, history: TokenSeq) -> np.ndarray:
         """P(v | last order-1 tokens of history) over the whole vocabulary."""
@@ -184,8 +199,8 @@ class NgramCorrector:
 
     A row reads its history only through its key (`history_key`): the
     vote row, min(len(history), len(votes)) - 1, and the n-gram context,
-    the last order - 1 ids. `lattice` builds the rows of an utterance's
-    N-best prefixes at once.
+    the last order - 1 ids. `lattices` builds the rows of the N-best
+    prefixes of a chunk of utterances at once.
     """
 
     def __init__(self, model: NgramModel, vote_weight: float = 0.5):
@@ -196,6 +211,8 @@ class NgramCorrector:
         self.vote_weight = float(vote_weight)
         self._priors: dict[int, tuple] = {}  # id(model row) -> (model row, weighted row)
         self._votes: tuple = (None, None)  # (nbest, weighted vote rows) of the latest list
+        # (the model's row cache, context -> weighted row), for `lattices`
+        self._context_priors: tuple = (None, None)
 
     def to_dict(self) -> dict:
         """The whole of `lm.json`: the model's fields, then `vote_weight`."""
@@ -270,30 +287,83 @@ class NgramCorrector:
         row += LOG_EPS
         return np.log(row, out=row)
 
-    def lattice(self, ctx: UtteranceContext) -> tuple[list, np.ndarray]:
-        """The keys of the BOS-prefixed prefixes of ctx's N-best list up to
-        each hypothesis's EOS, BOS alone included, each once (see
-        `history_key`), and their raw rows as one new `(B, V)` array: row i
-        `==` `next_logits(history, ctx)` for every history of key i.
+    def _held_priors(self) -> dict:
+        """context -> the weighted prior `_prior` gives it, held for as long
+        as the model serves the same rows: training replaces the model's row
+        cache (`NgramModel.train`), and with it this map."""
+        cache, priors = self._context_priors
+        if cache is not self.model._dist_cache:
+            priors = {}
+            self._context_priors = (self.model._dist_cache, priors)
+        return priors
+
+    def lattices(self, ctxs) -> tuple[list, np.ndarray]:
+        """The `Lattice` of each utterance of `ctxs`, and the raw rows of
+        all of them, in order, as one new `(B, V)` array.
+
+        An utterance's lattice holds the keys (see `history_key`) of the
+        BOS-prefixed prefixes of its N-best list up to each hypothesis's
+        EOS, BOS alone included, each once; their rows are consecutive in
+        the block, and row i of them `==` `next_logits(history, ctx)` for
+        every history of key i. It is None for a list with an id outside
+        [0, V): `next_logits` refuses that list when a step reads it.
 
         A prefix of t tokens is no longer than the longest hypothesis, so
         its vote row is t, unclipped, and its context is a slice of the
         hypothesis padded as `_context` pads a history: `history_key` of
-        the prefix, with no call per prefix. The rows are the held weighted
-        priors (a context is its own history) plus the held vote rows, with
-        `next_logits`'s elementwise ops on the whole block.
+        the prefix, with no call per prefix. One `np.bincount` counts the
+        vote rows of every list at once, each row with `_vote_rows`'s
+        arithmetic; the weighted priors are held by context (a context is
+        its own history); and the block takes `next_logits`'s elementwise
+        ops.
         """
-        votes = self._held_votes(ctx.nbest)
-        k = self.model.order - 1
-        keys = {}
-        for hyp in ctx.nbest or ((),):
-            end = hyp.index(Vocabulary.EOS) if Vocabulary.EOS in hyp else len(hyp)
-            padded = (Vocabulary.BOS,) * (k + 1) + tuple(hyp[:end])
-            keys.update(dict.fromkeys([(t, padded[t + 1:t + 1 + k]) for t in range(end + 1)]))
-        rows = np.array([self._prior(context) for _, context in keys])
-        rows += np.array([votes[vote_row] for vote_row, _ in keys])
+        v, k = self.vocab.size, self.model.order - 1
+        lattices, spans, flat, vote_rows, contexts = [], [], [], [], []
+        n_votes = 0
+        for ctx in ctxs:
+            nbest = ctx.nbest
+            toks = [tok for hyp in nbest for tok in hyp]
+            if toks and not (0 <= min(toks) and max(toks) < v):
+                lattices.append(None)
+                continue
+            keys = {}
+            for hyp in nbest or ((),):
+                end = hyp.index(Vocabulary.EOS) if Vocabulary.EOS in hyp else len(hyp)
+                # the context after t tokens is padded[t:t + k]
+                padded = (Vocabulary.BOS,) * k + tuple(hyp[:end])
+                shifted = zip(*[padded[j:] for j in range(k)]) if k else repeat(())
+                keys.update(dict.fromkeys(zip(range(end + 1), shifted)))
+            base = n_votes * v
+            flat += [base + pos * v + tok for hyp in nbest for pos, tok in enumerate(hyp)]
+            vote_rows += [n_votes + t for t, _ in keys]
+            contexts += [context for _, context in keys]
+            lattices.append(list(keys))
+            spans.append(slice(n_votes, n_votes + max(map(len, nbest), default=0) + 1))
+            n_votes = spans[-1].stop
+        if not spans:
+            return lattices, np.empty((0, v))
+        counts = np.bincount(flat, minlength=n_votes * v).reshape(n_votes, v)
+        uniform = [span.stop - 1 for span in spans]  # past each longest hypothesis
+        totals = counts.sum(axis=1, keepdims=True)
+        totals[uniform] = 1  # their counts are 0
+        votes = counts / totals
+        votes[uniform] = 1.0 / v
+        votes *= self.vote_weight
+        priors = self._held_priors()
+        rows = np.array([priors[c] if c in priors else priors.setdefault(c, self._prior(c))
+                         for c in contexts])
+        rows += votes[vote_rows]
         rows += LOG_EPS
-        return list(keys), np.log(rows, out=rows)
+        np.log(rows, out=rows)
+        held = iter(spans)
+        return [None if keys is None else Lattice(keys, votes[next(held)])
+                for keys in lattices], rows
+
+    def hold_votes(self, ctx: UtteranceContext, lattice: Lattice):
+        """Hold `lattice`'s vote rows, counted with its chunk, as those of
+        ctx's list, so a step of ctx off the lattice reads them without
+        counting the list again."""
+        self._votes = (ctx.nbest, lattice.votes)
 
 
 def train_ngram_corrector(

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from latefuse import decoding, fusion
 from latefuse.calibration import fit_temperature
 from latefuse.core import Vocabulary, argmax_token, entropy, sigmoid, softmax_with_temperature
 from latefuse.decoding import (
+    CHUNK_UTTERANCES,
     MAX_BEAM_WIDTH,
     beam_search,
     decode_eval_set,
@@ -22,7 +24,7 @@ from latefuse.errors import ConfigurationError, InvalidInputError, InvalidParame
 from latefuse.fusion import FusionConfig, decide
 from latefuse.metrics import corpus_wer
 from latefuse.corpus import ChannelSpec, decoder_confusion, generate_corpus, record_context
-from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
+from latefuse.providers import AcousticChannel, Lattice, UtteranceContext, train_ngram_corrector
 
 
 @pytest.fixture
@@ -952,7 +954,7 @@ class TestRowCheckedWhereItEnters:
 
 class PlainCorrector:
     """A corrector with only `vocab` and `next_logits`: a decode set reads
-    it as it reads any provider without a lattice."""
+    it as it reads any provider without lattices."""
 
     def __init__(self, corrector):
         self.vocab = corrector.vocab
@@ -1001,9 +1003,9 @@ def small_walkthrough(request):
 
 
 class TestCorrectorLattice:
-    """A decode set that walks the per-utterance choice tables built on the
-    corrector's calibrated lattice decodes exactly as one that reads every
-    row through `next_logits`."""
+    """A decode set that walks the choice tables built on the corrector's
+    calibrated lattices, a chunk of utterances at a time, decodes exactly
+    as one that reads every row through `next_logits`."""
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_walkthrough_sets_equal_the_sets_without_it(self, small_walkthrough, order,
@@ -1034,29 +1036,35 @@ class TestCorrectorLattice:
             assert reads > 0 or order == 1
 
     def test_block_is_read_only_and_shared_by_every_config(self, abc_vocab, identity_channel):
+        """The utterances of a chunk follow their N-best lists, so every step
+        of every config reads the chunk's one block."""
         llm = train_ngram_corrector([(3, 4, 1), (3, 5, 1), (4, 1)], abc_vocab, order=2)
         asr = identity_channel
-        ctx = UtteranceContext("u", nbest=((3, 4, 1), (3, 5, 1)), observation=(0, 3, 4, 1))
+        eval_set = [(UtteranceContext("u", nbest=((3, 4, 1), (3, 5, 1)),
+                                      observation=(0, 3, 4, 1)), ["a", "b"]),
+                    (UtteranceContext("v", nbest=((4, 1),), observation=(0, 4, 1)), ["b"])]
         cfgs = [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.5)]
-        first, second = decode_eval_set(llm, asr, cfgs, [(ctx, ["a", "b"])])
-        blocks = {id(step.p_llm.base) for r in (first, second) for step in r.steps}
+        results = list(decode_eval_set(llm, asr, cfgs, eval_set))
+        assert len(results) == 4
+        blocks = {id(step.p_llm.base) for r in results for step in r.steps}
         assert len(blocks) == 1
-        row = first.steps[0].p_llm
+        row = results[0].steps[0].p_llm
         assert not row.flags.writeable and not row.base.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 0.0
 
 
 class FixedLattice:
-    """A corrector stub whose lattice is fixed raw rows, row i keyed by
-    step count i and a one-id context."""
+    """A corrector stub whose lattices, of a chunk of one utterance, are
+    fixed raw rows, row i keyed by step count i and a one-id context."""
 
     def __init__(self, vocab, raw):
         self.vocab = vocab
         self.raw = raw
 
-    def lattice(self, ctx):
-        return [(i, (i,)) for i in range(len(self.raw))], self.raw.copy()
+    def lattices(self, ctxs):
+        assert len(ctxs) == 1
+        return [Lattice([(i, (i,)) for i in range(len(self.raw))], [])], self.raw.copy()
 
 
 class RowsByLength:
@@ -1087,9 +1095,9 @@ def crossing_weights(p, a, low, high):
 
 
 class TestChoiceTable:
-    """`choice_tables` decides every (config, row) cell as `fusion.decide`
-    does, and a decode set that walks the tables decodes as one that reads
-    every corrector row through `next_logits`."""
+    """`choice_tables` decides every (config, row) cell of a chunk as
+    `fusion.decide` does, and a decode set that walks the tables decodes as
+    one that reads every corrector row through `next_logits`."""
 
     @pytest.mark.parametrize("mode", ["static", "uadf"])
     def test_every_cell_equals_decide_at_near_and_exact_ties(self, mode):
@@ -1116,8 +1124,9 @@ class TestChoiceTable:
                 betas.update(s - w for w in crossing_weights(p[i], a[i], s - 1.0, s))
             cfgs = [FusionConfig(mode="uadf", beta=b, tau1=tau1, tau2=tau2)
                     for b in sorted(betas) if 0.0 <= b <= 1.0]
-        tables = decoding.choice_tables(FixedLattice(vocab, raw_p), RowsByLength(vocab, raw_a),
-                                        cfgs, UtteranceContext("u"), {})
+        _lattices, (tables,) = decoding.choice_tables(
+            FixedLattice(vocab, raw_p), RowsByLength(vocab, raw_a), cfgs, [UtteranceContext("u")],
+            {})
         near, overrides = 0, 0
         for cfg, table in zip(cfgs, tables):
             for i in range(len(p)):
@@ -1163,7 +1172,7 @@ class TestChoiceTable:
                                                            monkeypatch)
             results = iter(list(decode_eval_set(llm, asr, cfgs, eval_set)))
             for ctx, _ref in eval_set:
-                keys = set(llm.lattice(ctx)[0])
+                keys = set(llm.lattices([ctx])[0][0].keys)
                 for _cfg in cfgs:
                     tokens = next(results).tokens
                     for t in range(len(tokens)):
@@ -1184,8 +1193,10 @@ class TestChoiceTable:
                                     order=2, smoothing=1e-3, vote_weight=0.5)
         cfg = FusionConfig(mode=mode, tau1=11.0 / sys.float_info.max)
         b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 4, 1))
-        keys, _ = llm.lattice(b_then_eos)
-        (table,) = decoding.choice_tables(llm, identity_channel, [cfg], b_then_eos, {})
+        (lattice,), _rows = llm.lattices([b_then_eos])
+        keys = lattice.keys
+        _lattices, ((table,),) = decoding.choice_tables(llm, identity_channel, [cfg],
+                                                        [b_then_eos], {})
         assert len(table.index) == len(keys) - 1 and (2, (3,)) not in table.index
         assert_lattice_changes_nothing(llm, identity_channel, [cfg],
                                        [(b_then_eos, ["b"])], monkeypatch)
@@ -1208,7 +1219,7 @@ class TestChoiceTable:
         asr = RowsByLength(abc_vocab, rows)
         cfgs = [FusionConfig(mode=mode, w_asr=1.0, beta=0.0)]
         b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)))
-        (table,) = decoding.choice_tables(llm, asr, cfgs, b_then_eos, {})
+        _lattices, ((table,),) = decoding.choice_tables(llm, asr, cfgs, [b_then_eos], {})
         assert sorted(t for t, _ in table.index) == [0, 1, 1]
         _reads, steps = assert_lattice_changes_nothing(llm, asr, cfgs, [(b_then_eos, ["b"])],
                                                        monkeypatch)
@@ -1218,3 +1229,183 @@ class TestChoiceTable:
         for corrector in (llm, PlainCorrector(llm)):
             with pytest.raises(InvalidInputError, match="finite"):
                 list(decode_eval_set(corrector, asr, cfgs, [(c_then_a, ["c", "a"])]))
+
+
+C = CHUNK_UTTERANCES
+
+
+class TestChunks:
+    """A decode set cut into chunks of `CHUNK_UTTERANCES` decodes, at every
+    chunk boundary, exactly as one that reads every corrector row through
+    `next_logits`."""
+
+    @pytest.mark.parametrize("n", [1, C - 1, C, C + 1, 2 * C + 3])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_sets_of_every_size_equal_the_sets_without_tables(self, small_walkthrough, order,
+                                                               n, monkeypatch):
+        """Past one utterance, the set holds one with no N-best list, at its
+        middle, and past two, one whose only hypothesis is its first id, at
+        its end: its decodes run past their longest hypothesis."""
+        vocab, train, asr, val, test = small_walkthrough
+        llm = train_ngram_corrector(train, vocab, order=order, smoothing=0.1,
+                                    vote_weight=0.85)
+        (ctx, ref), eval_set = test[0], test[1:1 + n]
+        if n > 1:
+            eval_set[n // 2] = (UtteranceContext("no-nbest", observation=ctx.observation), ref)
+        if n > 2:
+            eval_set[-1] = (UtteranceContext("short", nbest=(ctx.nbest[0][:1],),
+                                             observation=ctx.observation), ref)
+        taus = {"tau1": 0.8, "tau2": 1.2}
+        sets = [[FusionConfig(mode=mode, **taus)] for mode in ("llm", "static", "uadf")]
+        sets.append([FusionConfig(mode="static", w_asr=w, **taus)
+                     for w in (0.0, 0.125, 0.25, 0.375, 0.5, 0.75, 1.0)])
+        sets.append([FusionConfig(beta=b, **taus) for b in (0.0, 0.25, 0.5, 0.75)])
+        for cfgs in sets:
+            _reads, steps = assert_lattice_changes_nothing(llm, asr, cfgs, eval_set,
+                                                           monkeypatch)
+            assert len(steps) >= n * len(cfgs)
+        if n > 2:
+            (past,) = decode_eval_set(llm, asr, sets[0], eval_set[-1:])
+            assert len(past.tokens) > 1
+
+    def test_steps_off_the_table_count_no_list(self, small_walkthrough, monkeypatch):
+        """Each utterance's vote rows are held for it from its chunk's count
+        (`hold_votes`), so a step off the table counts no N-best list."""
+        vocab, train, asr, val, test = small_walkthrough
+        llm = train_ngram_corrector(train, vocab, order=2, smoothing=0.1, vote_weight=0.85)
+        cfgs = [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.5, 1.0)]
+        counted = count_calls(monkeypatch, llm, "_vote_rows")
+        reads = count_calls(monkeypatch, llm, "next_logits")
+        list(decode_eval_set(llm, asr, cfgs, test))
+        assert reads[0] > 0 and counted[0] == 0
+
+
+def walk_kind(step):
+    """Whether a decode read its step off its table: a table's rows are
+    read-only, a row read through the providers is not."""
+    row = step if isinstance(step, np.ndarray) else step.p_llm
+    return "hit" if not row.flags.writeable else "miss"
+
+
+class TestLazySteps:
+    """A step read off a choice table is built when `steps` is first read,
+    equal to the step the providers and `fusion.decide` would give."""
+
+    @staticmethod
+    def sets(small_walkthrough):
+        vocab, train, asr, val, test = small_walkthrough
+        llm = train_ngram_corrector(train, vocab, order=2, smoothing=0.1, vote_weight=0.85)
+        taus = {"tau1": 0.8, "tau2": 1.2}
+        sets = [[FusionConfig(mode="llm", **taus)],
+                [FusionConfig(mode="static", w_asr=w, **taus) for w in (0.0, 0.5, 1.0)],
+                [FusionConfig(beta=b, **taus) for b in (0.0, 0.5, 1.0)]]
+        return llm, asr, test, sets
+
+    def test_steps_read_twice_are_the_same_steps(self, small_walkthrough):
+        llm, asr, test, sets = self.sets(small_walkthrough)
+        for cfgs in sets:
+            for result in decode_eval_set(llm, asr, cfgs, test):
+                first = result.steps
+                assert result.steps is first
+                assert len(first) == len(result.tokens)
+
+    def test_steps_that_leave_and_rejoin_the_table_keep_their_order(self, small_walkthrough):
+        """Some decodes read the table, leave it and come back; their steps
+        equal the loop that reads and softmaxes every row, step by step."""
+        llm, asr, test, sets = self.sets(small_walkthrough)
+        rejoined = 0
+        for cfgs in sets:
+            results = iter(list(decode_eval_set(llm, asr, cfgs, test)))
+            for ctx, ref in test:
+                for cfg in cfgs:
+                    result = next(results)
+                    kinds = "".join(walk_kind(step)[0] for step in result.steps)
+                    rejoined += "hmh" in kinds
+                    assert_same_decode(result, reference_decode(
+                        PlainCorrector(llm), asr, cfg, ctx, evaluation_max_len(ref)))
+        assert rejoined > 0
+
+    def test_table_steps_equal_decide(self, small_walkthrough):
+        llm, asr, test, sets = self.sets(small_walkthrough)
+        hits = Counter()
+        for cfgs in sets[1:]:
+            results = iter(list(decode_eval_set(llm, asr, cfgs, test)))
+            for _ctx, _ref in test:
+                for cfg in cfgs:
+                    for step in next(results).steps:
+                        if walk_kind(step) == "hit":
+                            want = decide(step.p_llm, step.p_asr, None, cfg)
+                            assert (step.p_llm.tobytes(), step.p_asr.tobytes(),
+                                    step.measured_u, step.w_asr_effective, step.chosen) == \
+                                (want.p_llm.tobytes(), want.p_asr.tobytes(), want.measured_u,
+                                 want.w_asr_effective, want.chosen)
+                            hits[cfg.mode] += 1
+        assert hits["static"] > 0 and hits["uadf"] > 0
+
+    def test_decode_eval_set_takes_no_steps_switch(self):
+        assert list(inspect.signature(decode_eval_set).parameters) == \
+            ["llm_provider", "asr_provider", "cfgs", "eval_set", "max_len_factor"]
+
+
+def b_then_eos(utt_id):
+    """An utterance whose decodes read "b" and EOS off its N-best list."""
+    return (UtteranceContext(utt_id, nbest=((4, 1), (5, 3, 1)), observation=(0, 4, 1)), ["b"])
+
+
+def overflowing_corrector(vocab):
+    """At tau1 `TINY_TAU` the row of context "a" after two tokens overflows
+    (see `test_rows_that_fail_a_check_stay_off_the_table`)."""
+    return train_ngram_corrector([(5,) + (3,) * 500 + (1,), (4, 1)], vocab,
+                                 order=2, smoothing=1e-3, vote_weight=0.5)
+
+
+TINY_TAU = 11.0 / sys.float_info.max
+
+
+def nan_channel(vocab, token):
+    """An identity channel whose row for an observed `token` is not finite."""
+    channel = AcousticChannel(vocab, np.eye(vocab.size))
+    channel._log_rows[token, 2] = math.nan
+    return channel
+
+
+# fault -> (modes, acoustic model or None for the identity channel, tau1,
+# faulty utterance, error)
+FAULTS = {
+    "nbest-id": (("llm", "static", "uadf"), None, 1.0,
+                 UtteranceContext("bad", nbest=((4, 6, 1),), observation=(0, 4, 1)),
+                 (InvalidInputError, r"N-best token id 6 is outside \[0, 6\)")),
+    "corrector-row": (("llm", "static", "uadf"), None, TINY_TAU,
+                      UtteranceContext("c", nbest=((5, 3, 1),), observation=(0, 5, 3, 1)),
+                      (InvalidParameterError, "is too small")),
+    "acoustic-row": (("static", "uadf"), lambda v: nan_channel(v, 5), 1.0,
+                     UtteranceContext("c", nbest=((5, 1),), observation=(0, 5, 1)),
+                     (InvalidInputError, "finite")),
+    "no-observation": (("static", "uadf"), None, 1.0, UtteranceContext("c", nbest=((4, 1),)),
+                       (InvalidInputError, "has no observation")),
+}
+
+
+class TestErrorOrderInAChunk:
+    """A fault in utterance j of a chunk raises when j's decode reads it,
+    after every decode of the utterances before it, as with no tables."""
+
+    @pytest.mark.parametrize("j", [0, C // 2, C - 1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("fault", FAULTS.keys())
+    def test_utterances_before_the_fault_decode_first(self, abc_vocab, identity_channel,
+                                                      fault, j):
+        modes, make_asr, tau1, bad, (error, match) = FAULTS[fault]
+        llm = overflowing_corrector(abc_vocab)
+        asr = make_asr(abc_vocab) if make_asr else identity_channel
+        eval_set = [b_then_eos(f"u{i}") for i in range(C + 2)]
+        eval_set[j] = (bad, ["c", "a"])
+        for mode in modes:
+            cfgs = [FusionConfig(mode=mode, tau1=tau1, w_asr=w, beta=0.5 - w) for w in (0.0, 0.5)]
+            for corrector in (llm, PlainCorrector(llm)):
+                got = []
+                with pytest.raises(error, match=match):
+                    for result in decode_eval_set(corrector, asr, cfgs, eval_set):
+                        got.append(decode_fields(result))
+                assert len(got) == j * len(cfgs)
+                assert got == [decode_fields(r) for r in decode_eval_set(
+                    PlainCorrector(llm), asr, cfgs, eval_set[:j])]

@@ -391,6 +391,34 @@ class TestCorrectorRows:
         assert after.tobytes() != before.tobytes()
         assert after.tobytes() == per_call_row(model, 0.5, history, lists["B"]).tobytes()
 
+    def test_model_trained_again_serves_no_stale_lattice_row(self):
+        vocab, model, lists, _rng = seven_word_case()
+        corrector = NgramCorrector(model, vote_weight=0.5)
+        ctx = UtteranceContext("a", nbest=lists["B"])
+        _lattices, before = corrector.lattices([ctx])
+        model.train([(4, 9, 9, 1)] * 30)
+        (lattice,), after = corrector.lattices([ctx])
+        assert after.tobytes() != before.tobytes()
+        for i, (t, context) in enumerate(lattice.keys):
+            history = (Vocabulary.BOS,) * (t + 1 - len(context)) + context
+            assert after[i].tobytes() == per_call_row(model, 0.5, history, lists["B"]).tobytes()
+
+    def test_held_lattice_votes_are_read_without_counting(self, monkeypatch):
+        """After `hold_votes`, a row off the lattice reads the chunk's vote
+        rows: the list is not counted again."""
+        vocab, model, lists, _rng = seven_word_case()
+        corrector = NgramCorrector(model, vote_weight=0.5)
+        ctxs = [UtteranceContext(name, nbest=lists[name]) for name in ("A", "B", "empty")]
+        lattices, _block = corrector.lattices(ctxs)
+        counted = []
+        monkeypatch.setattr(corrector, "_vote_rows", lambda nbest: counted.append(nbest))
+        for ctx, lattice in zip(ctxs, lattices):
+            corrector.hold_votes(ctx, lattice)
+            for history in ((Vocabulary.BOS, 9, 9), (Vocabulary.BOS,) + (3,) * 9):
+                assert corrector.next_logits(history, ctx).tobytes() == \
+                    per_call_row(model, 0.5, history, ctx.nbest).tobytes()
+        assert counted == []
+
 
 @pytest.fixture(scope="module")
 def walkthrough_lists(tmp_path_factory):
@@ -437,6 +465,29 @@ class TestVoteRows:
         corrector = NgramCorrector(NgramModel(abc_vocab), vote_weight=vote_weight)
         self.assert_first_definition(corrector, nbest, frozen_vote_rows)
 
+    @pytest.mark.parametrize("vote_weight", [0.35, 1.0])
+    def test_chunk_votes_equal_the_first_definition(self, walkthrough_lists, frozen_vote_rows,
+                                                    vote_weight):
+        """`lattices` counts a chunk's lists with one bincount; each list's
+        rows equal the one-list count, edge lists and refused ones among
+        them."""
+        vocab, lists = walkthrough_lists
+        edge = [(), ((3, 4, 5, 1), (3, 1)), ((), (4, 1)), ((),), ((1,), (2, 1)),
+                ((3, vocab.size),), ((-1,),)]
+        lists = [*edge, *lists[:40]]
+        corrector = NgramCorrector(NgramModel(vocab), vote_weight=vote_weight)
+        for lo in range(0, len(lists), 9):
+            chunk = lists[lo:lo + 9]
+            lattices, _rows = corrector.lattices([UtteranceContext("u", nbest=n) for n in chunk])
+            for nbest, lattice in zip(chunk, lattices):
+                toks = [tok for hyp in nbest for tok in hyp]
+                if not all(0 <= tok < vocab.size for tok in toks):
+                    assert lattice is None
+                    continue
+                want = frozen_vote_rows(corrector, nbest)
+                assert [row.tobytes() for row in lattice.votes] == \
+                    [row.tobytes() for row in want], nbest
+
     @pytest.mark.parametrize("bad", [6, -1, 2 ** 70], ids=["V", "minus-1", "2**70"])
     def test_token_id_outside_the_vocabulary_is_refused(self, abc_vocab, bad):
         corrector = NgramCorrector(NgramModel(abc_vocab), vote_weight=0.5)
@@ -457,14 +508,23 @@ def nbest_prefixes(nbest):
 
 
 class TestLattice:
-    """`NgramCorrector.lattice` gives the keys of an utterance's N-best
+    """`NgramCorrector.lattices` gives the keys of an utterance's N-best
     prefixes once each, in order of first appearance, and for each key the
-    row `next_logits` gives every history of that key, byte for byte."""
+    row `next_logits` gives every history of that key, byte for byte. Each
+    list is built in a chunk after two others, one of them refused, and
+    before a third, so its rows sit inside the chunk's block."""
 
     @staticmethod
     def assert_lattice(corrector, nbest, extra_histories=()):
         ctx = UtteranceContext("u", nbest=nbest)
-        keys, rows = corrector.lattice(ctx)
+        chunk = [UtteranceContext("before", nbest=((3, 4, 1), (4,))),
+                 UtteranceContext("refused", nbest=((3, corrector.vocab.size),)),
+                 ctx, UtteranceContext("after")]
+        lattices, block = corrector.lattices(chunk)
+        assert lattices[1] is None
+        keys, lo = lattices[2].keys, len(lattices[0].keys)
+        rows = block[lo:lo + len(keys)]
+        assert len(block) == lo + len(keys) + len(lattices[3].keys)
         prefixes = list(nbest_prefixes(nbest))
         assert keys == list(dict.fromkeys(corrector.history_key(h, ctx) for h in prefixes))
         assert rows.shape == (len(keys), corrector.vocab.size)
