@@ -8,14 +8,19 @@ confidence-vs-target gap, which is monotone non-increasing in tau.
 Teacher forcing conditions every step on the reference prefix, keeping
 the fit independent of any fused decoding.
 
-A fit shifts the trace by its row maxima once (`ShiftedTrace`), so each
-bisection evaluation only divides, exponentiates and sums into one
-reused buffer; the confidences come out bit for bit as shifting at every
-evaluation gives them. The same shifted trace gives the report both
-reliability diagrams: its bins at tau 1, before calibration, and at the
-fitted tau. The report is the one way results leave this module: only
-the fit bins a trace, and `mean_confidence` reads only the
-`ShiftedTrace` the fit builds.
+A provider with a `row_key` (the acoustic channel) gives equal rows for
+equal keys, so `collect_traces` reads its row once per distinct key and
+records which row each step reads; any other provider is read once per
+step. A fit shifts those rows by their maxima once (`ShiftedTrace`), so
+each bisection evaluation only divides, exponentiates and sums the
+distinct rows into one reused buffer, then gathers the result per step:
+the mean sums the same per-step values in the same order, so the
+confidences and the report come out bit for bit as shifting every row of
+the full trace at every evaluation gives them. The same shifted trace
+gives the report both reliability diagrams: its bins at tau 1, before
+calibration, and at the fitted tau. The report is the one way results
+leave this module: only the fit bins a trace, and `mean_confidence`
+reads only the `ShiftedTrace` the fit builds.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ class CalibrationReport:
         return asdict(self)
 
 
+def _checked_reference(reference) -> TokenSeq:
+    reference = tuple(reference)
+    if not reference or reference[-1] != Vocabulary.EOS:
+        raise InvalidInputError("reference must be non-empty and EOS-terminated")
+    return reference
+
+
 def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
     """Raw logits per reference step, conditioned on the reference prefix.
 
@@ -64,9 +76,7 @@ def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -
     announces nothing to the provider: `collect_traces` announces a whole
     set.
     """
-    reference = tuple(reference)
-    if not reference or reference[-1] != Vocabulary.EOS:
-        raise InvalidInputError("reference must be non-empty and EOS-terminated")
+    reference = _checked_reference(reference)
     history: TokenSeq = (Vocabulary.BOS,)
     rows = []
     for tok in reference:
@@ -76,7 +86,16 @@ def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -
 
 
 def collect_traces(provider, dataset):
-    """Stack teacher-forced logits and targets over (ctx, reference) pairs.
+    """Teacher-forced logit rows, targets and the row of each step, over
+    (ctx, reference) pairs.
+
+    Returns `(rows, targets, steps)`: `targets` holds every reference id
+    in order, one per step, and step i's raw logits are `rows[steps[i]]`,
+    so `rows[steps]` is the full teacher-forced trace. A provider with a
+    `row_key` is read once per distinct key, the first step that reaches
+    it, and `rows` holds those rows in that order; any other provider is
+    read at every step (`teacher_forced_trace`), `rows` is the full trace
+    and `steps` counts 0, 1, 2, ...
 
     A provider with a `prefetch` method (one served over the wire) is told
     the whole set first, each reference but its EOS as the follow of its
@@ -85,33 +104,52 @@ def collect_traces(provider, dataset):
     dataset = list(dataset)
     if hasattr(provider, "prefetch"):
         provider.prefetch([(ctx, tuple(reference)[:-1]) for ctx, reference in dataset])
-    traces, targets = [], []
-    for ctx, reference in dataset:
-        traces.append(teacher_forced_trace(provider, reference, ctx))
-        targets.extend(reference)
-    if not traces:
+    if not dataset:
         raise InvalidInputError("dataset is empty")
-    return np.concatenate(traces, axis=0), np.asarray(targets, dtype=np.int64)
+    row_key = getattr(provider, "row_key", None)
+    if row_key is None:
+        rows = np.concatenate([teacher_forced_trace(provider, reference, ctx)
+                               for ctx, reference in dataset])
+        steps = np.arange(len(rows))
+    else:
+        first_read, keyed_rows, steps = {}, [], []  # first_read: key -> index of its row
+        for ctx, reference in dataset:
+            reference = _checked_reference(reference)
+            for t in range(len(reference)):
+                key = row_key(t + 1, ctx)  # that of the history BOS + reference[:t]
+                i = first_read.get(key)
+                if i is None:
+                    i = first_read[key] = len(keyed_rows)
+                    keyed_rows.append(
+                        provider.next_logits((Vocabulary.BOS,) + reference[:t], ctx))
+                steps.append(i)
+        rows, steps = np.stack(keyed_rows), np.asarray(steps, dtype=np.intp)
+    targets = np.asarray([tok for _ctx, reference in dataset for tok in reference],
+                         dtype=np.int64)
+    return rows, targets, steps
 
 
 class ShiftedTrace:
-    """A (steps, V) logit trace less its row maxima, shifted once.
+    """A (rows, V) logit block less its row maxima, shifted once, and the
+    row each step reads (`steps`; None when each row is one step).
 
-    `confidences(tau)` gives the max of softmax(row / tau) per row: the
+    `confidences(tau)` gives the max of softmax(row / tau) per step: the
     max entry normalizes to 1 / sum(exp((x - x_max) / tau)). The shift is
     the same subtraction whichever tau follows, so it is done here and
     each call only divides, exponentiates and sums, in one buffer made on
-    the first call and reused after; the result is bit for bit what
-    shifting on every call gives. A tiny tau may take a shifted entry to
-    -inf, whose exp is the limit 0.
+    the first call and reused after, then gathers the result per step;
+    every operation works row by row, so the result is bit for bit what
+    shifting every step's row on every call gives. A tiny tau may take a
+    shifted entry to -inf, whose exp is the limit 0.
     """
 
-    __slots__ = ("rows", "_buf")
+    __slots__ = ("rows", "steps", "_buf")
 
-    def __init__(self, traces: np.ndarray):
+    def __init__(self, traces: np.ndarray, steps: np.ndarray | None = None):
         traces = np.asarray(traces, dtype=np.float64)
         with np.errstate(over="ignore"):
             self.rows = traces - traces.max(axis=1, keepdims=True)
+        self.steps = steps
         self._buf = None
 
     def confidences(self, tau: float) -> np.ndarray:
@@ -123,7 +161,8 @@ class ShiftedTrace:
         with np.errstate(over="ignore"):
             np.divide(self.rows, tau, out=buf)
         np.exp(buf, out=buf)
-        return 1.0 / buf.sum(axis=1)
+        conf = 1.0 / buf.sum(axis=1)
+        return conf if self.steps is None else conf[self.steps]
 
 
 def mean_confidence(shifted: ShiftedTrace, tau: float) -> float:
@@ -181,12 +220,12 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
     check_fit_parameters(tol, bounds, max_iter, n_bins)
     tau_min, tau_max = float(bounds[0]), float(bounds[1])
 
-    traces, targets = collect_traces(provider, dataset)
-    correct = traces.argmax(axis=1) == targets
+    rows, targets, steps = collect_traces(provider, dataset)
+    correct = rows.argmax(axis=1)[steps] == targets
     ter = float((~correct).mean())
     target = 1.0 - ter
-    shifted = ShiftedTrace(traces)
-    del traces  # the raw rows are not read again; free them before the buffer
+    shifted = ShiftedTrace(rows, steps)
+    del rows  # the raw rows are not read again; free them before the buffer
 
     def gap(tau):
         return mean_confidence(shifted, tau) - target

@@ -353,8 +353,9 @@ def cmd_train_lm(resolved: dict):
     out = Path(resolved["out"])
     _write_resolved(resolved, out.parent, "train-lm")
     with open(out, "w", encoding="utf-8") as f:
-        json.dump(corrector.to_dict(), f)
-        f.write("\n")
+        # `json.dumps` encodes in one C call; `json.dump` always takes the
+        # pure-Python encoder. The bytes are the same.
+        f.write(json.dumps(corrector.to_dict()) + "\n")
     print(f"trained order-{corrector.model.order} corrector on {len(references)} "
           f"references -> {out}")
     return 0

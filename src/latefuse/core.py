@@ -25,6 +25,16 @@ from .errors import CorpusSchemaError, InvalidInputError, InvalidParameterError
 
 TokenSeq = tuple[int, ...]
 
+
+class _TokenIds(dict):
+    """token -> id; a token it lacks reads as UNK, and is not added."""
+
+    __slots__ = ()
+
+    def __missing__(self, token):
+        return Vocabulary.UNK
+
+
 # The ufunc reductions behind `ndarray.all/max/min/sum`, called directly:
 # the method wrappers cost more per call than a short row's reduction,
 # and the result is the same reduction, bit for bit.
@@ -54,7 +64,7 @@ class Vocabulary:
         if self.tokens[:3] != self.SPECIALS:
             raise InvalidInputError(
                 f"vocabulary must begin with {self.SPECIALS}, got {self.tokens[:3]}")
-        index = {tok: i for i, tok in enumerate(self.tokens)}
+        index = _TokenIds((tok, i) for i, tok in enumerate(self.tokens))
         if len(index) < len(self.tokens):
             raise InvalidInputError("vocabulary repeats a token")
         object.__setattr__(self, "_index", index)
@@ -78,8 +88,7 @@ class Vocabulary:
 
     def encode(self, text: str, append_eos: bool = False) -> TokenSeq:
         """Whitespace-tokenize `text` into ids (UNK for unknown words)."""
-        get, unk = self._index.get, self.UNK
-        ids = [get(w, unk) for w in text.split()]
+        ids = [*map(self._index.__getitem__, text.split())]
         if append_eos:
             ids.append(self.EOS)
         return tuple(ids)

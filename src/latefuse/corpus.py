@@ -10,6 +10,13 @@ independent draws of the same channel, so hypothesis evidence and the
 acoustic provider are correlated but distinct. Everything is
 deterministic: per-record RNG streams are derived from the corpus seed
 and the utterance id.
+
+`load_corpus` reads a record of the form `save_corpus` writes with a
+few plain type tests (`_plain_record`), and any other record through the
+per-field checks (`_checked_record`), which name a field that fails with
+its file, line and hypothesis rank, and read the other forms an external
+file may take: integer ids and scores, plain-string hypotheses,
+hypotheses without a score and records without an observation.
 """
 
 from __future__ import annotations
@@ -320,11 +327,13 @@ def encode_observation(words, vocab: Vocabulary) -> TokenSeq:
 
 
 def record_context(record: CorpusRecord, vocab: Vocabulary):
-    """Decode-ready (UtteranceContext, reference_words) for one record."""
+    """Decode-ready (UtteranceContext, reference_words) for one record;
+    each text is split and encoded once."""
+    encode = vocab.encode
     ctx = UtteranceContext(
         utt_id=record.id,
-        nbest=tuple(vocab.encode(text, append_eos=True) for text, _score in record.nbest),
-        observation=encode_observation(record.observation.split(), vocab),
+        nbest=tuple([encode(text, append_eos=True) for text, _score in record.nbest]),
+        observation=(Vocabulary.BOS, *encode(record.observation), Vocabulary.EOS),
     )
     return ctx, record.reference.split()
 
@@ -433,7 +442,7 @@ def load_corpus(path, field_map: dict | None = None) -> list[CorpusRecord]:
     fmap.update(field_map or {})
     records, first_line = [], {}
     for line_no, raw in read_json_lines(path):
-        record = _record_from_raw(raw, fmap, path, line_no)
+        record = _plain_record(raw, fmap) or _checked_record(raw, fmap, path, line_no)
         if record.id in first_line:
             raise CorpusSchemaError(fmap["id"], (
                 f"{path}:{line_no}: {fmap['id']!r} {record.id!r} repeats the record "
@@ -455,7 +464,41 @@ def read_json_lines(path):
         yield line_no, value
 
 
-def _record_from_raw(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
+def _plain_record(raw, fmap: dict) -> CorpusRecord | None:
+    """`_checked_record`'s record of `raw` when `raw` takes the plain form
+    `save_corpus` writes: a string id, a non-blank reference, a non-empty
+    list of hypotheses that are objects with a text and a finite float
+    score, an observation that is a string or absent, and no text holding
+    "s>" (`_words`). Else None, and `_checked_record` decides: it names the
+    field that fails, or reads the other forms it takes."""
+    if type(raw) is not dict:
+        return None
+    utt_id, reference = raw.get(fmap["id"]), raw.get(fmap["reference"])
+    hyps = raw.get(fmap["nbest"])
+    if not (type(utt_id) is str and type(reference) is str and reference.strip()
+            and "s>" not in reference and type(hyps) is list and hyps):
+        return None
+    text_key, score_key = fmap["nbest_text"], fmap["nbest_score"]
+    nbest = []
+    for hyp in hyps:
+        if type(hyp) is not dict:
+            return None
+        text, score = hyp.get(text_key), hyp.get(score_key)
+        if not (type(text) is str and "s>" not in text
+                and type(score) is float and math.isfinite(score)):
+            return None
+        nbest.append((text, score))
+    observation = raw.get(fmap["observation"], nbest[0][0])
+    if type(observation) is not str or "s>" in observation:
+        return None
+    return CorpusRecord(id=utt_id, reference=reference, observation=observation,
+                        nbest=tuple(nbest))
+
+
+def _checked_record(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
+    """The record of one parsed line, checked field by field; a field that
+    fails its check is a data error naming the field, the file and the line
+    (and the hypothesis's rank)."""
     if not isinstance(raw, dict):
         raise CorpusParseError(path, line_no, "a record must be a JSON object")
     where = f"{path}:{line_no}"

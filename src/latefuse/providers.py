@@ -15,7 +15,9 @@ positional vote in one pass: one `np.bincount` over `position * V + id`
 gives every position's integer counts, and one `np.divide` by the number
 of hypotheses covering each position turns them into rows; the row past
 the longest hypothesis is uniform. `NgramCorrector.to_dict`/`from_dict`
-write and read the whole of a trained corrector's `lm.json`. A provider may
+write and read the whole of a trained corrector's `lm.json`; `from_dict`
+checks every n-gram in a few passes over the whole list, and checks them
+one by one only to name the first bad one. A provider may
 define `row_key(length, ctx)`, as `AcousticChannel` does, to declare
 that `next_logits(history, ctx)` depends only on
 `row_key(len(history), ctx)`: equal keys mean equal rows, also across
@@ -23,7 +25,8 @@ utterances. Beam search then asks it for one row per step instead of
 one per live beam; with a `rows` dict (one per corpus in
 `corpus.generate_corpus`) it reads, normalises and ranks each key's row
 once, for every search that shares the dict. A decode set normalises
-each of its keyed rows once per temperature (`decoding.calibrated_row`).
+each of its keyed rows once per temperature (`decoding.calibrated_row`),
+and a calibration reads each key's row once (`calibration.collect_traces`).
 `NgramCorrector` reads a history only through its key (`history_key`):
 its vote row and its n-gram context. Its `lattices(ctxs)` gives the keys
 of the N-best prefixes of a chunk of utterances and their rows as one
@@ -46,7 +49,7 @@ utterance drops the rows of every other but those announced after it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -165,19 +168,50 @@ class NgramModel:
         key `order` token ids below V, listed once, its count in [1, 2**53]."""
         order, v = json_field(data, "order", (int,)), vocab.size
         model = cls(vocab, order=order, smoothing=json_field(data, "smoothing", (int, float)))
-        for entry in json_field(data, "ngrams", (list,)):
-            key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
-            if not is_token_id_list(key, v) or len(key) != order:
-                raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
-                                            f"token ids in [0, {v}), got {entry!r:.200}")
-            if type(count) is not int or not 1 <= count <= 2 ** 53:
-                raise InvalidParameterError(
-                    f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
-            seen = model.counts.setdefault(tuple(key[:-1]), {})
-            if key[-1] in seen:
-                raise InvalidParameterError(f"n-gram key {key} is listed twice")
-            seen[key[-1]] = count
+        ngrams = json_field(data, "ngrams", (list,))
+        counts = _plain_counts(ngrams, order, v)
+        model.counts = _checked_counts(ngrams, order, v) if counts is None else counts
         return model
+
+
+def _plain_counts(ngrams: list, order: int, v: int) -> dict | None:
+    """`_checked_counts(ngrams, order, v)` when every entry passes its
+    checks, found in a few passes over the whole list; else None, and
+    `_checked_counts` names the first entry that fails."""
+    if set(map(type, ngrams)) != {list} or set(map(len, ngrams)) != {2}:
+        return None
+    keys, counts = [entry[0] for entry in ngrams], [entry[1] for entry in ngrams]
+    if set(map(type, keys)) != {list} or set(map(len, keys)) != {order}:
+        return None
+    ids = list(chain.from_iterable(keys))
+    if not (set(map(type, ids)) == set(map(type, counts)) == {int}
+            and 0 <= min(ids) and max(ids) < v and 1 <= min(counts) and max(counts) <= 2 ** 53):
+        return None
+    table: dict[tuple, dict[int, int]] = {}
+    for key, count in ngrams:
+        table.setdefault(tuple(key[:-1]), {})[key[-1]] = count
+    # a key listed twice leaves the table fewer entries than the list
+    return table if sum(map(len, table.values())) == len(ngrams) else None
+
+
+def _checked_counts(ngrams: list, order: int, v: int) -> dict:
+    """The counts table of `NgramModel.from_dict`, checking one entry at a
+    time: each is a [key, count] pair, its key `order` token ids below V,
+    listed once, its count in [1, 2**53]; the first that is not raises."""
+    table: dict[tuple, dict[int, int]] = {}
+    for entry in ngrams:
+        key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
+        if not is_token_id_list(key, v) or len(key) != order:
+            raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
+                                        f"token ids in [0, {v}), got {entry!r:.200}")
+        if type(count) is not int or not 1 <= count <= 2 ** 53:
+            raise InvalidParameterError(
+                f"n-gram count must be an integer in [1, 2**53], got {count!r:.200}")
+        seen = table.setdefault(tuple(key[:-1]), {})
+        if key[-1] in seen:
+            raise InvalidParameterError(f"n-gram key {key} is listed twice")
+        seen[key[-1]] = count
+    return table
 
 
 class NgramCorrector:

@@ -89,11 +89,13 @@ def _frozen_reliability_bins(traces, targets, tau, n_bins):
 
 def _frozen_fit_temperature(provider, dataset, tol=1e-3, bounds=(1e-2, 1e2),
                             max_iter=60, n_bins=10):
-    """The report `fit_temperature` gave, as a dict, and its evaluation count."""
-    from latefuse.calibration import collect_traces
+    """The report `fit_temperature` gave, as a dict, and its evaluation
+    count, from the full teacher-forced trace: one row read per step."""
+    from latefuse.calibration import teacher_forced_trace
 
     tau_min, tau_max = float(bounds[0]), float(bounds[1])
-    traces, targets = collect_traces(provider, dataset)
+    traces = np.concatenate([teacher_forced_trace(provider, ref, ctx) for ctx, ref in dataset])
+    targets = np.asarray([tok for _ctx, ref in dataset for tok in ref], dtype=np.int64)
     ter = float((traces.argmax(axis=1) != targets).mean())
     target = 1.0 - ter
     evals = [0]
@@ -143,8 +145,9 @@ def _frozen_fit_temperature(provider, dataset, tol=1e-3, bounds=(1e-2, 1e2),
 
 @pytest.fixture
 def frozen_fit():
-    """`fit_temperature` before the shift was hoisted: (report dict, number
-    of mean-confidence evaluations)."""
+    """`fit_temperature` before the shift was hoisted and before a keyed
+    provider's rows were read once per key: (report dict, number of
+    mean-confidence evaluations)."""
     return _frozen_fit_temperature
 
 

@@ -163,7 +163,8 @@ def test_criterion_4_calibration_fixed_point(bench, frozen_bins):
     for name in ("llm", "asr"):
         rep = bench[f"rep_{name}"]
         gap = abs(rep.mean_confidence - (1.0 - rep.ter))
-        traces, targets = collect_traces(bench[name], bench["cal_set"])
+        rows, targets, steps = collect_traces(bench[name], bench["cal_set"])
+        traces = rows[steps]
         parts.append(f"{name}: tau={rep.tau:.3f} gap={gap:.1e} "
                      f"ece {rep.ece_tau1:.4f}->{rep.ece:.4f}")
         ok &= gap <= 1e-3 and not rep.clamped and rep.ece < rep.ece_tau1

@@ -100,7 +100,7 @@ class TestTokenErrorRate:
         rng = np.random.default_rng(5)
         provider = constant_provider_cls(abc_vocab, rng.normal(size=abc_vocab.size))
         dataset = dataset_from_texts(abc_vocab, ["a b c", "c b"])
-        traces, targets = collect_traces(provider, dataset)
+        traces, targets, _ = collect_traces(provider, dataset)
         base = (traces.argmax(axis=1) != targets).mean()
         for tau in (0.5, 5.0):
             scaled = traces / tau
@@ -137,7 +137,7 @@ class TestFitTemperature:
         ref = tuple(int(t) for t in rng.integers(2, 6, size=11)) + (1,)
         dataset = [(UtteranceContext(utt_id="u0"), ref)]
         report = fit_temperature(provider, dataset, tol=1e-4)
-        traces, targets = collect_traces(provider, dataset)
+        traces, targets, _ = collect_traces(provider, dataset)
         target = 1.0 - (traces.argmax(axis=1) != targets).mean()
         grid = np.geomspace(1e-2, 1e2, 20001)
         shifted = ShiftedTrace(traces)
@@ -209,7 +209,7 @@ class TestReportBins:
     def test_equal_frozen_reliability_bins_at_the_fitted_tau(self, frozen_bins, seed):
         provider, dataset = matrix_case(seed, steps=300)
         report = fit_temperature(provider, dataset)
-        traces, targets = collect_traces(provider, dataset)
+        traces, targets, _ = collect_traces(provider, dataset)
         assert (report.bins, report.ece) == frozen_bins(traces, targets, report.tau, 10)
 
 
@@ -317,7 +317,7 @@ class TestTau1Bins:
     def test_equal_frozen_reliability_bins_at_tau_1(self, frozen_bins, n_bins):
         provider, dataset = matrix_case(2, steps=300)
         report = fit_temperature(provider, dataset, n_bins=n_bins)
-        traces, targets = collect_traces(provider, dataset)
+        traces, targets, _ = collect_traces(provider, dataset)
         bins, ece = frozen_bins(traces, targets, 1.0, n_bins)
         assert json.dumps([list(b) for b in report.bins_tau1]) == \
             json.dumps([list(b) for b in bins])
@@ -372,3 +372,107 @@ class TestParameterBounds:
         report = fit_temperature(provider, dataset, max_iter=0, bounds=(0.5, 2.0))
         assert report.tau == 1.25
         assert report.clamped == (abs(report.mean_confidence - (1 - report.ter)) > 1e-3)
+
+
+class _Unkeyed:
+    """A provider's rows without its `row_key`: read at every step."""
+
+    def __init__(self, provider):
+        self.vocab, self._provider = provider.vocab, provider
+
+    def next_logits(self, history, ctx):
+        return self._provider.next_logits(history, ctx)
+
+
+def channel_case(v, seed, n_utts=60):
+    """An acoustic channel over V tokens and a teacher-forcing set whose
+    references mostly follow the observation; about a third run one step
+    past it, where the channel gives its EOS row (key -1)."""
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary.from_words(f"w{i}" for i in range(v - 3))
+    noise = rng.dirichlet(np.full(v, 0.3), size=v)
+    channel = AcousticChannel(vocab, 0.6 * np.eye(v) + 0.4 * noise)
+    dataset = []
+    for i in range(n_utts):
+        words = [int(w) for w in rng.integers(3, v, size=int(rng.integers(1, 12)))]
+        ref = [w if rng.random() < 0.7 else int(rng.integers(3, v)) for w in words]
+        if rng.random() < 0.35:
+            ref.append(int(rng.integers(3, v)))
+        obs = (Vocabulary.BOS, *words, Vocabulary.EOS)
+        dataset.append((UtteranceContext(utt_id=f"u{i}", observation=obs),
+                        (*ref, Vocabulary.EOS)))
+    return channel, dataset
+
+
+class TestKeyedRows:
+    """A provider with a `row_key` is read once per distinct key, and the
+    fit from those rows equals, field for field, the fit from the full
+    trace; V = 13 and 203 leave SIMD tails in every row."""
+
+    @pytest.mark.parametrize("v", [6, 13, 200, 203])
+    def test_rows_gathered_by_step_are_the_full_trace(self, v):
+        channel, dataset = channel_case(v, seed=v)
+        rows, targets, steps = collect_traces(channel, dataset)
+        full, full_targets, full_steps = collect_traces(_Unkeyed(channel), dataset)
+        keys = {channel.row_key(t + 1, ctx) for ctx, ref in dataset for t in range(len(ref))}
+        assert -1 in keys and len(rows) == len(keys) < len(full)
+        assert rows[steps].tobytes() == full.tobytes()
+        assert targets.tobytes() == full_targets.tobytes()
+        assert full_steps.tolist() == list(range(len(full)))
+
+    @pytest.mark.parametrize("bounds", [(1e-2, 1e2), (1e-320, 1e2), (0.5, 2.0)],
+                             ids=["default", "tiny", "narrow"])
+    @pytest.mark.parametrize("v", [6, 13, 200, 203])
+    def test_fit_equals_the_full_trace_fit(self, monkeypatch, frozen_fit, v, bounds):
+        channel, dataset = channel_case(v, seed=v)
+        got, evals = fit_dict_and_evals(monkeypatch, channel, dataset, bounds=bounds)
+        full, full_evals = fit_dict_and_evals(monkeypatch, _Unkeyed(channel), dataset,
+                                              bounds=bounds)
+        want, _frozen_evals = frozen_fit(channel, dataset, bounds=bounds)
+        assert json.dumps(got) == json.dumps(full) == json.dumps(want)
+        assert evals == full_evals
+        if bounds == (1e-2, 1e2):
+            assert not got["clamped"]
+
+    def test_calibrate_asr_reads_each_acoustic_key_once(self, tmp_path, monkeypatch,
+                                                        frozen_fit):
+        from latefuse import cli, corpus
+
+        data = tmp_path / "data"
+        assert cli.main(["simulate", "--out-dir", str(data), "--n-train", "10", "--n-val",
+                         "30", "--n-test", "1", "--seed", "4"]) == 0
+        vocab = Vocabulary.load(data / "vocab.txt")
+        cal_set = cli._calibration_set(corpus.load_corpus(data / "val.jsonl"), vocab)
+        channel = cli.build_provider(cli.ProviderSpec(
+            "acoustic-channel", {"manifest_path": str(data / "manifest.json")}), vocab)
+        want, _evals = frozen_fit(channel, cal_set)
+        keys = {channel.row_key(t + 1, ctx) for ctx, ref in cal_set for t in range(len(ref))}
+        reads, original = {}, AcousticChannel.next_logits
+
+        def counted(self, history, ctx):
+            key = self.row_key(len(history), ctx)
+            reads[key] = reads.get(key, 0) + 1
+            return original(self, history, ctx)
+
+        monkeypatch.setattr(AcousticChannel, "next_logits", counted)
+        out = tmp_path / "cal-asr.json"
+        assert cli.main(["calibrate", "--corpus", str(data / "val.jsonl"), "--vocab",
+                         str(data / "vocab.txt"), "--which", "asr", "--manifest",
+                         str(data / "manifest.json"), "--out", str(out)]) == 0
+        assert reads == dict.fromkeys(keys, 1)
+        assert len(keys) < sum(len(ref) for _ctx, ref in cal_set)
+        assert json.loads(out.read_text()) == json.loads(json.dumps(want))
+
+    def test_keyed_errors_are_the_full_trace_errors(self, abc_vocab, identity_channel):
+        good = (UtteranceContext(utt_id="u0", observation=(0, 3, 1)), (3, 1))
+        cases = [
+            ([good, (good[0], (3, 4))], "reference must be non-empty and EOS-terminated"),
+            ([good, (good[0], ())], "reference must be non-empty and EOS-terminated"),
+            ([good, (UtteranceContext(utt_id="u1"), (3, 1))],
+             "utterance 'u1' has no observation"),
+            ([], "dataset is empty"),
+        ]
+        for dataset, message in cases:
+            for provider in (identity_channel, _Unkeyed(identity_channel)):
+                with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                    collect_traces(provider, dataset)

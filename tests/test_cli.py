@@ -238,8 +238,9 @@ class TestCalibrate:
         records = corpus.load_corpus(resolved["corpus"])
         build = cli._build_llm if which == "llm" else cli._build_asr
         with contextlib.ExitStack() as opened:
-            traces, targets = calibration.collect_traces(
+            rows, targets, steps = calibration.collect_traces(
                 build(resolved, vocab, opened), cli._calibration_set(records, vocab))
+        traces = rows[steps]
         for tau, bins_key, ece_key in ((1.0, "bins_tau1", "ece_tau1"),
                                        (report["tau"], "bins", "ece")):
             bins, ece = frozen_bins(traces, targets, tau, resolved["bins"])

@@ -462,3 +462,117 @@ class TestRecordContext:
         for records in splits.values():
             for rec in records:
                 assert record_context(rec, vocab) == frozen_record_context(rec, vocab)
+
+
+def _plain_line(utt_id, n_hyps=5):
+    """A record as `save_corpus` writes it, with n_hyps scored hypotheses."""
+    return {"id": utt_id, "reference": "x y z", "observation": "x z",
+            "nbest": [{"text": f"x y{' z' * rank}", "score": -0.25 - rank}
+                      for rank in range(n_hyps)]}
+
+
+class TestPlainAndCheckedRecords:
+    """`load_corpus` reads a record of the plain form `save_corpus` writes
+    with plain type tests, and hands any other to the per-field checks:
+    a bad field is named with its file, line and hypothesis rank wherever
+    it sits, and the other forms the checks take are still read."""
+
+    def write(self, tmp_path, last):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(raw) + "\n"
+                                for raw in [_plain_line("a"), _plain_line("b"), last]))
+        return path
+
+    @pytest.mark.parametrize("hyp, message", [
+        ({"text": 5, "score": -1.0}, "'text' must be a string, got 5"),
+        ({"text": None, "score": -1.0}, "'text' must be a string, got None"),
+        ({"score": -1.0}, "'text' is a required field and is missing"),
+        (7, "'text' is a required field and is missing"),
+        (["x"], "'text' is a required field and is missing"),
+        ({"text": "x </s>", "score": -1.0}, "reserved token '</s>' in 'text'"),
+        ({"text": "<s> x", "score": -1.0}, "reserved token '<s>' in 'text'"),
+        ({"text": "x", "score": math.nan},
+         "'score' must be an integer or a finite number, got nan"),
+        ({"text": "x", "score": math.inf},
+         "'score' must be an integer or a finite number, got inf"),
+        ({"text": "x", "score": -math.inf},
+         "'score' must be an integer or a finite number, got -inf"),
+        ({"text": "x", "score": True},
+         "'score' must be an integer or a finite number, got True"),
+        ({"text": "x", "score": False},
+         "'score' must be an integer or a finite number, got False"),
+        ({"text": "x", "score": "-1.5"},
+         "'score' must be an integer or a finite number, got '-1.5'"),
+        ({"text": "x", "score": 10 ** 400},
+         "'score' must be an integer or a finite number, got " + "1" + "0" * 199),
+    ], ids=["int-text", "null-text", "no-text", "int-hypothesis", "list-hypothesis",
+            "eos-text", "bos-text", "nan-score", "inf-score", "minus-inf-score",
+            "true-score", "false-score", "string-score", "huge-int-score"])
+    def test_bad_field_in_the_last_hypothesis_of_the_last_record(self, tmp_path, hyp,
+                                                                 message):
+        last = _plain_line("c")
+        last["nbest"][4] = hyp
+        path = self.write(tmp_path, last)
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:3: hypothesis 4: {message}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("id", True, "'id' must be a string or an integer, got True"),
+        ("id", 1.5, "'id' must be a string or an integer, got 1.5"),
+        ("reference", " \t", "'reference' must be a non-empty string, got ' \\t'"),
+        ("reference", "x </s>", "reserved token '</s>' in 'reference'"),
+        ("nbest", [], "'nbest' must be a non-empty list, got []"),
+        ("observation", None, "'observation' must be a string, got None"),
+        ("observation", "x <s>", "reserved token '<s>' in 'observation'"),
+    ])
+    def test_bad_field_of_the_last_record(self, tmp_path, key, value, message):
+        last = _plain_line("c")
+        last[key] = value
+        path = self.write(tmp_path, last)
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert (err.value.field, str(err.value)) == (key, f"{path}:3: {message}")
+
+    def test_other_forms_are_still_read(self, tmp_path):
+        """Integer scores and ids, plain-string hypotheses, hypotheses
+        without a score or with a null one, no observation, and a word that
+        only ends in "s>"."""
+        last = {"id": 7, "reference": "bus> x", "nbest": [
+            {"text": "x bus>", "score": -3}, "y", {"text": "z"},
+            {"text": "x", "score": None}, {"text": "x y", "score": 0}]}
+        path = self.write(tmp_path, last)
+        *_, rec = load_corpus(path)
+        assert rec == CorpusRecord(id="7", reference="bus> x", observation="x bus>", nbest=(
+            ("x bus>", -3.0), ("y", -1.0), ("z", -2.0), ("x", -3.0), ("x y", 0.0)))
+        assert all(type(score) is float for _text, score in rec.nbest)
+
+    def test_plain_records_equal_the_checked_records(self, tmp_path):
+        splits, _vocab = generate_corpus(ChannelSpec(seed=23), 8, 3, 8)
+        records = [rec for split in splits.values() for rec in split]
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(records, path)
+        fmap = corpus.DEFAULT_FIELD_MAP
+        for line_no, raw in corpus.read_json_lines(path):
+            for raw in (raw, {key: value for key, value in raw.items()
+                              if key != "observation"}):
+                plain = corpus._plain_record(raw, fmap)
+                assert plain is not None
+                assert plain == corpus._checked_record(raw, fmap, path, line_no)
+        assert load_corpus(path) == records
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.update(id=3),
+        lambda raw: raw["nbest"].__setitem__(2, "x y"),
+        lambda raw: raw["nbest"][4].update(score=-4),
+        lambda raw: raw["nbest"][4].pop("score"),
+        lambda raw: raw.update(reference="bus> x"),
+    ], ids=["int-id", "string-hypothesis", "int-score", "no-score",
+            "word-ending-in-s>"])
+    def test_forms_the_plain_tests_leave_to_the_checks(self, tmp_path, edit):
+        raw = _plain_line("c")
+        edit(raw)
+        fmap = corpus.DEFAULT_FIELD_MAP
+        assert corpus._plain_record(raw, fmap) is None
+        path = self.write(tmp_path, raw)
+        assert load_corpus(path)[-1] == corpus._checked_record(raw, fmap, path, 3)

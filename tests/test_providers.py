@@ -97,6 +97,58 @@ class TestNgramModel:
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             NgramModel.from_dict(data, abc_vocab)
 
+    # 1000 distinct order-2 n-grams over a 200-token vocabulary
+    GOOD = [[[3 + i // 50, 3 + i % 50], 1 + i % 7] for i in range(1000)]
+    KEY_200 = "n-gram [key, count] must have a key of 2 token ids in [0, 200), got "
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[3, True], 1], KEY_200 + "[[3, True], 1]"),
+        ([[False, 3], 1], KEY_200 + "[[False, 3], 1]"),
+        ([[3, 4], True], COUNT + "True"),
+        ([[3, 4], False], COUNT + "False"),
+        ([[3, 200], 1], KEY_200 + "[[3, 200], 1]"),
+        ([[-1, 3], 1], KEY_200 + "[[-1, 3], 1]"),
+        ([[3, 4.0], 1], KEY_200 + "[[3, 4.0], 1]"),
+        ([[3], 1], KEY_200 + "[[3], 1]"),
+        ([[3, 4, 5], 1], KEY_200 + "[[3, 4, 5], 1]"),
+        ([[3, 4], 0], COUNT + "0"),
+        ([[3, 4], 2 ** 53 + 1], COUNT + str(2 ** 53 + 1)),
+        ([[3, 4], 1.0], COUNT + "1.0"),
+        ([[3, 4]], KEY_200 + "[[3, 4]]"),
+        ("ab", KEY_200 + "'ab'"),
+        ([[60, 3], 1], "n-gram key [60, 3] is listed twice"),
+        ([[3, 3], 2], "n-gram key [3, 3] is listed twice"),
+    ])
+    def test_bad_ngram_after_a_thousand_good_ones(self, bad, message):
+        """The one-pass check finds the entry; the per-entry checks name it
+        as they name it first in the list."""
+        vocab = Vocabulary.from_words(f"w{i}" for i in range(197))
+        good = self.GOOD + [[[60, 3], 5]]
+        for ngrams in (good + [bad], good + [bad] + good[:3] + [[[3, 4], 0]]):
+            data = {"order": 2, "smoothing": 0.5, "ngrams": ngrams}
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+                NgramModel.from_dict(data, vocab)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_one_pass_counts_equal_the_per_entry_counts(self, word_vocab, order):
+        from latefuse.providers import _checked_counts, _plain_counts
+
+        model = NgramModel(word_vocab, order=order, smoothing=0.1)
+        model.train(random_sequences(word_vocab, seed=9, n=200))
+        ngrams = model.to_dict()["ngrams"]
+        plain = _plain_counts(ngrams, order, word_vocab.size)
+        assert plain == _checked_counts(ngrams, order, word_vocab.size) == model.counts
+        assert [list(seen.items()) for seen in plain.values()] == \
+            [list(seen.items()) for seen in _checked_counts(ngrams, order,
+                                                            word_vocab.size).values()]
+        loaded = NgramModel.from_dict(model.to_dict(), word_vocab)
+        assert loaded.to_dict() == model.to_dict()
+
+    def test_empty_ngrams_are_a_model_of_its_smoothing_alone(self, abc_vocab):
+        model = NgramModel.from_dict({"order": 2, "smoothing": 0.5, "ngrams": []}, abc_vocab)
+        assert model.counts == {}
+        np.testing.assert_array_equal(model.cond_dist((3,)), np.full(6, 1 / 6))
+
     def test_ngrams_in_any_order_give_the_same_counts(self, word_vocab):
         model = NgramModel(word_vocab, order=3, smoothing=0.1)
         model.train(random_sequences(word_vocab, seed=5))

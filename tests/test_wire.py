@@ -1493,8 +1493,8 @@ class TestRoundTrips:
         with ProviderServer(local, MANY_CONTEXTS) as server:
             remote, transport = counted_connection(server.address, abc_vocab)
             with remote:
-                traces, targets = collect_traces(remote, dataset)
-        here, _ = collect_traces(local, dataset)
+                traces, targets, _ = collect_traces(remote, dataset)
+        here, _, _ = collect_traces(local, dataset)
         assert traces.tobytes() == here.tobytes()
         assert transport.steps == remote.round_trips == math.ceil(n / wire.MAX_ENTRIES)
         assert remote.rows_used == remote.rows_received == len(targets)
@@ -1591,7 +1591,7 @@ class TestRoundTrips:
         with ProviderServer(local, HASH_CONTEXTS) as server:
             remote, transport = counted_connection(server.address, abc_vocab)
             with remote:
-                traces, _ = collect_traces(remote, dataset)
+                traces, _, _ = collect_traces(remote, dataset)
         assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
         assert transport.steps == 3
 
