@@ -10,8 +10,9 @@ the fit independent of any fused decoding.
 
 A provider with a `row_key` (the acoustic channel) gives equal rows for
 equal keys, so `collect_traces` reads its row once per distinct key and
-records which row each step reads; any other provider is read once per
-step. A fit shifts those rows by their maxima once (`ShiftedTrace`), so
+records which row each step reads. The same loop reads any other
+provider: its steps are keyed apart, one key per step, so each is read.
+A fit shifts those rows by their maxima once (`ShiftedTrace`), so
 each bisection evaluation only divides, exponentiates and sums the
 distinct rows into one reused buffer, then gathers the result per step:
 the mean sums the same per-step values in the same order, so the
@@ -91,11 +92,14 @@ def collect_traces(provider, dataset):
 
     Returns `(rows, targets, steps)`: `targets` holds every reference id
     in order, one per step, and step i's raw logits are `rows[steps[i]]`,
-    so `rows[steps]` is the full teacher-forced trace. A provider with a
-    `row_key` is read once per distinct key, the first step that reaches
-    it, and `rows` holds those rows in that order; any other provider is
-    read at every step (`teacher_forced_trace`), `rows` is the full trace
-    and `steps` counts 0, 1, 2, ...
+    so `rows[steps]` is the full teacher-forced trace. The provider is read
+    once per distinct key, at the first step that reaches it, and `rows`
+    holds those rows in that order. A step's key is the provider's
+    `row_key` of its history; without a `row_key`, it is (utterance index,
+    t), which no other step has, so every step is read, `rows` is the full
+    trace and `steps` counts 0, 1, 2, ... Each utterance's new rows are
+    copied into one block before the next utterance is read, so a row that
+    views a bigger buffer (a wire reply) does not keep it alive.
 
     A provider with a `prefetch` method (one served over the wire) is told
     the whole set first, each reference but its EOS as the follow of its
@@ -107,23 +111,21 @@ def collect_traces(provider, dataset):
     if not dataset:
         raise InvalidInputError("dataset is empty")
     row_key = getattr(provider, "row_key", None)
-    if row_key is None:
-        rows = np.concatenate([teacher_forced_trace(provider, reference, ctx)
-                               for ctx, reference in dataset])
-        steps = np.arange(len(rows))
-    else:
-        first_read, keyed_rows, steps = {}, [], []  # first_read: key -> index of its row
-        for ctx, reference in dataset:
-            reference = _checked_reference(reference)
-            for t in range(len(reference)):
-                key = row_key(t + 1, ctx)  # that of the history BOS + reference[:t]
-                i = first_read.get(key)
-                if i is None:
-                    i = first_read[key] = len(keyed_rows)
-                    keyed_rows.append(
-                        provider.next_logits((Vocabulary.BOS,) + reference[:t], ctx))
-                steps.append(i)
-        rows, steps = np.stack(keyed_rows), np.asarray(steps, dtype=np.intp)
+    first_read, blocks, steps = {}, [], []  # first_read: key -> index of its row
+    for u, (ctx, reference) in enumerate(dataset):
+        reference = _checked_reference(reference)
+        new_rows = []
+        for t in range(len(reference)):
+            # that of the history BOS + reference[:t], or the step's own
+            key = (u, t) if row_key is None else row_key(t + 1, ctx)
+            i = first_read.get(key)
+            if i is None:
+                i = first_read[key] = len(first_read)
+                new_rows.append(provider.next_logits((Vocabulary.BOS,) + reference[:t], ctx))
+            steps.append(i)
+        if new_rows:
+            blocks.append(np.stack(new_rows))
+    rows, steps = np.concatenate(blocks), np.asarray(steps, dtype=np.intp)
     targets = np.asarray([tok for _ctx, reference in dataset for tok in reference],
                          dtype=np.int64)
     return rows, targets, steps

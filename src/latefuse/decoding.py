@@ -19,7 +19,9 @@ every key of a chunk of `CHUNK_UTTERANCES` utterances in one array op
 (`choice_tables`), and each decode walks its utterance's table: a step
 whose (t, context) it holds reads its choice there, and any other step
 reads the providers. A step read off the table is built only when the
-result's `steps` is first read.
+result's `steps` is first read. That walk is the one greedy loop: a
+decode without a table walks an empty one, so every step reads the
+providers.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ class DecodeResult:
     steps: each step's distribution in mode llm or asr, its `FusionStep`
     in static or uadf.
 
-    A step that a decode read off its choice table is recorded as the
-    table's row index, and `steps` builds it there (`ChoiceTable.step`)
-    the first time it is read, then keeps the tuple; a sweep never reads
-    it, nor does a plain `decode`.
+    A decode records its steps in a list, and `steps` makes it a tuple
+    the first time it is read, then keeps the tuple. A step that a decode
+    read off its choice table is recorded as the table's row index, and
+    `steps` builds it there (`ChoiceTable.step`); a sweep never reads it,
+    nor does a plain `decode`.
     """
 
     __slots__ = ("tokens", "terminated", "_steps", "_table")
@@ -76,11 +79,12 @@ class DecodeResult:
 
     @property
     def steps(self) -> tuple:
-        table = self._table
-        if table is not None:
-            self._steps = tuple(table.step(s) if type(s) is int else s for s in self._steps)
+        steps = self._steps
+        if type(steps) is list:
+            table = self._table
+            self._steps = steps = tuple(table.step(s) if type(s) is int else s for s in steps)
             self._table = None
-        return self._steps
+        return steps
 
 
 def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: float,
@@ -258,12 +262,17 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     secondary's distribution comes from `calibrated_row` with `rows`,
     which can span utterances.
 
-    `table`, given in modes llm, static and uadf only, is cfg's
-    `ChoiceTable` for `ctx` (see `choice_tables`). The decode then walks
-    it: a step whose (t, context) it holds takes the table's choice, and
-    its recorded step, built from the table's rows when `steps` is first
-    read, equals the step the providers would give; any other step reads
-    them as above.
+    `table` is cfg's `ChoiceTable` for `ctx` (see `choice_tables`): one
+    without weights in mode llm, one with weights in static or uadf, none
+    in asr; any other raises InvalidParameterError. The decode walks it
+    along the step count t and the last order - 1 ids, never the
+    corrector's `history_key`: past the longest hypothesis, or with no
+    N-best list, one key spans several lengths, and so several acoustic
+    rows. A step whose (t, context) the table holds takes the table's
+    choice, and its recorded step, built from the table's rows when
+    `steps` is first read, equals the step the providers would give; any
+    other step reads them as above. A decode without a table walks an
+    empty index, so every step reads the providers.
     """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
@@ -274,43 +283,13 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
             llm_provider.vocab != asr_provider.vocab:
         raise ConfigurationError("providers must share one vocabulary")
 
+    if table is not None and (cfg.mode == "asr" or fused == (table.w is None)):
+        raise InvalidParameterError(
+            f"a choice table {'without' if table.w is None else 'with'} weights does not fit "
+            f"mode {cfg.mode}")
     memo = {} if memo is None else memo
-    if table is not None:
-        return _walk(llm_provider, asr_provider, cfg, ctx, max_len, memo, rows, table)
-    history: TokenSeq = (Vocabulary.BOS,)
-    steps = []
-    for _ in range(max_len):
-        if not fused:
-            step = calibrated_row(provider, history, ctx, tau, rows)
-            token = argmax_token(step)
-        else:
-            inputs = memo.get(history)
-            if inputs is None:
-                step = fuse_step(
-                    llm_provider.next_logits(history, ctx),
-                    calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
-                    cfg,
-                )
-                memo[history] = (step.p_llm, step.p_asr, step.measured_u)
-            else:
-                step = decide(*inputs, cfg)
-            token = step.chosen
-        steps.append(step)
-        history += (token,)
-        if token == Vocabulary.EOS:
-            return DecodeResult(history[1:], tuple(steps), "eos")
-    return DecodeResult(history[1:], tuple(steps), "max-length")
-
-
-def _walk(llm_provider, asr_provider, cfg: FusionConfig, ctx: UtteranceContext,
-          max_len: int, memo: dict, rows: dict | None, table: ChoiceTable) -> DecodeResult:
-    """`fused_greedy_decode` along `table`. The state is the step count t
-    and the last order - 1 ids, never the corrector's `history_key`: past
-    the longest hypothesis, or with no N-best list, one key spans several
-    lengths, and so several acoustic rows. A step on the table is recorded
-    as its row index (see `DecodeResult`)."""
-    fused = cfg.mode != "llm"
-    index, context, chosen = table.index, table.start, table.chosen
+    index, context, chosen = (table.index, table.start, table.chosen) if table is not None \
+        else ({}, (), None)
     tokens, steps = [], []
     for t in range(max_len):
         i = index.get((t, context))
@@ -320,7 +299,7 @@ def _walk(llm_provider, asr_provider, cfg: FusionConfig, ctx: UtteranceContext,
         else:
             history = (Vocabulary.BOS, *tokens)
             if not fused:
-                step = calibrated_row(llm_provider, history, ctx, cfg.tau1, rows)
+                step = calibrated_row(provider, history, ctx, tau, rows)
                 token = argmax_token(step)
             else:
                 inputs = memo.get(history)
@@ -338,7 +317,8 @@ def _walk(llm_provider, asr_provider, cfg: FusionConfig, ctx: UtteranceContext,
         tokens.append(token)
         if token == Vocabulary.EOS:
             return DecodeResult(tuple(tokens), steps, "eos", table)
-        context = (*context, token)[1:]
+        if index:
+            context = (*context, token)[1:]
     return DecodeResult(tuple(tokens), steps, "max-length", table)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -384,6 +385,24 @@ class _Unkeyed:
         return self._provider.next_logits(history, ctx)
 
 
+class _ReplyViews:
+    """An unkeyed provider whose rows of one utterance are views of one
+    buffer, made at the utterance's first step, as the rows of a wire
+    reply view its frame. `alive` counts, at each first step, the buffers
+    of earlier utterances still alive."""
+
+    def __init__(self, vocab):
+        self.vocab, self.buffers, self.alive = vocab, [], []
+
+    def next_logits(self, history, ctx):
+        if len(history) == 1:
+            self.alive.append(sum(ref() is not None for ref in self.buffers))
+            buffer = np.arange(16.0 * self.vocab.size).reshape(16, -1) % 7 + len(self.buffers)
+            self.buffers.append(weakref.ref(buffer))
+            return buffer[0]
+        return self.buffers[-1]()[len(history) - 1]
+
+
 def channel_case(v, seed, n_utts=60):
     """An acoustic channel over V tokens and a teacher-forcing set whose
     references mostly follow the observation; about a third run one step
@@ -462,6 +481,19 @@ class TestKeyedRows:
         assert reads == dict.fromkeys(keys, 1)
         assert len(keys) < sum(len(ref) for _ctx, ref in cal_set)
         assert json.loads(out.read_text()) == json.loads(json.dumps(want))
+
+    def test_unkeyed_rows_free_each_utterance_before_the_next(self, abc_vocab):
+        """An unkeyed provider goes through the keyed loop, each step keyed
+        apart; each utterance's rows are copied out before the next is read,
+        so no earlier reply buffer is alive at a first step."""
+        dataset = dataset_from_texts(abc_vocab, ["a b", "c", "b a c", "a", "c c"])
+        provider = _ReplyViews(abc_vocab)
+        rows, targets, steps = collect_traces(provider, dataset)
+        assert provider.alive == [0, 0, 0, 0, 0]
+        reference = _ReplyViews(abc_vocab)
+        full = np.concatenate([teacher_forced_trace(reference, ref, ctx) for ctx, ref in dataset])
+        assert rows.tobytes() == full.tobytes()
+        assert steps.tolist() == list(range(len(full))) == list(range(len(targets)))
 
     def test_keyed_errors_are_the_full_trace_errors(self, abc_vocab, identity_channel):
         good = (UtteranceContext(utt_id="u0", observation=(0, 3, 1)), (3, 1))

@@ -1230,6 +1230,29 @@ class TestChoiceTable:
             with pytest.raises(InvalidInputError, match="finite"):
                 list(decode_eval_set(corrector, asr, cfgs, [(c_then_a, ["c", "a"])]))
 
+    def test_a_table_must_fit_the_mode(self, abc_vocab, identity_channel):
+        """Mode llm walks only a table without weights, static and uadf
+        only one with weights, and asr none: a table of another mode would
+        decode the corrector's or the fused choices under asr's name."""
+        llm = train_ngram_corrector([(4, 1), (5, 3, 1)], abc_vocab, order=2)
+        ctx = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 5, 1))
+        tables = {mode: decoding.choice_tables(llm, identity_channel, [FusionConfig(mode=mode)],
+                                               [ctx], {})[1][0][0]
+                  for mode in ("llm", "static", "uadf")}
+        for mode in ("llm", "asr", "static", "uadf"):
+            cfg = FusionConfig(mode=mode)
+            plain = fused_greedy_decode(llm, identity_channel, cfg, ctx, 5)
+            for kind, table in tables.items():
+                if mode != "asr" and (mode == "llm") == (kind == "llm"):
+                    walked = fused_greedy_decode(llm, identity_channel, cfg, ctx, 5, table=table)
+                    assert walked.tokens == plain.tokens
+                    continue
+                weights = "without" if kind == "llm" else "with"
+                with pytest.raises(InvalidParameterError,
+                                   match=f"^a choice table {weights} weights does not fit "
+                                         f"mode {mode}$"):
+                    fused_greedy_decode(llm, identity_channel, cfg, ctx, 5, table=table)
+
 
 C = CHUNK_UTTERANCES
 
@@ -1341,6 +1364,18 @@ class TestLazySteps:
                                  want.w_asr_effective, want.chosen)
                             hits[cfg.mode] += 1
         assert hits["static"] > 0 and hits["uadf"] > 0
+
+    @pytest.mark.parametrize("mode", ["llm", "asr", "static", "uadf"])
+    def test_steps_without_a_table_are_one_tuple(self, small_walkthrough, mode):
+        """A decode without a table walks an empty one: its steps, one per
+        token, are made a tuple once, on the first read."""
+        llm, asr, test, _sets = self.sets(small_walkthrough)
+        cfg = FusionConfig(mode=mode, tau1=0.8, tau2=1.2)
+        for ctx, ref in test:
+            result = fused_greedy_decode(llm, asr, cfg, ctx, evaluation_max_len(ref))
+            first = result.steps
+            assert type(first) is tuple and len(first) == len(result.tokens)
+            assert result.steps is first
 
     def test_decode_eval_set_takes_no_steps_switch(self):
         assert list(inspect.signature(decode_eval_set).parameters) == \
