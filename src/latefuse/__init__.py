@@ -7,11 +7,7 @@ secondary's calibrated distribution to the primary's with a fixed weight
 or with the weight sigmoid(entropy of the primary) - beta.
 """
 
-from .calibration import (
-    CalibrationReport,
-    fit_temperature,
-    teacher_forced_trace,
-)
+from .calibration import CalibrationReport, fit_temperature
 from .core import (
     TokenSeq,
     Vocabulary,

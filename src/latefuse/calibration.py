@@ -33,7 +33,6 @@ import numpy as np
 
 from .core import TokenSeq, Vocabulary
 from .errors import InvalidInputError, InvalidParameterError
-from .providers import UtteranceContext
 
 DEFAULT_BOUNDS = (1e-2, 1e2)
 DEFAULT_TOL = 1e-3
@@ -67,23 +66,6 @@ def _checked_reference(reference) -> TokenSeq:
     if not reference or reference[-1] != Vocabulary.EOS:
         raise InvalidInputError("reference must be non-empty and EOS-terminated")
     return reference
-
-
-def teacher_forced_trace(provider, reference: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
-    """Raw logits per reference step, conditioned on the reference prefix.
-
-    Row t is the provider's output given history BOS + reference[:t]; the
-    trace has exactly one row per reference token (EOS included). It
-    announces nothing to the provider: `collect_traces` announces a whole
-    set.
-    """
-    reference = _checked_reference(reference)
-    history: TokenSeq = (Vocabulary.BOS,)
-    rows = []
-    for tok in reference:
-        rows.append(provider.next_logits(history, ctx))
-        history += (tok,)
-    return np.stack(rows)
 
 
 def collect_traces(provider, dataset):

@@ -5,10 +5,12 @@ step decides a token from the calibrated rows, and the mode only changes
 how (one provider's argmax in mode llm or asr, a fused step in static or
 uadf). `greedy_decode` is that loop in mode llm. Beam search generates
 N-best lists. All decoders start the history at BOS, are deterministic,
-and stop at EOS or a length cap. A provider with a `row_key` is read once
-per key in a corpus's beam searches (`beam_search` with `rows`), where a
-step scores the live beams x the top-ranked ids of that row, and once
-per (key, temperature) in a decode set (`calibrated_row`).
+and stop at EOS or a length cap. A keyed provider (a block of rows
+`log_rows` indexed by `row_key`; see `providers`) is read once per key
+in a corpus's beam searches (`beam_search` with `rows`), where a step
+scores the live beams x the top-ranked ids of that row. A decode set
+calibrates its block once (`softmax_rows`), and each step reads its row
+there (`calibrated_row`).
 
 A corrector with `lattices` (`providers.NgramCorrector`) gives the rows
 of the N-best prefixes of a chunk of utterances as one block, each row
@@ -88,25 +90,19 @@ class DecodeResult:
 
 
 def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: float,
-                   rows: dict | None = None) -> np.ndarray:
+                   block: np.ndarray | None = None) -> np.ndarray:
     """softmax_with_temperature(provider.next_logits(history, ctx), tau).
 
-    A provider with a `row_key` (see `providers`) gives one row per key, so
-    with a `rows` dict its row is read and normalised once per (provider,
-    key, tau): the dict keeps the distribution, made read-only, and hands
-    the same array out again. A provider without `row_key`, or a call
-    without `rows`, is read and normalised on every call.
+    `block` is None, or `softmax_rows(provider.log_rows, tau)` of a keyed
+    provider made read-only: the row is then `block[row_key(...)]`. A row
+    that `softmax_rows` flagged (all NaN) is read and normalised here, so
+    its check raises its own error.
     """
-    row_key = getattr(provider, "row_key", None)
-    if row_key is None or rows is None:
-        return softmax_with_temperature(provider.next_logits(history, ctx), tau)
-    key = (id(provider), row_key(len(history), ctx), tau)
-    dist = rows.get(key)
-    if dist is None:
-        dist = softmax_with_temperature(provider.next_logits(history, ctx), tau)
-        dist.flags.writeable = False
-        rows[key] = dist
-    return dist
+    if block is not None:
+        dist = block[provider.row_key(len(history), ctx)]
+        if not math.isnan(dist[0]):
+            return dist
+    return softmax_with_temperature(provider.next_logits(history, ctx), tau)
 
 
 class ChoiceTable(NamedTuple):
@@ -131,44 +127,29 @@ class ChoiceTable(NamedTuple):
         return FusionStep(self.p_llm[i], self.p_asr[i], self.u[i], self.w[i], self.chosen[i])
 
 
-def _acoustic_rows(provider, ctxs, lattices, tau: float, rows: dict):
-    """A, the read-only `(B, V)` block of the `calibrated_row`s that a keyed
-    provider gives the length t + 1 of each key (t, context) of `lattices`,
-    and a mask of the keys it gave one: a key whose row raises a check, or
-    has another length than V, gets a row of zeros and False. The rows are
-    gathered by `row_key` from `rows`, where each is read once per decode
-    set; a key whose row raised is held there as None, which
-    `calibrated_row` reads as a row not yet read. A keyed row depends on
-    the history only through its length, so BOS ids stand for any
-    history."""
-    row_key, v, pid = provider.row_key, provider.vocab.size, id(provider)
-
-    def row_of(length, ctx):
-        try:
-            key = (pid, row_key(length, ctx), tau)  # `calibrated_row`'s key
-            if key not in rows:
-                rows[key] = None
-                calibrated_row(provider, (Vocabulary.BOS,) * length, ctx, tau, rows)
-        except (InvalidInputError, InvalidParameterError):
-            return None
-        dist = rows[key]
-        return dist if dist is not None and dist.shape == (v,) else None
-
-    gathered = []
+def _acoustic_rows(provider, ctxs, lattices, block: np.ndarray):
+    """A, the read-only `(B, V)` rows of a keyed provider's calibrated
+    `block` at the length t + 1 of each key (t, context) of `lattices`,
+    gathered by `row_key` with one index (a keyed row depends on the
+    history only through its length), and a mask of the keys whose row
+    `calibrated_row` would take there: a row that `softmax_rows` flagged is
+    masked, and so is every row of an utterance whose `row_key` raises."""
+    keys, given = [], []
     for ctx, lattice in zip(ctxs, lattices):
         if lattice is not None:
-            dists = [row_of(length, ctx)
-                     for length in range(1, 2 + max(t for t, _ in lattice.keys))]
-            gathered += [dists[t] for t, _ in lattice.keys]
-    given = [dist is not None for dist in gathered]
-    if not all(given):
-        gathered = [np.zeros(v) if dist is None else dist for dist in gathered]
-    a = np.array(gathered)
+            try:
+                utt_keys = [provider.row_key(t + 1, ctx) for t, _ in lattice.keys]
+            except InvalidInputError:
+                utt_keys = None
+            keys += [0] * len(lattice.keys) if utt_keys is None else utt_keys
+            given += [utt_keys is not None] * len(lattice.keys)
+    a = block[keys]
     a.flags.writeable = False
-    return a, np.array(given)
+    return a, np.array(given) & ~np.isnan(a[:, 0])
 
 
-def choice_tables(llm_provider, asr_provider, cfgs, ctxs, rows: dict) -> tuple[list, list]:
+def choice_tables(llm_provider, asr_provider, cfgs, ctxs,
+                  block: np.ndarray | None) -> tuple[list, list]:
     """The lattices of `ctxs`, a chunk of a decode set, from the corrector's
     `lattices(ctxs)`, and for each utterance one `ChoiceTable` per config
     of `cfgs` (which share mode, tau1 and tau2; mode llm, static or uadf),
@@ -178,7 +159,8 @@ def choice_tables(llm_provider, asr_provider, cfgs, ctxs, rows: dict) -> tuple[l
     The chunk's corrector rows are calibrated as one block (`softmax_rows`
     at tau1, P) and, in uadf, take their entropies u as one block. In the
     fused modes, A holds the secondary's `calibrated_row` for each key's
-    length t + 1 (`_acoustic_rows`; it must have a `row_key`), and W,
+    length t + 1, from `block`, its calibrated rows at tau2
+    (`_acoustic_rows`; in mode llm `block` is not read), and W,
     `(K, B)`, each config's weight per row: w_asr, or sigmoid(u) - beta
     (`uadf_weight`), with `math`'s sigmoid and a float64 subtraction. The
     choices are then `argmax(P + W * A)` over the vocabulary, one multiply,
@@ -203,7 +185,7 @@ def choice_tables(llm_provider, asr_provider, cfgs, ctxs, rows: dict) -> tuple[l
         a = u = ws = None
         chosen = [p.argmax(axis=1).tolist()] * len(cfgs)
     else:
-        a, given = _acoustic_rows(asr_provider, ctxs, lattices, cfg.tau2, rows)
+        a, given = _acoustic_rows(asr_provider, ctxs, lattices, block)
         kept &= given
         if cfg.mode == "uadf":
             u = entropy(p)
@@ -238,15 +220,15 @@ def choice_tables(llm_provider, asr_provider, cfgs, ctxs, rows: dict) -> tuple[l
 
 
 def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
-                  tau: float = 1.0, rows: dict | None = None) -> DecodeResult:
+                  tau: float = 1.0) -> DecodeResult:
     """`fused_greedy_decode` in mode llm at `tau`, with no secondary."""
     return fused_greedy_decode(provider, None, FusionConfig(mode="llm", tau1=tau), ctx,
-                               max_len, rows=rows)
+                               max_len)
 
 
 def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
                         ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
-                        memo: dict | None = None, rows: dict | None = None,
+                        memo: dict | None = None, block: np.ndarray | None = None,
                         table: ChoiceTable | None = None) -> DecodeResult:
     """Greedy decoding in any of cfg's modes, with one shared history
     driving the providers.
@@ -258,9 +240,10 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     entropy of p_llm or None where no uadf step measured it); it is read
     and filled, so fused decodes of one utterance whose configs share tau1
     and tau2 (see `decode_eval_set`) run the providers and the softmaxes
-    once per distinct history, and uadf ones the entropy too. The
-    secondary's distribution comes from `calibrated_row` with `rows`,
-    which can span utterances.
+    once per distinct history, and uadf ones the entropy too. `block` is
+    None, or the calibrated rows of the keyed provider whose
+    `calibrated_row` the steps read (see `decode_eval_set`): the primary
+    in mode llm, the acoustic model in the others.
 
     `table` is cfg's `ChoiceTable` for `ctx` (see `choice_tables`): one
     without weights in mode llm, one with weights in static or uadf, none
@@ -277,11 +260,11 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
     fused = cfg.mode in ("static", "uadf")
-    if not fused:
-        provider, tau = (llm_provider, cfg.tau1) if cfg.mode == "llm" else (asr_provider, cfg.tau2)
-    elif llm_provider.vocab is not asr_provider.vocab and \
+    if fused and llm_provider.vocab is not asr_provider.vocab and \
             llm_provider.vocab != asr_provider.vocab:
         raise ConfigurationError("providers must share one vocabulary")
+    # the provider whose `calibrated_row` the steps read, and its tau
+    provider, tau = (llm_provider, cfg.tau1) if cfg.mode == "llm" else (asr_provider, cfg.tau2)
 
     if table is not None and (cfg.mode == "asr" or fused == (table.w is None)):
         raise InvalidParameterError(
@@ -299,14 +282,14 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
         else:
             history = (Vocabulary.BOS, *tokens)
             if not fused:
-                step = calibrated_row(provider, history, ctx, tau, rows)
+                step = calibrated_row(provider, history, ctx, tau, block)
                 token = argmax_token(step)
             else:
                 inputs = memo.get(history)
                 if inputs is None:
                     step = fuse_step(
                         llm_provider.next_logits(history, ctx),
-                        calibrated_row(asr_provider, history, ctx, cfg.tau2, rows),
+                        calibrated_row(provider, history, ctx, tau, block),
                         cfg,
                     )
                     memo[history] = (step.p_llm, step.p_asr, step.measured_u)
@@ -468,18 +451,20 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     For each utterance, in order, yields one DecodeResult per config, in
     config order. An utterance's decodes share one memo of step inputs,
     which is dropped before the next utterance, so the configs must share
-    mode, tau1 and tau2. All decodes share one dict of `calibrated_row`s,
-    so a keyed provider's row is normalised once per call of this
-    function, not once per step. In modes llm, static and uadf, a
-    corrector with `lattices` gets one set of `choice_tables` per chunk of
-    `CHUNK_UTTERANCES` utterances, which their decodes walk, if the mode
-    is llm or the acoustic model has a `row_key` and the corrector's
-    vocabulary; before an utterance's decodes, the corrector holds its
-    vote rows from the chunk (`hold_votes`). The provider whose argmax the
-    mode follows, the acoustic model in mode asr and the corrector in the
-    others, is told the utterances first, in order, if it has a `prefetch`
-    method (one served over the wire), so it can fetch the first rows of
-    many of them per round trip, each with its argmax path.
+    mode, tau1 and tau2. If the provider whose `calibrated_row` the steps
+    read (the primary at tau1 in mode llm, the acoustic model at tau2 in
+    the others) is keyed, its `log_rows` are calibrated once, by
+    `softmax_rows`, into one read-only block that every decode reads. In
+    modes llm, static and uadf, a corrector with `lattices` gets one set
+    of `choice_tables` per chunk of `CHUNK_UTTERANCES` utterances, which
+    their decodes walk, if the mode is llm or the acoustic model is keyed
+    and has the corrector's vocabulary; before an utterance's decodes, the
+    corrector holds its vote rows from the chunk (`hold_votes`). The
+    provider whose argmax the mode follows, the acoustic model in mode asr
+    and the corrector in the others, is told the utterances first, in
+    order, if it has a `prefetch` method (one served over the wire), so it
+    can fetch the first rows of many of them per round trip, each with its
+    argmax path.
     """
     if len({(c.mode, c.tau1, c.tau2) for c in cfgs}) > 1:
         raise InvalidParameterError("configs must share mode, tau1 and tau2")
@@ -488,15 +473,18 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     primary = asr_provider if mode == "asr" else llm_provider
     if hasattr(primary, "prefetch"):
         primary.prefetch([(ctx, None) for ctx, _ in eval_set])
-    rows = {}
+    keyed = llm_provider if mode == "llm" else asr_provider
+    block = None
+    if cfgs and hasattr(keyed, "row_key"):
+        block = softmax_rows(keyed.log_rows, cfgs[0].tau1 if mode == "llm" else cfgs[0].tau2)
+        block.flags.writeable = False
     with_tables = mode in ("llm", "static", "uadf") and hasattr(llm_provider, "lattices") and (
-        mode == "llm" or getattr(asr_provider, "row_key", None) is not None
-        and asr_provider.vocab == llm_provider.vocab)
+        mode == "llm" or block is not None and asr_provider.vocab == llm_provider.vocab)
     for lo in range(0, len(eval_set), CHUNK_UTTERANCES):
         chunk = eval_set[lo:lo + CHUNK_UTTERANCES]
         if with_tables:
             lattices, tables = choice_tables(llm_provider, asr_provider, cfgs,
-                                             [ctx for ctx, _ in chunk], rows)
+                                             [ctx for ctx, _ in chunk], block)
         else:
             lattices = tables = [None] * len(chunk)
         for (ctx, ref_words), lattice, utt_tables in zip(chunk, lattices, tables):
@@ -506,7 +494,7 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
                 llm_provider.hold_votes(ctx, lattice)
             for k, cfg in enumerate(cfgs):
                 yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx, max_len=max_len,
-                                          memo=memo, rows=rows,
+                                          memo=memo, block=block,
                                           table=utt_tables[k] if utt_tables else None)
 
 

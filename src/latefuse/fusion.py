@@ -117,7 +117,8 @@ def fuse_step(logits_llm, p_asr: np.ndarray, cfg: FusionConfig) -> FusionStep:
     """One fused step in cfg's mode (static or uadf), in the paper's two
     stages: calibrate the primary's row (softmax at tau1), then add the
     secondary's distribution, which arrives already calibrated (the
-    softmax of its row at tau2; see `decoding.calibrated_row`). Only uadf's
+    softmax of its row at tau2, in a decode set a row of its calibrated
+    block; see `decoding.calibrated_row`). Only uadf's
     weight reads the primary's entropy, so only a uadf step measures it; a
     static step computes it when its `uncertainty` is read. Only the
     decision depends on cfg beyond tau1 and tau2, so sweep points that

@@ -17,15 +17,15 @@ of hypotheses covering each position turns them into rows; the row past
 the longest hypothesis is uniform. `NgramCorrector.to_dict`/`from_dict`
 write and read the whole of a trained corrector's `lm.json`; `from_dict`
 checks every n-gram in a few passes over the whole list, and checks them
-one by one only to name the first bad one. A provider may
-define `row_key(length, ctx)`, as `AcousticChannel` does, to declare
-that `next_logits(history, ctx)` depends only on
-`row_key(len(history), ctx)`: equal keys mean equal rows, also across
-utterances. Beam search then asks it for one row per step instead of
-one per live beam; with a `rows` dict (one per corpus in
-`corpus.generate_corpus`) it reads, normalises and ranks each key's row
-once, for every search that shares the dict. A decode set normalises
-each of its keyed rows once per temperature (`decoding.calibrated_row`),
+one by one only to name the first bad one. A keyed provider,
+as `AcousticChannel` is, is a block plus an index: `row_key(length, ctx)`
+indexes the rows of a `(R, V)` array `log_rows`, and
+`next_logits(history, ctx)` equals `log_rows[row_key(len(history), ctx)]`,
+so equal keys mean equal rows, also across utterances. Beam search then
+asks it for one row per step instead of one per live beam; with a `rows`
+dict (one per corpus in `corpus.generate_corpus`) it reads, normalises
+and ranks each key's row once, for every search that shares the dict. A
+decode set calibrates the whole block once (`decoding.decode_eval_set`),
 and a calibration reads each key's row once (`calibration.collect_traces`).
 `NgramCorrector` reads a history only through its key (`history_key`):
 its vote row and its n-gram context. Its `lattices(ctxs)` gives the keys
@@ -425,10 +425,11 @@ class AcousticChannel:
     EOS-dominant distribution.
 
     So the row depends on the history only through its length, and on the
-    utterance only through the observed token there: `row_key` names it.
+    utterance only through the observed token there: `row_key` names it,
+    as an index of the read-only `(V + 1, V)` block `log_rows`.
     `beam_search` reads one row per step and gives it to every live beam,
     or, with a corpus's `rows` dict, one row per key for the whole corpus;
-    a decode set normalises each row once per temperature.
+    a decode set calibrates the whole block once.
     """
 
     def __init__(self, vocab: Vocabulary, confusion: np.ndarray):
@@ -443,7 +444,8 @@ class AcousticChannel:
         eos_row = np.zeros(v)
         eos_row[Vocabulary.EOS] = 1.0
         # the EOS row last, so that row_key's -1 indexes it
-        self._log_rows = np.log(np.vstack([confusion, eos_row]) + LOG_EPS)
+        self.log_rows = np.log(np.vstack([confusion, eos_row]) + LOG_EPS)
+        self.log_rows.flags.writeable = False
 
     def row_key(self, length: int, ctx: UtteranceContext) -> int:
         """The observed token a history of `length` ids reads, or -1 past the
@@ -454,7 +456,7 @@ class AcousticChannel:
         return obs[length] if length < len(obs) else -1
 
     def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
-        return self._log_rows[self.row_key(len(history), ctx)].copy()
+        return self.log_rows[self.row_key(len(history), ctx)].copy()
 
 
 @dataclass(frozen=True)

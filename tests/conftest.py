@@ -87,12 +87,18 @@ def _frozen_reliability_bins(traces, targets, tau, n_bins):
     return tuple(bins), float(ece)
 
 
+def teacher_forced_trace(provider, reference, ctx):
+    """Raw logits per reference step, conditioned on the reference prefix:
+    row t is the provider's row after BOS + reference[:t], one row per
+    reference token (EOS included), each read anew."""
+    return np.stack([provider.next_logits((Vocabulary.BOS,) + tuple(reference[:t]), ctx)
+                     for t in range(len(reference))])
+
+
 def _frozen_fit_temperature(provider, dataset, tol=1e-3, bounds=(1e-2, 1e2),
                             max_iter=60, n_bins=10):
     """The report `fit_temperature` gave, as a dict, and its evaluation
     count, from the full teacher-forced trace: one row read per step."""
-    from latefuse.calibration import teacher_forced_trace
-
     tau_min, tau_max = float(bounds[0]), float(bounds[1])
     traces = np.concatenate([teacher_forced_trace(provider, ref, ctx) for ctx, ref in dataset])
     targets = np.asarray([tok for _ctx, ref in dataset for tok in ref], dtype=np.int64)
@@ -149,6 +155,12 @@ def frozen_fit():
     provider's rows were read once per key: (report dict, number of
     mean-confidence evaluations)."""
     return _frozen_fit_temperature
+
+
+@pytest.fixture
+def full_trace():
+    """`teacher_forced_trace`, the reference `collect_traces` must equal."""
+    return teacher_forced_trace
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from latefuse.calibration import (
     collect_traces,
     fit_temperature,
     mean_confidence,
-    teacher_forced_trace,
 )
 from latefuse.core import Vocabulary
 from latefuse.errors import InvalidInputError, InvalidParameterError
@@ -40,24 +39,28 @@ def dataset_from_texts(vocab, texts):
 
 
 class TestTeacherForcedTrace:
+    """`collect_traces` gives the teacher-forced trace as `rows[steps]`."""
+
     def test_identity_channel_is_dirac_on_reference(self, abc_vocab, identity_channel):
         (ctx, ref), = dataset_from_texts(abc_vocab, ["a b c"])
-        trace = teacher_forced_trace(identity_channel, ref, ctx)
+        rows, targets, steps = collect_traces(identity_channel, [(ctx, ref)])
+        trace = rows[steps]
         assert trace.shape == (len(ref), abc_vocab.size)
         np.testing.assert_array_equal(trace.argmax(axis=1), ref)
+        assert targets.tolist() == list(ref)
 
     def test_trace_length_equals_reference_length(self, abc_vocab, identity_channel):
         rng = np.random.default_rng(3)
         for _ in range(20):
             words = " ".join(rng.choice(["a", "b", "c"], size=int(rng.integers(1, 7))))
             (ctx, ref), = dataset_from_texts(abc_vocab, [words])
-            trace = teacher_forced_trace(identity_channel, ref, ctx)
-            assert len(trace) == len(ref)
+            _rows, targets, steps = collect_traces(identity_channel, [(ctx, ref)])
+            assert len(steps) == len(targets) == len(ref)
 
     def test_reference_must_end_with_eos(self, abc_vocab, identity_channel):
         ctx = UtteranceContext(utt_id="u0", observation=(0, 3, 1))
-        with pytest.raises(InvalidInputError):
-            teacher_forced_trace(identity_channel, (3, 4), ctx)
+        with pytest.raises(InvalidInputError, match="EOS-terminated"):
+            collect_traces(identity_channel, [(ctx, (3, 4))])
 
 
 class TestMeanConfidence:
@@ -482,7 +485,7 @@ class TestKeyedRows:
         assert len(keys) < sum(len(ref) for _ctx, ref in cal_set)
         assert json.loads(out.read_text()) == json.loads(json.dumps(want))
 
-    def test_unkeyed_rows_free_each_utterance_before_the_next(self, abc_vocab):
+    def test_unkeyed_rows_free_each_utterance_before_the_next(self, abc_vocab, full_trace):
         """An unkeyed provider goes through the keyed loop, each step keyed
         apart; each utterance's rows are copied out before the next is read,
         so no earlier reply buffer is alive at a first step."""
@@ -491,7 +494,7 @@ class TestKeyedRows:
         rows, targets, steps = collect_traces(provider, dataset)
         assert provider.alive == [0, 0, 0, 0, 0]
         reference = _ReplyViews(abc_vocab)
-        full = np.concatenate([teacher_forced_trace(reference, ref, ctx) for ctx, ref in dataset])
+        full = np.concatenate([full_trace(reference, ref, ctx) for ctx, ref in dataset])
         assert rows.tobytes() == full.tobytes()
         assert steps.tolist() == list(range(len(full))) == list(range(len(targets)))
 

@@ -9,7 +9,8 @@ import pytest
 
 from latefuse import decoding, fusion
 from latefuse.calibration import fit_temperature
-from latefuse.core import Vocabulary, argmax_token, entropy, sigmoid, softmax_with_temperature
+from latefuse.core import (Vocabulary, argmax_token, entropy, sigmoid, softmax_rows,
+                           softmax_with_temperature)
 from latefuse.decoding import (
     CHUNK_UTTERANCES,
     MAX_BEAM_WIDTH,
@@ -601,8 +602,10 @@ class TestOneRowPerStep:
                 return cache[min(len(history), len(cache)) - 1]
 
         class KeyedCachedRows(CachedRows):
+            log_rows = np.array(cache, dtype=np.float64)
+
             def row_key(self, length, ctx):
-                return min(length, len(cache))
+                return min(length, len(cache)) - 1
 
         class Copies(CachedRows):
             def next_logits(self, history, ctx):
@@ -636,8 +639,14 @@ class ByLength:
 
 
 class KeyedByLength(ByLength):
+    """`ByLength` as a keyed provider: the row is `log_rows[row_key(...)]`."""
+
+    def __init__(self, vocab, table):
+        super().__init__(vocab, table)
+        self.log_rows = np.array(self.table)
+
     def row_key(self, length, ctx):
-        return min(length, len(self.table))
+        return min(length, len(self.table)) - 1
 
 
 class TestRankedRows:
@@ -777,18 +786,6 @@ def assert_same_decode(result, want):
     assert [step_bytes(step) for step in result.steps] == [step_bytes(step) for step in steps]
 
 
-class CountingChannel(AcousticChannel):
-    """An acoustic channel that counts its reads per row key."""
-
-    def __init__(self, vocab, confusion):
-        super().__init__(vocab, confusion)
-        self.calls = Counter()
-
-    def next_logits(self, history, ctx):
-        self.calls[self.row_key(len(history), ctx)] += 1
-        return super().next_logits(history, ctx)
-
-
 def channel_case(seed, v=7, utts=6):
     """A tied-confusion channel over a V-word vocabulary, an n-gram-free
     seeded primary, and utterances whose observations share row keys."""
@@ -814,37 +811,92 @@ CONFIG_SETS = {
 }
 
 
+def calibrated_block(provider, tau):
+    """The read-only block a decode set reads a keyed provider's rows from."""
+    block = softmax_rows(provider.log_rows, tau)
+    block.flags.writeable = False
+    return block
+
+
+def with_logits(channel, cells):
+    """`channel` with its block's cells ((row, id) -> logit) edited before
+    the block is made read-only."""
+    log_rows = channel.log_rows.copy()
+    for cell, logit in cells.items():
+        log_rows[cell] = logit
+    log_rows.flags.writeable = False
+    channel.log_rows = log_rows
+    return channel
+
+
+def all_rows_ctx(v):
+    """An utterance whose histories of 1 .. V + 1 ids read every row of a
+    V-word channel's block in order, the EOS row (key -1) last."""
+    return UtteranceContext("all-rows", observation=(0,) + tuple(range(v)))
+
+
+def dirichlet_confusion(v, seed):
+    rng = np.random.default_rng(seed)
+    return 0.6 * np.eye(v) + 0.4 * rng.dirichlet(np.full(v, 0.3), size=v)
+
+
 class TestCalibratedRows:
-    """A keyed provider's row is read and normalised once per (key, tau) in a
-    decode set, and every decode equals the loop that softmaxes every row."""
+    """A decode set calibrates a keyed provider's block once, reads every
+    step's row there and not through `next_logits`, and every decode
+    equals the loop that softmaxes every row."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("configs", CONFIG_SETS.values(), ids=CONFIG_SETS.keys())
-    def test_one_read_per_key_and_tau(self, configs, seed):
+    def test_steps_read_one_calibrated_block(self, configs, seed, monkeypatch):
         """The channel is the secondary, or the primary in mode llm."""
         vocab, confusion, seeded, eval_set = channel_case(seed)
-        channel = CountingChannel(vocab, confusion)
+        channel = AcousticChannel(vocab, confusion)
+        reads = count_calls(monkeypatch, channel, "next_logits")
         plain = AcousticChannel(vocab, confusion)
-        reached, steps = Counter(), 0
         for tau in (1.0, 0.6):
             cfgs = configs(tau)
             in_llm_role = cfgs[0].mode == "llm"
             roles = (channel, seeded) if in_llm_role else (seeded, channel)
             plain_roles = (plain, seeded) if in_llm_role else (seeded, plain)
             results = iter(list(decode_eval_set(*roles, cfgs, eval_set)))
-            keys = set()
+            dists = []
             for ctx, ref in eval_set:
                 for cfg in cfgs:
                     result = next(results)
                     assert_same_decode(result, reference_decode(
                         *plain_roles, cfg, ctx, evaluation_max_len(ref)))
-                    keys.update(channel.row_key(1 + i, ctx) for i in range(len(result.tokens)))
-                    steps += len(result.tokens)
-            reached.update(keys)
-        # each key a decode reached was read once per tau; keys repeat across
-        # steps and utterances, so that is fewer reads than steps
-        assert channel.calls == reached
-        assert sum(reached.values()) < steps
+                    dists += [step if cfg.mode in ("llm", "asr") else step.p_asr
+                              for step in result.steps]
+            # every row a step read is a view of the one block of this set
+            (block,) = {id(dist.base): dist.base for dist in dists}.values()
+            assert block.tobytes() == softmax_rows(channel.log_rows, tau).tobytes()
+        assert reads[0] == 0
+
+    @pytest.mark.parametrize("confusion", ["decoder", "dirichlet"])
+    def test_block_rows_equal_the_per_row_softmax(self, confusion):
+        """Every row of the calibrated block equals the 1-D softmax of the
+        row `next_logits` gives, bit for bit, on a V = 200 channel; a row
+        with a NaN logit, or one that a tau < 1 overflows, comes out NaN,
+        and its 1-D softmax raises."""
+        v = 200
+        vocab = sized_vocab(v)
+        matrix = (decoder_confusion(vocab, ChannelSpec()) if confusion == "decoder"
+                  else dirichlet_confusion(v, 7))
+        channel = with_logits(AcousticChannel(vocab, matrix), {(5, 9): math.nan, (17, 3): -1e308})
+        ctx, flagged = all_rows_ctx(v), Counter()
+        for tau in (0.3, 0.5, 1.0, 1.6, 5.0):
+            block = softmax_rows(channel.log_rows, tau)
+            for length in range(1, v + 2):
+                history = (Vocabulary.BOS,) * length
+                row = block[channel.row_key(length, ctx)]
+                try:
+                    want = softmax_with_temperature(channel.next_logits(history, ctx), tau)
+                except (InvalidInputError, InvalidParameterError):
+                    assert np.isnan(row).all()
+                    flagged[tau] += 1
+                    continue
+                assert row.tobytes() == want.tobytes()
+        assert flagged == {0.3: 2, 0.5: 2, 1.0: 1, 1.6: 1, 5.0: 1}
 
     def test_cached_distributions_refuse_writes(self):
         vocab, confusion, llm, eval_set = channel_case(4)
@@ -856,13 +908,13 @@ class TestCalibratedRows:
                     with pytest.raises(ValueError, match="read-only"):
                         dist[0] = 0.5
 
-    def test_keyed_providers_never_swap_rows(self):
-        """Two channels read the same keys off one observation, and one rows
-        dict serves both, in either role and at two taus."""
+    def test_each_decode_reads_the_block_it_is_given(self):
+        """Two channels read the same keys off one observation; a decode
+        given the calibrated block of the channel its steps read, in either
+        role and at two taus, equals the decode without a block."""
         vocab, confusion, _llm, eval_set = channel_case(5)
         one = AcousticChannel(vocab, confusion)
         two = AcousticChannel(vocab, confusion_with_ties(vocab.size, 50))
-        rows = {}
         for ctx, ref in eval_set:
             max_len = evaluation_max_len(ref)
             for llm, asr in ((one, two), (two, one)):
@@ -870,10 +922,12 @@ class TestCalibratedRows:
                             FusionConfig(mode="asr", tau2=0.5),
                             FusionConfig(mode="uadf", tau2=0.5),
                             FusionConfig(mode="static", w_asr=1.0)):
-                    got = fused_greedy_decode(llm, asr, cfg, ctx, max_len, rows=rows)
-                    assert_same_decode(got, reference_decode(llm, asr, cfg, ctx, max_len))
-        assert {(provider, tau) for provider, _key, tau in rows} == \
-            {(id(one), 1.0), (id(two), 1.0), (id(one), 0.5), (id(two), 0.5)}
+                    keyed, tau = (llm, cfg.tau1) if cfg.mode == "llm" else (asr, cfg.tau2)
+                    got = fused_greedy_decode(llm, asr, cfg, ctx, max_len,
+                                              block=calibrated_block(keyed, tau))
+                    want = reference_decode(llm, asr, cfg, ctx, max_len)
+                    assert_same_decode(got, want)
+                    assert_same_decode(fused_greedy_decode(llm, asr, cfg, ctx, max_len), want)
 
     def test_unkeyed_provider_is_read_every_step(self):
         llm, asr, eval_set, (tau1, tau2) = random_case(7)
@@ -886,7 +940,7 @@ class TestCalibratedRows:
 
     @pytest.mark.parametrize("mode", ["llm", "asr"])
     def test_single_model_decode_without_rows(self, mode):
-        """Without a rows dict, a decode of one keyed or unkeyed provider
+        """Without a block, a decode of one keyed or unkeyed provider
         equals the loop that softmaxes every row; the cap of 2 stops most
         decodes at max-length."""
         vocab, confusion, seeded, eval_set = channel_case(8)
@@ -1068,17 +1122,18 @@ class FixedLattice:
 
 
 class RowsByLength:
-    """A keyed acoustic stub: a history of n ids reads rows[min(n, len(rows)) - 1]."""
+    """A keyed acoustic stub: a history of n ids reads
+    log_rows[min(n, len(log_rows)) - 1]."""
 
     def __init__(self, vocab, rows):
         self.vocab = vocab
-        self.rows = np.asarray(rows, dtype=np.float64)
+        self.log_rows = np.asarray(rows, dtype=np.float64)
 
     def row_key(self, length, ctx):
-        return min(length, len(self.rows))
+        return min(length, len(self.log_rows)) - 1
 
     def next_logits(self, history, ctx):
-        return self.rows[self.row_key(len(history), ctx) - 1].copy()
+        return self.log_rows[self.row_key(len(history), ctx)].copy()
 
 
 def crossing_weights(p, a, low, high):
@@ -1124,9 +1179,10 @@ class TestChoiceTable:
                 betas.update(s - w for w in crossing_weights(p[i], a[i], s - 1.0, s))
             cfgs = [FusionConfig(mode="uadf", beta=b, tau1=tau1, tau2=tau2)
                     for b in sorted(betas) if 0.0 <= b <= 1.0]
+        asr = RowsByLength(vocab, raw_a)
         _lattices, (tables,) = decoding.choice_tables(
-            FixedLattice(vocab, raw_p), RowsByLength(vocab, raw_a), cfgs, [UtteranceContext("u")],
-            {})
+            FixedLattice(vocab, raw_p), asr, cfgs, [UtteranceContext("u")],
+            calibrated_block(asr, tau2))
         near, overrides = 0, 0
         for cfg, table in zip(cfgs, tables):
             for i in range(len(p)):
@@ -1195,8 +1251,8 @@ class TestChoiceTable:
         b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 4, 1))
         (lattice,), _rows = llm.lattices([b_then_eos])
         keys = lattice.keys
-        _lattices, ((table,),) = decoding.choice_tables(llm, identity_channel, [cfg],
-                                                        [b_then_eos], {})
+        _lattices, ((table,),) = decoding.choice_tables(
+            llm, identity_channel, [cfg], [b_then_eos], calibrated_block(identity_channel, 1.0))
         assert len(table.index) == len(keys) - 1 and (2, (3,)) not in table.index
         assert_lattice_changes_nothing(llm, identity_channel, [cfg],
                                        [(b_then_eos, ["b"])], monkeypatch)
@@ -1219,7 +1275,8 @@ class TestChoiceTable:
         asr = RowsByLength(abc_vocab, rows)
         cfgs = [FusionConfig(mode=mode, w_asr=1.0, beta=0.0)]
         b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)))
-        _lattices, ((table,),) = decoding.choice_tables(llm, asr, cfgs, [b_then_eos], {})
+        _lattices, ((table,),) = decoding.choice_tables(llm, asr, cfgs, [b_then_eos],
+                                                        calibrated_block(asr, 1.0))
         assert sorted(t for t, _ in table.index) == [0, 1, 1]
         _reads, steps = assert_lattice_changes_nothing(llm, asr, cfgs, [(b_then_eos, ["b"])],
                                                        monkeypatch)
@@ -1236,8 +1293,9 @@ class TestChoiceTable:
         decode the corrector's or the fused choices under asr's name."""
         llm = train_ngram_corrector([(4, 1), (5, 3, 1)], abc_vocab, order=2)
         ctx = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 5, 1))
+        block = calibrated_block(identity_channel, 1.0)
         tables = {mode: decoding.choice_tables(llm, identity_channel, [FusionConfig(mode=mode)],
-                                               [ctx], {})[1][0][0]
+                                               [ctx], block)[1][0][0]
                   for mode in ("llm", "static", "uadf")}
         for mode in ("llm", "asr", "static", "uadf"):
             cfg = FusionConfig(mode=mode)
@@ -1397,26 +1455,30 @@ def overflowing_corrector(vocab):
 TINY_TAU = 11.0 / sys.float_info.max
 
 
-def nan_channel(vocab, token):
-    """An identity channel whose row for an observed `token` is not finite."""
-    channel = AcousticChannel(vocab, np.eye(vocab.size))
-    channel._log_rows[token, 2] = math.nan
-    return channel
+def faulty_channel(vocab, token, logit):
+    """An identity channel whose row for an observed `token` holds `logit`
+    at id 2."""
+    return with_logits(AcousticChannel(vocab, np.eye(vocab.size)), {(token, 2): logit})
 
 
 # fault -> (modes, acoustic model or None for the identity channel, tau1,
-# faulty utterance, error)
+# tau2, faulty utterance, error)
 FAULTS = {
-    "nbest-id": (("llm", "static", "uadf"), None, 1.0,
+    "nbest-id": (("llm", "static", "uadf"), None, 1.0, 1.0,
                  UtteranceContext("bad", nbest=((4, 6, 1),), observation=(0, 4, 1)),
                  (InvalidInputError, r"N-best token id 6 is outside \[0, 6\)")),
-    "corrector-row": (("llm", "static", "uadf"), None, TINY_TAU,
+    "corrector-row": (("llm", "static", "uadf"), None, TINY_TAU, 1.0,
                       UtteranceContext("c", nbest=((5, 3, 1),), observation=(0, 5, 3, 1)),
                       (InvalidParameterError, "is too small")),
-    "acoustic-row": (("static", "uadf"), lambda v: nan_channel(v, 5), 1.0,
-                     UtteranceContext("c", nbest=((5, 1),), observation=(0, 5, 1)),
+    "acoustic-row": (("asr", "static", "uadf"), lambda v: faulty_channel(v, 5, math.nan), 1.0,
+                     1.0, UtteranceContext("c", nbest=((5, 1),), observation=(0, 5, 1)),
                      (InvalidInputError, "finite")),
-    "no-observation": (("static", "uadf"), None, 1.0, UtteranceContext("c", nbest=((4, 1),)),
+    # -1e308 / 0.5 overflows: the row is flagged at tau2 0.5, and its step raises
+    "acoustic-overflow": (("asr", "static", "uadf"), lambda v: faulty_channel(v, 5, -1e308),
+                          1.0, 0.5, UtteranceContext("c", nbest=((5, 1),), observation=(0, 5, 1)),
+                          (InvalidParameterError, "is too small")),
+    "no-observation": (("asr", "static", "uadf"), None, 1.0, 1.0,
+                       UtteranceContext("c", nbest=((4, 1),)),
                        (InvalidInputError, "has no observation")),
 }
 
@@ -1429,13 +1491,14 @@ class TestErrorOrderInAChunk:
     @pytest.mark.parametrize("fault", FAULTS.keys())
     def test_utterances_before_the_fault_decode_first(self, abc_vocab, identity_channel,
                                                       fault, j):
-        modes, make_asr, tau1, bad, (error, match) = FAULTS[fault]
+        modes, make_asr, tau1, tau2, bad, (error, match) = FAULTS[fault]
         llm = overflowing_corrector(abc_vocab)
         asr = make_asr(abc_vocab) if make_asr else identity_channel
         eval_set = [b_then_eos(f"u{i}") for i in range(C + 2)]
         eval_set[j] = (bad, ["c", "a"])
         for mode in modes:
-            cfgs = [FusionConfig(mode=mode, tau1=tau1, w_asr=w, beta=0.5 - w) for w in (0.0, 0.5)]
+            cfgs = [FusionConfig(mode=mode, tau1=tau1, tau2=tau2, w_asr=w, beta=0.5 - w)
+                    for w in (0.0, 0.5)]
             for corrector in (llm, PlainCorrector(llm)):
                 got = []
                 with pytest.raises(error, match=match):

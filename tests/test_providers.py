@@ -691,6 +691,21 @@ class TestAcousticChannel:
                 row = chan.next_logits((0,) + (5,) * (n - 1), ctx).tobytes()
                 assert rows.setdefault(chan.row_key(n, ctx), row) == row
         assert len(set(rows.values())) == len(rows) == 4
+        for ctx in (one, two):
+            for n in range(1, 7):
+                row = chan.next_logits((0,) * n, ctx)
+                assert row.tobytes() == chan.log_rows[chan.row_key(n, ctx)].tobytes()
+
+    def test_log_rows_refuse_writes(self, abc_vocab):
+        """The block a decode set calibrates once is read-only; the row
+        `next_logits` gives is a copy, which a caller may write."""
+        chan = AcousticChannel(abc_vocab, np.eye(6))
+        assert chan.log_rows.shape == (7, 6)
+        with pytest.raises(ValueError, match="read-only"):
+            chan.log_rows[3, 3] = 0.0
+        row = chan.next_logits((0,), UtteranceContext(utt_id="u0", observation=(0, 3, 1)))
+        row[0] = 1.0
+        assert chan.log_rows[3, 0] != 1.0
 
 
 class TestProviderSpec:
