@@ -11,6 +11,12 @@ error, 3 data error, 4 provider-io error.
 `calibrate` is the one source of temperatures and reliability diagrams:
 its report holds the fitted tau, with the bins at tau 1 and at that tau,
 and `decode` and `sweep` read a report for its tau only.
+
+Every command starts a fresh interpreter, so this module imports only
+what a command without an endpoint runs: `build_provider` imports
+`latefuse.wire` (socket, selectors, subprocess) when a command names an
+`--llm-endpoint` or `--asr-endpoint`, and `simulate` imports hashlib
+when it draws a corpus.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
-from . import calibration, corpus, decoding, fusion, metrics, wire
+from . import calibration, corpus, decoding, fusion, metrics
 from .core import Vocabulary, json_field, loads
 from .errors import (
     ConfigurationError,
@@ -80,9 +86,11 @@ def boolean(value) -> bool:
 
 def endpoint(value):
     """host:port; a config file may also give an argv list for a subprocess."""
-    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
+    if isinstance(value, str) or (isinstance(value, list) and value
+                                  and all(isinstance(v, str) for v in value)):
         return value
-    return text(value)
+    raise TypeError("expected a host:port string or a non-empty list of argv strings, "
+                    f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -250,6 +258,10 @@ def build_provider(spec: ProviderSpec, vocab: Vocabulary):
                 **{key: json_field(data, key, (int,) if key == "seed" else (int, float))
                    for key in _CHANNEL_FIELDS}))
         return AcousticChannel(vocab, _read_json(params["manifest_path"], confusion))
+    # kind "external": imported here, so a command without an endpoint
+    # never loads the wire; `connect_external` is read at each call
+    from . import wire
+
     return wire.connect_external(params["endpoint"], vocab,
                                  timeout=float(params.get("timeout", 5.0)))
 
@@ -258,15 +270,16 @@ def _open(spec: ProviderSpec, vocab: Vocabulary, opened: contextlib.ExitStack):
     """`build_provider(spec, vocab)`; a wire connection it opens is closed
     when `opened` exits, whether the command succeeds or fails."""
     provider = build_provider(spec, vocab)
-    if isinstance(provider, wire.ExternalProvider):
+    if spec.kind == "external":
         opened.enter_context(provider)
     return provider
 
 
 def _print_wire_counts(**providers):
-    """One line of wire counters for each provider served over the wire."""
+    """One line of wire counters for each provider served over the wire:
+    the one kind of provider that counts round trips."""
     for role, provider in providers.items():
-        if isinstance(provider, wire.ExternalProvider):
+        if hasattr(provider, "round_trips"):
             print(f"{role} over the wire: {provider.round_trips} round trips, "
                   f"{provider.rows_used} of {provider.rows_received} rows used")
 

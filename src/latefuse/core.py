@@ -13,7 +13,6 @@ the 1-D result, bit for bit, for one call's overhead instead of B.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -101,6 +100,8 @@ class Vocabulary:
 
     def content_hash(self) -> str:
         """sha256 over the token list; used by the wire-protocol handshake."""
+        import hashlib  # here, not at the top: only the wire handshake needs it
+
         return hashlib.sha256("\n".join(self.tokens).encode("utf-8")).hexdigest()
 
     def save(self, path):

@@ -22,7 +22,6 @@ hypotheses without a score and records without an observation.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -120,6 +119,8 @@ class CorpusRecord:
 
 
 def _record_rng(seed: int, utt_id: str) -> np.random.Generator:
+    import hashlib  # here, not at the top: only a corpus draw (`simulate`) needs it
+
     digest = hashlib.sha256(utt_id.encode("utf-8")).digest()
     return np.random.default_rng((seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big"))
 

@@ -1211,6 +1211,17 @@ class TestOptionTable:
             run(command, cli._flag(key), value if isinstance(value, str) else json.dumps(value))
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key", ["llm_endpoint", "asr_endpoint"])
+    @pytest.mark.parametrize("value", [[], ["a", 5], 5, {"host": "a"}],
+                             ids=["empty-list", "non-string-argv", "number", "object"])
+    def test_bad_endpoint_names_both_forms(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run("decode", "--config", cfg) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config key {key!r}: expected a host:port string or a non-empty "
+            f"list of argv strings, got {value!r}\n")
+
     @pytest.mark.parametrize("key, value", [
         ("mode", "uadf"), ("beta", 0.9), ("w_asr", 9), ("steps_log", "s.jsonl"),
     ])

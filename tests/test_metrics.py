@@ -185,6 +185,55 @@ class TestOracleCompositional:
         assert oracle_compositional(nbest, "a b".split()) == 0.0
 
 
+def _network(nbest):
+    """The confusion network `oracle_compositional` searches: each
+    hypothesis merged into the first by `_merge_hypothesis`."""
+    slots = [metrics._Slot(w) for w in nbest[0]]
+    for hyp in nbest[1:]:
+        slots = metrics._merge_hypothesis(slots, hyp)
+    return slots
+
+
+def _brute_force_oracle(slots, ref):
+    """The fewest edits over every path through `slots` (one of each slot's
+    words, or nothing where the slot has epsilon), over len(ref)."""
+    choices = [sorted(slot.words) + ([None] if slot.has_epsilon else []) for slot in slots]
+    return min(_levenshtein([w for w in path if w is not None], ref)
+               for path in itertools.product(*choices)) / len(ref)
+
+
+class TestOracleCompositionalEpsilonPath:
+    """Lists of unequal lengths give slots with epsilon, which simulated
+    N-best lists (all of one length per record) never do."""
+
+    def test_equals_brute_force_over_every_path(self):
+        rng = np.random.default_rng(41)
+        alphabet = list("abcd")
+        with_epsilon = below_nbest = 0
+        for _ in range(400):
+            ref = [alphabet[i] for i in rng.integers(0, 4, size=rng.integers(1, 6))]
+            nbest = [[alphabet[i] for i in rng.integers(0, 4, size=length)]
+                     for length in rng.permutation(5)[:int(rng.integers(2, 4))]]
+            slots = _network(nbest)
+            with_epsilon += any(slot.has_epsilon for slot in slots)
+            o_cp = oracle_compositional(nbest, ref)
+            assert o_cp == _brute_force_oracle(slots, ref), (nbest, ref)
+            below_nbest += o_cp < oracle_nbest(nbest, ref)
+        assert with_epsilon == 400  # every list holds hypotheses of distinct lengths
+        assert below_nbest > 0
+
+    def test_skipped_slot_lets_the_path_drop_an_insertion(self):
+        # "a q b c" inserts q and "a b y" substitutes y: each is one edit from
+        # "a b c", but "a b y" skips q's slot, so the path a ε b c costs none
+        nbest = ["a q b c".split(), "a b y".split()]
+        slots = _network(nbest)
+        assert [(slot.words, slot.has_epsilon) for slot in slots] == [
+            ({"a"}, False), ({"q"}, True), ({"b"}, False), ({"c", "y"}, False)]
+        ref = "a b c".split()
+        assert oracle_nbest(nbest, ref) == pytest.approx(1 / 3)
+        assert oracle_compositional(nbest, ref) == 0.0
+
+
 class TestCorpusAggregation:
     def test_corpus_report_pools_counts(self):
         pairs = [("a b".split(), "a b".split()), ("x".split(), "a b".split())]
