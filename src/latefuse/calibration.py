@@ -115,7 +115,7 @@ def collect_traces(provider, dataset):
 
 class ShiftedTrace:
     """A (rows, V) logit block less its row maxima, shifted once, and the
-    row each step reads (`steps`; None when each row is one step).
+    row each step reads (`steps`).
 
     `confidences(tau)` gives the max of softmax(row / tau) per step: the
     max entry normalizes to 1 / sum(exp((x - x_max) / tau)). The shift is
@@ -129,7 +129,7 @@ class ShiftedTrace:
 
     __slots__ = ("rows", "steps", "_buf")
 
-    def __init__(self, traces: np.ndarray, steps: np.ndarray | None = None):
+    def __init__(self, traces: np.ndarray, steps: np.ndarray):
         traces = np.asarray(traces, dtype=np.float64)
         with np.errstate(over="ignore"):
             self.rows = traces - traces.max(axis=1, keepdims=True)
@@ -146,7 +146,7 @@ class ShiftedTrace:
             np.divide(self.rows, tau, out=buf)
         np.exp(buf, out=buf)
         conf = 1.0 / buf.sum(axis=1)
-        return conf if self.steps is None else conf[self.steps]
+        return conf[self.steps]
 
 
 def mean_confidence(shifted: ShiftedTrace, tau: float) -> float:

@@ -322,9 +322,11 @@ def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
     return out
 
 
-def encode_observation(words, vocab: Vocabulary) -> TokenSeq:
-    """BOS-aligned observation sequence: (BOS,) + word ids + (EOS,)."""
-    return (Vocabulary.BOS,) + vocab.encode(" ".join(words)) + (Vocabulary.EOS,)
+def encode_observation(text: str, vocab: Vocabulary) -> TokenSeq:
+    """The BOS-aligned observation of `text`, (BOS, *word ids, EOS): the
+    id at position t is the one `AcousticChannel.row_key` reads for a
+    history of t ids."""
+    return (Vocabulary.BOS, *vocab.encode(text), Vocabulary.EOS)
 
 
 def record_context(record: CorpusRecord, vocab: Vocabulary):
@@ -334,7 +336,7 @@ def record_context(record: CorpusRecord, vocab: Vocabulary):
     ctx = UtteranceContext(
         utt_id=record.id,
         nbest=tuple([encode(text, append_eos=True) for text, _score in record.nbest]),
-        observation=(Vocabulary.BOS, *encode(record.observation), Vocabulary.EOS),
+        observation=encode_observation(record.observation, vocab),
     )
     return ctx, record.reference.split()
 
@@ -355,7 +357,8 @@ def generate_corpus(
     record carries an N-best list produced by beam search over the
     channel's decoder matrix on one noise draw, and an independent second
     noise draw as the fusion-time observation. The searches share one
-    `rows` dict, so each decoder row is normalised and ranked once.
+    `rows` dict, so each decoder row is read, normalised and ranked once
+    for the whole corpus.
     """
     from .decoding import MAX_BEAM_WIDTH, beam_search
 
@@ -392,7 +395,7 @@ def generate_corpus(
             nbest_words = corrupt(ref_words, channel, vocab, utt_id=utt_id + "#nbest")
             obs_words = corrupt(ref_words, channel, vocab, utt_id=utt_id + "#obs")
             ctx = UtteranceContext(
-                utt_id=utt_id, observation=encode_observation(nbest_words, vocab)
+                utt_id=utt_id, observation=encode_observation(" ".join(nbest_words), vocab)
             )
             hyps = beam_search(
                 decoder, ctx, beam_width, n_best,

@@ -3,14 +3,13 @@
 One greedy loop, `fused_greedy_decode`, serves every fusion mode: each
 step decides a token from the calibrated rows, and the mode only changes
 how (one provider's argmax in mode llm or asr, a fused step in static or
-uadf). `greedy_decode` is that loop in mode llm. Beam search generates
+uadf). `greedy_decode` is that loop in mode llm. `beam_search` generates
 N-best lists. All decoders start the history at BOS, are deterministic,
-and stop at EOS or a length cap. A keyed provider (a block of rows
-`log_rows` indexed by `row_key`; see `providers`) is read once per key
-in a corpus's beam searches (`beam_search` with `rows`), where a step
-scores the live beams x the top-ranked ids of that row. A decode set
-calibrates its block once (`softmax_rows`), and each step reads its row
-there (`calibrated_row`).
+and stop at EOS or a length cap. Beam search reads only a keyed provider
+(a block of rows `log_rows` indexed by `row_key`; see `providers`), once
+per key for all of a corpus's searches, and a step scores the live beams
+x the top-ranked ids of that row. A decode set calibrates the block once
+(`softmax_rows`), and each step reads its row there (`calibrated_row`).
 
 A corrector with `lattices` (`providers.NgramCorrector`) gives the rows
 of the N-best prefixes of a chunk of utterances as one block, each row
@@ -54,8 +53,8 @@ MAX_LEN_FACTOR = 1e30
 # set's block was slower.
 CHUNK_UTTERANCES = 4
 # Widest beam `beam_search` runs. A step scores up to beam_width x V
-# candidates (an unkeyed provider's step, or a widened one, scores all V
-# ids per beam), so a wider beam only exhausts memory.
+# candidates (a widened step scores all V ids per beam), so a wider beam
+# only exhausts memory.
 MAX_BEAM_WIDTH = 1024
 
 
@@ -305,72 +304,60 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     return DecodeResult(tuple(tokens), steps, "max-length", table)
 
 
-def _log_rows(provider, seqs, ctx: UtteranceContext, v: int) -> np.ndarray:
-    """The provider's rows for `seqs`, log-normalised in a new float64 array.
-
-    The normaliser is `math.log` of the row's sum of exponentials, taken in
-    Python: `np.log` differs from it in the last bit on some inputs, which
-    would change the N-best lists.
-    """
-    rows = np.array([provider.next_logits((Vocabulary.BOS,) + seq, ctx) for seq in seqs],
-                    dtype=np.float64)
-    if rows.shape != (len(seqs), v):
-        raise InvalidInputError(f"logit rows must have vocabulary size {v}, got "
-                                f"shape {rows.shape[1:]}")
-    if not np.isfinite(rows).all():
-        raise InvalidInputError("logit rows must be finite")
-    rows -= rows.max(axis=1, keepdims=True)
-    norms = [math.log(total) for total in np.exp(rows).sum(axis=1).tolist()]
-    rows -= np.array(norms)[:, None]
-    return rows
-
-
 class _RankedRow:
-    """One log-normalised row (shape 1 x V) ranked for `beam_search`: its ids
-    by value descending, then by id ascending.
-    `prefix(m)` gives the columns of the first m ranked ids and those ids,
-    in ascending id order; each m is built once."""
+    """A provider's row for `beam_search`, copied into a new float64 array
+    (never normalised where the provider keeps it), checked (V entries, all
+    finite), log-normalised and ranked: ids by value descending, then by id.
+    `prefix(m)` gives the values of the first m ranked ids and those ids,
+    in ascending id order; each m is built once.
 
-    def __init__(self, logp: np.ndarray):
+    The normaliser is `math.log` of the row's sum of exponentials: `np.log`
+    differs from it in the last bit on some inputs, which would change the
+    N-best lists.
+    """
+
+    def __init__(self, logits, v: int):
+        logp = np.array(logits, dtype=np.float64)
+        if logp.shape != (v,):
+            raise InvalidInputError(f"logit rows must have vocabulary size {v}, got "
+                                    f"shape {logp.shape}")
+        if not np.isfinite(logp).all():
+            raise InvalidInputError("logit rows must be finite")
+        logp -= logp.max()
+        logp -= math.log(np.exp(logp).sum())
         self.logp = logp
-        self.order = np.argsort(-logp[0], kind="stable")
+        self.order = np.argsort(-logp, kind="stable")
         self.prefixes = {}
 
     def prefix(self, m: int):
         cached = self.prefixes.get(m)
         if cached is None:
             ids = np.sort(self.order[:m])
-            cached = self.prefixes[m] = (self.logp[:, ids], ids.tolist())
+            cached = self.prefixes[m] = (self.logp[ids], ids.tolist())
         return cached
 
 
 def beam_search(provider, ctx: UtteranceContext, beam_width: int, n_out: int,
                 max_len: int, rows: dict | None = None) -> list[tuple[TokenSeq, float]]:
-    """Beam search on total log-probability, with no length penalty.
+    """Beam search on total log-probability, with no length penalty, over a
+    keyed provider (see `providers`); any other raises InvalidParameterError
+    before a row is read.
 
     Hypotheses that emit EOS retire into the output pool; at the length
     cap the surviving beams join them. Ordering is by total ln-probability,
     ties broken lexicographically on the token sequence, which makes
     beam_width 1 coincide with greedy decoding.
 
-    Each step runs on the whole beam at once: the beam scores are added to
-    the log-normalised rows (`_log_rows`) by broadcasting, and the top
-    beam_width candidates are selected with exact tie handling. A provider
-    with a `row_key` (see `providers`) gives the same row to every live
-    beam, since they all share one length: it is asked once per step, for
-    the first live beam. Any other provider is asked once per live beam.
-    Rows are copied, never normalised where the provider keeps them.
-
-    With a `rows` dict, a keyed provider's row is read, checked,
-    normalised and ranked (ids by value descending, then by id) once per
-    key, for every search that shares the dict. A step then scores the
-    live beams x the first m ranked ids only, m = min(beam_width, V) at
-    first. If some beam's score plus the row's (m+1)-th ranked value
-    reaches the selection boundary, m doubles, up to V, and the step
-    selects again; otherwise every id left out scores strictly below the
-    boundary, so the lists, scores included, equal the full step's bit for
-    bit. Without `rows`, or for an unkeyed provider, every id is a
-    candidate.
+    The live beams share one length, so one row key. `rows` (a new dict
+    when None; one per corpus in `corpus.generate_corpus`) maps
+    (id(provider), key) to the key's `_RankedRow`, read through
+    `next_logits` once for every search that shares the dict. A step
+    scores the live beams x the first m ranked ids, m = min(beam_width, V)
+    at first, and picks the top beam_width with exact tie handling. If
+    some beam's score plus the (m+1)-th ranked value reaches the selection
+    boundary, m doubles, up to V, and the step selects again; otherwise
+    every id left out scores strictly below the boundary, so the lists,
+    scores included, equal a full step's bit for bit.
     """
     if not MAX_BEAM_WIDTH >= beam_width >= n_out >= 1:
         raise InvalidParameterError(
@@ -378,28 +365,27 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int, n_out: int,
         )
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
+    row_key = getattr(provider, "row_key", None)
+    if row_key is None:
+        raise InvalidParameterError(
+            f"beam_search needs a keyed provider, and {type(provider).__name__} has no row_key")
 
+    rows = {} if rows is None else rows
     live: list[tuple[TokenSeq, float]] = [((), 0.0)]  # lexicographically sorted
     pool: list[tuple[TokenSeq, float]] = []
     v = provider.vocab.size
-    row_key = getattr(provider, "row_key", None)
-    ranked = row_key is not None and rows is not None
     for _ in range(max_len):
         if not live:
             break
         seqs, beam_scores = zip(*live)
-        base = np.array(beam_scores)
-        if ranked:
-            key = (id(provider), row_key(len(seqs[0]) + 1, ctx))
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = _RankedRow(_log_rows(provider, seqs[:1], ctx, v))
-            logp, m = row.logp, min(beam_width, v)
-            best = max(beam_scores)
-        else:
-            logp, m = _log_rows(provider, seqs[:1] if row_key else seqs, ctx, v), v
+        key = (id(provider), row_key(len(seqs[0]) + 1, ctx))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _RankedRow(
+                provider.next_logits((Vocabulary.BOS,) + seqs[0], ctx), v)
+        base, best, m = np.array(beam_scores), max(beam_scores), min(beam_width, v)
         while True:
-            cols, ids = (logp, range(v)) if m == v else row.prefix(m)
+            cols, ids = row.prefix(m)
             scores = (base[:, None] + cols).ravel()
             # Ascending flat index is ascending lexicographic order of the
             # candidate sequences (`live` and `ids` are sorted); pick the
@@ -409,7 +395,7 @@ def beam_search(provider, ctx: UtteranceContext, beam_width: int, n_out: int,
             # fl(s + r) is monotone in s and in r: if the best beam plus the
             # first id left out stays below the boundary, so does every
             # candidate left out
-            if m == v or not best + logp[0, row.order[m]] >= boundary:
+            if m == v or not best + row.logp[row.order[m]] >= boundary:
                 break
             m = min(2 * m, v)
         chosen = (scores > boundary).nonzero()[0].tolist()

@@ -21,11 +21,10 @@ one by one only to name the first bad one. A keyed provider,
 as `AcousticChannel` is, is a block plus an index: `row_key(length, ctx)`
 indexes the rows of a `(R, V)` array `log_rows`, and
 `next_logits(history, ctx)` equals `log_rows[row_key(len(history), ctx)]`,
-so equal keys mean equal rows, also across utterances. Beam search then
-asks it for one row per step instead of one per live beam; with a `rows`
-dict (one per corpus in `corpus.generate_corpus`) it reads, normalises
-and ranks each key's row once, for every search that shares the dict. A
-decode set calibrates the whole block once (`decoding.decode_eval_set`),
+so equal keys mean equal rows, also across utterances. Beam search
+reads only keyed providers: it reads, normalises and ranks each key's
+row once per search, or once for every search that shares its `rows`
+dict (one per corpus in `corpus.generate_corpus`). A decode set calibrates the whole block once (`decoding.decode_eval_set`),
 and a calibration reads each key's row once (`calibration.collect_traces`).
 `NgramCorrector` reads a history only through its key (`history_key`):
 its vote row and its n-gram context. Its `lattices(ctxs)` gives the keys
@@ -427,8 +426,8 @@ class AcousticChannel:
     So the row depends on the history only through its length, and on the
     utterance only through the observed token there: `row_key` names it,
     as an index of the read-only `(V + 1, V)` block `log_rows`.
-    `beam_search` reads one row per step and gives it to every live beam,
-    or, with a corpus's `rows` dict, one row per key for the whole corpus;
+    `beam_search` reads one row per key and gives it to every live beam,
+    once per search, or once per corpus through the corpus's `rows` dict;
     a decode set calibrates the whole block once.
     """
 

@@ -18,18 +18,6 @@ def empty_ctx():
     return UtteranceContext(utt_id="u0")
 
 
-class TableProvider:
-    """Deterministic test provider: a history -> logits lookup table."""
-
-    def __init__(self, vocab, table, default=None):
-        self.vocab = vocab
-        self.table = {tuple(k): np.asarray(v, dtype=np.float64) for k, v in table.items()}
-        self.default = np.zeros(vocab.size) if default is None else np.asarray(default, float)
-
-    def next_logits(self, history, ctx):
-        return self.table.get(tuple(history), self.default).copy()
-
-
 class ConstantProvider:
     """Same logits at every step."""
 
@@ -39,11 +27,6 @@ class ConstantProvider:
 
     def next_logits(self, history, ctx):
         return self.logits.copy()
-
-
-@pytest.fixture
-def table_provider_cls():
-    return TableProvider
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from latefuse.providers import (
     UtteranceContext,
     train_ngram_corrector,
 )
+from test_decoding import serial_beam_search
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -140,23 +141,23 @@ def test_traced_decode_sets_read_no_channel_row(bench_case, monkeypatch):
 def test_traced_generate_corpus_reads_each_acoustic_row_key_once(monkeypatch):
     channel = corpus.ChannelSpec(seed=4)
     sizes = {"n_train": 6, "n_val": 2, "n_test": 2}
-    # Untraced reference: a wrapper that hides the channel's `row_key`, so
-    # each search asks it once per live beam; the row keys of the histories
-    # it asks for are the keys the corpus reaches.
-    keys, original = set(), decoding.beam_search
+    # Untraced reference: the serial oracle, which reads a row for each
+    # live beam; the row keys of the histories it reads are the keys the
+    # corpus reaches.
+    keys = set()
 
-    def per_beam_search(provider, ctx, *args, **kwargs):
-        class PerBeam:
+    def recorded_serial_search(provider, ctx, *args, **kwargs):
+        class Recorded:
             vocab = provider.vocab
 
             def next_logits(self, history, ctx):
                 keys.add(provider.row_key(len(history), ctx))
                 return provider.next_logits(history, ctx)
 
-        return original(PerBeam(), ctx, *args, **kwargs)
+        return serial_beam_search(Recorded(), ctx, *args, **kwargs)
 
     with monkeypatch.context() as patched:
-        patched.setattr(decoding, "beam_search", per_beam_search)
+        patched.setattr(decoding, "beam_search", recorded_serial_search)
         want = corpus.generate_corpus(channel, **sizes)
 
     tr = tracing.Tracer()

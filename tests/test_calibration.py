@@ -66,16 +66,17 @@ class TestTeacherForcedTrace:
 class TestMeanConfidence:
     def test_dirac_logits_give_one(self):
         traces = np.array([[50.0, 0.0, 0.0], [0.0, 50.0, 0.0]])
-        assert mean_confidence(ShiftedTrace(traces), 1.0) == pytest.approx(1.0, abs=1e-12)
+        shifted = ShiftedTrace(traces, np.arange(len(traces)))
+        assert mean_confidence(shifted, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_logits_give_uniform(self):
-        shifted = ShiftedTrace(np.zeros((10, 4)))
+        shifted = ShiftedTrace(np.zeros((10, 4)), np.arange(10))
         for tau in (0.3, 1.0, 7.0):
             assert mean_confidence(shifted, tau) == pytest.approx(0.25, abs=1e-12)
 
     def test_monotone_nonincreasing_in_tau(self):
         rng = np.random.default_rng(11)
-        shifted = ShiftedTrace(rng.normal(scale=3.0, size=(50, 8)))
+        shifted = ShiftedTrace(rng.normal(scale=3.0, size=(50, 8)), np.arange(50))
         taus = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]
         confs = [mean_confidence(shifted, t) for t in taus]
         assert all(a >= b - 1e-12 for a, b in zip(confs, confs[1:]))
@@ -144,7 +145,7 @@ class TestFitTemperature:
         traces, targets, _ = collect_traces(provider, dataset)
         target = 1.0 - (traces.argmax(axis=1) != targets).mean()
         grid = np.geomspace(1e-2, 1e2, 20001)
-        shifted = ShiftedTrace(traces)
+        shifted = ShiftedTrace(traces, np.arange(len(traces)))
         grid_gaps = [abs(mean_confidence(shifted, t) - target) for t in grid]
         assert abs(report.mean_confidence - target) <= min(grid_gaps) + 1e-4
 
@@ -289,7 +290,7 @@ class TestShiftedTraceMatchesPerCallShift:
         traces = rng.normal(scale=40.0, size=(97, 31))
         traces[5] = 0.0  # a uniform row
         traces[6, 3] = 1e300  # a row whose shifted entries overflow to -inf
-        shifted = ShiftedTrace(traces)
+        shifted = ShiftedTrace(traces, np.arange(len(traces)))
         for tau in (1e-320, 1e-5, 0.3, 1.0, 7.0, 1e5, 1e300):
             with np.errstate(over="ignore"):
                 want = 1.0 / np.exp((traces - traces.max(axis=1, keepdims=True))

@@ -38,6 +38,21 @@ def obs_ctx(vocab, text, utt_id="u0"):
         utt_id=utt_id, observation=(0,) + vocab.encode(text) + (1,))
 
 
+class RowsByLength:
+    """A keyed acoustic stub: a history of n ids reads
+    log_rows[min(n, len(log_rows)) - 1]."""
+
+    def __init__(self, vocab, rows):
+        self.vocab = vocab
+        self.log_rows = np.asarray(rows, dtype=np.float64)
+
+    def row_key(self, length, ctx):
+        return min(length, len(self.log_rows)) - 1
+
+    def next_logits(self, history, ctx):
+        return self.log_rows[self.row_key(len(history), ctx)].copy()
+
+
 class TestGreedyDecode:
     def test_identity_channel_reproduces_observation(self, abc_vocab, identity_channel):
         ctx = obs_ctx(abc_vocab, "a b")
@@ -129,37 +144,26 @@ class TestFusedGreedyDecode:
 
 
 class TestBeamSearch:
-    def test_beam_one_equals_greedy(self, abc_vocab):
-        import hashlib
+    def test_beam_one_equals_greedy(self):
+        # rows of small integer counts tie, and both take the lowest id
+        vocab = sized_vocab(7)
+        rng = np.random.default_rng(4)
+        for case in range(20):
+            channel = AcousticChannel(vocab, confusion_with_ties(7, case))
+            obs = (0,) + tuple(rng.integers(3, 7, size=int(rng.integers(0, 6)))) + (1,)
+            ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
+            for max_len in (1, 3, 6):
+                greedy = greedy_decode(channel, ctx, max_len=max_len)
+                (seq, _score), = beam_search(channel, ctx, beam_width=1, n_out=1,
+                                             max_len=max_len)
+                assert seq == greedy.tokens
 
-        class HashProvider:
-            vocab = abc_vocab
-
-            def next_logits(self, history, ctx):
-                out = np.empty(abc_vocab.size)
-                for v in range(abc_vocab.size):
-                    d = hashlib.sha256(f"{tuple(history)}:{v}".encode()).digest()
-                    out[v] = int.from_bytes(d[:8], "big") / 2.0**64 * 6.0 - 3.0
-                return out
-
-        provider = HashProvider()
-        ctx = UtteranceContext(utt_id="u")
-        for max_len in (1, 3, 6):
-            greedy = greedy_decode(provider, ctx, max_len=max_len)
-            (seq, _score), = beam_search(provider, ctx, beam_width=1, n_out=1,
-                                         max_len=max_len)
-            assert seq == greedy.tokens
-
-    def test_matches_exhaustive_enumeration(self, table_provider_cls):
+    def test_matches_exhaustive_enumeration(self):
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>"))
-        # step distributions chosen so beam 3 can hold every live prefix
-        table = {
-            (0,): [math.log(0.2), math.log(0.5), math.log(0.3)],
-            (0, 0): [math.log(0.6), math.log(0.3), math.log(0.1)],
-            (0, 2): [math.log(0.1), math.log(0.2), math.log(0.7)],
-        }
-        default = [math.log(0.25), math.log(0.5), math.log(0.25)]
-        provider = table_provider_cls(vocab, table, default=default)
+        # per-length distributions chosen so that beam 3 keeps the prefixes
+        # of the three best sequences, and no two sequences tie
+        provider = RowsByLength(vocab, np.log([[0.2, 0.5, 0.3], [0.6, 0.3, 0.1],
+                                               [0.35, 0.4, 0.25]]))
         ctx = UtteranceContext(utt_id="u")
 
         def enumerate_all(history, score, depth):
@@ -210,6 +214,19 @@ class TestBeamSearch:
         one = beam_search(identity_channel, ctx, beam_width=4, n_out=4, max_len=8)
         two = beam_search(identity_channel, ctx, beam_width=4, n_out=4, max_len=8)
         assert one == two
+
+    def test_unkeyed_provider_is_refused_before_a_row_is_read(self, abc_vocab):
+        class Unkeyed:
+            vocab = abc_vocab
+
+            def next_logits(self, history, ctx):
+                raise AssertionError("an unkeyed provider's row was read")
+
+        rows = {}
+        for kwargs in ({}, {"rows": rows}):
+            with pytest.raises(InvalidParameterError, match="row_key"):
+                beam_search(Unkeyed(), obs_ctx(abc_vocab, "a"), 2, 1, 3, **kwargs)
+        assert rows == {}
 
 
 class TestDecodeEvalSet:
@@ -445,25 +462,6 @@ def serial_beam_search(provider, ctx, beam_width, n_out, max_len, rows=None):
     return pool[:n_out]
 
 
-class RandomLogits:
-    """Seeded logits per (salt, history). Quantised logits take few distinct
-    values, so candidates tie exactly, also at the top-k boundary. A large
-    scale makes peaked rows, whose sums of exponentials lie just above 1:
-    there `np.log` and `math.log` disagree in the last bit most often."""
-
-    def __init__(self, vocab, salt, quantised, scale):
-        self.vocab = vocab
-        self.salt = salt
-        self.quantised = quantised
-        self.scale = scale
-
-    def next_logits(self, history, ctx):
-        key = f"{self.salt}:{tuple(history)}".encode()
-        rng = np.random.default_rng(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
-        logits = rng.normal(scale=self.scale, size=self.vocab.size)
-        return np.round(logits) if self.quantised else logits
-
-
 def sized_vocab(v):
     return Vocabulary(tokens=("<s>", "</s>", "<unk>") + tuple(f"w{i}" for i in range(v - 3)))
 
@@ -474,6 +472,11 @@ class TestBatchedBeamSearch:
     @pytest.mark.parametrize("quantised", [False, True], ids=["continuous", "quantised"])
     @pytest.mark.parametrize("v", [3, 7, 200])
     def test_equals_serial_oracle(self, v, quantised):
+        # Seeded rows, one per length. Quantised rows take few distinct
+        # values, so candidates tie exactly, also at the top-k boundary.
+        # Scale 12 makes peaked rows, whose sums of exponentials lie just
+        # above 1: there `np.log` and `math.log` disagree in the last bit
+        # most often.
         vocab = sized_vocab(v)
         rng = np.random.default_rng(v * 2 + quantised)
         ties = 0
@@ -482,7 +485,8 @@ class TestBatchedBeamSearch:
             n_out = int(rng.integers(1, beam_width + 1))
             max_len = int(rng.integers(1, 11))
             scale = (1.0, 3.0, 12.0)[case % 3]
-            provider = RandomLogits(vocab, f"{v}:{quantised}:{case}", quantised, scale)
+            table = rng.normal(scale=scale, size=(max_len, v))
+            provider = RowsByLength(vocab, np.round(table) if quantised else table)
             ctx = UtteranceContext(utt_id=f"u{case}")
             got = beam_search(provider, ctx, beam_width, n_out, max_len)
             want = serial_beam_search(provider, ctx, beam_width, n_out, max_len)
@@ -514,7 +518,7 @@ class TestBatchedBeamSearch:
             norms = [math.log(total) for total in sums.tolist()]
             assert norms == [math.log(float(np.exp(row).sum())) for row in buffer]
 
-    def test_normaliser_is_math_log_of_the_row_sum(self, constant_provider_cls):
+    def test_normaliser_is_math_log_of_the_row_sum(self):
         # Peaked rows: sums of exponentials in (1, 1.01), where np.log
         # differs from math.log in the last bit for a few percent of sums.
         vocab = sized_vocab(200)
@@ -522,7 +526,7 @@ class TestBatchedBeamSearch:
         for _ in range(300):
             logits = np.concatenate([[0.0], rng.uniform(-14.0, -8.0, size=199)])
             total = float(np.exp(logits).sum())
-            provider = constant_provider_cls(vocab, logits)
+            provider = RowsByLength(vocab, [logits])
             (seq, score), = beam_search(provider, UtteranceContext(utt_id="u"),
                                         beam_width=1, n_out=1, max_len=1)
             assert seq == (Vocabulary.BOS,)
@@ -536,8 +540,8 @@ def confusion_with_ties(v, seed):
 
 
 class TestOneRowPerStep:
-    """A keyed provider is asked once per beam step, and its one row gives
-    the lists the per-beam serial search gives."""
+    """A keyed provider is read once per key of a search, and that one row
+    gives the lists the per-beam serial search gives."""
 
     @staticmethod
     def history_lengths(provider):
@@ -576,15 +580,17 @@ class TestOneRowPerStep:
             del channel.next_logits
 
             assert got == want
-            # one call per step, and the steps are the ones the serial search ran
-            assert per_step == sorted(set(per_beam))
+            # one call per key, at the first length the serial search read it
+            first = {}
+            for length in per_beam:
+                first.setdefault(channel.row_key(length, ctx), length)
+            assert per_step == list(first.values())
             calls["per-beam"] += len(per_beam)
             calls["per-step"] += len(per_step)
         assert calls["per-beam"] > calls["per-step"] > 0
 
-    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "per-beam"])
     @pytest.mark.parametrize("kind", ["float64", "int-list"])
-    def test_cached_rows_are_copied_not_normalised(self, keyed, kind):
+    def test_cached_rows_are_copied_not_normalised(self, kind):
         vocab = sized_vocab(7)
         rng = np.random.default_rng(5)
         cache = [rng.integers(-4, 5, size=vocab.size) for _ in range(6)]
@@ -592,67 +598,36 @@ class TestOneRowPerStep:
                  for row in cache]
         before = [np.array(row, dtype=np.float64).tobytes() for row in cache]
 
-        class CachedRows:
+        class CachedRows(RowsByLength):
             """Returns its cached row for the history's length, not a copy."""
 
-            def __init__(self):
-                self.vocab = vocab
-
             def next_logits(self, history, ctx):
-                return cache[min(len(history), len(cache)) - 1]
-
-        class KeyedCachedRows(CachedRows):
-            log_rows = np.array(cache, dtype=np.float64)
-
-            def row_key(self, length, ctx):
-                return min(length, len(cache)) - 1
+                return cache[self.row_key(len(history), ctx)]
 
         class Copies(CachedRows):
             def next_logits(self, history, ctx):
                 return np.array(super().next_logits(history, ctx), dtype=np.float64)
 
         ctx = UtteranceContext(utt_id="u")
-        provider = KeyedCachedRows() if keyed else CachedRows()
+        provider = CachedRows(vocab, cache)
         for beam_width, max_len in ((1, 3), (4, 6), (8, 8)):
             got = beam_search(provider, ctx, beam_width, min(beam_width, 3), max_len)
-            assert got == serial_beam_search(Copies(), ctx, beam_width,
+            assert got == serial_beam_search(Copies(vocab, cache), ctx, beam_width,
                                              min(beam_width, 3), max_len)
         assert [np.array(row, dtype=np.float64).tobytes() for row in cache] == before
         assert all(type(row) is (list if kind == "int-list" else np.ndarray)
                    for row in cache)
 
-    def test_row_of_the_wrong_length_is_a_data_error(self, abc_vocab, constant_provider_cls):
-        provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size - 1))
+    def test_row_of_the_wrong_length_is_a_data_error(self, abc_vocab):
+        provider = RowsByLength(abc_vocab, [np.zeros(abc_vocab.size - 1)])
         with pytest.raises(InvalidInputError, match="vocabulary size 6"):
             beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3)
 
 
-class ByLength:
-    """Provider whose row is `table[min(len(history), len(table)) - 1]`."""
-
-    def __init__(self, vocab, table):
-        self.vocab = vocab
-        self.table = [np.asarray(row, dtype=np.float64) for row in table]
-
-    def next_logits(self, history, ctx):
-        return self.table[min(len(history), len(self.table)) - 1].copy()
-
-
-class KeyedByLength(ByLength):
-    """`ByLength` as a keyed provider: the row is `log_rows[row_key(...)]`."""
-
-    def __init__(self, vocab, table):
-        super().__init__(vocab, table)
-        self.log_rows = np.array(self.table)
-
-    def row_key(self, length, ctx):
-        return min(length, len(self.table)) - 1
-
-
 class TestRankedRows:
-    """With a `rows` dict, a step scores the first m ranked ids of a keyed
-    row and widens m when an id left out could still reach the boundary;
-    the lists equal the serial search's, which scores every id."""
+    """A step scores the first m ranked ids of a keyed row and widens m
+    when an id left out could still reach the boundary; the lists equal
+    the serial search's, which scores every id."""
 
     @staticmethod
     def spy_widths(monkeypatch):
@@ -682,7 +657,7 @@ class TestRankedRows:
                 break
         else:
             pytest.fail("no row rounds to a tie")
-        provider = KeyedByLength(vocab, [first, second])
+        provider = RowsByLength(vocab, [first, second])
         ctx = UtteranceContext(utt_id="u")
         widths = self.spy_widths(monkeypatch)
 
@@ -734,17 +709,16 @@ class TestRankedRows:
             ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
             got = beam_search(channel, ctx, beam_width, 5, 7, rows=rows)
             assert got == serial_beam_search(channel, ctx, beam_width, 5, 7)
-        assert widths == []  # every step took the whole row
+        assert set(widths) == {7}  # every step scored the whole row
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "unkeyed"])
     @pytest.mark.parametrize("with_rows", [True, False], ids=["rows", "no-rows"])
-    def test_non_finite_row_is_a_data_error(self, bad, keyed, with_rows):
+    def test_non_finite_row_is_a_data_error(self, bad, with_rows):
         # a finite first row, then a second row holding one non-finite entry
         vocab = sized_vocab(7)
         second = np.zeros(7)
         second[4] = bad
-        provider = (KeyedByLength if keyed else ByLength)(vocab, [np.zeros(7), second])
+        provider = RowsByLength(vocab, [np.zeros(7), second])
         kwargs = {"rows": {}} if with_rows else {}
         with pytest.raises(InvalidInputError, match="finite"):
             beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3, **kwargs)
@@ -1119,21 +1093,6 @@ class FixedLattice:
     def lattices(self, ctxs):
         assert len(ctxs) == 1
         return [Lattice([(i, (i,)) for i in range(len(self.raw))], [])], self.raw.copy()
-
-
-class RowsByLength:
-    """A keyed acoustic stub: a history of n ids reads
-    log_rows[min(n, len(log_rows)) - 1]."""
-
-    def __init__(self, vocab, rows):
-        self.vocab = vocab
-        self.log_rows = np.asarray(rows, dtype=np.float64)
-
-    def row_key(self, length, ctx):
-        return min(length, len(self.log_rows)) - 1
-
-    def next_logits(self, history, ctx):
-        return self.log_rows[self.row_key(len(history), ctx)].copy()
 
 
 def crossing_weights(p, a, low, high):
