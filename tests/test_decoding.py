@@ -589,19 +589,22 @@ class TestOneRowPerStep:
             calls["per-step"] += len(per_step)
         assert calls["per-beam"] > calls["per-step"] > 0
 
+    @pytest.mark.parametrize("with_rows", [True, False], ids=["shared-rows", "no-rows"])
     @pytest.mark.parametrize("kind", ["float64", "int-list"])
-    def test_cached_rows_are_copied_not_normalised(self, kind):
+    def test_cached_rows_are_copied_not_normalised(self, kind, with_rows):
         vocab = sized_vocab(7)
         rng = np.random.default_rng(5)
         cache = [rng.integers(-4, 5, size=vocab.size) for _ in range(6)]
         cache = [row.tolist() if kind == "int-list" else row.astype(np.float64)
                  for row in cache]
         before = [np.array(row, dtype=np.float64).tobytes() for row in cache]
+        reads = []
 
         class CachedRows(RowsByLength):
             """Returns its cached row for the history's length, not a copy."""
 
             def next_logits(self, history, ctx):
+                reads.append(len(history))
                 return cache[self.row_key(len(history), ctx)]
 
         class Copies(CachedRows):
@@ -610,10 +613,21 @@ class TestOneRowPerStep:
 
         ctx = UtteranceContext(utt_id="u")
         provider = CachedRows(vocab, cache)
+        # one dict shared by searches of every width: its ranked rows serve
+        # each of them, and each key is read once over all three
+        kwargs = {"rows": {}} if with_rows else {}
+        searched = []
         for beam_width, max_len in ((1, 3), (4, 6), (8, 8)):
-            got = beam_search(provider, ctx, beam_width, min(beam_width, 3), max_len)
-            assert got == serial_beam_search(Copies(vocab, cache), ctx, beam_width,
-                                             min(beam_width, 3), max_len)
+            got = beam_search(provider, ctx, beam_width, min(beam_width, 3), max_len,
+                              **kwargs)
+            searched += reads
+            want = serial_beam_search(Copies(vocab, cache), ctx, beam_width,
+                                      min(beam_width, 3), max_len)
+            reads.clear()
+            assert got == want
+        if with_rows:
+            assert sorted(key for _, key in kwargs["rows"]) == list(range(len(cache)))
+            assert sorted(searched) == list(range(1, len(cache) + 1))
         assert [np.array(row, dtype=np.float64).tobytes() for row in cache] == before
         assert all(type(row) is (list if kind == "int-list" else np.ndarray)
                    for row in cache)
@@ -712,16 +726,22 @@ class TestRankedRows:
         assert set(widths) == {7}  # every step scored the whole row
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, 1], ids=["first-step", "second-step"])
     @pytest.mark.parametrize("with_rows", [True, False], ids=["rows", "no-rows"])
-    def test_non_finite_row_is_a_data_error(self, bad, with_rows):
-        # a finite first row, then a second row holding one non-finite entry
+    def test_non_finite_row_is_a_data_error(self, bad, at, with_rows):
+        # finite rows but one, which holds one non-finite entry: the row the
+        # first step reads (one live beam), or the second's (after BOS and
+        # EOS tie at the top of the uniform first row, one beam lives on)
         vocab = sized_vocab(7)
-        second = np.zeros(7)
-        second[4] = bad
-        provider = RowsByLength(vocab, [np.zeros(7), second])
+        table = np.zeros((2, 7))
+        table[at, 4] = bad
+        provider = RowsByLength(vocab, table)
         kwargs = {"rows": {}} if with_rows else {}
         with pytest.raises(InvalidInputError, match="finite"):
             beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3, **kwargs)
+        if with_rows:
+            # the refused row is not cached; the finite rows read before it are
+            assert list(kwargs["rows"]) == [(id(provider), key) for key in range(at)]
 
 
 def reference_decode(llm, asr, cfg, ctx, max_len):
