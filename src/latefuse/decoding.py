@@ -36,7 +36,7 @@ from . import metrics
 from .core import (TokenSeq, Vocabulary, argmax_token, entropy, sigmoid, softmax_rows,
                    softmax_with_temperature)
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
-from .fusion import FusionConfig, FusionStep, decide, fuse_step
+from .fusion import FusionConfig, FusionStep, fuse_step
 from .providers import UtteranceContext
 
 # Length cap for decoding without a reference to scale against.
@@ -128,32 +128,32 @@ class ChoiceTable(NamedTuple):
 
 def _acoustic_rows(provider, ctxs, lattices, block: np.ndarray):
     """A, the read-only `(B, V)` rows of a keyed provider's calibrated
-    `block` at the length t + 1 of each key (t, context) of `lattices`,
-    gathered by `row_key` with one index (a keyed row depends on the
-    history only through its length), and a mask of the keys whose row
-    `calibrated_row` would take there: a row that `softmax_rows` flagged is
-    masked, and so is every row of an utterance whose `row_key` raises."""
+    `block` at the length t + 1 of each key (t, context) of `lattices`
+    (each utterance's keys, or None), gathered by `row_key` with one index
+    (a keyed row depends on the history only through its length), and a
+    mask of the keys whose row `calibrated_row` would take there: a row
+    that `softmax_rows` flagged is masked, and so is every row of an
+    utterance whose `row_key` raises."""
     keys, given = [], []
     for ctx, lattice in zip(ctxs, lattices):
         if lattice is not None:
             try:
-                utt_keys = [provider.row_key(t + 1, ctx) for t, _ in lattice.keys]
+                utt_keys = [provider.row_key(t + 1, ctx) for t, _ in lattice]
             except InvalidInputError:
                 utt_keys = None
-            keys += [0] * len(lattice.keys) if utt_keys is None else utt_keys
-            given += [utt_keys is not None] * len(lattice.keys)
+            keys += [0] * len(lattice) if utt_keys is None else utt_keys
+            given += [utt_keys is not None] * len(lattice)
     a = block[keys]
     a.flags.writeable = False
     return a, np.array(given) & ~np.isnan(a[:, 0])
 
 
-def choice_tables(llm_provider, asr_provider, cfgs, ctxs,
-                  block: np.ndarray | None) -> tuple[list, list]:
-    """The lattices of `ctxs`, a chunk of a decode set, from the corrector's
-    `lattices(ctxs)`, and for each utterance one `ChoiceTable` per config
-    of `cfgs` (which share mode, tau1 and tau2; mode llm, static or uadf),
-    decided at once on the keys of every lattice of the chunk; or None for
-    an utterance without a lattice.
+def choice_tables(llm_provider, asr_provider, cfgs, ctxs, block: np.ndarray | None) -> list:
+    """For each utterance of `ctxs`, a chunk of a decode set, one
+    `ChoiceTable` per config of `cfgs` (which share mode, tau1 and tau2;
+    mode llm, static or uadf), decided at once on the keys of every
+    utterance of the chunk that the corrector's `lattices(ctxs)` gives
+    keys; or None for an utterance without them.
 
     The chunk's corrector rows are calibrated as one block (`softmax_rows`
     at tau1, P) and, in uadf, take their entropies u as one block. In the
@@ -176,7 +176,7 @@ def choice_tables(llm_provider, asr_provider, cfgs, ctxs,
     cfg = cfgs[0]
     lattices, raw = llm_provider.lattices(ctxs)
     if not len(raw):  # no list of the chunk is usable
-        return lattices, [None] * len(ctxs)
+        return [None] * len(ctxs)
     p = softmax_rows(raw, cfg.tau1)
     p.flags.writeable = False
     kept = ~np.isnan(p[:, 0])
@@ -203,19 +203,18 @@ def choice_tables(llm_provider, asr_provider, cfgs, ctxs,
             chosen.append(fused_rows.argmax(axis=1).tolist())
     kept = None if kept.all() else kept.tolist()
     tables, lo = [], 0
-    for lattice in lattices:
-        if lattice is None:
+    for keys in lattices:
+        if keys is None:
             tables.append(None)
             continue
-        hi = lo + len(lattice.keys)
-        index = dict(zip(lattice.keys, range(lo, hi)))
+        hi = lo + len(keys)
+        index = dict(zip(keys, range(lo, hi)))
         if kept is not None:
             index = {key: i for key, i in index.items() if kept[i]}
-        start = lattice.keys[0][1]
-        tables.append([ChoiceTable(index, start, p, a, u, None if ws is None else ws[k],
+        tables.append([ChoiceTable(index, keys[0][1], p, a, u, None if ws is None else ws[k],
                                    chosen[k]) for k in range(len(cfgs))])
         lo = hi
-    return lattices, tables
+    return tables
 
 
 def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
@@ -227,22 +226,18 @@ def greedy_decode(provider, ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LE
 
 def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
                         ctx: UtteranceContext, max_len: int = DEFAULT_MAX_LEN,
-                        memo: dict | None = None, block: np.ndarray | None = None,
+                        block: np.ndarray | None = None,
                         table: ChoiceTable | None = None) -> DecodeResult:
     """Greedy decoding in any of cfg's modes, with one shared history
     driving the providers.
 
     A step of mode llm or asr is the argmax of that provider's
     `calibrated_row` (at tau1 or tau2), and its recorded step is that
-    distribution. A fused step (static or uadf) is a FusionStep. `memo`
-    maps a history of this utterance to its fused step's (p_llm, p_asr,
-    entropy of p_llm or None where no uadf step measured it); it is read
-    and filled, so fused decodes of one utterance whose configs share tau1
-    and tau2 (see `decode_eval_set`) run the providers and the softmaxes
-    once per distinct history, and uadf ones the entropy too. `block` is
-    None, or the calibrated rows of the keyed provider whose
-    `calibrated_row` the steps read (see `decode_eval_set`): the primary
-    in mode llm, the acoustic model in the others.
+    distribution. A fused step (static or uadf) is the `fuse_step` of the
+    corrector's row, read first, and the acoustic model's `calibrated_row`
+    at tau2. `block` is None, or the calibrated rows of the keyed provider
+    whose `calibrated_row` the steps read (see `decode_eval_set`): the
+    primary in mode llm, the acoustic model in the others.
 
     `table` is cfg's `ChoiceTable` for `ctx` (see `choice_tables`): one
     without weights in mode llm, one with weights in static or uadf, none
@@ -269,7 +264,6 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
         raise InvalidParameterError(
             f"a choice table {'without' if table.w is None else 'with'} weights does not fit "
             f"mode {cfg.mode}")
-    memo = {} if memo is None else memo
     index, context, chosen = (table.index, table.start, table.chosen) if table is not None \
         else ({}, (), None)
     tokens, steps = [], []
@@ -280,21 +274,13 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
             steps.append(i)
         else:
             history = (Vocabulary.BOS, *tokens)
-            if not fused:
+            if fused:
+                step = fuse_step(llm_provider.next_logits(history, ctx),
+                                 calibrated_row(provider, history, ctx, tau, block), cfg)
+                token = step.chosen
+            else:
                 step = calibrated_row(provider, history, ctx, tau, block)
                 token = argmax_token(step)
-            else:
-                inputs = memo.get(history)
-                if inputs is None:
-                    step = fuse_step(
-                        llm_provider.next_logits(history, ctx),
-                        calibrated_row(provider, history, ctx, tau, block),
-                        cfg,
-                    )
-                    memo[history] = (step.p_llm, step.p_asr, step.measured_u)
-                else:
-                    step = decide(*inputs, cfg)
-                token = step.chosen
             steps.append(step)
         tokens.append(token)
         if token == Vocabulary.EOS:
@@ -435,19 +421,16 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
     """Decode (ctx, reference_words) pairs at each of `cfgs`.
 
     For each utterance, in order, yields one DecodeResult per config, in
-    config order. An utterance's decodes share one memo of step inputs,
-    which is dropped before the next utterance, so the configs must share
-    mode, tau1 and tau2. If the provider whose `calibrated_row` the steps
-    read (the primary at tau1 in mode llm, the acoustic model at tau2 in
-    the others) is keyed, its `log_rows` are calibrated once, by
-    `softmax_rows`, into one read-only block that every decode reads. In
-    modes llm, static and uadf, a corrector with `lattices` gets one set
-    of `choice_tables` per chunk of `CHUNK_UTTERANCES` utterances, which
-    their decodes walk, if the mode is llm or the acoustic model is keyed
-    and has the corrector's vocabulary; before an utterance's decodes, the
-    corrector holds its vote rows from the chunk (`hold_votes`). The
-    provider whose argmax the mode follows, the acoustic model in mode asr
-    and the corrector in the others, is told the utterances first, in
+    config order. The configs must share mode, tau1 and tau2. If the
+    provider whose `calibrated_row` the steps read (the primary at tau1 in
+    mode llm, the acoustic model at tau2 in the others) is keyed, its
+    `log_rows` are calibrated once, by `softmax_rows`, into one read-only
+    block that every decode reads. In modes llm, static and uadf, a
+    corrector with `lattices` gets one set of `choice_tables` per chunk of
+    `CHUNK_UTTERANCES` utterances, which their decodes walk, if the mode is
+    llm or the acoustic model is keyed and has the corrector's vocabulary.
+    The provider whose argmax the mode follows, the acoustic model in mode
+    asr and the corrector in the others, is told the utterances first, in
     order, if it has a `prefetch` method (one served over the wire), so it
     can fetch the first rows of many of them per round trip, each with its
     argmax path.
@@ -468,19 +451,13 @@ def decode_eval_set(llm_provider, asr_provider, cfgs, eval_set,
         mode == "llm" or block is not None and asr_provider.vocab == llm_provider.vocab)
     for lo in range(0, len(eval_set), CHUNK_UTTERANCES):
         chunk = eval_set[lo:lo + CHUNK_UTTERANCES]
-        if with_tables:
-            lattices, tables = choice_tables(llm_provider, asr_provider, cfgs,
-                                             [ctx for ctx, _ in chunk], block)
-        else:
-            lattices = tables = [None] * len(chunk)
-        for (ctx, ref_words), lattice, utt_tables in zip(chunk, lattices, tables):
+        tables = choice_tables(llm_provider, asr_provider, cfgs, [ctx for ctx, _ in chunk],
+                               block) if with_tables else [None] * len(chunk)
+        for (ctx, ref_words), utt_tables in zip(chunk, tables):
             max_len = evaluation_max_len(ref_words, max_len_factor)
-            memo = {}
-            if lattice is not None:
-                llm_provider.hold_votes(ctx, lattice)
             for k, cfg in enumerate(cfgs):
                 yield fused_greedy_decode(llm_provider, asr_provider, cfg, ctx, max_len=max_len,
-                                          memo=memo, block=block,
+                                          block=block,
                                           table=utt_tables[k] if utt_tables else None)
 
 
@@ -493,6 +470,7 @@ def sweep_wers(llm_provider, asr_provider, cfgs, eval_set,
     (`metrics.distance_to`), with no alignment.
     """
     vocab = (llm_provider or asr_provider).vocab
+    eval_set = list(eval_set)
     results = decode_eval_set(llm_provider, asr_provider, cfgs, eval_set, max_len_factor)
     edits = [0] * len(cfgs)
     n_words = 0

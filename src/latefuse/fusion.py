@@ -92,19 +92,18 @@ def uadf_weight(u: float, beta: float) -> float:
     return sigmoid(float(u)) - float(beta)
 
 
-def decide(p_llm: np.ndarray, p_asr: np.ndarray, u: float | None,
-           cfg: FusionConfig) -> FusionStep:
-    """The fused choice of one step, given both calibrated distributions and
-    the primary's entropy u, or None where it is not yet measured: the
-    argmax of p_llm + w * p_asr, with w = w_asr (static) or
-    sigmoid(u) - beta (uadf, which measures a missing u).
+def decide(p_llm: np.ndarray, p_asr: np.ndarray, cfg: FusionConfig) -> FusionStep:
+    """The fused choice of one step, given both calibrated distributions:
+    the argmax of p_llm + w * p_asr, with w = w_asr (static) or
+    sigmoid(u) - beta (uadf), u the entropy of p_llm, which only uadf
+    measures.
 
     The sum is never rescaled into a distribution: dividing it by 1 + w
     would not move its argmax.
     """
+    u = None
     if cfg.mode == "uadf":
-        if u is None:
-            u = entropy(p_llm)
+        u = entropy(p_llm)
         w = uadf_weight(u, cfg.beta)
     elif cfg.mode == "static":
         w = cfg.w_asr
@@ -118,10 +117,8 @@ def fuse_step(logits_llm, p_asr: np.ndarray, cfg: FusionConfig) -> FusionStep:
     stages: calibrate the primary's row (softmax at tau1), then add the
     secondary's distribution, which arrives already calibrated (the
     softmax of its row at tau2, in a decode set a row of its calibrated
-    block; see `decoding.calibrated_row`). Only uadf's
-    weight reads the primary's entropy, so only a uadf step measures it; a
-    static step computes it when its `uncertainty` is read. Only the
-    decision depends on cfg beyond tau1 and tau2, so sweep points that
-    share those can share a step's p_llm, p_asr and measured entropy.
+    block; see `decoding.calibrated_row`). Only uadf's weight reads the
+    primary's entropy, so only a uadf step measures it; a static step
+    computes it when its `uncertainty` is read.
     """
-    return decide(softmax_with_temperature(logits_llm, cfg.tau1), p_asr, None, cfg)
+    return decide(softmax_with_temperature(logits_llm, cfg.tau1), p_asr, cfg)

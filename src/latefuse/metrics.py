@@ -1,8 +1,10 @@
 """Word error rate, relative reduction and N-best oracles.
 
-All scoring functions take pre-tokenized word sequences; `normalize_text`
-is the default text hook (lowercase + whitespace split) and can be
-swapped by callers ingesting external data with other conventions.
+All scoring functions take pre-tokenized word sequences, and refuse a
+`str` in place of one, which would read as a sequence of characters;
+`normalize_text` is the default text hook (lowercase + whitespace split)
+and can be swapped by callers ingesting external data with other
+conventions.
 
 `wer` aligns a pair to split its edits into S, I and D; `corpus_report`
 aligns each distinct pair once, and can share its dict of alignments
@@ -40,6 +42,13 @@ class ScoreReport:
 
     def to_dict(self) -> dict:
         return {"wer": self.wer, **asdict(self)}
+
+
+def _words(words, name: str) -> list:
+    """`words` as a list; a `str` is refused rather than read as characters."""
+    if isinstance(words, str):
+        raise InvalidInputError(f"{name} must be a sequence of words, not a string")
+    return list(words)
 
 
 def _edit_table(rows, cols, skips=None) -> list[list[int]]:
@@ -92,8 +101,8 @@ def wer(hypothesis, reference) -> ScoreReport:
     Backtrace ties prefer hit > substitution > deletion > insertion, so
     the S/I/D split is deterministic.
     """
-    hyp = list(hypothesis)
-    ref = list(reference)
+    hyp = _words(hypothesis, "hypothesis")
+    ref = _words(reference, "reference")
     if not ref:
         raise InvalidInputError("reference must be non-empty")
 
@@ -115,7 +124,7 @@ def distance_to(reference):
     Python int holds any width). The reference's bit masks are built
     once, here, for every hypothesis scored against it.
     """
-    ref = list(reference)
+    ref = _words(reference, "reference")
     if not ref:
         raise InvalidInputError("reference must be non-empty")
     masks = {}
@@ -125,7 +134,7 @@ def distance_to(reference):
 
     def distance(hypothesis) -> int:
         pv, mv, score = full, 0, len(ref)
-        for word in hypothesis:
+        for word in _words(hypothesis, "hypothesis"):
             eq = masks.get(word, 0)
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
@@ -188,10 +197,10 @@ def werr(wer_baseline: float, wer_new: float) -> float:
 
 def oracle_nbest(nbest, reference) -> float:
     """WER of the best single hypothesis in the list."""
-    nbest = list(nbest)
+    nbest = _words(nbest, "nbest")
     if not nbest:
         raise InvalidInputError("nbest must be non-empty")
-    ref = list(reference)
+    ref = _words(reference, "reference")
     distance = distance_to(ref)
     # the smallest distance over one positive length is the smallest WER
     return min(distance(hyp) for hyp in nbest) / len(ref)
@@ -238,10 +247,10 @@ def oracle_compositional(nbest, reference) -> float:
     so the result never exceeds the single-best oracle, while remaining a
     conservative estimate of the true compositional optimum.
     """
-    nbest = [list(h) for h in nbest]
+    nbest = [_words(h, "hypothesis") for h in _words(nbest, "nbest")]
     if not nbest:
         raise InvalidInputError("nbest must be non-empty")
-    ref = list(reference)
+    ref = _words(reference, "reference")
     if not ref:
         raise InvalidInputError("reference must be non-empty")
 

@@ -21,35 +21,35 @@ one by one only to name the first bad one. A keyed provider,
 as `AcousticChannel` is, is a block plus an index: `row_key(length, ctx)`
 indexes the rows of a `(R, V)` array `log_rows`, and
 `next_logits(history, ctx)` equals `log_rows[row_key(len(history), ctx)]`,
-so equal keys mean equal rows, also across utterances. Beam search
-reads only keyed providers: it reads, normalises and ranks each key's
-row once per search, or once for every search that shares its `rows`
-dict (one per corpus in `corpus.generate_corpus`). A decode set calibrates the whole block once (`decoding.decode_eval_set`),
-and a calibration reads each key's row once (`calibration.collect_traces`).
-`NgramCorrector` reads a history only through its key (`history_key`):
-its vote row and its n-gram context. Its `lattices(ctxs)` gives the keys
-of the N-best prefixes of a chunk of utterances and their rows as one
-`(B, V)` block: one `np.bincount` counts the vote rows of every list of
-the chunk, and the weighted priors are gathered from rows held by
-context for as long as the model serves them. A decode set calibrates
-that block once per chunk and decides every config's choice at each of
-its keys (`decoding.choice_tables`); each decode walks its utterance's
-table and reads the corrector only at the steps off it, with the vote
-rows of the chunk held for it (`hold_votes`), so a step off the table
-counts no list again. The wire client, `wire.ExternalProvider`, has no
-lattices; it keeps the unread rows of its replies by utterance. A
-caller that announces its utterances (`prefetch`) gets the first rows of
-up to `wire.MAX_ENTRIES` of them per round trip, one entry of a step
-request each, with the provider's argmax path past its follow; an
-utterance nobody announced gets one row per step. A fetch for an
-utterance drops the rows of every other but those announced after it.
+so equal keys mean equal rows, also across utterances. Beam search reads
+only keyed providers: it reads, normalises and ranks each key's row once
+per search, or once for every search that shares its `rows` dict (one
+per corpus in `corpus.generate_corpus`). A decode set calibrates the
+whole block once (`decoding.decode_eval_set`), and a calibration reads
+each key's row once (`calibration.collect_traces`). `NgramCorrector`
+reads a history only through its key (`history_key`): its vote row and
+its n-gram context. Its `lattices(ctxs)` gives the keys of the N-best
+prefixes of a chunk of utterances and their rows as one `(B, V)` block:
+one `np.bincount` counts the vote rows of every list of the chunk, and
+the weighted priors are gathered from rows held by context for as long
+as the model serves them. The corrector then holds the vote rows of
+every list of the chunk, so a row read off those prefixes counts no list
+again. A decode set calibrates that block once per chunk and decides
+every config's choice at each of its keys (`decoding.choice_tables`);
+each decode walks its utterance's table and reads the corrector only at
+the steps off it. The wire client, `wire.ExternalProvider`, has no
+lattices; it keeps the unread rows of its replies by utterance. A caller
+that announces its utterances (`prefetch`) gets the first rows of up to
+`wire.MAX_ENTRIES` of them per round trip, one entry of a step request
+each, with the provider's argmax path past its follow; an utterance
+nobody announced gets one row per step. A fetch for an utterance drops
+the rows of every other but those announced after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +79,6 @@ class UtteranceContext:
     utt_id: str
     nbest: tuple[TokenSeq, ...] = ()
     observation: TokenSeq | None = None
-
-
-class Lattice(NamedTuple):
-    """One utterance's part of `NgramCorrector.lattices`."""
-
-    keys: list          # the key (t, n-gram context) of each of its rows, in block order
-    votes: np.ndarray   # its weighted vote rows, as `_vote_rows` counts them
 
 
 class NgramModel:
@@ -223,12 +216,12 @@ class NgramCorrector:
     the natural log of this mixture.
 
     Both terms are built once and reused: the weighted vote of every
-    position of an N-best list when a step first reads that list (it is
-    held against the latest list only; `_vote_rows` counts the whole list
-    with one `np.bincount` and divides once), and the weighted prior of an
-    n-gram context when a step first reads the row the model serves for
-    it (held against that row, so a model trained again, which serves new
-    rows, leaves none stale).
+    position of an N-best list when a step first reads that list (held for
+    the lists of the latest `lattices` chunk, or else for the latest list
+    only; `_vote_rows` counts the whole list with one `np.bincount` and
+    divides once), and the weighted prior of an n-gram context when a step
+    first reads the row the model serves for it (held against that row, so
+    a model trained again, which serves new rows, leaves none stale).
 
     A row reads its history only through its key (`history_key`): the
     vote row, min(len(history), len(votes)) - 1, and the n-gram context,
@@ -243,7 +236,9 @@ class NgramCorrector:
         self.vocab = model.vocab
         self.vote_weight = float(vote_weight)
         self._priors: dict[int, tuple] = {}  # id(model row) -> (model row, weighted row)
-        self._votes: tuple = (None, None)  # (nbest, weighted vote rows) of the latest list
+        # id(nbest) -> (nbest, weighted vote rows) of the latest chunk's lists or
+        # latest list; an entry holds its list, so no other list takes its id
+        self._votes: dict = {}
         # (the model's row cache, context -> weighted row), for `lattices`
         self._context_priors: tuple = (None, None)
 
@@ -283,14 +278,14 @@ class NgramCorrector:
         vote[-1] = 1.0 / v
         vote *= self.vote_weight
         rows = list(vote)
-        self._votes = (nbest, rows)
+        self._votes = {id(nbest): (nbest, rows)}
         return rows
 
     def _held_votes(self, nbest: tuple[TokenSeq, ...]) -> list:
-        """The weighted vote rows of `nbest`, counted when it is not the
-        list they are held against."""
-        held, votes = self._votes
-        return votes if held is nbest else self._vote_rows(nbest)
+        """The weighted vote rows of `nbest`, counted when they are not
+        held."""
+        held = self._votes.get(id(nbest))
+        return self._vote_rows(nbest) if held is None else held[1]
 
     def _prior(self, history: TokenSeq) -> np.ndarray:
         """(1 - vote_weight) * p_ngram(. | history), kept for as long as the
@@ -331,15 +326,17 @@ class NgramCorrector:
         return priors
 
     def lattices(self, ctxs) -> tuple[list, np.ndarray]:
-        """The `Lattice` of each utterance of `ctxs`, and the raw rows of
-        all of them, in order, as one new `(B, V)` array.
+        """The keys of each utterance of `ctxs`, and the raw rows of all of
+        them, in order, as one new `(B, V)` array.
 
-        An utterance's lattice holds the keys (see `history_key`) of the
+        An utterance's keys are those (see `history_key`) of the
         BOS-prefixed prefixes of its N-best list up to each hypothesis's
         EOS, BOS alone included, each once; their rows are consecutive in
         the block, and row i of them `==` `next_logits(history, ctx)` for
-        every history of key i. It is None for a list with an id outside
-        [0, V): `next_logits` refuses that list when a step reads it.
+        every history of key i. They are None for a list with an id outside
+        [0, V): `next_logits` refuses that list when a step reads it. The
+        vote rows of every other list are held in place of those held
+        before, so `next_logits` counts none of these lists again.
 
         A prefix of t tokens is no longer than the longest hypothesis, so
         its vote row is t, unclipped, and its context is a slice of the
@@ -351,7 +348,7 @@ class NgramCorrector:
         ops.
         """
         v, k = self.vocab.size, self.model.order - 1
-        lattices, spans, flat, vote_rows, contexts = [], [], [], [], []
+        lattices, lists, spans, flat, vote_rows, contexts = [], [], [], [], [], []
         n_votes = 0
         for ctx in ctxs:
             nbest = ctx.nbest
@@ -371,6 +368,7 @@ class NgramCorrector:
             vote_rows += [n_votes + t for t, _ in keys]
             contexts += [context for _, context in keys]
             lattices.append(list(keys))
+            lists.append(nbest)
             spans.append(slice(n_votes, n_votes + max(map(len, nbest), default=0) + 1))
             n_votes = spans[-1].stop
         if not spans:
@@ -388,15 +386,8 @@ class NgramCorrector:
         rows += votes[vote_rows]
         rows += LOG_EPS
         np.log(rows, out=rows)
-        held = iter(spans)
-        return [None if keys is None else Lattice(keys, votes[next(held)])
-                for keys in lattices], rows
-
-    def hold_votes(self, ctx: UtteranceContext, lattice: Lattice):
-        """Hold `lattice`'s vote rows, counted with its chunk, as those of
-        ctx's list, so a step of ctx off the lattice reads them without
-        counting the list again."""
-        self._votes = (ctx.nbest, lattice.votes)
+        self._votes = {id(nbest): (nbest, votes[span]) for nbest, span in zip(lists, spans)}
+        return lattices, rows
 
 
 def train_ngram_corrector(

@@ -109,8 +109,8 @@ def test_traced_decode_sets_read_no_channel_row(bench_case, monkeypatch):
     sets = [[FusionConfig(mode="asr", tau2=0.7)], [FusionConfig(tau2=0.7)],
             [FusionConfig(beta=b) for b in (0.0, 0.5, 1.0)],
             [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.25)]]
-    # Untraced reference: the fused steps that miss their utterance's memo,
-    # each one `fuse_step`.
+    # Untraced reference: the fused steps off their utterance's choice
+    # table, each one `fuse_step`.
     misses, original = [0], decoding.fuse_step
 
     def counted(*args):
@@ -134,7 +134,7 @@ def test_traced_decode_sets_read_no_channel_row(bench_case, monkeypatch):
     # every step, mode asr's included, reads its channel row there
     assert m["providers.asr.calls"] == 0
     assert m["fusion.fuse_step.calls"] == misses[0] > 0
-    # one softmax, and one check, per memo miss: the primary's
+    # one softmax, and one check, per step off the table: the primary's
     assert m["core.softmax.calls"] == m["fusion.fuse_step.calls"] == m["core.validate.calls"]
 
 

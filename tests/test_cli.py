@@ -443,7 +443,10 @@ class TestDecode:
             for i in range(decoding.evaluation_max_len(ref)):
                 p_llm = softmax_with_temperature(llm.next_logits(history, ctx), 1.0)
                 p_asr = softmax_with_temperature(asr.next_logits(history, ctx), 1.0)
-                step = fusion.decide(p_llm, p_asr, entropy(p_llm), cfg)
+                step = fusion.decide(p_llm, p_asr, cfg)
+                # the same step, with its entropy measured
+                step = fusion.FusionStep(p_llm, p_asr, entropy(p_llm), step.w_asr_effective,
+                                         step.chosen)
                 want.append(json.dumps({"id": rec.id, **step.log_entry(i, vocab)}) + "\n")
                 history += (step.chosen,)
                 if step.chosen == Vocabulary.EOS:

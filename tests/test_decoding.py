@@ -25,7 +25,7 @@ from latefuse.errors import ConfigurationError, InvalidInputError, InvalidParame
 from latefuse.fusion import FusionConfig, decide
 from latefuse.metrics import corpus_wer
 from latefuse.corpus import ChannelSpec, decoder_confusion, generate_corpus, record_context
-from latefuse.providers import AcousticChannel, Lattice, UtteranceContext, train_ngram_corrector
+from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
 
 
 @pytest.fixture
@@ -243,13 +243,10 @@ class TestDecodeEvalSet:
         cfgs = [FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
                 for beta in (0.0, 0.5, 1.0)]
         got = list(decode_eval_set(llm, asr, cfgs, eval_set, max_len_factor=1.5))
-        shared_calls = llm.calls
-        llm.calls = 0
         want = [fused_greedy_decode(llm, asr, cfg, ctx, max_len=evaluation_max_len(ref, 1.5))
                 for ctx, ref in eval_set for cfg in cfgs]
         assert [r.tokens for r in got] == [r.tokens for r in want]
         assert [r.terminated for r in got] == [r.terminated for r in want]
-        assert shared_calls < llm.calls
 
     def test_evaluation_max_len(self):
         assert evaluation_max_len(["w"] * 5) == 12  # 2 * (5 + 1)
@@ -322,7 +319,7 @@ def count_calls(monkeypatch, module, name):
 
 class TestEntropyOnlyWhereRead:
     """Only uadf's weight reads the primary's entropy, so a static decode
-    set computes none, and a uadf set one per step that misses its memo."""
+    set computes none, and a uadf set one per step off its table."""
 
     GRID = (0.0, 0.25, 0.5, 1.0)
     BETAS = (0.0, 0.5, 1.0)
@@ -344,10 +341,8 @@ class TestEntropyOnlyWhereRead:
         cfgs = [FusionConfig(mode="uadf", beta=b, tau1=tau1, tau2=tau2) for b in self.BETAS]
         entropies = count_calls(monkeypatch, fusion, "entropy")
         misses = count_calls(monkeypatch, decoding, "fuse_step")
-        results = list(decode_eval_set(llm, asr, cfgs, eval_set))
-        steps = sum(len(r.steps) for r in results)
+        list(decode_eval_set(llm, asr, cfgs, eval_set))
         assert entropies[0] == misses[0] > 0
-        assert steps > misses[0]  # memo hits reuse the measured entropy
 
     @pytest.mark.parametrize("case", range(4))
     def test_static_step_computes_its_entropy_when_read(self, monkeypatch, case):
@@ -375,7 +370,7 @@ class TestEntropyOnlyWhereRead:
 
 
 class TestSweepWers:
-    """The memoized, utterance-major sweep gives the WERs of a plain loop."""
+    """The utterance-major sweep gives the WERs of a plain loop."""
 
     @pytest.mark.parametrize("case", range(8))
     def test_static_grid_equals_plain_loop(self, case):
@@ -384,11 +379,8 @@ class TestSweepWers:
         cfgs = [FusionConfig(mode="static", w_asr=w_asr, tau1=tau1, tau2=tau2)
                 for w_asr in grid]
         got = sweep_wers(llm, asr, cfgs, eval_set)
-        shared_calls = llm.calls
-        llm.calls = 0
         assert got == plain_sweep(llm, asr, cfgs, eval_set)
         assert len(got) == len(grid)
-        assert shared_calls < llm.calls
 
     @pytest.mark.parametrize("case", range(8))
     def test_beta_sweep_equals_plain_loop(self, case):
@@ -396,22 +388,17 @@ class TestSweepWers:
         cfgs = [FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
                 for beta in (0.0, 0.25, 0.5, 0.6, 0.75, 1.0)]
         got = sweep_wers(llm, asr, cfgs, eval_set, max_len_factor=1.5)
-        shared_calls = asr.calls
-        asr.calls = 0
         assert got == plain_sweep(llm, asr, cfgs, eval_set, factor=1.5)
-        assert shared_calls < asr.calls
 
-    def test_memo_leaves_each_decode_unchanged(self):
-        llm, asr, eval_set, (tau1, tau2) = random_case(99)
-        ctx, ref = eval_set[0]
-        memo = {}
-        for beta in (0.0, 0.5, 1.0, 0.5):
-            cfg = FusionConfig(mode="uadf", beta=beta, tau1=tau1, tau2=tau2)
-            shared = fused_greedy_decode(llm, asr, cfg, ctx, max_len=6, memo=memo)
-            alone = fused_greedy_decode(llm, asr, cfg, ctx, max_len=6)
-            assert shared.tokens == alone.tokens
-            assert [s.w_asr_effective for s in shared.steps] == \
-                [s.w_asr_effective for s in alone.steps]
+    @pytest.mark.parametrize("mode", ["static", "uadf"])
+    def test_one_pass_eval_set_gives_the_wers_of_the_list(self, mode):
+        """A generator is read once, and scored against the references it
+        gave, not against an exhausted second pass."""
+        llm, asr, eval_set, (tau1, tau2) = random_case(3)
+        cfgs = [FusionConfig(mode=mode, w_asr=w, beta=w, tau1=tau1, tau2=tau2)
+                for w in (0.0, 0.5)]
+        want = sweep_wers(llm, asr, cfgs, eval_set)
+        assert sweep_wers(llm, asr, cfgs, (pair for pair in eval_set)) == want
 
     @pytest.mark.parametrize("other", [
         {"tau1": 0.5}, {"tau2": 2.0}, {"mode": "static"},
@@ -746,7 +733,7 @@ class TestRankedRows:
 
 def reference_decode(llm, asr, cfg, ctx, max_len):
     """Oracle: the decode loop that reads and softmaxes every provider row at
-    every step, with no memo and no row cache. Its steps are the
+    every step, with no row cache. Its steps are the
     distributions (single-model modes) or the FusionSteps (fused modes)."""
     history, tokens, steps = (Vocabulary.BOS,), (), []
     for _ in range(max_len):
@@ -757,7 +744,7 @@ def reference_decode(llm, asr, cfg, ctx, max_len):
         else:
             p_llm = softmax_with_temperature(llm.next_logits(history, ctx), cfg.tau1)
             p_asr = softmax_with_temperature(asr.next_logits(history, ctx), cfg.tau2)
-            step = decide(p_llm, p_asr, entropy(p_llm), cfg)
+            step = decide(p_llm, p_asr, cfg)
             tok = step.chosen
         steps.append(step)
         tokens += (tok,)
@@ -1112,7 +1099,7 @@ class FixedLattice:
 
     def lattices(self, ctxs):
         assert len(ctxs) == 1
-        return [Lattice([(i, (i,)) for i in range(len(self.raw))], [])], self.raw.copy()
+        return [[(i, (i,)) for i in range(len(self.raw))]], self.raw.copy()
 
 
 def crossing_weights(p, a, low, high):
@@ -1159,7 +1146,7 @@ class TestChoiceTable:
             cfgs = [FusionConfig(mode="uadf", beta=b, tau1=tau1, tau2=tau2)
                     for b in sorted(betas) if 0.0 <= b <= 1.0]
         asr = RowsByLength(vocab, raw_a)
-        _lattices, (tables,) = decoding.choice_tables(
+        (tables,) = decoding.choice_tables(
             FixedLattice(vocab, raw_p), asr, cfgs, [UtteranceContext("u")],
             calibrated_block(asr, tau2))
         near, overrides = 0, 0
@@ -1167,7 +1154,7 @@ class TestChoiceTable:
             for i in range(len(p)):
                 assert table.p_llm[i].tobytes() == p[i].tobytes()
                 assert table.p_asr[i].tobytes() == a[i].tobytes()
-                step = decide(table.p_llm[i], table.p_asr[i], None, cfg)
+                step = decide(table.p_llm[i], table.p_asr[i], cfg)
                 assert (table.chosen[i], table.w[i], table.u[i]) == \
                     (step.chosen, step.w_asr_effective, step.measured_u)
                 fused = np.sort(p[i] + step.w_asr_effective * a[i])
@@ -1207,7 +1194,7 @@ class TestChoiceTable:
                                                            monkeypatch)
             results = iter(list(decode_eval_set(llm, asr, cfgs, eval_set)))
             for ctx, _ref in eval_set:
-                keys = set(llm.lattices([ctx])[0][0].keys)
+                keys = set(llm.lattices([ctx])[0][0])
                 for _cfg in cfgs:
                     tokens = next(results).tokens
                     for t in range(len(tokens)):
@@ -1228,9 +1215,8 @@ class TestChoiceTable:
                                     order=2, smoothing=1e-3, vote_weight=0.5)
         cfg = FusionConfig(mode=mode, tau1=11.0 / sys.float_info.max)
         b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 4, 1))
-        (lattice,), _rows = llm.lattices([b_then_eos])
-        keys = lattice.keys
-        _lattices, ((table,),) = decoding.choice_tables(
+        (keys,), _rows = llm.lattices([b_then_eos])
+        ((table,),) = decoding.choice_tables(
             llm, identity_channel, [cfg], [b_then_eos], calibrated_block(identity_channel, 1.0))
         assert len(table.index) == len(keys) - 1 and (2, (3,)) not in table.index
         assert_lattice_changes_nothing(llm, identity_channel, [cfg],
@@ -1254,8 +1240,8 @@ class TestChoiceTable:
         asr = RowsByLength(abc_vocab, rows)
         cfgs = [FusionConfig(mode=mode, w_asr=1.0, beta=0.0)]
         b_then_eos = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)))
-        _lattices, ((table,),) = decoding.choice_tables(llm, asr, cfgs, [b_then_eos],
-                                                        calibrated_block(asr, 1.0))
+        ((table,),) = decoding.choice_tables(llm, asr, cfgs, [b_then_eos],
+                                             calibrated_block(asr, 1.0))
         assert sorted(t for t, _ in table.index) == [0, 1, 1]
         _reads, steps = assert_lattice_changes_nothing(llm, asr, cfgs, [(b_then_eos, ["b"])],
                                                        monkeypatch)
@@ -1274,7 +1260,7 @@ class TestChoiceTable:
         ctx = UtteranceContext("b", nbest=((4, 1), (5, 3, 1)), observation=(0, 5, 1))
         block = calibrated_block(identity_channel, 1.0)
         tables = {mode: decoding.choice_tables(llm, identity_channel, [FusionConfig(mode=mode)],
-                                               [ctx], block)[1][0][0]
+                                               [ctx], block)[0][0]
                   for mode in ("llm", "static", "uadf")}
         for mode in ("llm", "asr", "static", "uadf"):
             cfg = FusionConfig(mode=mode)
@@ -1329,8 +1315,8 @@ class TestChunks:
             assert len(past.tokens) > 1
 
     def test_steps_off_the_table_count_no_list(self, small_walkthrough, monkeypatch):
-        """Each utterance's vote rows are held for it from its chunk's count
-        (`hold_votes`), so a step off the table counts no N-best list."""
+        """The corrector holds each list's vote rows from its chunk's
+        `lattices` count, so a step off the table counts no N-best list."""
         vocab, train, asr, val, test = small_walkthrough
         llm = train_ngram_corrector(train, vocab, order=2, smoothing=0.1, vote_weight=0.85)
         cfgs = [FusionConfig(mode="static", w_asr=w) for w in (0.0, 0.5, 1.0)]
@@ -1338,6 +1324,31 @@ class TestChunks:
         reads = count_calls(monkeypatch, llm, "next_logits")
         list(decode_eval_set(llm, asr, cfgs, test))
         assert reads[0] > 0 and counted[0] == 0
+
+    @pytest.mark.parametrize("mode", ["static", "uadf"])
+    def test_a_refused_list_raises_at_its_step(self, small_walkthrough, mode, monkeypatch):
+        """In a set of three chunks, the second utterance of the second chunk
+        has a list with an id outside the vocabulary. Every decode before
+        it, steps off the table among them, counts no list; its first step
+        counts its list, the one count of the set, and raises there."""
+        vocab, train, asr, val, test = small_walkthrough
+        llm = train_ngram_corrector(train, vocab, order=2, smoothing=0.1, vote_weight=0.85)
+        eval_set, at = test[:2 * C + 2], C + 1
+        ctx, ref = eval_set[at]
+        refused = UtteranceContext("refused", nbest=(*ctx.nbest, (vocab.size,)),
+                                   observation=ctx.observation)
+        eval_set[at] = (refused, ref)
+        cfgs = [FusionConfig(mode=mode, w_asr=w, beta=w) for w in (0.25, 0.75)]
+        counted, count = [], llm._vote_rows
+        monkeypatch.setattr(llm, "_vote_rows", lambda nbest: counted.append(nbest) or count(nbest))
+        reads = count_calls(monkeypatch, llm, "next_logits")
+        results = decode_eval_set(llm, asr, cfgs, eval_set)
+        for _ in range(at * len(cfgs)):
+            next(results)
+        assert reads[0] > 0 and counted == []
+        with pytest.raises(InvalidInputError, match=rf"N-best token id {vocab.size} is outside"):
+            next(results)
+        assert counted == [refused.nbest]
 
 
 def walk_kind(step):
@@ -1394,7 +1405,7 @@ class TestLazySteps:
                 for cfg in cfgs:
                     for step in next(results).steps:
                         if walk_kind(step) == "hit":
-                            want = decide(step.p_llm, step.p_asr, None, cfg)
+                            want = decide(step.p_llm, step.p_asr, cfg)
                             assert (step.p_llm.tobytes(), step.p_asr.tobytes(),
                                     step.measured_u, step.w_asr_effective, step.chosen) == \
                                 (want.p_llm.tobytes(), want.p_asr.tobytes(), want.measured_u,

@@ -278,6 +278,32 @@ class TestDistanceKernel:
             distance_to([])
 
 
+class TestStringsAreRefused:
+    """A `str` where a word sequence belongs would be read as characters:
+    `wer("a b", "a c")` would count 3 reference words, and
+    `oracle_nbest(["a b"], ["a", "b"])` would read 0.5."""
+
+    @pytest.mark.parametrize("score, args, name", [
+        (wer, ("a b", ["a", "c"]), "hypothesis"),
+        (wer, (["a", "c"], "a b"), "reference"),
+        (distance_to, ("a b",), "reference"),
+        (lambda hyp, ref: distance_to(ref)(hyp), ("a b", ["a", "b"]), "hypothesis"),
+        (oracle_nbest, ("ab", ["a", "b"]), "nbest"),
+        (oracle_nbest, (["a b"], ["a", "b"]), "hypothesis"),
+        (oracle_nbest, ([["a"]], "a b"), "reference"),
+        (oracle_compositional, ("ab", ["a", "b"]), "nbest"),
+        (oracle_compositional, ([["a"], "a b"], ["a", "b"]), "hypothesis"),
+        (oracle_compositional, ([["a"]], "a b"), "reference"),
+    ], ids=["wer-hypothesis", "wer-reference", "distance_to-reference",
+            "distance-hypothesis", "oracle_nbest-list", "oracle_nbest-entry",
+            "oracle_nbest-reference", "oracle_compositional-list",
+            "oracle_compositional-entry", "oracle_compositional-reference"])
+    def test_a_string_for_a_word_sequence_is_refused(self, score, args, name):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name} must be a sequence of words, not a string$"):
+            score(*args)
+
+
 class TestCorpusReportSharesAlignments:
     def test_each_distinct_pair_aligned_once(self, monkeypatch):
         pairs = [("a b".split(), "a b".split()), ("x".split(), "a b".split()),

@@ -449,23 +449,23 @@ class TestCorrectorRows:
         ctx = UtteranceContext("a", nbest=lists["B"])
         _lattices, before = corrector.lattices([ctx])
         model.train([(4, 9, 9, 1)] * 30)
-        (lattice,), after = corrector.lattices([ctx])
+        (keys,), after = corrector.lattices([ctx])
         assert after.tobytes() != before.tobytes()
-        for i, (t, context) in enumerate(lattice.keys):
+        for i, (t, context) in enumerate(keys):
             history = (Vocabulary.BOS,) * (t + 1 - len(context)) + context
             assert after[i].tobytes() == per_call_row(model, 0.5, history, lists["B"]).tobytes()
 
     def test_held_lattice_votes_are_read_without_counting(self, monkeypatch):
-        """After `hold_votes`, a row off the lattice reads the chunk's vote
-        rows: the list is not counted again."""
+        """After `lattices`, a row off the lattice of any list of the chunk
+        reads the vote rows that `lattices` holds, in any order: no list
+        is counted again."""
         vocab, model, lists, _rng = seven_word_case()
         corrector = NgramCorrector(model, vote_weight=0.5)
         ctxs = [UtteranceContext(name, nbest=lists[name]) for name in ("A", "B", "empty")]
-        lattices, _block = corrector.lattices(ctxs)
+        corrector.lattices(ctxs)
         counted = []
         monkeypatch.setattr(corrector, "_vote_rows", lambda nbest: counted.append(nbest))
-        for ctx, lattice in zip(ctxs, lattices):
-            corrector.hold_votes(ctx, lattice)
+        for ctx in ctxs[::-1] + ctxs:
             for history in ((Vocabulary.BOS, 9, 9), (Vocabulary.BOS,) + (3,) * 9):
                 assert corrector.next_logits(history, ctx).tobytes() == \
                     per_call_row(model, 0.5, history, ctx.nbest).tobytes()
@@ -531,13 +531,15 @@ class TestVoteRows:
         for lo in range(0, len(lists), 9):
             chunk = lists[lo:lo + 9]
             lattices, _rows = corrector.lattices([UtteranceContext("u", nbest=n) for n in chunk])
-            for nbest, lattice in zip(chunk, lattices):
+            held = corrector._votes
+            for nbest, keys in zip(chunk, lattices):
                 toks = [tok for hyp in nbest for tok in hyp]
                 if not all(0 <= tok < vocab.size for tok in toks):
-                    assert lattice is None
+                    assert keys is None and id(nbest) not in held
                     continue
                 want = frozen_vote_rows(corrector, nbest)
-                assert [row.tobytes() for row in lattice.votes] == \
+                assert held[id(nbest)][0] is nbest
+                assert [row.tobytes() for row in held[id(nbest)][1]] == \
                     [row.tobytes() for row in want], nbest
 
     @pytest.mark.parametrize("bad", [6, -1, 2 ** 70], ids=["V", "minus-1", "2**70"])
@@ -574,9 +576,9 @@ class TestLattice:
                  ctx, UtteranceContext("after")]
         lattices, block = corrector.lattices(chunk)
         assert lattices[1] is None
-        keys, lo = lattices[2].keys, len(lattices[0].keys)
+        keys, lo = lattices[2], len(lattices[0])
         rows = block[lo:lo + len(keys)]
-        assert len(block) == lo + len(keys) + len(lattices[3].keys)
+        assert len(block) == lo + len(keys) + len(lattices[3])
         prefixes = list(nbest_prefixes(nbest))
         assert keys == list(dict.fromkeys(corrector.history_key(h, ctx) for h in prefixes))
         assert rows.shape == (len(keys), corrector.vocab.size)
