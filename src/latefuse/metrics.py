@@ -9,12 +9,13 @@ conventions.
 `wer` aligns a pair to split its edits into S, I and D; `corpus_report`
 aligns each distinct pair once, and can share its dict of alignments
 across calls. A caller that reads only S + I + D (the N-best oracle, a
-sweep's corpus WER) takes `distance_to`, a bit-parallel edit distance
-with no alignment to trace back. The edit tables of `wer`, of the
-confusion-network merge and of the network's best path are one loop,
-`_edit_table`: unit cost for the first two, a per-slot pass cost for the
-third. `wer` and the merge read one walk back through their table,
-`_alignment`.
+sweep's corpus WER) takes `distance_to`, with no alignment to trace back.
+Unit-cost tables run on bit vectors: `_columns` is Myers' forward pass,
+one pair of ints per column. `distance_to` reads the last column's
+bottom cell; `_alignment`, the walk of `wer` and of the
+confusion-network merge, reads each cell it compares by popcount. The
+network's best path passes a slot at cost 0 or 1, not unit, so it alone
+stays a Python DP, in `oracle_compositional`.
 """
 
 from __future__ import annotations
@@ -51,47 +52,69 @@ def _words(words, name: str) -> list:
     return list(words)
 
 
-def _edit_table(rows, cols, skips=None) -> list[list[int]]:
-    """Edit table of `cols` against `rows`, a sequence of word sets: cell
-    (i, j) is the fewest edits turning cols[:j] into rows[:i], where a word
-    matches a row when it is in that row's set. A substitution or an
-    unmatched column word costs 1; passing row i costs skips[i], and 1 when
-    `skips` is None (unit cost)."""
-    dist = [list(range(len(cols) + 1))]
+def _match_masks(rows) -> dict:
+    """Each word's match mask over `rows`, a sequence of word sets: bit i
+    is set where row i holds the word."""
+    masks = {}
     for i, words in enumerate(rows):
-        skip = 1 if skips is None else skips[i]
-        prev = dist[-1]
-        left = prev[0] + skip
-        row = [left]
-        for word, diag, up in zip(cols, prev, prev[1:]):
-            # min(diag + cost, up + skip, left + 1); on integers, left < best
-            # means left + 1 <= best.
-            best = diag if word in words else diag + 1
-            if up + skip < best:
-                best = up + skip
-            if left < best:
-                best = left + 1
-            row.append(best)
-            left = best
-        dist.append(row)
-    return dist
+        for word in words:
+            masks[word] = masks.get(word, 0) | 1 << i
+    return masks
+
+
+def _columns(masks: dict, full: int, cols):
+    """The columns of the unit-cost edit table of `cols` against the rows
+    of `masks` (Myers 1999, in Hyyro's form for edit distance): column j
+    is the pair (pv, mv), where bit i of pv (mv) is set when cell (i + 1,
+    j) is one more (one less) than cell (i, j), and cell (0, j) is j.
+    `full` masks every row. A Python int holds any number of rows, so a
+    column word costs a few integer operations however many there are.
+    Yields column 0, then one column per word of `cols`."""
+    pv, mv = full, 0
+    yield pv, mv
+    for word in cols:
+        eq = masks.get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        ph = ph << 1 | 1  # the top row grows by one per column word
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+        yield pv, mv
+
+
+def _cell(column, i: int, j: int) -> int:
+    """Cell (i, j) of an edit table, read off its column j."""
+    pv, mv = column
+    low = (1 << i) - 1
+    return j + (pv & low).bit_count() - (mv & low).bit_count()
 
 
 def _alignment(rows, cols):
-    """The unit-cost alignment of `cols` against `rows`, walked back from
-    the end: (i, j) aligns row i with column word j, and None marks a gap
-    on its side. Ties prefer aligned > passed row > unmatched word."""
-    dist = _edit_table(rows, cols)
+    """The unit-cost alignment of `cols` against `rows`, a sequence of word
+    sets, walked back from the end: (i, j) aligns row i with column word j,
+    and None marks a gap on its side. A word matches a row when it is in
+    that row's set. Ties prefer aligned > passed row > unmatched word.
+
+    The walk reads the table's columns (`_columns`) and holds the cell it
+    stands on. A match always aligns, keeping the cell; any other step
+    takes one edit off it. A substitution reads the diagonal cell; a row
+    can be passed where bit i - 1 of pv_j is set."""
+    columns = list(_columns(_match_masks(rows), (1 << len(rows)) - 1, cols))
     i, j = len(rows), len(cols)
+    cell = _cell(columns[j], i, j)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (cols[j - 1] not in rows[i - 1]):
-            i, j = i - 1, j - 1
+        diagonal = i > 0 and j > 0
+        hit = diagonal and cols[j - 1] in rows[i - 1]
+        if hit or diagonal and cell - 1 == _cell(columns[j - 1], i - 1, j - 1):
+            i, j, cell = i - 1, j - 1, cell - (not hit)
             yield i, j
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            i -= 1
+        elif i > 0 and columns[j][0] >> (i - 1) & 1:
+            i, cell = i - 1, cell - 1
             yield i, None
         else:
-            j -= 1
+            j, cell = j - 1, cell - 1
             yield None, j
 
 
@@ -118,36 +141,20 @@ def distance_to(reference):
     """The function taking a hypothesis to its unit-cost word edit distance
     from `reference`, which is S + I + D of `wer(hypothesis, reference)`.
 
-    Bit-parallel (Myers 1999, in Hyyro's form for edit distance): bit i of
-    the vertical delta vectors is row i of one table column, so a word
-    costs a few integer operations whatever the reference length (a
-    Python int holds any width). The reference's bit masks are built
-    once, here, for every hypothesis scored against it.
+    The reference's match masks are built once, here, for every
+    hypothesis scored against it.
     """
     ref = _words(reference, "reference")
     if not ref:
         raise InvalidInputError("reference must be non-empty")
-    masks = {}
-    for i, word in enumerate(ref):
-        masks[word] = masks.get(word, 0) | 1 << i
-    full, top = (1 << len(ref)) - 1, 1 << (len(ref) - 1)
+    masks = _match_masks([word] for word in ref)
+    full = (1 << len(ref)) - 1
 
     def distance(hypothesis) -> int:
-        pv, mv, score = full, 0, len(ref)
-        for word in _words(hypothesis, "hypothesis"):
-            eq = masks.get(word, 0)
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
-            mh = pv & xh
-            if ph & top:
-                score += 1
-            elif mh & top:
-                score -= 1
-            ph = ph << 1 | 1  # the top row grows by one per hypothesis word
-            pv = (mh << 1 | ~(xv | ph)) & full
-            mv = ph & xv
-        return score
+        hyp = _words(hypothesis, "hypothesis")
+        for pv, mv in _columns(masks, full, hyp):
+            pass  # only the last column is read: its bottom cell
+        return len(hyp) + pv.bit_count() - mv.bit_count()
 
     return distance
 
@@ -258,6 +265,22 @@ def oracle_compositional(nbest, reference) -> float:
     for hyp in nbest[1:]:
         slots = _merge_hypothesis(slots, hyp)
     # the best path: passing a slot without consuming a reference word
-    # costs nothing where it has epsilon, and an insertion where it has not
-    skips = [0 if slot.has_epsilon else 1 for slot in slots]
-    return _edit_table([slot.words for slot in slots], ref, skips)[-1][-1] / len(ref)
+    # costs nothing where it has epsilon, and an insertion where it has
+    # not; cell r of a slot's row is the fewest edits for ref[:r]
+    dist = list(range(len(ref) + 1))
+    for slot in slots:
+        skip = 0 if slot.has_epsilon else 1
+        left = dist[0] + skip
+        row = [left]
+        for word, diag, up in zip(ref, dist, dist[1:]):
+            # min(diag + cost, up + skip, left + 1); on integers, left < best
+            # means left + 1 <= best.
+            best = diag if word in slot.words else diag + 1
+            if up + skip < best:
+                best = up + skip
+            if left < best:
+                best = left + 1
+            row.append(best)
+            left = best
+        dist = row
+    return dist[-1] / len(ref)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -323,6 +324,74 @@ class TestCorpusReportSharesAlignments:
         assert calls[0] == 4
         assert first == alone == total_report(original(*pair) for pair in pairs)
         assert again == total_report(original(*pair) for pair in pairs[:2])
+
+
+def _table_alignment(rows, cols):
+    """`metrics._alignment` as a walk back through a full Python edit table,
+    the way it ran before its cells came from bit vectors."""
+    dist = [list(range(len(cols) + 1))]
+    for words in rows:
+        prev = dist[-1]
+        left = prev[0] + 1
+        row = [left]
+        for word, diag, up in zip(cols, prev, prev[1:]):
+            best = diag if word in words else diag + 1
+            if up + 1 < best:
+                best = up + 1
+            if left < best:
+                best = left + 1
+            row.append(best)
+            left = best
+        dist.append(row)
+    i, j = len(rows), len(cols)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (cols[j - 1] not in rows[i - 1]):
+            i, j = i - 1, j - 1
+            yield i, j
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+            i -= 1
+            yield i, None
+        else:
+            j -= 1
+            yield None, j
+
+
+class TestAlignmentMatchesTableWalk:
+    """`_alignment` reads its cells off Myers' column vectors; its walk,
+    tie order included, must be the table walk's."""
+
+    @staticmethod
+    def check(rows, cols):
+        assert list(metrics._alignment(rows, cols)) == list(_table_alignment(rows, cols)), \
+            (rows, cols)
+
+    def test_seeded_tie_heavy_pairs(self):
+        rng = random.Random(59)
+        for _ in range(20_000):
+            alphabet = "abcd"[:rng.randint(1, 4)]
+            rows = [set(rng.choices(alphabet, k=rng.randint(1, 2)))
+                    for _ in range(rng.randint(0, 9))]
+            self.check(rows, rng.choices(alphabet, k=rng.randint(0, 9)))
+
+    def test_empty_sides(self):
+        for rows, cols in [([], []), ([], list("ab")), ([{"a"}, {"b"}], []),
+                           ([{"a"}], []), ([], ["a"])]:
+            self.check(rows, cols)
+        assert list(metrics._alignment([], list("ab"))) == [(None, 1), (None, 0)]
+        assert list(metrics._alignment([{"a"}, {"b"}], [])) == [(1, None), (0, None)]
+
+    def test_a_word_held_by_several_slots(self):
+        rows = [{"a", "b"}, {"a"}, {"c", "a"}, {"b"}, {"a", "c"}]
+        for n in range(7):
+            for cols in itertools.product("abc", repeat=n):
+                self.check(rows, list(cols))
+
+    def test_rows_longer_than_64_words(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            rows = [set(rng.choices("abcde", k=rng.randint(1, 2)))
+                    for _ in range(rng.randint(65, 200))]
+            self.check(rows, rng.choices("abcde", k=rng.randint(0, 200)))
 
 
 # -- the confusion-network oracle as it was before its edit tables moved
