@@ -4,12 +4,14 @@ One greedy loop, `fused_greedy_decode`, serves every fusion mode: each
 step decides a token from the calibrated rows, and the mode only changes
 how (one provider's argmax in mode llm or asr, a fused step in static or
 uadf). `greedy_decode` is that loop in mode llm. `beam_search` generates
-N-best lists. All decoders start the history at BOS, are deterministic,
-and stop at EOS or a length cap. Beam search reads only a keyed provider
-(a block of rows `log_rows` indexed by `row_key`; see `providers`), once
-per key for all of a corpus's searches, and a step scores the live beams
-x the top-ranked ids of that row. A decode set calibrates the block once
-(`softmax_rows`), and each step reads its row there (`calibrated_row`).
+the N-best lists of a chunk of utterances at once. All decoders start
+the history at BOS, are deterministic, and stop at EOS or a length cap.
+Beam search reads only a keyed provider (a block of rows `log_rows`
+indexed by `row_key`; see `providers`), once per key for every
+utterance of a call. The utterances search in lockstep: a step scores
+each one's live beams x the top-ranked ids of its row, all of them in a
+few array ops. A decode set calibrates the block once (`softmax_rows`),
+and each step reads its row there (`calibrated_row`).
 
 A corrector with `lattices` (`providers.NgramCorrector`) gives the rows
 of the N-best prefixes of a chunk of utterances as one block, each row
@@ -53,8 +55,9 @@ MAX_LEN_FACTOR = 1e30
 # set's block was slower.
 CHUNK_UTTERANCES = 4
 # Widest beam `beam_search` runs. A step scores up to beam_width x V
-# candidates (a widened step scores all V ids per beam), so a wider beam
-# only exhausts memory.
+# candidates per utterance of a call (a widened step scores all V ids per
+# beam), and a call holds one utterance at least (see
+# `corpus.SEARCH_CANDIDATES`), so a wider beam only exhausts memory.
 MAX_BEAM_WIDTH = 1024
 
 
@@ -290,117 +293,154 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     return DecodeResult(tuple(tokens), steps, "max-length", table)
 
 
-class _RankedRow:
+def _ranked_row(logits, v: int, m: int):
     """A provider's row for `beam_search`, copied into a new float64 array
     (never normalised where the provider keeps it), checked (V entries, all
-    finite), log-normalised and ranked: ids by value descending, then by id.
-    `prefix(m)` gives the values of the first m ranked ids and those ids,
-    in ascending id order; each m is built once.
-
-    The normaliser is `math.log` of the row's sum of exponentials: `np.log`
-    differs from it in the last bit on some inputs, which would change the
-    N-best lists.
-    """
-
-    def __init__(self, logits, v: int):
-        logp = np.array(logits, dtype=np.float64)
-        if logp.shape != (v,):
-            raise InvalidInputError(f"logit rows must have vocabulary size {v}, got "
-                                    f"shape {logp.shape}")
-        if not np.isfinite(logp).all():
-            raise InvalidInputError("logit rows must be finite")
-        logp -= logp.max()
-        logp -= math.log(np.exp(logp).sum())
-        self.logp = logp
-        self.order = np.argsort(-logp, kind="stable")
-        self.prefixes = {}
-
-    def prefix(self, m: int):
-        cached = self.prefixes.get(m)
-        if cached is None:
-            ids = np.sort(self.order[:m])
-            cached = self.prefixes[m] = (self.logp[ids], ids.tolist())
-        return cached
+    finite), log-normalised with `math.log` of its sum of exponentials
+    (`np.log` differs in the last bit on some inputs, which would change
+    the N-best lists) and ranked (by value descending, then by id). Gives
+    the row, its first m ranked ids sorted, their values, and the (m+1)-th
+    ranked value (-inf when m is V)."""
+    logp = np.array(logits, dtype=np.float64)
+    if logp.shape != (v,):
+        raise InvalidInputError(f"logit rows must have vocabulary size {v}, got "
+                                f"shape {logp.shape}")
+    if not np.isfinite(logp).all():
+        raise InvalidInputError("logit rows must be finite")
+    logp -= logp.max()
+    logp -= math.log(np.exp(logp).sum())
+    order = np.argsort(-logp, kind="stable")
+    ids = np.sort(order[:m])
+    return logp, ids, logp[ids], logp[order[m]] if m < v else -math.inf
 
 
-def beam_search(provider, ctx: UtteranceContext, beam_width: int, n_out: int,
-                max_len: int, rows: dict | None = None) -> list[tuple[TokenSeq, float]]:
-    """Beam search on total log-probability, with no length penalty, over a
-    keyed provider (see `providers`); any other raises InvalidParameterError
-    before a row is read.
+def _full_step(base: np.ndarray, logp: np.ndarray, beam_width: int):
+    """One utterance's step over every id: of its live beams' scores `base`
+    x the row `logp`, the first beam_width by score descending, then by
+    flat index, as (parent slots, ids, scores) in flat index order."""
+    scores = (base[:, None] + logp).ravel()
+    flat = np.sort(np.argsort(-scores, kind="stable")[:beam_width])
+    return *np.divmod(flat, logp.size), scores[flat]
 
-    Hypotheses that emit EOS retire into the output pool; at the length
-    cap the surviving beams join them. Ordering is by total ln-probability,
-    ties broken lexicographically on the token sequence, which makes
-    beam_width 1 coincide with greedy decoding.
 
-    The live beams share one length, so one row key. `rows` (a new dict
-    when None; one per corpus in `corpus.generate_corpus`) maps
-    (id(provider), key) to the key's `_RankedRow`, read through
-    `next_logits` once for every search that shares the dict. A step
-    scores the live beams x the first m ranked ids, m = min(beam_width, V)
-    at first, and picks the top beam_width with exact tie handling. If
-    some beam's score plus the (m+1)-th ranked value reaches the selection
-    boundary, m doubles, up to V, and the step selects again; otherwise
-    every id left out scores strictly below the boundary, so the lists,
-    scores included, equal a full step's bit for bit.
+def beam_search(provider, ctxs, beam_width: int, n_out: int,
+                max_lens) -> list[list[tuple[TokenSeq, float]]]:
+    """Beam search on total log-probability, with no length penalty, of
+    each utterance of `ctxs` up to its cap in `max_lens`, over a keyed
+    provider (see `providers`; any other raises InvalidParameterError
+    before a row is read): one N-best list per utterance, in order. EOS
+    retires a beam into its utterance's pool, which the live beams join at
+    the cap; the pool is ranked by score, then lexicographically by
+    sequence, so beam_width 1 gives the greedy decode.
+
+    The utterances search in lockstep: a step scores the `(U, W)` live
+    scores (-inf past an utterance's live beams) x the first
+    m = min(beam_width, V) ranked ids of each one's row (read through
+    `next_logits` and ranked once per key and call), and each utterance
+    keeps its first k = min(beam_width, live x m) by score, then flat
+    index, which is lexicographic order. If an utterance's best beam plus
+    the (m+1)-th ranked value reaches its k-th score, its step scores
+    every id (`_full_step`); else no id left out can, so the lists equal a
+    full step's bit for bit. A step keeps each live beam's parent slot and
+    id, and an ended beam's sequence is read back along them.
     """
     if not MAX_BEAM_WIDTH >= beam_width >= n_out >= 1:
         raise InvalidParameterError(
             f"need {MAX_BEAM_WIDTH} >= beam_width >= n_out >= 1, got ({beam_width}, {n_out})"
         )
-    if max_len < 1:
-        raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
+    if min(max_lens, default=1) < 1:
+        raise InvalidParameterError(f"max_len must be >= 1, got {min(max_lens)}")
+    if len(max_lens) != len(ctxs):
+        raise InvalidParameterError(
+            f"need one max_len per utterance, got {len(max_lens)} for {len(ctxs)}")
     row_key = getattr(provider, "row_key", None)
     if row_key is None:
         raise InvalidParameterError(
             f"beam_search needs a keyed provider, and {type(provider).__name__} has no row_key")
+    if not ctxs:
+        return []
 
-    rows = {} if rows is None else rows
-    live: list[tuple[TokenSeq, float]] = [((), 0.0)]  # lexicographically sorted
-    pool: list[tuple[TokenSeq, float]] = []
     v = provider.vocab.size
-    for _ in range(max_len):
-        if not live:
+    m = min(beam_width, v)
+    small = np.min_scalar_type(max(beam_width, v) - 1)  # holds every slot and id
+    keys, ranked = {}, []  # row key -> its index in ranked, each key's `_ranked_row`
+    steps = []  # per step: the live utterances, their live beams' parent slots and ids
+    ended = []  # per step: utterance, step, parent slot, id and score of each ended beam
+    act, n_live, after = np.arange(len(ctxs)), np.ones(len(ctxs), dtype=int), ()
+    scores = np.zeros((len(ctxs), 1))
+    for t in range(max(max_lens)):
+        ri = []
+        for u in act.tolist():
+            key = row_key(t + 1, ctxs[u])
+            if key not in keys:
+                history, slot = [], 0  # its first live beam's, read back along the steps
+                for s_act, s_parents, s_ids in reversed(steps):
+                    r = s_act.searchsorted(u)
+                    history.append(int(s_ids[r, slot]))
+                    slot = s_parents[r, slot]
+                keys[key] = len(ranked)
+                ranked.append(_ranked_row(
+                    provider.next_logits((Vocabulary.BOS, *history[::-1]), ctxs[u]), v, m))
+            ri.append(keys[key])
+        if len(ranked) > len(after):
+            top_ids, top_vals, after = (np.array(col) for col in list(zip(*ranked))[1:])
+        ri = np.array(ri)
+        cand = (scores[:, :, None] + top_vals[ri][:, None, :]).reshape(len(act), -1)
+        n, k = cand.shape[1], np.minimum(beam_width, n_live * m)
+        # the k-th largest score, or -inf where k is every live candidate
+        boundary = np.full(len(act), -np.inf) if n < beam_width else np.where(
+            k == beam_width, np.partition(cand, n - beam_width, axis=1)[:, n - beam_width],
+            -np.inf)
+        taken = cand > boundary[:, None]
+        tie_rows, tie_cols = (cand == boundary[:, None]).nonzero()
+        first = np.arange(len(tie_rows)) - tie_rows.searchsorted(tie_rows) < \
+            (k - taken.sum(axis=1))[tie_rows]  # each row's first ties, by flat index
+        taken[tie_rows[first], tie_cols[first]] = True
+        rows, cols = taken.nonzero()
+        flat = np.full((len(act), k.max()), n - 1)  # each row's k taken, in flat order
+        flat[rows, np.arange(len(rows)) - (k.cumsum() - k).repeat(k)] = cols
+        taken = np.arange(flat.shape[1]) < k[:, None]
+        new = np.take_along_axis(cand, flat, axis=1)
+        parents, cols = np.divmod(flat, m)
+        ids = np.take_along_axis(top_ids[ri], cols, axis=1)
+        if m < v:  # fl(s + r) is monotone in s and in r, so best + after bounds the rest
+            for a in np.flatnonzero(scores.max(axis=1) + after[ri] >= boundary).tolist():
+                parents[a], ids[a], new[a] = _full_step(scores[a, :n_live[a]],
+                                                        ranked[ri[a]][0], beam_width)
+        ends = taken & ((ids == Vocabulary.EOS) | (t + 1 >= np.array(max_lens)[act])[:, None])
+        a, c = ends.nonzero()
+        ended.append((act[a], np.full(len(a), t), parents[a, c], ids[a, c], new[a, c]))
+        keep = taken & ~ends
+        n_live = keep.sum(axis=1)
+        go = n_live > 0
+        if not go.any():
             break
-        seqs, beam_scores = zip(*live)
-        key = (id(provider), row_key(len(seqs[0]) + 1, ctx))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = _RankedRow(
-                provider.next_logits((Vocabulary.BOS,) + seqs[0], ctx), v)
-        base, best, m = np.array(beam_scores), max(beam_scores), min(beam_width, v)
-        while True:
-            cols, ids = row.prefix(m)
-            scores = (base[:, None] + cols).ravel()
-            # Ascending flat index is ascending lexicographic order of the
-            # candidate sequences (`live` and `ids` are sorted); pick the
-            # top beam_width by score with exact tie handling at the boundary.
-            k = min(beam_width, scores.size)
-            boundary = np.partition(scores, scores.size - k)[scores.size - k]
-            # fl(s + r) is monotone in s and in r: if the best beam plus the
-            # first id left out stays below the boundary, so does every
-            # candidate left out
-            if m == v or not best + row.logp[row.order[m]] >= boundary:
-                break
-            m = min(2 * m, v)
-        chosen = (scores > boundary).nonzero()[0].tolist()
-        chosen += (scores == boundary).nonzero()[0].tolist()[: k - len(chosen)]
-        chosen.sort()
+        act, n_live = act[go], n_live[go]
+        order = np.argsort(~keep[go], axis=1, kind="stable")[:, :n_live.max()]
+        parents, ids, new = (np.take_along_axis(x[go], order, axis=1) for x in (parents, ids, new))
+        scores = np.where(np.arange(order.shape[1]) < n_live[:, None], new, -np.inf)
+        steps.append((act, parents.astype(small), ids.astype(small)))
 
-        next_live = []
-        for flat in chosen:
-            seq = seqs[flat // m] + (ids[flat % m],)
-            entry = (seq, float(scores[flat]))
-            if seq[-1] == Vocabulary.EOS:
-                pool.append(entry)
-            else:
-                next_live.append(entry)
-        live = next_live
-
-    pool.extend(live)
-    pool.sort(key=lambda item: (-item[1], item[0]))
-    return pool[:n_out]
+    us, ts, slots, last, final = (np.concatenate(col) for col in zip(*ended))
+    # only a beam scoring at least its utterance's n_out-th best score is listed
+    by_score = np.lexsort((-final, us))
+    first = us[by_score].searchsorted(np.arange(len(ctxs) + 1))
+    listed = final >= final[by_score[np.minimum(first[:-1] + n_out, first[1:]) - 1]][us]
+    us, ts, slots, last, final = (col[listed] for col in (us, ts, slots, last, final))
+    seqs = np.empty((len(us), ts.max() + 1), dtype=small)
+    seqs[np.arange(len(us)), ts] = last
+    for s in range(ts.max() - 1, -1, -1):
+        deeper = ts > s
+        s_act, s_parents, s_ids = steps[s]
+        r, c = s_act.searchsorted(us[deeper]), slots[deeper]
+        seqs[deeper, s] = s_ids[r, c]
+        slots[deeper] = s_parents[r, c]
+    pools = [[] for _ in ctxs]
+    for u, t, seq, score in zip(us.tolist(), ts.tolist(), seqs.tolist(), final.tolist()):
+        pools[u].append((tuple(seq[:t + 1]), score))
+    for pool in pools:
+        pool.sort(key=lambda item: (-item[1], item[0]))
+    return [pool[:n_out] for pool in pools]
 
 
 def check_max_len_factor(factor: float):

@@ -23,8 +23,8 @@ indexes the rows of a `(R, V)` array `log_rows`, and
 `next_logits(history, ctx)` equals `log_rows[row_key(len(history), ctx)]`,
 so equal keys mean equal rows, also across utterances. Beam search reads
 only keyed providers: it reads, normalises and ranks each key's row once
-per search, or once for every search that shares its `rows` dict (one
-per corpus in `corpus.generate_corpus`). A decode set calibrates the
+per call, for every utterance of the chunk that the call searches in
+lockstep (`decoding.beam_search`). A decode set calibrates the
 whole block once (`decoding.decode_eval_set`), and a calibration reads
 each key's row once (`calibration.collect_traces`). `NgramCorrector`
 reads a history only through its key (`history_key`): its vote row and
@@ -417,9 +417,9 @@ class AcousticChannel:
     So the row depends on the history only through its length, and on the
     utterance only through the observed token there: `row_key` names it,
     as an index of the read-only `(V + 1, V)` block `log_rows`.
-    `beam_search` reads one row per key and gives it to every live beam,
-    once per search, or once per corpus through the corpus's `rows` dict;
-    a decode set calibrates the whole block once.
+    `beam_search` reads one row per key and gives it to every live beam
+    of every utterance of its call that reaches the key; a decode set
+    calibrates the whole block once.
     """
 
     def __init__(self, vocab: Vocabulary, confusion: np.ndarray):

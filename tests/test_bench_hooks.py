@@ -30,7 +30,7 @@ from latefuse.providers import (
     UtteranceContext,
     train_ngram_corrector,
 )
-from test_decoding import serial_beam_search
+from test_decoding import serial_searches
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -146,7 +146,7 @@ def test_traced_generate_corpus_reads_each_acoustic_row_key_once(monkeypatch):
     # corpus reaches.
     keys = set()
 
-    def recorded_serial_search(provider, ctx, *args, **kwargs):
+    def recorded_serial_search(provider, ctxs, *args):
         class Recorded:
             vocab = provider.vocab
 
@@ -154,7 +154,7 @@ def test_traced_generate_corpus_reads_each_acoustic_row_key_once(monkeypatch):
                 keys.add(provider.row_key(len(history), ctx))
                 return provider.next_logits(history, ctx)
 
-        return serial_beam_search(Recorded(), ctx, *args, **kwargs)
+        return serial_searches(Recorded(), ctxs, *args)
 
     with monkeypatch.context() as patched:
         patched.setattr(decoding, "beam_search", recorded_serial_search)
@@ -168,8 +168,9 @@ def test_traced_generate_corpus_reads_each_acoustic_row_key_once(monkeypatch):
         tr.uninstall()
     m = layers.layer_metrics(tr, {})
     assert got[0] == want[0]
-    assert m["decoding.beam_search.calls"] == sum(sizes.values())
-    # the corpus shares one `rows` dict, so each distinct key is read once
+    # one call searches every utterance of a chunk, and 10 records make one chunk
+    assert m["decoding.beam_search.calls"] == 1
+    # so each distinct key is read once
     assert m["decoding.beam_search.provider_calls"] == m["providers.asr.calls"] == len(keys) > 0
 
 

@@ -92,6 +92,23 @@ class TestSimulate:
         assert resolved["n_test"] == 3    # flag wins
         assert len((out / "test.jsonl").read_text().splitlines()) == 3
 
+    def test_widest_beam_runs(self, tmp_path, monkeypatch):
+        # at --beam 1024 a search call holds one utterance, whose steps score
+        # up to 1024 x 200 candidates; the lists equal the serial search's
+        from test_decoding import serial_searches
+
+        out, serial = tmp_path / "wide", tmp_path / "serial"
+        argv = ("--n-train", 3, "--n-val", 1, "--n-test", 1, "--beam", 1024, "--seed", 2)
+        assert run("simulate", "--out-dir", out, *argv) == 0
+        monkeypatch.setattr(decoding, "beam_search", serial_searches)
+        assert run("simulate", "--out-dir", serial, *argv) == 0
+        for split, count in (("train", 3), ("val", 1), ("test", 1)):
+            lines = (out / f"{split}.jsonl").read_text().splitlines()
+            assert len(lines) == count
+            assert all(len(json.loads(line)["nbest"]) == 5 for line in lines)
+            assert (out / f"{split}.jsonl").read_bytes() == \
+                (serial / f"{split}.jsonl").read_bytes()
+
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_trian": 5}))

@@ -109,6 +109,53 @@ class TestCorrupt:
             corrupt(words, spec, vocab, "a") == words  # ids rarely collide
 
 
+def frozen_corrupt(reference_words, channel, vocab, utt_id):
+    """`corrupt` over a vocabulary that holds every reference word, frozen
+    as it draws one scalar at a time: per word a uniform for an insertion
+    (then `integers` for the inserted word, which takes a buffered 32-bit
+    half, not a fresh double), a uniform roll, and for a substitution a
+    uniform looked up in the kernel row's cumulative sums; then a last
+    insertion uniform (and word). A bulk draw must keep this stream."""
+    rng = corpus._record_rng(channel.seed, utt_id)
+    n_words = vocab.size - 3
+    cdf = corpus._substitution_cdf(n_words, channel.concentration)
+    out = []
+    for word in reference_words:
+        if rng.random() < channel.ins_rate:
+            out.append(vocab.token_of(3 + int(rng.integers(n_words))))
+        roll = rng.random()
+        if roll < channel.sub_rate:
+            row = cdf[vocab.id_of(word) - 3]
+            out.append(vocab.token_of(3 + int(row.searchsorted(rng.random(), side="right"))))
+        elif roll < channel.sub_rate + channel.del_rate:
+            continue
+        else:
+            out.append(word)
+    if rng.random() < channel.ins_rate:
+        out.append(vocab.token_of(3 + int(rng.integers(n_words))))
+    return out
+
+
+class TestCorruptDrawStream:
+    """`corrupt` equals the frozen scalar-draw loop on 500 seeded records
+    at each of several rates, insertions interleaved with the doubles."""
+
+    @pytest.mark.parametrize("sub_rate, del_rate, ins_rate", [
+        (0.15, 0.02, 0.02), (0.4, 0.1, 0.5), (0.0, 0.0, 1.0), (1.0, 0.0, 0.3), (0.3, 0.7, 0.0),
+    ])
+    def test_equals_the_frozen_scalar_loop(self, sub_rate, del_rate, ins_rate):
+        vocab = builtin_vocabulary()
+        channel = ChannelSpec(sub_rate, del_rate, ins_rate, concentration=0.5, seed=29)
+        lengths = []
+        for i, sentence in enumerate(sample_references(None, 500, seed=31)):
+            words = sentence.split()
+            got = corrupt(words, channel, vocab, utt_id=f"r{i}")
+            assert got == frozen_corrupt(words, channel, vocab, f"r{i}")
+            lengths.append(len(got) - len(words))
+        if ins_rate > del_rate:
+            assert max(lengths) > 1  # several insertions in a record
+
+
 class TestSubstitutionDraw:
     """`corrupt` draws a substitution from the cached cumulative row of the
     kernel: the draw and the generator state after it must be those of
@@ -242,6 +289,29 @@ class TestGenerateCorpus:
                                      normalize_text(r.reference))
                                     for r in splits["test"]]))
         assert wers[0] <= wers[1] <= wers[2]
+
+    @pytest.mark.parametrize("beam_width", [8, 1024])
+    def test_calls_stay_inside_the_candidate_block(self, monkeypatch, beam_width):
+        """A call searches as many utterances as SEARCH_CANDIDATES holds,
+        and one at least, whose step alone may score more. The search is
+        stubbed, so no candidate block is allocated."""
+        from latefuse import decoding
+
+        calls = []
+
+        def stub(provider, ctxs, width, n_out, max_lens):
+            calls.append(len(ctxs))
+            return [[((3, 1), -1.0)] * n_out for _ in ctxs]
+
+        monkeypatch.setattr(decoding, "beam_search", stub)
+        total = 1200 if beam_width == 8 else 5
+        splits, vocab = generate_corpus(ChannelSpec(), total - 2, 1, 1, beam_width=beam_width)
+        per_utterance = beam_width * min(beam_width, vocab.size)
+        chunk = max(1, corpus.SEARCH_CANDIDATES // per_utterance)
+        assert calls == [chunk] * (total // chunk) + [total % chunk] * (total % chunk > 0)
+        assert max(calls) * per_utterance <= max(corpus.SEARCH_CANDIDATES, per_utterance)
+        assert (len(calls) > 2) if beam_width == 8 else (calls == [1] * 5)
+        assert sum(len(records) for records in splits.values()) == total
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -143,6 +143,12 @@ class TestFusedGreedyDecode:
                                 obs_ctx(abc_vocab, "a"), max_len=3)
 
 
+def search(provider, ctx, beam_width, n_out, max_len):
+    """`beam_search` of one utterance: its one N-best list."""
+    hyps, = beam_search(provider, [ctx], beam_width, n_out, [max_len])
+    return hyps
+
+
 class TestBeamSearch:
     def test_beam_one_equals_greedy(self):
         # rows of small integer counts tie, and both take the lowest id
@@ -154,8 +160,7 @@ class TestBeamSearch:
             ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
             for max_len in (1, 3, 6):
                 greedy = greedy_decode(channel, ctx, max_len=max_len)
-                (seq, _score), = beam_search(channel, ctx, beam_width=1, n_out=1,
-                                             max_len=max_len)
+                (seq, _score), = search(channel, ctx, beam_width=1, n_out=1, max_len=max_len)
                 assert seq == greedy.tokens
 
     def test_matches_exhaustive_enumeration(self):
@@ -181,14 +186,14 @@ class TestBeamSearch:
             return out
 
         ranked = sorted(enumerate_all((0,), 0.0, 3), key=lambda it: (-it[1], it[0]))
-        got = beam_search(provider, ctx, beam_width=3, n_out=3, max_len=3)
+        got = search(provider, ctx, beam_width=3, n_out=3, max_len=3)
         assert [seq for seq, _ in got] == [seq for seq, _ in ranked[:3]]
         for (_, got_score), (_, want_score) in zip(got, ranked[:3]):
             assert got_score == pytest.approx(want_score, abs=1e-12)
 
     def test_n_out_contract_sorted(self, abc_vocab, identity_channel):
         ctx = obs_ctx(abc_vocab, "a b c")
-        hyps = beam_search(identity_channel, ctx, beam_width=8, n_out=5, max_len=8)
+        hyps = search(identity_channel, ctx, beam_width=8, n_out=5, max_len=8)
         assert len(hyps) == 5
         scores = [s for _, s in hyps]
         assert scores == sorted(scores, reverse=True)
@@ -198,21 +203,20 @@ class TestBeamSearch:
     def test_bad_widths_rejected(self, abc_vocab, identity_channel):
         ctx = obs_ctx(abc_vocab, "a")
         with pytest.raises(InvalidParameterError):
-            beam_search(identity_channel, ctx, beam_width=2, n_out=3, max_len=4)
+            search(identity_channel, ctx, beam_width=2, n_out=3, max_len=4)
         with pytest.raises(InvalidParameterError, match=str(MAX_BEAM_WIDTH)):
-            beam_search(identity_channel, ctx, beam_width=MAX_BEAM_WIDTH + 1, n_out=1,
-                        max_len=4)
+            search(identity_channel, ctx, beam_width=MAX_BEAM_WIDTH + 1, n_out=1, max_len=4)
 
     def test_widest_beam_runs(self, abc_vocab, identity_channel):
         # V = 6 and 4 steps: at most 1296 candidates, so the width binds
-        hyps = beam_search(identity_channel, obs_ctx(abc_vocab, "a b c"),
-                           beam_width=MAX_BEAM_WIDTH, n_out=5, max_len=4)
+        hyps = search(identity_channel, obs_ctx(abc_vocab, "a b c"),
+                      beam_width=MAX_BEAM_WIDTH, n_out=5, max_len=4)
         assert abc_vocab.decode(hyps[0][0]) == "a b c"
 
     def test_determinism(self, abc_vocab, identity_channel):
         ctx = obs_ctx(abc_vocab, "b a c")
-        one = beam_search(identity_channel, ctx, beam_width=4, n_out=4, max_len=8)
-        two = beam_search(identity_channel, ctx, beam_width=4, n_out=4, max_len=8)
+        one = search(identity_channel, ctx, beam_width=4, n_out=4, max_len=8)
+        two = search(identity_channel, ctx, beam_width=4, n_out=4, max_len=8)
         assert one == two
 
     def test_unkeyed_provider_is_refused_before_a_row_is_read(self, abc_vocab):
@@ -222,11 +226,18 @@ class TestBeamSearch:
             def next_logits(self, history, ctx):
                 raise AssertionError("an unkeyed provider's row was read")
 
-        rows = {}
-        for kwargs in ({}, {"rows": rows}):
+        for n in (1, 2):
+            ctxs = [obs_ctx(abc_vocab, "a", utt_id=f"u{i}") for i in range(n)]
             with pytest.raises(InvalidParameterError, match="row_key"):
-                beam_search(Unkeyed(), obs_ctx(abc_vocab, "a"), 2, 1, 3, **kwargs)
-        assert rows == {}
+                beam_search(Unkeyed(), ctxs, 2, 1, [3] * n)
+
+    def test_one_length_cap_per_utterance(self, abc_vocab, identity_channel):
+        ctxs = [obs_ctx(abc_vocab, "a"), obs_ctx(abc_vocab, "b", utt_id="u1")]
+        with pytest.raises(InvalidParameterError, match="one max_len per utterance"):
+            beam_search(identity_channel, ctxs, 2, 1, [3])
+        with pytest.raises(InvalidParameterError, match="max_len must be >= 1, got 0"):
+            beam_search(identity_channel, ctxs, 2, 1, [3, 0])
+        assert beam_search(identity_channel, [], 2, 1, []) == []
 
 
 class TestDecodeEvalSet:
@@ -416,9 +427,9 @@ def serial_log_softmax(logits):
     return shifted - math.log(float(np.exp(shifted).sum()))
 
 
-def serial_beam_search(provider, ctx, beam_width, n_out, max_len, rows=None):
+def serial_beam_search(provider, ctx, beam_width, n_out, max_len):
     """Oracle: the beam search that ran one log-softmax per live beam and
-    scored every id. It takes `beam_search`'s `rows` and ignores it."""
+    scored every id, one utterance at a time."""
     live = [((), 0.0)]
     pool = []
     for _ in range(max_len):
@@ -449,8 +460,34 @@ def serial_beam_search(provider, ctx, beam_width, n_out, max_len, rows=None):
     return pool[:n_out]
 
 
+def serial_searches(provider, ctxs, beam_width, n_out, max_lens):
+    """`beam_search`'s call, made of one oracle search per utterance."""
+    return [serial_beam_search(provider, ctx, beam_width, n_out, max_len)
+            for ctx, max_len in zip(ctxs, max_lens)]
+
+
+def assert_same_lists(got, want):
+    """N-best lists equal, and every score equal bit for bit."""
+    assert got == want
+    assert [[score.hex() for _, score in hyps] for hyps in got] == \
+        [[score.hex() for _, score in hyps] for hyps in want]
+    assert {type(score) for hyps in got for _, score in hyps} <= {float}
+
+
 def sized_vocab(v):
     return Vocabulary(tokens=("<s>", "</s>", "<unk>") + tuple(f"w{i}" for i in range(v - 3)))
+
+
+def spy_full_steps(monkeypatch):
+    """Log the live beams' count of every utterance step that scored every id."""
+    widened, original = [], decoding._full_step
+
+    def logged(base, logp, beam_width):
+        widened.append(len(base))
+        return original(base, logp, beam_width)
+
+    monkeypatch.setattr(decoding, "_full_step", logged)
+    return widened
 
 
 class TestBatchedBeamSearch:
@@ -475,10 +512,9 @@ class TestBatchedBeamSearch:
             table = rng.normal(scale=scale, size=(max_len, v))
             provider = RowsByLength(vocab, np.round(table) if quantised else table)
             ctx = UtteranceContext(utt_id=f"u{case}")
-            got = beam_search(provider, ctx, beam_width, n_out, max_len)
+            got = search(provider, ctx, beam_width, n_out, max_len)
             want = serial_beam_search(provider, ctx, beam_width, n_out, max_len)
-            assert got == want
-            assert [type(score) for _, score in got] == [float] * len(got)
+            assert_same_lists([got], [want])
             scores = [score for _, score in want]
             ties += len(set(scores)) < len(scores)
         if quantised and v > 3:
@@ -489,7 +525,7 @@ class TestBatchedBeamSearch:
 
         channel = corpus.ChannelSpec(seed=3)
         batched = corpus.generate_corpus(channel, n_train=30, n_val=10, n_test=10)
-        monkeypatch.setattr(decoding, "beam_search", serial_beam_search)
+        monkeypatch.setattr(decoding, "beam_search", serial_searches)
         serial = corpus.generate_corpus(channel, n_train=30, n_val=10, n_test=10)
         assert batched[0] == serial[0]
         assert batched[1].tokens == serial[1].tokens
@@ -514,8 +550,8 @@ class TestBatchedBeamSearch:
             logits = np.concatenate([[0.0], rng.uniform(-14.0, -8.0, size=199)])
             total = float(np.exp(logits).sum())
             provider = RowsByLength(vocab, [logits])
-            (seq, score), = beam_search(provider, UtteranceContext(utt_id="u"),
-                                        beam_width=1, n_out=1, max_len=1)
+            (seq, score), = search(provider, UtteranceContext(utt_id="u"),
+                                   beam_width=1, n_out=1, max_len=1)
             assert seq == (Vocabulary.BOS,)
             assert score == -math.log(total)
 
@@ -527,7 +563,7 @@ def confusion_with_ties(v, seed):
 
 
 class TestOneRowPerStep:
-    """A keyed provider is read once per key of a search, and that one row
+    """A keyed provider is read once per key of a call, and that one row
     gives the lists the per-beam serial search gives."""
 
     @staticmethod
@@ -563,10 +599,10 @@ class TestOneRowPerStep:
             want = serial_beam_search(channel, ctx, beam_width, n_out, max_len)
             del channel.next_logits
             per_step = self.history_lengths(channel)
-            got = beam_search(channel, ctx, beam_width, n_out, max_len)
+            got = search(channel, ctx, beam_width, n_out, max_len)
             del channel.next_logits
 
-            assert got == want
+            assert_same_lists([got], [want])
             # one call per key, at the first length the serial search read it
             first = {}
             for length in per_beam:
@@ -576,9 +612,9 @@ class TestOneRowPerStep:
             calls["per-step"] += len(per_step)
         assert calls["per-beam"] > calls["per-step"] > 0
 
-    @pytest.mark.parametrize("with_rows", [True, False], ids=["shared-rows", "no-rows"])
+    @pytest.mark.parametrize("utterances", [1, 3])
     @pytest.mark.parametrize("kind", ["float64", "int-list"])
-    def test_cached_rows_are_copied_not_normalised(self, kind, with_rows):
+    def test_cached_rows_are_copied_not_normalised(self, kind, utterances):
         vocab = sized_vocab(7)
         rng = np.random.default_rng(5)
         cache = [rng.integers(-4, 5, size=vocab.size) for _ in range(6)]
@@ -598,23 +634,18 @@ class TestOneRowPerStep:
             def next_logits(self, history, ctx):
                 return np.array(super().next_logits(history, ctx), dtype=np.float64)
 
-        ctx = UtteranceContext(utt_id="u")
+        # the utterances of a call share every key: each is read once a call
+        ctxs = [UtteranceContext(utt_id=f"u{i}") for i in range(utterances)]
         provider = CachedRows(vocab, cache)
-        # one dict shared by searches of every width: its ranked rows serve
-        # each of them, and each key is read once over all three
-        kwargs = {"rows": {}} if with_rows else {}
-        searched = []
         for beam_width, max_len in ((1, 3), (4, 6), (8, 8)):
-            got = beam_search(provider, ctx, beam_width, min(beam_width, 3), max_len,
-                              **kwargs)
-            searched += reads
-            want = serial_beam_search(Copies(vocab, cache), ctx, beam_width,
-                                      min(beam_width, 3), max_len)
+            n_out = min(beam_width, 3)
+            got = beam_search(provider, ctxs, beam_width, n_out, [max_len] * utterances)
+            assert sorted(reads) == list(range(1, len(reads) + 1))
             reads.clear()
-            assert got == want
-        if with_rows:
-            assert sorted(key for _, key in kwargs["rows"]) == list(range(len(cache)))
-            assert sorted(searched) == list(range(1, len(cache) + 1))
+            want = serial_searches(Copies(vocab, cache), ctxs, beam_width, n_out,
+                                   [max_len] * utterances)
+            reads.clear()
+            assert_same_lists(got, want)
         assert [np.array(row, dtype=np.float64).tobytes() for row in cache] == before
         assert all(type(row) is (list if kind == "int-list" else np.ndarray)
                    for row in cache)
@@ -622,25 +653,14 @@ class TestOneRowPerStep:
     def test_row_of_the_wrong_length_is_a_data_error(self, abc_vocab):
         provider = RowsByLength(abc_vocab, [np.zeros(abc_vocab.size - 1)])
         with pytest.raises(InvalidInputError, match="vocabulary size 6"):
-            beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3)
+            search(provider, UtteranceContext(utt_id="u"), 2, 1, 3)
 
 
 class TestRankedRows:
-    """A step scores the first m ranked ids of a keyed row and widens m
-    when an id left out could still reach the boundary; the lists equal
-    the serial search's, which scores every id."""
-
-    @staticmethod
-    def spy_widths(monkeypatch):
-        """Log the m of every prefix a step scores."""
-        widths, original = [], decoding._RankedRow.prefix
-
-        def logged(self, m):
-            widths.append(m)
-            return original(self, m)
-
-        monkeypatch.setattr(decoding._RankedRow, "prefix", logged)
-        return widths
+    """A step scores the first m ranked ids of a keyed row, and an
+    utterance whose id left out could still reach the boundary scores
+    every id instead; the lists equal the serial search's, which scores
+    every id."""
 
     def test_ids_that_round_to_the_boundary_widen_the_step(self, monkeypatch):
         # Step 2 ranks id 9 first and id 8 second, their values differ, but
@@ -660,62 +680,64 @@ class TestRankedRows:
             pytest.fail("no row rounds to a tie")
         provider = RowsByLength(vocab, [first, second])
         ctx = UtteranceContext(utt_id="u")
-        widths = self.spy_widths(monkeypatch)
+        widened = spy_full_steps(monkeypatch)
 
-        got = beam_search(provider, ctx, 1, 1, 2, rows={})
+        got = search(provider, ctx, 1, 1, 2)
         assert got == serial_beam_search(provider, ctx, 1, 1, 2)
         assert got[0][0] == (3, 8)
-        assert widths == [1, 1, 2]
+        assert widened == [1]  # the second step, of the one live beam
 
     @pytest.mark.parametrize("v", [7, 30])
-    def test_shared_rows_over_a_tied_confusion_equal_serial_oracle(self, v, monkeypatch):
+    def test_tied_confusion_equals_serial_oracle(self, v, monkeypatch):
+        # 60 seeded utterances, searched in one call per beam width and n_out
         vocab = sized_vocab(v)
         confusion = confusion_with_ties(v, v)
         channel, oracle = AcousticChannel(vocab, confusion), AcousticChannel(vocab, confusion)
-        reads, original = [0], channel.next_logits
+        reads, original = [], channel.next_logits
 
         def counted(history, ctx):
-            reads[0] += 1
+            reads.append(channel.row_key(len(history), ctx))
             return original(history, ctx)
 
         channel.next_logits = counted
-        widths = self.spy_widths(monkeypatch)
+        widened = spy_full_steps(monkeypatch)
         rng = np.random.default_rng(v)
-        rows, widened, ties = {}, 0, 0
+        calls = {}
         for case in range(60):
             obs = (0,) + tuple(rng.integers(3, v, size=int(rng.integers(0, 8)))) + (1,)
-            ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
             beam_width = int(rng.integers(1, 9))
             n_out = int(rng.integers(1, beam_width + 1))
-            max_len = len(obs) + 2
-            widths.clear()
-            got = beam_search(channel, ctx, beam_width, n_out, max_len, rows=rows)
-            want = serial_beam_search(oracle, ctx, beam_width, n_out, max_len)
-            assert got == want
-            widened += any(m > min(beam_width, v) for m in widths)
-            scores = [score for _, score in want]
-            ties += len(set(scores)) < len(scores)
-        # each key was read and ranked once, for all 60 searches
-        assert reads[0] == len(rows) <= v + 1
+            calls.setdefault((beam_width, n_out), []).append(
+                UtteranceContext(utt_id=f"u{case}", observation=obs))
+        ties = 0
+        for (beam_width, n_out), ctxs in calls.items():
+            max_lens = [len(ctx.observation) + 2 for ctx in ctxs]
+            reads.clear()
+            got = beam_search(channel, ctxs, beam_width, n_out, max_lens)
+            want = serial_searches(oracle, ctxs, beam_width, n_out, max_lens)
+            assert_same_lists(got, want)
+            # each key was read and ranked once for the call's utterances
+            assert len(reads) == len(set(reads)) <= v + 1
+            ties += sum(len({s for _, s in hyps}) < len(hyps) for hyps in want)
         assert widened and ties
 
     def test_beam_as_wide_as_the_vocabulary_scores_every_id(self, monkeypatch):
         vocab = sized_vocab(7)
         channel = AcousticChannel(vocab, confusion_with_ties(7, 3))
-        widths = self.spy_widths(monkeypatch)
-        rows = {}
+        widened = spy_full_steps(monkeypatch)
         rng = np.random.default_rng(2)
         for case, beam_width in enumerate((7, 8, 16, 7, 12)):
             obs = (0,) + tuple(rng.integers(3, 7, size=4)) + (1,)
             ctx = UtteranceContext(utt_id=f"u{case}", observation=obs)
-            got = beam_search(channel, ctx, beam_width, 5, 7, rows=rows)
+            got = search(channel, ctx, beam_width, 5, 7)
             assert got == serial_beam_search(channel, ctx, beam_width, 5, 7)
-        assert set(widths) == {7}  # every step scored the whole row
+        # m is V: every step scored the whole row, so no step had to widen
+        assert widened == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("at", [0, 1], ids=["first-step", "second-step"])
-    @pytest.mark.parametrize("with_rows", [True, False], ids=["rows", "no-rows"])
-    def test_non_finite_row_is_a_data_error(self, bad, at, with_rows):
+    @pytest.mark.parametrize("utterances", [1, 3])
+    def test_non_finite_row_is_a_data_error(self, bad, at, utterances):
         # finite rows but one, which holds one non-finite entry: the row the
         # first step reads (one live beam), or the second's (after BOS and
         # EOS tie at the top of the uniform first row, one beam lives on)
@@ -723,12 +745,147 @@ class TestRankedRows:
         table = np.zeros((2, 7))
         table[at, 4] = bad
         provider = RowsByLength(vocab, table)
-        kwargs = {"rows": {}} if with_rows else {}
-        with pytest.raises(InvalidInputError, match="finite"):
-            beam_search(provider, UtteranceContext(utt_id="u"), 2, 1, 3, **kwargs)
-        if with_rows:
-            # the refused row is not cached; the finite rows read before it are
-            assert list(kwargs["rows"]) == [(id(provider), key) for key in range(at)]
+        ctxs = [UtteranceContext(utt_id=f"u{i}") for i in range(utterances)]
+        with pytest.raises(InvalidInputError, match="^logit rows must be finite$"):
+            beam_search(provider, ctxs, 2, 1, [3] * utterances)
+
+
+def observed(rng, v, n, longest=8, low=3):
+    """n seeded utterances, each observing up to `longest` ids in [low, v)."""
+    return [UtteranceContext(utt_id=f"u{i}", observation=(0,) + tuple(
+        rng.integers(low, v, size=int(rng.integers(0, longest + 1)))) + (1,)) for i in range(n)]
+
+
+class TestLockstepBeamSearch:
+    """One call searches a chunk of utterances in lockstep, one step per
+    token position, and each utterance's list equals the serial oracle's,
+    scores bit for bit."""
+
+    @pytest.mark.parametrize("v", [7, 200])
+    def test_mixed_length_caps_in_one_call(self, v):
+        rng = np.random.default_rng(v)
+        channel = AcousticChannel(sized_vocab(v), dirichlet_confusion(v, v))
+        ctxs = observed(rng, v, 40)
+        max_lens = [1, 2, *rng.integers(1, 12, size=38).tolist()]
+        got = beam_search(channel, ctxs, 4, 3, max_lens)
+        assert_same_lists(got, serial_searches(channel, ctxs, 4, 3, max_lens))
+        assert [len(hyps[0][0]) for hyps in got[:1]] == [1]
+
+    def test_vocabulary_narrower_than_the_beam(self):
+        # V = 3 and beam 8: the first steps hold fewer than beam_width
+        # candidates (live x m < beam_width), so each takes all of them
+        rng = np.random.default_rng(3)
+        channel = AcousticChannel(sized_vocab(3), dirichlet_confusion(3, 3))
+        ctxs = observed(rng, 3, 30, low=0)
+        max_lens = rng.integers(1, 8, size=30).tolist()
+        got = beam_search(channel, ctxs, 8, 8, max_lens)
+        assert_same_lists(got, serial_searches(channel, ctxs, 8, 8, max_lens))
+        assert any(len(hyps) < 8 for hyps in got)
+
+    @pytest.mark.parametrize("v", [7, 30])
+    def test_quantised_rows_with_ties(self, v):
+        rng = np.random.default_rng(v + 1)
+        channel = AcousticChannel(sized_vocab(v), confusion_with_ties(v, v + 1))
+        ctxs = observed(rng, v, 40)
+        max_lens = [len(ctx.observation) + 2 for ctx in ctxs]
+        got = beam_search(channel, ctxs, 5, 5, max_lens)
+        assert_same_lists(got, serial_searches(channel, ctxs, 5, 5, max_lens))
+        assert any(len({s for _, s in hyps}) < len(hyps) for hyps in got)
+
+    def test_only_some_utterances_widen(self, monkeypatch):
+        # Observed id 3 reads a flat row, whose ids all tie, so a step of its
+        # first 2 ranked ids cannot bound the rest and scores every id; id 4
+        # reads a row of distinct values, whose step stays at 2 ids.
+        v = 30
+        confusion = dirichlet_confusion(v, 5)
+        confusion[3] = 1.0 / v
+        confusion[4] = 0.5 ** np.arange(1, v + 1)
+        confusion[4] /= confusion[4].sum()
+        channel = AcousticChannel(sized_vocab(v), confusion)
+        ctxs = [UtteranceContext(utt_id=f"u{i}", observation=(0, 3 + i % 2, 1))
+                for i in range(10)]
+        widened = spy_full_steps(monkeypatch)
+        got = beam_search(channel, ctxs, 2, 2, [1] * 10)
+        assert widened == [1] * 5  # the five utterances observing id 3, at their one step
+        assert_same_lists(got, serial_searches(channel, ctxs, 2, 2, [1] * 10))
+        widened.clear()
+        got = beam_search(channel, ctxs, 2, 2, [4] * 10)
+        assert_same_lists(got, serial_searches(channel, ctxs, 2, 2, [4] * 10))
+        assert 5 <= len(widened) < 10 * 4
+
+    def test_chunk_size_plus_one_utterances(self, monkeypatch):
+        from latefuse import corpus
+
+        # the default beam (8) at V = 200: calls of SEARCH_CANDIDATES // 64
+        # utterances, so one more record makes a second call of one
+        chunk = corpus.SEARCH_CANDIDATES // 64
+        calls, original = [], decoding.beam_search
+
+        def counted(provider, ctxs, *args):
+            calls.append(len(ctxs))
+            return original(provider, ctxs, *args)
+
+        channel = ChannelSpec(seed=5)
+        monkeypatch.setattr(decoding, "beam_search", counted)
+        got = generate_corpus(channel, chunk - 1, 1, 1)
+        assert calls == [chunk, 1]
+        monkeypatch.setattr(decoding, "beam_search", serial_searches)
+        assert got == generate_corpus(channel, chunk - 1, 1, 1)
+
+    def test_every_beam_retired_before_the_cap(self, abc_vocab, identity_channel):
+        ctxs = [obs_ctx(abc_vocab, text, utt_id=f"u{i}")
+                for i, text in enumerate(("a b", "c", "a b c a", "b b"))]
+        max_lens = [len(ctx.observation) + 10 for ctx in ctxs]
+        lengths, original = [], identity_channel.next_logits
+
+        def logged(history, ctx):
+            lengths.append(len(history))
+            return original(history, ctx)
+
+        identity_channel.next_logits = logged
+        got = beam_search(identity_channel, ctxs, 3, 3, max_lens)
+        del identity_channel.next_logits
+        assert_same_lists(got, serial_searches(identity_channel, ctxs, 3, 3, max_lens))
+        assert all(seq[-1] == Vocabulary.EOS for hyps in got for seq, _ in hyps)
+        # the search stopped when the last beam retired, well before any cap
+        assert max(lengths) < min(max_lens)
+
+    def test_beam_one_equals_greedy(self):
+        vocab = sized_vocab(7)
+        channel = AcousticChannel(vocab, confusion_with_ties(7, 0))
+        ctxs = observed(np.random.default_rng(6), 7, 30, longest=6)
+        max_lens = [(1, 3, 6)[i % 3] for i in range(30)]
+        got = beam_search(channel, ctxs, 1, 1, max_lens)
+        assert_same_lists(got, serial_searches(channel, ctxs, 1, 1, max_lens))
+        assert [hyps[0][0] for hyps in got] == \
+            [greedy_decode(channel, ctx, max_len=n).tokens for ctx, n in zip(ctxs, max_lens)]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "^logit rows must be finite$"),
+        ("short", r"^logit rows must have vocabulary size 7, got shape \(6,\)$"),
+    ])
+    def test_bad_row_of_one_utterance_is_a_data_error(self, bad, message):
+        # the fourth utterance alone observes id 5, at its second step
+        vocab = sized_vocab(7)
+        channel = AcousticChannel(vocab, dirichlet_confusion(7, 2))
+        log_rows = channel.log_rows.copy()
+        if bad == "nan":
+            log_rows[5, 2] = math.nan
+        channel.log_rows = log_rows
+        read = channel.next_logits
+
+        def short(history, ctx):
+            row = read(history, ctx)
+            return row[:-1] if bad == "short" and channel.row_key(len(history), ctx) == 5 else row
+
+        channel.next_logits = short
+        ctxs = [UtteranceContext(utt_id=f"u{i}", observation=(0, 3, 4 + (i == 3), 1))
+                for i in range(6)]
+        with pytest.raises(InvalidInputError, match=message):
+            beam_search(channel, ctxs, 4, 2, [5] * 6)
+        # without the fourth utterance, no step reads the bad row
+        del ctxs[3]
+        assert len(beam_search(channel, ctxs, 4, 2, [5] * 5)) == 5
 
 
 def reference_decode(llm, asr, cfg, ctx, max_len):
