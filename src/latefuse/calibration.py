@@ -8,13 +8,13 @@ confidence-vs-target gap, which is monotone non-increasing in tau.
 Teacher forcing conditions every step on the reference prefix, keeping
 the fit independent of any fused decoding.
 
-A provider with a `row_key` (the acoustic channel) gives equal rows for
-equal keys, so `collect_traces` reads its row once per distinct key and
-records which row each step reads. The same loop reads any other
-provider: its steps are keyed apart, one key per step, so each is read.
-A fit shifts those rows by their maxima once (`ShiftedTrace`), so
-each bisection evaluation only divides, exponentiates and sums the
-distinct rows into one reused buffer, then gathers the result per step:
+A keyed provider (the acoustic channel) is a block plus an index, so
+`collect_traces` takes its block `log_rows` as the trace's rows and
+records the key of each step, the row that step reads; it reads no row
+through `next_logits`. Any other provider is read once per step. A fit
+shifts those rows by their maxima once (`ShiftedTrace`), so each
+bisection evaluation only divides, exponentiates and sums the rows into
+one reused buffer, then gathers the result per step:
 the mean sums the same per-step values in the same order, so the
 confidences and the report come out bit for bit as shifting every row of
 the full trace at every evaluation gives them. The same shifted trace
@@ -74,14 +74,14 @@ def collect_traces(provider, dataset):
 
     Returns `(rows, targets, steps)`: `targets` holds every reference id
     in order, one per step, and step i's raw logits are `rows[steps[i]]`,
-    so `rows[steps]` is the full teacher-forced trace. The provider is read
-    once per distinct key, at the first step that reaches it, and `rows`
-    holds those rows in that order. A step's key is the provider's
-    `row_key` of its history; without a `row_key`, it is (utterance index,
-    t), which no other step has, so every step is read, `rows` is the full
-    trace and `steps` counts 0, 1, 2, ... Each utterance's new rows are
-    copied into one block before the next utterance is read, so a row that
-    views a bigger buffer (a wire reply) does not keep it alive.
+    so `rows[steps]` is the full teacher-forced trace. A keyed provider's
+    rows are its block `log_rows`, and step t of an utterance reads the
+    row of `row_key(t + 1, ctx)`, the key of its history BOS +
+    reference[:t]: no row is read through `next_logits`. Any other
+    provider is read once per step, `rows` is the full trace and `steps`
+    counts 0, 1, 2, ... Each utterance's rows are then copied into one
+    block before the next utterance is read, so a row that views a bigger
+    buffer (a wire reply) does not keep it alive.
 
     A provider with a `prefetch` method (one served over the wire) is told
     the whole set first, each reference but its EOS as the follow of its
@@ -93,24 +93,19 @@ def collect_traces(provider, dataset):
     if not dataset:
         raise InvalidInputError("dataset is empty")
     row_key = getattr(provider, "row_key", None)
-    first_read, blocks, steps = {}, [], []  # first_read: key -> index of its row
-    for u, (ctx, reference) in enumerate(dataset):
+    blocks, keys = [], []
+    for ctx, reference in dataset:
         reference = _checked_reference(reference)
-        new_rows = []
-        for t in range(len(reference)):
-            # that of the history BOS + reference[:t], or the step's own
-            key = (u, t) if row_key is None else row_key(t + 1, ctx)
-            i = first_read.get(key)
-            if i is None:
-                i = first_read[key] = len(first_read)
-                new_rows.append(provider.next_logits((Vocabulary.BOS,) + reference[:t], ctx))
-            steps.append(i)
-        if new_rows:
-            blocks.append(np.stack(new_rows))
-    rows, steps = np.concatenate(blocks), np.asarray(steps, dtype=np.intp)
+        if row_key is None:
+            blocks.append(np.stack([provider.next_logits((Vocabulary.BOS,) + reference[:t], ctx)
+                                    for t in range(len(reference))]))
+        else:
+            keys += [row_key(t + 1, ctx) for t in range(len(reference))]
     targets = np.asarray([tok for _ctx, reference in dataset for tok in reference],
                          dtype=np.int64)
-    return rows, targets, steps
+    if row_key is None:
+        return np.concatenate(blocks), targets, np.arange(targets.size)
+    return provider.log_rows, targets, np.asarray(keys, dtype=np.intp)
 
 
 class ShiftedTrace:

@@ -171,8 +171,10 @@ def _substitution_kernel(n_words: int, concentration: float) -> np.ndarray:
     idx = np.arange(n_words)
     dist = np.abs(idx[:, None] - idx[None, :])
     dist = np.minimum(dist, n_words - dist)
-    # the diagonal, zeroed below, decays from distance 1 too: exp(+concentration) overflows
-    kernel = np.exp(-concentration * (np.maximum(dist, 1) - 1.0))
+    # the diagonal, zeroed below, decays from distance 1 too: exp(+concentration) overflows;
+    # a concentration near the float range overflows the product to -inf, whose exp is 0
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-concentration * (np.maximum(dist, 1) - 1.0))
     kernel *= 1.0 + 0.6 * np.cos(0.7 * (idx[:, None] + idx[None, :]))
     np.fill_diagonal(kernel, 0.0)
     kernel /= kernel.sum(axis=1, keepdims=True)

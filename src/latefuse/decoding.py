@@ -246,9 +246,9 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     without weights in mode llm, one with weights in static or uadf, none
     in asr; any other raises InvalidParameterError. The decode walks it
     along the step count t and the last order - 1 ids, never the
-    corrector's `history_key`: past the longest hypothesis, or with no
-    N-best list, one key spans several lengths, and so several acoustic
-    rows. A step whose (t, context) the table holds takes the table's
+    corrector's key (vote row, context): past the longest hypothesis, or
+    with no N-best list, one key spans several lengths, and so several
+    acoustic rows. A step whose (t, context) the table holds takes the table's
     choice, and its recorded step, built from the table's rows when
     `steps` is first read, equals the step the providers would give; any
     other step reads them as above. A decode without a table walks an
@@ -335,10 +335,12 @@ def beam_search(provider, ctxs, beam_width: int, n_out: int,
 
     The utterances search in lockstep: a step scores the `(U, W)` live
     scores (-inf past an utterance's live beams) x the first
-    m = min(beam_width, V) ranked ids of each one's row (read through
-    `next_logits` and ranked once per key and call), and each utterance
-    keeps its first k = min(beam_width, live x m) by score, then flat
-    index, which is lexicographic order. If an utterance's best beam plus
+    m = min(beam_width, V) ranked ids of each one's row, and each
+    utterance keeps its first k = min(beam_width, live x m) by score, then
+    flat index, which is lexicographic order. A row is read and ranked
+    once per key and call, through `next_logits` of a history of BOS alone
+    as long as the step's: the keyed contract gives every history of that
+    length the key's row. If an utterance's best beam plus
     the (m+1)-th ranked value reaches its k-th score, its step scores
     every id (`_full_step`); else no id left out can, so the lists equal a
     full step's bit for bit. A step keeps each live beam's parent slot and
@@ -372,15 +374,10 @@ def beam_search(provider, ctxs, beam_width: int, n_out: int,
         ri = []
         for u in act.tolist():
             key = row_key(t + 1, ctxs[u])
-            if key not in keys:
-                history, slot = [], 0  # its first live beam's, read back along the steps
-                for s_act, s_parents, s_ids in reversed(steps):
-                    r = s_act.searchsorted(u)
-                    history.append(int(s_ids[r, slot]))
-                    slot = s_parents[r, slot]
+            if key not in keys:  # every history of length t + 1 reads the key's row
                 keys[key] = len(ranked)
                 ranked.append(_ranked_row(
-                    provider.next_logits((Vocabulary.BOS, *history[::-1]), ctxs[u]), v, m))
+                    provider.next_logits((Vocabulary.BOS,) * (t + 1), ctxs[u]), v, m))
             ri.append(keys[key])
         if len(ranked) > len(after):
             top_ids, top_vals, after = (np.array(col) for col in list(zip(*ranked))[1:])

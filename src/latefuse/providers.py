@@ -21,13 +21,15 @@ one by one only to name the first bad one. A keyed provider,
 as `AcousticChannel` is, is a block plus an index: `row_key(length, ctx)`
 indexes the rows of a `(R, V)` array `log_rows`, and
 `next_logits(history, ctx)` equals `log_rows[row_key(len(history), ctx)]`,
-so equal keys mean equal rows, also across utterances. Beam search reads
-only keyed providers: it reads, normalises and ranks each key's row once
-per call, for every utterance of the chunk that the call searches in
-lockstep (`decoding.beam_search`). A decode set calibrates the
-whole block once (`decoding.decode_eval_set`), and a calibration reads
-each key's row once (`calibration.collect_traces`). `NgramCorrector`
-reads a history only through its key (`history_key`): its vote row and
+so equal keys mean equal rows, also across utterances, and any history
+of a length reads its key's row. Beam search reads only keyed providers:
+it reads each key's row once per call, as that of a history of BOS
+alone, and normalises and ranks it for every utterance of the chunk that
+the call searches in lockstep (`decoding.beam_search`). A decode set
+calibrates the whole block once (`decoding.decode_eval_set`), and a
+calibration takes the block as its rows and each step's key as the row
+it reads (`calibration.collect_traces`): neither builds a history.
+`NgramCorrector` reads a history only through its key: its vote row and
 its n-gram context. Its `lattices(ctxs)` gives the keys of the N-best
 prefixes of a chunk of utterances and their rows as one `(B, V)` block:
 one `np.bincount` counts the vote rows of every list of the chunk, and
@@ -223,10 +225,11 @@ class NgramCorrector:
     first reads the row the model serves for it (held against that row, so
     a model trained again, which serves new rows, leaves none stale).
 
-    A row reads its history only through its key (`history_key`): the
-    vote row, min(len(history), len(votes)) - 1, and the n-gram context,
-    the last order - 1 ids. `lattices` builds the rows of the N-best
-    prefixes of a chunk of utterances at once.
+    A row reads its history only through its key: the vote row,
+    min(len(history), len(votes)) - 1, and the n-gram context, the last
+    order - 1 ids; histories of one utterance with one key get one row.
+    `lattices` builds the rows of the N-best prefixes of a chunk of
+    utterances at once.
     """
 
     def __init__(self, model: NgramModel, vote_weight: float = 0.5):
@@ -302,13 +305,6 @@ class NgramCorrector:
         """The index of the row of `votes` that a step after `history` reads."""
         return min(len(history), len(votes)) - 1
 
-    def history_key(self, history: TokenSeq, ctx: UtteranceContext) -> tuple:
-        """All that `next_logits(history, ctx)` reads of `history`: its vote
-        row, and its n-gram context, which is all `_prior` reads of it.
-        Histories of one utterance with one key get one row."""
-        return (self._vote_row(history, self._held_votes(ctx.nbest)),
-                self.model._context(history))
-
     def next_logits(self, history: TokenSeq, ctx: UtteranceContext) -> np.ndarray:
         votes = self._held_votes(ctx.nbest)
         row = self._prior(history) + votes[self._vote_row(history, votes)]
@@ -329,7 +325,7 @@ class NgramCorrector:
         """The keys of each utterance of `ctxs`, and the raw rows of all of
         them, in order, as one new `(B, V)` array.
 
-        An utterance's keys are those (see `history_key`) of the
+        An utterance's keys are those (vote row, n-gram context) of the
         BOS-prefixed prefixes of its N-best list up to each hypothesis's
         EOS, BOS alone included, each once; their rows are consecutive in
         the block, and row i of them `==` `next_logits(history, ctx)` for
@@ -340,9 +336,9 @@ class NgramCorrector:
 
         A prefix of t tokens is no longer than the longest hypothesis, so
         its vote row is t, unclipped, and its context is a slice of the
-        hypothesis padded as `_context` pads a history: `history_key` of
-        the prefix, with no call per prefix. One `np.bincount` counts the
-        vote rows of every list at once, each row with `_vote_rows`'s
+        hypothesis padded as `_context` pads a history: the prefix's key,
+        with no call per prefix. One `np.bincount` counts the vote rows of
+        every list at once, each row with `_vote_rows`'s
         arithmetic; the weighted priors are held by context (a context is
         its own history); and the block takes `next_logits`'s elementwise
         ops.
@@ -419,7 +415,8 @@ class AcousticChannel:
     as an index of the read-only `(V + 1, V)` block `log_rows`.
     `beam_search` reads one row per key and gives it to every live beam
     of every utterance of its call that reaches the key; a decode set
-    calibrates the whole block once.
+    calibrates the whole block once, and a calibration reads no row
+    through `next_logits`: its trace is the block, gathered by key.
     """
 
     def __init__(self, vocab: Vocabulary, confusion: np.ndarray):

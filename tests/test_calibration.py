@@ -428,18 +428,37 @@ def channel_case(v, seed, n_utts=60):
 
 
 class TestKeyedRows:
-    """A provider with a `row_key` is read once per distinct key, and the
-    fit from those rows equals, field for field, the fit from the full
-    trace; V = 13 and 203 leave SIMD tails in every row."""
+    """A provider with a `row_key` is read by key alone: its trace is its
+    block `log_rows` and each step's key, with no `next_logits` call, and
+    the fit from it equals, field for field, the fit from the full trace;
+    V = 13 and 203 leave SIMD tails in every row."""
+
+    @staticmethod
+    def counted_reads(monkeypatch):
+        """Count every `AcousticChannel.next_logits` call."""
+        reads, original = [], AcousticChannel.next_logits
+
+        def counted(self, history, ctx):
+            reads.append(len(history))
+            return original(self, history, ctx)
+
+        monkeypatch.setattr(AcousticChannel, "next_logits", counted)
+        return reads
 
     @pytest.mark.parametrize("v", [6, 13, 200, 203])
-    def test_rows_gathered_by_step_are_the_full_trace(self, v):
+    def test_rows_gathered_by_step_are_the_full_trace(self, monkeypatch, full_trace, v):
         channel, dataset = channel_case(v, seed=v)
+        reads = self.counted_reads(monkeypatch)
         rows, targets, steps = collect_traces(channel, dataset)
-        full, full_targets, full_steps = collect_traces(_Unkeyed(channel), dataset)
-        keys = {channel.row_key(t + 1, ctx) for ctx, ref in dataset for t in range(len(ref))}
-        assert -1 in keys and len(rows) == len(keys) < len(full)
+        assert reads == [] and rows is channel.log_rows
+        assert steps.tolist() == [channel.row_key(t + 1, ctx)
+                                  for ctx, ref in dataset for t in range(len(ref))]
+        assert -1 in steps.tolist()
+        monkeypatch.undo()
+        full = np.concatenate([full_trace(channel, ref, ctx) for ctx, ref in dataset])
         assert rows[steps].tobytes() == full.tobytes()
+        unkeyed, full_targets, full_steps = collect_traces(_Unkeyed(channel), dataset)
+        assert unkeyed.tobytes() == full.tobytes()
         assert targets.tobytes() == full_targets.tobytes()
         assert full_steps.tolist() == list(range(len(full)))
 
@@ -457,8 +476,8 @@ class TestKeyedRows:
         if bounds == (1e-2, 1e2):
             assert not got["clamped"]
 
-    def test_calibrate_asr_reads_each_acoustic_key_once(self, tmp_path, monkeypatch,
-                                                        frozen_fit):
+    def test_calibrate_asr_reads_no_row_through_next_logits(self, tmp_path, monkeypatch,
+                                                             frozen_fit):
         from latefuse import cli, corpus
 
         data = tmp_path / "data"
@@ -469,27 +488,18 @@ class TestKeyedRows:
         channel = cli.build_provider(cli.ProviderSpec(
             "acoustic-channel", {"manifest_path": str(data / "manifest.json")}), vocab)
         want, _evals = frozen_fit(channel, cal_set)
-        keys = {channel.row_key(t + 1, ctx) for ctx, ref in cal_set for t in range(len(ref))}
-        reads, original = {}, AcousticChannel.next_logits
-
-        def counted(self, history, ctx):
-            key = self.row_key(len(history), ctx)
-            reads[key] = reads.get(key, 0) + 1
-            return original(self, history, ctx)
-
-        monkeypatch.setattr(AcousticChannel, "next_logits", counted)
+        reads = self.counted_reads(monkeypatch)
         out = tmp_path / "cal-asr.json"
         assert cli.main(["calibrate", "--corpus", str(data / "val.jsonl"), "--vocab",
                          str(data / "vocab.txt"), "--which", "asr", "--manifest",
                          str(data / "manifest.json"), "--out", str(out)]) == 0
-        assert reads == dict.fromkeys(keys, 1)
-        assert len(keys) < sum(len(ref) for _ctx, ref in cal_set)
+        assert reads == []
         assert json.loads(out.read_text()) == json.loads(json.dumps(want))
 
     def test_unkeyed_rows_free_each_utterance_before_the_next(self, abc_vocab, full_trace):
-        """An unkeyed provider goes through the keyed loop, each step keyed
-        apart; each utterance's rows are copied out before the next is read,
-        so no earlier reply buffer is alive at a first step."""
+        """An unkeyed provider is read at every step, so its `steps` is
+        `arange`; each utterance's rows are copied out before the next is
+        read, so no earlier reply buffer is alive at a first step."""
         dataset = dataset_from_texts(abc_vocab, ["a b", "c", "b a c", "a", "c c"])
         provider = _ReplyViews(abc_vocab)
         rows, targets, steps = collect_traces(provider, dataset)

@@ -165,6 +165,23 @@ class TestSimulate:
         assert "sub_rate 0.0 and del_rate 1.0" in err
         assert not out.exists()
 
+    def test_largest_concentration_runs_with_warnings_as_errors(self, tmp_path):
+        """A concentration near the float range overflows the kernel's
+        exponents to -inf, whose exp, 0, is the intended limit: `simulate`
+        and a `decode` that reads its manifest build the kernel warning-free."""
+        data = tmp_path / "data"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in (
+                    ["simulate", "--out-dir", data, "--n-train", 3, "--n-val", 1,
+                     "--n-test", 2, "--concentration", "1e308", "--seed", 3],
+                    ["decode", "--corpus", data / "test.jsonl", "--vocab", data / "vocab.txt",
+                     "--mode", "asr", "--manifest", data / "manifest.json",
+                     "--out", tmp_path / "hyp.jsonl"]):
+                corpus._substitution_kernel.cache_clear()  # built anew by each command
+                assert run(*command) == 0
+        assert json.loads((data / "manifest.json").read_text())["concentration"] == 1e308
+
     def test_rates_summing_to_one_make_a_corpus_train_lm_reads(self, tmp_path):
         out = tmp_path / "x"
         assert run("simulate", "--out-dir", out, "--n-train", 2, "--n-val", 1,

@@ -26,6 +26,7 @@ from latefuse.fusion import FusionConfig, decide
 from latefuse.metrics import corpus_wer
 from latefuse.corpus import ChannelSpec, decoder_confusion, generate_corpus, record_context
 from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
+from test_providers import history_key
 
 
 @pytest.fixture
@@ -649,6 +650,35 @@ class TestOneRowPerStep:
         assert [np.array(row, dtype=np.float64).tobytes() for row in cache] == before
         assert all(type(row) is (list if kind == "int-list" else np.ndarray)
                    for row in cache)
+
+    def test_each_read_history_is_bos_alone_as_long_as_its_step(self):
+        # a chunk of utterances in one call: each key is read once, with a
+        # history of BOS alone at the first step any utterance reaches it,
+        # which is the first length any serial search reads it at
+        vocab = sized_vocab(7)
+        channel = AcousticChannel(vocab, confusion_with_ties(7, 4))
+        ctxs = observed(np.random.default_rng(4), 7, 12, longest=6)
+        max_lens = [len(ctx.observation) + 2 for ctx in ctxs]
+        first = {}
+        for ctx, max_len in zip(ctxs, max_lens):
+            lengths = self.history_lengths(channel)
+            serial_beam_search(channel, ctx, 4, 3, max_len)
+            del channel.next_logits
+            for length in lengths:
+                key = channel.row_key(length, ctx)
+                first[key] = min(first.get(key, length), length)
+        histories, original = [], channel.next_logits
+
+        def logged(history, ctx):
+            histories.append((tuple(history), channel.row_key(len(history), ctx)))
+            return original(history, ctx)
+
+        channel.next_logits = logged
+        got = beam_search(channel, ctxs, 4, 3, max_lens)
+        del channel.next_logits
+        assert_same_lists(got, serial_searches(channel, ctxs, 4, 3, max_lens))
+        assert histories == [((Vocabulary.BOS,) * first[key], key) for _, key in histories]
+        assert sorted(key for _, key in histories) == sorted(first)
 
     def test_row_of_the_wrong_length_is_a_data_error(self, abc_vocab):
         provider = RowsByLength(abc_vocab, [np.zeros(abc_vocab.size - 1)])
@@ -1356,7 +1386,7 @@ class TestChoiceTable:
                     tokens = next(results).tokens
                     for t in range(len(tokens)):
                         history = (Vocabulary.BOS,) + tokens[:t]
-                        clipped += (llm.history_key(history, ctx) in keys
+                        clipped += (history_key(llm, history, ctx) in keys
                                     and (t, llm.model._context(history)) not in keys)
         assert clipped > 0
 

@@ -561,6 +561,14 @@ def nbest_prefixes(nbest):
                 break
 
 
+def history_key(corrector, history, ctx):
+    """All that `corrector.next_logits(history, ctx)` reads of `history`:
+    its vote row, and its n-gram context, which is all `_prior` reads of
+    it. Histories of one utterance with one key get one row."""
+    return (corrector._vote_row(history, corrector._held_votes(ctx.nbest)),
+            corrector.model._context(history))
+
+
 class TestLattice:
     """`NgramCorrector.lattices` gives the keys of an utterance's N-best
     prefixes once each, in order of first appearance, and for each key the
@@ -580,12 +588,12 @@ class TestLattice:
         rows = block[lo:lo + len(keys)]
         assert len(block) == lo + len(keys) + len(lattices[3])
         prefixes = list(nbest_prefixes(nbest))
-        assert keys == list(dict.fromkeys(corrector.history_key(h, ctx) for h in prefixes))
+        assert keys == list(dict.fromkeys(history_key(corrector, h, ctx) for h in prefixes))
         assert rows.shape == (len(keys), corrector.vocab.size)
         index = {key: i for i, key in enumerate(keys)}
         read = 0
         for history in prefixes + list(extra_histories):
-            i = index.get(corrector.history_key(history, ctx))
+            i = index.get(history_key(corrector, history, ctx))
             if i is not None:
                 assert rows[i].tobytes() == corrector.next_logits(history, ctx).tobytes()
                 read += 1
