@@ -13,11 +13,15 @@ each one's live beams x the top-ranked ids of its row, all of them in a
 few array ops. A decode set calibrates the block once (`softmax_rows`),
 and each step reads its row there (`calibrated_row`).
 
-A corrector with `lattices` (`providers.NgramCorrector`) gives the rows
-of the N-best prefixes of a chunk of utterances as one block, each row
-keyed by its step count t and its n-gram context. A step's inputs depend
-on nothing else, so in modes llm, static and uadf (the fused ones with a
-keyed acoustic model) a decode set decides every config's choice at
+A corrector with `lattices` gives rows of a chunk of utterances as one
+block, each row keyed by its step count t and a context, the last ids of
+the history: `providers.NgramCorrector` the rows of the N-best prefixes,
+keyed by their n-gram contexts, and `wire.ExternalProvider`, a corrector
+served over the wire, the argmax paths its client holds from BOS, keyed
+by the whole history padded with BOS to `wire.MAX_AHEAD` ids. A step's
+inputs depend on nothing else, so in modes llm, static and uadf (the
+fused ones with a keyed acoustic model) a decode set decides every
+config's choice at
 every key of a chunk of `CHUNK_UTTERANCES` utterances in one array op
 (`choice_tables`), and each decode walks its utterance's table: a step
 whose (t, context) it holds reads its choice there, and any other step
@@ -109,11 +113,15 @@ def calibrated_row(provider, history: TokenSeq, ctx: UtteranceContext, tau: floa
 
 class ChoiceTable(NamedTuple):
     """One config's choices at the lattice keys of one utterance of a chunk
-    (see `choice_tables`): the step after t tokens whose last order - 1 ids
-    are `context` is row `index[(t, context)]` of the chunk's blocks."""
+    (see `choice_tables`): the step after t tokens whose last ids are
+    `context` is row `index[(t, context)]` of the chunk's blocks. The
+    context is the corrector's key window: the last order - 1 ids in
+    process (`NgramCorrector`), and over the wire the last
+    `wire.MAX_AHEAD` ids of the history less its BOS, padded with BOS
+    (`wire.ExternalProvider`), which is the whole history."""
 
     index: dict               # (t, context) -> row i of the chunk
-    start: tuple              # the context of the first step: BOS, order - 1 times
+    start: tuple              # the context of the first step: BOS, as often as it holds ids
     p_llm: np.ndarray         # the chunk's calibrated corrector rows, read-only
     p_asr: np.ndarray | None  # the chunk's calibrated acoustic rows, read-only; None in llm
     u: list | None            # row i's entropy of p_llm in uadf, else None; None in llm
@@ -245,8 +253,9 @@ def fused_greedy_decode(llm_provider, asr_provider, cfg: FusionConfig,
     `table` is cfg's `ChoiceTable` for `ctx` (see `choice_tables`): one
     without weights in mode llm, one with weights in static or uadf, none
     in asr; any other raises InvalidParameterError. The decode walks it
-    along the step count t and the last order - 1 ids, never the
-    corrector's key (vote row, context): past the longest hypothesis, or
+    along the step count t and the last ids of the history, as many as
+    its context holds, never the n-gram corrector's key (vote row,
+    context): past the longest hypothesis, or
     with no N-best list, one key spans several lengths, and so several
     acoustic rows. A step whose (t, context) the table holds takes the table's
     choice, and its recorded step, built from the table's rows when

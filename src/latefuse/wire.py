@@ -3,11 +3,17 @@ replies that are a JSON header line, for a step followed by raw logits.
 
 The client opens with a handshake
     {"op": "hello", "vocab_size": V, "vocab_hash": "<hex64>",
-     "logits_encoding": "f64le-frame"}  ->  {"ok": true}
+     "logits_encoding": "f64le-frame"}  ->  {"ok": true, "echoes": ["id"]}
 then sends step requests of 1 to MAX_ENTRIES entries, each history
 starting with BOS
-    {"op": "step", "entries": [{"utt": "<id>", "history": [ids]}, ...]}
-      ->  {"logits_bytes": N, "paths": [[ids], ...]}
+    {"op": "step", "id": n, "entries": [{"utt": "<id>", "history": [ids]}, ...]}
+      ->  {"id": n, "logits_bytes": N, "paths": [[ids], ...]}
+A step request's "id" counts the step requests sent before it on the
+connection, and its reply echoes it, so the client refuses a reply to
+another request, a stale one or one sent twice included; the hello reply
+states that the server echoes it, so a server that does not fails at the
+hello.
+
 An entry may also carry "follow": [ids], tokens the client will append,
 and "ahead": n, a number of tokens to extend past them along the
 provider's own argmax of the raw logits (lowest id on ties), stopping
@@ -38,7 +44,11 @@ all, so a decode set that follows the served argmax makes one round trip
 per MAX_ENTRIES utterances. The client keeps the unread rows of each
 utterance it fetched and answers later steps from them, and a fetch
 drops those of every utterance but the MAX_ENTRIES - 1 announced after
-its own.
+its own. A decode set reads the paths held from BOS for a chunk of
+utterances as one block (`ExternalProvider.lattices`) and decides its
+steps on them at once (`decoding.choice_tables`); only a step off its
+utterance's path reads a row, and it makes the request it would make
+without them.
 
 Replies and requests are capped: a reply header longer than
 `max_header_bytes(V)` or announcing more rows than its request asked
@@ -195,7 +205,8 @@ class ExternalProvider:
     """Client side of the wire protocol; validates every response.
 
     The unread rows of the step replies are kept by utterance, then by
-    history. A step takes its row out. A step the rows do not cover asks
+    history. A step takes its row out; `lattices` reads the rows of whole
+    paths from BOS and leaves them in. A step the rows do not cover asks
     for the next stretch of the follow `prefetch` announced for its
     utterance, if the step is on it, or else for MAX_AHEAD - 1 tokens of
     the provider's argmax path if its utterance was announced, and for
@@ -206,7 +217,7 @@ class ExternalProvider:
     it, so callers that interleave unannounced utterances on one client
     drop each other's rows. `round_trips`, `rows_received` and `rows_used`
     count step requests, the rows their replies carried and the rows a
-    step read.
+    step or a table read.
     """
 
     def __init__(self, transport, vocab: Vocabulary):
@@ -231,6 +242,10 @@ class ExternalProvider:
             raise ConfigurationError(
                 f"provider refused handshake: {reply.get('error', reply)!r}"
             )
+        if reply.get("echoes") != ["id"]:
+            self.close()
+            raise ConfigurationError(
+                f"provider does not echo step request ids: its hello reply is {reply!r:.200}")
 
     def prefetch(self, entries):
         """Announce the utterances the next steps go through, in order, as
@@ -252,9 +267,38 @@ class ExternalProvider:
         rows = self._rows.get(utt)
         row = rows.pop(history, None) if rows else None
         if row is None:
-            row = self._fetch(utt, history)
+            self._fetch(utt, history)
+            row = self._rows[utt].pop(history)
         self.rows_used += 1
         return row  # the client keeps no reference to it
+
+    def lattices(self, ctxs) -> tuple[list, np.ndarray]:
+        """The keys of the argmax path held for each utterance of `ctxs`
+        from BOS, and the raw rows of all of them, in order, as one new
+        `(B, V)` array (see `decoding.choice_tables`). The row for a
+        history h is keyed (t, the last MAX_AHEAD ids of
+        (BOS,) * MAX_AHEAD + h[1:]), t = len(h) - 1: a path holds at most
+        MAX_AHEAD rows, so that window is the whole history.
+
+        Makes at most the one fetch that the first step of the first
+        utterance would make: if its first row is not held. An utterance
+        whose first row is not held then gets None, and its steps read
+        `next_logits`. The rows stay held, so the requests that the steps
+        off the paths make are the ones they would make without a table.
+        """
+        bos = (Vocabulary.BOS,)
+        if ctxs and bos not in self._rows.get(ctxs[0].utt_id, ()):
+            self._fetch(ctxs[0].utt_id, bos)
+        pad, lattices, rows = bos * MAX_AHEAD, [], []
+        for ctx in ctxs:
+            held = self._rows.get(ctx.utt_id, {})
+            if bos in held:  # then every row held comes from a fetch at BOS, BOS's first
+                lattices.append([(len(h) - 1, (pad + h[1:])[-MAX_AHEAD:]) for h in held])
+                rows += held.values()
+            else:
+                lattices.append(None)
+        self.rows_used += len(rows)
+        return lattices, np.array(rows).reshape(len(rows), self.vocab.size)
 
     def _entry(self, utt: str, history: tuple):
         """The request entry for the rows of `utt` from `history` on, and
@@ -272,11 +316,11 @@ class ExternalProvider:
             fields["ahead"] = MAX_AHEAD - 1
         return fields, follow
 
-    def _fetch(self, utt: str, history: tuple) -> np.ndarray:
+    def _fetch(self, utt: str, history: tuple):
         """One step round trip, whose rows replace those kept for `utt`
-        (the other utterances it lists have none). First drops the rows of
-        `utt` and of every utterance but the MAX_ENTRIES - 1 announced after
-        it. Returns the row for `history`."""
+        (the other utterances it lists have none); the first of them is the
+        row for `history`. First drops the rows of `utt` and of every
+        utterance but the MAX_ENTRIES - 1 announced after it."""
         place = self._order.get(utt)
         after = range(place + 1, place + MAX_ENTRIES) if place is not None else range(0)
         self._rows = {u: rows for u, rows in self._rows.items() if self._order.get(u) in after}
@@ -286,10 +330,11 @@ class ExternalProvider:
             self._next = max(self._next, place + MAX_ENTRIES)
             asked += [(later, history) for later in self._announced[first:self._next]]
         entries = [self._entry(*key) for key in asked]
+        # the id of a step request is the number of step requests before it
         header, frame = self._transport.round_trip(
-            {"op": "step", "entries": [fields for fields, _ in entries]})
-        self.round_trips += 1
+            {"op": "step", "id": self.round_trips, "entries": [fields for fields, _ in entries]})
         rows, paths = self._check_step_reply(header, frame, [f for _, f in entries])
+        self.round_trips += 1
         self.rows_received += len(rows)
         at = 0  # where the next entry's rows start in the frame
         for (u, h), (_, follow), path in zip(asked, entries, paths):
@@ -298,14 +343,18 @@ class ExternalProvider:
                 del self._plans[u]  # the step left the plan, or fetches it to its end
             self._rows[u] = {h + tuple(path[:i]): rows[at + i] for i in range(len(path) + 1)}
             at += len(path) + 1
-        return self._rows[utt].pop(history)
 
     def _check_step_reply(self, header: dict, frame: bytearray, follows: list):
         """The (rows, V) logits of a step reply and its "paths", one per
-        entry of the request, whose follows are `follows`. Each path starts
-        with its follow and is, past it, the argmax of its rows."""
+        entry of the request, whose follows are `follows`. The reply echoes
+        the request's id, `round_trips`. Each path starts with its follow
+        and is, past it, the argmax of its rows."""
         if "logits_bytes" not in header:
             raise ProviderIOError(f"step reply carries no logits: {header!r}")
+        reply_id = header.get("id")
+        if type(reply_id) is not int or reply_id != self.round_trips:
+            raise ProviderIOError(f"step reply has id {reply_id!r:.200}, but its request "
+                                  f"has id {self.round_trips}")
         size = self.vocab.size
         paths = header.get("paths")
         if not (isinstance(paths, list) and len(paths) == len(follows)):
@@ -425,7 +474,7 @@ def _hello_reply(msg: dict, vocab: Vocabulary) -> dict:
     if msg.get("logits_encoding") != LOGITS_ENCODING:
         return {"ok": False, "error": f"'logits_encoding' must be {LOGITS_ENCODING!r}, "
                                       f"got {msg.get('logits_encoding')!r:.200}"}
-    return {"ok": True}
+    return {"ok": True, "echoes": ["id"]}
 
 
 def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
@@ -440,13 +489,15 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
         raise ValueError(f"the first request must be a hello, got op {op!r:.200}")
     if op != "step":
         raise ValueError(f"unknown op {op!r:.200}")
+    request_id = json_field(msg, "id", (int,), lambda n: n >= 0, "a non-negative integer")
     entries = json_field(msg, "entries", (list,), lambda e: 0 < len(e) <= MAX_ENTRIES,
                          f"a list of 1 to {MAX_ENTRIES} objects")
     entries = [_step_entry(entry, contexts, provider.vocab.size, f"'entries'[{i}]")
                for i, entry in enumerate(entries)]
     looked = [_lookahead(provider, *entry) for entry in entries]
     frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for rows, _ in looked for row in rows)
-    return {"logits_bytes": len(frame), "paths": [path for _, path in looked]}, frame
+    return {"id": request_id, "logits_bytes": len(frame),
+            "paths": [path for _, path in looked]}, frame
 
 
 def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext]):

@@ -20,18 +20,19 @@ import numpy as np
 import pytest
 
 import latefuse
-from latefuse import cli, wire
+from latefuse import cli, corpus, decoding, wire
 from latefuse.core import Vocabulary
 from latefuse.calibration import collect_traces
 from latefuse.decoding import (decode_eval_set, evaluation_max_len, fused_greedy_decode,
                                greedy_decode)
 from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.fusion import FusionConfig
-from latefuse.providers import AcousticChannel, UtteranceContext, train_ngram_corrector
+from latefuse.providers import (AcousticChannel, ProviderSpec, UtteranceContext,
+                                train_ngram_corrector)
 from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
                            ProviderServer, _TcpTransport, connect_external, max_header_bytes,
                            max_logits_bytes, stdio_serve)
-from test_decoding import step_bytes
+from test_decoding import decode_fields, small_walkthrough, step_bytes, walk_kind
 
 
 def bare_frame(logits, **header):
@@ -47,8 +48,30 @@ def frame(logits, **header):
     return bare_frame(logits, **{"paths": [[]], **header})
 
 
-def step_request(*entries):
-    return {"op": "step", "entries": list(entries)}
+def step_request(*entries, request_id=0):
+    return {"op": "step", "id": request_id, "entries": list(entries)}
+
+
+# the hello reply of a server that echoes each step request's id
+HELLO_OK = {"ok": True, "echoes": ["id"]}
+
+
+def echo_id(reply, msg):
+    """`reply` as a server sends it to the request `msg`: bytes whose
+    header line is a JSON object without an "id" get the request's id,
+    as the first field, if `msg` has one; any other reply is left as it
+    is, so a test can send a reply with a wrong id, or one that is no
+    JSON object."""
+    if not isinstance(reply, bytes) or "id" not in msg:
+        return reply
+    head, newline, rest = reply.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except (ValueError, RecursionError):
+        return reply
+    if not newline or not isinstance(header, dict) or "id" in header:
+        return reply
+    return (json.dumps({"id": msg["id"], **header}) + "\n").encode() + rest
 
 
 def read_replies(data):
@@ -111,16 +134,19 @@ def assert_steps_stay_paired(provider, ctx):
 
 
 def scripted(replies_by_op):
+    """The replies by request op, each a reply or a function of the
+    request, with the request's id echoed (`echo_id`)."""
     def reply(msg):
-        return replies_by_op[msg["op"]](msg) if callable(replies_by_op[msg["op"]]) \
-            else replies_by_op[msg["op"]]
+        got = replies_by_op[msg["op"]]
+        got = got(msg) if callable(got) else got
+        return [echo_id(r, msg) for r in got] if isinstance(got, list) else echo_id(got, msg)
     return reply
 
 
 class TestExternalProvider:
     def test_echo_server_fixed_logits(self, abc_vocab, empty_ctx):
         fixed = frame([1.0] + [0.0] * (abc_vocab.size - 1))
-        server = LineServer(scripted({"hello": {"ok": True}, "step": fixed}))
+        server = LineServer(scripted({"hello": HELLO_OK, "step": fixed}))
         provider = connect_external(server.address, abc_vocab, timeout=2.0)
         try:
             for history in ((0,), (0, 3), (0, 3, 4)):
@@ -132,7 +158,7 @@ class TestExternalProvider:
 
     def test_short_logits_vector_is_protocol_error(self, abc_vocab, empty_ctx):
         short = frame([0.0] * (abc_vocab.size - 1))
-        server = LineServer(scripted({"hello": {"ok": True}, "step": short}))
+        server = LineServer(scripted({"hello": HELLO_OK, "step": short}))
         provider = connect_external(server.address, abc_vocab, timeout=2.0)
         try:
             with pytest.raises(ProviderIOError):
@@ -165,7 +191,7 @@ class TestExternalProvider:
     def test_unsolicited_line_is_provider_io_error(self, empty_ctx):
         vocab = Vocabulary(tokens=("<s>", "</s>", "<unk>", "a", "b", "c", "d"))
         server = LineServer(scripted({
-            "hello": {"ok": True},
+            "hello": HELLO_OK,
             "step": lambda msg: [frame(one_hot(3 + len(msg["entries"][0]["history"]),
                                                 vocab.size)),
                                  frame(one_hot(3, vocab.size))],
@@ -269,15 +295,18 @@ class TestProviderServer:
 def scripted_stdio(step, hang_up=False, **names):
     """argv of a subprocess that accepts a hello and answers each step with
     the bytes of the expression `step`, evaluated with the request as
-    `msg` and `names` in scope; with `hang_up`, it exits after that reply."""
+    `msg` and `names` in scope, with the request's id echoed (`echo_id`);
+    with `hang_up`, it exits after that reply."""
     return [sys.executable, "-c", "\n".join([
         "import json, sys",
+        inspect.getsource(echo_id),
         *(f"{name} = {value!r}" for name, value in names.items()),
         "out = sys.stdout.buffer",
         "for line in sys.stdin.buffer:",
         "    msg = json.loads(line)",
         "    hello = msg['op'] == 'hello'",
-        f"    out.write(b'{{\"ok\": true}}\\n' if hello else {step})",
+        f"    out.write({(json.dumps(HELLO_OK) + chr(10)).encode()!r} if hello "
+        f"else echo_id({step}, msg))",
         "    out.flush()",
         f"    if {hang_up} and not hello:",
         "        break",
@@ -326,8 +355,8 @@ class TestStdioServe:
         stdout = io.BytesIO()
         stdio_serve(provider, {"u0": ctx}, stdin=stdin, stdout=stdout)
         (hello, no_frame), (step, logits) = read_replies(stdout.getvalue())
-        assert hello == {"ok": True} and no_frame is None
-        assert step == {"logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
+        assert hello == HELLO_OK and no_frame is None
+        assert step == {"id": 0, "logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
         assert logits.tolist() == list(range(abc_vocab.size))
 
 
@@ -391,7 +420,7 @@ class TestLogitsEncoding:
         stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
         replies = read_replies(stdout.getvalue())
         if encoding == LOGITS_ENCODING:
-            assert replies[0] == ({"ok": True}, None) and len(replies) == 3
+            assert replies[0] == (HELLO_OK, None) and len(replies) == 3
             expected = provider.next_logits((0, 3), HASH_CONTEXTS["u0"])
             for _, logits in replies[1:]:
                 assert logits.tobytes() == expected.tobytes()
@@ -457,7 +486,7 @@ def scripted_endpoint(transport, reply, hang_up=False):
     if transport == "stdio":
         yield scripted_stdio("reply", hang_up, reply=reply)
         return
-    server = LineServer(scripted({"hello": {"ok": True},
+    server = LineServer(scripted({"hello": HELLO_OK,
                                   "step": [reply, None] if hang_up else reply}))
     try:
         yield server.address
@@ -825,9 +854,11 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     class RecordingTransport:
         def round_trip(self, payload):  # each entry's path is its follow
             sent.append(payload)
-            paths = [entry.get("follow", []) for entry in payload.get("entries", [])]
+            if payload["op"] == "hello":
+                return HELLO_OK, bytearray()
+            paths = [entry.get("follow", []) for entry in payload["entries"]]
             size = 8 * abc_vocab.size * sum(len(path) + 1 for path in paths)
-            return {"ok": True, "logits_bytes": size, "paths": paths}, bytearray(size)
+            return {"id": payload["id"], "logits_bytes": size, "paths": paths}, bytearray(size)
 
         def close(self):
             pass
@@ -839,13 +870,15 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
         remote.next_logits((0,), HASH_CONTEXTS["u1"])
     assert [direction for direction, _ in messages] == ["->", "<-", "->", "<-"]
     (_, hello), (_, ok), (_, request), (_, reply) = messages
-    assert hello["logits_encoding"] == LOGITS_ENCODING and ok == {"ok": True}
+    assert hello["logits_encoding"] == LOGITS_ENCODING and ok == HELLO_OK
     steps = sent[1:]
-    assert {frozenset(p) for p in steps} == {frozenset(request)} == {frozenset({"op", "entries"})}
+    assert {frozenset(p) for p in steps} == {frozenset(request)} == \
+        {frozenset({"op", "id", "entries"})}
+    assert [p["id"] for p in steps] == list(range(len(steps)))
     assert {frozenset(e) for p in steps for e in p["entries"]} == \
         {frozenset(e) for e in request["entries"]}
     assert max(len(p["entries"]) for p in steps) > 1
-    assert set(reply) == {"logits_bytes", "paths"}
+    assert set(reply) == {"id", "logits_bytes", "paths"} and reply["id"] == request["id"]
     assert len(reply["paths"]) == len(request["entries"])
     assert reply["logits_bytes"] == 8 * 200 * sum(len(path) + 1 for path in reply["paths"])
 
@@ -962,7 +995,7 @@ class TestServerChecksRequests:
             step_request({"utt": "u1", "history": [0, 4], "ahead": 500}),
             step_request({"utt": "u1", "history": [0, 4], "follow": [1], "ahead": 2}),
         ])
-        assert plain[0] == {"logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
+        assert plain[0] == {"id": 0, "logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
         assert followed[0]["paths"] == [[5, 3, 3]]
         history, argmax_path = (0, 4), []
         while len(argmax_path) < wire.MAX_AHEAD - 1:
@@ -1008,16 +1041,22 @@ class TestServerChecksRequests:
     U1 = {"utt": "u1", "history": [0]}
 
     @pytest.mark.parametrize("msg, error", [
-        ({"op": "step"}, "'entries' is a required field and is missing"),
-        ({"op": "step", "utt": "u0", "history": [0]},
+        ({"op": "step", "id": 0}, "'entries' is a required field and is missing"),
+        ({"op": "step", "id": 0, "utt": "u0", "history": [0]},
          "'entries' is a required field and is missing"),
-        ({"op": "step", "utt": "u0", "history": [0], "more": [U1]},
+        ({"op": "step", "id": 0, "utt": "u0", "history": [0], "more": [U1]},
          "'entries' is a required field and is missing"),
         (step_request(), f"'entries' must be a list of 1 to {wire.MAX_ENTRIES} objects"),
         (step_request(*[U1] * (wire.MAX_ENTRIES + 1)),
          f"'entries' must be a list of 1 to {wire.MAX_ENTRIES} objects"),
-        ({"op": "step", "entries": 3}, "'entries' must be a list of 1 to"),
-        ({"op": "step", "entries": U1}, "'entries' must be a list of 1 to"),
+        ({"op": "step", "id": 0, "entries": 3}, "'entries' must be a list of 1 to"),
+        ({"op": "step", "id": 0, "entries": U1}, "'entries' must be a list of 1 to"),
+        ({"op": "step", "entries": [U1]}, "'id' is a required field and is missing"),
+        (step_request(U1, request_id=-1), "'id' must be a non-negative integer"),
+        (step_request(U1, request_id=True), "'id' must be a non-negative integer"),
+        (step_request(U1, request_id=1.0), "'id' must be a non-negative integer"),
+        (step_request(U1, request_id="0"), "'id' must be a non-negative integer"),
+        (step_request(U1, request_id=None), "'id' must be a non-negative integer"),
         (step_request(U1, [0]), "'entries'[1] must be an object"),
         (step_request(U1, "u2"), "'entries'[1] must be an object"),
         (step_request(U1, {"utt": "nobody", "history": [0]}),
@@ -1049,7 +1088,7 @@ class TestServerChecksRequests:
         (header, logits), (full, full_logits) = served_steps(abc_vocab, [
             step_request(*entries),
             step_request(*[{"utt": "u2", "history": [0]}] * wire.MAX_ENTRIES)])
-        assert set(header) == {"logits_bytes", "paths"}
+        assert set(header) == {"id", "logits_bytes", "paths"}
         paths = header["paths"]
         assert paths[:3] == [[], [5, 3], []] and len(paths[3]) <= 2
         rows = iter(logits.reshape(-1, abc_vocab.size))
@@ -1118,7 +1157,7 @@ class TestClientChecksLookaheadReplies:
     def test_bad_lookahead_reply_is_provider_io_error(self, abc_vocab, empty_ctx, with_follow,
                                                       reply):
         sent = []
-        server = LineServer(scripted({"hello": {"ok": True},
+        server = LineServer(scripted({"hello": HELLO_OK,
                                       "step": lambda msg: sent.append(msg) or reply}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
@@ -1134,7 +1173,7 @@ class TestClientChecksLookaheadReplies:
     def test_good_lookahead_reply_serves_its_rows(self, abc_vocab, empty_ctx):
         sent = []
         # the follow, else the argmax path of rows 0, 1, 2, ...
-        server = LineServer(scripted({"hello": {"ok": True},
+        server = LineServer(scripted({"hello": HELLO_OK,
                                       "step": lambda msg: sent.append(msg) or rows_reply(
                                           4, [msg["entries"][0].get("follow", [5, 5, 5])])}))
         try:
@@ -1179,7 +1218,7 @@ class TestClientChecksLookaheadReplies:
     ], ids=lambda v: repr(v)[:60])
     def test_bad_reply_to_several_entries_is_provider_io_error(self, abc_vocab, reply):
         sent = []
-        server = LineServer(scripted({"hello": {"ok": True},
+        server = LineServer(scripted({"hello": HELLO_OK,
                                       "step": lambda msg: sent.append(msg) or reply}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
@@ -1195,7 +1234,7 @@ class TestClientChecksLookaheadReplies:
 
     def test_good_reply_to_several_entries_serves_every_entry(self, abc_vocab):
         sent = []
-        server = LineServer(scripted({"hello": {"ok": True}, "step": lambda msg: sent.append(msg)
+        server = LineServer(scripted({"hello": HELLO_OK, "step": lambda msg: sent.append(msg)
                                       or rows_reply(8, [[3, 4], [4], [5, 5]])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
@@ -1222,7 +1261,7 @@ class TestClientChecksLookaheadReplies:
         if swap:
             i, j = next((i, j) for i in range(4) for j in range(i) if paths[i] != paths[j])
             paths[i], paths[j] = paths[j], paths[i]
-        server = LineServer(scripted({"hello": {"ok": True}, "step": frame(logits, paths=paths)}))
+        server = LineServer(scripted({"hello": HELLO_OK, "step": frame(logits, paths=paths)}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(HASH_CONTEXTS[u], None) for u in utts])
@@ -1243,7 +1282,7 @@ class TestClientChecksLookaheadReplies:
         abc_vocab.save(tmp_path / "vocab.txt")
         (tmp_path / "test.jsonl").write_text(json.dumps(
             {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
-        server = LineServer(scripted({"hello": {"ok": True}, "step": reply}))
+        server = LineServer(scripted({"hello": HELLO_OK, "step": reply}))
         try:
             assert cli.main([
                 "decode", "--corpus", str(tmp_path / "test.jsonl"),
@@ -1260,12 +1299,12 @@ class TestClientChecksLookaheadReplies:
         path = [5] * (wire.MAX_AHEAD - 1)  # the argmax of each row
         logits = np.arange(wire.MAX_ENTRIES * wire.MAX_AHEAD * abc_vocab.size, dtype=float)
         paths = [path] * wire.MAX_ENTRIES
-        header = {"logits_bytes": logits.nbytes, "paths": paths, "pad": ""}
+        header = {"id": 0, "logits_bytes": logits.nbytes, "paths": paths, "pad": ""}
         header["pad"] = "x" * (max_header_bytes(abc_vocab.size) - len(json.dumps(header)))
         assert len(json.dumps(header)) == max_header_bytes(abc_vocab.size)
         assert logits.nbytes == max_logits_bytes(abc_vocab.size)
-        server = LineServer(scripted({"hello": {"ok": True}, "step": frame(
-            logits, paths=paths, pad=header["pad"])}))
+        server = LineServer(scripted({"hello": HELLO_OK, "step": frame(
+            logits, id=0, paths=paths, pad=header["pad"])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(ctx, None) for ctx in contexts])
@@ -1280,14 +1319,14 @@ class TestClientChecksLookaheadReplies:
     @pytest.mark.parametrize("length, code", [(max_header_bytes(6), 0),
                                               (max_header_bytes(6) + 1, 4)])
     def test_header_one_byte_past_the_cap_exits_4(self, abc_vocab, tmp_path, length, code):
-        header = {"logits_bytes": 8 * abc_vocab.size, "paths": [[]], "pad": ""}
+        header = {"id": 0, "logits_bytes": 8 * abc_vocab.size, "paths": [[]], "pad": ""}
         header["pad"] = "x" * (length - len(json.dumps(header)))
-        reply = frame(ZEROS, pad=header["pad"])
-        assert reply.index(b"\n") == length
+        assert frame(ZEROS, id=0, pad=header["pad"]).index(b"\n") == length
+        reply = lambda msg: frame(ZEROS, id=msg["id"], pad=header["pad"])  # ids below 10
         abc_vocab.save(tmp_path / "vocab.txt")
         (tmp_path / "test.jsonl").write_text(json.dumps(
             {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
-        server = LineServer(scripted({"hello": {"ok": True}, "step": reply}))
+        server = LineServer(scripted({"hello": HELLO_OK, "step": reply}))
         try:
             assert cli.main([
                 "decode", "--corpus", str(tmp_path / "test.jsonl"),
@@ -1305,7 +1344,7 @@ class TestClientChecksLookaheadReplies:
             follow = msg["entries"][0].get("follow", [])
             return frame(ZEROS * (len(follow) + 1), paths=[follow])
 
-        server = LineServer(scripted({"hello": {"ok": True}, "step": step}))
+        server = LineServer(scripted({"hello": HELLO_OK, "step": step}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(empty_ctx, (3, 4))])
@@ -1392,7 +1431,7 @@ def hash_references(vocab, lengths, contexts=HASH_CONTEXTS):
 
 def plain_request(msg) -> bool:
     """Whether `msg` is a step request of one entry that asks for one row."""
-    return set(msg) == {"op", "entries"} and len(msg["entries"]) == 1 and \
+    return set(msg) == {"op", "id", "entries"} and len(msg["entries"]) == 1 and \
         set(msg["entries"][0]) == {"utt", "history"}
 
 
@@ -1595,6 +1634,130 @@ class TestRoundTrips:
         assert traces.tobytes() == collect_traces(local, dataset)[0].tobytes()
         assert transport.steps == 3
 
+class Untabled:
+    """A served corrector without `lattices`: it forwards `next_logits` and
+    `prefetch`, so a decode set reads it at every step. The oracle of the
+    decodes, and of the requests, of a served corrector's tables."""
+
+    def __init__(self, remote):
+        self.vocab = remote.vocab
+        self.next_logits = remote.next_logits
+        self.prefetch = remote.prefetch
+
+
+def served_decode_set(address, llm, asr, cfgs, eval_set, oracle=False):
+    """The results of a decode set whose corrector `llm` is served at
+    `address`, through `Untabled` if `oracle`; the step requests it sent;
+    its client's (round_trips, rows_received, rows_used); and the number
+    of rows its `lattices` calls returned, and the lattices, one per
+    utterance."""
+    remote, sent = recorded_connection(address, llm.vocab)
+    lattices, table_rows = [], [0]
+    if not oracle:
+        read = remote.lattices
+
+        def recorded(ctxs):
+            keys, raw = read(ctxs)
+            lattices.extend(keys)
+            table_rows[0] += len(raw)
+            return keys, raw
+
+        remote.lattices = recorded
+    with remote:
+        results = list(decode_eval_set(Untabled(remote) if oracle else remote, asr, cfgs,
+                                       eval_set))
+    counters = remote.round_trips, remote.rows_received, remote.rows_used
+    return results, sent, counters, table_rows[0], lattices
+
+
+class TestServedTables:
+    """A served corrector's `lattices` are the argmax paths its client holds
+    from BOS, so a decode set decides their steps in `choice_tables`, and
+    decodes, and sends its requests, exactly as one that reads a row at
+    every step."""
+
+    @staticmethod
+    def served(small_walkthrough):
+        vocab, train, asr, val, test = small_walkthrough
+        llm = train_ngram_corrector(train, vocab, order=2, smoothing=0.1, vote_weight=0.85)
+        return llm, asr, test, ProviderServer(llm, {ctx.utt_id: ctx for ctx, _ in test})
+
+    @pytest.mark.parametrize("mode", ["llm", "static", "uadf"])
+    def test_table_decode_equals_the_step_by_step_decode(self, small_walkthrough, mode):
+        llm, asr, test, server = self.served(small_walkthrough)
+        cfgs = [FusionConfig(mode=mode, tau1=0.8, tau2=1.2, w_asr=0.5)]
+        with server:
+            results, sent, counters, table_rows, lattices = served_decode_set(
+                server.address, llm, asr, cfgs, test)
+            oracle, oracle_sent, oracle_counters, _, _ = served_decode_set(
+                server.address, llm, asr, cfgs, test, oracle=True)
+        fields = [decode_fields(r) for r in results]
+        assert fields == [decode_fields(r) for r in oracle]
+        assert fields == [decode_fields(r) for r in decode_eval_set(llm, asr, cfgs, test)]
+        assert sent == oracle_sent
+        assert counters[:2] == oracle_counters[:2]
+        kinds = [walk_kind(step) for r in results for step in r.steps]
+        assert all(keys is not None for keys in lattices) and kinds.count("hit") > len(test)
+        # rows used: the rows a step or a table read
+        assert counters[2] == table_rows + kinds.count("miss")
+        assert oracle_counters[2] == len(kinds)
+        if mode == "llm":  # every row received is on a path that a table reads
+            assert counters[2] == counters[1] == table_rows
+
+    def test_a_later_utterance_without_rows_decodes_step_by_step(self, small_walkthrough,
+                                                                 monkeypatch):
+        """Chunks of 3 utterances: the 16 the first request lists end inside
+        the chunk of the 16th to 18th, so its lattices hold only the 16th's
+        path, and the 17th and 18th decode step by step; the 17th's first
+        step makes the request it makes without tables. So does the 33rd,
+        the last of its chunk."""
+        monkeypatch.setattr(decoding, "CHUNK_UTTERANCES", 3)
+        llm, asr, test, server = self.served(small_walkthrough)
+        cfgs = [FusionConfig(mode="uadf", tau1=0.8, tau2=1.2)]
+        with server:
+            results, sent, counters, _, lattices = served_decode_set(
+                server.address, llm, asr, cfgs, test)
+            oracle, oracle_sent, oracle_counters, _, _ = served_decode_set(
+                server.address, llm, asr, cfgs, test, oracle=True)
+        cut = wire.MAX_ENTRIES
+        # an utterance is listed by the request for the first of every 16,
+        # and held from its chunk's lattices on if that is its chunk's
+        assert [u for u, keys in enumerate(lattices) if keys is None] == \
+            [u for u in range(len(test)) if u // cut * cut > u // 3 * 3] == [cut, cut + 1, 32]
+        assert [walk_kind(step) for step in results[cut].steps] == \
+            ["miss"] * len(results[cut].steps)
+        assert [decode_fields(r) for r in results] == [decode_fields(r) for r in oracle]
+        assert sent == oracle_sent and counters[:2] == oracle_counters[:2]
+        assert [u["utt"] for u in sent[0]["entries"]] == [ctx.utt_id for ctx, _ in test[:cut]]
+
+    def test_sweep_over_the_wire_writes_the_in_process_csv(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        for argv in (["simulate", "--out-dir", data, "--n-train", 40, "--n-val", 5,
+                      "--n-test", 30, "--seed", 4],
+                     ["train-lm", "--corpus", data / "train.jsonl",
+                      "--vocab", data / "vocab.txt", "--out", tmp_path / "lm.json"]):
+            assert cli.main([str(a) for a in argv]) == 0
+        vocab = Vocabulary.load(data / "vocab.txt")
+        llm = cli.build_provider(
+            ProviderSpec("ngram-corrector", {"model_path": str(tmp_path / "lm.json")}), vocab)
+        contexts = {rec.id: corpus.record_context(rec, vocab)[0]
+                    for rec in corpus.load_corpus(data / "test.jsonl")}
+        tables = []
+        read = ExternalProvider.lattices
+        monkeypatch.setattr(ExternalProvider, "lattices",
+                            lambda self, ctxs: tables.append(len(ctxs)) or read(self, ctxs))
+        argv = ["sweep", "--axis", "beta", "--beta-values", "0,0.25,0.5,0.75",
+                "--corpus", data / "test.jsonl", "--vocab", data / "vocab.txt",
+                "--manifest", data / "manifest.json"]
+        with ProviderServer(llm, contexts) as server:
+            assert cli.main([str(a) for a in argv] + [
+                "--llm-endpoint", server.address, "--out", str(tmp_path / "served.csv")]) == 0
+        assert cli.main([str(a) for a in argv] + [
+            "--lm-model", str(tmp_path / "lm.json"), "--out", str(tmp_path / "local.csv")]) == 0
+        assert (tmp_path / "served.csv").read_bytes() == (tmp_path / "local.csv").read_bytes()
+        assert sum(tables) == len(contexts)
+
+
 class TestWireCounters:
     @pytest.mark.parametrize("argv, role, rows", [
         (["decode", "--mode", "llm", "--llm-endpoint"], "llm", None),
@@ -1611,7 +1774,7 @@ class TestWireCounters:
                 server.address, "--corpus", str(tmp_path / "test.jsonl"),
                 "--vocab", str(tmp_path / "vocab.txt"), "--timeout", "5",
                 "--out", str(tmp_path / "out")]) == 0
-        if rows is None:  # one row per decoded token
+        if rows is None:  # the path a table read, one row per decoded token
             rows = len(greedy_decode(HashProvider(abc_vocab), HASH_CONTEXTS["u0"],
                                      evaluation_max_len(["a", "b"])).tokens)
         line = capsys.readouterr().out.splitlines()[-1]

@@ -12,7 +12,9 @@ acoustic model, and a calibration of a served corrector. A mutated run
 must exit 4 and leave no output file, unless its mutation is on HARMLESS,
 whose entries each say why the run may succeed; its output must then
 equal the unmutated run's byte for byte. No run may raise, print a
-traceback or emit a warning.
+traceback or emit a warning. A step reply sent twice, or the reply to
+another step request sent in its place, must fail the same way with exit
+4: the reply's "id" does not pair with the request.
 
 The requests the shim relays on a clean run are mutated the same way,
 one node each, and sent to the server after a hello. Each must get one
@@ -61,12 +63,13 @@ class Shim:
     the step request numbered `target` (from 0) goes to `change`, which
     returns the bytes to send instead and whether to hang up after them.
     `requests` keeps each request line, the hello's first, and `headers`
-    the header of each step reply as the server sent it."""
+    and `replies` the header and the bytes of each step reply as the
+    server sent it."""
 
     def __init__(self, upstream: str, target=None, change=None):
         self._upstream = upstream
         self._target, self._change = target, change
-        self.requests, self.headers = [], []
+        self.requests, self.headers, self.replies = [], [], []
         self._sock = socket.create_server(("127.0.0.1", 0))
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -90,6 +93,7 @@ class Shim:
                     header = json.loads(head)
                     reply, hang_up = head + server.read(header.get("logits_bytes", 0)), False
                     if json.loads(line)["op"] == "step":
+                        self.replies.append(reply)
                         if len(self.headers) == self._target:
                             reply, hang_up = self._change(header, reply[len(head):])
                         self.headers.append(header)
@@ -211,8 +215,8 @@ def run_through(shim: Shim, argv, out, timeout):
 
 @pytest.fixture(scope="module")
 def clean_runs(served, tmp_path_factory):
-    """command -> (its output, and the request lines and step reply
-    headers of its run through a shim that changes nothing)."""
+    """command -> (its output, and the request lines, step reply headers
+    and step replies of its run through a shim that changes nothing)."""
     _, commands = served
     root = tmp_path_factory.mktemp("clean")
     runs = {}
@@ -220,7 +224,7 @@ def clean_runs(served, tmp_path_factory):
         shim = Shim(upstream)
         code, err, caught = run_through(shim, argv, root / command, "10")
         assert (code, caught) == (0, []), err
-        runs[command] = (root / command).read_bytes(), shim.requests, shim.headers
+        runs[command] = (root / command).read_bytes(), shim.requests, shim.headers, shim.replies
     return runs
 
 
@@ -231,7 +235,7 @@ COMMANDS = ["announced-decode", "unannounced-decode", "calibration"]
 def test_mutated_reply_fails_cleanly_or_is_harmless(served, clean_runs, tmp_path, command):
     size, commands = served
     upstream, argv = commands[command]
-    good, _, headers = clean_runs[command]
+    good, _, headers, _ = clean_runs[command]
     failures = []
     for case in range(CASES_PER_COMMAND):
         case_dir = tmp_path / str(case)
@@ -262,6 +266,42 @@ def test_mutated_reply_fails_cleanly_or_is_harmless(served, clean_runs, tmp_path
     assert not failures, "\n".join(failures)
 
 
+UNPAIRED_CASES_PER_COMMAND = 6
+
+
+@pytest.mark.parametrize("kind", ["sent twice", "to another request"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unpaired_reply_exits_4(served, clean_runs, tmp_path, command, kind):
+    """One step reply sent twice, or replaced by the clean run's reply to
+    another step request: the run exits 4 and leaves no output file. A
+    reply sent twice is not the run's last, whose copy no request reads."""
+    _, commands = served
+    upstream, argv = commands[command]
+    _, _, headers, replies = clean_runs[command]
+    failures = []
+    for case in range(UNPAIRED_CASES_PER_COMMAND):
+        case_dir = tmp_path / str(case)
+        case_dir.mkdir()
+        rng = random.Random(f"{SEED}:unpaired {kind}:{command}:{case}")
+        if kind == "sent twice":
+            target = rng.randrange(len(headers) - 1)
+            sent = 2 * replies[target]
+        else:
+            target = rng.randrange(len(headers))
+            other = rng.choice([i for i in range(len(headers)) if i != target])
+            sent = replies[other]
+        code, err, caught = run_through(Shim(upstream, target, lambda *_: (sent, False)), argv,
+                                        case_dir / "out", TIMEOUT)
+        what = f"reply {target} of {len(headers)} {kind}: exit {code}"
+        if caught or "Traceback" in err:
+            failures.append(f"{what}, {caught or err.strip().rpartition(chr(10))[2]}")
+        elif code != 4:
+            failures.append(what)
+        elif list(case_dir.iterdir()):
+            failures.append(f"{what}, but left {sorted(p.name for p in case_dir.iterdir())}")
+    assert not failures, "\n".join(failures)
+
+
 def exchange(address: str, lines) -> bytes:
     """Every byte the server at `address` sends on a fresh connection that
     sends `lines`, then shuts its side for writing."""
@@ -286,7 +326,7 @@ def split_reply(data: bytes, size: int):
     header = json.loads(head)
     if set(header) == {"error"} and isinstance(header["error"], str):
         return header, rest
-    paths = header.get("paths") if set(header) == {"logits_bytes", "paths"} else None
+    paths = header.get("paths") if set(header) == {"id", "logits_bytes", "paths"} else None
     if not (isinstance(paths, list) and all(isinstance(path, list) for path in paths)):
         return None, f"the reply {head[:200]!r}"
     n_bytes = 8 * size * sum(len(path) + 1 for path in paths)
@@ -299,7 +339,7 @@ def split_reply(data: bytes, size: int):
 def test_mutated_request_gets_one_reply_and_the_next_is_served(served, clean_runs, command):
     size, commands = served
     upstream, _ = commands[command]
-    _, (hello, *steps), _ = clean_runs[command]
+    _, (hello, *steps), _, _ = clean_runs[command]
     fresh = {}  # step request line -> what a fresh connection gets for a hello and it
     failures = []
     for case in range(REQUEST_CASES_PER_COMMAND):
