@@ -39,19 +39,9 @@ every list of the chunk, so a row read off those prefixes counts no list
 again. A decode set calibrates that block once per chunk and decides
 every config's choice at each of its keys (`decoding.choice_tables`);
 each decode walks its utterance's table and reads the corrector only at
-the steps off it. The wire client, `wire.ExternalProvider`, keeps the
-unread rows of its replies by utterance. A caller that announces its
-utterances (`prefetch`) gets the first rows of up to `wire.MAX_ENTRIES`
-of them per round trip, one entry of a step request each, with the
-provider's argmax path past its follow; an utterance nobody announced
-gets one row per step. A fetch for an utterance drops the rows of every
-other but those announced after it. Its `lattices(ctxs)` are the argmax
-paths it holds from BOS for a chunk of utterances, each row keyed by
-its step count and its whole history, padded with BOS to
-`wire.MAX_AHEAD` ids; it makes at most the one request that the chunk's
-first step would make, so a decode set decides the steps on those paths
-in one block, as in process, and sends the requests it would send
-without them.
+the steps off it. The wire client, `wire.ExternalProvider`, has
+`lattices(ctxs)` too; the `wire` module describes its requests, and the
+keys of its rows.
 """
 
 from __future__ import annotations

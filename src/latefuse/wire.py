@@ -7,55 +7,57 @@ The client opens with a handshake
 then sends step requests of 1 to MAX_ENTRIES entries, each history
 starting with BOS
     {"op": "step", "id": n, "entries": [{"utt": "<id>", "history": [ids]}, ...]}
-      ->  {"id": n, "logits_bytes": N, "paths": [[ids], ...]}
+      ->  {"id": n, "logits_bytes": N, "rows": [counts]}
 A step request's "id" counts the step requests sent before it on the
 connection, and its reply echoes it, so the client refuses a reply to
 another request, a stale one or one sent twice included; the hello reply
 states that the server echoes it, so a server that does not fails at the
 hello.
 
-An entry may also carry "follow": [ids], tokens the client will append,
-and "ahead": n, a number of tokens to extend past them along the
-provider's own argmax of the raw logits (lowest id on ties), stopping
-once that argmax is EOS. Its path is the follow, then those tokens ([]
-for an entry with neither). The header line is followed by exactly
-"logits_bytes" bytes, its frame: for each entry in order, the V logits
-for history and for each history + path[:i], at most MAX_AHEAD rows, as
-little-endian float64s. These are the exact values, so a served
-built-in provider decodes bit-identically to in-process use. Header
-line and frame go out in one write; hello and error replies have no
-frame. The server refuses a hello without that "logits_encoding", and
-ends the session after a first request that is not a hello it accepts.
-The client refuses a path that leaves the argmax of its rows past its
-follow. All this relies on a served provider giving the same logits for
-one (utt, history).
+An entry may carry "follow": [ids], tokens the client will append ([]
+included); its rows are those for history and for each history +
+follow[:i]. An entry without a follow gets the rows along the provider's
+own argmax of the raw logits (lowest id on ties), at most MAX_AHEAD,
+stopping once that argmax is EOS. "rows" counts each entry's rows, and
+the header line is followed by exactly "logits_bytes" bytes, its frame:
+those rows, entry by entry, as little-endian float64s. These are the
+exact values, so a served built-in provider decodes bit-identically to
+in-process use. Header line and frame go out in one write; hello and
+error replies have no frame. The server refuses a hello without that
+"logits_encoding", and ends the session after a first request that is
+not a hello it accepts. The client refuses a count other than 1 +
+len(follow), or, for an argmax entry, other than the server's stop rule
+gives for its rows, and takes an argmax entry's path from the argmax of
+its rows, all but the last. All this
+relies on a served provider giving the same logits for one (utt,
+history).
 
 A caller that knows the utterances it will step through announces them
 (`ExternalProvider.prefetch`), each with the follow it will take from
-BOS: None for a decode, the reference for teacher forcing. Announcing is
-the one lookahead policy: a step of an announced utterance that leaves
-its follow, or has none, asks for MAX_AHEAD - 1 argmax tokens, so a
-greedy decode that follows the provider's argmax needs no request past
-an utterance's first, plus one each time it leaves the path; a step of
-an utterance nobody announced asks for its one row. The request for an
-announced utterance's first row also lists the announced utterances
-after it that no request has named yet, up to MAX_ENTRIES entries in
-all, so a decode set that follows the served argmax makes one round trip
-per MAX_ENTRIES utterances. The client keeps the unread rows of each
-utterance it fetched and answers later steps from them, and a fetch
-drops those of every utterance but the MAX_ENTRIES - 1 announced after
-its own. A decode set reads the paths held from BOS for a chunk of
-utterances as one block (`ExternalProvider.lattices`) and decides its
-steps on them at once (`decoding.choice_tables`); only a step off its
-utterance's path reads a row, and it makes the request it would make
-without them.
+BOS: None for a decode, the reference for teacher forcing. Announcing
+decides what a step asks for past its own row: a step of an announced
+utterance that leaves its follow, or has none, asks for the argmax rows,
+so a greedy decode that follows the provider's argmax needs no request
+past an utterance's first, plus one each time it leaves the path; a step
+of an utterance nobody announced sends "follow": [] for its one row.
+The request for an announced utterance's first row also lists the
+announced utterances after it that no request has named yet, up to
+MAX_ENTRIES entries in all, so a decode set that follows the served
+argmax makes one round trip per MAX_ENTRIES utterances. The client keeps
+the unread rows of each utterance it fetched and answers later steps
+from them, and a fetch drops those of every utterance but the
+MAX_ENTRIES - 1 announced after its own. A decode set reads the path
+held from BOS for each of a chunk of utterances as one block
+(`ExternalProvider.lattices`) and decides its steps on them at once
+(`decoding.choice_tables`); only a step off its utterance's path reads a
+row, and it makes the request it would make without them.
 
 Replies and requests are capped: a reply header longer than
-`max_header_bytes(V)` or announcing more rows than its request asked
-for, and a request line longer than MAX_REQUEST_BYTES, end the
-exchange. Endpoints are either "host:port" strings or argv lists for a
-subprocess whose stdin and stdout are one end of a socket pair: the
-client talks to either over one socket.
+MAX_HEADER_BYTES or announcing more rows than its request asked for, and
+a request line longer than MAX_REQUEST_BYTES, end the exchange.
+Endpoints are either "host:port" strings or argv lists for a subprocess
+whose stdin and stdout are one end of a socket pair: the client talks to
+either over one socket.
 """
 
 from __future__ import annotations
@@ -77,34 +79,24 @@ from .providers import UtteranceContext
 # followed by a frame of raw little-endian float64 logits.
 LOGITS_ENCODING = "f64le-frame"
 # The most rows of logits one entry of a step reply carries: the one for
-# its history and one per token of its path.
+# its history and one per token of its follow, or of its argmax path.
 MAX_AHEAD = 32
 # A request line longer than this, newline included, gets an error reply
 # and ends the connection; the longest hello or step request is far shorter.
 MAX_REQUEST_BYTES = 1 << 20
 # The most entries one step request lists.
 MAX_ENTRIES = 16
-
-
-def max_header_bytes(vocab_size: int) -> int:
-    """The longest reply header line the client reads, newline excluded:
-    room for MAX_ENTRIES paths of MAX_AHEAD - 1 of the longest ids, each
-    with its ", ", plus 4096 bytes for the rest of the header, or for an
-    error message."""
-    return 4096 + MAX_ENTRIES * (MAX_AHEAD - 1) * (len(str(vocab_size - 1)) + 2)
-
-
-def max_logits_bytes(vocab_size: int) -> int:
-    """The longest frame the client reads: MAX_AHEAD rows of float64s for
-    each of MAX_ENTRIES entries."""
-    return 8 * MAX_ENTRIES * MAX_AHEAD * vocab_size
+# The longest reply header line the client reads, newline excluded: a
+# step reply's counts take at most MAX_ENTRIES * 4 bytes, and an error
+# message the rest.
+MAX_HEADER_BYTES = 4096
 
 
 def _rows_asked(payload: dict) -> int:
     """The most rows a reply to the request `payload` may carry: for each
-    of its "entries", one for the history, one per token of the follow and
-    one per token ahead, at most MAX_AHEAD. A hello asks for none."""
-    return sum(min(MAX_AHEAD, 1 + len(entry.get("follow", ())) + entry.get("ahead", 0))
+    of its "entries", 1 + len(follow), or MAX_AHEAD for one without a
+    follow. A hello asks for none."""
+    return sum(1 + len(entry["follow"]) if "follow" in entry else MAX_AHEAD
                for entry in payload.get("entries", ()))
 
 
@@ -117,12 +109,11 @@ class _TcpTransport:
 
     Bytes read past a reply are kept, not dropped. A byte the provider
     sends beyond the one reply per request means replies no longer pair
-    with requests, so the exchange fails with it. For a vocabulary of
-    `vocab_size` tokens, a header longer than `max_header_bytes` fails as
-    soon as it is, unread to its end, and one whose "logits_bytes" is not
-    an integer in [0, 8 * vocab_size * rows], where rows is what the
-    request asked for (`_rows_asked`), at most `max_logits_bytes`, fails
-    before any byte of its frame is read.
+    with requests, so the exchange fails with it. A header longer than
+    MAX_HEADER_BYTES fails as soon as it is, unread to its end, and one
+    whose "logits_bytes" is not an integer in [0, 8 * vocab_size * rows],
+    where rows is what the request asked for (`_rows_asked`), fails before
+    any byte of its frame is read.
 
     It keeps its name and `round_trip` for the bench's layer tracer, which
     wraps `_TcpTransport.round_trip` through the class `__dict__`.
@@ -131,8 +122,6 @@ class _TcpTransport:
     def __init__(self, sock: socket.socket, vocab_size: int, proc=None):
         self._sock = sock
         self._row_bytes = 8 * vocab_size
-        self._max_frame = max_logits_bytes(vocab_size)
-        self._max_header = max_header_bytes(vocab_size)
         self._proc = proc
         self._buffer = bytearray()
 
@@ -147,14 +136,14 @@ class _TcpTransport:
                 raise ProviderIOError(
                     f"provider sent {len(self._buffer)} bytes no request asked for")
             self._sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-            max_frame = min(self._max_frame, self._row_bytes * _rows_asked(payload))
+            max_frame = self._row_bytes * _rows_asked(payload)
             # the first newline ends the header: JSON escapes every other one
-            while ((end := self._buffer.find(b"\n", 0, self._max_header + 1)) < 0
-                   and len(self._buffer) <= self._max_header):
+            while ((end := self._buffer.find(b"\n", 0, MAX_HEADER_BYTES + 1)) < 0
+                   and len(self._buffer) <= MAX_HEADER_BYTES):
                 self._read()
             if end < 0:
                 raise ProviderIOError(
-                    f"provider reply header is longer than {self._max_header} bytes")
+                    f"provider reply header is longer than {MAX_HEADER_BYTES} bytes")
             header = _parse_line(bytes(self._buffer[:end + 1]))
             size = header.get("logits_bytes", 0)
             if type(size) is not int or not 0 <= size <= max_frame:
@@ -205,17 +194,17 @@ class ExternalProvider:
     """Client side of the wire protocol; validates every response.
 
     The unread rows of the step replies are kept by utterance, then by
-    history. A step takes its row out; `lattices` reads the rows of whole
-    paths from BOS and leaves them in. A step the rows do not cover asks
+    history. A step takes its row out; `lattices` reads the rows of a whole
+    path from BOS and leaves them in. A step the rows do not cover asks
     for the next stretch of the follow `prefetch` announced for its
-    utterance, if the step is on it, or else for MAX_AHEAD - 1 tokens of
-    the provider's argmax path if its utterance was announced, and for
-    its one row if not. The request for the first row of an announced
-    utterance also lists the announced utterances after it (see the
-    module docstring). A fetch for an utterance replaces its rows and
-    drops those of every other except the MAX_ENTRIES - 1 announced after
-    it, so callers that interleave unannounced utterances on one client
-    drop each other's rows. `round_trips`, `rows_received` and `rows_used`
+    utterance, if the step is on it, or else for the rows along the
+    provider's argmax if its utterance was announced, and for its one row
+    if not. The request for the first row of an announced utterance
+    also lists the announced utterances after it (see the module
+    docstring). A fetch for an utterance replaces its rows and drops
+    those of every other except the MAX_ENTRIES - 1 announced after it,
+    so callers that interleave unannounced utterances on one client drop
+    each other's rows. `round_trips`, `rows_received` and `rows_used`
     count step requests, the rows their replies carried and the rows a
     step or a table read.
     """
@@ -284,7 +273,7 @@ class ExternalProvider:
         utterance would make: if its first row is not held. An utterance
         whose first row is not held then gets None, and its steps read
         `next_logits`. The rows stay held, so the requests that the steps
-        off the paths make are the ones they would make without a table.
+        off a path make are the ones they would make without a table.
         """
         bos = (Vocabulary.BOS,)
         if ctxs and bos not in self._rows.get(ctxs[0].utt_id, ()):
@@ -300,21 +289,18 @@ class ExternalProvider:
         self.rows_used += len(rows)
         return lattices, np.array(rows).reshape(len(rows), self.vocab.size)
 
-    def _entry(self, utt: str, history: tuple):
-        """The request entry for the rows of `utt` from `history` on, and
-        the follow they carry: the next stretch of its plan, if `history`
-        is on it, else MAX_AHEAD - 1 argmax tokens if `utt` was announced,
-        and none if not. The end of a plan asks for one row."""
-        fields = {"utt": utt, "history": [int(i) for i in history]}
+    def _entry(self, utt: str, history: tuple) -> dict:
+        """The request entry for the rows of `utt` from `history` on: it
+        follows the next stretch of its plan, if `history` is on it, or
+        else the argmax if `utt` was announced, and [] if not. The end of a
+        plan follows []."""
+        entry = {"utt": utt, "history": [int(i) for i in history]}
         plan = self._plans.get(utt, ())
-        follow = []
         if plan[:len(history)] == history:
-            follow = list(plan[len(history):len(history) + MAX_AHEAD - 1])
-            if follow:
-                fields["follow"] = follow
-        elif utt in self._order:
-            fields["ahead"] = MAX_AHEAD - 1
-        return fields, follow
+            entry["follow"] = list(plan[len(history):len(history) + MAX_AHEAD - 1])
+        elif utt not in self._order:
+            entry["follow"] = []
+        return entry
 
     def _fetch(self, utt: str, history: tuple):
         """One step round trip, whose rows replace those kept for `utt`
@@ -332,23 +318,27 @@ class ExternalProvider:
         entries = [self._entry(*key) for key in asked]
         # the id of a step request is the number of step requests before it
         header, frame = self._transport.round_trip(
-            {"op": "step", "id": self.round_trips, "entries": [fields for fields, _ in entries]})
-        rows, paths = self._check_step_reply(header, frame, [f for _, f in entries])
+            {"op": "step", "id": self.round_trips, "entries": entries})
+        rows, tracks = self._check_step_reply(
+            header, frame, [entry.get("follow") for entry in entries])
         self.round_trips += 1
         self.rows_received += len(rows)
         at = 0  # where the next entry's rows start in the frame
-        for (u, h), (_, follow), path in zip(asked, entries, paths):
+        for (u, h), track in zip(asked, tracks):
             plan = self._plans.get(u)
-            if plan is not None and (plan[:len(h)] != h or len(h) + len(follow) == len(plan)):
+            if plan is not None and (plan[:len(h)] != h or len(h) + len(track) == len(plan)):
                 del self._plans[u]  # the step left the plan, or fetches it to its end
-            self._rows[u] = {h + tuple(path[:i]): rows[at + i] for i in range(len(path) + 1)}
-            at += len(path) + 1
+            self._rows[u] = {h + tuple(track[:i]): rows[at + i] for i in range(len(track) + 1)}
+            at += len(track) + 1
 
     def _check_step_reply(self, header: dict, frame: bytearray, follows: list):
-        """The (rows, V) logits of a step reply and its "paths", one per
-        entry of the request, whose follows are `follows`. The reply echoes
-        the request's id, `round_trips`. Each path starts with its follow
-        and is, past it, the argmax of its rows."""
+        """The (rows, V) logits of a step reply and the tokens each entry's
+        rows follow, for a request whose follows are `follows`, None for an
+        argmax entry: its follow, or the argmax of its rows but the last.
+        The reply echoes the request's id, `round_trips`, and counts
+        1 + len(follow) rows for an entry with a follow and, for an argmax
+        entry, the rows up to the first whose argmax is EOS, at most
+        MAX_AHEAD, as the server's stop rule gives them."""
         if "logits_bytes" not in header:
             raise ProviderIOError(f"step reply carries no logits: {header!r}")
         reply_id = header.get("id")
@@ -356,18 +346,14 @@ class ExternalProvider:
             raise ProviderIOError(f"step reply has id {reply_id!r:.200}, but its request "
                                   f"has id {self.round_trips}")
         size = self.vocab.size
-        paths = header.get("paths")
-        if not (isinstance(paths, list) and len(paths) == len(follows)):
-            raise ProviderIOError(f"'paths' must be a list of {len(follows)} paths, "
-                                  f"got {paths!r:.200}")
-        for path, follow in zip(paths, follows):
-            if not is_token_id_list(path, size):
-                raise ProviderIOError(f"path must be a list of token ids in [0, {size}), "
-                                      f"got {path!r:.200}")
-            if path[:len(follow)] != follow:
-                raise ProviderIOError(
-                    f"path {path!r:.200} does not start with the follow {follow!r}")
-        n_rows = sum(len(path) + 1 for path in paths)
+        counts = header.get("rows")
+        if not (isinstance(counts, list) and len(counts) == len(follows) and all(
+                type(n) is int and (1 <= n <= MAX_AHEAD if f is None else n == 1 + len(f))
+                for n, f in zip(counts, follows))):
+            asked = ", ".join(f"1 to {MAX_AHEAD}" if f is None else str(1 + len(f))
+                              for f in follows)
+            raise ProviderIOError(f"'rows' must count [{asked}] rows, got {counts!r:.200}")
+        n_rows = sum(counts)
         if len(frame) != n_rows * size * 8:
             raise ProviderIOError(
                 f"expected {n_rows} x {size} logits, got {len(frame)} bytes")
@@ -375,13 +361,21 @@ class ExternalProvider:
         logits = np.frombuffer(frame, dtype="<f8").astype(np.float64, copy=False)
         if not np.isfinite(logits).all():
             raise ProviderIOError("provider returned non-finite logits")
-        logits, at = logits.reshape(n_rows, size), 0  # at: the entry's first row
-        for path, follow in zip(paths, follows):  # past its follow, its rows' argmax
-            ahead = path[len(follow):]
-            if logits[at + len(follow):at + len(path)].argmax(axis=1).tolist() != ahead:
-                raise ProviderIOError(f"path {path!r:.200} is not the argmax of its rows")
-            at += len(path) + 1
-        return logits, paths
+        logits = logits.reshape(n_rows, size)
+        tracks, at = [], 0
+        for k, (n, follow) in enumerate(zip(counts, follows)):
+            if follow is None:
+                tokens = logits[at:at + n].argmax(axis=1).tolist()
+                if n != (tokens.index(Vocabulary.EOS) + 1 if Vocabulary.EOS in tokens
+                         else MAX_AHEAD):
+                    raise ProviderIOError(
+                        f"entry {k}'s rows must stop at the first whose argmax is EOS "
+                        f"({Vocabulary.EOS}), or at {MAX_AHEAD}; the {n} sent have argmax "
+                        f"{tokens!r:.200}")
+                follow = tokens[:-1]
+            tracks.append(follow)
+            at += n
+        return logits, tracks
 
     def close(self):
         self._transport.close()
@@ -423,16 +417,16 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
     return ExternalProvider(transport, vocab)
 
 
-def _token_ids(msg: dict, field: str, size: int, where: str) -> tuple:
-    """The ids in `field`, () if the request leaves it out."""
+def _token_ids(msg: dict, field: str, size: int, where: str):
+    """The ids in `field` as a tuple, None if the request leaves it out."""
     return tuple(json_field(msg, field, (list,), lambda ids: is_token_id_list(ids, size),
                             f"a list of integer token ids in [0, {size})",
-                            where)) if field in msg else ()
+                            where)) if field in msg else None
 
 
 def _step_entry(msg: dict, contexts: dict[str, UtteranceContext], size: int, where: str):
-    """The (history, follow, ahead, ctx) a step request's entry `msg` asks
-    for; `where` names the entry in an error."""
+    """The (history, follow, ctx) a step request's entry `msg` asks for,
+    follow None without one; `where` names the entry in an error."""
     if type(msg) is not dict:
         raise ValueError(f"{where} must be an object, got {msg!r:.200}")
     prefix = f"{where}: "
@@ -440,30 +434,27 @@ def _step_entry(msg: dict, contexts: dict[str, UtteranceContext], size: int, whe
     ctx = contexts.get(utt)
     if ctx is None:
         raise ValueError(f"{prefix}unknown utterance {utt!r:.200}")
-    history = _token_ids(msg, "history", size, where)
+    history = _token_ids(msg, "history", size, where) or ()
     if history[:1] != (Vocabulary.BOS,):
         raise ValueError(f"{prefix}'history' must start with BOS ({Vocabulary.BOS}), "
                          f"got {list(history)!r:.200}")
     follow = _token_ids(msg, "follow", size, where)
-    if len(follow) >= MAX_AHEAD:
+    if follow is not None and len(follow) >= MAX_AHEAD:
         raise ValueError(f"{prefix}'follow' holds more than {MAX_AHEAD - 1} tokens")
-    ahead = json_field(msg, "ahead", (int,), lambda n: n >= 0, "a non-negative integer",
-                       where) if "ahead" in msg else 0
-    return history, follow, ahead, ctx
+    return history, follow, ctx
 
 
-def _lookahead(provider, history: tuple, follow: tuple, ahead: int,
-               ctx: UtteranceContext):
-    """Logits for `history` and for each longer history along the path:
-    `follow`, then up to `ahead` argmax tokens short of EOS, at most
-    MAX_AHEAD rows in all."""
-    path = list(follow)
-    rows = [provider.next_logits(history + tuple(path[:i]), ctx) for i in range(len(path) + 1)]
-    n_rows = min(MAX_AHEAD, len(path) + 1 + ahead)
-    while len(rows) < n_rows and (tok := argmax_token(rows[-1])) != Vocabulary.EOS:
-        path.append(tok)
-        rows.append(provider.next_logits(history + tuple(path), ctx))
-    return rows, path
+def _entry_rows(provider, history: tuple, follow, ctx: UtteranceContext) -> list:
+    """Logits for `history` and for each longer history along `follow`,
+    or, if it is None, along the provider's argmax (lowest id on ties), at
+    most MAX_AHEAD rows, stopping once the argmax is EOS."""
+    if follow is not None:
+        return [provider.next_logits(history + follow[:i], ctx) for i in range(len(follow) + 1)]
+    rows = [provider.next_logits(history, ctx)]
+    while len(rows) < MAX_AHEAD and (tok := argmax_token(rows[-1])) != Vocabulary.EOS:
+        history += (tok,)
+        rows.append(provider.next_logits(history, ctx))
+    return rows
 
 
 def _hello_reply(msg: dict, vocab: Vocabulary) -> dict:
@@ -494,10 +485,10 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
                          f"a list of 1 to {MAX_ENTRIES} objects")
     entries = [_step_entry(entry, contexts, provider.vocab.size, f"'entries'[{i}]")
                for i, entry in enumerate(entries)]
-    looked = [_lookahead(provider, *entry) for entry in entries]
-    frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for rows, _ in looked for row in rows)
+    looked = [_entry_rows(provider, *entry) for entry in entries]
+    frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for rows in looked for row in rows)
     return {"id": request_id, "logits_bytes": len(frame),
-            "paths": [path for _, path in looked]}, frame
+            "rows": [len(rows) for rows in looked]}, frame
 
 
 def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext]):

@@ -29,9 +29,9 @@ from latefuse.errors import ConfigurationError, ProviderIOError
 from latefuse.fusion import FusionConfig
 from latefuse.providers import (AcousticChannel, ProviderSpec, UtteranceContext,
                                 train_ngram_corrector)
-from latefuse.wire import (LOGITS_ENCODING, MAX_REQUEST_BYTES, ExternalProvider,
-                           ProviderServer, _TcpTransport, connect_external, max_header_bytes,
-                           max_logits_bytes, stdio_serve)
+from latefuse.wire import (LOGITS_ENCODING, MAX_HEADER_BYTES, MAX_REQUEST_BYTES,
+                           ExternalProvider, ProviderServer, _TcpTransport, connect_external,
+                           stdio_serve)
 from test_decoding import decode_fields, small_walkthrough, step_bytes, walk_kind
 
 
@@ -43,9 +43,9 @@ def bare_frame(logits, **header):
 
 
 def frame(logits, **header):
-    """A step reply: `bare_frame` with the "paths" of one entry that asked
-    for one row, [[]], unless `header` sets other paths."""
-    return bare_frame(logits, **{"paths": [[]], **header})
+    """A step reply: `bare_frame` with the "rows" of one entry of one row,
+    [1], unless `header` sets other rows."""
+    return bare_frame(logits, **{"rows": [1], **header})
 
 
 def step_request(*entries, request_id=0):
@@ -350,13 +350,13 @@ class TestStdioServe:
         hello = json.dumps({"op": "hello", "vocab_size": abc_vocab.size,
                             "vocab_hash": abc_vocab.content_hash(),
                             "logits_encoding": LOGITS_ENCODING})
-        step = json.dumps(step_request({"utt": "u0", "history": [0]}))
+        step = json.dumps(step_request({"utt": "u0", "history": [0], "follow": []}))
         stdin = io.BytesIO((hello + "\n" + step + "\n").encode())
         stdout = io.BytesIO()
         stdio_serve(provider, {"u0": ctx}, stdin=stdin, stdout=stdout)
         (hello, no_frame), (step, logits) = read_replies(stdout.getvalue())
         assert hello == HELLO_OK and no_frame is None
-        assert step == {"id": 0, "logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
+        assert step == {"id": 0, "logits_bytes": 8 * abc_vocab.size, "rows": [1]}
         assert logits.tolist() == list(range(abc_vocab.size))
 
 
@@ -376,6 +376,8 @@ class HashProvider:
 
 
 HASH_CONTEXTS = {f"u{i}": UtteranceContext(utt_id=f"u{i}") for i in range(4)}
+# a step entry that asks for its one row
+ONE_ROW = {"utt": "u0", "history": [0, 3], "follow": []}
 
 
 def stdio_endpoint(vocab, utts=tuple(HASH_CONTEXTS)):
@@ -414,7 +416,7 @@ class TestLogitsEncoding:
                  "vocab_hash": abc_vocab.content_hash()}
         if encoding is not None:
             hello["logits_encoding"] = encoding
-        step = step_request({"utt": "u0", "history": [0, 3]})
+        step = step_request(ONE_ROW)
         stdin = io.BytesIO("".join(json.dumps(m) + "\n" for m in (hello, step, step)).encode())
         stdout = io.BytesIO()
         stdio_serve(provider, HASH_CONTEXTS, stdin=stdin, stdout=stdout)
@@ -444,6 +446,7 @@ def header_line(**fields):
 
 
 ZEROS = [0.0] * 6  # a row of logits of the 6-token `abc_vocab`
+EOS_ROW = one_hot(Vocabulary.EOS, 6)  # a row whose argmax is EOS, where argmax rows stop
 
 # (id, step reply, whether the provider hangs up after it, the error it gives)
 BAD_FRAMES = [
@@ -456,20 +459,19 @@ BAD_FRAMES = [
     ("size-string", header_line(logits_bytes="48"), False, "'logits_bytes'"),
     ("size-null", header_line(logits_bytes=None), False, "'logits_bytes'"),
     ("size-list", header_line(logits_bytes=[48]), False, "'logits_bytes'"),
-    ("size-over-cap", header_line(logits_bytes=max_logits_bytes(6) + 8), False,
+    ("size-over-cap", header_line(logits_bytes=8 * 6 * wire.MAX_AHEAD + 8), False,
      "'logits_bytes'"),
     ("5-logits", frame(ZEROS[:5]), False, "expected 1 x 6"),
     ("7-logits", frame(ZEROS + [0.0]), False, "expected 1 x 6"),
     ("not-whole-float64s", frame(ZEROS, logits_bytes=45)[:-3], False, "expected 1 x 6"),
-    ("2-rows-for-an-empty-path", frame(ZEROS * 2), False, "expected 1 x 6"),
+    ("2-rows-for-a-count-of-1", frame(ZEROS * 2), False, "expected 1 x 6"),
     ("trailing-newline", frame(ZEROS) + b"\n", False, "more than one reply|no request"),
     ("trailing-frame", frame(ZEROS) * 2, False, "more than one reply|no request"),
     ("nan", frame(ZEROS[:5] + [np.nan]), False, "non-finite"),
     ("inf", frame(ZEROS[:5] + [np.inf]), False, "non-finite"),
     ("-inf", frame([-np.inf] + ZEROS[:5]), False, "non-finite"),
-    ("header-over-cap", frame(ZEROS, pad="x" * max_header_bytes(6)), False, "longer than"),
-    ("header-never-ends", b'{"pad": "' + b"x" * (2 * max_header_bytes(6)), False,
-     "longer than"),
+    ("header-over-cap", frame(ZEROS, pad="x" * MAX_HEADER_BYTES), False, "longer than"),
+    ("header-never-ends", b'{"pad": "' + b"x" * (2 * MAX_HEADER_BYTES), False, "longer than"),
     ("list-form-logits", header_line(logits=ZEROS), False, "carries no logits"),
     ("base64-logits", header_line(logits="AAAAAAAAAAA="), False, "carries no logits"),
     ("error-reply", header_line(error="boom"), False, "carries no logits"),
@@ -508,15 +510,18 @@ class TestFrames:
                     remote.next_logits(history, empty_ctx)
 
     def test_frame_of_newline_bytes_is_read_whole(self, abc_vocab, empty_ctx, transport):
-        """0x0A ends the header line, but not a frame that is full of it."""
-        newlines = b"\n" * (2 * 8 * abc_vocab.size)
-        reply = header_line(logits_bytes=len(newlines), paths=[[0]]) + newlines  # equal rows
+        """0x0A ends the header line, but not a frame that is full of it.
+        Its rows are equal, so their argmax, id 0, is never EOS, and an
+        argmax entry gets MAX_AHEAD of them."""
+        newlines = b"\n" * (wire.MAX_AHEAD * 8 * abc_vocab.size)
+        reply = header_line(logits_bytes=len(newlines), rows=[wire.MAX_AHEAD]) + newlines
         with scripted_endpoint(transport, reply) as endpoint, \
                 connect_external(endpoint, abc_vocab, timeout=5.0) as remote:
             remote.prefetch([(empty_ctx, None)])
             for history in ((0,), (0, 0), (0,)):
                 assert remote.next_logits(history, empty_ctx).tobytes() == newlines[:48]
-            assert (remote.round_trips, remote.rows_used, remote.rows_received) == (2, 3, 4)
+            assert (remote.round_trips, remote.rows_used, remote.rows_received) == \
+                (2, 3, 2 * wire.MAX_AHEAD)
 
 
 @pytest.mark.parametrize("reply", [case[1] for case in BAD_FRAMES if not case[2]]
@@ -572,7 +577,6 @@ class TestLineChannel:
     picks the size of every chunk the transport receives. Rows are of
     200 logits."""
 
-    HEADER_CAP = max_header_bytes(200)
 
     @staticmethod
     def exchanges(replies, sizes):
@@ -583,20 +587,19 @@ class TestLineChannel:
                                 200)
         try:
             while True:
-                yield channel.round_trip(step_request({"ahead": wire.MAX_AHEAD - 1}))
+                yield channel.round_trip(step_request({}))  # MAX_AHEAD rows asked
         finally:
             channel.close()
             peer.close()
 
     @staticmethod
     def reply_frames(seed):
-        """A one-row reply and a lookahead reply of 3 rows, the first of
+        """A one-row reply and an argmax reply of 3 rows, the first of
         them as 0x0A bytes, as (bytes, header, logits)."""
         logits = np.random.default_rng(seed).normal(scale=10.0, size=600)
         logits[:200] = np.frombuffer(b"\n" * 1600, "<f8")
         return [(frame(rows, **header), {"logits_bytes": 8 * len(rows), **header}, rows)
-                for rows, header in ((logits[:200], {"paths": [[]]}),
-                                     (logits, {"paths": [[5, 7]]}))]
+                for rows, header in ((logits[:200], {"rows": [1]}), (logits, {"rows": [3]}))]
 
     @pytest.mark.parametrize("seed", range(25))
     def test_split_reply_parses_like_the_whole_frame(self, seed):
@@ -617,7 +620,8 @@ class TestLineChannel:
                 for _ in zip(range(2), self.exchanges([data + extra], sizes)):
                     pass  # the stray bytes fail this exchange or the next one
 
-    @pytest.mark.parametrize("length, ok", [(HEADER_CAP, True), (HEADER_CAP + 1, False)])
+    @pytest.mark.parametrize("length, ok", [(MAX_HEADER_BYTES, True),
+                                            (MAX_HEADER_BYTES + 1, False)])
     def test_header_line_cap(self, length, ok):
         line = b'{"p": "' + b"a" * (length - 9) + b'"}'
         assert len(line) == length
@@ -625,7 +629,7 @@ class TestLineChannel:
         if ok:
             assert next(replies) == ({"p": "a" * (length - 9)}, bytearray())
         else:
-            with pytest.raises(ProviderIOError, match=f"longer than {self.HEADER_CAP} bytes"):
+            with pytest.raises(ProviderIOError, match=f"longer than {MAX_HEADER_BYTES} bytes"):
                 next(replies)
 
     def test_endless_header_fails_without_reading_it_all(self):
@@ -638,24 +642,22 @@ class TestLineChannel:
 
         try:
             channel = _TcpTransport(ScriptedSocket(client, recv), 200)
-            with pytest.raises(ProviderIOError, match=f"longer than {self.HEADER_CAP} bytes"):
+            with pytest.raises(ProviderIOError, match=f"longer than {MAX_HEADER_BYTES} bytes"):
                 channel.round_trip(step_request({}))
         finally:
             client.close()
             peer.close()
-        assert len(chunks) == self.HEADER_CAP // 100 + 1
+        assert len(chunks) == MAX_HEADER_BYTES // 100 + 1
 
     # (step request, the most rows its reply may carry)
     ASKED_ROWS = [
         ({"op": "hello"}, 0),
-        (step_request({}), 1),
-        (step_request({"ahead": 0}), 1),
-        (step_request({"ahead": 3}), 4),
+        (step_request({"follow": []}), 1),
+        (step_request({}), wire.MAX_AHEAD),
         (step_request({"follow": [3, 4]}), 3),
-        (step_request({"ahead": 40}), wire.MAX_AHEAD),
         (step_request({"follow": [3] * 31}), wire.MAX_AHEAD),
-        (step_request({"ahead": 2}, {"follow": [3]}, {"ahead": 0}, {}), 7),
-        (step_request(*[{"ahead": 31}] * 16), 16 * wire.MAX_AHEAD),
+        (step_request({}, {"follow": [3]}, {"follow": []}), wire.MAX_AHEAD + 3),
+        (step_request(*[{}] * 16), 16 * wire.MAX_AHEAD),
     ]
 
     @pytest.mark.parametrize("size, ok", [(1000, True), (1001, False), (-1, False),
@@ -663,6 +665,7 @@ class TestLineChannel:
     def test_frame_size_is_checked_before_the_frame_is_read(self, size, ok):
         """The header comes in one chunk; each later chunk is one frame byte.
         A one-row request over a vocabulary of 125 asks for 1000 bytes."""
+        one_row = step_request({"follow": []})
         client, peer = socket.socketpair()
         chunks = [header_line(logits_bytes=size)]
 
@@ -673,12 +676,12 @@ class TestLineChannel:
         try:
             channel = _TcpTransport(ScriptedSocket(client, recv), 125)
             if ok:
-                assert channel.round_trip(step_request({})) == \
+                assert channel.round_trip(one_row) == \
                     ({"logits_bytes": size}, bytearray(b"\n" * size))
             else:
                 with pytest.raises(ProviderIOError, match="'logits_bytes' must be an integer "
                                                           r"in \[0, 1000\]"):
-                    channel.round_trip(step_request({}))
+                    channel.round_trip(one_row)
         finally:
             client.close()
             peer.close()
@@ -711,24 +714,21 @@ class TestLineChannel:
             peer.close()
 
     @pytest.mark.parametrize("vocab_size", [3, 200, 50_000, 10 ** 7, 10 ** 9])
-    def test_caps_fit_the_longest_valid_replies(self, vocab_size):
-        """The longest legal reply: every entry's path MAX_AHEAD - 1 of the
-        longest ids, and a frame of their rows, what a request of
-        MAX_ENTRIES entries asking for MAX_AHEAD rows each may get. The
-        header is built, not the frame: at the largest V it would take
-        gigabytes."""
-        path = [vocab_size - 1] * (wire.MAX_AHEAD - 1)
+    def test_header_cap_fits_the_longest_valid_reply(self, vocab_size):
+        """The longest legal step reply header: MAX_ENTRIES counts of
+        MAX_AHEAD rows, the frame size of their rows and a large id, what
+        a request of MAX_ENTRIES argmax entries may get. The header is
+        built, not the frame: at the largest V it would take gigabytes."""
         n_rows = wire.MAX_ENTRIES * wire.MAX_AHEAD
-        header = header_line(logits_bytes=8 * n_rows * vocab_size,
-                             paths=[path] * wire.MAX_ENTRIES)
-        assert len(header) - 1 <= max_header_bytes(vocab_size)
-        assert max_logits_bytes(vocab_size) == 8 * n_rows * vocab_size
+        header = header_line(id=10 ** 12, logits_bytes=8 * n_rows * vocab_size,
+                             rows=[wire.MAX_AHEAD] * wire.MAX_ENTRIES)
+        assert len(header) - 1 <= MAX_HEADER_BYTES
         assert wire._rows_asked(self.ASKED_ROWS[-1][0]) == n_rows
 
 
 def step_line(length):
-    """A step request of exactly `length` bytes, newline included."""
-    line = json.dumps(step_request({"utt": "u0", "history": [0]}))
+    """A step request for one row of exactly `length` bytes, newline included."""
+    line = json.dumps(step_request(ONE_ROW))
     return (line + " " * (length - len(line) - 1) + "\n").encode()
 
 
@@ -845,20 +845,22 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     """Every request the client sends, and every one of its entries, has
     the fields of README's example: an unannounced step, then the first
     step of an announced decode set and of an announced calibration set.
-    The example's reply holds one path per entry, and a frame of their
-    rows at V = 200."""
+    The example's reply counts the rows of each entry, 1 + len(follow)
+    for one with a follow and 1 to MAX_AHEAD for an argmax entry, and its
+    frame holds them at V = 200."""
     messages = readme_protocol_messages()
     assert all(isinstance(m, dict) for _, m in messages)
     sent = []
 
     class RecordingTransport:
-        def round_trip(self, payload):  # each entry's path is its follow
+        def round_trip(self, payload):  # an argmax entry gets one row, of argmax EOS
             sent.append(payload)
             if payload["op"] == "hello":
                 return HELLO_OK, bytearray()
-            paths = [entry.get("follow", []) for entry in payload["entries"]]
-            size = 8 * abc_vocab.size * sum(len(path) + 1 for path in paths)
-            return {"id": payload["id"], "logits_bytes": size, "paths": paths}, bytearray(size)
+            rows = [1 + len(entry.get("follow", ())) for entry in payload["entries"]]
+            frame = np.tile(one_hot(Vocabulary.EOS, abc_vocab.size), sum(rows)).astype("<f8")
+            return {"id": payload["id"], "logits_bytes": frame.nbytes, "rows": rows}, \
+                bytearray(frame.tobytes())
 
         def close(self):
             pass
@@ -878,9 +880,13 @@ def test_readme_protocol_block_matches_the_client(abc_vocab, empty_ctx):
     assert {frozenset(e) for p in steps for e in p["entries"]} == \
         {frozenset(e) for e in request["entries"]}
     assert max(len(p["entries"]) for p in steps) > 1
-    assert set(reply) == {"id", "logits_bytes", "paths"} and reply["id"] == request["id"]
-    assert len(reply["paths"]) == len(request["entries"])
-    assert reply["logits_bytes"] == 8 * 200 * sum(len(path) + 1 for path in reply["paths"])
+    assert [e.get("follow") for e in sent[1]["entries"]] == [[]]  # the unannounced step
+    assert [] in [e.get("follow") for e in request["entries"]]
+    assert set(reply) == {"id", "logits_bytes", "rows"} and reply["id"] == request["id"]
+    assert len(reply["rows"]) == len(request["entries"])
+    for n, entry in zip(reply["rows"], request["entries"]):
+        assert n == 1 + len(entry["follow"]) if "follow" in entry else 1 <= n <= wire.MAX_AHEAD
+    assert reply["logits_bytes"] == 8 * 200 * sum(reply["rows"])
 
 
 def test_readme_names_resolve_in_their_modules():
@@ -917,6 +923,18 @@ def served_steps(vocab, steps, hello=True, provider=None):
     return read_replies(stdout.getvalue())[len(head):]
 
 
+def argmax_path(provider, history, ctx):
+    """The tokens the rows of an argmax entry at `history` follow: the
+    provider's argmax, short of EOS, at most MAX_AHEAD - 1 of them."""
+    path = []
+    while len(path) < wire.MAX_AHEAD - 1:
+        tok = int(np.argmax(provider.next_logits(tuple(history) + tuple(path), ctx)))
+        if tok == Vocabulary.EOS:
+            break
+        path.append(tok)
+    return path
+
+
 class TestServerChecksRequests:
     @pytest.mark.parametrize("field", ["history", "follow"])
     @pytest.mark.parametrize("ids", [
@@ -925,7 +943,7 @@ class TestServerChecksRequests:
     ], ids=repr)
     def test_malformed_ids_get_an_error_naming_the_field(self, abc_vocab, field, ids):
         bad = step_request({"utt": "u0", "history": [0], field: ids})
-        good = step_request({"utt": "u0", "history": [0, 3]})
+        good = step_request(ONE_ROW)
         (error, _), (_, served) = served_steps(abc_vocab, [bad, good])
         assert set(error) == {"error"} and error["error"].startswith(f"'entries'[0]: {field!r}")
         assert served.size == abc_vocab.size  # the server keeps serving
@@ -937,16 +955,9 @@ class TestServerChecksRequests:
     @pytest.mark.parametrize("utt", [["x"], {"a": 1}, 3, None], ids=repr)
     def test_malformed_utt_gets_an_error_naming_it(self, abc_vocab, utt):
         (error, _), (_, served) = served_steps(abc_vocab, [
-            step_request({"utt": utt, "history": [0]}),
-            step_request({"utt": "u0", "history": [0]})])
+            step_request({"utt": utt, "history": [0]}), step_request(ONE_ROW)])
         assert set(error) == {"error"} and error["error"].startswith("'entries'[0]: 'utt'")
         assert served.size == abc_vocab.size  # the server keeps serving
-
-    @pytest.mark.parametrize("ahead", [-1, True, 1.5, "3", None, [2]], ids=repr)
-    def test_malformed_ahead_gets_an_error_naming_it(self, abc_vocab, ahead):
-        (error, _), = served_steps(abc_vocab, [
-            step_request({"utt": "u0", "history": [0], "ahead": ahead})])
-        assert set(error) == {"error"} and error["error"].startswith("'entries'[0]: 'ahead'")
 
     @pytest.mark.parametrize("line, error", [
         (b"{\n", "malformed request line: "),
@@ -954,7 +965,7 @@ class TestServerChecksRequests:
     ], ids=repr)
     def test_unparsable_request_gets_a_request_error(self, abc_vocab, line, error):
         hello = (json.dumps(hello_request(abc_vocab)) + "\n").encode()
-        step = (json.dumps(step_request({"utt": "u0", "history": [0]})) + "\n").encode()
+        step = (json.dumps(step_request(ONE_ROW)) + "\n").encode()
         stdout = io.BytesIO()
         stdio_serve(HashProvider(abc_vocab), HASH_CONTEXTS,
                     stdin=io.BytesIO(hello + line + step), stdout=stdout)
@@ -966,7 +977,7 @@ class TestServerChecksRequests:
         (at_cap, _), (over, _) = served_steps(abc_vocab, [
             step_request({"utt": "u0", "history": [0], "follow": [3] * n})
             for n in (wire.MAX_AHEAD - 1, wire.MAX_AHEAD)])
-        assert at_cap["paths"] == [[3] * (wire.MAX_AHEAD - 1)]
+        assert at_cap["rows"] == [wire.MAX_AHEAD]
         assert set(over) == {"error"} and "'follow'" in over["error"]
 
     @pytest.mark.parametrize("first", [
@@ -988,35 +999,39 @@ class TestServerChecksRequests:
                     remote.next_logits((0, 99), HASH_CONTEXTS["u0"])
 
     def test_lookahead_rows_follow_the_path(self, abc_vocab):
+        """An entry's rows follow its follow, [] included, or without one
+        the provider's argmax, short of EOS and at most MAX_AHEAD rows."""
         provider, ctx = HashProvider(abc_vocab), HASH_CONTEXTS["u1"]
-        plain, followed, ahead, both = served_steps(abc_vocab, [
-            step_request({"utt": "u1", "history": [0, 4]}),
+        plain, followed, argmax = served_steps(abc_vocab, [
+            step_request({"utt": "u1", "history": [0, 4], "follow": []}),
             step_request({"utt": "u1", "history": [0, 4], "follow": [5, 3, 3]}),
-            step_request({"utt": "u1", "history": [0, 4], "ahead": 500}),
-            step_request({"utt": "u1", "history": [0, 4], "follow": [1], "ahead": 2}),
+            step_request({"utt": "u1", "history": [0, 4]}),
         ])
-        assert plain[0] == {"id": 0, "logits_bytes": 8 * abc_vocab.size, "paths": [[]]}
-        assert followed[0]["paths"] == [[5, 3, 3]]
-        history, argmax_path = (0, 4), []
-        while len(argmax_path) < wire.MAX_AHEAD - 1:
-            tok = int(np.argmax(provider.next_logits(history + tuple(argmax_path), ctx)))
-            if tok == Vocabulary.EOS:
-                break
-            argmax_path.append(tok)
-        assert ahead[0]["paths"] == [argmax_path]
-        assert both[0]["paths"][0][0] == 1 and len(both[0]["paths"][0]) <= 3
-        for header, logits in (plain, followed, ahead, both):
-            (path,) = header["paths"]
+        history, taken = (0, 4), argmax_path(provider, (0, 4), ctx)
+        assert plain[0] == {"id": 0, "logits_bytes": 8 * abc_vocab.size, "rows": [1]}
+        assert followed[0]["rows"] == [4]
+        assert argmax[0]["rows"] == [len(taken) + 1]
+        for (_, logits), path in zip((plain, followed, argmax), ([], [5, 3, 3], taken)):
             rows = logits.reshape(-1, abc_vocab.size)
             assert len(rows) == len(path) + 1
             for i, row in enumerate(rows):
                 assert row.tobytes() == provider.next_logits(
                     history + tuple(path[:i]), ctx).tobytes()
 
+    def test_argmax_rows_stop_at_max_ahead(self, abc_vocab, constant_provider_cls):
+        """A provider whose argmax is never EOS: an argmax entry gets
+        MAX_AHEAD rows."""
+        provider = constant_provider_cls(abc_vocab, np.arange(abc_vocab.size, dtype=float))
+        (header, logits), = served_steps(abc_vocab, [step_request({"utt": "u0", "history": [0]})],
+                                         provider=provider)
+        assert header["rows"] == [wire.MAX_AHEAD]
+        assert logits.size == wire.MAX_AHEAD * abc_vocab.size
+
     def test_lookahead_follows_the_lower_of_tied_ids(self, abc_vocab):
         """Rows tie ids 3 and 5 until the history holds 4 ids, then offer
         EOS: the path takes id 3, as `argmax_token` does, and each row is
-        the one that path's history gets."""
+        the one that path's history gets. The client takes the same path
+        from the tied rows: it serves each of them with no request more."""
 
         class TiedProvider:
             vocab = abc_vocab
@@ -1032,11 +1047,17 @@ class TestServerChecksRequests:
 
         provider, ctx = TiedProvider(), HASH_CONTEXTS["u0"]
         (header, logits), = served_steps(abc_vocab, [
-            step_request({"utt": "u0", "history": [0], "ahead": 10})], provider=provider)
-        assert header["paths"] == [[3, 3, 3]]
+            step_request({"utt": "u0", "history": [0]})], provider=provider)
+        assert header["rows"] == [4]
         rows = logits.reshape(-1, abc_vocab.size)
-        assert [row.tobytes() for row in rows] == \
-            [provider.next_logits((0,) + (3,) * i, ctx).tobytes() for i in range(4)]
+        expected = [provider.next_logits((0,) + (3,) * i, ctx).tobytes() for i in range(4)]
+        assert [row.tobytes() for row in rows] == expected
+        with ProviderServer(provider, HASH_CONTEXTS) as server, \
+                connect_external(server.address, abc_vocab, timeout=5.0) as remote:
+            remote.prefetch([(ctx, None)])
+            assert [remote.next_logits((0,) + (3,) * i, ctx).tobytes()
+                    for i in range(4)] == expected
+            assert (remote.round_trips, remote.rows_received) == (1, 4)
 
     U1 = {"utt": "u1", "history": [0]}
 
@@ -1069,28 +1090,25 @@ class TestServerChecksRequests:
         (step_request({"utt": "u1", "history": [0, 99]}), "'entries'[0]: 'history' must be"),
         (step_request(U1, {"utt": "u1", "history": [0], "follow": [3] * wire.MAX_AHEAD}),
          "'entries'[1]: 'follow' holds more than"),
-        (step_request({"utt": "u1", "history": [0], "ahead": -1}),
-         "'entries'[0]: 'ahead' must be"),
     ], ids=lambda v: repr(v)[:40])
     def test_malformed_entries_get_an_error_naming_them(self, abc_vocab, msg, error):
-        (reply, logits), (_, served) = served_steps(abc_vocab, [
-            msg, step_request({"utt": "u0", "history": [0, 3]})])
+        (reply, logits), (_, served) = served_steps(abc_vocab, [msg, step_request(ONE_ROW)])
         assert set(reply) == {"error"} and reply["error"].startswith(error), reply
         assert logits is None
         assert served.size == abc_vocab.size  # the server keeps serving
 
     def test_rows_follow_each_entry_in_order(self, abc_vocab):
         provider = HashProvider(abc_vocab)
-        entries = [{"utt": "u0", "history": [0, 3]},
+        entries = [ONE_ROW,
                    {"utt": "u1", "history": [0, 4], "follow": [5, 3]},
-                   {"utt": "u2", "history": [0]},
-                   {"utt": "u3", "history": [0], "ahead": 2}]
+                   {"utt": "u2", "history": [0], "follow": []},
+                   {"utt": "u3", "history": [0]}]
         (header, logits), (full, full_logits) = served_steps(abc_vocab, [
             step_request(*entries),
-            step_request(*[{"utt": "u2", "history": [0]}] * wire.MAX_ENTRIES)])
-        assert set(header) == {"id", "logits_bytes", "paths"}
-        paths = header["paths"]
-        assert paths[:3] == [[], [5, 3], []] and len(paths[3]) <= 2
+            step_request(*[{"utt": "u2", "history": [0], "follow": []}] * wire.MAX_ENTRIES)])
+        assert set(header) == {"id", "logits_bytes", "rows"}
+        paths = [[], [5, 3], [], argmax_path(provider, (0,), HASH_CONTEXTS["u3"])]
+        assert header["rows"] == [len(path) + 1 for path in paths]
         rows = iter(logits.reshape(-1, abc_vocab.size))
         for entry, path in zip(entries, paths):
             for i in range(len(path) + 1):
@@ -1099,60 +1117,66 @@ class TestServerChecksRequests:
                 assert next(rows).tobytes() == expected.tobytes()
         assert next(rows, None) is None
         # a request may list MAX_ENTRIES entries, one utterance's included
-        assert full["paths"] == [[]] * wire.MAX_ENTRIES
+        assert full["rows"] == [1] * wire.MAX_ENTRIES
         assert full_logits.tobytes() == \
             provider.next_logits((0,), HASH_CONTEXTS["u2"]).tobytes() * wire.MAX_ENTRIES
 
     @pytest.mark.parametrize("history", [[], [3], [3, 0]], ids=repr)
     def test_history_must_start_with_bos(self, abc_vocab, history):
         (error, _), (_, served) = served_steps(abc_vocab, [
-            step_request({"utt": "u0", "history": history}),
-            step_request({"utt": "u0", "history": [0, 3]})])
+            step_request({"utt": "u0", "history": history}), step_request(ONE_ROW)])
         assert set(error) == {"error"} and "'entries'[0]: 'history'" in error["error"]
         assert served.size == abc_vocab.size  # the server keeps serving
 
 
-def rows_reply(n_rows, paths, **header):
-    """A reply of `n_rows` rows of 6 logits, 0, 1, 2, ... in order."""
-    return frame(np.arange(n_rows * 6, dtype=float), paths=paths, **header)
+def rows_reply(n_rows, rows, **header):
+    """A reply of `n_rows` rows of 6 logits, 0, 1, 2, ... in order, whose
+    "rows" counts are `rows`."""
+    return frame(np.arange(n_rows * 6, dtype=float), rows=rows, **header)
+
+
+ONE_REFERENCE = json.dumps({"id": "u0", "reference": "a b",
+                            "nbest": [{"text": "a b", "score": 0.0}]}) + "\n"
 
 
 class TestClientChecksLookaheadReplies:
     """The client announces its utterance with follow [3, 4], and sends it,
-    or as a decode, and sends ahead; each reply below is a ProviderIOError."""
+    or as a decode, and sends an argmax entry; each reply below is a
+    ProviderIOError."""
 
     @pytest.mark.parametrize("with_follow, reply", [
-        (False, frame(ZEROS, paths=["3"])),
-        (False, frame(ZEROS, paths=[None])),
-        (False, frame(ZEROS, paths=[{"0": 3}])),
-        (False, rows_reply(2, [[True]])),
-        (False, rows_reply(2, [[1.0]])),
-        (False, rows_reply(2, [["3"]])),
-        (False, rows_reply(2, [[-1]])),
-        (False, rows_reply(2, [[6]])),
-        (False, rows_reply(2, [[None]])),
-        (False, rows_reply(1, [[3]])),
-        (False, rows_reply(3, [[3]])),
-        (False, rows_reply(2, [[]])),
-        (False, rows_reply(2, [[3]])),  # the row's argmax is 5
+        # counts that are no integers
+        (False, frame(ZEROS, rows=["1"])),
+        (False, frame(ZEROS, rows=[None])),
+        (False, frame(ZEROS, rows=[[1]])),
+        (False, frame(ZEROS, rows=[True])),
+        (False, frame(ZEROS, rows=[1.0])),
+        # an argmax entry's count outside [1, MAX_AHEAD]
+        (False, rows_reply(0, [0])),
+        (False, rows_reply(wire.MAX_AHEAD, [wire.MAX_AHEAD + 1])),
+        (False, rows_reply(2, [-1])),
+        # a frame of other than the rows counted
         (False, frame(ZEROS * 2)),
-        (False, header_line(logits=ZEROS * 2, paths=[[3]])),
-        # "paths" missing, not a list, or not one path per entry
+        (False, rows_reply(3, [2])),
+        (False, header_line(logits=ZEROS * 2, rows=[2])),
+        # "rows" missing, not a list, or not one count per entry
         (False, bare_frame(ZEROS)),
-        (False, bare_frame(ZEROS, path=[])),  # "path" in place of "paths"
-        (False, frame(ZEROS, paths=None)),
-        (False, frame(ZEROS, paths="[[]]")),
-        (False, frame(ZEROS, paths={"0": []})),
-        (False, frame(ZEROS, paths=[])),
-        (False, rows_reply(2, [[], []])),
-        (True, rows_reply(3, [[4, 3]])),
-        (True, rows_reply(2, [[3]])),
-        (True, rows_reply(1, [[]])),
-        (True, rows_reply(4, [[3, 5, 4]])),
-        (True, rows_reply(4, [[3, 4, 5]])),  # a row past the follow, which asked for none
-        (True, rows_reply(2, [[3, 4]])),
+        (False, bare_frame(ZEROS, row=[1])),  # "row" in place of "rows"
+        (False, frame(ZEROS, rows=None)),
+        (False, frame(ZEROS, rows=1)),
+        (False, frame(ZEROS, rows="[1]")),
+        (False, frame(ZEROS, rows={"0": 1})),
+        (False, frame(ZEROS, rows=[])),
+        (False, rows_reply(2, [1, 1])),
+        # a follow of 2 tokens: 3 rows, no fewer and no more
+        (True, rows_reply(2, [2])),
+        (True, rows_reply(1, [1])),
+        (True, rows_reply(3, [4])),
+        (True, rows_reply(3, [3.0])),
+        (True, rows_reply(3, ["3"])),
+        (True, rows_reply(2, [3])),
         (True, bare_frame(np.arange(18.0), path=[3, 4])),
-        (True, frame(ZEROS * 3 + ZEROS[:5] + [np.nan], paths=[[3, 4, 5]])),
+        (True, frame(ZEROS * 2 + ZEROS[:5] + [np.nan], rows=[3])),
     ], ids=lambda v: repr(v)[:40])
     def test_bad_lookahead_reply_is_provider_io_error(self, abc_vocab, empty_ctx, with_follow,
                                                       reply):
@@ -1167,15 +1191,17 @@ class TestClientChecksLookaheadReplies:
         finally:
             server.close()
         (entry,) = sent[0]["entries"]
-        assert entry.get("follow") == ([3, 4] if with_follow else None)
-        assert entry.get("ahead") == (None if with_follow else wire.MAX_AHEAD - 1)
+        assert entry == {"utt": empty_ctx.utt_id, "history": [0],
+                         **({"follow": [3, 4]} if with_follow else {})}
 
     def test_good_lookahead_reply_serves_its_rows(self, abc_vocab, empty_ctx):
         sent = []
-        # the follow, else the argmax path of rows 0, 1, 2, ...
-        server = LineServer(scripted({"hello": HELLO_OK,
-                                      "step": lambda msg: sent.append(msg) or rows_reply(
-                                          4, [msg["entries"][0].get("follow", [5, 5, 5])])}))
+        # 4 rows for the follow, else an argmax path of rows 0, 1, 2, ...: 5, 5, 5,
+        # then a row whose argmax is EOS
+        rows = np.arange(24.0).reshape(4, 6)
+        rows[3] = EOS_ROW
+        server = LineServer(scripted({"hello": HELLO_OK, "step": lambda msg: sent.append(msg)
+                                      or frame(rows, rows=[4])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(empty_ctx, (3, 4, 5))])
@@ -1183,12 +1209,14 @@ class TestClientChecksLookaheadReplies:
                           for history in [(0,), (0, 3), (0, 3, 4), (0, 3, 4, 5)]]
                 for row, logits in enumerate(served):
                     logits[:] = -1.0  # writable, and no other row changes
-                    assert all(other.tolist() == list(range(6 * i, 6 * i + 6))
+                    assert all(other.tolist() == rows[i].tolist()
                                for i, other in enumerate(served) if i > row)
                 assert (remote.round_trips, remote.rows_used, remote.rows_received) == (1, 4, 4)
                 # each kept row is handed out once: reading it again asks again
                 assert remote.next_logits((0, 3), empty_ctx).tolist() == list(range(6))
                 assert (remote.round_trips, remote.rows_used, remote.rows_received) == (2, 5, 8)
+                assert remote.next_logits((0, 3, 5, 5, 5), empty_ctx).tolist() == EOS_ROW
+                assert remote.round_trips == 2
         finally:
             server.close()
         assert len(sent) == 2 and "follow" not in sent[1]["entries"][0]
@@ -1198,23 +1226,22 @@ class TestClientChecksLookaheadReplies:
     ANNOUNCED = {"u0": (3, 4), "u1": (4,), "u2": None}
 
     @pytest.mark.parametrize("reply", [
-        rows_reply(5, [[3, 4], [4]]),
-        rows_reply(11, [[3, 4], [4], [3, 5], [3]]),
-        rows_reply(3, [[3, 4]]),
-        rows_reply(8, "[[3, 4], [4], [5, 5]]"),
+        rows_reply(5, [3, 2]),
+        rows_reply(11, [3, 2, 3, 3]),
+        rows_reply(3, [3]),
+        rows_reply(8, "[3, 2, 3]"),
         rows_reply(8, None),
-        rows_reply(8, [[3, 4], [5], [5, 5]]),
-        rows_reply(7, [[3, 4], [], [5, 5]]),
-        rows_reply(8, [[3, 4], [4], ["5", 5]]),
-        rows_reply(8, [[3, 4], [4], [5, 6]]),
-        rows_reply(8, [[3, 4], 4, [5, 5]]),
-        rows_reply(7, [[3, 4], [4], [5, 5]]),
-        rows_reply(9, [[3, 4], [4], [5, 5]]),
-        rows_reply(8, [[3], [4], [5, 5]]),
-        rows_reply(8, [[3, 4], [4], [5, 5], [5]]),
-        rows_reply(8, [[3, 4], [3, 4], [4], [5, 5]]),
-        rows_reply(8, [[3, 4], [5, 5], [4]]),
-        bare_frame(np.arange(48.0), path=[3, 4], more_paths=[[4], [5, 5]]),
+        rows_reply(8, [3, 3, 2]),
+        rows_reply(7, [3, 1, 3]),
+        rows_reply(8, [2, 3, 3]),
+        rows_reply(8, [3, 2, "3"]),
+        rows_reply(8, [3, 2, 3.0]),
+        rows_reply(8, [3, 2, [3]]),
+        rows_reply(5, [3, 2, 0]),
+        rows_reply(37, [3, 2, wire.MAX_AHEAD + 1]),
+        rows_reply(7, [3, 2, 3]),
+        rows_reply(9, [3, 2, 3]),
+        bare_frame(np.arange(48.0), row=[3], more_rows=[2, 3]),
     ], ids=lambda v: repr(v)[:60])
     def test_bad_reply_to_several_entries_is_provider_io_error(self, abc_vocab, reply):
         sent = []
@@ -1230,12 +1257,69 @@ class TestClientChecksLookaheadReplies:
         assert sent[0]["entries"] == [
             {"utt": "u0", "history": [0], "follow": [3, 4]},
             {"utt": "u1", "history": [0], "follow": [4]},
-            {"utt": "u2", "history": [0], "ahead": wire.MAX_AHEAD - 1}]
+            {"utt": "u2", "history": [0]}]
+
+    def test_argmax_count_past_max_ahead_is_provider_io_error(self, abc_vocab):
+        """Two announced decodes may get 2 * MAX_AHEAD rows, but neither
+        more than MAX_AHEAD: a frame of the rows counted does not hide it."""
+        server = LineServer(scripted({"hello": HELLO_OK, "step": rows_reply(
+            wire.MAX_AHEAD + 2, [wire.MAX_AHEAD + 1, 1])}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch([(HASH_CONTEXTS[u], None) for u in ("u0", "u1")])
+                with pytest.raises(ProviderIOError, match="'rows' must count"):
+                    remote.next_logits((0,), HASH_CONTEXTS["u0"])
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("tokens, counts", [
+        # u0's rows have argmax 3, 3, 3, EOS and u1's 4, EOS: their counts swapped
+        ([3, 3, 3, 1, 4, 1], [2, 4]),
+        ([3, 3, 4, 1], [2, 2]),  # u0's stop short of EOS
+        ([3] * (wire.MAX_AHEAD - 1) + [4, 1], [wire.MAX_AHEAD - 1, 2]),
+        ([3, 1, 3, 1, 4, 1], [4, 2]),  # u0's go on past EOS
+        ([1, 3, 1, 4, 1], [3, 2]),
+        ([3, 1, 4, 4], [2, 2]),  # u1's stop short of EOS
+    ], ids=lambda v: repr(v)[:40])
+    def test_argmax_count_off_the_stop_rule_is_provider_io_error(self, abc_vocab, tokens,
+                                                                 counts):
+        """Counts that are each in [1, MAX_AHEAD] and add up to the frame,
+        over rows whose argmax `tokens` say where the server stops: at the
+        first row whose argmax is EOS, or after MAX_AHEAD rows."""
+        reply = frame([one_hot(t, abc_vocab.size) for t in tokens], rows=counts)
+        server = LineServer(scripted({"hello": HELLO_OK, "step": reply}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch([(HASH_CONTEXTS[u], None) for u in ("u0", "u1")])
+                with pytest.raises(ProviderIOError, match="must stop at the first whose argmax"):
+                    remote.next_logits((0,), HASH_CONTEXTS["u0"])
+                assert (remote.round_trips, remote.rows_received) == (0, 0)
+        finally:
+            server.close()
+
+    def test_argmax_rows_stop_at_eos_or_at_max_ahead(self, abc_vocab):
+        """u0's rows never have argmax EOS, so it gets MAX_AHEAD of them,
+        and u1's end at their first of argmax EOS: each row is keyed along
+        the argmax of those before it."""
+        tokens = [3] * wire.MAX_AHEAD + [4, 1]
+        server = LineServer(scripted({"hello": HELLO_OK, "step": frame(
+            [one_hot(t, abc_vocab.size) for t in tokens], rows=[wire.MAX_AHEAD, 2])}))
+        try:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                remote.prefetch([(HASH_CONTEXTS[u], None) for u in ("u0", "u1")])
+                assert [int(np.argmax(remote.next_logits((0,) + (3,) * i, HASH_CONTEXTS["u0"])))
+                        for i in range(wire.MAX_AHEAD)] == [3] * wire.MAX_AHEAD
+                assert remote.next_logits((0, 4), HASH_CONTEXTS["u1"]).tolist() == EOS_ROW
+                assert (remote.round_trips, remote.rows_received) == (1, wire.MAX_AHEAD + 2)
+        finally:
+            server.close()
 
     def test_good_reply_to_several_entries_serves_every_entry(self, abc_vocab):
         sent = []
+        rows = np.arange(48.0).reshape(8, 6)
+        rows[7] = EOS_ROW  # u2's argmax rows: 5, 5, then EOS
         server = LineServer(scripted({"hello": HELLO_OK, "step": lambda msg: sent.append(msg)
-                                      or rows_reply(8, [[3, 4], [4], [5, 5]])}))
+                                      or frame(rows, rows=[3, 2, 3])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(HASH_CONTEXTS[u], f) for u, f in self.ANNOUNCED.items()])
@@ -1243,68 +1327,83 @@ class TestClientChecksLookaheadReplies:
                           for utt, history in [("u0", (0,)), ("u0", (0, 3)), ("u0", (0, 3, 4)),
                                                ("u1", (0,)), ("u1", (0, 4)),
                                                ("u2", (0,)), ("u2", (0, 5)), ("u2", (0, 5, 5))]]
-                assert served == [list(range(6 * i, 6 * i + 6)) for i in range(8)]
+                assert served == rows.tolist()
                 assert (remote.round_trips, remote.rows_used, remote.rows_received) == (1, 8, 8)
         finally:
             server.close()
         assert len(sent) == 1
 
-    @pytest.mark.parametrize("swap", [False, True])
-    def test_paths_must_be_the_argmax_of_their_rows(self, abc_vocab, swap):
-        """A served reply to four announced decodes, as sent or with two
-        different paths swapped: a path past its follow must be the argmax
-        of its rows, so no utterance takes another's rows."""
-        utts = list(HASH_CONTEXTS)
+    def test_argmax_entries_are_keyed_along_their_rows(self, abc_vocab):
+        """A served reply to four announced decodes: the client keys each
+        utterance's rows along the argmax of those rows, so a step along
+        the provider's argmax reads them, and no request more."""
+        local, utts = HashProvider(abc_vocab), list(HASH_CONTEXTS)
         (header, logits), = served_steps(abc_vocab, [step_request(
-            *[{"utt": u, "history": [0], "ahead": wire.MAX_AHEAD - 1} for u in utts])])
-        paths = header["paths"]
-        if swap:
-            i, j = next((i, j) for i in range(4) for j in range(i) if paths[i] != paths[j])
-            paths[i], paths[j] = paths[j], paths[i]
-        server = LineServer(scripted({"hello": HELLO_OK, "step": frame(logits, paths=paths)}))
+            *[{"utt": u, "history": [0]} for u in utts])])
+        server = LineServer(scripted({"hello": HELLO_OK, "step": frame(logits, **header)}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(HASH_CONTEXTS[u], None) for u in utts])
-                if swap:
-                    with pytest.raises(ProviderIOError, match="not the argmax of its rows"):
-                        remote.next_logits((0,), HASH_CONTEXTS["u0"])
-                else:
-                    assert remote.next_logits((0,), HASH_CONTEXTS["u0"]).tobytes() == \
-                        logits[:abc_vocab.size].tobytes()
+                for u, n in zip(utts, header["rows"]):
+                    ctx, history = HASH_CONTEXTS[u], (0,)
+                    for _ in range(n):
+                        row = remote.next_logits(history, ctx)
+                        assert row.tobytes() == local.next_logits(history, ctx).tobytes()
+                        history += (int(np.argmax(row)),)
+                assert remote.round_trips == 1
+                assert remote.rows_used == remote.rows_received == sum(header["rows"]) > 4
         finally:
             server.close()
 
-    @pytest.mark.parametrize("reply", [
-        rows_reply(2, [[1.5]]), rows_reply(3, [[3]]), rows_reply(1, [[3]]),
-        frame(ZEROS, paths="none"), bare_frame(ZEROS), rows_reply(2, [[], []])],
-        ids=lambda v: repr(v)[:40])
-    def test_decode_against_a_bad_lookahead_server_exits_4(self, abc_vocab, tmp_path, reply):
+    @pytest.mark.parametrize("command, reply", [
+        ("decode", bare_frame(ZEROS)),
+        ("decode", frame(ZEROS, rows="none")),
+        ("decode", frame(ZEROS, rows=1)),
+        ("decode", frame(ZEROS, rows=[])),
+        ("decode", rows_reply(2, [1, 1])),
+        ("decode", frame(ZEROS, rows=[True])),
+        ("decode", rows_reply(2, [1.5])),
+        ("decode", frame(ZEROS, rows=["1"])),
+        ("decode", rows_reply(0, [0])),
+        ("decode", rows_reply(wire.MAX_AHEAD, [wire.MAX_AHEAD + 1])),
+        ("decode", rows_reply(3, [2])),
+        ("decode", rows_reply(1, [2])),
+        # argmax rows 5, 5, 5 that stop short of EOS, and rows past an argmax of EOS
+        ("decode", rows_reply(3, [3])),
+        ("decode", frame(EOS_ROW * 2, rows=[2])),
+        # calibration follows "a b": 3 rows
+        ("calibrate", rows_reply(2, [2])),
+        ("calibrate", rows_reply(3, [4])),
+    ], ids=lambda v: repr(v)[:40])
+    def test_command_against_a_bad_lookahead_server_exits_4(self, abc_vocab, tmp_path, command,
+                                                             reply):
         abc_vocab.save(tmp_path / "vocab.txt")
-        (tmp_path / "test.jsonl").write_text(json.dumps(
-            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        (tmp_path / "test.jsonl").write_text(ONE_REFERENCE)
         server = LineServer(scripted({"hello": HELLO_OK, "step": reply}))
+        argv = ["decode", "--mode", "llm"] if command == "decode" else \
+            ["calibrate", "--which", "llm"]
         try:
-            assert cli.main([
-                "decode", "--corpus", str(tmp_path / "test.jsonl"),
-                "--vocab", str(tmp_path / "vocab.txt"), "--mode", "llm",
+            assert cli.main(argv + [
+                "--corpus", str(tmp_path / "test.jsonl"), "--vocab", str(tmp_path / "vocab.txt"),
                 "--llm-endpoint", server.address, "--timeout", "2",
-                "--out", str(tmp_path / "hyp.jsonl")]) == 4
+                "--out", str(tmp_path / "out")]) == 4
         finally:
             server.close()
+        assert not (tmp_path / "out").exists()
 
     def test_reply_at_both_caps_is_read(self, abc_vocab):
-        """A header line of `max_header_bytes(V)` with a frame of MAX_AHEAD rows
-        for each of MAX_ENTRIES announced utterances."""
+        """A header line of MAX_HEADER_BYTES with a frame of MAX_AHEAD rows
+        for each of MAX_ENTRIES announced utterances, the most rows they
+        may get."""
         contexts = [UtteranceContext(utt_id=f"v{i}") for i in range(wire.MAX_ENTRIES)]
         path = [5] * (wire.MAX_AHEAD - 1)  # the argmax of each row
         logits = np.arange(wire.MAX_ENTRIES * wire.MAX_AHEAD * abc_vocab.size, dtype=float)
-        paths = [path] * wire.MAX_ENTRIES
-        header = {"id": 0, "logits_bytes": logits.nbytes, "paths": paths, "pad": ""}
-        header["pad"] = "x" * (max_header_bytes(abc_vocab.size) - len(json.dumps(header)))
-        assert len(json.dumps(header)) == max_header_bytes(abc_vocab.size)
-        assert logits.nbytes == max_logits_bytes(abc_vocab.size)
+        rows = [wire.MAX_AHEAD] * wire.MAX_ENTRIES
+        header = {"id": 0, "logits_bytes": logits.nbytes, "rows": rows, "pad": ""}
+        header["pad"] = "x" * (MAX_HEADER_BYTES - len(json.dumps(header)))
+        assert len(json.dumps(header)) == MAX_HEADER_BYTES
         server = LineServer(scripted({"hello": HELLO_OK, "step": frame(
-            logits, id=0, paths=paths, pad=header["pad"])}))
+            logits, id=0, rows=rows, pad=header["pad"])}))
         try:
             with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
                 remote.prefetch([(ctx, None) for ctx in contexts])
@@ -1316,16 +1415,15 @@ class TestClientChecksLookaheadReplies:
         finally:
             server.close()
 
-    @pytest.mark.parametrize("length, code", [(max_header_bytes(6), 0),
-                                              (max_header_bytes(6) + 1, 4)])
+    @pytest.mark.parametrize("length, code", [(MAX_HEADER_BYTES, 0),
+                                              (MAX_HEADER_BYTES + 1, 4)])
     def test_header_one_byte_past_the_cap_exits_4(self, abc_vocab, tmp_path, length, code):
-        header = {"id": 0, "logits_bytes": 8 * abc_vocab.size, "paths": [[]], "pad": ""}
+        header = {"id": 0, "logits_bytes": 8 * abc_vocab.size, "rows": [1], "pad": ""}
         header["pad"] = "x" * (length - len(json.dumps(header)))
-        assert frame(ZEROS, id=0, pad=header["pad"]).index(b"\n") == length
-        reply = lambda msg: frame(ZEROS, id=msg["id"], pad=header["pad"])  # ids below 10
+        assert frame(EOS_ROW, id=0, pad=header["pad"]).index(b"\n") == length
+        reply = lambda msg: frame(EOS_ROW, id=msg["id"], pad=header["pad"])  # ids below 10
         abc_vocab.save(tmp_path / "vocab.txt")
-        (tmp_path / "test.jsonl").write_text(json.dumps(
-            {"id": "u0", "reference": "a b", "nbest": [{"text": "a b", "score": 0.0}]}) + "\n")
+        (tmp_path / "test.jsonl").write_text(ONE_REFERENCE)
         server = LineServer(scripted({"hello": HELLO_OK, "step": reply}))
         try:
             assert cli.main([
@@ -1339,10 +1437,10 @@ class TestClientChecksLookaheadReplies:
     def test_a_plan_ends_once_fetched_or_left(self, abc_vocab, empty_ctx):
         sent = []
 
-        def step(msg):  # each path is its entry's follow
+        def step(msg):  # the rows of the follow, or one argmax row, each of argmax EOS
             sent.append(msg)
-            follow = msg["entries"][0].get("follow", [])
-            return frame(ZEROS * (len(follow) + 1), paths=[follow])
+            n_rows = 1 + len(msg["entries"][0].get("follow", []))
+            return frame(EOS_ROW * n_rows, rows=[n_rows])
 
         server = LineServer(scripted({"hello": HELLO_OK, "step": step}))
         try:
@@ -1355,8 +1453,8 @@ class TestClientChecksLookaheadReplies:
                 remote.next_logits((0,), empty_ctx)
         finally:
             server.close()
-        assert [[set(entry) - {"utt", "history"} for entry in msg["entries"]]
-                for msg in sent] == [[{"ahead"}], [{"ahead"}], [{"follow"}], [{"ahead"}]]
+        assert [[entry.get("follow") for entry in msg["entries"]] for msg in sent] == \
+            [[None], [None], [[3]], [None]]
 
 
 class CountingTransport:
@@ -1432,7 +1530,8 @@ def hash_references(vocab, lengths, contexts=HASH_CONTEXTS):
 def plain_request(msg) -> bool:
     """Whether `msg` is a step request of one entry that asks for one row."""
     return set(msg) == {"op", "id", "entries"} and len(msg["entries"]) == 1 and \
-        set(msg["entries"][0]) == {"utt", "history"}
+        set(msg["entries"][0]) == {"utt", "history", "follow"} and \
+        msg["entries"][0]["follow"] == []
 
 
 MANY_CONTEXTS = {f"m{i}": UtteranceContext(utt_id=f"m{i}") for i in range(40)}
@@ -1491,15 +1590,14 @@ class TestRoundTrips:
     def test_announced_decode_asks_for_a_full_path_on_every_request(self, abc_vocab):
         """Steps that always take the served argmin, never the argmax: the
         utterances were announced, so every entry of every request asks for
-        MAX_AHEAD - 1 argmax tokens all the same."""
+        the argmax rows all the same."""
         local = TieFreeHashProvider(abc_vocab)
         with ProviderServer(local, HASH_CONTEXTS) as server:
             remote, sent = recorded_connection(server.address, abc_vocab)
             with remote:
                 remote.prefetch([(ctx, None) for ctx in HASH_CONTEXTS.values()])
                 steps = take_the_argmin(remote, local, HASH_CONTEXTS.values())
-        assert all(entry.get("ahead") == wire.MAX_AHEAD - 1 and "follow" not in entry
-                   for msg in sent for entry in msg["entries"])
+        assert all(set(entry) == {"utt", "history"} for msg in sent for entry in msg["entries"])
         assert [len(msg["entries"]) for msg in sent[:2]] == [len(HASH_CONTEXTS), 1]
         # the first request brings every first row; every other step left a path
         assert remote.round_trips == len(sent) == steps - (len(HASH_CONTEXTS) - 1)
@@ -1508,7 +1606,7 @@ class TestRoundTrips:
     def test_unannounced_steps_send_plain_requests(self, abc_vocab):
         """Steps of utterances nobody announced, whether they take the served
         argmin or follow the argmax, ask for their one row each, one entry
-        per request."""
+        of "follow": [] per request."""
         local = TieFreeHashProvider(abc_vocab)
         with ProviderServer(local, HASH_CONTEXTS) as server:
             remote, sent = recorded_connection(server.address, abc_vocab)

@@ -4,9 +4,9 @@ A shim between the client and a real `ProviderServer` relays every
 request and reply of one command, and changes one step reply with one
 seeded mutation: a header node replaced by one of
 `test_malformed_inputs.MUTANTS` or deleted; "logits_bytes" moved by 8 or
-doubled; the frame cut short (and the connection closed) or extended; a
-"paths" entry dropped, duplicated or swapped with a different one; or a
-path id set to V or -1. The commands are a decode that announces its set
+doubled; the frame cut short (and the connection closed) or extended; or
+a "rows" count dropped, duplicated, moved by one, or set to 0 or
+MAX_AHEAD + 1. The commands are a decode that announces its set
 to a served corrector, a decode that does not announce it to a served
 acoustic model, and a calibration of a served corrector. A mutated run
 must exit 4 and leave no output file, unless its mutation is on HARMLESS,
@@ -14,12 +14,14 @@ whose entries each say why the run may succeed; its output must then
 equal the unmutated run's byte for byte. No run may raise, print a
 traceback or emit a warning. A step reply sent twice, or the reply to
 another step request sent in its place, must fail the same way with exit
-4: the reply's "id" does not pair with the request.
+4: the reply's "id" does not pair with the request. So must a step reply
+whose counts of two argmax entries are swapped: their rows no longer
+stop where the server's argmax stops them.
 
 The requests the shim relays on a clean run are mutated the same way,
 one node each, and sent to the server after a hello. Each must get one
 reply: an error header without a frame, or a step reply whose frame
-holds the rows of its paths. The unmutated request sent next must get
+holds the rows it counts. The unmutated request sent next must get
 the bytes it gets on a fresh connection. The seeds and the numbers of
 cases are fixed, so the same cases run each time.
 """
@@ -36,7 +38,7 @@ import pytest
 from latefuse import corpus
 from latefuse.core import Vocabulary
 from latefuse.providers import AcousticChannel, NgramCorrector
-from latefuse.wire import ProviderServer
+from latefuse.wire import MAX_AHEAD, ProviderServer
 from test_malformed_inputs import DELETE, MUTANTS, mutate, nodes, run
 
 SEED = 29
@@ -120,9 +122,7 @@ def line(header: dict) -> bytes:
 def choose_mutation(rng: random.Random, header: dict, frame: bytes, size: int):
     """(kind, what, reply, hang up) for one seeded mutation of the step
     reply `header` + `frame` over a vocabulary of `size` ids."""
-    paths = header["paths"]
-    ids = [("paths", i, k) for i, path in enumerate(paths) for k in range(len(path))]
-    kind = rng.choice(["node", "logits_bytes", "frame", "paths"] + ["path id"] * bool(ids))
+    kind = rng.choice(["node", "logits_bytes", "frame", "rows"])
     if kind == "node":
         path = rng.choice(list(nodes(header)))
         mutation = rng.choice(list(MUTANTS) + [DELETE] * bool(path))
@@ -141,30 +141,16 @@ def choose_mutation(rng: random.Random, header: dict, frame: bytes, size: int):
         extra = rng.randbytes(rng.choice([1, 8, len(frame)]))
         return "frame extended", f"frame extended by {len(extra)} bytes", \
             line(header) + frame + extra, False
-    if kind == "paths":
-        paths = list(paths)
-        i = rng.randrange(len(paths))
-        ops = ["drop", "duplicate"] + ["swap"] * any(p != paths[i] for p in paths)
-        op = rng.choice(ops)
-        if op == "drop":
-            del paths[i]
-        elif op == "duplicate":
-            paths.insert(i, paths[i])
-        else:
-            j = rng.choice([j for j, p in enumerate(paths) if p != paths[i]])
-            paths[i], paths[j] = paths[j], paths[i]
-        return f"paths {op}", f"paths[{i}] {op}", line({**header, "paths": paths}) + frame, False
-    at = rng.choice(ids)
-    value = rng.choice([size, -1])
-    changed = json.loads(json.dumps(header))
-    get(changed, at[:-1])[at[-1]] = value
-    return kind, f"{list(at)} <- {value}", line(changed) + frame, False
-
-
-def get(doc, at):
-    for key in at:
-        doc = doc[key]
-    return doc
+    rows = list(header["rows"])
+    i = rng.randrange(len(rows))
+    op = rng.choice(["drop", "duplicate", "+1", "-1", "0", "MAX_AHEAD + 1"])
+    if op == "drop":
+        del rows[i]
+    elif op == "duplicate":
+        rows.insert(i, rows[i])
+    else:
+        rows[i] = {"+1": rows[i] + 1, "-1": rows[i] - 1, "0": 0}.get(op, MAX_AHEAD + 1)
+    return f"rows {op}", f"rows[{i}] {op}", line({**header, "rows": rows}) + frame, False
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +288,33 @@ def test_unpaired_reply_exits_4(served, clean_runs, tmp_path, command, kind):
     assert not failures, "\n".join(failures)
 
 
+def test_swapped_argmax_counts_exit_4(served, clean_runs, tmp_path):
+    """The first step reply of the announced decode whose argmax entries
+    got different counts, with two of those counts swapped: each count is
+    still in [1, MAX_AHEAD] and the frame still holds their sum, but the
+    rows no longer stop where the server's argmax stops them."""
+    _, commands = served
+    upstream, argv = commands["announced-decode"]
+    _, (_, *steps), headers, _ = clean_runs["announced-decode"]
+    for target, (request, header) in enumerate(zip(steps, headers)):
+        counts = {header["rows"][i]: i for i, entry in enumerate(json.loads(request)["entries"])
+                  if "follow" not in entry}
+        if len(counts) > 1:
+            break
+    else:
+        pytest.fail("no step reply of the announced decode has two argmax counts that differ")
+    i, j = list(counts.values())[:2]
+    rows = list(header["rows"])
+    rows[i], rows[j] = rows[j], rows[i]
+    code, err, caught = run_through(
+        Shim(upstream, target, lambda header, frame: (line({**header, "rows": rows}) + frame,
+                                                      False)),
+        argv, tmp_path / "out", TIMEOUT)
+    assert (code, caught) == (4, []), err
+    assert "must stop at the first whose argmax" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def exchange(address: str, lines) -> bytes:
     """Every byte the server at `address` sends on a fresh connection that
     sends `lines`, then shuts its side for writing."""
@@ -317,19 +330,19 @@ def exchange(address: str, lines) -> bytes:
 
 def split_reply(data: bytes, size: int):
     """(the first reply of `data`, the bytes after it) if that reply is an
-    error header without a frame, or a step reply whose frame holds
-    len(path) + 1 rows of `size` logits for each of its paths; else
-    (None, why not)."""
+    error header without a frame, or a step reply whose frame holds as
+    many rows of `size` logits as its "rows" counts; else (None, why
+    not)."""
     head, newline, rest = data.partition(b"\n")
     if not newline:
         return None, f"no reply line in {data[:200]!r}"
     header = json.loads(head)
     if set(header) == {"error"} and isinstance(header["error"], str):
         return header, rest
-    paths = header.get("paths") if set(header) == {"id", "logits_bytes", "paths"} else None
-    if not (isinstance(paths, list) and all(isinstance(path, list) for path in paths)):
+    rows = header.get("rows") if set(header) == {"id", "logits_bytes", "rows"} else None
+    if not (isinstance(rows, list) and all(type(n) is int and n > 0 for n in rows)):
         return None, f"the reply {head[:200]!r}"
-    n_bytes = 8 * size * sum(len(path) + 1 for path in paths)
+    n_bytes = 8 * size * sum(rows)
     if header["logits_bytes"] != n_bytes or len(rest) < n_bytes:
         return None, f"{len(rest)} bytes after the reply {head[:200]!r}"
     return header, rest[n_bytes:]
