@@ -94,9 +94,8 @@ class Vocabulary:
 
     def decode(self, ids: TokenSeq) -> str:
         """Surface form of `ids`, dropping BOS/EOS markers."""
-        return " ".join(
-            self.tokens[i] for i in ids if i not in (self.BOS, self.EOS)
-        )
+        tokens = self.tokens
+        return " ".join([tokens[i] for i in ids if i not in (0, 1)])  # BOS, EOS
 
     def content_hash(self) -> str:
         """sha256 over the token list; used by the wire-protocol handshake."""

@@ -9,7 +9,10 @@ The N-best noise draw and the stored fusion-time observation are
 independent draws of the same channel, so hypothesis evidence and the
 acoustic provider are correlated but distinct. Everything is
 deterministic: per-record RNG streams are derived from the corpus seed
-and the utterance id.
+and the utterance id. Each generator's uniform and bounded-integer
+draws are decoded from its raw 64-bit words, read in blocks (`_Draws`),
+and are the values, in the order, that scalar `Generator.random()` and
+`Generator.integers(n)` calls return.
 
 `load_corpus` reads a record of the form `save_corpus` writes with a
 few plain type tests (`_plain_record`), and any other record through the
@@ -125,6 +128,68 @@ def _record_rng(seed: int, utt_id: str) -> np.random.Generator:
     return np.random.default_rng((seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big"))
 
 
+class _Draws:
+    """The values scalar `random()` and `integers(n)` calls on a fresh
+    PCG64 `Generator` return, decoded from its raw 64-bit words, which are
+    read `block` at a time with `bit_generator.random_raw`.
+
+    `random()` is a word's top 53 bits times 2**-53. `integers(n)`, for
+    1 <= n <= 2**32, is Lemire's bounded method on 32-bit halves: a
+    word's low half serves first and its high half is kept for the next
+    call, as PCG64's `has_uint32` buffer keeps it; `n == 1` draws
+    nothing. A block that runs out is refilled from the same bit
+    generator. `settle()` steps the bit generator back over the words not
+    yet decoded, so that a draw numpy then makes itself (one that reads
+    whole words, such as `normal`) goes on from the next word; a kept half
+    stays kept.
+    """
+
+    __slots__ = ("_raw", "_advance", "_block", "_words", "_half")
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self._raw = rng.bit_generator.random_raw
+        self._advance = rng.bit_generator.advance
+        self._block = block
+        self._words = iter(())
+        self._half = None
+
+    def _word(self) -> int:
+        for word in self._words:
+            return word
+        self._words = iter(self._raw(self._block).tolist())
+        return next(self._words)
+
+    def random(self) -> float:
+        for word in self._words:
+            return (word >> 11) * 2.0 ** -53
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:  # only then can the low 32 bits fall under the threshold
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def settle(self) -> None:
+        unread = self._words.__length_hint__()
+        if unread:
+            self._advance(-unread)
+            self._words = iter(())
+
+
 # Attractor structure of the substitution kernel: words form clusters of
 # HUB_CLUSTER consecutive ids whose first member is the cluster's "hub",
 # an acoustically central word that attracts HUB_PULL of its mates'
@@ -155,6 +220,9 @@ MAX_CHANNEL_VOCAB = 4096
 # temporaries: at V = 200, beam 8, calls of 1,024 searched 2,700 records
 # about 4% faster than calls of 512, at 2 MB more peak RSS.
 SEARCH_CANDIDATES = 1 << 15
+# Raw words `sample_references` reads at a time from a list of sentences,
+# whatever the number of references drawn.
+SOURCE_BLOCK = 256
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,7 +307,10 @@ def sample_references(sentences, n: int, seed: int, mean_len: float = 12.0) -> l
 
     A list is sampled with replacement; the built-in grammar fills each
     sentence with whole phrases to an exact per-sentence target length
-    drawn around `mean_len`.
+    drawn around `mean_len`. The `integers` and `random` draws are decoded
+    from the generator's raw words read in blocks (`_Draws`), and each
+    sentence's `normal` is drawn by numpy after `settle`, so the stream is
+    the one scalar calls on `default_rng(seed)` make.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -248,25 +319,28 @@ def sample_references(sentences, n: int, seed: int, mean_len: float = 12.0) -> l
             f"mean_len must be in [0, {MAX_MEAN_LEN:g}], got {mean_len}")
     rng = np.random.default_rng(seed)
     if sentences is not None:
-        return [sentences[int(rng.integers(len(sentences)))] for _ in range(n)]
-    return [" ".join(_grammar_sentence(rng, mean_len)) for _ in range(n)]
+        draws = _Draws(rng, SOURCE_BLOCK)
+        return [sentences[draws.integers(len(sentences))] for _ in range(n)]
+    draws = _Draws(rng, int(mean_len) + 8)  # most sentences' draws fit in one block
+    return [" ".join(_grammar_sentence(rng, draws, mean_len)) for _ in range(n)]
 
 
-def _grammar_sentence(rng: np.random.Generator, mean_len: float) -> list[str]:
+def _grammar_sentence(rng: np.random.Generator, draws: _Draws, mean_len: float) -> list[str]:
+    draws.settle()
     target = max(4, int(round(rng.normal(mean_len, mean_len / 4.0))))
     words: list[str] = []
     while len(words) < target:
         remaining = target - len(words)
-        connector = bool(words) and remaining >= 3 and rng.random() < 0.2
+        connector = bool(words) and remaining >= 3 and draws.random() < 0.2
         budget = remaining - (1 if connector else 0)
         options = [p for p in _PATTERNS if len(p) <= budget]
-        pattern = options[int(rng.integers(len(options)))]
+        pattern = options[draws.integers(len(options))]
         if connector:
             pool = WORD_POOLS["conn"]
-            words.append(pool[int(rng.integers(len(pool)))])
+            words.append(pool[draws.integers(len(pool))])
         for role in pattern:
             pool = WORD_POOLS[role]
-            words.append(pool[int(rng.integers(len(pool)))])
+            words.append(pool[draws.integers(len(pool))])
     return words
 
 
@@ -304,29 +378,34 @@ def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
     original: an inverse-CDF lookup of one uniform in the row's cached
     cumulative sums (`_substitution_cdf`), the same draw, and the same
     generator state after it, as `rng.choice(n_words, p=kernel[wid])`.
-    Inserted words are uniform over the word inventory.
+    Inserted words are uniform over the word inventory. Every draw is
+    decoded from one block of the record generator's raw words, 4 per
+    reference word and 2 more, which hold a record's draws unless a
+    bounded integer is rejected (`_Draws`); the stream is the one scalar
+    `random` and `integers` calls make.
     """
-    rng = _record_rng(channel.seed, utt_id)
+    draws = _Draws(_record_rng(channel.seed, utt_id), 4 * len(reference_words) + 2)
+    random, integers = draws.random, draws.integers
     n_words = vocab.size - 3
     cdf = _substitution_cdf(n_words, channel.concentration) if n_words > 1 else None
     out: list[str] = []
     for word in reference_words:
-        if rng.random() < channel.ins_rate and n_words > 0:
-            out.append(vocab.token_of(3 + int(rng.integers(n_words))))
-        roll = rng.random()
+        if random() < channel.ins_rate and n_words > 0:
+            out.append(vocab.token_of(3 + integers(n_words)))
+        roll = random()
         if roll < channel.sub_rate:
             wid = vocab.id_of(word) - 3
             if cdf is not None and wid >= 0:
                 out.append(vocab.token_of(
-                    3 + int(cdf[wid].searchsorted(rng.random(), side="right"))))
+                    3 + int(cdf[wid].searchsorted(random(), side="right"))))
             else:
                 out.append(word)
         elif roll < channel.sub_rate + channel.del_rate:
             continue
         else:
             out.append(word)
-    if rng.random() < channel.ins_rate and n_words > 0:
-        out.append(vocab.token_of(3 + int(rng.integers(n_words))))
+    if random() < channel.ins_rate and n_words > 0:
+        out.append(vocab.token_of(3 + integers(n_words)))
     return out
 
 

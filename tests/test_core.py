@@ -339,6 +339,12 @@ class TestVocabulary:
         assert ids == (3, 5, 4, 1)
         assert abc_vocab.decode(ids) == "a c b"
 
+    @pytest.mark.parametrize("ids, text", [
+        ((0, 3, 1, 4, 0, 5, 1), "a b c"), ([3, 2, 5], "a <unk> c"), ((), ""), ((1, 0), ""),
+    ], ids=["markers-inside", "list", "empty", "markers-only"])
+    def test_decode_drops_only_the_boundary_markers(self, abc_vocab, ids, text):
+        assert abc_vocab.decode(ids) == text
+
     def test_minimum_size(self):
         with pytest.raises(InvalidInputError):
             Vocabulary(tokens=("<s>", "</s>"))

@@ -110,28 +110,34 @@ class TestCorrupt:
 
 
 def frozen_corrupt(reference_words, channel, vocab, utt_id):
-    """`corrupt` over a vocabulary that holds every reference word, frozen
-    as it draws one scalar at a time: per word a uniform for an insertion
-    (then `integers` for the inserted word, which takes a buffered 32-bit
-    half, not a fresh double), a uniform roll, and for a substitution a
-    uniform looked up in the kernel row's cumulative sums; then a last
-    insertion uniform (and word). A bulk draw must keep this stream."""
+    """`corrupt` frozen as it draws one scalar at a time: per word a
+    uniform for an insertion (then `integers` for the inserted word, which
+    takes a buffered 32-bit half, not a fresh double), a uniform roll, and
+    for a substitution of a word in the vocabulary a uniform looked up in
+    the kernel row's cumulative sums; then a last insertion uniform (and
+    word). A vocabulary of no word inserts none, and one of a single word
+    builds no cumulative sums and `integers(1)` draws nothing. A bulk draw
+    must keep this stream."""
     rng = corpus._record_rng(channel.seed, utt_id)
     n_words = vocab.size - 3
-    cdf = corpus._substitution_cdf(n_words, channel.concentration)
+    cdf = corpus._substitution_cdf(n_words, channel.concentration) if n_words > 1 else None
     out = []
     for word in reference_words:
-        if rng.random() < channel.ins_rate:
+        if rng.random() < channel.ins_rate and n_words > 0:
             out.append(vocab.token_of(3 + int(rng.integers(n_words))))
         roll = rng.random()
         if roll < channel.sub_rate:
-            row = cdf[vocab.id_of(word) - 3]
-            out.append(vocab.token_of(3 + int(row.searchsorted(rng.random(), side="right"))))
+            wid = vocab.id_of(word) - 3
+            if cdf is not None and wid >= 0:
+                out.append(vocab.token_of(
+                    3 + int(cdf[wid].searchsorted(rng.random(), side="right"))))
+            else:
+                out.append(word)
         elif roll < channel.sub_rate + channel.del_rate:
             continue
         else:
             out.append(word)
-    if rng.random() < channel.ins_rate:
+    if rng.random() < channel.ins_rate and n_words > 0:
         out.append(vocab.token_of(3 + int(rng.integers(n_words))))
     return out
 
@@ -154,6 +160,121 @@ class TestCorruptDrawStream:
             lengths.append(len(got) - len(words))
         if ins_rate > del_rate:
             assert max(lengths) > 1  # several insertions in a record
+
+    @pytest.mark.parametrize("words", [(), ("x",), ("x", "y")], ids=["0", "1", "2"])
+    def test_small_vocabularies_equal_the_frozen_scalar_loop(self, words):
+        """Below two words no cumulative sums are built, and below one no
+        word is inserted; a reference word outside the vocabulary is kept."""
+        vocab = Vocabulary.from_words(words)
+        channel = ChannelSpec(0.4, 0.1, 0.5, seed=3)
+        reference = ["x", "y", "z"] * 4
+        for i in range(300):
+            got = corrupt(reference, channel, vocab, utt_id=f"q{i}")
+            assert got == frozen_corrupt(reference, channel, vocab, f"q{i}")
+
+
+def frozen_sample_references(sentences, n, seed, mean_len=12.0):
+    """`sample_references` frozen as it drew one scalar at a time from
+    `default_rng(seed)`: per reference an `integers` over the list, or per
+    sentence a `normal` target and then, per phrase, a connector uniform
+    and `integers` for the pattern and each word."""
+    rng = np.random.default_rng(seed)
+    if sentences is not None:
+        return [sentences[int(rng.integers(len(sentences)))] for _ in range(n)]
+    out = []
+    for _ in range(n):
+        target = max(4, int(round(rng.normal(mean_len, mean_len / 4.0))))
+        words = []
+        while len(words) < target:
+            remaining = target - len(words)
+            connector = bool(words) and remaining >= 3 and rng.random() < 0.2
+            budget = remaining - (1 if connector else 0)
+            options = [p for p in corpus._PATTERNS if len(p) <= budget]
+            pattern = options[int(rng.integers(len(options)))]
+            if connector:
+                pool = corpus.WORD_POOLS["conn"]
+                words.append(pool[int(rng.integers(len(pool)))])
+            for role in pattern:
+                pool = corpus.WORD_POOLS[role]
+                words.append(pool[int(rng.integers(len(pool)))])
+        out.append(" ".join(words))
+    return out
+
+
+class TestReferenceDrawStream:
+    """`sample_references` equals the frozen scalar-draw loop: grammar
+    sentences, whose `normal` targets fall between the decoded draws, at
+    several seeds and mean lengths, and lists of sentences, of which a
+    list of one draws nothing."""
+
+    @pytest.mark.parametrize("mean_len", [0, 3, 12, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 31])
+    def test_grammar_equals_the_frozen_scalar_loop(self, seed, mean_len):
+        got = sample_references(None, 150, seed, mean_len=mean_len)
+        assert got == frozen_sample_references(None, 150, seed, mean_len=mean_len)
+
+    @pytest.mark.parametrize("sentences", [["one line"], ["a b", "c d e", "f"]],
+                             ids=["1", "3"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_list_equals_the_frozen_scalar_loop(self, seed, sentences):
+        n = 3 * corpus.SOURCE_BLOCK + 5  # reads past several blocks
+        assert sample_references(sentences, n, seed) == \
+            frozen_sample_references(sentences, n, seed)
+
+
+class TestRawWordDraws:
+    """`_Draws` returns what scalar `random()` and `integers(n)` calls on a
+    twin `default_rng` return, interleaved at random, through block
+    refills and Lemire rejections; after `settle()` the twin's next
+    whole-word draws are the helper generator's."""
+
+    BOUNDS = [1, 2, 3, 197, 2**31 + 1, 2**32]
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interleaved_draws_equal_a_twin_generator(self, seed, block):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = corpus._Draws(rng, block)
+        pick = np.random.default_rng(100 + seed)
+        for op in pick.integers(len(self.BOUNDS) + 1, size=2000).tolist():
+            if op == len(self.BOUNDS):
+                x = draws.random()
+                assert type(x) is float and x == twin.random()
+            else:
+                n = self.BOUNDS[op]
+                x = draws.integers(n)
+                assert type(x) is int and x == int(twin.integers(n))
+
+    def test_rejections_at_a_bound_past_two_to_the_31(self):
+        """At 2**31 + 1 Lemire's loop rejects about half the halves, which
+        no corpus draw comes near: 400 values then take about 800 halves,
+        400 words, where 400 halves would take 200."""
+        n = 2**31 + 1
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        draws = corpus._Draws(rng, 1)
+        assert [draws.integers(n) for _ in range(400)] == \
+            [int(twin.integers(n)) for _ in range(400)]
+        fresh, words = np.random.default_rng(5).bit_generator, 0
+        while fresh.state["state"] != rng.bit_generator.state["state"]:
+            fresh.random_raw()
+            words += 1
+        assert words > 300
+
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_settle_hands_numpy_the_next_word(self, seed, block):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = corpus._Draws(rng, block)
+        pick = np.random.default_rng(200 + seed)
+        for _round in range(50):
+            for n in pick.integers(1, 300, size=int(pick.integers(0, 12))).tolist():
+                if n % 4 == 0:
+                    assert draws.random() == twin.random()
+                else:
+                    assert draws.integers(n) == int(twin.integers(n))
+            draws.settle()
+            assert rng.normal(3.0, 2.0) == twin.normal(3.0, 2.0)
+            assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
 
 
 class TestSubstitutionDraw:
