@@ -14,12 +14,12 @@ draws are decoded from its raw 64-bit words, read in blocks (`_Draws`),
 and are the values, in the order, that scalar `Generator.random()` and
 `Generator.integers(n)` calls return.
 
-`load_corpus` reads a record of the form `save_corpus` writes with a
-few plain type tests (`_plain_record`), and any other record through the
-per-field checks (`_checked_record`), which name a field that fails with
-its file, line and hypothesis rank, and read the other forms an external
-file may take: integer ids and scores, plain-string hypotheses,
-hypotheses without a score and records without an observation.
+`load_corpus` reads each record in one walk (`_record`): a field of the
+form `save_corpus` writes passes a plain type test, and only a field
+that fails it goes through its check, which reads the other forms a
+file may take (integer ids and scores, plain-string hypotheses,
+hypotheses without a score, records without an observation) or names
+the field with its file, line and hypothesis rank.
 """
 
 from __future__ import annotations
@@ -79,6 +79,10 @@ _PATTERNS = (
     ("prep", "time"),
     ("adv",),
 )
+# The patterns of at most b words, in `_PATTERNS` order, for each budget
+# b up to the longest pattern's length; a larger budget takes them all.
+_LONGEST = max(map(len, _PATTERNS))
+_FITTING = tuple(tuple(p for p in _PATTERNS if len(p) <= b) for b in range(_LONGEST + 1))
 
 
 def builtin_vocabulary() -> Vocabulary:
@@ -333,7 +337,7 @@ def _grammar_sentence(rng: np.random.Generator, draws: _Draws, mean_len: float) 
         remaining = target - len(words)
         connector = bool(words) and remaining >= 3 and draws.random() < 0.2
         budget = remaining - (1 if connector else 0)
-        options = [p for p in _PATTERNS if len(p) <= budget]
+        options = _FITTING[min(budget, _LONGEST)]
         pattern = options[draws.integers(len(options))]
         if connector:
             pool = WORD_POOLS["conn"]
@@ -503,33 +507,17 @@ def save_corpus(records, path):
             }) + "\n")
 
 
-DEFAULT_FIELD_MAP = {
-    "id": "id",
-    "reference": "reference",
-    "observation": "observation",
-    "nbest": "nbest",
-    "nbest_text": "text",
-    "nbest_score": "score",
-}
-
-
-def load_corpus(path, field_map: dict | None = None) -> list[CorpusRecord]:
-    """Load newline-delimited records, optionally remapping field names.
-
-    `field_map` overrides DEFAULT_FIELD_MAP entries, so external
-    hypotheses-transcription files (hypothesis array + transcription
-    field) can be ingested directly. Hypotheses without a score field get
-    rank-derived fallbacks (0, -1, -2, ...); a missing observation field
-    defaults to the first hypothesis.
-    """
-    fmap = dict(DEFAULT_FIELD_MAP)
-    fmap.update(field_map or {})
+def load_corpus(path) -> list[CorpusRecord]:
+    """Load newline-delimited records (`_record`). Hypotheses without a
+    score get rank-derived fallbacks (0, -1, -2, ...); a missing
+    observation defaults to the first hypothesis; an `id` that repeats an
+    earlier record's is a data error."""
     records, first_line = [], {}
     for line_no, raw in read_json_lines(path):
-        record = _plain_record(raw, fmap) or _checked_record(raw, fmap, path, line_no)
+        record = _record(raw, path, line_no)
         if record.id in first_line:
-            raise CorpusSchemaError(fmap["id"], (
-                f"{path}:{line_no}: {fmap['id']!r} {record.id!r} repeats the record "
+            raise CorpusSchemaError("id", (
+                f"{path}:{line_no}: 'id' {record.id!r} repeats the record "
                 f"on line {first_line[record.id]}"))
         first_line[record.id] = line_no
         records.append(record)
@@ -548,63 +536,43 @@ def read_json_lines(path):
         yield line_no, value
 
 
-def _plain_record(raw, fmap: dict) -> CorpusRecord | None:
-    """`_checked_record`'s record of `raw` when `raw` takes the plain form
-    `save_corpus` writes: a string id, a non-blank reference, a non-empty
-    list of hypotheses that are objects with a text and a finite float
-    score, an observation that is a string or absent, and no text holding
-    "s>" (`_words`). Else None, and `_checked_record` decides: it names the
-    field that fails, or reads the other forms it takes."""
+def _record(raw, path, line_no: int) -> CorpusRecord:
+    """The record of one parsed line, its fields read in order: id,
+    reference, nbest, each hypothesis, observation. A field of the form
+    `save_corpus` writes passes a plain type test; any other goes through
+    its check (`json_field`, `_words`), which reads the other forms or
+    names the field, the file and the line (and the hypothesis's rank)."""
     if type(raw) is not dict:
-        return None
-    utt_id, reference = raw.get(fmap["id"]), raw.get(fmap["reference"])
-    hyps = raw.get(fmap["nbest"])
-    if not (type(utt_id) is str and type(reference) is str and reference.strip()
-            and "s>" not in reference and type(hyps) is list and hyps):
-        return None
-    text_key, score_key = fmap["nbest_text"], fmap["nbest_score"]
-    nbest = []
-    for hyp in hyps:
-        if type(hyp) is not dict:
-            return None
-        text, score = hyp.get(text_key), hyp.get(score_key)
-        if not (type(text) is str and "s>" not in text
-                and type(score) is float and math.isfinite(score)):
-            return None
-        nbest.append((text, score))
-    observation = raw.get(fmap["observation"], nbest[0][0])
-    if type(observation) is not str or "s>" in observation:
-        return None
-    return CorpusRecord(id=utt_id, reference=reference, observation=observation,
-                        nbest=tuple(nbest))
-
-
-def _checked_record(raw, fmap: dict, path, line_no: int) -> CorpusRecord:
-    """The record of one parsed line, checked field by field; a field that
-    fails its check is a data error naming the field, the file and the line
-    (and the hypothesis's rank)."""
-    if not isinstance(raw, dict):
         raise CorpusParseError(path, line_no, "a record must be a JSON object")
-    where = f"{path}:{line_no}"
-    utt_id = json_field(raw, fmap["id"], (str, int), where=where)
-    reference = _words(json_field(raw, fmap["reference"], (str,), str.strip,
-                                  "a non-empty string", where), fmap["reference"], where)
-    hyps = json_field(raw, fmap["nbest"], (list,), len, "a non-empty list", where)
+    utt_id = raw.get("id")
+    if type(utt_id) is not str:
+        utt_id = str(json_field(raw, "id", (str, int), where=f"{path}:{line_no}"))
+    reference = raw.get("reference")
+    if not (type(reference) is str and reference.strip() and "s>" not in reference):
+        where = f"{path}:{line_no}"
+        reference = _words(json_field(raw, "reference", (str,), str.strip,
+                                      "a non-empty string", where), "reference", where)
+    hyps = raw.get("nbest")
+    if not (type(hyps) is list and hyps):  # the check raises
+        hyps = json_field(raw, "nbest", (list,), len, "a non-empty list", f"{path}:{line_no}")
     nbest = []
     for rank, hyp in enumerate(hyps):
-        at = f"{where}: hypothesis {rank}"
-        text = hyp if isinstance(hyp, str) else \
-            json_field(hyp, fmap["nbest_text"], (str,), where=at)
+        if type(hyp) is dict:
+            text, score = hyp.get("text"), hyp.get("score")
+            if (type(text) is str and "s>" not in text
+                    and type(score) is float and math.isfinite(score)):
+                nbest.append((text, score))
+                continue
+        at = f"{path}:{line_no}: hypothesis {rank}"
+        text = hyp if type(hyp) is str else json_field(hyp, "text", (str,), where=at)
         score = -float(rank)  # a plain string, or a hypothesis without a score
-        if isinstance(hyp, dict) and hyp.get(fmap["nbest_score"]) is not None:
-            score = float(json_field(hyp, fmap["nbest_score"], (int, float), where=at))
-        nbest.append((_words(text, fmap["nbest_text"], at), score))
-    observation = _words(json_field(raw, fmap["observation"], (str,), where=where),
-                         fmap["observation"], where) \
-        if fmap["observation"] in raw else nbest[0][0]
-    return CorpusRecord(
-        id=str(utt_id),
-        reference=reference,
-        observation=observation,
-        nbest=tuple(nbest),
-    )
+        if type(hyp) is dict and hyp.get("score") is not None:
+            score = float(json_field(hyp, "score", (int, float), where=at))
+        nbest.append((_words(text, "text", at), score))
+    observation = raw.get("observation", nbest[0][0])  # the 1-best text, checked above
+    if (type(observation) is not str or "s>" in observation) and "observation" in raw:
+        where = f"{path}:{line_no}"
+        observation = _words(json_field(raw, "observation", (str,), where=where),
+                             "observation", where)
+    return CorpusRecord(id=utt_id, reference=reference, observation=observation,
+                        nbest=tuple(nbest))

@@ -542,13 +542,6 @@ class TestSerialization:
         assert message.startswith(f"{path}:2:{named} reserved token ")
         assert message.endswith(f" in {field!r}")
 
-    def test_reserved_token_names_the_mapped_field(self, tmp_path):
-        path = tmp_path / "external.jsonl"
-        path.write_text(json.dumps({"id": "a", "output": "x </s>", "nbest": ["x"]}) + "\n")
-        with pytest.raises(CorpusSchemaError) as err:
-            load_corpus(path, field_map={"reference": "output"})
-        assert err.value.field == "output"
-
     def test_unknown_word_token_is_text(self, tmp_path):
         raw = {"id": "a", "reference": "x <unk>", "observation": "<unk> x",
                "nbest": ["<unk>", {"text": "x <unk>"}]}
@@ -591,7 +584,7 @@ class TestSerialization:
             for utt_id in (0, 12, "u")))
         assert [rec.id for rec in load_corpus(path)] == ["0", "12", "u"]
 
-    def test_field_map_ingests_external_format(self, tmp_path):
+    def test_external_format_is_read_after_renaming_its_keys(self, tmp_path):
         raw = {
             "utt": "ext-1",
             "output": "the true words",
@@ -601,12 +594,11 @@ class TestSerialization:
                        {"hyp": "the blue words", "am_score": -3.0},
                        {"hyp": "the true wards", "am_score": -3.5}],
         }
-        path = tmp_path / "external.jsonl"
-        path.write_text(json.dumps(raw) + "\n")
-        records = load_corpus(path, field_map={
-            "id": "utt", "reference": "output", "nbest": "input1",
-            "nbest_text": "hyp", "nbest_score": "am_score",
-        })
+        renamed = {"id": raw["utt"], "reference": raw["output"],
+                   "nbest": [{"text": h["hyp"], "score": h["am_score"]} for h in raw["input1"]]}
+        path = tmp_path / "renamed.jsonl"
+        path.write_text(json.dumps(renamed) + "\n")
+        records = load_corpus(path)
         assert len(records) == 1
         assert len(records[0].nbest) == 5
         assert records[0].nbest[0] == ("the true words", -1.5)
@@ -662,11 +654,15 @@ def _plain_line(utt_id, n_hyps=5):
                       for rank in range(n_hyps)]}
 
 
+# The hypotheses of `_plain_line(utt_id)` as `load_corpus` reads them.
+_PLAIN_NBEST = tuple((f"x y{' z' * rank}", -0.25 - rank) for rank in range(5))
+
+
 class TestPlainAndCheckedRecords:
-    """`load_corpus` reads a record of the plain form `save_corpus` writes
-    with plain type tests, and hands any other to the per-field checks:
-    a bad field is named with its file, line and hypothesis rank wherever
-    it sits, and the other forms the checks take are still read."""
+    """`load_corpus` reads a field of the plain form `save_corpus` writes
+    with a plain type test, and hands any other field to its check: a bad
+    field is named with its file, line and hypothesis rank wherever it
+    sits, and the other forms the checks take are still read."""
 
     def write(self, tmp_path, last):
         path = tmp_path / "corpus.jsonl"
@@ -738,32 +734,75 @@ class TestPlainAndCheckedRecords:
             ("x bus>", -3.0), ("y", -1.0), ("z", -2.0), ("x", -3.0), ("x y", 0.0)))
         assert all(type(score) is float for _text, score in rec.nbest)
 
-    def test_plain_records_equal_the_checked_records(self, tmp_path):
+    def test_generated_corpus_round_trips_with_and_without_observation(self, tmp_path):
         splits, _vocab = generate_corpus(ChannelSpec(seed=23), 8, 3, 8)
         records = [rec for split in splits.values() for rec in split]
         path = tmp_path / "corpus.jsonl"
         save_corpus(records, path)
-        fmap = corpus.DEFAULT_FIELD_MAP
-        for line_no, raw in corpus.read_json_lines(path):
-            for raw in (raw, {key: value for key, value in raw.items()
-                              if key != "observation"}):
-                plain = corpus._plain_record(raw, fmap)
-                assert plain is not None
-                assert plain == corpus._checked_record(raw, fmap, path, line_no)
         assert load_corpus(path) == records
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for raw in lines:
+            del raw["observation"]
+        path.write_text("".join(json.dumps(raw) + "\n" for raw in lines))
+        assert load_corpus(path) == [
+            CorpusRecord(id=rec.id, reference=rec.reference, observation=rec.nbest[0][0],
+                         nbest=rec.nbest) for rec in records]
 
-    @pytest.mark.parametrize("edit", [
-        lambda raw: raw.update(id=3),
-        lambda raw: raw["nbest"].__setitem__(2, "x y"),
-        lambda raw: raw["nbest"][4].update(score=-4),
-        lambda raw: raw["nbest"][4].pop("score"),
-        lambda raw: raw.update(reference="bus> x"),
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda raw: raw.update(id=3), CorpusRecord(
+            id="3", reference="x y z", observation="x z", nbest=_PLAIN_NBEST)),
+        (lambda raw: raw["nbest"].__setitem__(2, "x y"), CorpusRecord(
+            id="c", reference="x y z", observation="x z",
+            nbest=_PLAIN_NBEST[:2] + (("x y", -2.0),) + _PLAIN_NBEST[3:])),
+        (lambda raw: raw["nbest"][4].update(score=-4), CorpusRecord(
+            id="c", reference="x y z", observation="x z",
+            nbest=_PLAIN_NBEST[:4] + (("x y z z z z", -4.0),))),
+        (lambda raw: raw["nbest"][4].pop("score"), CorpusRecord(
+            id="c", reference="x y z", observation="x z",
+            nbest=_PLAIN_NBEST[:4] + (("x y z z z z", -4.0),))),
+        (lambda raw: raw.update(reference="bus> x"), CorpusRecord(
+            id="c", reference="bus> x", observation="x z", nbest=_PLAIN_NBEST)),
     ], ids=["int-id", "string-hypothesis", "int-score", "no-score",
             "word-ending-in-s>"])
-    def test_forms_the_plain_tests_leave_to_the_checks(self, tmp_path, edit):
+    def test_forms_the_plain_tests_leave_to_the_checks(self, tmp_path, edit, expected):
         raw = _plain_line("c")
         edit(raw)
-        fmap = corpus.DEFAULT_FIELD_MAP
-        assert corpus._plain_record(raw, fmap) is None
         path = self.write(tmp_path, raw)
-        assert load_corpus(path)[-1] == corpus._checked_record(raw, fmap, path, 3)
+        assert load_corpus(path)[-1] == expected
+
+    @pytest.mark.parametrize("first, second", [
+        (lambda raw: raw.update(id=True), lambda raw: raw.update(reference=" ")),
+        (lambda raw: raw.update(reference="x </s>"),
+         lambda raw: raw["nbest"].__setitem__(2, {"text": 5, "score": -1.0})),
+        (lambda raw: raw["nbest"].__setitem__(1, {"text": "x <s>", "score": -1.0}),
+         lambda raw: raw["nbest"].__setitem__(3, {"text": "x", "score": math.nan})),
+        (lambda raw: raw["nbest"].__setitem__(4, {"score": -1.0}),
+         lambda raw: raw.update(observation=None)),
+    ], ids=["id-reference", "reference-hypothesis-2", "hypotheses-1-3",
+            "hypothesis-4-observation"])
+    def test_first_bad_field_of_a_record_is_named(self, tmp_path, first, second):
+        """Fields are checked in the order id, reference, nbest, hypotheses
+        by rank, observation: a record with two bad fields fails as it does
+        with the first alone."""
+        messages = []
+        for edits in ((first,), (second,), (first, second)):
+            raw = _plain_line("c")
+            for edit in edits:
+                edit(raw)
+            with pytest.raises(CorpusSchemaError) as err:
+                load_corpus(self.write(tmp_path, raw))
+            messages.append(str(err.value))
+        alone, other, both = messages
+        assert both == alone != other
+
+    def test_missing_observation_reads_a_1_best_ending_in_s(self, tmp_path):
+        last = _plain_line("c")
+        del last["observation"]
+        last["nbest"][0]["text"] = "x bus>"
+        *_, rec = load_corpus(self.write(tmp_path, last))
+        assert rec.observation == rec.nbest[0][0] == "x bus>"
+        last["observation"] = None
+        path = self.write(tmp_path, last)
+        with pytest.raises(CorpusSchemaError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"{path}:3: 'observation' must be a string, got None"
