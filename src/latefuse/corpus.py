@@ -8,11 +8,14 @@ per kernel: the same draw `Generator.choice` makes with the row as `p`.
 The N-best noise draw and the stored fusion-time observation are
 independent draws of the same channel, so hypothesis evidence and the
 acoustic provider are correlated but distinct. Everything is
-deterministic: per-record RNG streams are derived from the corpus seed
-and the utterance id. Each generator's uniform and bounded-integer
-draws are decoded from its raw 64-bit words, read in blocks (`_Draws`),
-and are the values, in the order, that scalar `Generator.random()` and
-`Generator.integers(n)` calls return.
+deterministic: each noise draw's stream is `default_rng` of the corpus
+seed xor a sha256 of the utterance id, and `generate_corpus` seeds every
+draw's PCG64 state in one batch (`_record_bits`), with numpy's seeding
+arithmetic run on arrays, then hands each `corrupt` call its bit
+generator. Each generator's uniform and bounded-integer draws are decoded
+from its raw 64-bit words, read in blocks (`_Draws`), and are the values,
+in the order, that scalar `Generator.random()` and `Generator.integers(n)`
+calls return.
 
 `load_corpus` reads each record in one walk (`_record`): a field of the
 form `save_corpus` writes passes a plain type test, and only a field
@@ -110,8 +113,8 @@ class ChannelSpec:
         if not (math.isfinite(self.concentration) and self.concentration > 0):
             raise InvalidParameterError(
                 f"concentration must be finite and > 0, got {self.concentration}")
-        if not self.seed >= 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # record noise reads a seed's low 64 bits only
+            raise InvalidParameterError(f"seed must be in [0, 2**64), got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,17 +128,60 @@ class CorpusRecord:
     nbest: tuple = field(default_factory=tuple)  # ((text, score), ...) best-first
 
 
-def _record_rng(seed: int, utt_id: str) -> np.random.Generator:
+# SeedSequence's 32-bit hash constants follow a fixed sequence whatever the
+# seed: 16 steps of the first mix the pool, 8 of the second make the state.
+# NEP 19 does not promise this seeding across numpy versions (TestBatchedSeeding).
+_M32 = 0xFFFFFFFF
+_POOL_HASH = [0x43B0D7E5 * 0x931E8875 ** k & _M32 for k in range(17)]
+_STATE_HASH = [0x8B51F9DD * 0x58F38DED ** k & _M32 for k in range(9)]
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+
+def _record_bits(seed: int, utt_ids):
+    """For each id in turn, one reused `PCG64` in the state
+    `default_rng(seed ^ int(sha256(id)[:8]))` starts in, `seed < 2**64`.
+
+    Every id is hashed and seeded before the first is yielded: SeedSequence
+    (a pool of 4 words mixed from the seed's two 32-bit halves, then
+    `generate_state(4, uint64)`) runs on uint64 arrays masked to 32 bits,
+    and `pcg64_set_seed` in Python ints mod 2**128. A record's words must
+    be read before the next is yielded, which sets the state anew."""
     import hashlib  # here, not at the top: only a corpus draw (`simulate`) needs it
 
-    digest = hashlib.sha256(utt_id.encode("utf-8")).digest()
-    return np.random.default_rng((seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big"))
+    seeds = np.array([seed ^ int.from_bytes(hashlib.sha256(u.encode("utf-8")).digest()[:8], "big")
+                      for u in utt_ids], dtype=np.uint64)
+
+    def hashmix(v, consts):
+        xor, mult = next(consts)
+        v = (v ^ xor) * mult & _M32
+        return v ^ v >> 16
+
+    mixing, zeros = iter(zip(_POOL_HASH, _POOL_HASH[1:])), np.zeros_like(seeds)
+    pool = [hashmix(v, mixing) for v in (seeds & _M32, seeds >> 32, zeros, zeros)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                r = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src], mixing) & _M32
+                pool[dst] = r ^ r >> 16
+    state = iter(zip(_STATE_HASH, _STATE_HASH[1:]))
+    halves = np.stack([hashmix(pool[i % 4], state) for i in range(8)], axis=1)
+    words = halves[:, 0::2] | halves[:, 1::2] << 32  # (ids, 4), as generate_state returns them
+    del seeds, zeros, pool, halves  # only `words` is held while the records are drawn
+    bits = np.random.PCG64()
+    for w0, w1, w2, w3 in map(np.ndarray.tolist, words):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _M128, "inc": inc}}
+        yield bits
 
 
 class _Draws:
     """The values scalar `random()` and `integers(n)` calls on a fresh
-    PCG64 `Generator` return, decoded from its raw 64-bit words, which are
-    read `block` at a time with `bit_generator.random_raw`.
+    `Generator` of the PCG64 `bits` return, decoded from its raw 64-bit
+    words, which are read `block` at a time with `bits.random_raw`; only
+    those words and `bits.advance` are used, so `bits` may be one that
+    `_record_bits` reuses.
 
     `random()` is a word's top 53 bits times 2**-53. `integers(n)`, for
     1 <= n <= 2**32, is Lemire's bounded method on 32-bit halves: a
@@ -150,9 +196,9 @@ class _Draws:
 
     __slots__ = ("_raw", "_advance", "_block", "_words", "_half")
 
-    def __init__(self, rng: np.random.Generator, block: int):
-        self._raw = rng.bit_generator.random_raw
-        self._advance = rng.bit_generator.advance
+    def __init__(self, bits: np.random.PCG64, block: int):
+        self._raw = bits.random_raw
+        self._advance = bits.advance
         self._block = block
         self._words = iter(())
         self._half = None
@@ -323,9 +369,9 @@ def sample_references(sentences, n: int, seed: int, mean_len: float = 12.0) -> l
             f"mean_len must be in [0, {MAX_MEAN_LEN:g}], got {mean_len}")
     rng = np.random.default_rng(seed)
     if sentences is not None:
-        draws = _Draws(rng, SOURCE_BLOCK)
+        draws = _Draws(rng.bit_generator, SOURCE_BLOCK)
         return [sentences[draws.integers(len(sentences))] for _ in range(n)]
-    draws = _Draws(rng, int(mean_len) + 8)  # most sentences' draws fit in one block
+    draws = _Draws(rng.bit_generator, int(mean_len) + 8)  # most sentences' draws fit in one block
     return [" ".join(_grammar_sentence(rng, draws, mean_len)) for _ in range(n)]
 
 
@@ -374,10 +420,13 @@ def _read_sentences(source) -> list[str]:
 
 
 def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
-            utt_id: str = "") -> list[str]:
+            utt_id: str = "", *, bits: np.random.PCG64 | None = None) -> list[str]:
     """Apply per-word substitution/deletion plus boundary insertions.
 
-    Deterministic given (channel.seed, utt_id). Substitutions are drawn
+    Deterministic given (channel.seed, utt_id): the draws come from `bits`,
+    the record's bit generator as `_record_bits` seeds a batch of ids
+    (`generate_corpus` hands one over per call), or, if None, from a batch
+    of `utt_id` alone, which is seeded the same. Substitutions are drawn
     from the kernel row of the source word, which never returns the
     original: an inverse-CDF lookup of one uniform in the row's cached
     cumulative sums (`_substitution_cdf`), the same draw, and the same
@@ -388,7 +437,9 @@ def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
     bounded integer is rejected (`_Draws`); the stream is the one scalar
     `random` and `integers` calls make.
     """
-    draws = _Draws(_record_rng(channel.seed, utt_id), 4 * len(reference_words) + 2)
+    if bits is None:
+        bits = next(_record_bits(channel.seed, [utt_id]))
+    draws = _Draws(bits, 4 * len(reference_words) + 2)
     random, integers = draws.random, draws.integers
     n_words = vocab.size - 3
     cdf = _substitution_cdf(n_words, channel.concentration) if n_words > 1 else None
@@ -447,8 +498,9 @@ def generate_corpus(
     Returns (splits, vocab) where splits maps split name to records. Each
     record carries an N-best list produced by beam search over the
     channel's decoder matrix on one noise draw, and an independent second
-    noise draw as the fusion-time observation. Every record's draws come
-    first, then one `beam_search` call per chunk (`SEARCH_CANDIDATES`)
+    noise draw as the fusion-time observation. Every draw's bit generator
+    is seeded in one batch (`_record_bits`), then every record's draws
+    come, then one `beam_search` call per chunk (`SEARCH_CANDIDATES`)
     searches its utterances in lockstep, reading each decoder row once.
     """
     from .decoding import MAX_BEAM_WIDTH, beam_search
@@ -475,15 +527,18 @@ def generate_corpus(
     sizes = (("train", n_train), ("val", n_val), ("test", n_test))
     ids = [f"{split}-{i:05d}" for split, count in sizes for i in range(count)]
     references, observed, ctxs, caps = [], [], [], []
+    bits = _record_bits(channel.seed, (utt_id + tag for utt_id in ids
+                                        for tag in ("#nbest", "#obs")))
     for utt_id, reference in zip(ids, sample_references(sentences, len(ids), channel.seed,
                                                         mean_len=mean_len)):
         ref_words = reference.split()
-        nbest_words = corrupt(ref_words, channel, vocab, utt_id=utt_id + "#nbest")
+        nbest_words = corrupt(ref_words, channel, vocab, bits=next(bits))
         references.append(" ".join(ref_words))
-        observed.append(" ".join(corrupt(ref_words, channel, vocab, utt_id=utt_id + "#obs")))
+        observed.append(" ".join(corrupt(ref_words, channel, vocab, bits=next(bits))))
         ctxs.append(UtteranceContext(
             utt_id=utt_id, observation=encode_observation(" ".join(nbest_words), vocab)))
         caps.append(max(4, len(nbest_words) + 4))
+    del bits  # the batch's seeding words: freed before the search, not held through it
     chunk = max(1, SEARCH_CANDIDATES // (beam_width * min(beam_width, vocab.size)))
     nbests = []
     for lo in range(0, len(ids), chunk):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -37,6 +38,8 @@ class TestChannelSpec:
         {"ins_rate": 1.2},
         {"sub_rate": 0.8, "del_rate": 0.3},
         {"concentration": 0.0},
+        {"seed": -1},
+        {"seed": 2**64},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
@@ -109,6 +112,13 @@ class TestCorrupt:
             corrupt(words, spec, vocab, "a") == words  # ids rarely collide
 
 
+def record_seed(seed, utt_id):
+    """The documented seed of a record's noise stream: the corpus seed xor
+    the first 8 bytes, big-endian, of the id's sha256."""
+    digest = hashlib.sha256(utt_id.encode("utf-8")).digest()
+    return (seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big")
+
+
 def frozen_corrupt(reference_words, channel, vocab, utt_id):
     """`corrupt` frozen as it draws one scalar at a time: per word a
     uniform for an insertion (then `integers` for the inserted word, which
@@ -118,7 +128,7 @@ def frozen_corrupt(reference_words, channel, vocab, utt_id):
     word). A vocabulary of no word inserts none, and one of a single word
     builds no cumulative sums and `integers(1)` draws nothing. A bulk draw
     must keep this stream."""
-    rng = corpus._record_rng(channel.seed, utt_id)
+    rng = np.random.default_rng(record_seed(channel.seed, utt_id))
     n_words = vocab.size - 3
     cdf = corpus._substitution_cdf(n_words, channel.concentration) if n_words > 1 else None
     out = []
@@ -234,7 +244,7 @@ class TestRawWordDraws:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_interleaved_draws_equal_a_twin_generator(self, seed, block):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = corpus._Draws(rng, block)
+        draws = corpus._Draws(rng.bit_generator, block)
         pick = np.random.default_rng(100 + seed)
         for op in pick.integers(len(self.BOUNDS) + 1, size=2000).tolist():
             if op == len(self.BOUNDS):
@@ -251,7 +261,7 @@ class TestRawWordDraws:
         400 words, where 400 halves would take 200."""
         n = 2**31 + 1
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        draws = corpus._Draws(rng, 1)
+        draws = corpus._Draws(rng.bit_generator, 1)
         assert [draws.integers(n) for _ in range(400)] == \
             [int(twin.integers(n)) for _ in range(400)]
         fresh, words = np.random.default_rng(5).bit_generator, 0
@@ -264,7 +274,7 @@ class TestRawWordDraws:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_settle_hands_numpy_the_next_word(self, seed, block):
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = corpus._Draws(rng, block)
+        draws = corpus._Draws(rng.bit_generator, block)
         pick = np.random.default_rng(200 + seed)
         for _round in range(50):
             for n in pick.integers(1, 300, size=int(pick.integers(0, 12))).tolist():
@@ -275,6 +285,55 @@ class TestRawWordDraws:
             draws.settle()
             assert rng.normal(3.0, 2.0) == twin.normal(3.0, 2.0)
             assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+
+class TestBatchedSeeding:
+    """`_record_bits` decodes numpy's seeding outside numpy: each record's
+    PCG64 state, and the raw words it then gives, must equal those of
+    `default_rng` of the documented record seed. NEP 19 does not promise
+    this seeding across numpy versions, so a change to it fails here and
+    does not silently change corpora."""
+
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    def assert_twin(self, bits, record_seed_value):
+        twin = np.random.default_rng(record_seed_value).bit_generator
+        assert bits.state == twin.state
+        assert bits.random_raw(16).tolist() == twin.random_raw(16).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 12345, 2**64 - 1])
+    def test_batch_equals_default_rng_at_random_record_seeds(self, seed):
+        ids = [f"utt-{i}#obs" for i in range(400)]
+        for utt_id, bits in zip(ids, corpus._record_bits(seed, ids), strict=True):
+            self.assert_twin(bits, record_seed(seed, utt_id))
+
+    @pytest.mark.parametrize("edge", EDGE_SEEDS)
+    def test_edge_record_seeds_equal_default_rng(self, edge):
+        """A corpus seed xor the id's hash gives each edge record seed;
+        below 2**32 the seed is one 32-bit word, not two."""
+        seed = edge ^ record_seed(0, "edge")
+        (bits,) = corpus._record_bits(seed, ["edge"])
+        self.assert_twin(bits, edge)
+
+    def test_reading_a_record_leaves_the_next_one_alone(self):
+        """The one reused PCG64 is seeded anew for each record, whatever the
+        record before read: no words, a few, a buffered 32-bit half, a
+        step back."""
+        ids = [f"r{i}" for i in range(8)]
+        seen = []
+        for i, bits in enumerate(corpus._record_bits(7, ids)):
+            seen.append(bits)
+            self.assert_twin(bits, record_seed(7, ids[i]))
+            if i % 4 == 1:
+                bits.random_raw(1000)
+            elif i % 4 == 2:
+                np.random.Generator(bits).integers(5)  # leaves a buffered half
+            elif i % 4 == 3:
+                bits.advance(-3)
+        assert all(bits is seen[0] for bits in seen)
+
+    def test_empty_batch_yields_nothing(self):
+        assert list(corpus._record_bits(3, [])) == []
 
 
 class TestSubstitutionDraw:
@@ -395,6 +454,16 @@ class TestGenerateCorpus:
             assert len(rec.nbest) == 5
             scores = [s for _, s in rec.nbest]
             assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("channel", [
+        ChannelSpec(seed=17), ChannelSpec(0.4, 0.1, 0.5, concentration=3.0, seed=2**64 - 1)])
+    def test_batch_seeding_equals_corrupt_called_alone(self, channel):
+        """Each observation, drawn from the batch-seeded bit generator, is
+        what `corrupt` gives called alone with the record's id."""
+        splits, vocab = generate_corpus(channel, 30, 5, 5)
+        for record in (r for records in splits.values() for r in records):
+            assert record.observation == " ".join(corrupt(
+                record.reference.split(), channel, vocab, utt_id=record.id + "#obs"))
 
     def test_bitwise_reproducible(self):
         a, _ = generate_corpus(ChannelSpec(seed=13), 3, 1, 3)
