@@ -10,17 +10,21 @@ conventions.
 aligns each distinct pair once, and can share its dict of alignments
 across calls. A caller that reads only S + I + D (the N-best oracle, a
 sweep's corpus WER) takes `distance_to`, with no alignment to trace back.
-Unit-cost tables run on bit vectors: `_columns` is Myers' forward pass,
-one pair of ints per column. `distance_to` reads the last column's
-bottom cell; `_alignment`, the walk of `wer` and of the
-confusion-network merge, reads each cell it compares by popcount. The
-network's best path passes a slot at cost 0 or 1, not unit, so it alone
-stays a Python DP, in `oracle_compositional`.
+Unit-cost tables run on bit vectors, one pair of ints per column
+(Myers' forward pass). `_distance` runs it for the last column's bottom
+cell, all that `distance_to` reads; `_columns` yields every column for
+`_alignment`, the walk of `wer` and of the confusion-network merge,
+which reads each cell it compares by popcount. Pairs of one length whose
+edit distance is their count of mismatched positions align on the
+diagonal, with no walk. The network's best path is the same forward
+pass over its slots: a slot passes at cost 1, or at 0 where it has
+epsilon, and only an epsilon slot is stepped cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import ne
 
 from .errors import InvalidInputError, InvalidParameterError
 
@@ -84,6 +88,23 @@ def _columns(masks: dict, full: int, cols):
         yield pv, mv
 
 
+def _distance(masks: dict, full: int, cols) -> int:
+    """The unit-cost edit distance of `cols` from the rows of `masks`: the
+    bottom cell of the last column `_columns` yields, from the same steps
+    run inline."""
+    pv, mv = full, 0
+    for word in cols:
+        eq = masks.get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return len(cols) + pv.bit_count() - mv.bit_count()
+
+
 def _cell(column, i: int, j: int) -> int:
     """Cell (i, j) of an edit table, read off its column j."""
     pv, mv = column
@@ -91,17 +112,48 @@ def _cell(column, i: int, j: int) -> int:
     return j + (pv & low).bit_count() - (mv & low).bit_count()
 
 
-def _alignment(rows, cols):
+def _filled(masks: dict, rows) -> dict:
+    """`masks`, which holds `_match_masks(rows)` or is empty until first
+    read: an empty one is filled here, in place."""
+    if not masks:
+        masks.update(_match_masks(rows))
+    return masks
+
+
+def _diagonal(rows, cols, masks: dict) -> list | None:
+    """The rows that `cols` substitutes, if its alignment against `rows`
+    (`_alignment`) is the diagonal; None otherwise. `masks` is as
+    `_filled` takes it, and is read only where h > 2.
+
+    Let rows and cols have one length, and let h count the rows whose set
+    lacks their column's word. The diagonal path costs h, so the distance
+    D is at most h. A path off the diagonal takes an insertion and a
+    deletion, so a D below 2 is the diagonal's own cost: D == h where
+    h <= 2, with no table. If D == h, no diagonal cell is below the
+    mismatch count up to it (the rest of the diagonal would then make
+    D < h), so `_alignment`, which aligns on a match and on a substitution
+    one below its cell, walks the diagonal."""
+    if len(rows) != len(cols):
+        return None
+    subs = [i for i, (word, row) in enumerate(zip(cols, rows)) if word not in row]
+    if len(subs) > 2 and _distance(_filled(masks, rows), (1 << len(rows)) - 1, cols) < len(subs):
+        return None
+    return subs
+
+
+def _alignment(rows, cols, masks: dict | None = None):
     """The unit-cost alignment of `cols` against `rows`, a sequence of word
     sets, walked back from the end: (i, j) aligns row i with column word j,
     and None marks a gap on its side. A word matches a row when it is in
     that row's set. Ties prefer aligned > passed row > unmatched word.
+    `masks` is as `_filled` takes it, or None for an empty one.
 
     The walk reads the table's columns (`_columns`) and holds the cell it
     stands on. A match always aligns, keeping the cell; any other step
     takes one edit off it. A substitution reads the diagonal cell; a row
     can be passed where bit i - 1 of pv_j is set."""
-    columns = list(_columns(_match_masks(rows), (1 << len(rows)) - 1, cols))
+    masks = _filled({} if masks is None else masks, rows)
+    columns = list(_columns(masks, (1 << len(rows)) - 1, cols))
     i, j = len(rows), len(cols)
     cell = _cell(columns[j], i, j)
     while i > 0 or j > 0:
@@ -129,8 +181,12 @@ def wer(hypothesis, reference) -> ScoreReport:
     if not ref:
         raise InvalidInputError("reference must be non-empty")
 
+    rows, masks = [{word} for word in ref], {}
+    subs = _diagonal(rows, hyp, masks)
+    if subs is not None:
+        return ScoreReport(len(subs), 0, 0, len(ref) - len(subs), len(ref))
     # an aligned pair is a hit or a substitution, any other word an insertion or deletion
-    pairs = [(i, j) for i, j in _alignment([{word} for word in ref], hyp)
+    pairs = [(i, j) for i, j in _alignment(rows, hyp, masks)
              if i is not None and j is not None]
     hits = sum(ref[i] == hyp[j] for i, j in pairs)
     return ScoreReport(len(pairs) - hits, len(hyp) - len(pairs), len(ref) - len(pairs),
@@ -142,7 +198,9 @@ def distance_to(reference):
     from `reference`, which is S + I + D of `wer(hypothesis, reference)`.
 
     The reference's match masks are built once, here, for every
-    hypothesis scored against it.
+    hypothesis scored against it. A hypothesis of the reference's length
+    that differs from it in h <= 2 positions is h edits from it
+    (`_diagonal`), with no table.
     """
     ref = _words(reference, "reference")
     if not ref:
@@ -152,9 +210,11 @@ def distance_to(reference):
 
     def distance(hypothesis) -> int:
         hyp = _words(hypothesis, "hypothesis")
-        for pv, mv in _columns(masks, full, hyp):
-            pass  # only the last column is read: its bottom cell
-        return len(hyp) + pv.bit_count() - mv.bit_count()
+        if len(hyp) == len(ref):
+            h = sum(map(ne, hyp, ref))
+            if h <= 2:
+                return h
+        return _distance(masks, full, hyp)
 
     return distance
 
@@ -223,24 +283,45 @@ class _Slot:
         self.has_epsilon = has_epsilon
 
 
-def _merge_hypothesis(slots: list[_Slot], hyp: list) -> list[_Slot]:
+def _merge_hypothesis(slots: list[_Slot], hyp: list, masks: dict | None = None) -> list[_Slot]:
     """Minimum-edit alignment of `hyp` onto the slot sequence.
 
     A word aligned to a slot joins its alternatives (cost 0 when already
     present); a skipped slot gains epsilon; an unmatched word becomes a
     fresh slot that is epsilon for everything merged before it. Backtrace
     ties prefer match > substitution > skip-slot > new-slot.
+
+    `masks`, as `_filled` takes it for the slots' word sets, is kept so
+    for the slots returned, for a caller that merges again: a word that
+    joins a slot ORs in that slot's bit, and a merge that inserts slots
+    empties it, since the bits after an inserted slot shift.
     """
+    masks = {} if masks is None else masks
+    rows = [slot.words for slot in slots]
+    subs = _diagonal(rows, hyp, masks)
+    if subs is not None:
+        for i in subs:
+            rows[i].add(hyp[i])
+            if masks:
+                masks[hyp[i]] = masks.get(hyp[i], 0) | 1 << i
+        return slots
     merged: list[_Slot] = []
-    # the walk reads no row again once it has yielded it, so a slot may grow here
-    for i, j in _alignment([slot.words for slot in slots], hyp):
-        slot = _Slot(hyp[j], has_epsilon=True) if i is None else slots[i]
-        if j is None:
-            slot.has_epsilon = True
+    # the walk reads `masks` only before its first pair, and no row again
+    # once it has yielded it, so both may grow here
+    for i, j in _alignment(rows, hyp, masks):
+        if i is None:
+            slot = _Slot(hyp[j], has_epsilon=True)
         else:
-            slot.words.add(hyp[j])  # a fresh slot holds it already
+            slot = slots[i]
+            if j is None:
+                slot.has_epsilon = True
+            elif hyp[j] not in slot.words:
+                slot.words.add(hyp[j])
+                masks[hyp[j]] = masks.get(hyp[j], 0) | 1 << i
         merged.append(slot)
     merged.reverse()
+    if len(merged) > len(slots):
+        masks.clear()
     return merged
 
 
@@ -262,25 +343,45 @@ def oracle_compositional(nbest, reference) -> float:
         raise InvalidInputError("reference must be non-empty")
 
     slots = [_Slot(w) for w in nbest[0]]
+    masks = {}  # kept across the merges
     for hyp in nbest[1:]:
-        slots = _merge_hypothesis(slots, hyp)
-    # the best path: passing a slot without consuming a reference word
-    # costs nothing where it has epsilon, and an insertion where it has
-    # not; cell r of a slot's row is the fewest edits for ref[:r]
-    dist = list(range(len(ref) + 1))
+        slots = _merge_hypothesis(slots, hyp, masks)
+    # The best path's table has a column per slot, whose cell r is the
+    # fewest edits for ref[:r]. Passing a slot without consuming a
+    # reference word costs an insertion, or nothing where it has epsilon.
+    # At cost 1 a column is one `_distance` step, on the OR of the
+    # reference masks of the slot's words; its top cell counts such slots.
+    n = len(ref)
+    ref_masks, full = _match_masks([word] for word in ref), (1 << n) - 1
+    pv, mv, top = full, 0, 0
     for slot in slots:
-        skip = 0 if slot.has_epsilon else 1
-        left = dist[0] + skip
-        row = [left]
-        for word, diag, up in zip(ref, dist, dist[1:]):
-            # min(diag + cost, up + skip, left + 1); on integers, left < best
-            # means left + 1 <= best.
-            best = diag if word in slot.words else diag + 1
-            if up + skip < best:
-                best = up + skip
+        eq = 0
+        for word in slot.words:
+            eq |= ref_masks.get(word, 0)
+        if not slot.has_epsilon:
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            ph = ph << 1 | 1
+            pv = (mh << 1 | ~(xv | ph)) & full
+            mv = ph & xv
+            top += 1
+            continue
+        # an epsilon slot, cell by cell: min(diag + cost, up, left + 1),
+        # where diag and up are cells r and r + 1 of the column before;
+        # on integers, left < best means left + 1 <= best
+        diag = left = top
+        pv_new = mv_new = 0
+        for r in range(n):
+            up = diag + (pv >> r & 1) - (mv >> r & 1)
+            best = diag if eq >> r & 1 else diag + 1
+            if up < best:
+                best = up
             if left < best:
                 best = left + 1
-            row.append(best)
-            left = best
-        dist = row
-    return dist[-1] / len(ref)
+            pv_new |= (best > left) << r
+            mv_new |= (best < left) << r
+            diag, left = up, best
+        pv, mv = pv_new, mv_new
+    return (top + pv.bit_count() - mv.bit_count()) / n

@@ -22,10 +22,11 @@ stopping once that argmax is EOS. "rows" counts each entry's rows, and
 the header line is followed by exactly "logits_bytes" bytes, its frame:
 those rows, entry by entry, as little-endian float64s. These are the
 exact values, so a served built-in provider decodes bit-identically to
-in-process use. Header line and frame go out in one write; hello and
-error replies have no frame. The server refuses a hello without that
-"logits_encoding", and ends the session after a first request that is
-not a hello it accepts. The client refuses a count other than 1 +
+in-process use. Header line and frame go out in one write (over TCP
+both ends set TCP_NODELAY); hello and error replies have no frame. The
+server refuses a hello without that "logits_encoding", and ends the
+session after a first request that is not a hello it accepts. The
+client refuses a count other than 1 +
 len(follow), or, for an argmax entry, other than the server's stop rule
 gives for its rows, and takes an argmax entry's path from the argmax of
 its rows, all but the last. All this
@@ -413,6 +414,7 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
             sock = socket.create_connection((host, int(port)), timeout=timeout)
         except OSError as exc:
             raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as the server's end
         transport = _TcpTransport(sock, vocab.size)
     return ExternalProvider(transport, vocab)
 
@@ -550,6 +552,9 @@ class ProviderServer:
     def _serve_connection(self, conn: socket.socket):
         with conn, conn.makefile("rb") as reader:
             try:
+                # Nagle's algorithm would hold a reply's last segment until
+                # the client, delaying its ACK, acknowledged the ones before
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 _serve_lines(reader, conn.sendall, self._provider, self._contexts)
             except OSError:
                 pass  # the client went away

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -476,3 +477,121 @@ class TestOracleEqualsFrozenCode:
         for nbest, ref in _nbest_cases(53, 1500):
             assert oracle_compositional(nbest, ref) == _frozen_oracle_compositional(nbest, ref)
             assert oracle_nbest(nbest, ref) == min(wer(h, ref).wer for h in nbest)
+
+
+def _edited(ref, rng, alphabet, rate):
+    """`ref` with each word deleted, substituted or followed by an inserted
+    word at `rate` each, so the lists of one reference differ in length."""
+    hyp = []
+    for word in ref:
+        roll = rng.random()
+        if roll >= rate:
+            hyp.append(word if roll >= 2 * rate else rng.choice(alphabet))
+        if rng.random() < rate:
+            hyp.append(rng.choice(alphabet))
+    return hyp
+
+
+class TestBestPathOnEpsilonNetworks:
+    """The best path's bit-parallel columns against the frozen Python DP, on
+    networks with many epsilon slots and references past one 64-bit word:
+    larger than `TestOracleCompositionalEpsilonPath` can brute-force."""
+
+    def test_equals_the_frozen_dp(self):
+        rng = random.Random(71)
+        alphabet = list("abcdefgh")
+        epsilon_slots = below_nbest = 0
+        for case in range(160):
+            ref = rng.choices(alphabet, k=rng.randint(1, 90))
+            nbest = [_edited(ref, rng, alphabet, rng.choice((0.1, 0.2, 0.35)))
+                     for _ in range(rng.randint(2, 6))]
+            if case % 10 == 0:
+                nbest.insert(rng.randint(0, len(nbest)), [])
+            epsilon_slots += sum(slot.has_epsilon for slot in _network(nbest))
+            o_cp = oracle_compositional(nbest, ref)
+            assert o_cp == _frozen_oracle_compositional(nbest, ref), (nbest, ref)
+            below_nbest += o_cp < oracle_nbest(nbest, ref)
+        assert epsilon_slots > 3000
+        assert below_nbest > 100
+
+
+def _equal_length_cases(seed, n):
+    """Seeded (rows, cols) of one length over a small alphabet, with rows of
+    one or two words: h runs from 0 up, and shifted words give D < h."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        alphabet = "abcde"[:rng.randint(2, 5)]
+        length = rng.randint(0, 12)
+        rows = [set(rng.choices(alphabet, k=rng.randint(1, 2))) for _ in range(length)]
+        yield rows, rng.choices(alphabet, k=length)
+
+
+def _lemma_kind(rows, cols):
+    """Which side of the diagonal lemma a pair of one length falls on."""
+    h = sum(word not in row for word, row in zip(cols, rows))
+    if h <= 2:
+        return "h <= 2"
+    distance = metrics._distance(metrics._match_masks(rows), (1 << len(rows)) - 1, cols)
+    return "D == h > 2" if distance == h else "D < h"
+
+
+class TestDiagonalShortcut:
+    """`_diagonal` stands in for the walk where rows and columns have one
+    length and the distance D equals their mismatch count h; the walk,
+    tie rule included, must then go down the diagonal."""
+
+    def test_equals_the_walk(self):
+        kinds = collections.Counter()
+        for rows, cols in _equal_length_cases(67, 6000):
+            walk = list(metrics._alignment(rows, cols))
+            diagonal = [(i, i) for i in reversed(range(len(rows)))]
+            kind = _lemma_kind(rows, cols)
+            kinds[kind] += 1
+            subs = metrics._diagonal(rows, cols, {})
+            if kind == "D < h":
+                assert subs is None and walk != diagonal, (rows, cols)
+            else:
+                assert walk == diagonal, (rows, cols)
+                assert subs == [i for i in range(len(rows)) if cols[i] not in rows[i]]
+            # filled masks give the same answer as masks it fills itself
+            assert metrics._diagonal(rows, cols, metrics._match_masks(rows)) == subs
+        assert min(kinds.values()) > 1000 and len(kinds) == 3
+
+    def test_wer_counts_equal_the_min_dp(self):
+        kinds = collections.Counter()
+        for rows, cols in _equal_length_cases(73, 4000):
+            ref = [min(row) for row in rows]
+            if not ref:
+                continue
+            kinds[_lemma_kind([{word} for word in ref], cols)] += 1
+            report = wer(cols, ref)
+            assert (report.substitutions, report.insertions, report.deletions,
+                    report.hits) == _min_dp_counts(cols, ref), (cols, ref)
+        assert min(kinds.values()) > 500 and len(kinds) == 3
+
+    def test_merged_slots_and_kept_masks(self):
+        rng = random.Random(79)
+        alphabet = list("abcde")
+        kinds = collections.Counter()
+        for case in range(1500):
+            ref = rng.choices(alphabet, k=rng.randint(1, 12))
+            if case % 3:  # one length per list, as simulated N-best lists have
+                nbest = [ref] + [[rng.choice(alphabet) if rng.random() < 0.3 else word
+                                  for word in ref] for _ in range(rng.randint(1, 6))]
+                if case % 3 == 1:  # a word dropped and one added: D < h
+                    nbest.append(ref[1:] + [rng.choice(alphabet)])
+            else:
+                nbest = [_edited(ref, rng, alphabet, 0.2) for _ in range(rng.randint(2, 6))]
+            got = [metrics._Slot(w) for w in nbest[0]]
+            want = [metrics._Slot(w) for w in nbest[0]]
+            masks = {}
+            for hyp in nbest[1:]:
+                if len(hyp) == len(got):
+                    kinds[_lemma_kind([slot.words for slot in got], hyp)] += 1
+                got = metrics._merge_hypothesis(got, hyp, masks)
+                want = _frozen_merge_hypothesis(want, hyp)
+                assert [(s.words, s.has_epsilon) for s in got] == \
+                    [(s.words, s.has_epsilon) for s in want], nbest
+                # kept, or emptied for the next merge that reads it to refill
+                assert masks in ({}, metrics._match_masks(s.words for s in got)), nbest
+        assert min(kinds.values()) > 300 and len(kinds) == 3

@@ -281,6 +281,24 @@ class TestProviderServer:
             finally:
                 remote.close()
 
+    def test_both_ends_of_a_tcp_connection_set_nodelay(self, abc_vocab, constant_provider_cls,
+                                                       monkeypatch):
+        # a large reply's last segment must not wait on Nagle's algorithm
+        accepted, serve = [], ProviderServer._serve_connection
+
+        def recording(server, conn):
+            accepted.append(conn)
+            serve(server, conn)
+
+        monkeypatch.setattr(ProviderServer, "_serve_connection", recording)
+        provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size))
+        with ProviderServer(provider, {}) as server:
+            with connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                # the hello has had its reply, so the server's end is set up
+                ends = [remote._transport._sock, *accepted]
+                assert [end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+                        for end in ends] == [True, True]
+
     def test_unknown_utterance_becomes_provider_io_error(self, abc_vocab, constant_provider_cls):
         provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size))
         with ProviderServer(provider, {}) as server:
