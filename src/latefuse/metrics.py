@@ -11,20 +11,21 @@ aligns each distinct pair once, and can share its dict of alignments
 across calls. A caller that reads only S + I + D (the N-best oracle, a
 sweep's corpus WER) takes `distance_to`, with no alignment to trace back.
 Unit-cost tables run on bit vectors, one pair of ints per column
-(Myers' forward pass). `_distance` runs it for the last column's bottom
-cell, all that `distance_to` reads; `_columns` yields every column for
-`_alignment`, the walk of `wer` and of the confusion-network merge,
-which reads each cell it compares by popcount. Pairs of one length whose
-edit distance is their count of mismatched positions align on the
-diagonal, with no walk. The network's best path is the same forward
-pass over its slots: a slot passes at cost 1, or at 0 where it has
-epsilon, and only an epsilon slot is stepped cell by cell.
+(Myers' forward pass, `_steps`). `distance_to` reads the last column's
+bottom cell; `_alignment`, the walk of `wer` and of the
+confusion-network merge, reads each cell it compares by popcount. Pairs
+of one length whose edit distance is their count of mismatched
+positions align on the diagonal, with no walk (`_diagonal`). The
+network's best path is the same forward pass over its slots: a slot
+passes at cost 1, or at 0 where it has epsilon, and only an epsilon
+slot is stepped cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from operator import ne
+from itertools import groupby
+from operator import attrgetter, ne
 
 from .errors import InvalidInputError, InvalidParameterError
 
@@ -66,18 +67,15 @@ def _match_masks(rows) -> dict:
     return masks
 
 
-def _columns(masks: dict, full: int, cols):
-    """The columns of the unit-cost edit table of `cols` against the rows
-    of `masks` (Myers 1999, in Hyyro's form for edit distance): column j
-    is the pair (pv, mv), where bit i of pv (mv) is set when cell (i + 1,
-    j) is one more (one less) than cell (i, j), and cell (0, j) is j.
-    `full` masks every row. A Python int holds any number of rows, so a
-    column word costs a few integer operations however many there are.
-    Yields column 0, then one column per word of `cols`."""
-    pv, mv = full, 0
-    yield pv, mv
-    for word in cols:
-        eq = masks.get(word, 0)
+def _steps(pv: int, mv: int, full: int, eqs) -> tuple[int, int]:
+    """Myers' forward pass (Myers 1999, in Hyyro's form for edit distance)
+    from column (pv, mv) over one column word per match mask of `eqs`:
+    the last column reached. In column j, bit i of pv (mv) is set when
+    cell (i + 1, j) of the unit-cost edit table is one more (one less)
+    than cell (i, j), and cell (0, j) is j. `full` masks every row. A
+    Python int holds any number of rows, so a column word costs a few
+    integer operations however many there are."""
+    for eq in eqs:
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
@@ -85,23 +83,23 @@ def _columns(masks: dict, full: int, cols):
         ph = ph << 1 | 1  # the top row grows by one per column word
         pv = (mh << 1 | ~(xv | ph)) & full
         mv = ph & xv
-        yield pv, mv
+    return pv, mv
+
+
+def _columns(masks: dict, full: int, cols):
+    """The columns (`_steps`) of the edit table of `cols` against the rows
+    of `masks`: column 0, then one per word of `cols`."""
+    column = full, 0
+    yield column
+    for word in cols:
+        column = _steps(*column, full, (masks.get(word, 0),))
+        yield column
 
 
 def _distance(masks: dict, full: int, cols) -> int:
     """The unit-cost edit distance of `cols` from the rows of `masks`: the
-    bottom cell of the last column `_columns` yields, from the same steps
-    run inline."""
-    pv, mv = full, 0
-    for word in cols:
-        eq = masks.get(word, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        ph = ph << 1 | 1
-        pv = (mh << 1 | ~(xv | ph)) & full
-        mv = ph & xv
+    bottom cell of the table's last column."""
+    pv, mv = _steps(full, 0, full, [masks.get(word, 0) for word in cols])
     return len(cols) + pv.bit_count() - mv.bit_count()
 
 
@@ -112,18 +110,9 @@ def _cell(column, i: int, j: int) -> int:
     return j + (pv & low).bit_count() - (mv & low).bit_count()
 
 
-def _filled(masks: dict, rows) -> dict:
-    """`masks`, which holds `_match_masks(rows)` or is empty until first
-    read: an empty one is filled here, in place."""
-    if not masks:
-        masks.update(_match_masks(rows))
-    return masks
-
-
-def _diagonal(rows, cols, masks: dict) -> list | None:
+def _diagonal(rows, cols) -> list | None:
     """The rows that `cols` substitutes, if its alignment against `rows`
-    (`_alignment`) is the diagonal; None otherwise. `masks` is as
-    `_filled` takes it, and is read only where h > 2.
+    (`_alignment`) is the diagonal; None otherwise.
 
     Let rows and cols have one length, and let h count the rows whose set
     lacks their column's word. The diagonal path costs h, so the distance
@@ -136,24 +125,22 @@ def _diagonal(rows, cols, masks: dict) -> list | None:
     if len(rows) != len(cols):
         return None
     subs = [i for i, (word, row) in enumerate(zip(cols, rows)) if word not in row]
-    if len(subs) > 2 and _distance(_filled(masks, rows), (1 << len(rows)) - 1, cols) < len(subs):
+    if len(subs) > 2 and _distance(_match_masks(rows), (1 << len(rows)) - 1, cols) < len(subs):
         return None
     return subs
 
 
-def _alignment(rows, cols, masks: dict | None = None):
+def _alignment(rows, cols):
     """The unit-cost alignment of `cols` against `rows`, a sequence of word
     sets, walked back from the end: (i, j) aligns row i with column word j,
     and None marks a gap on its side. A word matches a row when it is in
     that row's set. Ties prefer aligned > passed row > unmatched word.
-    `masks` is as `_filled` takes it, or None for an empty one.
 
     The walk reads the table's columns (`_columns`) and holds the cell it
     stands on. A match always aligns, keeping the cell; any other step
     takes one edit off it. A substitution reads the diagonal cell; a row
     can be passed where bit i - 1 of pv_j is set."""
-    masks = _filled({} if masks is None else masks, rows)
-    columns = list(_columns(masks, (1 << len(rows)) - 1, cols))
+    columns = list(_columns(_match_masks(rows), (1 << len(rows)) - 1, cols))
     i, j = len(rows), len(cols)
     cell = _cell(columns[j], i, j)
     while i > 0 or j > 0:
@@ -181,12 +168,12 @@ def wer(hypothesis, reference) -> ScoreReport:
     if not ref:
         raise InvalidInputError("reference must be non-empty")
 
-    rows, masks = [{word} for word in ref], {}
-    subs = _diagonal(rows, hyp, masks)
+    rows = [{word} for word in ref]
+    subs = _diagonal(rows, hyp)
     if subs is not None:
         return ScoreReport(len(subs), 0, 0, len(ref) - len(subs), len(ref))
     # an aligned pair is a hit or a substitution, any other word an insertion or deletion
-    pairs = [(i, j) for i, j in _alignment(rows, hyp, masks)
+    pairs = [(i, j) for i, j in _alignment(rows, hyp)
              if i is not None and j is not None]
     hits = sum(ref[i] == hyp[j] for i, j in pairs)
     return ScoreReport(len(pairs) - hits, len(hyp) - len(pairs), len(ref) - len(pairs),
@@ -283,45 +270,30 @@ class _Slot:
         self.has_epsilon = has_epsilon
 
 
-def _merge_hypothesis(slots: list[_Slot], hyp: list, masks: dict | None = None) -> list[_Slot]:
+def _merge_hypothesis(slots: list[_Slot], hyp: list) -> list[_Slot]:
     """Minimum-edit alignment of `hyp` onto the slot sequence.
 
     A word aligned to a slot joins its alternatives (cost 0 when already
     present); a skipped slot gains epsilon; an unmatched word becomes a
     fresh slot that is epsilon for everything merged before it. Backtrace
     ties prefer match > substitution > skip-slot > new-slot.
-
-    `masks`, as `_filled` takes it for the slots' word sets, is kept so
-    for the slots returned, for a caller that merges again: a word that
-    joins a slot ORs in that slot's bit, and a merge that inserts slots
-    empties it, since the bits after an inserted slot shift.
     """
-    masks = {} if masks is None else masks
     rows = [slot.words for slot in slots]
-    subs = _diagonal(rows, hyp, masks)
+    subs = _diagonal(rows, hyp)
     if subs is not None:
         for i in subs:
             rows[i].add(hyp[i])
-            if masks:
-                masks[hyp[i]] = masks.get(hyp[i], 0) | 1 << i
         return slots
     merged: list[_Slot] = []
-    # the walk reads `masks` only before its first pair, and no row again
-    # once it has yielded it, so both may grow here
-    for i, j in _alignment(rows, hyp, masks):
-        if i is None:
-            slot = _Slot(hyp[j], has_epsilon=True)
+    # the walk reads no row again once it has yielded it, so a slot may grow here
+    for i, j in _alignment(rows, hyp):
+        slot = _Slot(hyp[j], has_epsilon=True) if i is None else slots[i]
+        if j is None:
+            slot.has_epsilon = True
         else:
-            slot = slots[i]
-            if j is None:
-                slot.has_epsilon = True
-            elif hyp[j] not in slot.words:
-                slot.words.add(hyp[j])
-                masks[hyp[j]] = masks.get(hyp[j], 0) | 1 << i
+            slot.words.add(hyp[j])  # a fresh slot holds it already
         merged.append(slot)
     merged.reverse()
-    if len(merged) > len(slots):
-        masks.clear()
     return merged
 
 
@@ -343,45 +315,43 @@ def oracle_compositional(nbest, reference) -> float:
         raise InvalidInputError("reference must be non-empty")
 
     slots = [_Slot(w) for w in nbest[0]]
-    masks = {}  # kept across the merges
     for hyp in nbest[1:]:
-        slots = _merge_hypothesis(slots, hyp, masks)
+        slots = _merge_hypothesis(slots, hyp)
     # The best path's table has a column per slot, whose cell r is the
     # fewest edits for ref[:r]. Passing a slot without consuming a
     # reference word costs an insertion, or nothing where it has epsilon.
-    # At cost 1 a column is one `_distance` step, on the OR of the
-    # reference masks of the slot's words; its top cell counts such slots.
+    # A run of slots at cost 1 is Myers' forward pass (`_steps`), each
+    # slot matching the OR of the reference masks of its words; the top
+    # cell counts those slots.
     n = len(ref)
     ref_masks, full = _match_masks([word] for word in ref), (1 << n) - 1
     pv, mv, top = full, 0, 0
-    for slot in slots:
-        eq = 0
-        for word in slot.words:
-            eq |= ref_masks.get(word, 0)
-        if not slot.has_epsilon:
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
-            mh = pv & xh
-            ph = ph << 1 | 1
-            pv = (mh << 1 | ~(xv | ph)) & full
-            mv = ph & xv
-            top += 1
+    for has_epsilon, run in groupby(slots, attrgetter("has_epsilon")):
+        eqs = []
+        for slot in run:
+            eq = 0
+            for word in slot.words:
+                eq |= ref_masks.get(word, 0)
+            eqs.append(eq)
+        if not has_epsilon:
+            pv, mv = _steps(pv, mv, full, eqs)
+            top += len(eqs)
             continue
         # an epsilon slot, cell by cell: min(diag + cost, up, left + 1),
         # where diag and up are cells r and r + 1 of the column before;
         # on integers, left < best means left + 1 <= best
-        diag = left = top
-        pv_new = mv_new = 0
-        for r in range(n):
-            up = diag + (pv >> r & 1) - (mv >> r & 1)
-            best = diag if eq >> r & 1 else diag + 1
-            if up < best:
-                best = up
-            if left < best:
-                best = left + 1
-            pv_new |= (best > left) << r
-            mv_new |= (best < left) << r
-            diag, left = up, best
-        pv, mv = pv_new, mv_new
+        for eq in eqs:
+            diag = left = top
+            pv_new = mv_new = 0
+            for r in range(n):
+                up = diag + (pv >> r & 1) - (mv >> r & 1)
+                best = diag if eq >> r & 1 else diag + 1
+                if up < best:
+                    best = up
+                if left < best:
+                    best = left + 1
+                pv_new |= (best > left) << r
+                mv_new |= (best < left) << r
+                diag, left = up, best
+            pv, mv = pv_new, mv_new
     return (top + pv.bit_count() - mv.bit_count()) / n

@@ -410,11 +410,14 @@ def connect_external(endpoint, vocab: Vocabulary, timeout: float = 5.0) -> Exter
         if not (host and port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
             raise ConfigurationError("endpoint must be host:port with a port in [1, 65535], "
                                      f"or an argv list, got {endpoint!r}")
+        sock = None
         try:
             sock = socket.create_connection((host, int(port)), timeout=timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as the server's end
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise ProviderIOError(f"cannot connect to {host}:{port}: {exc}") from exc
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as the server's end
         transport = _TcpTransport(sock, vocab.size)
     return ExternalProvider(transport, vocab)
 

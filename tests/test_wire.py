@@ -299,6 +299,24 @@ class TestProviderServer:
                 assert [end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
                         for end in ends] == [True, True]
 
+    def test_a_refused_socket_option_is_a_provider_io_error(self, abc_vocab,
+                                                            constant_provider_cls, monkeypatch):
+        # as any other connect failure, and the connected socket is closed
+        refused = []
+
+        def refuse(sock, *args):
+            if threading.current_thread() is threading.main_thread():
+                refused.append(sock)
+            raise OSError("connection reset by peer")
+
+        provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size))
+        with ProviderServer(provider, {}) as server:
+            monkeypatch.setattr(socket.socket, "setsockopt", refuse)
+            with pytest.raises(ProviderIOError, match="cannot connect to .*connection reset"):
+                connect_external(server.address, abc_vocab, timeout=2.0)
+            monkeypatch.undo()
+        assert len(refused) == 1 and refused[0].fileno() == -1
+
     def test_unknown_utterance_becomes_provider_io_error(self, abc_vocab, constant_provider_cls):
         provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size))
         with ProviderServer(provider, {}) as server:
