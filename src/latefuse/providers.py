@@ -16,8 +16,8 @@ gives every position's integer counts, and one `np.divide` by the number
 of hypotheses covering each position turns them into rows; the row past
 the longest hypothesis is uniform. `NgramCorrector.to_dict`/`from_dict`
 write and read the whole of a trained corrector's `lm.json`; `from_dict`
-checks every n-gram in a few passes over the whole list, and checks them
-one by one only to name the first bad one. A keyed provider,
+checks each n-gram as it files it, in one walk over the list, and names
+the first bad one. A keyed provider,
 as `AcousticChannel` is, is a block plus an index: `row_key(length, ctx)`
 indexes the rows of a `(R, V)` array `log_rows`, and
 `next_logits(history, ctx)` equals `log_rows[row_key(len(history), ctx)]`,
@@ -47,11 +47,11 @@ keys of its rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
-from .core import TokenSeq, Vocabulary, is_token_id_list, json_field
+from .core import TokenSeq, Vocabulary, json_field
 from .errors import InvalidInputError, InvalidParameterError
 
 # Added inside ln() so logits stay finite even for exact-zero mixture
@@ -154,44 +154,29 @@ class NgramModel:
 
     @classmethod
     def from_dict(cls, data: dict, vocab: Vocabulary) -> "NgramModel":
-        """The model `to_dict` wrote: each n-gram is a [key, count] pair, its
-        key `order` token ids below V, listed once, its count in [1, 2**53]."""
-        order, v = json_field(data, "order", (int,)), vocab.size
+        """The model `to_dict` wrote. One walk over its n-grams files each
+        into the counts as it checks it: a [key, count] pair, its key `order`
+        token ids below V, listed once, its count in [1, 2**53]; the first
+        that is not raises, naming it."""
+        order = json_field(data, "order", (int,))
         model = cls(vocab, order=order, smoothing=json_field(data, "smoothing", (int, float)))
-        ngrams = json_field(data, "ngrams", (list,))
-        counts = _plain_counts(ngrams, order, v)
-        model.counts = _checked_counts(ngrams, order, v) if counts is None else counts
+        model.counts = _counts(json_field(data, "ngrams", (list,)), order, vocab.size)
         return model
 
 
-def _plain_counts(ngrams: list, order: int, v: int) -> dict | None:
-    """`_checked_counts(ngrams, order, v)` when every entry passes its
-    checks, found in a few passes over the whole list; else None, and
-    `_checked_counts` names the first entry that fails."""
-    if set(map(type, ngrams)) != {list} or set(map(len, ngrams)) != {2}:
-        return None
-    keys, counts = [entry[0] for entry in ngrams], [entry[1] for entry in ngrams]
-    if set(map(type, keys)) != {list} or set(map(len, keys)) != {order}:
-        return None
-    ids = list(chain.from_iterable(keys))
-    if not (set(map(type, ids)) == set(map(type, counts)) == {int}
-            and 0 <= min(ids) and max(ids) < v and 1 <= min(counts) and max(counts) <= 2 ** 53):
-        return None
-    table: dict[tuple, dict[int, int]] = {}
-    for key, count in ngrams:
-        table.setdefault(tuple(key[:-1]), {})[key[-1]] = count
-    # a key listed twice leaves the table fewer entries than the list
-    return table if sum(map(len, table.values())) == len(ngrams) else None
-
-
-def _checked_counts(ngrams: list, order: int, v: int) -> dict:
-    """The counts table of `NgramModel.from_dict`, checking one entry at a
-    time: each is a [key, count] pair, its key `order` token ids below V,
-    listed once, its count in [1, 2**53]; the first that is not raises."""
+def _counts(ngrams: list, order: int, v: int) -> dict:
+    """The counts table of `NgramModel.from_dict`, each entry checked as it
+    is filed; the first bad entry raises."""
     table: dict[tuple, dict[int, int]] = {}
     for entry in ngrams:
         key, count = entry if type(entry) is list and len(entry) == 2 else (None, None)
-        if not is_token_id_list(key, v) or len(key) != order:
+        bad = type(key) is not list or len(key) != order
+        if not bad:
+            for t in key:  # a plain loop: all() or a comprehension costs more per key
+                if type(t) is not int or not 0 <= t < v:
+                    bad = True
+                    break
+        if bad:
             raise InvalidParameterError(f"n-gram [key, count] must have a key of {order} "
                                         f"token ids in [0, {v}), got {entry!r:.200}")
         if type(count) is not int or not 1 <= count <= 2 ** 53:

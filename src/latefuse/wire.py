@@ -125,13 +125,16 @@ class _TcpTransport:
         self._row_bytes = 8 * vocab_size
         self._proc = proc
         self._buffer = bytearray()
+        # poll, not select.select: select refuses a descriptor of 1024 or more
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
 
     def round_trip(self, payload: dict) -> tuple[dict, bytearray]:
         """Send `payload` as one line; return the reply's parsed header and
         its frame, empty for a header without one."""
         try:
             # polled, without blocking, for bytes nobody asked for
-            if not self._buffer and select.select([self._sock], [], [], 0)[0]:
+            if not self._buffer and self._poll.poll(0):
                 self._buffer += self._sock.recv(65536)
             if self._buffer:
                 raise ProviderIOError(

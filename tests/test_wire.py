@@ -6,8 +6,10 @@ import inspect
 import io
 import json
 import math
+import os
 import random
 import re
+import resource
 import socket
 import subprocess
 import sys
@@ -316,6 +318,32 @@ class TestProviderServer:
                 connect_external(server.address, abc_vocab, timeout=2.0)
             monkeypatch.undo()
         assert len(refused) == 1 and refused[0].fileno() == -1
+
+    def test_a_socket_past_descriptor_1023_steps(self, abc_vocab, empty_ctx,
+                                                 constant_provider_cls):
+        # select.select refuses a descriptor of 1024 or more; the client's
+        # poll for unsolicited bytes must not
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if hard != resource.RLIM_INFINITY and hard < 1100:
+            pytest.skip(f"the hard limit on open files is {hard}")
+        if soft != resource.RLIM_INFINITY and soft < 1100:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+        provider = constant_provider_cls(abc_vocab, np.arange(abc_vocab.size, dtype=float))
+        fds = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            # dup returns the lowest free descriptor: once it returns 1023,
+            # every one below 1024 is taken
+            while fds[-1] < 1023:
+                fds.append(os.dup(fds[0]))
+            with ProviderServer(provider, {empty_ctx.utt_id: empty_ctx}) as server, \
+                    connect_external(server.address, abc_vocab, timeout=2.0) as remote:
+                assert remote._transport._sock.fileno() > 1023
+                np.testing.assert_array_equal(remote.next_logits((0,), empty_ctx),
+                                              provider.next_logits((0,), empty_ctx))
+        finally:
+            for fd in fds:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
     def test_unknown_utterance_becomes_provider_io_error(self, abc_vocab, constant_provider_cls):
         provider = constant_provider_cls(abc_vocab, np.zeros(abc_vocab.size))
