@@ -216,23 +216,19 @@ def fit_temperature(provider, dataset, tol: float = DEFAULT_TOL,
         tau, clamped = tau_max, True
     else:
         lo, hi = tau_min, tau_max  # gap(lo) > 0 > gap(hi)
-        tau, clamped = None, False
         for _ in range(max_iter):
-            mid = (lo + hi) / 2.0
-            g = gap(mid)
-            if abs(g) <= tol:
-                tau = mid
-                break
-            if mid == lo or mid == hi:  # every later midpoint would be this one
-                tau, clamped = mid, abs(g) > tol
+            tau = (lo + hi) / 2.0
+            g = gap(tau)
+            if abs(g) <= tol or tau == lo or tau == hi:  # at an end, no later step moves it
                 break
             if g > 0.0:
-                lo = mid
+                lo = tau
             else:
-                hi = mid
-        if tau is None:
+                hi = tau
+        else:  # out of tries, or none allowed: the last bracket's midpoint
             tau = (lo + hi) / 2.0
-            clamped = abs(gap(tau)) > tol
+            g = gap(tau)
+        clamped = abs(g) > tol
 
     bins, ece = _bin(shifted.confidences(tau), correct, n_bins)
     bins_tau1, ece_tau1 = _bin(shifted.confidences(1.0), correct, n_bins)

@@ -266,15 +266,6 @@ def build_provider(spec: ProviderSpec, vocab: Vocabulary):
                                  timeout=float(params.get("timeout", 5.0)))
 
 
-def _open(spec: ProviderSpec, vocab: Vocabulary, opened: contextlib.ExitStack):
-    """`build_provider(spec, vocab)`; a wire connection it opens is closed
-    when `opened` exits, whether the command succeeds or fails."""
-    provider = build_provider(spec, vocab)
-    if spec.kind == "external":
-        opened.enter_context(provider)
-    return provider
-
-
 def _print_wire_counts(**providers):
     """One line of wire counters for each provider served over the wire:
     the one kind of provider that counts round trips."""
@@ -284,26 +275,23 @@ def _print_wire_counts(**providers):
                   f"{provider.rows_used} of {provider.rows_received} rows used")
 
 
-def _build_llm(resolved: dict, vocab: Vocabulary, opened: contextlib.ExitStack):
-    if resolved["llm_endpoint"]:
-        spec = ProviderSpec("external", {"endpoint": resolved["llm_endpoint"],
-                                         "timeout": resolved["timeout"]})
-    elif resolved["lm_model"]:
-        spec = ProviderSpec("ngram-corrector", {"model_path": resolved["lm_model"]})
-    else:
-        raise ConfigurationError("--lm-model (or --llm-endpoint) is required")
-    return _open(spec, vocab, opened)
-
-
-def _build_asr(resolved: dict, vocab: Vocabulary, opened: contextlib.ExitStack):
-    if resolved["asr_endpoint"]:
-        spec = ProviderSpec("external", {"endpoint": resolved["asr_endpoint"],
-                                         "timeout": resolved["timeout"]})
-    elif resolved["manifest"]:
-        spec = ProviderSpec("acoustic-channel", {"manifest_path": resolved["manifest"]})
-    else:
-        raise ConfigurationError("--manifest is required to build the acoustic provider")
-    return _open(spec, vocab, opened)
+def _build(resolved: dict, role: str, vocab: Vocabulary, opened: contextlib.ExitStack):
+    """The provider of `role`, "llm" or "asr": served at the role's
+    endpoint if one is set, else built from `lm_model` or `manifest`. A
+    wire connection it opens is closed when `opened` exits, whether the
+    command succeeds or fails."""
+    endpoint = resolved[f"{role}_endpoint"]
+    if endpoint:
+        return opened.enter_context(build_provider(ProviderSpec(
+            "external", {"endpoint": endpoint, "timeout": resolved["timeout"]}), vocab))
+    path, kind, parameter, missing = (
+        (resolved["lm_model"], "ngram-corrector", "model_path",
+         "--lm-model (or --llm-endpoint) is required") if role == "llm" else
+        (resolved["manifest"], "acoustic-channel", "manifest_path",
+         "--manifest is required to build the acoustic provider"))
+    if not path:
+        raise ConfigurationError(missing)
+    return build_provider(ProviderSpec(kind, {parameter: path}), vocab)
 
 
 def _tau_from(resolved: dict, report_key: str) -> float:
@@ -382,7 +370,7 @@ def cmd_calibrate(resolved: dict):
     records = _load_records(resolved, "to calibrate on")
     which = resolved["which"]
     with contextlib.ExitStack() as opened:
-        provider = (_build_llm if which == "llm" else _build_asr)(resolved, vocab, opened)
+        provider = _build(resolved, which, vocab, opened)
         report = calibration.fit_temperature(provider, _calibration_set(records, vocab), **fit)
     out = Path(resolved["out"])
     _write_resolved(resolved, out.parent, f"calibrate-{which}")
@@ -411,8 +399,8 @@ def cmd_decode(resolved: dict):
     out = Path(resolved["out"])
     lines, log_lines = [], []  # kept as text: no DecodeResult outlives its utterance
     with contextlib.ExitStack() as opened:
-        llm = _build_llm(resolved, vocab, opened) if cfg.mode != "asr" else None
-        asr = _build_asr(resolved, vocab, opened) if cfg.mode != "llm" else None
+        llm = _build(resolved, "llm", vocab, opened) if cfg.mode != "asr" else None
+        asr = _build(resolved, "asr", vocab, opened) if cfg.mode != "llm" else None
         eval_set = (corpus.record_context(rec, vocab) for rec in records)
         results = decoding.decode_eval_set(llm, asr, [cfg], eval_set,
                                            resolved["max_len_factor"])
@@ -455,7 +443,7 @@ def cmd_sweep(resolved: dict):
     eval_set = [corpus.record_context(rec, vocab) for rec in records]
     out = Path(resolved["out"])
     with contextlib.ExitStack() as opened:
-        llm, asr = _build_llm(resolved, vocab, opened), _build_asr(resolved, vocab, opened)
+        llm, asr = (_build(resolved, role, vocab, opened) for role in ("llm", "asr"))
         wers = decoding.sweep_wers(llm, asr, cfgs, eval_set, resolved["max_len_factor"])
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     with open(out, "w", encoding="utf-8") as f:

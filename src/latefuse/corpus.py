@@ -138,6 +138,14 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M128 = (1 << 128) - 1
 
 
+def _record_seeds(seed: int, utt_ids) -> list[int]:
+    """`seed ^ int(sha256(id)[:8])` for each id: the seed of its draws."""
+    import hashlib  # here, not at the top: only a corpus draw (`simulate`) needs it
+
+    return [seed ^ int.from_bytes(hashlib.sha256(u.encode("utf-8")).digest()[:8], "big")
+            for u in utt_ids]
+
+
 def _record_bits(seed: int, utt_ids):
     """For each id in turn, one reused `PCG64` in the state
     `default_rng(seed ^ int(sha256(id)[:8]))` starts in, `seed < 2**64`.
@@ -147,10 +155,7 @@ def _record_bits(seed: int, utt_ids):
     `generate_state(4, uint64)`) runs on uint64 arrays masked to 32 bits,
     and `pcg64_set_seed` in Python ints mod 2**128. A record's words must
     be read before the next is yielded, which sets the state anew."""
-    import hashlib  # here, not at the top: only a corpus draw (`simulate`) needs it
-
-    seeds = np.array([seed ^ int.from_bytes(hashlib.sha256(u.encode("utf-8")).digest()[:8], "big")
-                      for u in utt_ids], dtype=np.uint64)
+    seeds = np.array(_record_seeds(seed, utt_ids), dtype=np.uint64)
 
     def hashmix(v, consts):
         xor, mult = next(consts)
@@ -425,8 +430,8 @@ def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
 
     Deterministic given (channel.seed, utt_id): the draws come from `bits`,
     the record's bit generator as `_record_bits` seeds a batch of ids
-    (`generate_corpus` hands one over per call), or, if None, from a batch
-    of `utt_id` alone, which is seeded the same. Substitutions are drawn
+    (`generate_corpus` hands one over per call), or, if None, from a
+    `PCG64` that numpy seeds to the same state. Substitutions are drawn
     from the kernel row of the source word, which never returns the
     original: an inverse-CDF lookup of one uniform in the row's cached
     cumulative sums (`_substitution_cdf`), the same draw, and the same
@@ -438,7 +443,7 @@ def corrupt(reference_words, channel: ChannelSpec, vocab: Vocabulary,
     `random` and `integers` calls make.
     """
     if bits is None:
-        bits = next(_record_bits(channel.seed, [utt_id]))
+        bits = np.random.PCG64(_record_seeds(channel.seed, [utt_id])[0])
     draws = _Draws(bits, 4 * len(reference_words) + 2)
     random, integers = draws.random, draws.integers
     n_words = vocab.size - 3

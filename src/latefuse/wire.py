@@ -227,18 +227,16 @@ class ExternalProvider:
                 {"op": "hello", "vocab_size": vocab.size, "vocab_hash": vocab.content_hash(),
                  "logits_encoding": LOGITS_ENCODING}
             )
-        except ProviderIOError:
+            if reply.get("ok") is not True:
+                raise ConfigurationError(
+                    f"provider refused handshake: {reply.get('error', reply)!r}"
+                )
+            if reply.get("echoes") != ["id"]:
+                raise ConfigurationError(
+                    f"provider does not echo step request ids: its hello reply is {reply!r:.200}")
+        except (ProviderIOError, ConfigurationError):
             self.close()
             raise
-        if reply.get("ok") is not True:
-            self.close()
-            raise ConfigurationError(
-                f"provider refused handshake: {reply.get('error', reply)!r}"
-            )
-        if reply.get("echoes") != ["id"]:
-            self.close()
-            raise ConfigurationError(
-                f"provider does not echo step request ids: its hello reply is {reply!r:.200}")
 
     def prefetch(self, entries):
         """Announce the utterances the next steps go through, in order, as

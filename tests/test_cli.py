@@ -270,10 +270,9 @@ class TestCalibrate:
                             "--manifest", data / "manifest.json", "--out", "unused"])
         vocab = Vocabulary.load(resolved["vocab"])
         records = corpus.load_corpus(resolved["corpus"])
-        build = cli._build_llm if which == "llm" else cli._build_asr
         with contextlib.ExitStack() as opened:
             rows, targets, steps = calibration.collect_traces(
-                build(resolved, vocab, opened), cli._calibration_set(records, vocab))
+                cli._build(resolved, which, vocab, opened), cli._calibration_set(records, vocab))
         traces = rows[steps]
         for tau, bins_key, ece_key in ((1.0, "bins_tau1", "ece_tau1"),
                                        (report["tau"], "bins", "ece")):
@@ -441,8 +440,7 @@ class TestDecode:
         def refuse(*args):
             raise AssertionError("opened a provider")
 
-        monkeypatch.setattr(cli, "_build_llm", refuse)
-        monkeypatch.setattr(cli, "_build_asr", refuse)
+        monkeypatch.setattr(cli, "_build", refuse)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         out = tmp_path / "nd" / "hyp.jsonl"
@@ -467,8 +465,8 @@ class TestDecode:
         vocab = Vocabulary.load(data / "vocab.txt")
         resolved = resolve(argv)
         with contextlib.ExitStack() as opened:
-            llm = cli._build_llm(resolved, vocab, opened)
-            asr = cli._build_asr(resolved, vocab, opened)
+            llm = cli._build(resolved, "llm", vocab, opened)
+            asr = cli._build(resolved, "asr", vocab, opened)
         cfg = fusion.FusionConfig(mode="static", w_asr=0.4)
         want = []
         for rec in corpus.load_corpus(data / "test.jsonl"):
@@ -527,6 +525,34 @@ class TestEmptyCorpusBeforeAnyProvider:
                 "--manifest", data / "manifest.json", "--out", out]
         assert run(*argv) == 3
         assert f"{empty} holds no utterances {purpose}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+LLM_MISSING = "--lm-model (or --llm-endpoint) is required"
+ASR_MISSING = "--manifest is required to build the acoustic provider"
+
+
+class TestProviderSourceMissing:
+    """A role a command needs, with neither its built-in source nor its
+    endpoint set, is a configuration error naming the option, and the
+    command writes nothing."""
+
+    @pytest.mark.parametrize("command, omit, message", [
+        (["calibrate", "--which", "llm"], "--lm-model", LLM_MISSING),
+        (["calibrate", "--which", "asr"], "--manifest", ASR_MISSING),
+        (["decode", "--mode", "uadf"], "--manifest", ASR_MISSING),
+        (["decode", "--mode", "asr"], "--manifest", ASR_MISSING),
+        (["sweep", "--axis", "beta"], "--lm-model", LLM_MISSING),
+    ], ids=["calibrate-llm", "calibrate-asr", "decode-uadf", "decode-asr", "sweep"])
+    def test_is_config_error(self, workspace, tmp_path, capsys, command, omit, message):
+        data = workspace / "data"
+        out = tmp_path / "nd" / "out.file"
+        sources = {"--lm-model": workspace / "lm.json", "--manifest": data / "manifest.json"}
+        argv = [*command, "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
+                *(item for flag, path in sources.items() if flag != omit for item in (flag, path)),
+                "--out", out]
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
         assert not out.parent.exists()
 
 
@@ -655,8 +681,7 @@ class TestCalibrationBounds:
             raise AssertionError("opened a provider or collected a trace")
 
         monkeypatch.setattr(calibration, "collect_traces", refuse)
-        monkeypatch.setattr(cli, "_build_llm", refuse)
-        monkeypatch.setattr(cli, "_build_asr", refuse)
+        monkeypatch.setattr(cli, "_build", refuse)
         out = tmp_path / "out"
         assert run(*COMMAND_ARGS[command](workspace, out), flag, value) == 2
         assert named in capsys.readouterr().err

@@ -209,7 +209,12 @@ class TestExternalProvider:
         with pytest.raises(ConfigurationError):
             connect_external("nonsense", abc_vocab)
 
-    def test_failed_handshake_closes_the_transport(self, abc_vocab, monkeypatch):
+    @pytest.mark.parametrize("reply, error", [
+        (None, ProviderIOError),  # hangs up on the hello
+        ({"ok": False}, ConfigurationError),
+        ({"ok": True}, ConfigurationError),  # no "echoes"
+    ], ids=["hang-up", "refused", "no-echoes"])
+    def test_failed_handshake_closes_the_transport(self, abc_vocab, monkeypatch, reply, error):
         opened = []
 
         class RecordedTransport(wire._TcpTransport):
@@ -218,9 +223,9 @@ class TestExternalProvider:
                 opened.append(self)
 
         monkeypatch.setattr(wire, "_TcpTransport", RecordedTransport)
-        server = LineServer(scripted({"hello": None}))  # hangs up on the hello
+        server = LineServer(scripted({"hello": reply}))
         try:
-            with pytest.raises(ProviderIOError):
+            with pytest.raises(error):
                 connect_external(server.address, abc_vocab, timeout=2.0)
         finally:
             server.close()
