@@ -27,6 +27,7 @@ reads only the `ShiftedTrace` the fit builds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ DEFAULT_BINS = 10
 # thousand already leaves most bins empty on a validation split of a few
 # thousand steps.
 MAX_BINS = 1000
+# log of the smallest normal float: a scaled entry below it exponentiates
+# to a subnormal or to 0
+LOG_TINY = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,29 @@ class ShiftedTrace:
     every operation works row by row, so the result is bit for bit what
     shifting every step's row on every call gives. A tiny tau may take a
     shifted entry to -inf, whose exp is the limit 0.
+
+    At a tau that scales the trace's floor below LOG_TINY, the scaled
+    entries below it are set to -inf before the exp. Their exps, under
+    2.3e-308, are subnormals, which numpy computes on a slow path: at tau
+    0.01 they took one evaluation of a 1299 x 200 corrector trace from
+    about 0.5 to 12 ms. Every row holds exp(0) = 1, so its sum is at least
+    1 and they cannot move it. In numpy's pairwise sum (8 running sums
+    per block of up to 128 entries, then the halves added), such an entry
+    is under half an ulp of any running sum of 2^-969 or more and leaves
+    it as it is. A running sum of smaller entries that it does change
+    differs by under 2^-1021 per entry, and that difference reaches the
+    row's sum, whose ulp is at least 2^-52, only if a rounding on the way
+    lands within it of a midpoint. `TestSubnormalClamp` checks the
+    confidences bit for bit against the exp of every entry.
     """
 
-    __slots__ = ("rows", "steps", "_buf")
+    __slots__ = ("rows", "steps", "_floor", "_buf")
 
     def __init__(self, traces: np.ndarray, steps: np.ndarray):
         traces = np.asarray(traces, dtype=np.float64)
         with np.errstate(over="ignore"):
             self.rows = traces - traces.max(axis=1, keepdims=True)
+        self._floor = self.rows.min(initial=0.0)
         self.steps = steps
         self._buf = None
 
@@ -139,6 +158,9 @@ class ShiftedTrace:
         buf = self._buf
         with np.errstate(over="ignore"):
             np.divide(self.rows, tau, out=buf)
+            clamp = self._floor / tau < LOG_TINY  # does any scaled entry fall below it
+        if clamp:
+            np.copyto(buf, -np.inf, where=buf < LOG_TINY)
         np.exp(buf, out=buf)
         conf = 1.0 / buf.sum(axis=1)
         return conf[self.steps]

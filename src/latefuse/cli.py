@@ -6,7 +6,10 @@ key, with one type and choices check for both. A command resolves them
 as defaults <- config file <- explicit flags, runs deterministically from
 the resolved values (seeds included), and drops a copy of the resolved
 config next to its outputs. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 provider-io error.
+error, 3 data error, 4 provider-io error. A command reads every local
+input, the providers built from files included, before it opens any
+endpoint, so a missing source or a bad input file exits 2 or 3 without
+a connection.
 
 `calibrate` is the one source of temperatures and reliability diagrams:
 its report holds the fitted tau, with the bins at tau 1 and at that tau,
@@ -294,6 +297,16 @@ def _build(resolved: dict, role: str, vocab: Vocabulary, opened: contextlib.Exit
     return build_provider(ProviderSpec(kind, {parameter: path}), vocab)
 
 
+def _build_roles(resolved: dict, roles, vocab: Vocabulary, opened: contextlib.ExitStack):
+    """The llm and asr providers (`_build`), None for a role not in
+    `roles`. The roles without an endpoint are built first, so a missing
+    or bad local source fails with its own exit code, 2 or 3, before any
+    endpoint is opened."""
+    built = {role: _build(resolved, role, vocab, opened)
+             for role in sorted(roles, key=lambda role: bool(resolved[f"{role}_endpoint"]))}
+    return built.get("llm"), built.get("asr")
+
+
 def _tau_from(resolved: dict, report_key: str) -> float:
     """The tau of the calibration report `report_key` names, else 1.0."""
     if resolved[report_key]:  # a report is read for its tau only
@@ -399,8 +412,8 @@ def cmd_decode(resolved: dict):
     out = Path(resolved["out"])
     lines, log_lines = [], []  # kept as text: no DecodeResult outlives its utterance
     with contextlib.ExitStack() as opened:
-        llm = _build(resolved, "llm", vocab, opened) if cfg.mode != "asr" else None
-        asr = _build(resolved, "asr", vocab, opened) if cfg.mode != "llm" else None
+        roles = (cfg.mode,) if cfg.mode in ("llm", "asr") else ("llm", "asr")
+        llm, asr = _build_roles(resolved, roles, vocab, opened)
         eval_set = (corpus.record_context(rec, vocab) for rec in records)
         results = decoding.decode_eval_set(llm, asr, [cfg], eval_set,
                                            resolved["max_len_factor"])
@@ -443,7 +456,7 @@ def cmd_sweep(resolved: dict):
     eval_set = [corpus.record_context(rec, vocab) for rec in records]
     out = Path(resolved["out"])
     with contextlib.ExitStack() as opened:
-        llm, asr = (_build(resolved, role, vocab, opened) for role in ("llm", "asr"))
+        llm, asr = _build_roles(resolved, ("llm", "asr"), vocab, opened)
         wers = decoding.sweep_wers(llm, asr, cfgs, eval_set, resolved["max_len_factor"])
     _write_resolved(resolved, out.parent, f"sweep-{axis}")
     with open(out, "w", encoding="utf-8") as f:

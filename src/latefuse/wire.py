@@ -33,6 +33,16 @@ its rows, all but the last. All this
 relies on a served provider giving the same logits for one (utt,
 history).
 
+The server relies on that rule too: it answers each step entry from a
+reply cache keyed (utt, history, follow), follow None for an argmax
+entry, which keeps the entry's row count and frame bytes, so an entry
+asked for again is not computed again. A `ProviderServer` keeps one
+cache for its lifetime, shared by its connections, and `stdio_serve` one
+per session. The cache holds at most REPLY_CACHE_BYTES of frames and
+drops the oldest stored entry first; an entry larger than that, or
+whose provider raised, is not kept. Requests, replies and round trips
+are the same as without it.
+
 A caller that knows the utterances it will step through announces them
 (`ExternalProvider.prefetch`), each with the follow it will take from
 BOS: None for a decode, the reference for teacher forcing. Announcing
@@ -87,6 +97,11 @@ MAX_AHEAD = 32
 MAX_REQUEST_BYTES = 1 << 20
 # The most entries one step request lists.
 MAX_ENTRIES = 16
+# The most bytes of frames a server's reply cache keeps. The corrector
+# of a full-size README walkthrough (2000/200/500, V = 200, seed 1)
+# served over loopback, with `calibrate`, three decodes and both sweeps
+# against it, fills 2,022 entries with 26.0 MiB; this keeps all of them.
+REPLY_CACHE_BYTES = 32 << 20
 # The longest reply header line the client reads, newline excluded: a
 # step reply's counts take at most MAX_ENTRIES * 4 bytes, and an error
 # message the rest.
@@ -431,8 +446,8 @@ def _token_ids(msg: dict, field: str, size: int, where: str):
 
 
 def _step_entry(msg: dict, contexts: dict[str, UtteranceContext], size: int, where: str):
-    """The (history, follow, ctx) a step request's entry `msg` asks for,
-    follow None without one; `where` names the entry in an error."""
+    """The (utt, history, follow, ctx) a step request's entry `msg` asks
+    for, follow None without one; `where` names the entry in an error."""
     if type(msg) is not dict:
         raise ValueError(f"{where} must be an object, got {msg!r:.200}")
     prefix = f"{where}: "
@@ -447,7 +462,7 @@ def _step_entry(msg: dict, contexts: dict[str, UtteranceContext], size: int, whe
     follow = _token_ids(msg, "follow", size, where)
     if follow is not None and len(follow) >= MAX_AHEAD:
         raise ValueError(f"{prefix}'follow' holds more than {MAX_AHEAD - 1} tokens")
-    return history, follow, ctx
+    return utt, history, follow, ctx
 
 
 def _entry_rows(provider, history: tuple, follow, ctx: UtteranceContext) -> list:
@@ -463,6 +478,36 @@ def _entry_rows(provider, history: tuple, follow, ctx: UtteranceContext) -> list
     return rows
 
 
+class _ReplyCache:
+    """One server's reply cache (see the module docstring): each step
+    entry's row count and frame bytes, keyed (utt, history, follow).
+    REPLY_CACHE_BYTES is read at each store. The lock guards each lookup
+    and store; the rows are computed outside it, so two connections that
+    miss one entry at once both compute it, and the first stored stays."""
+
+    def __init__(self):
+        self._replies = {}  # key -> (rows, frame), oldest first
+        self.bytes = 0
+        self._lock = threading.Lock()
+
+    def reply(self, provider, utt: str, history: tuple, follow, ctx) -> tuple[int, bytes]:
+        """The row count and frame of the entry (`_entry_rows`)."""
+        key = (utt, history, follow)
+        with self._lock:
+            cached = self._replies.get(key)
+        if cached is not None:
+            return cached
+        rows = _entry_rows(provider, history, follow, ctx)
+        reply = len(rows), b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)
+        with self._lock:
+            if key not in self._replies and len(reply[1]) <= REPLY_CACHE_BYTES:
+                self._replies[key] = reply
+                self.bytes += len(reply[1])
+                while self.bytes > REPLY_CACHE_BYTES:
+                    self.bytes -= len(self._replies.pop(next(iter(self._replies)))[1])
+        return reply
+
+
 def _hello_reply(msg: dict, vocab: Vocabulary) -> dict:
     if msg.get("vocab_size") != vocab.size:
         return {"ok": False, "error": "vocab_size mismatch"}
@@ -475,10 +520,11 @@ def _hello_reply(msg: dict, vocab: Vocabulary) -> dict:
 
 
 def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
-                    greeted: bool) -> tuple[dict, bytes]:
-    """The reply to one request: its header and, for a step, its frame. A
-    bad request raises ValueError, or CorpusSchemaError for a bad field,
-    whose message the error reply carries."""
+                    greeted: bool, cache: _ReplyCache) -> tuple[dict, bytes]:
+    """The reply to one request: its header and, for a step, its frame,
+    each entry's rows read from `cache`. A bad request raises ValueError,
+    or CorpusSchemaError for a bad field, whose message the error reply
+    carries."""
     op = msg.get("op")
     if op == "hello":
         return _hello_reply(msg, provider.vocab), b""
@@ -491,15 +537,17 @@ def _handle_request(msg: dict, provider, contexts: dict[str, UtteranceContext],
                          f"a list of 1 to {MAX_ENTRIES} objects")
     entries = [_step_entry(entry, contexts, provider.vocab.size, f"'entries'[{i}]")
                for i, entry in enumerate(entries)]
-    looked = [_entry_rows(provider, *entry) for entry in entries]
-    frame = b"".join(np.asarray(row, dtype="<f8").tobytes() for rows in looked for row in rows)
+    replies = [cache.reply(provider, *entry) for entry in entries]
+    frame = b"".join(entry_frame for _, entry_frame in replies)
     return {"id": request_id, "logits_bytes": len(frame),
-            "rows": [len(rows) for rows in looked]}, frame
+            "rows": [rows for rows, _ in replies]}, frame
 
 
-def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext]):
+def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext],
+                 cache: _ReplyCache):
     """Answer each request line of `reader` through `write`, one call per
     reply: split writes of a header and its frame invite delayed-ACK stalls.
+    Step entries are answered through `cache`.
 
     Stops at EOF, after the reply to a first request that is not an
     accepted hello, after a refused hello, and after an over-long request
@@ -515,7 +563,7 @@ def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext])
             continue
         try:
             reply, frame = _handle_request(_parse_line(line, "request"), provider, contexts,
-                                           greeted)
+                                           greeted, cache)
         except Exception as exc:  # a bad request must not stop the server
             reply, frame = {"error": str(exc)}, b""
         write((json.dumps(reply) + "\n").encode("utf-8") + frame)
@@ -525,12 +573,14 @@ def _serve_lines(reader, write, provider, contexts: dict[str, UtteranceContext])
 
 
 class ProviderServer:
-    """Serve a built-in provider over TCP, one thread per connection."""
+    """Serve a built-in provider over TCP, one thread per connection; the
+    connections share one reply cache for the server's lifetime."""
 
     def __init__(self, provider, contexts: dict[str, UtteranceContext],
                  host: str = "127.0.0.1", port: int = 0):
         self._provider = provider
         self._contexts = contexts
+        self._cache = _ReplyCache()
         # SO_REUSEADDR is set, and the socket closed if bind or listen fails
         self._sock = socket.create_server((host, port))
         self._stopping = threading.Event()
@@ -559,7 +609,7 @@ class ProviderServer:
                 # Nagle's algorithm would hold a reply's last segment until
                 # the client, delaying its ACK, acknowledged the ones before
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                _serve_lines(reader, conn.sendall, self._provider, self._contexts)
+                _serve_lines(reader, conn.sendall, self._provider, self._contexts, self._cache)
             except OSError:
                 pass  # the client went away
 
@@ -579,7 +629,8 @@ class ProviderServer:
 
 def stdio_serve(provider, contexts: dict[str, UtteranceContext],
                 stdin=None, stdout=None):
-    """Serve over stdin/stdout; the loop ends at EOF or a failed handshake."""
+    """Serve over stdin/stdout, with a reply cache of its own; the loop ends
+    at EOF or a failed handshake."""
     stdin = stdin if stdin is not None else sys.stdin.buffer
     stdout = stdout if stdout is not None else sys.stdout.buffer
 
@@ -587,4 +638,4 @@ def stdio_serve(provider, contexts: dict[str, UtteranceContext],
         stdout.write(data)
         stdout.flush()
 
-    _serve_lines(stdin, write, provider, contexts)
+    _serve_lines(stdin, write, provider, contexts, _ReplyCache())

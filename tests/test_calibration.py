@@ -314,6 +314,31 @@ class TestShiftedTraceMatchesPerCallShift:
         assert peaks[0] <= peaks[1]
 
 
+class TestSubnormalClamp:
+    """Setting the scaled entries below LOG_TINY to -inf before the exp
+    changes no bit of the confidences (see `ShiftedTrace`)."""
+
+    @pytest.mark.parametrize("width", [5, 128, 200, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_confidences_equal_the_exp_of_every_entry(self, seed, width):
+        rng = np.random.default_rng(seed)
+        tau = 0.01
+        # at tau 0.01 a third of the shifted entries scale into (-745, -708),
+        # whose exps are subnormal, and a sixth into (-708, -670), whose
+        # exps are normal but make running sums under 2^-969
+        traces = rng.uniform(-9.0, 0.0, size=(400, width))
+        draw = rng.random(traces.shape)
+        traces[draw < 1 / 3] = rng.uniform(-7.45, -7.085, size=(draw < 1 / 3).sum())
+        traces[draw > 5 / 6] = rng.uniform(-7.08, -6.7, size=(draw > 5 / 6).sum())
+        traces[np.arange(len(traces)), rng.integers(width, size=len(traces))] = 0.0  # the max
+        traces += rng.normal(scale=50.0, size=(len(traces), 1))
+        scaled = (traces - traces.max(axis=1, keepdims=True)) / tau
+        assert ((scaled > -745.0) & (scaled < calibration.LOG_TINY)).mean() > 0.25
+        want = 1.0 / np.exp(scaled).sum(axis=1)
+        shifted = ShiftedTrace(traces, np.arange(len(traces)))
+        assert shifted.confidences(tau).tobytes() == want.tobytes()
+
+
 class TestTau1Bins:
     """The report's tau-1 diagram is that of the uncalibrated trace, binned
     from the shifted trace the fit already holds."""

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shlex
+import socket
 import warnings
 from pathlib import Path
 
@@ -581,6 +582,68 @@ class TestCalibrationReadBeforeAnyProvider:
         assert run(*argv) == 3
         assert str(bad) in capsys.readouterr().err
         assert not out.parent.exists()
+
+
+@pytest.fixture
+def listener():
+    """A listening socket that never accepts: a client's connection
+    completes into its backlog, where `accepted` finds it."""
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        yield sock
+
+
+def accepted(sock) -> int:
+    """The connections waiting in `sock`'s backlog, each accepted and closed."""
+    sock.setblocking(False)
+    count = 0
+    while True:
+        try:
+            conn, _ = sock.accept()
+        except BlockingIOError:
+            return count
+        conn.close()
+        count += 1
+
+
+class TestLocalSourcesBeforeAnyEndpoint:
+    """`decode` and `sweep` build every role without an endpoint before
+    they open any endpoint: a missing or malformed local source fails with
+    its own exit code and message, and no connection is attempted."""
+
+    @pytest.mark.parametrize("command, served, sources, code, message", [
+        (["decode", "--mode", "uadf"], "llm", {}, 2, ASR_MISSING),
+        (["decode", "--mode", "uadf"], "llm", {"--manifest": "nope.json"}, 3, "nope.json"),
+        (["decode", "--mode", "uadf"], "llm", {"--manifest": "bad.json"}, 3, "bad.json"),
+        (["decode", "--mode", "static"], "asr", {}, 2, LLM_MISSING),
+        (["sweep", "--axis", "beta"], "llm", {"--manifest": "nope.json"}, 3, "nope.json"),
+        (["sweep", "--axis", "static-grid"], "llm", {}, 2, ASR_MISSING),
+        (["sweep", "--axis", "beta"], "asr", {"--lm-model": "bad.json"}, 3, "bad.json"),
+    ], ids=["decode-no-manifest", "decode-missing-manifest", "decode-bad-manifest",
+            "decode-no-lm-model", "sweep-missing-manifest", "sweep-no-manifest",
+            "sweep-bad-lm-model"])
+    def test_local_error_before_any_connection(self, workspace, tmp_path, capsys, listener,
+                                               command, served, sources, code, message):
+        (tmp_path / "bad.json").write_text("{")
+        data = workspace / "data"
+        out = tmp_path / "nd" / "out.file"
+        host, port = listener.getsockname()
+        argv = [*command, "--corpus", data / "val.jsonl", "--vocab", data / "vocab.txt",
+                f"--{served}-endpoint", f"{host}:{port}", "--timeout", "0.2",
+                *(item for flag, name in sources.items() for item in (flag, tmp_path / name)),
+                "--out", out]
+        assert run(*argv) == code
+        assert message in capsys.readouterr().err
+        assert accepted(listener) == 0
+        assert not out.parent.exists()
+
+    def test_the_listener_sees_a_command_that_connects(self, workspace, tmp_path, listener):
+        """The check above can fail: with every local source in place, the
+        command connects, gets no hello reply and exits 4."""
+        host, port = listener.getsockname()
+        argv = decode_args(workspace, "uadf", tmp_path / "out.jsonl",
+                           **{"llm-endpoint": f"{host}:{port}", "timeout": 0.2})
+        assert run(*argv) == 4
+        assert accepted(listener) == 1
 
 
 class TestEmptyCorpusNamed:

@@ -1966,3 +1966,159 @@ class TestWireCounters:
             assert match, line
             trips, used, received = map(int, match.groups())
             assert 1 <= trips <= used <= received
+
+
+class CountedProvider:
+    """Delegates to a provider and counts its next_logits calls, as the
+    bench's wire server does."""
+
+    def __init__(self, provider):
+        self.vocab = provider.vocab
+        self._provider = provider
+        self._lock = threading.Lock()
+        self.calls = 0
+
+    def next_logits(self, history, ctx):
+        with self._lock:
+            self.calls += 1
+        return self._provider.next_logits(history, ctx)
+
+
+def raw_session(address, vocab, steps):
+    """The (header, frame bytes) replies of one connection to `address`
+    that sends a hello, then `steps`."""
+    host, _, port = address.rpartition(":")
+    transport = _TcpTransport(socket.create_connection((host, int(port)), timeout=5.0),
+                              vocab.size)
+    try:
+        assert transport.round_trip(hello_request(vocab))[0] == HELLO_OK
+        return [(header, bytes(frame))
+                for header, frame in map(transport.round_trip, steps)]
+    finally:
+        transport.close()
+
+
+def uncached_frame(provider, payload):
+    """The frame a server without a reply cache sends for the step request
+    `payload`: each entry's rows, as `_entry_rows` computes them."""
+    rows = [row for entry in payload["entries"] for row in wire._entry_rows(
+        provider, tuple(entry["history"]),
+        tuple(entry["follow"]) if "follow" in entry else None, HASH_CONTEXTS[entry["utt"]])]
+    return b"".join(np.asarray(row, dtype="<f8").tobytes() for row in rows)
+
+
+def cache_steps(n_requests, seed):
+    """`n_requests` seeded step requests of 1 to 3 entries each, drawn from
+    a pool of argmax and follow entries, so that entries repeat."""
+    pool = [{"utt": utt, "history": history, **follow}
+            for utt in ("u0", "u1", "u2")
+            for history in ([0], [0, 3], [0, 5, 4])
+            for follow in ({}, {"follow": []}, {"follow": [3, 4]})]
+    rng = random.Random(seed)
+    return [step_request(*rng.sample(pool, rng.randint(1, 3)), request_id=i)
+            for i in range(n_requests)]
+
+
+class TestReplyCache:
+    """A server answers a step entry it answered before from its reply
+    cache: the same bytes, and no provider call."""
+
+    def test_a_second_session_makes_no_provider_call(self, abc_vocab):
+        provider = CountedProvider(HashProvider(abc_vocab))
+        steps = cache_steps(12, seed=3)
+        with ProviderServer(provider, HASH_CONTEXTS) as server:
+            first = raw_session(server.address, abc_vocab, steps)
+            calls = provider.calls
+            second = raw_session(server.address, abc_vocab, steps)
+        assert second == first and provider.calls == calls
+        for (_, frame), payload in zip(first, steps):
+            assert frame == uncached_frame(HashProvider(abc_vocab), payload)
+        # an entry asked for again within the first session was computed once
+        distinct = {json.dumps(entry, sort_keys=True): entry
+                    for step in steps for entry in step["entries"]}
+        assert calls == len(uncached_frame(HashProvider(abc_vocab), step_request(
+            *distinct.values()))) // (8 * abc_vocab.size)
+
+    @pytest.mark.parametrize("cap_rows", [0, 1, 5, 40])
+    def test_a_small_cap_changes_no_reply(self, abc_vocab, monkeypatch, cap_rows):
+        cap = cap_rows * 8 * abc_vocab.size
+        monkeypatch.setattr(wire, "REPLY_CACHE_BYTES", cap)
+        steps = cache_steps(40, seed=cap_rows)
+        with ProviderServer(HashProvider(abc_vocab), HASH_CONTEXTS) as server:
+            replies = []
+            for step in steps:
+                replies += raw_session(server.address, abc_vocab, [step])
+                kept = server._cache._replies.values()
+                assert server._cache.bytes == sum(len(frame) for _, frame in kept) <= cap
+        for (header, frame), payload in zip(replies, steps):
+            assert frame == uncached_frame(HashProvider(abc_vocab), payload)
+            assert header["logits_bytes"] == len(frame)
+
+    def test_the_oldest_entry_goes_first_and_an_oversized_one_is_not_kept(
+            self, abc_vocab, monkeypatch):
+        monkeypatch.setattr(wire, "REPLY_CACHE_BYTES", 2 * 8 * abc_vocab.size)
+        provider, cache = CountedProvider(HashProvider(abc_vocab)), wire._ReplyCache()
+        ctx = HASH_CONTEXTS["u0"]
+
+        def ask(*history, follow=()):
+            before = provider.calls
+            cache.reply(provider, "u0", history, follow, ctx)
+            return provider.calls - before
+
+        assert [ask(0), ask(0, 3), ask(0), ask(0, 3)] == [1, 1, 0, 0]
+        assert ask(0, 4) == 1  # evicts (0,), the oldest
+        assert [ask(0, 3), ask(0, 4), ask(0)] == [0, 0, 1]
+        assert ask(0, follow=(5, 6)) == 3  # three rows: over the cap, not kept
+        assert ask(0, follow=(5, 6)) == 3
+        assert [ask(0, 4), ask(0)] == [0, 0]
+
+    def test_concurrent_connections_decode_like_in_process(self, small_walkthrough):
+        vocab, train, asr, val, test = small_walkthrough
+        llm = train_ngram_corrector(train, vocab, order=2, smoothing=0.1, vote_weight=0.85)
+        cfgs = [FusionConfig(mode="uadf", tau1=0.8, tau2=1.2)]
+        want = [decode_fields(r) for r in decode_eval_set(llm, asr, cfgs, test)]
+        got, start = [None, None], threading.Barrier(2)
+
+        def decode(k, address):  # the channel is a read-only block: both share it
+            with connect_external(address, vocab, timeout=10.0) as remote:
+                start.wait(timeout=10.0)
+                got[k] = [decode_fields(r) for r in decode_eval_set(remote, asr, cfgs, test)]
+
+        with ProviderServer(llm, {ctx.utt_id: ctx for ctx, _ in test}) as server:
+            threads = [threading.Thread(target=decode, args=(k, server.address))
+                       for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        assert got == [want, want]
+
+    def test_stdio_serve_reuses_its_cache_within_a_session(self, abc_vocab):
+        provider = CountedProvider(HashProvider(abc_vocab))
+        step = step_request({"utt": "u1", "history": [0]}, {"utt": "u2", "history": [0],
+                                                           "follow": [3]})
+        first, again = served_steps(abc_vocab, [step, {**step, "id": 1}], provider=provider)
+        calls = provider.calls
+        assert calls == len(first[1]) // abc_vocab.size
+        assert again[1].tobytes() == first[1].tobytes()
+        served_steps(abc_vocab, [step], provider=provider)  # a new session, a new cache
+        assert provider.calls == 2 * calls
+
+    @pytest.mark.parametrize("entry", [{"utt": "u1", "history": [0, 3], "follow": [4, 5]},
+                                       {"utt": "u1", "history": [0, 3]}],
+                             ids=["follow", "argmax"])
+    def test_an_entry_whose_provider_raised_is_not_kept(self, abc_vocab, entry):
+        class FailsOnce(HashProvider):
+            failed = False
+
+            def next_logits(self, history, ctx):
+                if len(history) == 3 and not self.failed:  # the entry's second row
+                    FailsOnce.failed = True
+                    raise RuntimeError("provider failed")
+                return super().next_logits(history, ctx)
+
+        failed, served = served_steps(abc_vocab, [step_request(entry),
+                                                  step_request(entry, request_id=1)],
+                                      provider=FailsOnce(abc_vocab))
+        assert failed == ({"error": "provider failed"}, None)
+        assert served[1].tobytes() == uncached_frame(HashProvider(abc_vocab), step_request(entry))
